@@ -59,7 +59,6 @@ from .certify import (
 )
 from .config import ExperimentConfig, compile_expression, load_config, parse_config
 from .errors import (
-    CgConvergenceError,
     ConfigError,
     DerivativeUnavailableError,
     DomainViolationError,
@@ -89,7 +88,6 @@ from .updates import (
     FullSolveCG,
     SteepestDescent,
     bregman_div,
-    conjugate_gradient,
     decrease_check,
     gradient_mapping,
     make_gradients,

@@ -6,13 +6,18 @@ coefficients is the quadratic
     K(w, xi) = 0.5 * w.A(xi).w - w.load(xi),
 
 with A(xi)_ij = a(phi_j, phi_i), load(xi)_j = ell(phi_j) and the Gram matrix
-G(xi)_ij = (phi_j, phi_i)_U.  The spectral statistics of A and G drive every
-solvability and conditioning certificate downstream.
+G(xi)_ij = (phi_j, phi_i)_U.  The assembled system owns the linear algebra at
+its point: one eigendecomposition of A, computed on first use, gives the
+spectral statistics every solvability and conditioning certificate needs and
+the exact (minimum-norm, pseudo-inverse) solve w*(xi) = A(xi)^+ load(xi).
+For the L2 energy G is A itself; otherwise the smallest eigenvalue of G
+costs one more eigenvalue-only decomposition, again only when asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -33,24 +38,72 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-12
+_KERNEL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Stiffness/Gram matrices and load vector at one parameter point."""
+    """Stiffness/Gram matrices and load vector at one parameter point.
+
+    Spectra and the exact solve are computed on first use and cached, so a
+    point that never asks for them (a finite-difference probe, a frozen
+    grid point) never pays for a decomposition.
+    """
 
     xi: np.ndarray
     matrix: np.ndarray          # A(xi), symmetrised
     load: np.ndarray            # ell(phi(xi))
-    gram: np.ndarray            # G(xi), symmetrised
-    lambda_min: float           # min eigenvalue of A
-    lambda_max: float           # max eigenvalue of A
-    omega: float                # min eigenvalue of G
-    phi_u2: float               # ||phi(xi)||_{U,2} = sqrt(trace G)
+    gram: np.ndarray            # G(xi), symmetrised; the same array as A for L2
 
     @property
     def n_linear(self) -> int:
         return int(self.load.size)
+
+    @cached_property
+    def spectrum(self):
+        """Ascending eigenvalues and orthonormal eigenvectors of A."""
+        return scipy.linalg.eigh(self.matrix)
+
+    @property
+    def lambda_min(self) -> float:
+        return float(self.spectrum[0][0])
+
+    @property
+    def lambda_max(self) -> float:
+        return float(self.spectrum[0][-1])
+
+    @cached_property
+    def omega(self) -> float:
+        """Smallest eigenvalue of G."""
+        if self.gram is self.matrix:
+            return self.lambda_min
+        return float(scipy.linalg.eigh(self.gram, eigvals_only=True)[0])
+
+    @property
+    def phi_u2(self) -> float:
+        """||phi(xi)||_{U,2} = sqrt(trace G)."""
+        return float(np.sqrt(np.trace(self.gram)))
+
+    @property
+    def kernel_cut(self) -> float:
+        """Eigenvalues of A at or below this cut span its numerical kernel."""
+        return _KERNEL_TOL * max(self.lambda_max, 1.0)
+
+    @cached_property
+    def solution(self) -> np.ndarray:
+        """Minimum-norm solution A^+ load, with the kernel cut at ``kernel_cut``.
+
+        Raises :class:`SpdViolationError` on an eigenvalue below ``-kernel_cut``.
+        """
+        evals, Q = self.spectrum
+        cut = self.kernel_cut
+        if evals[0] < -cut:
+            raise SpdViolationError(
+                f"stiffness matrix has a negative eigenvalue {evals[0]!r}"
+            )
+        kernel = evals <= cut
+        inv = np.where(kernel, 0.0, 1.0 / np.where(kernel, 1.0, evals))
+        return Q @ (inv * (Q.T @ self.load))
 
 
 def _symmetrise(M: np.ndarray, label: str) -> np.ndarray:
@@ -97,22 +150,11 @@ def assemble(problem, rule: QuadratureRule, family, xi) -> AssembledSystem:
         fx = problem.target.values(x)
         A = (vals * w) @ vals.T
         load = vals @ (w * fx)
-        G = A.copy()  # the ambient inner product is the bilinear form itself
+        G = None  # the ambient inner product is the bilinear form itself: G is A
 
     A = _symmetrise(A, "stiffness matrix")
-    G = _symmetrise(G, "Gram matrix")
-    ev_a = scipy.linalg.eigh(A, eigvals_only=True)
-    ev_g = scipy.linalg.eigh(G, eigvals_only=True)
-    return AssembledSystem(
-        xi=xi,
-        matrix=A,
-        load=load,
-        gram=G,
-        lambda_min=float(ev_a[0]),
-        lambda_max=float(ev_a[-1]),
-        omega=float(ev_g[0]),
-        phi_u2=float(np.sqrt(np.trace(G))),
-    )
+    G = A if G is None else _symmetrise(G, "Gram matrix")
+    return AssembledSystem(xi=xi, matrix=A, load=load, gram=G)
 
 
 def quadratic_energy(system: AssembledSystem, w) -> float:
@@ -172,24 +214,17 @@ class ConsistencyReport:
     w_alternate: np.ndarray
 
 
-def check_consistency(system: AssembledSystem, kernel_tol: float = 1e-10) -> ConsistencyReport:
-    evals, Q = scipy.linalg.eigh(system.matrix)
-    scale = max(float(evals[-1]), 0.0)
-    if evals[0] < -kernel_tol * max(scale, 1.0):
-        raise SpdViolationError(
-            f"stiffness matrix has a negative eigenvalue {evals[0]!r}"
-        )
-    cut = kernel_tol * max(scale, 1.0)
-    kernel = evals <= cut
+def check_consistency(system: AssembledSystem) -> ConsistencyReport:
+    """The system's exact solve plus one shifted along the kernel of A."""
+    w1 = system.solution
+    evals, Q = system.spectrum
+    kernel = evals <= system.kernel_cut
     kdim = int(np.count_nonzero(kernel))
-
-    coeffs = Q.T @ system.load
-    inv = np.where(kernel, 0.0, 1.0 / np.where(kernel, 1.0, evals))
-    w1 = Q @ (inv * coeffs)
-    residual = float(np.linalg.norm(coeffs[kernel])) if kdim else 0.0
     if kdim:
+        residual = float(np.linalg.norm(Q[:, kernel].T @ system.load))
         w2 = w1 + Q[:, kernel] @ np.ones(kdim)
     else:
+        residual = 0.0
         w2 = w1.copy()
     dw = w2 - w1
     gap_sq = float(dw @ system.gram @ dw)

@@ -109,6 +109,13 @@ def _skipped(name, note) -> CertificateEntry:
     return CertificateEntry(name, "-", math.nan, math.nan, math.nan, "skipped", note)
 
 
+def _worst(entries, note) -> CertificateEntry:
+    """The first entry of smallest margin, carrying ``note``."""
+    worst = min(entries, key=lambda e: e.margin)
+    worst.note = note
+    return worst
+
+
 @dataclass
 class CertificateReport:
     entries: List[CertificateEntry] = field(default_factory=list)
@@ -185,7 +192,6 @@ def minimiser_grid_oracle(
     family,
     resolution: float,
     frozen_w=None,
-    reduced_cg_tol: float = 1e-12,
     max_points: int = 2_000_000,
 ) -> GridSearchOracle:
     """Evaluate the reduced energy on a full feasible grid.
@@ -226,7 +232,7 @@ def minimiser_grid_oracle(
     def value(p):
         if frozen_w is not None:
             return quadratic_energy(assemble(problem, rule, family, p), frozen_w)
-        return reduced_energy(problem, rule, family, p, reduced_cg_tol)[0]
+        return reduced_energy(problem, rule, family, p)[0]
 
     vals_full = np.full(shape, np.nan).reshape(-1)
     vals = np.array([value(p) for p in pts])
@@ -342,27 +348,22 @@ def decrease_certificate(record: RunRecord, atol: float = 1e-9) -> List[Certific
     """Achieved linear-update drop >= guaranteed drop at every update."""
     if record.frozen:
         return [_skipped("linear-decrease", "frozen linear rule: no linear updates")]
-    worst = None
     checks = []
     if record.initial_decrease is not None:
         checks.append(("initial update", *record.initial_decrease))
     for it in _transitions(record):
         checks.append((f"step {it.k}", it.decrease_achieved, it.decrease_guaranteed))
-    for anchor, ach, gua in checks:
-        e = _check("linear-decrease", anchor, gua, ach, atol=atol, rtol=0.0)
-        if worst is None or e.margin < worst.margin:
-            worst = e
-    if worst is None:
+    if not checks:
         return [_skipped("linear-decrease", "no linear updates recorded")]
-    worst.note = f"checked {len(checks)} updates"
-    return [worst]
+    entries = [_check("linear-decrease", anchor, gua, ach, atol=atol, rtol=0.0)
+               for anchor, ach, gua in checks]
+    return [_worst(entries, f"checked {len(checks)} updates")]
 
 
 def lambda_max_certificate(record: RunRecord, constants) -> List[CertificateEntry]:
     """lambda_max(A(xi_k)) <= norm_a * ||phi(xi_k)||_{U,2}^2 at every iterate."""
-    worst = None
-    for it in record.iterates:
-        e = _check(
+    entries = [
+        _check(
             "lambda-max-bound",
             f"iterate {it.k}",
             it.lambda_max,
@@ -370,41 +371,36 @@ def lambda_max_certificate(record: RunRecord, constants) -> List[CertificateEntr
             atol=1e-9,
             rtol=0.0,
         )
-        if worst is None or e.margin < worst.margin:
-            worst = e
-    worst.note = f"checked {len(record.iterates)} iterates"
-    return [worst]
+        for it in record.iterates
+    ]
+    return [_worst(entries, f"checked {len(record.iterates)} iterates")]
 
 
 def spd_certificate(record: RunRecord, omega_min: float) -> List[CertificateEntry]:
     """omega(xi_k) >= omega_min at every visited parameter point."""
     if record.frozen:
         return [_skipped("uniform-solvability", "frozen linear rule: not asserted")]
-    worst = None
-    for it in record.iterates:
-        e = _check("uniform-solvability", f"iterate {it.k}", omega_min, it.omega,
-                   atol=0.0, rtol=0.0)
-        if worst is None or e.margin < worst.margin:
-            worst = e
-    worst.note = f"checked {len(record.iterates)} iterates"
-    return [worst]
+    entries = [
+        _check("uniform-solvability", f"iterate {it.k}", omega_min, it.omega,
+               atol=0.0, rtol=0.0)
+        for it in record.iterates
+    ]
+    return [_worst(entries, f"checked {len(record.iterates)} iterates")]
 
 
 def energy_monotonicity_certificate(
     record: RunRecord, tol: float = 1e-10
 ) -> List[CertificateEntry]:
     """K_{k+1} <= K_k along the recorded iterates (valid step sizes)."""
-    worst = None
     its = record.iterates
     if len(its) < 2:
         return [_skipped("energy-monotone", "run recorded no steps")]
-    for a, b in zip(its[:-1], its[1:]):
-        scale = 1.0 + abs(a.K)
-        e = _check("energy-monotone", f"step {a.k}", b.K, a.K, atol=tol * scale, rtol=0.0)
-        if worst is None or e.margin < worst.margin:
-            worst = e
-    worst.note = f"checked {len(its) - 1} steps"
-    return [worst]
+    entries = [
+        _check("energy-monotone", f"step {a.k}", b.K, a.K,
+               atol=tol * (1.0 + abs(a.K)), rtol=0.0)
+        for a, b in zip(its[:-1], its[1:])
+    ]
+    return [_worst(entries, f"checked {len(its) - 1} steps")]
 
 
 def local_rate_certificate(
@@ -434,7 +430,7 @@ def local_rate_certificate(
     K0 = record.iterates[0].K
     best_lhs = math.inf
     S = 0.0
-    worst = None
+    entries = []
     for n, it in enumerate(trans, start=1):
         L_k = it.lipschitz_L if it.lipschitz_L is not None else None
         if L_k is None and L_values is not None:
@@ -461,11 +457,10 @@ def local_rate_certificate(
         S += term
         best_lhs = min(best_lhs, it.grad_map_norm ** 2 + it.grad_w_post_norm ** 2)
         rhs = 2.0 * (K0 - K_star_lower + n * eps) / S
-        e = _check("local-rate", f"horizon n={n}", best_lhs, rhs, atol=atol, rtol=rtol)
-        if worst is None or e.margin < worst.margin:
-            worst = e
-    worst.note = f"checked horizons 1..{len(trans)}"
-    return [worst]
+        entries.append(
+            _check("local-rate", f"horizon n={n}", best_lhs, rhs, atol=atol, rtol=rtol)
+        )
+    return [_worst(entries, f"checked horizons 1..{len(trans)}")]
 
 
 def surrogate_certificate(
@@ -476,7 +471,6 @@ def surrogate_certificate(
     L: float,
     nu: float,
     eps_target: float,
-    cg_tol: float = 1e-12,
     atol: float = ATOL,
     rtol: float = RTOL,
 ) -> List[CertificateEntry]:
@@ -503,8 +497,7 @@ def surrogate_certificate(
         grad_w_norm = 0.0  # the frozen coefficient is the exact linear optimum
     else:
         system = assemble(problem, rule, family, xi_stop)
-        _, w_fin = reduced_energy(problem, rule, family, xi_stop, cg_tol)
-        grad_w_norm = float(np.linalg.norm(system.matrix @ w_fin - system.load))
+        grad_w_norm = float(np.linalg.norm(system.matrix @ system.solution - system.load))
     c = math.hypot(last.grad_map_norm, grad_w_norm)
     level = quasi_stationarity_level(L, nu, gamma, record.mu, c)
     bound = quasi_stationarity_level(L, nu, gamma, record.mu, eps_target)
@@ -584,38 +577,32 @@ def global_step_certificate(
                     f"mu = {mu!r}; the per-step guarantee does not apply",
                 )
             ]
-    worst_mono = None
-    worst_desc = None
+    mono, desc = [], []
     for it in trans:
         k = it.k
-        e1 = _check(
+        mono.append(_check(
             "global-step-delta-monotone",
             f"step {k}",
             deltas[k + 1],
             deltas[k],
             atol=atol,
             rtol=rtol,
-        )
-        if worst_mono is None or e1.margin < worst_mono.margin:
-            worst_mono = e1
+        ))
         rhs = (
             oracle.K_star
             - 0.5 * (mu / it.gamma - L_bar) * it.step_norm ** 2
             + (deltas[k] - deltas[k + 1]) / it.gamma
         )
-        e2 = _check(
+        desc.append(_check(
             "global-step-descent",
             f"step {k}",
             record.iterates[k + 1].K_reduced,
             rhs,
             atol=atol,
             rtol=rtol,
-        )
-        if worst_desc is None or e2.margin < worst_desc.margin:
-            worst_desc = e2
-    worst_mono.note = f"checked {len(trans)} steps"
-    worst_desc.note = f"checked {len(trans)} steps"
-    return [worst_mono, worst_desc]
+        ))
+    note = f"checked {len(trans)} steps"
+    return [_worst(mono, note), _worst(desc, note)]
 
 
 def global_rate_certificate(
@@ -643,16 +630,15 @@ def global_rate_certificate(
             )
         ]
     gsum = 0.0
-    worst = None
+    entries = []
     for n, it in enumerate(trans, start=1):
         gsum += it.gamma
         lhs = record.iterates[n].K_reduced - oracle.K_star
         rhs = deltas[0] / gsum
-        e = _check("global-rate", f"horizon n={n}", lhs, rhs, atol=atol, rtol=rtol)
-        if worst is None or e.margin < worst.margin:
-            worst = e
-    worst.note = f"checked horizons 1..{len(trans)}"
-    return [worst]
+        entries.append(
+            _check("global-rate", f"horizon n={n}", lhs, rhs, atol=atol, rtol=rtol)
+        )
+    return [_worst(entries, f"checked horizons 1..{len(trans)}")]
 
 
 @dataclass
@@ -687,7 +673,6 @@ def cea_certificate(
     zeta: float,
     geom,
     best_in_V: Optional[float] = None,
-    cg_tol: float = 1e-12,
     atol: float = ATOL,
     rtol: float = RTOL,
 ) -> CeaResult:
@@ -722,7 +707,7 @@ def cea_certificate(
         if record.frozen:
             w_n = record.iterates[n].w
         else:
-            _, w_n = reduced_energy(problem, rule, family, xi_n, cg_tol)
+            _, w_n = reduced_energy(problem, rule, family, xi_n)
         diff = realisation(family, xi_n, w_n) - u_star
         lhs = bilinear(problem, rule, diff, diff)
         rhs = best_in_V + 2.0 * L_bar * delta0 / (zeta * mu * n)
@@ -732,12 +717,11 @@ def cea_certificate(
     ns = np.asarray(ns, dtype=float)
     lhss = np.asarray(lhss)
     rhss = np.asarray(rhss)
-    worst = None
-    for n, lhs, rhs in zip(ns, lhss, rhss):
-        e = _check("cea", f"horizon n={int(n)}", lhs, rhs, atol=atol, rtol=rtol)
-        if worst is None or e.margin < worst.margin:
-            worst = e
-    worst.note = f"best_in_V = {best_in_V!r}; checked horizons 1..{int(ns[-1])}"
+    worst = _worst(
+        [_check("cea", f"horizon n={int(n)}", lhs, rhs, atol=atol, rtol=rtol)
+         for n, lhs, rhs in zip(ns, lhss, rhss)],
+        f"best_in_V = {best_in_V!r}; checked horizons 1..{int(ns[-1])}",
+    )
     return CeaResult(worst, ns, lhss, rhss, lhss - best_in_V)
 
 
@@ -805,7 +789,6 @@ def quantitative_dc_condition(
     n_samples: int = 5,
     h_rel: float = 1e-4,
     frozen_w=None,
-    cg_tol: float = 1e-12,
     atol: float = ATOL,
     rtol: float = RTOL,
 ) -> CertificateEntry:
@@ -829,14 +812,14 @@ def quantitative_dc_condition(
     def real_at(eta):
         if frozen_w is not None:
             return realisation(family, eta, np.asarray(frozen_w, dtype=float))
-        _, w = reduced_energy(problem, rule, family, eta, cg_tol)
+        _, w = reduced_energy(problem, rule, family, eta)
         return realisation(family, eta, w)
 
     def a_norm(fld):
         return math.sqrt(max(bilinear(problem, rule, fld, fld), 0.0))
 
     ts = np.linspace(0.0, 1.0, n_samples + 2)[1:-1]
-    worst = None
+    entries = []
     for t in ts:
         eta = xi + t * D
         h = h_rel
@@ -856,11 +839,10 @@ def quantitative_dc_condition(
         g2 = (4.0 / 3.0) * d2(h / 2.0) - (1.0 / 3.0) * d2(h)
         lhs = factor * a_norm(g2)
         rhs = a_norm(g1) ** 2
-        e = _check("quantitative-dc", f"t={t:.3f}", lhs, rhs, atol=atol, rtol=rtol)
-        if worst is None or e.margin < worst.margin:
-            worst = e
-    worst.note = f"C = {C!r}; checked {len(ts)} segment points"
-    return worst
+        entries.append(
+            _check("quantitative-dc", f"t={t:.3f}", lhs, rhs, atol=atol, rtol=rtol)
+        )
+    return _worst(entries, f"C = {C!r}; checked {len(ts)} segment points")
 
 
 def best_linear_bounds_check(
@@ -875,7 +857,6 @@ def best_linear_bounds_check(
     kappa_max: float,
     m_dphi: Optional[float] = None,
     gradient_mode: str = "auto",
-    cg_tol: float = 1e-12,
     atol: float = ATOL,
     rtol: float = RTOL,
 ) -> List[CertificateEntry]:
@@ -898,17 +879,11 @@ def best_linear_bounds_check(
             alpha * omega_min
         ) * m_dphi
         c2 = (1.0 + kappa_max) * norm_ell ** 2 / (alpha * omega_min) * m_phi
-    worst = {}
-
-    def keep(key, e):
-        if key not in worst or e.margin < worst[key].margin:
-            worst[key] = e
-
+    norm, diff, grad = [], [], []
     for idx, (xi, eta) in enumerate(pairs):
-        _, w_xi = reduced_energy(problem, rule, family, xi, cg_tol)
-        _, w_eta = reduced_energy(problem, rule, family, eta, cg_tol)
-        keep(
-            "norm",
+        _, w_xi = reduced_energy(problem, rule, family, xi)
+        _, w_eta = reduced_energy(problem, rule, family, eta)
+        norm.append(
             _check(
                 "best-linear-norm",
                 f"pair {idx}",
@@ -916,11 +891,10 @@ def best_linear_bounds_check(
                 bound_w,
                 atol=atol,
                 rtol=rtol,
-            ),
+            )
         )
         dphi = basis_difference_norm(problem, rule, family, xi, eta)
-        keep(
-            "diff",
+        diff.append(
             _check(
                 "best-linear-hoelder",
                 f"pair {idx}",
@@ -928,14 +902,13 @@ def best_linear_bounds_check(
                 coef_diff * dphi,
                 atol=atol,
                 rtol=rtol,
-            ),
+            )
         )
         if grads is not None:
             g_xi = grads.grad_xi(w_xi, xi)
             g_eta = grads.grad_xi(w_eta, eta)
             ddphi = dparam_difference_norm(problem, rule, family, xi, eta)
-            keep(
-                "grad",
+            grad.append(
                 _check(
                     "reduced-gradient-hoelder",
                     f"pair {idx}",
@@ -943,14 +916,10 @@ def best_linear_bounds_check(
                     c1 * dphi + c2 * ddphi,
                     atol=atol,
                     rtol=rtol,
-                ),
+                )
             )
-    out = []
-    for key in ("norm", "diff", "grad"):
-        if key in worst:
-            worst[key].note = f"checked {len(pairs)} pairs"
-            out.append(worst[key])
-    return out
+    return [_worst(entries, f"checked {len(pairs)} pairs")
+            for entries in (norm, diff, grad) if entries]
 
 
 def regularity_constants_check(
@@ -979,7 +948,7 @@ def regularity_constants_check(
         + M_W (norm_a M_W M_phi + norm_ell) ||dphi(xi)-dphi(eta)||``
     """
     grads = make_gradients(problem, rule, family, mode=gradient_mode)
-    worst_w, worst_xi = None, None
+    lin, nonlin = [], []
     for idx, ((v, xi), (w, eta)) in enumerate(state_pairs):
         v = np.asarray(v, dtype=float)
         w = np.asarray(w, dtype=float)
@@ -997,10 +966,8 @@ def regularity_constants_check(
             )
         )
         rhs_w = norm_a * m_phi ** 2 * dv + (2.0 * norm_a * m_w * m_phi + norm_ell) * dphi
-        e = _check("regularity-linear-grad", f"pair {idx}", lhs_w, rhs_w,
-                   atol=atol, rtol=rtol)
-        if worst_w is None or e.margin < worst_w.margin:
-            worst_w = e
+        lin.append(_check("regularity-linear-grad", f"pair {idx}", lhs_w, rhs_w,
+                          atol=atol, rtol=rtol))
 
         m_dphi = max(dparam_norm(problem, rule, family, xi),
                      dparam_norm(problem, rule, family, eta))
@@ -1011,10 +978,7 @@ def regularity_constants_check(
             + norm_a * m_w ** 2 * m_dphi * dphi
             + m_w * (norm_a * m_w * m_phi + norm_ell) * ddphi
         )
-        e = _check("regularity-nonlinear-grad", f"pair {idx}", lhs_xi, rhs_xi,
-                   atol=atol, rtol=rtol)
-        if worst_xi is None or e.margin < worst_xi.margin:
-            worst_xi = e
-    worst_w.note = f"checked {len(state_pairs)} state pairs"
-    worst_xi.note = f"checked {len(state_pairs)} state pairs"
-    return [worst_w, worst_xi]
+        nonlin.append(_check("regularity-nonlinear-grad", f"pair {idx}", lhs_xi, rhs_xi,
+                             atol=atol, rtol=rtol))
+    note = f"checked {len(state_pairs)} state pairs"
+    return [_worst(lin, note), _worst(nonlin, note)]

@@ -369,17 +369,9 @@ def _parse_linear_rule(spec):
     kind = _str(spec, path, "kind", {"full_cg", "steepest_descent", "frozen"}, "full_cg")
     norm = dict(spec)
     norm.setdefault("kind", kind)
-    if kind == "full_cg":
-        _check_keys(spec, path, set(), {"kind", "rel_tol", "max_iters"})
-        max_iters = spec.get("max_iters")
-        if max_iters is not None:
-            max_iters = _int(spec, path, "max_iters")
-        rule = FullSolveCG(rel_tol=_num(spec, path, "rel_tol", 1e-12), max_iters=max_iters)
-        norm.setdefault("rel_tol", 1e-12)
-        norm.setdefault("max_iters", None)
-        return rule, norm
     _check_keys(spec, path, set(), {"kind"})
-    return (SteepestDescent() if kind == "steepest_descent" else Frozen()), norm
+    rules = {"full_cg": FullSolveCG, "steepest_descent": SteepestDescent, "frozen": Frozen}
+    return rules[kind](), norm
 
 
 def _parse_schedule(spec, default_seed):

@@ -29,9 +29,5 @@ class SpdViolationError(NumericalError):
     """A matrix expected to be symmetric positive (semi)definite is not."""
 
 
-class CgConvergenceError(NumericalError):
-    """Conjugate gradients failed to reach the requested residual."""
-
-
 class DerivativeUnavailableError(NumericalError):
     """A weak derivative was requested from a field that only lives in L2."""

@@ -7,10 +7,13 @@ parameters followed by a linear update at the new point:
     w_{k+1}  = UpdateLinear(w_k, xi_{k+1})
 
 with best-iterate tracking, two early-stopping triggers (parameter
-stabilisation and energy plateau) and a final high-accuracy linear solve at
-the best parameters.  Every iterate keeps the quantities the convergence
-certificates consume: gradient-mapping and linear-gradient norms, step
-sizes, achieved/guaranteed energy drops, and spectral statistics.
+stabilisation and energy plateau) and a final exact linear solve at the
+best parameters.  Each visited point is assembled once, and one
+eigendecomposition of its system serves the linear update, the decrease
+check, the spectral statistics and the reduced energy.  Every iterate keeps
+the quantities the convergence certificates consume: gradient-mapping and
+linear-gradient norms, step sizes, achieved/guaranteed energy drops, and
+spectral statistics.
 
 The reduced (variable-projection) energy eliminates the linear block
 exactly:  Kbar(xi) = K(w*(xi), xi) = -0.5 * load(xi) . w*(xi).  Its
@@ -32,8 +35,6 @@ from .updates import (
     EnergyGradients,
     Frozen,
     FullSolveCG,
-    SteepestDescent,
-    conjugate_gradient,
     decrease_check,
     gradient_mapping,
     make_gradients,
@@ -158,20 +159,13 @@ def estimate_lipschitz_L(
 # ---------------------------------------------------------------------------
 
 
-def reduced_energy(problem, rule, family, xi, cg_tol: float = 1e-12):
-    """Exactly eliminate the linear block: returns ``(Kbar(xi), w_star)``.
+def _reduced(system: AssembledSystem):
+    """``(Kbar(xi), w_star)`` from an assembled system's exact solve.
 
     The value is computed both as the quadratic form ``-0.5 load . w*`` and
     as ``K(w*, xi)``; disagreement beyond 1e-10 signals a failed solve.
     """
-    system = assemble(problem, rule, family, xi)
-    w_star = conjugate_gradient(
-        system.matrix,
-        system.load,
-        np.zeros(system.n_linear),
-        cg_tol,
-        10 * system.n_linear + 50,
-    )
+    w_star = system.solution
     direct = quadratic_energy(system, w_star)
     form = -0.5 * float(system.load @ w_star)
     if abs(direct - form) > 1e-10 * (1.0 + abs(direct)):
@@ -182,9 +176,14 @@ def reduced_energy(problem, rule, family, xi, cg_tol: float = 1e-12):
     return direct, w_star
 
 
-def reduced_gradient(problem, rule, family, xi, mode: str = "auto", cg_tol: float = 1e-12):
+def reduced_energy(problem, rule, family, xi):
+    """Exactly eliminate the linear block: returns ``(Kbar(xi), w_star)``."""
+    return _reduced(assemble(problem, rule, family, xi))
+
+
+def reduced_gradient(problem, rule, family, xi, mode: str = "auto"):
     """grad Kbar(xi) via the envelope identity (no derivative of w*)."""
-    _, w_star = reduced_energy(problem, rule, family, xi, cg_tol)
+    _, w_star = reduced_energy(problem, rule, family, xi)
     grads = make_gradients(problem, rule, family, mode=mode)
     return grads.grad_xi(w_star, xi)
 
@@ -365,7 +364,6 @@ def run(
     fd_step: float = 1e-6,
     omega_min: Optional[float] = None,
     delta_star_fn: Optional[Callable[[np.ndarray], float]] = None,
-    reduced_cg_tol: float = 1e-12,
 ) -> RunRecord:
     """Alternating minimisation from ``(w0, xi0)``.
 
@@ -398,19 +396,13 @@ def run(
     L_eff, L_raw, nu_raw = _resolve_lipschitz(schedule, problem, rule, family, w, grads.mode)
     mu = geometry.mu
 
-    def reduced_value(sys_, w_now):
-        if frozen:
-            return quadratic_energy(sys_, w_now)
-        val, _ = reduced_energy(problem, rule, family, sys_.xi, reduced_cg_tol)
-        return val
-
     def state_record(k, sys_, w_now, K_now):
         return IterateRecord(
             k=k,
             xi=sys_.xi.copy(),
             w=w_now.copy(),
             K=K_now,
-            K_reduced=reduced_value(sys_, w_now),
+            K_reduced=K_now if frozen else _reduced(sys_)[0],
             lambda_max=sys_.lambda_max,
             lambda_min=sys_.lambda_min,
             omega=sys_.omega,
@@ -420,7 +412,7 @@ def run(
 
     K = quadratic_energy(system, w)
     records = [state_record(0, system, w, K)]
-    best_k, best_xi, best_w, best_K = 0, xi.copy(), w.copy(), K
+    best_k, best_system, best_w, best_K = 0, system, w.copy(), K
     termination = "max_epochs"
 
     for k in range(stopping.max_epochs):
@@ -451,7 +443,7 @@ def run(
         records.append(state_record(k + 1, system, w_next, K_next))
 
         if K_next < best_K:
-            best_k, best_xi, best_w, best_K = k + 1, xi_next.copy(), w_next.copy(), K_next
+            best_k, best_system, best_w, best_K = k + 1, system, w_next.copy(), K_next
 
         stop_xi = cur.step_norm <= stopping.eps_xi
         plateau_scale = (1.0 + abs(K)) if stopping.relative_energy else 1.0
@@ -464,19 +456,8 @@ def run(
             termination = "energy_plateau"
             break
 
-    # final high-accuracy solve at the best parameters
-    if frozen:
-        final_w = best_w.copy()
-        best_system = assemble(problem, rule, family, best_xi)
-    else:
-        best_system = assemble(problem, rule, family, best_xi)
-        final_w = conjugate_gradient(
-            best_system.matrix,
-            best_system.load,
-            best_w,
-            min(1e-12, getattr(linear_rule, "rel_tol", 1e-12)),
-            10 * best_system.n_linear + 50,
-        )
+    # final exact solve at the best parameters
+    final_w = best_w.copy() if frozen else best_system.solution.copy()
     final_K = quadratic_energy(best_system, final_w)
     final_res = float(np.linalg.norm(best_system.matrix @ final_w - best_system.load))
 
@@ -484,7 +465,7 @@ def run(
         iterates=records,
         termination=termination,
         best_k=best_k,
-        best_xi=best_xi,
+        best_xi=best_system.xi.copy(),
         best_w=best_w,
         best_K=best_K,
         final_w=final_w,

@@ -1,7 +1,8 @@
 """Update rules for both parameter blocks.
 
-Linear block: exact solve by conjugate gradients, a single steepest-descent
-sweep, or frozen coefficients.  Both non-frozen rules satisfy the decrease
+Linear block: the exact solve w*(xi) = A(xi)^+ load(xi) that the assembled
+system computes from its eigendecomposition, a single steepest-descent sweep,
+or frozen coefficients.  Both non-frozen rules satisfy the decrease
 inequality
 
     K(w+, xi) <= K(w, xi) - 0.5 * ||grad_w K(w, xi)||^2 / lambda_max(A(xi)),
@@ -25,15 +26,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
 
 from .assembly import AssembledSystem, assemble, quadratic_energy
 from .basis import IndicatorPair, NonlinearDomain
 from .errors import (
-    CgConvergenceError,
     ConfigError,
     NonFiniteValueError,
-    NumericalError,
     SpdViolationError,
 )
 from .variational import L2Approx, QuadratureRule
@@ -42,7 +40,6 @@ __all__ = [
     "FullSolveCG",
     "SteepestDescent",
     "Frozen",
-    "conjugate_gradient",
     "update_linear",
     "decrease_check",
     "EuclideanGeometry",
@@ -63,14 +60,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FullSolveCG:
-    """Solve A w = load by conjugate gradients warm-started at the iterate."""
+    """Exact linear update: the assembled system's pseudo-inverse solve.
 
-    rel_tol: float = 1e-12
-    max_iters: Optional[int] = None
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ConfigError("FullSolveCG.rel_tol must lie in (0, 1)")
+    The name and the config kind ``"full_cg"`` stay so that existing
+    configs and scripts keep working; the solve is not conjugate gradients.
+    """
 
 
 @dataclass(frozen=True)
@@ -83,53 +77,13 @@ class Frozen:
     """Keep the linear coefficients fixed (fully nonlinear approximation)."""
 
 
-def conjugate_gradient(A, b, x0, rel_tol: float, max_iters: int) -> np.ndarray:
-    """CG for symmetric positive semidefinite A with consistent b.
-
-    Stops when ||b - A x|| <= rel_tol * ||b||.  A zero load short-circuits
-    to the zero solution.  Raises on indefiniteness or non-convergence.
-    """
-    b = np.asarray(b, dtype=float)
-    norm_b = float(np.linalg.norm(b))
-    if norm_b == 0.0:
-        return np.zeros_like(b)
-    tol = rel_tol * norm_b
-    x = np.array(x0, dtype=float, copy=True)
-    r = b - A @ x
-    res = float(np.linalg.norm(r))
-    if res <= tol:
-        return x
-    p = r.copy()
-    rr = float(r @ r)
-    for _ in range(max_iters):
-        Ap = A @ p
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise SpdViolationError(
-                f"CG met a non-positive curvature direction (p.A.p = {pAp!r})"
-            )
-        step = rr / pAp
-        x += step * p
-        r -= step * Ap
-        rr_new = float(r @ r)
-        if np.sqrt(rr_new) <= tol:
-            return x
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    raise CgConvergenceError(
-        f"CG failed to reach residual {tol!r} within {max_iters} iterations "
-        f"(final residual {np.sqrt(rr)!r})"
-    )
-
-
 def update_linear(rule, system: AssembledSystem, w) -> np.ndarray:
     """Apply a linear update rule at the assembled parameter point."""
     w = np.asarray(w, dtype=float)
     if isinstance(rule, Frozen):
         return w.copy()
     if isinstance(rule, FullSolveCG):
-        iters = rule.max_iters or (10 * system.n_linear + 50)
-        return conjugate_gradient(system.matrix, system.load, w, rule.rel_tol, iters)
+        return system.solution.copy()
     if isinstance(rule, SteepestDescent):
         r = system.load - system.matrix @ w
         nr = float(np.linalg.norm(r))
@@ -281,6 +235,8 @@ def prox_optimality_residual(
     normals = _active_normals(domain, xi_plus, atol=1e-9 * scale)
     if not normals:
         return float(np.linalg.norm(v))
+    import scipy.optimize  # imported here only: loading it slows the package import
+
     N = np.stack(normals, axis=1)
     _, resid = scipy.optimize.nnls(N, v)
     return float(resid)

@@ -51,7 +51,6 @@ from nonlinritz.updates import (
     Frozen,
     FullSolveCG,
     SteepestDescent,
-    conjugate_gradient,
 )
 from nonlinritz.variational import Field, L2Approx, QuadratureRule, energy, inner_u
 
@@ -216,8 +215,7 @@ def test_criterion_06_surrogate_certificate_and_negative(corpus):
     xi0 = corpus["xi0"]
     # reproduce the schedule's constant to size the stopping tolerance
     system = assemble(problem, RULE, family, xi0)
-    w_init = conjugate_gradient(system.matrix, system.load,
-                                np.zeros(system.n_linear), 1e-12, 100)
+    w_init = system.solution
     L_hat = estimate_lipschitz_L(problem, RULE, family, w_init,
                                  n_pairs=20, seed=0)
     zeta, eps = 1.0, 1e-3

@@ -217,6 +217,35 @@ def test_certify_circle_with_sphere_oracle(tmp_path, capsys):
     assert names["linear-decrease"] == "skipped"
 
 
+def test_exact_solve_on_numerically_singular_bumps(tmp_path, capsys):
+    # 40 overlapping bumps: A is singular to working precision (condition
+    # number near 1e16) but the system stays consistent, so the
+    # pseudo-inverse solve must carry the run through and certify it
+    n = 40
+    data = {
+        "problem": {"kind": "l2",
+                    "target": "sin(12*x)*exp(-x) + 0.5*gauss(x, 0.5, 0.02)",
+                    "x_lo": 0.0, "x_hi": 1.0},
+        "constants": {"alpha": 1.0, "norm_a": 1.0, "norm_ell": 1.0},
+        "quadrature": {"n_panels": 32, "order": 5},
+        "family": {"kind": "gaussian_bumps", "widths": [0.06] * n},
+        "domain": {"lower": [0.0] * n, "upper": [1.0] * n},
+        "linear_rule": {"kind": "full_cg"},
+        "schedule": {"kind": "lipschitz", "zeta": 0.5, "n_pairs": 5},
+        "stopping": {"max_epochs": 20},
+        "init": {"xi0": np.linspace(0.1, 0.9, n).tolist()},
+    }
+    cfg_path = _write_cfg(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out-dir", str(out)]) == 0
+    assert main(["certify", "--config", cfg_path, "--out-dir", str(out)]) == 0
+    report = json.loads(_read(out / "report.json"))
+    names = {e["name"]: e["status"] for e in report["entries"]}
+    assert names["linear-decrease"] == "pass"
+    assert names["energy-monotone"] == "pass"
+    assert all(e["status"] != "fail" for e in report["entries"])
+
+
 # ---------------------------------------------------------------------------
 # grid and check
 # ---------------------------------------------------------------------------

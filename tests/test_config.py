@@ -123,7 +123,7 @@ def test_parse_normalises_defaults_into_raw():
     cfg = parse_config(_base())
     raw = cfg.raw
     assert raw["quadrature"] == {"n_panels": 16, "order": 5}
-    assert raw["linear_rule"]["rel_tol"] == 1e-12
+    assert raw["linear_rule"] == {"kind": "full_cg"}
     assert raw["schedule"]["n_pairs"] == 20
     assert raw["schedule"]["seed"] == 0
     assert raw["gradient"] == {"mode": "auto", "fd_step": 1e-6}

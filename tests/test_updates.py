@@ -10,11 +10,7 @@ from nonlinritz.basis import (
     NonlinearDomain,
     SyntheticAmplitude,
 )
-from nonlinritz.errors import (
-    CgConvergenceError,
-    ConfigError,
-    SpdViolationError,
-)
+from nonlinritz.errors import ConfigError, SpdViolationError
 from nonlinritz.updates import (
     DiagonalGeometry,
     EuclideanGeometry,
@@ -22,7 +18,6 @@ from nonlinritz.updates import (
     FullSolveCG,
     SteepestDescent,
     bregman_div,
-    conjugate_gradient,
     decrease_check,
     gradient_mapping,
     make_gradients,
@@ -42,60 +37,76 @@ RULE = QuadratureRule.on_interval(0.0, 1.0, n_panels=16, order=5)
 
 def _toy_system(matrix, load):
     matrix = np.asarray(matrix, dtype=float)
-    evals = np.linalg.eigvalsh(matrix)
     return AssembledSystem(
         xi=np.zeros(1),
         matrix=matrix,
         load=np.asarray(load, dtype=float),
-        gram=matrix.copy(),
-        lambda_min=float(evals[0]),
-        lambda_max=float(evals[-1]),
-        omega=float(evals[0]),
-        phi_u2=float(np.sqrt(np.trace(matrix))),
+        gram=matrix,
     )
 
 
 # ---------------------------------------------------------------------------
-# conjugate gradients
+# the exact solve and the spectrum of an assembled system
 # ---------------------------------------------------------------------------
 
 
-def test_cg_solves_spd_system():
+def test_solution_solves_spd_system():
     rng = np.random.default_rng(0)
     B = rng.standard_normal((6, 6))
     A = B @ B.T + 6 * np.eye(6)
     b = rng.standard_normal(6)
-    x = conjugate_gradient(A, b, np.zeros(6), 1e-13, 100)
+    x = _toy_system(A, b).solution
     assert np.linalg.norm(b - A @ x) <= 1e-13 * np.linalg.norm(b)
 
 
-def test_cg_zero_load_short_circuits():
-    # a relative residual test can never trigger for b = 0; the unique
-    # solution of the SPD system is returned directly
-    A = np.diag([1.0, 2.0])
-    x = conjugate_gradient(A, np.zeros(2), np.array([3.0, -1.0]), 1e-12, 50)
-    assert_allclose(x, np.zeros(2))
+def test_solution_of_zero_load_is_zero():
+    system = _toy_system(np.diag([1.0, 2.0]), np.zeros(2))
+    assert_allclose(system.solution, np.zeros(2), atol=0.0)
 
 
-def test_cg_warm_start_already_converged():
-    A = np.diag([1.0, 2.0])
-    b = np.array([1.0, 2.0])
-    x = conjugate_gradient(A, b, np.array([1.0, 1.0]), 1e-12, 50)
-    assert_allclose(x, [1.0, 1.0])
+def test_solution_is_minimum_norm_on_consistent_singular_system():
+    # A = Q diag(0, 1, 3) Q^T with the load in the range of A: the
+    # pseudo-inverse solution has no component along the kernel vector
+    Q, _ = np.linalg.qr(np.random.default_rng(2).standard_normal((3, 3)))
+    A = Q @ np.diag([0.0, 1.0, 3.0]) @ Q.T
+    A = 0.5 * (A + A.T)
+    w_true = Q[:, 1] * 2.0 - Q[:, 2] * 0.5
+    system = _toy_system(A, A @ w_true)
+    w = system.solution
+    assert_allclose(A @ w, system.load, atol=1e-13)
+    assert abs(Q[:, 0] @ w) <= 1e-13
+    assert_allclose(w, w_true, atol=1e-13)
+    assert system.lambda_min == pytest.approx(0.0, abs=1e-14)
+    assert system.lambda_max == pytest.approx(3.0, rel=1e-14)
 
 
-def test_cg_rejects_indefinite():
-    A = np.diag([1.0, -1.0])
+def test_solution_rejects_indefinite():
+    system = _toy_system(np.diag([1.0, -1.0]), [1.0, 1.0])
     with pytest.raises(SpdViolationError):
-        conjugate_gradient(A, np.array([1.0, 1.0]), np.zeros(2), 1e-12, 50)
+        system.solution
 
 
-def test_cg_iteration_cap():
-    rng = np.random.default_rng(1)
-    B = rng.standard_normal((8, 8))
-    A = B @ B.T + 1e-3 * np.eye(8)
-    with pytest.raises(CgConvergenceError):
-        conjugate_gradient(A, rng.standard_normal(8), np.zeros(8), 1e-14, 1)
+def test_l2_system_decomposes_once(monkeypatch):
+    import scipy.linalg
+
+    calls = []
+    real_eigh = scipy.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(kwargs)
+        return real_eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting_eigh)
+    problem = L2Approx(Field(lambda x: np.sin(3.0 * x)))
+    family = GaussianBumps(NonlinearDomain([0.1, 0.1], [0.9, 0.9]), widths=[0.1, 0.15])
+    system = assemble(problem, RULE, family, np.array([0.3, 0.7]))
+    assert system.gram is system.matrix
+    assert calls == []  # assembling alone decomposes nothing
+    stats = (system.lambda_min, system.lambda_max, system.omega, system.phi_u2)
+    w = system.solution
+    assert len(calls) == 1
+    assert stats[2] == stats[0]
+    assert_allclose(system.matrix @ w, system.load, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
