@@ -54,6 +54,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+#: default membership tolerance of NonlinearDomain
+_TOL = 1e-12
+
+
 def _bounded_isotonic(y, w, lo, hi):
     """Weighted least-squares fit of a nondecreasing sequence within bounds.
 
@@ -146,6 +150,12 @@ class NonlinearDomain:
                 if i in seen:
                     raise ConfigError(f"coordinate {i} appears in two chains")
                 seen.add(i)
+        # consecutive chain members (a, b), chain by chain, for the masks
+        links = [(a, b) for c in self.chains for a, b in zip(c[:-1], c[1:])]
+        link_a, link_b = np.array(links, dtype=int).reshape(-1, 2).T
+        object.__setattr__(self, "_link_a", link_a)
+        object.__setattr__(self, "_link_b", link_b)
+        object.__setattr__(self, "_limits", (lo - _TOL, hi + _TOL, self.gap - _TOL))
         # nonempty check: the chain-respecting midpoint must project cleanly
         mid = 0.5 * (lo + hi)
         try:
@@ -159,29 +169,65 @@ class NonlinearDomain:
     def dim(self) -> int:
         return int(self.lower.size)
 
-    def violations(self, xi, tol: float = 1e-12) -> list:
+    def _masks(self, points, tol):
+        """Boolean violation masks ``(below, above, short)`` of a point or rows.
+
+        ``short[..., l]`` flags the chain link ``(_link_a[l], _link_b[l])``.
+        NaN coordinates flag nothing, as in the scalar comparisons these
+        replace.  ``require`` runs this once per assembled system, so the
+        default tolerance's limits are computed once and a domain without
+        chains skips the link arithmetic.
+        """
+        if tol == _TOL:
+            lo, hi, gap = self._limits
+        else:
+            lo, hi, gap = self.lower - tol, self.upper + tol, self.gap - tol
+        if self.chains:
+            short = points[..., self._link_b] - points[..., self._link_a] < gap
+        else:
+            short = np.zeros(points.shape[:-1] + (0,), dtype=bool)
+        return points < lo, points > hi, short
+
+    def feasible(self, points, tol: float = _TOL) -> np.ndarray:
+        """One boolean per row of an ``(N, dim)`` array: is the row admissible?
+
+        A row passes when ``lower - tol <= p <= upper + tol`` coordinatewise
+        and ``p[b] - p[a] >= gap - tol`` along every chain link; this is
+        exactly ``not violations(p, tol)``, evaluated for all rows at once.
+        """
+        p = np.asarray(points, dtype=float)
+        if p.ndim != 2 or p.shape[1] != self.dim:
+            raise ConfigError(f"expected an (N, {self.dim}) array, got shape {p.shape}")
+        below, above, short = self._masks(p, tol)
+        return ~(below.any(axis=1) | above.any(axis=1) | short.any(axis=1))
+
+    def violations(self, xi, tol: float = _TOL) -> list:
         xi = np.asarray(xi, dtype=float)
-        out = []
         if xi.shape != self.lower.shape:
             return [f"expected {self.dim} coordinates, got {xi.shape}"]
-        for i in range(self.dim):
-            if xi[i] < self.lower[i] - tol:
-                out.append(f"xi[{i}]={xi[i]!r} below lower bound {self.lower[i]!r}")
-            if xi[i] > self.upper[i] + tol:
-                out.append(f"xi[{i}]={xi[i]!r} above upper bound {self.upper[i]!r}")
-        for c in self.chains:
-            for a, b in zip(c[:-1], c[1:]):
-                if xi[b] - xi[a] < self.gap - tol:
-                    out.append(
-                        f"chain gap violated: xi[{b}]-xi[{a}]="
-                        f"{xi[b] - xi[a]!r} < {self.gap!r}"
-                    )
+        below, above, short = self._masks(xi, tol)
+        # count_nonzero: far cheaper than .any() on arrays this small
+        if not (np.count_nonzero(below) or np.count_nonzero(above) or np.count_nonzero(short)):
+            return []
+        out = []
+        for i in np.flatnonzero(below | above):
+            if below[i]:
+                side, bound = "below lower", self.lower[i]
+            else:
+                side, bound = "above upper", self.upper[i]
+            out.append(f"xi[{i}]={float(xi[i])!r} {side} bound {float(bound)!r}")
+        a, b = self._link_a, self._link_b
+        for l in np.flatnonzero(short):
+            d = float(xi[b[l]] - xi[a[l]])
+            out.append(
+                f"chain gap violated: xi[{b[l]}]-xi[{a[l]}]={d!r} < {float(self.gap)!r}"
+            )
         return out
 
-    def contains(self, xi, tol: float = 1e-12) -> bool:
+    def contains(self, xi, tol: float = _TOL) -> bool:
         return not self.violations(xi, tol)
 
-    def require(self, xi, tol: float = 1e-12) -> np.ndarray:
+    def require(self, xi, tol: float = _TOL) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
         bad = self.violations(xi, tol)
         if bad:
@@ -224,11 +270,24 @@ class NonlinearDomain:
         return x
 
     def sample(self, rng: np.random.Generator, max_tries: int = 200) -> np.ndarray:
-        """Draw a feasible point: rejection from the box, projection fallback."""
-        for _ in range(max_tries):
-            p = rng.uniform(self.lower, self.upper)
-            if self.contains(p):
-                return p
+        """Draw a feasible point: rejection from the box, projection fallback.
+
+        Up to ``max_tries`` uniform box draws are tried in order and the first
+        admissible one is returned; if none is, one more draw is projected.
+        All candidates are drawn as one ``(max_tries, dim)`` block and tested
+        with one ``feasible`` call.  The block holds the same numbers as
+        ``max_tries`` single draws, and after an accepted row ``k`` the
+        generator is rewound and advanced by exactly ``k + 1`` rows, so the
+        point returned and the state ``rng`` is left in are bitwise those of
+        drawing one candidate at a time.
+        """
+        state = rng.bit_generator.state
+        block = rng.uniform(self.lower, self.upper, size=(max(max_tries, 0), self.dim))
+        hits = np.flatnonzero(self.feasible(block))
+        if hits.size:
+            k = int(hits[0])
+            rng.bit_generator.state = state
+            return rng.uniform(self.lower, self.upper, size=(k + 1, self.dim))[k]
         return self.project(rng.uniform(self.lower, self.upper))
 
     def shrink(self, margin: float) -> "NonlinearDomain":
@@ -343,6 +402,12 @@ class FreeKnotHats(_FamilyBase):
     boundary); otherwise all ``m + 2`` hats are used.  Zero-width cells
     (coincident knots) evaluate to the zero function on that cell, so
     degenerate parameters stay well defined in L2.
+
+    Values, slopes and knot derivatives are built with numpy from per-cell
+    masks, not loops over hats: hat j rises on the closed cell
+    ``[t_{j-1}, t_j]`` and falls on the half-open cell ``(t_j, t_{j+1}]``
+    (closed for hat 0), so at a shared knot the rising piece wins.
+    ``dparam_values`` fills only the at most three hats each knot moves.
     """
 
     domain: NonlinearDomain
@@ -376,67 +441,75 @@ class FreeKnotHats(_FamilyBase):
     def breakpoints(self, xi) -> tuple:
         return tuple(self._grid(np.asarray(xi, dtype=float)))
 
-    def _hat_range(self):
-        m = self.n_nonlinear
-        return range(1, m + 1) if self.dirichlet else range(0, m + 2)
+    def _cells(self, xi, x):
+        """Grid ``t``, cell widths and per-cell membership masks at points x.
+
+        Cell ``c`` is ``[t_c, t_{c+1}]``; ``closed[c]`` and ``half_open[c]``
+        (the cell without its left end) are both empty for zero-width cells.
+        Widths of empty cells are replaced by 1 so that the masked-out
+        quotients stay finite.
+        """
+        t = self._grid(xi)
+        width = np.diff(t)
+        live = width > 0.0
+        inside = live[:, None] & (x <= t[1:, None])
+        closed = inside & (x >= t[:-1, None])
+        half_open = inside & (x > t[:-1, None])
+        return t, np.where(live, width, 1.0), closed, half_open
+
+    def _hats(self, closed, half_open, up, down):
+        """Hat rows from per-cell pieces: hat j rises on cell j-1, falls on cell j.
+
+        The rising piece covers the closed cell; the falling piece covers the
+        half-open cell, except for hat 0, whose falling piece is closed.
+        """
+        falls = half_open.copy()
+        falls[0] = closed[0]
+        out = np.zeros((closed.shape[0] + 1, closed.shape[1]))
+        out[1:] = np.where(closed, up, 0.0)
+        out[:-1] = np.where(falls, down, out[:-1])
+        return out[1:-1] if self.dirichlet else out
 
     def basis_values(self, xi, x):
         x = np.asarray(x, dtype=float)
-        t = self._grid(xi)
-        rows = []
-        for j in self._hat_range():
-            v = np.zeros_like(x)
-            if j > 0 and t[j] > t[j - 1]:
-                m = (x >= t[j - 1]) & (x <= t[j])
-                v[m] = (x[m] - t[j - 1]) / (t[j] - t[j - 1])
-            if j < t.size - 1 and t[j + 1] > t[j]:
-                m = ((x >= t[j]) if j == 0 else (x > t[j])) & (x <= t[j + 1])
-                v[m] = (t[j + 1] - x[m]) / (t[j + 1] - t[j])
-            rows.append(v)
-        return np.stack(rows)
+        t, width, closed, half_open = self._cells(xi, x)
+        up = (x - t[:-1, None]) / width[:, None]
+        down = (t[1:, None] - x) / width[:, None]
+        return self._hats(closed, half_open, up, down)
 
     def basis_derivs(self, xi, x):
         x = np.asarray(x, dtype=float)
-        t = self._grid(xi)
-        rows = []
-        for j in self._hat_range():
-            v = np.zeros_like(x)
-            if j > 0 and t[j] > t[j - 1]:
-                m = (x >= t[j - 1]) & (x <= t[j])
-                v[m] = 1.0 / (t[j] - t[j - 1])
-            if j < t.size - 1 and t[j + 1] > t[j]:
-                m = ((x >= t[j]) if j == 0 else (x > t[j])) & (x <= t[j + 1])
-                v[m] = -1.0 / (t[j + 1] - t[j])
-            rows.append(v)
-        return np.stack(rows)
+        _, width, closed, half_open = self._cells(xi, x)
+        return self._hats(closed, half_open, (1.0 / width)[:, None], (-1.0 / width)[:, None])
 
     def dparam_values(self, xi, x):
-        # d hat_j / d t_k on the up-piece (a,b): d/da = (x-b)/(b-a)^2,
-        # d/db = -(x-a)/(b-a)^2; on the down-piece (b,c): d/db = (c-x)/(c-b)^2,
-        # d/dc = (x-b)/(c-b)^2.  Interior knot i sits at grid position i+1.
+        """d hat_j / d xi_i, shape ``(m, n_linear, len(x))``.
+
+        Knot i sits at grid position k = i + 1 between the cells
+        L = [t_{k-1}, t_k] and R = [t_k, t_{k+1}], and moves only hats k-1, k
+        and k+1: on L, d hat_k = -(x - t_{k-1}) / |L|^2 (closed) and
+        d hat_{k-1} = (x - t_{k-1}) / |L|^2 (half-open); on R,
+        d hat_k = (t_{k+1} - x) / |R|^2 (half-open) and
+        d hat_{k+1} = (x - t_{k+1}) / |R|^2 (closed).  Each slab is added to
+        zeros, which turns a -0.0 into 0.0 as the per-hat accumulation did.
+        """
         x = np.asarray(x, dtype=float)
-        t = self._grid(xi)
-        hats = list(self._hat_range())
-        out = np.zeros((self.n_nonlinear, len(hats), x.size))
-        for i in range(self.n_nonlinear):
-            k = i + 1  # grid index of this knot
-            for col, j in enumerate(hats):
-                a, b = t[j - 1] if j > 0 else None, t[j]
-                c = t[j + 1] if j < t.size - 1 else None
-                g = np.zeros_like(x)
-                if a is not None and b > a:
-                    up = (x >= a) & (x <= b)
-                    if k == j - 1:
-                        g[up] += (x[up] - b) / (b - a) ** 2
-                    elif k == j:
-                        g[up] += -(x[up] - a) / (b - a) ** 2
-                if c is not None and c > b:
-                    dn = (x > b) & (x <= c)
-                    if k == j:
-                        g[dn] += (c - x[dn]) / (c - b) ** 2
-                    elif k == j + 1:
-                        g[dn] += (x[dn] - b) / (c - b) ** 2
-                out[i, col] = g
+        t, width, closed, half_open = self._cells(xi, x)
+        # squared through libm pow like a scalar ``** 2``; an array square
+        # differs from it in the last bit for about 0.1 % of widths
+        sq = np.array([h ** 2 for h in width.tolist()])[:, None]
+        rise = (x - t[:-1, None]) / sq  # per cell, from its left end
+        fall = (x - t[1:, None]) / sq  # per cell, from its right end
+        out = np.zeros((self.n_nonlinear, self.n_linear, x.size))
+        knot = np.arange(self.n_nonlinear)
+        col = knot if self.dirichlet else knot + 1  # column of hat k
+        out[knot, col] += np.where(
+            closed[:-1], -rise[:-1], np.where(half_open[1:], -fall[1:], 0.0)
+        )
+        right = col + 1 < self.n_linear  # hat k+1 exists
+        out[knot[right], col[right] + 1] += np.where(closed[1:], fall[1:], 0.0)[right]
+        left = col >= 1  # hat k-1 exists
+        out[knot[left], col[left] - 1] += np.where(half_open[:-1], rise[:-1], 0.0)[left]
         return out
 
     def supports_analytic_dparam(self, problem) -> bool:

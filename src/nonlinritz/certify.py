@@ -224,7 +224,7 @@ def minimiser_grid_oracle(
             f"{max_points}; coarsen the resolution or use an analytic oracle"
         )
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, domain.dim)
-    feasible = np.array([domain.contains(p) for p in mesh])
+    feasible = domain.feasible(mesh)
     pts = mesh[feasible]
     if pts.shape[0] == 0:
         raise ConfigError("no feasible grid points; check domain and resolution")

@@ -123,17 +123,21 @@ def estimate_lipschitz_L(
     seed: int,
     nu: float = 1.0,
     mode: str = "auto",
+    fd_step: float = 1e-6,
 ) -> float:
     """Sampled Hoelder constant of xi -> grad_xi K(w, xi), safety factor 2.
 
     Maximum of ``||g(xi) - g(eta)|| / ||xi - eta||^nu`` over ``n_pairs``
     feasible pairs, doubled.  Returns 0 for an energy constant in xi.
+    Under finite-difference gradients the pairs come from the domain shrunk
+    by ``fd_step``, so that every difference probe stays admissible.
     """
     if n_pairs < 1:
         raise ConfigError("estimate_lipschitz_L needs at least one pair")
     if not 0.0 < nu <= 1.0:
         raise ConfigError(f"Hoelder exponent must lie in (0, 1], got {nu!r}")
-    grads = make_gradients(problem, rule, family, mode=mode)
+    grads = make_gradients(problem, rule, family, mode=mode, fd_step=fd_step)
+    domain = family.domain.shrink(fd_step) if grads.mode == "fd" else family.domain
     rng = np.random.default_rng(seed)
     w = np.asarray(w, dtype=float)
     best = 0.0
@@ -141,8 +145,8 @@ def estimate_lipschitz_L(
     tries = 0
     while got < n_pairs and tries < 50 * n_pairs:
         tries += 1
-        xi = family.domain.sample(rng)
-        eta = family.domain.sample(rng)
+        xi = domain.sample(rng)
+        eta = domain.sample(rng)
         d = float(np.linalg.norm(xi - eta))
         if d <= 0.0:
             continue
@@ -314,7 +318,7 @@ class RunRecord:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_lipschitz(schedule, problem, rule, family, w, mode):
+def _resolve_lipschitz(schedule, problem, rule, family, w, grads):
     """Returns (converted Lipschitz surrogate, raw Hoelder constant, exponent)."""
     if isinstance(schedule, ConstantGamma):
         return None, None, 1.0
@@ -322,7 +326,7 @@ def _resolve_lipschitz(schedule, problem, rule, family, w, mode):
     if L == "estimate":
         L = estimate_lipschitz_L(
             problem, rule, family, w, schedule.n_pairs, schedule.seed,
-            nu=schedule.nu, mode=mode,
+            nu=schedule.nu, mode=grads.mode, fd_step=grads.fd_step,
         )
     L_eff = hoelder_to_lipschitz(float(L), schedule.nu, schedule.eps_holder)
     if L_eff <= 0.0:
@@ -393,7 +397,7 @@ def run(
     initial_decrease = None if frozen else decrease_check(system, w, w_new)
     w = w_new
 
-    L_eff, L_raw, nu_raw = _resolve_lipschitz(schedule, problem, rule, family, w, grads.mode)
+    L_eff, L_raw, nu_raw = _resolve_lipschitz(schedule, problem, rule, family, w, grads)
     mu = geometry.mu
 
     def state_record(k, sys_, w_now, K_now):

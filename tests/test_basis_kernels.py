@@ -1,0 +1,353 @@
+"""Vectorised domain membership, block rejection sampler and hat kernels
+against the per-coordinate loop implementations they replace."""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from nonlinritz.basis import FreeKnotHats, NonlinearDomain
+from nonlinritz.certify import minimiser_grid_oracle
+from nonlinritz.config import parse_config
+from nonlinritz.errors import DomainViolationError
+from nonlinritz.variational import L2Approx, Field, QuadratureRule
+
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+
+
+# ---------------------------------------------------------------------------
+# oracles: the loop implementations, one hat and one knot at a time
+# ---------------------------------------------------------------------------
+
+
+def _hat_range(fam):
+    m = fam.n_nonlinear
+    return range(1, m + 1) if fam.dirichlet else range(0, m + 2)
+
+
+def loop_basis_values(fam, xi, x):
+    t = fam._grid(xi)
+    rows = []
+    for j in _hat_range(fam):
+        v = np.zeros_like(x)
+        if j > 0 and t[j] > t[j - 1]:
+            m = (x >= t[j - 1]) & (x <= t[j])
+            v[m] = (x[m] - t[j - 1]) / (t[j] - t[j - 1])
+        if j < t.size - 1 and t[j + 1] > t[j]:
+            m = ((x >= t[j]) if j == 0 else (x > t[j])) & (x <= t[j + 1])
+            v[m] = (t[j + 1] - x[m]) / (t[j + 1] - t[j])
+        rows.append(v)
+    return np.stack(rows)
+
+
+def loop_basis_derivs(fam, xi, x):
+    t = fam._grid(xi)
+    rows = []
+    for j in _hat_range(fam):
+        v = np.zeros_like(x)
+        if j > 0 and t[j] > t[j - 1]:
+            m = (x >= t[j - 1]) & (x <= t[j])
+            v[m] = 1.0 / (t[j] - t[j - 1])
+        if j < t.size - 1 and t[j + 1] > t[j]:
+            m = ((x >= t[j]) if j == 0 else (x > t[j])) & (x <= t[j + 1])
+            v[m] = -1.0 / (t[j + 1] - t[j])
+        rows.append(v)
+    return np.stack(rows)
+
+
+def loop_dparam_values(fam, xi, x):
+    t = fam._grid(xi)
+    hats = list(_hat_range(fam))
+    out = np.zeros((fam.n_nonlinear, len(hats), x.size))
+    for i in range(fam.n_nonlinear):
+        k = i + 1
+        for col, j in enumerate(hats):
+            a, b = t[j - 1] if j > 0 else None, t[j]
+            c = t[j + 1] if j < t.size - 1 else None
+            g = np.zeros_like(x)
+            if a is not None and b > a:
+                up = (x >= a) & (x <= b)
+                if k == j - 1:
+                    g[up] += (x[up] - b) / (b - a) ** 2
+                elif k == j:
+                    g[up] += -(x[up] - a) / (b - a) ** 2
+            if c is not None and c > b:
+                dn = (x > b) & (x <= c)
+                if k == j:
+                    g[dn] += (c - x[dn]) / (c - b) ** 2
+                elif k == j + 1:
+                    g[dn] += (x[dn] - b) / (c - b) ** 2
+            out[i, col] = g
+    return out
+
+
+def loop_violations(dom, xi, tol=1e-12):
+    out = []
+    for i in range(dom.dim):
+        if xi[i] < dom.lower[i] - tol:
+            out.append(f"xi[{i}]={float(xi[i])!r} below lower bound {float(dom.lower[i])!r}")
+        if xi[i] > dom.upper[i] + tol:
+            out.append(f"xi[{i}]={float(xi[i])!r} above upper bound {float(dom.upper[i])!r}")
+    for c in dom.chains:
+        for a, b in zip(c[:-1], c[1:]):
+            if xi[b] - xi[a] < dom.gap - tol:
+                out.append(
+                    f"chain gap violated: xi[{b}]-xi[{a}]="
+                    f"{float(xi[b] - xi[a])!r} < {float(dom.gap)!r}"
+                )
+    return out
+
+
+def loop_sample(domain, rng, max_tries=200):
+    """Returns ``(point, tries)``; ``tries`` is None on the projection fallback."""
+    for n in range(max_tries):
+        p = rng.uniform(domain.lower, domain.upper)
+        if not domain.violations(p):
+            return p, n + 1
+    return domain.project(rng.uniform(domain.lower, domain.upper)), None
+
+
+# ---------------------------------------------------------------------------
+# hat kernels
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def hat_cases(draw):
+    x_lo = draw(st.sampled_from([0.0, -1.0, 0.25]))
+    x_hi = x_lo + draw(st.sampled_from([1.0, 2.5, 0.1]))
+    m = draw(st.integers(1, 7))
+    # knots from a coarse lattice (coincident knots, knots on the ends) or free
+    lattice = np.linspace(x_lo, x_hi, 6)
+    knot = st.one_of(
+        st.sampled_from(list(lattice)),
+        st.floats(x_lo, x_hi, allow_nan=False, allow_infinity=False),
+    )
+    xi = np.sort(np.array(draw(st.lists(knot, min_size=m, max_size=m))))
+    inner = draw(st.lists(st.floats(x_lo, x_hi), min_size=0, max_size=12))
+    x = np.concatenate([xi, [x_lo, x_hi], inner, np.linspace(x_lo, x_hi, 7)])
+    dom = NonlinearDomain([x_lo] * m, [x_hi] * m, chains=(tuple(range(m)),) if m > 1 else ())
+    fam = FreeKnotHats(dom, x_lo, x_hi, dirichlet=draw(st.booleans()))
+    return fam, xi, x
+
+
+@settings(max_examples=150, deadline=None)
+@given(hat_cases())
+def test_hat_values_and_slopes_bitwise_equal_loops(case):
+    fam, xi, x = case
+    for got, want in (
+        (fam.basis_values(xi, x), loop_basis_values(fam, xi, x)),
+        (fam.basis_derivs(xi, x), loop_basis_derivs(fam, xi, x)),
+    ):
+        assert got.shape == want.shape == (fam.n_linear, x.size)
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(hat_cases())
+def test_hat_knot_derivatives_match_loops(case):
+    fam, xi, x = case
+    got = fam.dparam_values(xi, x)
+    want = loop_dparam_values(fam, xi, x)
+    assert got.shape == want.shape == (fam.n_nonlinear, fam.n_linear, x.size)
+    # widths below about 1e-154 square to zero in both: same infs and NaNs
+    scale = np.max(np.abs(want[np.isfinite(want)]), initial=0.0)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * scale, equal_nan=True)
+
+
+def test_hat_knot_derivatives_square_widths_like_the_loop():
+    # widths are squared with pow, as the loop's scalar ``** 2`` does; an
+    # array square differs in the last bit for about 0.1 % of widths, and
+    # bitwise equal derivatives keep gradient-driven runs byte-identical.
+    # Test on knot vectors that have such a width.
+    rng = np.random.default_rng(4)
+    dom = NonlinearDomain([0.0] * 8, [1.0] * 8, chains=(tuple(range(8)),))
+    fam = FreeKnotHats(dom, 0.0, 1.0)
+    found = 0
+    while found < 20:
+        xi = np.sort(rng.uniform(0.0, 1.0, 8))
+        width = np.diff(fam._grid(xi))
+        if np.array_equal(width * width, [h ** 2 for h in width.tolist()]):
+            continue
+        found += 1
+        x = np.concatenate([fam._grid(xi), rng.uniform(0.0, 1.0, 16)])
+        assert fam.dparam_values(xi, x).tobytes() == loop_dparam_values(fam, xi, x).tobytes()
+
+
+def test_hat_kernels_on_coalesced_knots():
+    # three knots in one point: the two empty cells contribute nothing, and
+    # the knot itself belongs to the rising piece of the hat on its left
+    dom = NonlinearDomain([0.0] * 3, [1.0] * 3, chains=((0, 1, 2),))
+    fam = FreeKnotHats(dom, 0.0, 1.0)
+    xi = np.array([0.5, 0.5, 0.5])
+    x = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    assert fam.basis_values(xi, x).tobytes() == loop_basis_values(fam, xi, x).tobytes()
+    assert np.all(fam.dparam_values(xi, x) == loop_dparam_values(fam, xi, x))
+    assert fam.basis_values(xi, x)[:, 2].tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
+
+
+# ---------------------------------------------------------------------------
+# domain membership
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def near_constraint_points(draw):
+    dim = draw(st.integers(1, 5))
+    lower = np.full(dim, draw(st.sampled_from([-1.0, 0.0, 0.1])))
+    upper = lower + 2.0
+    chained = draw(st.integers(0, dim))
+    chains = (tuple(range(chained)),) if chained >= 2 else ()
+    gap = draw(st.sampled_from([0.0, 0.01, 0.3]))
+    dom = NonlinearDomain(lower, upper, chains=chains, gap=gap)
+    tol = draw(st.sampled_from([1e-12, 0.0, 1e-9]))
+    nudge = st.sampled_from([-3e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 3e-12, 0.2, -0.2,
+                             -2e-9, -1e-9, 1e-9, 2e-9])
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        p = np.empty(dim)
+        for i in range(dim):
+            anchor = draw(st.sampled_from(["lower", "upper", "chain"]))
+            if anchor == "chain" and 0 < i < chained:
+                p[i] = p[i - 1] + gap
+            else:
+                p[i] = upper[i] if anchor == "upper" else lower[i]
+            p[i] += draw(nudge)
+        rows.append(p)
+    return dom, np.array(rows), tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_constraint_points())
+def test_feasible_equals_no_violations(case):
+    dom, pts, tol = case
+    mask = dom.feasible(pts, tol)
+    assert mask.shape == (pts.shape[0],) and mask.dtype == bool
+    assert mask.tolist() == [not loop_violations(dom, p, tol) for p in pts]
+    assert mask.tolist() == [dom.contains(p, tol) for p in pts]
+    for p in pts:
+        assert dom.violations(p, tol) == loop_violations(dom, p, tol)
+
+
+def test_contains_rejects_wrong_shape():
+    dom = NonlinearDomain([0.0, 0.0], [1.0, 1.0])
+    assert not dom.contains([0.5])
+    assert dom.violations([0.5]) == ["expected 2 coordinates, got (1,)"]
+
+
+def test_violation_messages_print_plain_floats():
+    dom = NonlinearDomain([0.0] * 3, [1.0] * 3, chains=((0, 1),), gap=0.25)
+    assert dom.violations([-0.5, -0.375, 2.0]) == [
+        "xi[0]=-0.5 below lower bound 0.0",
+        "xi[1]=-0.375 below lower bound 0.0",
+        "xi[2]=2.0 above upper bound 1.0",
+        "chain gap violated: xi[1]-xi[0]=0.125 < 0.25",
+    ]
+    fd = NonlinearDomain([0.0, 0.0], [1.0, 1.0], chains=((0, 1),), gap=0.01)
+    with pytest.raises(DomainViolationError) as err:
+        fd.require([0.5, 0.509999])
+    assert str(err.value) == (
+        "parameter point outside admissible domain: chain gap violated: "
+        f"xi[1]-xi[0]={0.509999 - 0.5!r} < 0.01"
+    )
+    assert "np.float64" not in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# rejection sampler
+# ---------------------------------------------------------------------------
+
+CHAIN32 = NonlinearDomain([0.005] * 32, [0.995] * 32, chains=(tuple(range(32)),), gap=0.001)
+BOX = NonlinearDomain([-1.0, 0.0, 2.0], [1.0, 0.5, 3.0])
+CHAIN3 = NonlinearDomain([0.0] * 3, [1.0] * 3, chains=((0, 1, 2),), gap=0.1)
+
+
+@pytest.mark.parametrize(
+    "domain, tries",
+    [(CHAIN32, None), (BOX, 1), (CHAIN3, 37)],
+    ids=["chain32-projection", "box-first-try", "chain3-several-tries"],
+)
+def test_sample_replays_the_loop_at_a_fixed_seed(domain, tries):
+    rng_loop, rng = np.random.default_rng(15), np.random.default_rng(15)
+    want, used = loop_sample(domain, rng_loop)
+    got = domain.sample(rng)
+    assert used == tries
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == rng_loop.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([CHAIN32, BOX, CHAIN3]),
+    st.integers(0, 2 ** 32 - 1),
+    st.integers(1, 4),
+)
+def test_sample_sequence_matches_the_loop(domain, seed, draws):
+    rng_loop, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(draws):
+        want, _ = loop_sample(domain, rng_loop)
+        got = domain.sample(rng)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == rng_loop.bit_generator.state
+        assert domain.contains(got)
+
+
+def test_sample_makes_no_per_candidate_membership_calls(monkeypatch):
+    calls = []
+    original = NonlinearDomain.violations
+
+    def counting(self, xi, tol=1e-12):
+        calls.append(1)
+        return original(self, xi, tol)
+
+    monkeypatch.setattr(NonlinearDomain, "violations", counting)
+    CHAIN32.sample(np.random.default_rng(0))
+    assert len(calls) == 0
+
+
+# ---------------------------------------------------------------------------
+# grid oracle feasibility
+# ---------------------------------------------------------------------------
+
+
+def _spy_feasible(monkeypatch):
+    seen = []
+    original = NonlinearDomain.feasible
+
+    def spy(self, points, tol=1e-12):
+        mask = original(self, points, tol)
+        seen.append((self, np.array(points), mask))
+        return mask
+
+    monkeypatch.setattr(NonlinearDomain, "feasible", spy)
+    return seen
+
+
+def test_grid_oracle_mask_on_circle_survey(monkeypatch):
+    data = json.loads((CONFIGS / "circle_grid_survey.json").read_text())
+    cfg = parse_config(data)
+    seen = _spy_feasible(monkeypatch)
+    oracle = minimiser_grid_oracle(
+        cfg.problem, cfg.rule, cfg.family, data["oracle"]["resolution"],
+        frozen_w=np.array(data["init"]["w0"]),
+    )
+    assert len(seen) == 1
+    dom, mesh, mask = seen[0]
+    assert mask.tolist() == [dom.contains(p) for p in mesh]
+    assert np.array_equal(oracle.points, mesh[mask])
+
+
+def test_grid_oracle_mask_on_two_knot_chain(monkeypatch):
+    dom = NonlinearDomain([0.05, 0.05], [0.95, 0.95], chains=((0, 1),), gap=0.02)
+    fam = FreeKnotHats(dom, 0.0, 1.0)
+    problem = L2Approx(Field(lambda x: np.abs(x - 0.33) + 0.5 * x * x, None, (0.33,)))
+    seen = _spy_feasible(monkeypatch)
+    oracle = minimiser_grid_oracle(problem, QuadratureRule.on_interval(0.0, 1.0, n_panels=8, order=3), fam, 0.1)
+    assert len(seen) == 1
+    _, mesh, mask = seen[0]
+    per_point = [dom.contains(p) for p in mesh]
+    assert mask.tolist() == per_point
+    assert 0 < sum(per_point) < len(per_point)
+    assert np.array_equal(oracle.points, mesh[mask])

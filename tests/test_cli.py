@@ -246,6 +246,33 @@ def test_exact_solve_on_numerically_singular_bumps(tmp_path, capsys):
     assert all(e["status"] != "fail" for e in report["entries"])
 
 
+def test_estimated_lipschitz_under_fd_gradients_on_a_chain(tmp_path):
+    # the Lipschitz pairs are sampled from the chained domain; under finite
+    # differences they must keep fd_step clear of the gap constraint, or a
+    # difference probe leaves the domain and the run exits 3
+    m = 5
+    data = {
+        "problem": {"kind": "diffusion_reaction",
+                    "diffusivity": "1 + 0.25*sin(2*pi*x)", "reaction": 1.25,
+                    "source": "1 + 8*gauss(x, 0.5, 0.08)", "x_lo": 0.0, "x_hi": 1.0},
+        "constants": {"alpha": 1.0, "norm_a": 1.0, "norm_ell": 1.0},
+        "quadrature": {"n_panels": 16, "order": 5},
+        "family": {"kind": "free_knot_hats", "dirichlet": True},
+        "domain": {"lower": [0.02] * m, "upper": [0.98] * m,
+                   "chains": [list(range(m))], "gap": 0.01},
+        "gradient": {"mode": "fd"},
+        "schedule": {"kind": "lipschitz", "zeta": 0.5},
+        "stopping": {"max_epochs": 5},
+        "init": {"xi0": [0.15, 0.3, 0.5, 0.7, 0.85]},
+    }
+    cfg_path = _write_cfg(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out-dir", str(out)]) == 0
+    assert main(["certify", "--config", cfg_path, "--out-dir", str(out)]) == 0
+    report = json.loads(_read(out / "report.json"))
+    assert all(e["status"] != "fail" for e in report["entries"])
+
+
 # ---------------------------------------------------------------------------
 # grid and check
 # ---------------------------------------------------------------------------
