@@ -670,13 +670,7 @@ def realisation(family, xi, w) -> Field:
     return Field(value_fn, deriv_fn, family.breakpoints(xi))
 
 
-def _u_weights(problem, rule: QuadratureRule, family, xi):
-    """Quadrature data for U-norms of basis-like matrices at xi."""
-    r = rule.split_at(family.breakpoints(xi) + problem.coefficient_breakpoints())
-    return r
-
-
-def _sq_u_norms(problem, rule, family, xi, mat_values, mat_derivs):
+def _sq_u_norms(problem, rule, mat_values, mat_derivs):
     """Sum over the last axis of the squared U-norm of each entry."""
     w = rule.weights
     out = np.tensordot(mat_values ** 2, w, axes=(-1, 0))
@@ -692,10 +686,10 @@ def _sq_u_norms(problem, rule, family, xi, mat_values, mat_derivs):
 def basis_norms(problem, rule: QuadratureRule, family, xi) -> float:
     """||phi(xi)||_{U,2} = sqrt(sum_k ||phi_k(xi)||_U^2)."""
     xi = family.require_param(xi)
-    r = _u_weights(problem, rule, family, xi)
+    r = rule.split_at(family.breakpoints(xi) + problem.coefficient_breakpoints())
     vals = family.basis_values(xi, r.nodes)
     ders = family.basis_derivs(xi, r.nodes) if problem.needs_h1 else None
-    return float(np.sqrt(np.sum(_sq_u_norms(problem, r, family, xi, vals, ders))))
+    return float(np.sqrt(np.sum(_sq_u_norms(problem, r, vals, ders))))
 
 
 def basis_difference_norm(problem, rule: QuadratureRule, family, xi, eta) -> float:
@@ -711,16 +705,16 @@ def basis_difference_norm(problem, rule: QuadratureRule, family, xi, eta) -> flo
     dd = None
     if problem.needs_h1:
         dd = family.basis_derivs(xi, r.nodes) - family.basis_derivs(eta, r.nodes)
-    return float(np.sqrt(np.sum(_sq_u_norms(problem, r, family, xi, dv, dd))))
+    return float(np.sqrt(np.sum(_sq_u_norms(problem, r, dv, dd))))
 
 
 def dparam_norm(problem, rule: QuadratureRule, family, xi) -> float:
     """||grad_xi phi(xi)||_{U,2,2}: root sum of squared U-norms of all entries."""
     xi = family.require_param(xi)
-    r = _u_weights(problem, rule, family, xi)
+    r = rule.split_at(family.breakpoints(xi) + problem.coefficient_breakpoints())
     dv = family.dparam_values(xi, r.nodes)
     dd = family.dparam_derivs(xi, r.nodes) if problem.needs_h1 else None
-    return float(np.sqrt(np.sum(_sq_u_norms(problem, r, family, xi, dv, dd))))
+    return float(np.sqrt(np.sum(_sq_u_norms(problem, r, dv, dd))))
 
 
 def dparam_difference_norm(problem, rule: QuadratureRule, family, xi, eta) -> float:
@@ -736,7 +730,7 @@ def dparam_difference_norm(problem, rule: QuadratureRule, family, xi, eta) -> fl
     dd = None
     if problem.needs_h1:
         dd = family.dparam_derivs(xi, r.nodes) - family.dparam_derivs(eta, r.nodes)
-    return float(np.sqrt(np.sum(_sq_u_norms(problem, r, family, xi, dv, dd))))
+    return float(np.sqrt(np.sum(_sq_u_norms(problem, r, dv, dd))))
 
 
 def _corner_points(domain: NonlinearDomain, cap: int = 64):

@@ -42,9 +42,11 @@ __all__ = [
     "minimiser_grid_oracle",
     "delta_star",
     "quasi_stationarity_level",
+    "linear_decrease_entry",
     "decrease_certificate",
     "lambda_max_certificate",
     "spd_certificate",
+    "energy_monotone_entry",
     "energy_monotonicity_certificate",
     "local_rate_certificate",
     "surrogate_certificate",
@@ -344,7 +346,18 @@ def _transitions(record: RunRecord):
     return record.iterates[:-1]
 
 
-def decrease_certificate(record: RunRecord, atol: float = 1e-9) -> List[CertificateEntry]:
+def linear_decrease_entry(updates, name: str = "linear-decrease") -> CertificateEntry:
+    """Worst of ``guaranteed <= achieved + 1e-9`` over linear updates.
+
+    ``updates`` holds at least one ``(anchor, achieved, guaranteed)``
+    triple, from a run record or from the rows of a written trace.
+    """
+    entries = [_check(name, anchor, gua, ach, atol=1e-9, rtol=0.0)
+               for anchor, ach, gua in updates]
+    return _worst(entries, f"checked {len(entries)} updates")
+
+
+def decrease_certificate(record: RunRecord) -> List[CertificateEntry]:
     """Achieved linear-update drop >= guaranteed drop at every update."""
     if record.frozen:
         return [_skipped("linear-decrease", "frozen linear rule: no linear updates")]
@@ -355,9 +368,7 @@ def decrease_certificate(record: RunRecord, atol: float = 1e-9) -> List[Certific
         checks.append((f"step {it.k}", it.decrease_achieved, it.decrease_guaranteed))
     if not checks:
         return [_skipped("linear-decrease", "no linear updates recorded")]
-    entries = [_check("linear-decrease", anchor, gua, ach, atol=atol, rtol=0.0)
-               for anchor, ach, gua in checks]
-    return [_worst(entries, f"checked {len(checks)} updates")]
+    return [linear_decrease_entry(checks)]
 
 
 def lambda_max_certificate(record: RunRecord, constants) -> List[CertificateEntry]:
@@ -388,19 +399,23 @@ def spd_certificate(record: RunRecord, omega_min: float) -> List[CertificateEntr
     return [_worst(entries, f"checked {len(record.iterates)} iterates")]
 
 
-def energy_monotonicity_certificate(
-    record: RunRecord, tol: float = 1e-10
-) -> List[CertificateEntry]:
-    """K_{k+1} <= K_k along the recorded iterates (valid step sizes)."""
-    its = record.iterates
-    if len(its) < 2:
-        return [_skipped("energy-monotone", "run recorded no steps")]
+def energy_monotone_entry(energies, name: str = "energy-monotone") -> CertificateEntry:
+    """Worst of ``K_{k+1} <= K_k + 1e-10 (1 + |K_k|)`` over consecutive steps.
+
+    ``energies`` lists ``(k, K_k)`` in step order, at least two of them.
+    """
     entries = [
-        _check("energy-monotone", f"step {a.k}", b.K, a.K,
-               atol=tol * (1.0 + abs(a.K)), rtol=0.0)
-        for a, b in zip(its[:-1], its[1:])
+        _check(name, f"step {ka}", Kb, Ka, atol=1e-10 * (1.0 + abs(Ka)), rtol=0.0)
+        for (ka, Ka), (_, Kb) in zip(energies[:-1], energies[1:])
     ]
-    return [_worst(entries, f"checked {len(its) - 1} steps")]
+    return _worst(entries, f"checked {len(entries)} steps")
+
+
+def energy_monotonicity_certificate(record: RunRecord) -> List[CertificateEntry]:
+    """K_{k+1} <= K_k along the recorded iterates (valid step sizes)."""
+    if len(record.iterates) < 2:
+        return [_skipped("energy-monotone", "run recorded no steps")]
+    return [energy_monotone_entry([(it.k, it.K) for it in record.iterates])]
 
 
 def local_rate_certificate(
@@ -432,7 +447,7 @@ def local_rate_certificate(
     S = 0.0
     entries = []
     for n, it in enumerate(trans, start=1):
-        L_k = it.lipschitz_L if it.lipschitz_L is not None else None
+        L_k = it.lipschitz_L
         if L_k is None and L_values is not None:
             L_k = L_values[n - 1] if np.ndim(L_values) else float(L_values)
         if L_k is None:
@@ -465,9 +480,6 @@ def local_rate_certificate(
 
 def surrogate_certificate(
     record: RunRecord,
-    problem,
-    rule,
-    family,
     L: float,
     nu: float,
     eps_target: float,
@@ -477,10 +489,10 @@ def surrogate_certificate(
     """Quasi-stationarity level certified at the stopped iterate.
 
     Requires the parameter-stabilisation trigger: the recorded final step
-    satisfied ||xi_{k+1} - xi_k|| <= eps_xi = eps_target * gamma.  A fresh
-    high-accuracy solve at the stopped point supplies the linear-gradient
-    part of c; the certified level L (gamma c)^nu + mu c must not exceed
-    L (gamma eps)^nu + mu eps.
+    satisfied ||xi_{k+1} - xi_k|| <= eps_xi = eps_target * gamma.  The
+    linear-gradient part of c is the exact-solve residual the run recorded
+    at the stopped point (``record.stop_residual``); the certified level
+    L (gamma c)^nu + mu c must not exceed L (gamma eps)^nu + mu eps.
     """
     if record.termination != "xi_stabilised":
         return [
@@ -492,12 +504,7 @@ def surrogate_certificate(
         ]
     last = record.iterates[-2]
     gamma = last.gamma
-    xi_stop = record.iterates[-1].xi
-    if record.frozen:
-        grad_w_norm = 0.0  # the frozen coefficient is the exact linear optimum
-    else:
-        system = assemble(problem, rule, family, xi_stop)
-        grad_w_norm = float(np.linalg.norm(system.matrix @ system.solution - system.load))
+    grad_w_norm = record.stop_residual
     c = math.hypot(last.grad_map_norm, grad_w_norm)
     level = quasi_stationarity_level(L, nu, gamma, record.mu, c)
     bound = quasi_stationarity_level(L, nu, gamma, record.mu, eps_target)
@@ -512,24 +519,31 @@ def surrogate_certificate(
 # ---------------------------------------------------------------------------
 
 
-def _deltas(record: RunRecord, geom, oracle):
-    out = []
-    for it in record.iterates:
-        if it.delta_star is not None:
-            out.append(it.delta_star)
-        else:
-            out.append(delta_star(geom, oracle, it.xi)[0])
-    return out
+def _basin_deltas(record: RunRecord, geom, oracle, rho, name):
+    """``(deltas, None)`` when a global guarantee applies, else ``(None, skip)``.
 
-
-def _require_exact_updates(record: RunRecord, name):
+    The guarantees need exact linear updates, at least one step and, with
+    ``rho`` given, a start inside the basin ``delta*(xi_0) <= rho``.
+    """
     if record.linear_rule_kind not in ("full", "frozen"):
-        return _skipped(
+        return None, _skipped(
             name,
             f"global guarantees need exact linear updates; run used "
             f"{record.linear_rule_kind!r}",
         )
-    return None
+    if not _transitions(record):
+        return None, _skipped(name, "run recorded no steps")
+    deltas = [
+        it.delta_star if it.delta_star is not None else delta_star(geom, oracle, it.xi)[0]
+        for it in record.iterates
+    ]
+    if rho is not None and deltas[0] > rho + ATOL:
+        return None, _skipped(
+            name,
+            f"start outside certified basin: delta*(xi_0) = {deltas[0]!r} "
+            f"> rho = {rho!r}",
+        )
+    return deltas, None
 
 
 def global_step_certificate(
@@ -552,21 +566,10 @@ def global_step_certificate(
     Entries are skipped (not asserted) when the start lies outside the
     basin ``delta*(xi_0) <= rho`` or when some gamma_k L_bar > mu.
     """
-    bad = _require_exact_updates(record, "global-step")
-    if bad is not None:
-        return [bad]
+    deltas, skip = _basin_deltas(record, geom, oracle, rho, "global-step")
+    if skip is not None:
+        return [skip]
     trans = _transitions(record)
-    if not trans:
-        return [_skipped("global-step", "run recorded no steps")]
-    deltas = _deltas(record, geom, oracle)
-    if rho is not None and deltas[0] > rho + ATOL:
-        return [
-            _skipped(
-                "global-step",
-                f"start outside certified basin: delta*(xi_0) = {deltas[0]!r} "
-                f"> rho = {rho!r}",
-            )
-        ]
     mu = record.mu
     for it in trans:
         if it.gamma * L_bar > mu * (1.0 + RTOL):
@@ -614,21 +617,10 @@ def global_rate_certificate(
     rtol: float = RTOL,
 ) -> List[CertificateEntry]:
     """Kbar(xi_n) - K* <= delta*(xi_0) / sum_{k<n} gamma_k at every horizon."""
-    bad = _require_exact_updates(record, "global-rate")
-    if bad is not None:
-        return [bad]
+    deltas, skip = _basin_deltas(record, geom, oracle, rho, "global-rate")
+    if skip is not None:
+        return [skip]
     trans = _transitions(record)
-    if not trans:
-        return [_skipped("global-rate", "run recorded no steps")]
-    deltas = _deltas(record, geom, oracle)
-    if rho is not None and deltas[0] > rho + ATOL:
-        return [
-            _skipped(
-                "global-rate",
-                f"start outside certified basin: delta*(xi_0) = {deltas[0]!r} "
-                f"> rho = {rho!r}",
-            )
-        ]
     gsum = 0.0
     entries = []
     for n, it in enumerate(trans, start=1):
@@ -683,40 +675,22 @@ def cea_certificate(
     with ``best_in_V`` the squared best-approximation error over the whole
     nonlinear class (from the grid oracle when not supplied:
     2*(K*_grid - J(u*))).  The left side is evaluated by quadrature on the
-    realised fields, independently of the recorded energies.
+    realised fields of the recorded iterates (for exact updates the
+    recorded coefficients are the exact solve), independently of the
+    recorded energies.
     """
-    bad = _require_exact_updates(record, "cea")
-    if bad is not None:
-        return CeaResult(bad, np.array([]), np.array([]), np.array([]), np.array([]))
-    trans = _transitions(record)
-    if not trans:
-        return CeaResult(
-            _skipped("cea", "run recorded no steps"),
-            np.array([]), np.array([]), np.array([]), np.array([]),
-        )
+    deltas, skip = _basin_deltas(record, geom, oracle, None, "cea")
+    if skip is not None:
+        return CeaResult(skip, *([np.array([])] * 4))
     if best_in_V is None:
         j_star = 0.5 * bilinear(problem, rule, u_star, u_star) - linear_form(
             problem, rule, u_star
         )
         best_in_V = 2.0 * (oracle.K_star - j_star)
-    delta0 = _deltas(record, geom, oracle)[0]
-    mu = record.mu
-    ns, lhss, rhss = [], [], []
-    for n in range(1, len(record.iterates)):
-        xi_n = record.iterates[n].xi
-        if record.frozen:
-            w_n = record.iterates[n].w
-        else:
-            _, w_n = reduced_energy(problem, rule, family, xi_n)
-        diff = realisation(family, xi_n, w_n) - u_star
-        lhs = bilinear(problem, rule, diff, diff)
-        rhs = best_in_V + 2.0 * L_bar * delta0 / (zeta * mu * n)
-        ns.append(n)
-        lhss.append(lhs)
-        rhss.append(rhs)
-    ns = np.asarray(ns, dtype=float)
-    lhss = np.asarray(lhss)
-    rhss = np.asarray(rhss)
+    diffs = [realisation(family, it.xi, it.w) - u_star for it in record.iterates[1:]]
+    lhss = np.array([bilinear(problem, rule, d, d) for d in diffs])
+    ns = np.arange(1.0, len(record.iterates))
+    rhss = best_in_V + 2.0 * L_bar * deltas[0] / (zeta * record.mu * ns)
     worst = _worst(
         [_check("cea", f"horizon n={int(n)}", lhs, rhs, atol=atol, rtol=rtol)
          for n, lhs, rhs in zip(ns, lhss, rhss)],

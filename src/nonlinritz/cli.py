@@ -15,9 +15,10 @@ artifacts (the config hash must match) and writes ``report.json``;
 
 Exit codes: 0 success, 1 certificate/invariant failure, 2 configuration
 error, 3 numerical failure.  ``NONLINRITZ_THREADS`` caps BLAS/OpenMP
-parallelism through threadpoolctl when it is installed; without it, set
-``OPENBLAS_NUM_THREADS`` (and friends) before the process starts.  All numeric output uses 17 significant digits, so every
-value round-trips exactly to the double that produced it.
+parallelism through threadpoolctl; without threadpoolctl it has no effect
+(a note goes to stderr), and ``OPENBLAS_NUM_THREADS`` (and friends) must be
+set before the process starts.  All numeric output uses 17 significant
+digits, so every value round-trips exactly to the double that produced it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import certify as cert
 from .assembly import assemble, check_consistency, check_lambda_max_bound
-from .config import ExperimentConfig, parse_config
+from .config import ExperimentConfig, load_config
 from .errors import ConfigError, NonlinRitzError, NumericalError
 from .optimizer import (
     LipschitzAdaptive,
@@ -183,20 +184,12 @@ def execute(cfg: ExperimentConfig, oracle=None):
 
 def _quasi_level(cfg: ExperimentConfig, record):
     """Certified quasi-stationarity level at the stopped iterate, if available."""
-    if record.termination != "xi_stabilised" or record.n_steps == 0:
-        return None
     L = cfg.certify_spec.get("L", record.hoelder_L)
-    nu = cfg.certify_spec.get("nu", record.hoelder_nu)
-    if L is None:
+    if record.stop_residual is None or L is None:
         return None
+    nu = cfg.certify_spec.get("nu", record.hoelder_nu)
     last = record.iterates[-2]
-    xi_stop = record.iterates[-1].xi
-    if record.frozen:
-        res = 0.0
-    else:
-        system = assemble(cfg.problem, cfg.rule, cfg.family, xi_stop)
-        res = float(np.linalg.norm(system.matrix @ system.solution - system.load))
-    c = math.hypot(last.grad_map_norm, res)
+    c = math.hypot(last.grad_map_norm, record.stop_residual)
     return cert.quasi_stationarity_level(float(L), float(nu), last.gamma, record.mu, c)
 
 
@@ -268,54 +261,6 @@ def _parse_trace(text: str):
     return rows
 
 
-def _trace_artifact_entries(rows, monotone_asserted: bool):
-    """Certificates evaluated directly on the written artifact numbers."""
-    entries = []
-    finite = all(
-        v is None or math.isfinite(v)
-        for row in rows
-        for k, v in row.items()
-        if k not in ("iter", "stop_reason")
-    )
-    entries.append(
-        cert.CertificateEntry(
-            "trace-finite", f"{len(rows)} rows", 0.0, 0.0, 0.0,
-            "pass" if finite else "fail",
-            "all recorded values are finite" if finite else "non-finite value in trace",
-        )
-    )
-    decreases = [
-        cert.CertificateEntry(
-            "linear-decrease (trace)",
-            f"step {row['iter']}",
-            row["decrease_rhs"],
-            row["decrease_lhs"],
-            row["decrease_lhs"] - row["decrease_rhs"],
-            "pass" if row["decrease_rhs"] <= row["decrease_lhs"] + 1e-9 else "fail",
-        )
-        for row in rows
-        if row["decrease_lhs"] is not None
-    ]
-    if decreases:
-        entries.append(
-            cert._worst(decreases, f"checked {len(decreases)} recorded updates")
-        )
-    if monotone_asserted and len(rows) > 1:
-        steps = [
-            cert.CertificateEntry(
-                "energy-monotone (trace)",
-                f"step {a['iter']}",
-                b["K"],
-                a["K"],
-                a["K"] - b["K"],
-                "pass" if b["K"] <= a["K"] + 1e-10 * (1.0 + abs(a["K"])) else "fail",
-            )
-            for a, b in zip(rows[:-1], rows[1:])
-        ]
-        entries.append(cert._worst(steps, f"checked {len(rows) - 1} recorded steps"))
-    return entries
-
-
 def cmd_certify(cfg: ExperimentConfig, out_dir: str) -> int:
     trace_path = os.path.join(out_dir, "trace.csv")
     summary_path = os.path.join(out_dir, "summary.json")
@@ -332,9 +277,31 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str) -> int:
     with open(trace_path, "r", encoding="utf-8", newline="") as fh:
         trace_text = fh.read()
 
+    # certificates evaluated directly on the written artifact numbers
+    rows = _parse_trace(trace_text)
     adaptive = isinstance(cfg.schedule, LipschitzAdaptive)
+    finite = all(
+        v is None or math.isfinite(v)
+        for row in rows
+        for k, v in row.items()
+        if k not in ("iter", "stop_reason")
+    )
     report = cert.CertificateReport()
-    report.extend(_trace_artifact_entries(_parse_trace(trace_text), adaptive))
+    report.extend(
+        cert.CertificateEntry(
+            "trace-finite", f"{len(rows)} rows", 0.0, 0.0, 0.0,
+            "pass" if finite else "fail",
+            "all recorded values are finite" if finite else "non-finite value in trace",
+        )
+    )
+    updates = [(f"step {row['iter']}", row["decrease_lhs"], row["decrease_rhs"])
+               for row in rows if row["decrease_lhs"] is not None]
+    if updates:
+        report.extend(cert.linear_decrease_entry(updates, "linear-decrease (trace)"))
+    if adaptive and len(rows) > 1:
+        report.extend(cert.energy_monotone_entry(
+            [(row["iter"], row["K"]) for row in rows], "energy-monotone (trace)"
+        ))
 
     # deterministic re-run for the state-dependent certificates
     record, oracle = execute(cfg)
@@ -381,8 +348,7 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str) -> int:
     if all(k in spec for k in ("L", "nu", "eps_target")):
         report.extend(
             cert.surrogate_certificate(
-                record, cfg.problem, cfg.rule, cfg.family,
-                float(spec["L"]), float(spec["nu"]), float(spec["eps_target"]),
+                record, float(spec["L"]), float(spec["nu"]), float(spec["eps_target"])
             )
         )
 
@@ -533,16 +499,14 @@ def _apply_thread_cap():
         raise ConfigError(f"NONLINRITZ_THREADS must be positive, got {n}")
     try:
         from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=n)
     except ImportError:
-        for var in (
-            "OMP_NUM_THREADS",
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-        ):
-            os.environ[var] = str(n)
+        print(
+            "note: NONLINRITZ_THREADS needs threadpoolctl; without it, set "
+            "OPENBLAS_NUM_THREADS (and friends) before the process starts",
+            file=sys.stderr,
+        )
+        return
+    threadpool_limits(limits=n)
 
 
 def _build_parser():
@@ -573,25 +537,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _apply_thread_cap()
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as e:
-            raise ConfigError(f"cannot read config {args.config!r}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(
-                f"{args.config}: invalid JSON at line {e.lineno}, column {e.colno}: "
-                f"{e.msg}"
-            ) from e
-        if not isinstance(data, dict):
-            raise ConfigError(f"{args.config}: top level must be a JSON object")
+        overrides = {}
         if args.seed is not None:
-            data["seed"] = args.seed
+            overrides["seed"] = args.seed
         if args.max_epochs is not None:
-            if not isinstance(data.get("stopping"), dict):
-                data["stopping"] = {}
-            data["stopping"]["max_epochs"] = args.max_epochs
-        cfg = parse_config(data)
+            overrides["stopping"] = {"max_epochs": args.max_epochs}
+        cfg = load_config(args.config, overrides)
         out_dir = args.out_dir or cfg.out_dir or "."
         dispatch = {
             "run": cmd_run,

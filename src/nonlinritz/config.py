@@ -541,8 +541,15 @@ def parse_config(data: dict) -> ExperimentConfig:
     )
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Parse a JSON config file with line-precise error messages."""
+def load_config(path: str, overrides: Optional[dict] = None) -> ExperimentConfig:
+    """Parse a JSON config file with line-precise error messages.
+
+    ``overrides`` maps top-level keys to values that replace the file's
+    before parsing; a dict value is merged into the file's section of that
+    name (a missing or non-object section counts as empty).  The CLI's
+    ``--seed N`` and ``--max-epochs N`` pass ``{"seed": N}`` and
+    ``{"stopping": {"max_epochs": N}}``; the config hash covers the result.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -556,4 +563,9 @@ def load_config(path: str) -> ExperimentConfig:
         ) from e
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
+    for key, value in (overrides or {}).items():
+        if isinstance(value, dict):
+            section = data.get(key)
+            value = {**(section if isinstance(section, dict) else {}), **value}
+        data[key] = value
     return parse_config(data)

@@ -13,7 +13,9 @@ eigendecomposition of its system serves the linear update, the decrease
 check, the spectral statistics and the reduced energy.  Every iterate keeps
 the quantities the convergence certificates consume: gradient-mapping and
 linear-gradient norms, step sizes, achieved/guaranteed energy drops, and
-spectral statistics.
+spectral statistics.  A run stopped by parameter stabilisation also keeps
+the exact-solve residual ``||A A^+ load - load||`` of the last system it
+assembled, at the stopped point.
 
 The reduced (variable-projection) energy eliminates the linear block
 exactly:  Kbar(xi) = K(w*(xi), xi) = -0.5 * load(xi) . w*(xi).  Its
@@ -24,7 +26,7 @@ grad_xi K(w, xi) evaluated at w = w*(xi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Union
 
 import numpy as np
@@ -32,13 +34,11 @@ import numpy as np
 from .assembly import AssembledSystem, assemble, quadratic_energy
 from .errors import ConfigError, NumericalError
 from .updates import (
-    EnergyGradients,
     Frozen,
     FullSolveCG,
     decrease_check,
     gradient_mapping,
     make_gradients,
-    prox_optimality_residual,
     prox_step,
     update_linear,
 )
@@ -262,7 +262,9 @@ class StoppingCriteria:
 class IterateRecord:
     """State at iterate k plus the transition data k -> k+1.
 
-    Transition fields are None on the final iterate.
+    State: parameters ``xi``, coefficients ``w``, energy ``K``, reduced
+    energy and the spectral statistics of the assembled system.  Transition
+    fields (from ``gamma`` on) are None on the final iterate.
     """
 
     k: int
@@ -277,17 +279,23 @@ class IterateRecord:
     delta_star: Optional[float] = None
     gamma: Optional[float] = None
     lipschitz_L: Optional[float] = None
-    grad_xi: Optional[np.ndarray] = None
     grad_map_norm: Optional[float] = None
     step_norm: Optional[float] = None
     grad_w_post_norm: Optional[float] = None
     decrease_achieved: Optional[float] = None
     decrease_guaranteed: Optional[float] = None
-    prox_residual: Optional[float] = None
 
 
 @dataclass
 class RunRecord:
+    """Iterates, best and final states, and run-level constants.
+
+    ``stop_residual`` is ``||A(xi) A(xi)^+ load(xi) - load(xi)||`` at the
+    stopped point, from the system the run assembled there (0 for frozen
+    coefficients); it is None unless the run ended by parameter
+    stabilisation.
+    """
+
     iterates: List[IterateRecord]
     termination: str
     best_k: int
@@ -304,6 +312,7 @@ class RunRecord:
     initial_decrease: Optional[tuple] = None
     hoelder_L: Optional[float] = None
     hoelder_nu: float = 1.0
+    stop_residual: Optional[float] = None
 
     @property
     def n_steps(self) -> int:
@@ -426,12 +435,8 @@ def run(
         cur = records[-1]
         cur.gamma = gamma
         cur.lipschitz_L = L_eff
-        cur.grad_xi = g
         cur.grad_map_norm = float(np.linalg.norm(gradient_mapping(xi, xi_next, gamma)))
         cur.step_norm = float(np.linalg.norm(xi_next - xi))
-        cur.prox_residual = prox_optimality_residual(
-            geometry, family.domain, xi, g, gamma, xi_next
-        )
 
         system = assemble(problem, rule, family, xi_next)
         _check_assumption1(system, omega_min, frozen)
@@ -464,6 +469,11 @@ def run(
     final_w = best_w.copy() if frozen else best_system.solution.copy()
     final_K = quadratic_energy(best_system, final_w)
     final_res = float(np.linalg.norm(best_system.matrix @ final_w - best_system.load))
+    stop_residual = None
+    if termination == "xi_stabilised":
+        stop_residual = 0.0 if frozen else float(
+            np.linalg.norm(system.matrix @ system.solution - system.load)
+        )
 
     return RunRecord(
         iterates=records,
@@ -486,4 +496,5 @@ def run(
         initial_decrease=initial_decrease,
         hoelder_L=L_raw,
         hoelder_nu=nu_raw,
+        stop_residual=stop_residual,
     )

@@ -44,7 +44,6 @@ __all__ = [
     "decrease_check",
     "EuclideanGeometry",
     "DiagonalGeometry",
-    "bregman_div",
     "prox_step",
     "gradient_mapping",
     "prox_optimality_residual",
@@ -130,6 +129,7 @@ class EuclideanGeometry:
         return np.ones(dim)
 
     def div(self, eta, xi) -> float:
+        """D_psi(eta; xi) = psi(eta) - psi(xi) - <grad psi(xi), eta - xi>."""
         d = np.asarray(eta, dtype=float) - np.asarray(xi, dtype=float)
         return 0.5 * float(d @ d)
 
@@ -161,17 +161,13 @@ class DiagonalGeometry:
         return self.diag
 
     def div(self, eta, xi) -> float:
+        """D_psi(eta; xi) = 0.5 (eta - xi).D.(eta - xi)."""
         d = np.asarray(eta, dtype=float) - np.asarray(xi, dtype=float)
         return 0.5 * float(d @ (self.weights(d.size) * d))
 
     def grad_psi(self, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
         return self.weights(xi.size) * xi
-
-
-def bregman_div(geom, eta, xi) -> float:
-    """D_psi(eta; xi) = psi(eta) - psi(xi) - <grad psi(xi), eta - xi>."""
-    return geom.div(eta, xi)
 
 
 def prox_step(geom, domain: NonlinearDomain, xi, grad, gamma: float) -> np.ndarray:

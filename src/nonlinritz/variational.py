@@ -147,12 +147,6 @@ def integrate(g: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> fl
     return float(np.dot(rule.weights, vals))
 
 
-def _as_value_fn(f):
-    if isinstance(f, Field):
-        return f.values
-    return lambda x: np.broadcast_to(np.asarray(f(x), dtype=float), np.shape(x))
-
-
 @dataclass(frozen=True)
 class Field:
     """A function on the interval, with an optional weak derivative.

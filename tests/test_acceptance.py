@@ -226,14 +226,12 @@ def test_criterion_06_surrogate_certificate_and_negative(corpus):
         StoppingCriteria(max_epochs=500, eps_xi=gamma * eps), xi0,
     )
     assert rec.termination == "xi_stabilised"
-    good = surrogate_certificate(rec, problem, RULE, family,
-                                 L=L_hat, nu=1.0, eps_target=eps)
+    good = surrogate_certificate(rec, L=L_hat, nu=1.0, eps_target=eps)
     assert good[0].status == "pass", good
     # negative control: a perturbed final iterate must be rejected
     tampered = copy.deepcopy(rec)
     tampered.iterates[-2].grad_map_norm *= 1e3
-    bad = surrogate_certificate(tampered, problem, RULE, family,
-                                L=L_hat, nu=1.0, eps_target=eps)
+    bad = surrogate_certificate(tampered, L=L_hat, nu=1.0, eps_target=eps)
     assert bad[0].status == "fail", bad
     print("criterion 6 [PASS]: stopping at eps*gamma certifies level <= "
           "L*(gamma*eps)^nu + mu*eps; perturbed iterate fails")

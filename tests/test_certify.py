@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import nonlinritz.certify
+import nonlinritz.optimizer
 from nonlinritz.assembly import ProblemConstants, assemble, kappa_bound
 from nonlinritz.basis import (
     GaussianBumps,
@@ -42,6 +44,7 @@ from nonlinritz.optimizer import (
     ConstantGamma,
     LipschitzAdaptive,
     StoppingCriteria,
+    reduced_energy,
     run,
 )
 from nonlinritz.updates import (
@@ -305,18 +308,15 @@ def test_surrogate_certificate_pass_and_negative():
         stopping=StoppingCriteria(max_epochs=500, eps_xi=gamma * eps_target)
     )
     assert rec.termination == "xi_stabilised"
-    ok = surrogate_certificate(rec, problem, RULE, family, L=5.0, nu=1.0,
-                               eps_target=eps_target)
+    ok = surrogate_certificate(rec, L=5.0, nu=1.0, eps_target=eps_target)
     assert ok[0].status == "pass"
-    bad = surrogate_certificate(rec, problem, RULE, family, L=5.0, nu=1.0,
-                                eps_target=1e-9)
+    bad = surrogate_certificate(rec, L=5.0, nu=1.0, eps_target=1e-9)
     assert bad[0].status == "fail"
 
 
 def test_surrogate_certificate_needs_stabilised_stop():
     rec, problem, family = _gaussian_run(stopping=StoppingCriteria(max_epochs=2))
-    entries = surrogate_certificate(rec, problem, RULE, family, L=5.0,
-                                    nu=1.0, eps_target=1e-3)
+    entries = surrogate_certificate(rec, L=5.0, nu=1.0, eps_target=1e-3)
     assert entries[0].status == "skipped"
 
 
@@ -374,6 +374,20 @@ def test_cea_certificate_on_circle():
     # realised error approaches the (zero) best-in-class error at rate ~ 1/n
     slope = res.gap_slope()
     assert slope <= -0.8
+
+
+def test_cea_certificate_reads_recorded_exact_coefficients(count_calls):
+    rec, problem, family = _gaussian_run()
+    # for exact updates the recorded coefficients are the exact solve, bitwise
+    for it in rec.iterates:
+        _, w_star = reduced_energy(problem, RULE, family, it.xi)
+        assert np.array_equal(it.w, w_star)
+    calls = count_calls("assemble", nonlinritz.certify, nonlinritz.optimizer)
+    oracle = AnalyticPointsOracle(np.array([[0.3, 0.7]]), rec.final_K)
+    res = cea_certificate(rec, problem, RULE, family, problem.target, oracle,
+                          L_bar=5.0, zeta=0.9, geom=EuclideanGeometry())
+    assert res.horizons.size == rec.n_steps
+    assert calls == []
 
 
 def test_gap_slope_recovers_power_law():

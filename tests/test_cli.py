@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import os
 import shutil
 import subprocess
 
@@ -6,6 +8,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import nonlinritz.certify
+import nonlinritz.cli
+import nonlinritz.optimizer
+import nonlinritz.updates
 from nonlinritz.cli import TRACE_COLUMNS, main
 from nonlinritz.config import parse_config
 from nonlinritz.optimizer import reduced_energy
@@ -348,6 +354,52 @@ def test_thread_cap_env_validation(tmp_path, monkeypatch, capsys):
     assert main(["run", "--config", cfg_path, "--out-dir", str(out)]) == 2
     monkeypatch.setenv("NONLINRITZ_THREADS", "1")
     assert main(["run", "--config", cfg_path, "--out-dir", str(out)]) == 0
+
+
+def test_main_leaves_environment_unchanged(tmp_path, monkeypatch, capsys):
+    cfg_path = _write_cfg(tmp_path, _base_config())
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("NONLINRITZ_THREADS", "1")
+    before = dict(os.environ)
+    assert main(["run", "--config", cfg_path, "--out-dir", str(tmp_path / "out")]) == 0
+    assert dict(os.environ) == before
+    if importlib.util.find_spec("threadpoolctl") is None:
+        assert "needs threadpoolctl" in capsys.readouterr().err
+
+
+def test_run_and_certify_assemble_only_inside_run(tmp_path, monkeypatch, count_calls):
+    """The stopped-point residual comes from the run, not a re-assembly."""
+    data = _base_config()
+    data["stopping"] = {"max_epochs": 400, "eps_xi": 0.9 / 5.0 * 1e-3}
+    data["certify"] = {"L": 5.0, "nu": 1.0, "eps_target": 1e-3}
+    cfg_path = _write_cfg(tmp_path, data)
+    out = str(tmp_path / "out")
+    calls = count_calls("assemble", nonlinritz.cli, nonlinritz.certify,
+                        nonlinritz.optimizer, nonlinritz.updates)
+    in_run = []
+    orig_run = nonlinritz.cli.run
+
+    def counted_run(*args, **kwargs):
+        before = len(calls)
+        record = orig_run(*args, **kwargs)
+        in_run.append(len(calls) - before)
+        return record
+
+    monkeypatch.setattr(nonlinritz.cli, "run", counted_run)
+    assert main(["run", "--config", cfg_path, "--out-dir", out]) == 0
+    summary = json.loads(_read(os.path.join(out, "summary.json")))
+    assert summary["termination"] == "xi_stabilised"
+    assert summary["quasi_stationarity_level"] is not None
+    assert in_run[0] > 0 and len(calls) == in_run[0]
+
+    del calls[:]
+    assert main(["certify", "--config", cfg_path, "--out-dir", out]) == 0
+    report = json.loads(_read(os.path.join(out, "report.json")))
+    assert [e["status"] for e in report["entries"]
+            if e["name"] == "surrogate-level"] == ["pass"]
+    assert len(in_run) == 2 and len(calls) == in_run[1] == in_run[0]
 
 
 def test_console_script_is_installed(tmp_path):

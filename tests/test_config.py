@@ -298,6 +298,18 @@ def test_load_config_round_trip(tmp_path):
     assert cfg.config_hash == parse_config(_base()).config_hash
 
 
+def test_load_config_overrides_merge_into_sections(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(_base()))
+    cfg = load_config(str(p), {"seed": 5, "stopping": {"max_epochs": 3}})
+    expect = _base()
+    expect["seed"] = 5
+    expect["stopping"]["max_epochs"] = 3
+    assert cfg.seed == 5 and cfg.stopping.max_epochs == 3
+    assert cfg.config_hash == parse_config(expect).config_hash
+    assert load_config(str(p), {}).config_hash == parse_config(_base()).config_hash
+
+
 def test_load_config_reports_json_position(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text('{\n  "problem": {,}\n}\n')

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import nonlinritz.optimizer
+import nonlinritz.updates
+from nonlinritz.assembly import assemble
 from nonlinritz.basis import GaussianBumps, NonlinearDomain
 from nonlinritz.errors import ConfigError, NumericalError
 from nonlinritz.optimizer import (
@@ -222,6 +225,35 @@ def test_run_stops_on_xi_stabilised():
     rec = run(**_run_kwargs(stopping=StoppingCriteria(max_epochs=50, eps_xi=1e3)))
     assert rec.termination == "xi_stabilised"
     assert rec.n_steps == 1
+
+
+def test_run_records_stopped_point_residual():
+    problem, family = _setup()
+    rec = run(**_run_kwargs(stopping=StoppingCriteria(max_epochs=400, eps_xi=1.8e-4)))
+    assert rec.termination == "xi_stabilised"
+    system = assemble(problem, RULE, family, rec.iterates[-1].xi)
+    fresh = float(np.linalg.norm(system.matrix @ system.solution - system.load))
+    assert rec.stop_residual == fresh
+    frozen = run(**_run_kwargs(linear_rule=Frozen(), w0=np.array([0.8, 0.5]),
+                               stopping=StoppingCriteria(max_epochs=400, eps_xi=1.8e-4)))
+    assert frozen.termination == "xi_stabilised" and frozen.stop_residual == 0.0
+    assert run(**_run_kwargs()).stop_residual is None  # stopped by max_epochs
+
+
+def test_run_on_a_chain_makes_no_prox_residual_call(count_calls):
+    problem, _ = _setup()
+    family = GaussianBumps(
+        NonlinearDomain([0.1, 0.1], [0.9, 0.9], chains=((0, 1),), gap=0.5),
+        np.array([0.1, 0.12]),
+    )
+    calls = count_calls("prox_optimality_residual",
+                        nonlinritz.updates, nonlinritz.optimizer)
+    rec = run(**_run_kwargs(family=family, xi0=np.array([0.2, 0.75]),
+                            stopping=StoppingCriteria(max_epochs=10)))
+    assert rec.n_steps == 10
+    # the gap constraint is active after the first step
+    assert all(it.xi[1] - it.xi[0] <= 0.5 + 1e-12 for it in rec.iterates[1:])
+    assert calls == []
 
 
 def test_run_stops_on_energy_plateau():
