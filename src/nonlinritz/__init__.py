@@ -31,7 +31,6 @@ from .basis import (
     estimate_hoelder,
     estimate_sup_norm,
     eval_basis,
-    eval_basis_dparam,
     realisation,
 )
 from .certify import (

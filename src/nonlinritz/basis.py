@@ -3,7 +3,10 @@
 A family maps a nonlinear parameter vector ``xi`` (living in a convex
 compact set: a box intersected with ordered chains) to a tuple of basis
 functions ``phi_1(xi), ..., phi_nL(xi)``.  Realisations are linear
-combinations ``w . phi(xi)``.
+combinations ``u = w . phi(xi)``.  Each differentiable family returns the
+parameter derivative of a realisation, ``d u / d xi_i`` of shape
+``(n_nonlinear, len(x))``, from ``dparam_values(xi, x, w)``; the derivative
+of a single basis function is that kernel applied to a unit vector.
 
 Families
 --------
@@ -38,7 +41,6 @@ __all__ = [
     "IndicatorPair",
     "SyntheticAmplitude",
     "eval_basis",
-    "eval_basis_dparam",
     "basis_norms",
     "basis_difference_norm",
     "dparam_norm",
@@ -329,12 +331,6 @@ class _FamilyBase:
     def basis_derivs(self, xi, x):
         return None
 
-    def dparam_derivs(self, xi, x):
-        return None
-
-    def supports_analytic_dparam(self, problem) -> bool:
-        return False
-
 
 @dataclass(frozen=True)
 class GaussianBumps(_FamilyBase):
@@ -373,25 +369,9 @@ class GaussianBumps(_FamilyBase):
     def basis_derivs(self, xi, x):
         return -self._z(xi, x) * self.basis_values(xi, x)
 
-    def dparam_values(self, xi, x):
-        n = self.n_linear
-        out = np.zeros((n, n, np.size(x)))
-        diag = self._z(xi, x) * self.basis_values(xi, x)
-        out[np.arange(n), np.arange(n), :] = diag
-        return out
-
-    def dparam_derivs(self, xi, x):
-        n = self.n_linear
-        x = np.asarray(x, dtype=float)
-        d = x[None, :] - xi[:, None]
-        s2 = self.widths[:, None] ** 2
-        vals = self.basis_values(xi, x)
-        out = np.zeros((n, n, x.size))
-        out[np.arange(n), np.arange(n), :] = vals * (1.0 / s2 - d ** 2 / s2 ** 2)
-        return out
-
-    def supports_analytic_dparam(self, problem) -> bool:
-        return True
+    def dparam_values(self, xi, x, w):
+        """d (w . phi) / d xi_k = w_k z_k phi_k: center k moves bump k only."""
+        return w[:, None] * (self._z(xi, x) * self.basis_values(xi, x))
 
 
 @dataclass(frozen=True)
@@ -407,7 +387,7 @@ class FreeKnotHats(_FamilyBase):
     masks, not loops over hats: hat j rises on the closed cell
     ``[t_{j-1}, t_j]`` and falls on the half-open cell ``(t_j, t_{j+1}]``
     (closed for hat 0), so at a shared knot the rising piece wins.
-    ``dparam_values`` fills only the at most three hats each knot moves.
+    ``dparam_values`` sums only the at most three hats each knot moves.
     """
 
     domain: NonlinearDomain
@@ -482,16 +462,17 @@ class FreeKnotHats(_FamilyBase):
         _, width, closed, half_open = self._cells(xi, x)
         return self._hats(closed, half_open, (1.0 / width)[:, None], (-1.0 / width)[:, None])
 
-    def dparam_values(self, xi, x):
-        """d hat_j / d xi_i, shape ``(m, n_linear, len(x))``.
+    def dparam_values(self, xi, x, w):
+        """d (w . hat) / d xi_i, shape ``(m, len(x))``.
 
         Knot i sits at grid position k = i + 1 between the cells
         L = [t_{k-1}, t_k] and R = [t_k, t_{k+1}], and moves only hats k-1, k
         and k+1: on L, d hat_k = -(x - t_{k-1}) / |L|^2 (closed) and
         d hat_{k-1} = (x - t_{k-1}) / |L|^2 (half-open); on R,
         d hat_k = (t_{k+1} - x) / |R|^2 (half-open) and
-        d hat_{k+1} = (x - t_{k+1}) / |R|^2 (closed).  Each slab is added to
-        zeros, which turns a -0.0 into 0.0 as the per-hat accumulation did.
+        d hat_{k+1} = (x - t_{k+1}) / |R|^2 (closed).  The three terms are
+        added to zeros in ascending hat order, which reproduces bitwise the
+        contraction of the per-hat derivatives with ``w``.
         """
         x = np.asarray(x, dtype=float)
         t, width, closed, half_open = self._cells(xi, x)
@@ -500,22 +481,18 @@ class FreeKnotHats(_FamilyBase):
         sq = np.array([h ** 2 for h in width.tolist()])[:, None]
         rise = (x - t[:-1, None]) / sq  # per cell, from its left end
         fall = (x - t[1:, None]) / sq  # per cell, from its right end
-        out = np.zeros((self.n_nonlinear, self.n_linear, x.size))
-        knot = np.arange(self.n_nonlinear)
-        col = knot if self.dirichlet else knot + 1  # column of hat k
-        out[knot, col] += np.where(
+        # the Dirichlet family drops hats 0 and m+1: its first knot has no
+        # hat k-1 and its last knot no hat k+1
+        m, d = self.n_nonlinear, int(self.dirichlet)
+        out = np.zeros((m, x.size))
+        out[d:] += w[:m - d, None] * np.where(half_open[d:-1], rise[d:-1], 0.0)
+        out += w[1 - d:m + 1 - d, None] * np.where(
             closed[:-1], -rise[:-1], np.where(half_open[1:], -fall[1:], 0.0)
         )
-        right = col + 1 < self.n_linear  # hat k+1 exists
-        out[knot[right], col[right] + 1] += np.where(closed[1:], fall[1:], 0.0)[right]
-        left = col >= 1  # hat k-1 exists
-        out[knot[left], col[left] - 1] += np.where(half_open[:-1], rise[:-1], 0.0)[left]
+        out[:m - d] += w[2 - d:, None] * np.where(
+            closed[1:m + 1 - d], fall[1:m + 1 - d], 0.0
+        )
         return out
-
-    def supports_analytic_dparam(self, problem) -> bool:
-        # the knot-derivatives of a hat jump at the knot: members of L2 but
-        # not of H1, so the analytic path is only valid for L2 energies
-        return not problem.needs_h1
 
 
 @dataclass(frozen=True)
@@ -550,7 +527,7 @@ class IndicatorPair(_FamilyBase):
             ]
         )
 
-    def dparam_values(self, xi, x):
+    def dparam_values(self, xi, x, w):
         raise DerivativeUnavailableError(
             "indicator basis has no parameter derivative in L2 (boundary "
             "movement is a Dirac mass); use the closed-form energy gradient"
@@ -611,14 +588,9 @@ class SyntheticAmplitude(_FamilyBase):
     def basis_derivs(self, xi, x):
         return np.zeros((1, np.size(x)))
 
-    def dparam_values(self, xi, x):
-        return np.tile(self._dg(xi)[:, None, None], (1, 1, np.size(x)))
-
-    def dparam_derivs(self, xi, x):
-        return np.zeros((self.n_nonlinear, 1, np.size(x)))
-
-    def supports_analytic_dparam(self, problem) -> bool:
-        return True
+    def dparam_values(self, xi, x, w):
+        """d (w_0 g(xi)) / d xi = w_0 g'(xi), constant in space."""
+        return np.tile((w[0] * self._dg(xi))[:, None], (1, np.size(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -636,18 +608,6 @@ def eval_basis(family, xi, x):
     xi = family.require_param(xi)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return family.basis_values(xi, x), family.basis_derivs(xi, x)
-
-
-def eval_basis_dparam(family, xi, x):
-    """Parameter derivatives d phi_k / d xi_i at points x.
-
-    Returns ``(dvalues, dderivs)`` with shapes ``(n_nonlinear, n_linear,
-    len(x))``; ``dderivs`` is None when the family cannot provide spatial
-    derivatives of the parameter derivatives.
-    """
-    xi = family.require_param(xi)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return family.dparam_values(xi, x), family.dparam_derivs(xi, x)
 
 
 def realisation(family, xi, w) -> Field:
@@ -708,13 +668,27 @@ def basis_difference_norm(problem, rule: QuadratureRule, family, xi, eta) -> flo
     return float(np.sqrt(np.sum(_sq_u_norms(problem, r, dv, dd))))
 
 
+def _dparam_root_sum(problem, rule, family, column) -> float:
+    """sqrt(sum_l ||column(e_l)||^2) over the unit vectors e_l of R^n_linear.
+
+    ``column(e_l)`` is ``d phi_l / d xi_i`` for every i: the contracted
+    kernel applied to ``e_l``.  No family provides spatial derivatives of
+    its parameter derivatives, so under an H1 energy ``_sq_u_norms`` raises.
+    """
+    total = sum(
+        float(np.sum(_sq_u_norms(problem, rule, column(e), None)))
+        for e in np.eye(family.n_linear)
+    )
+    return float(np.sqrt(total))
+
+
 def dparam_norm(problem, rule: QuadratureRule, family, xi) -> float:
     """||grad_xi phi(xi)||_{U,2,2}: root sum of squared U-norms of all entries."""
     xi = family.require_param(xi)
     r = rule.split_at(family.breakpoints(xi) + problem.coefficient_breakpoints())
-    dv = family.dparam_values(xi, r.nodes)
-    dd = family.dparam_derivs(xi, r.nodes) if problem.needs_h1 else None
-    return float(np.sqrt(np.sum(_sq_u_norms(problem, r, dv, dd))))
+    return _dparam_root_sum(
+        problem, r, family, lambda e: family.dparam_values(xi, r.nodes, e)
+    )
 
 
 def dparam_difference_norm(problem, rule: QuadratureRule, family, xi, eta) -> float:
@@ -726,11 +700,10 @@ def dparam_difference_norm(problem, rule: QuadratureRule, family, xi, eta) -> fl
         + tuple(family.breakpoints(eta))
         + tuple(problem.coefficient_breakpoints())
     )
-    dv = family.dparam_values(xi, r.nodes) - family.dparam_values(eta, r.nodes)
-    dd = None
-    if problem.needs_h1:
-        dd = family.dparam_derivs(xi, r.nodes) - family.dparam_derivs(eta, r.nodes)
-    return float(np.sqrt(np.sum(_sq_u_norms(problem, r, dv, dd))))
+    return _dparam_root_sum(
+        problem, r, family,
+        lambda e: family.dparam_values(xi, r.nodes, e) - family.dparam_values(eta, r.nodes, e),
+    )
 
 
 def _corner_points(domain: NonlinearDomain, cap: int = 64):

@@ -42,6 +42,7 @@ __all__ = [
     "minimiser_grid_oracle",
     "delta_star",
     "quasi_stationarity_level",
+    "stopped_point_level",
     "linear_decrease_entry",
     "decrease_certificate",
     "lambda_max_certificate",
@@ -282,8 +283,7 @@ def _sphere_project(oracle: AnalyticSphereOracle, geom, xi: np.ndarray):
         cand = oracle.center[None, :] + oracle.radius * np.stack(
             [np.cos(th), np.sin(th)], axis=1
         )
-        divs = np.array([geom.div(c, xi) for c in cand])
-        j = int(np.argmin(divs))
+        j = int(np.argmin(geom.div(cand, xi)))
         lo, hi = th[max(j - 1, 0)], th[min(j + 1, th.size - 1)]
         phi = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -320,7 +320,7 @@ def delta_star(geom, oracle, xi):
         return float(geom.div(p, xi)), p
     if isinstance(oracle, (AnalyticPointsOracle, GridSearchOracle)):
         pts = oracle.points if isinstance(oracle, AnalyticPointsOracle) else oracle.minimisers
-        vals = [geom.div(p, xi) for p in pts]
+        vals = geom.div(pts, xi)
         j = int(np.argmin(vals))
         return float(vals[j]), pts[j]
     raise ConfigError(f"unknown oracle type {type(oracle).__name__}")
@@ -335,6 +335,19 @@ def quasi_stationarity_level(L: float, nu: float, gamma: float, mu: float, c: fl
     if L < 0.0 or mu < 0.0 or c < 0.0:
         raise ConfigError("L, mu and c must be nonnegative")
     return float(L * (gamma * c) ** nu + mu * c)
+
+
+def stopped_point_level(record: RunRecord, L: float, nu: float):
+    """Quasi-stationarity level at the stopped iterate, and its ``c``.
+
+    ``c = hypot(||G||, ||grad_w K||)`` joins the last step's gradient
+    mapping with the exact-solve residual the run recorded at the stopped
+    point (``record.stop_residual``); returns ``(L (gamma c)^nu + mu c, c)``
+    with the last step's gamma.
+    """
+    last = record.iterates[-2]
+    c = math.hypot(last.grad_map_norm, record.stop_residual)
+    return quasi_stationarity_level(L, nu, last.gamma, record.mu, c), c
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +436,6 @@ def local_rate_certificate(
     K_star_lower: float,
     eps: float = 0.0,
     L_values=None,
-    atol: float = ATOL,
-    rtol: float = RTOL,
 ) -> List[CertificateEntry]:
     """Telescoped stationarity bound at every horizon n.
 
@@ -472,9 +483,7 @@ def local_rate_certificate(
         S += term
         best_lhs = min(best_lhs, it.grad_map_norm ** 2 + it.grad_w_post_norm ** 2)
         rhs = 2.0 * (K0 - K_star_lower + n * eps) / S
-        entries.append(
-            _check("local-rate", f"horizon n={n}", best_lhs, rhs, atol=atol, rtol=rtol)
-        )
+        entries.append(_check("local-rate", f"horizon n={n}", best_lhs, rhs))
     return [_worst(entries, f"checked horizons 1..{len(trans)}")]
 
 
@@ -483,8 +492,6 @@ def surrogate_certificate(
     L: float,
     nu: float,
     eps_target: float,
-    atol: float = ATOL,
-    rtol: float = RTOL,
 ) -> List[CertificateEntry]:
     """Quasi-stationarity level certified at the stopped iterate.
 
@@ -503,14 +510,11 @@ def surrogate_certificate(
             )
         ]
     last = record.iterates[-2]
-    gamma = last.gamma
-    grad_w_norm = record.stop_residual
-    c = math.hypot(last.grad_map_norm, grad_w_norm)
-    level = quasi_stationarity_level(L, nu, gamma, record.mu, c)
-    bound = quasi_stationarity_level(L, nu, gamma, record.mu, eps_target)
-    e = _check("surrogate-level", f"stopped at step {last.k}", level, bound,
-               atol=atol, rtol=rtol)
-    e.note = f"c = {c!r} (grad-map {last.grad_map_norm!r}, linear residual {grad_w_norm!r})"
+    level, c = stopped_point_level(record, L, nu)
+    bound = quasi_stationarity_level(L, nu, last.gamma, record.mu, eps_target)
+    e = _check("surrogate-level", f"stopped at step {last.k}", level, bound)
+    e.note = (f"c = {c!r} (grad-map {last.grad_map_norm!r}, "
+              f"linear residual {record.stop_residual!r})")
     return [e]
 
 
@@ -552,8 +556,6 @@ def global_step_certificate(
     oracle,
     L_bar: float,
     rho: Optional[float] = None,
-    atol: float = ATOL,
-    rtol: float = RTOL,
 ) -> List[CertificateEntry]:
     """Per-step descent of the reduced energy in the certified basin.
 
@@ -583,27 +585,17 @@ def global_step_certificate(
     mono, desc = [], []
     for it in trans:
         k = it.k
-        mono.append(_check(
-            "global-step-delta-monotone",
-            f"step {k}",
-            deltas[k + 1],
-            deltas[k],
-            atol=atol,
-            rtol=rtol,
-        ))
+        mono.append(
+            _check("global-step-delta-monotone", f"step {k}", deltas[k + 1], deltas[k])
+        )
         rhs = (
             oracle.K_star
             - 0.5 * (mu / it.gamma - L_bar) * it.step_norm ** 2
             + (deltas[k] - deltas[k + 1]) / it.gamma
         )
-        desc.append(_check(
-            "global-step-descent",
-            f"step {k}",
-            record.iterates[k + 1].K_reduced,
-            rhs,
-            atol=atol,
-            rtol=rtol,
-        ))
+        desc.append(
+            _check("global-step-descent", f"step {k}", record.iterates[k + 1].K_reduced, rhs)
+        )
     note = f"checked {len(trans)} steps"
     return [_worst(mono, note), _worst(desc, note)]
 
@@ -613,8 +605,6 @@ def global_rate_certificate(
     geom,
     oracle,
     rho: Optional[float] = None,
-    atol: float = ATOL,
-    rtol: float = RTOL,
 ) -> List[CertificateEntry]:
     """Kbar(xi_n) - K* <= delta*(xi_0) / sum_{k<n} gamma_k at every horizon."""
     deltas, skip = _basin_deltas(record, geom, oracle, rho, "global-rate")
@@ -627,9 +617,7 @@ def global_rate_certificate(
         gsum += it.gamma
         lhs = record.iterates[n].K_reduced - oracle.K_star
         rhs = deltas[0] / gsum
-        entries.append(
-            _check("global-rate", f"horizon n={n}", lhs, rhs, atol=atol, rtol=rtol)
-        )
+        entries.append(_check("global-rate", f"horizon n={n}", lhs, rhs))
     return [_worst(entries, f"checked horizons 1..{len(trans)}")]
 
 
@@ -665,8 +653,6 @@ def cea_certificate(
     zeta: float,
     geom,
     best_in_V: Optional[float] = None,
-    atol: float = ATOL,
-    rtol: float = RTOL,
 ) -> CeaResult:
     """Quasi-optimality of the realised approximation at every horizon.
 
@@ -692,7 +678,7 @@ def cea_certificate(
     ns = np.arange(1.0, len(record.iterates))
     rhss = best_in_V + 2.0 * L_bar * deltas[0] / (zeta * record.mu * ns)
     worst = _worst(
-        [_check("cea", f"horizon n={int(n)}", lhs, rhs, atol=atol, rtol=rtol)
+        [_check("cea", f"horizon n={int(n)}", lhs, rhs)
          for n, lhs, rhs in zip(ns, lhss, rhss)],
         f"best_in_V = {best_in_V!r}; checked horizons 1..{int(ns[-1])}",
     )
@@ -763,8 +749,6 @@ def quantitative_dc_condition(
     n_samples: int = 5,
     h_rel: float = 1e-4,
     frozen_w=None,
-    atol: float = ATOL,
-    rtol: float = RTOL,
 ) -> CertificateEntry:
     """Directional-convexity sufficient condition along a segment.
 
@@ -813,9 +797,7 @@ def quantitative_dc_condition(
         g2 = (4.0 / 3.0) * d2(h / 2.0) - (1.0 / 3.0) * d2(h)
         lhs = factor * a_norm(g2)
         rhs = a_norm(g1) ** 2
-        entries.append(
-            _check("quantitative-dc", f"t={t:.3f}", lhs, rhs, atol=atol, rtol=rtol)
-        )
+        entries.append(_check("quantitative-dc", f"t={t:.3f}", lhs, rhs))
     return _worst(entries, f"C = {C!r}; checked {len(ts)} segment points")
 
 
@@ -831,8 +813,6 @@ def best_linear_bounds_check(
     kappa_max: float,
     m_dphi: Optional[float] = None,
     gradient_mode: str = "auto",
-    atol: float = ATOL,
-    rtol: float = RTOL,
 ) -> List[CertificateEntry]:
     """Stability of the exact linear solutions across parameter pairs.
 
@@ -858,39 +838,20 @@ def best_linear_bounds_check(
         _, w_xi = reduced_energy(problem, rule, family, xi)
         _, w_eta = reduced_energy(problem, rule, family, eta)
         norm.append(
-            _check(
-                "best-linear-norm",
-                f"pair {idx}",
-                float(np.linalg.norm(w_xi)),
-                bound_w,
-                atol=atol,
-                rtol=rtol,
-            )
+            _check("best-linear-norm", f"pair {idx}", float(np.linalg.norm(w_xi)), bound_w)
         )
         dphi = basis_difference_norm(problem, rule, family, xi, eta)
         diff.append(
-            _check(
-                "best-linear-hoelder",
-                f"pair {idx}",
-                float(np.linalg.norm(w_xi - w_eta)),
-                coef_diff * dphi,
-                atol=atol,
-                rtol=rtol,
-            )
+            _check("best-linear-hoelder", f"pair {idx}",
+                   float(np.linalg.norm(w_xi - w_eta)), coef_diff * dphi)
         )
         if grads is not None:
             g_xi = grads.grad_xi(w_xi, xi)
             g_eta = grads.grad_xi(w_eta, eta)
             ddphi = dparam_difference_norm(problem, rule, family, xi, eta)
             grad.append(
-                _check(
-                    "reduced-gradient-hoelder",
-                    f"pair {idx}",
-                    float(np.linalg.norm(g_xi - g_eta)),
-                    c1 * dphi + c2 * ddphi,
-                    atol=atol,
-                    rtol=rtol,
-                )
+                _check("reduced-gradient-hoelder", f"pair {idx}",
+                       float(np.linalg.norm(g_xi - g_eta)), c1 * dphi + c2 * ddphi)
             )
     return [_worst(entries, f"checked {len(pairs)} pairs")
             for entries in (norm, diff, grad) if entries]
@@ -904,8 +865,6 @@ def regularity_constants_check(
     norm_a: float,
     norm_ell: float,
     gradient_mode: str = "auto",
-    atol: float = ATOL,
-    rtol: float = RTOL,
 ) -> List[CertificateEntry]:
     """Joint Lipschitz bounds of the energy gradients across state pairs.
 
@@ -940,8 +899,7 @@ def regularity_constants_check(
             )
         )
         rhs_w = norm_a * m_phi ** 2 * dv + (2.0 * norm_a * m_w * m_phi + norm_ell) * dphi
-        lin.append(_check("regularity-linear-grad", f"pair {idx}", lhs_w, rhs_w,
-                          atol=atol, rtol=rtol))
+        lin.append(_check("regularity-linear-grad", f"pair {idx}", lhs_w, rhs_w))
 
         m_dphi = max(dparam_norm(problem, rule, family, xi),
                      dparam_norm(problem, rule, family, eta))
@@ -952,7 +910,6 @@ def regularity_constants_check(
             + norm_a * m_w ** 2 * m_dphi * dphi
             + m_w * (norm_a * m_w * m_phi + norm_ell) * ddphi
         )
-        nonlin.append(_check("regularity-nonlinear-grad", f"pair {idx}", lhs_xi, rhs_xi,
-                             atol=atol, rtol=rtol))
+        nonlin.append(_check("regularity-nonlinear-grad", f"pair {idx}", lhs_xi, rhs_xi))
     note = f"checked {len(state_pairs)} state pairs"
     return [_worst(lin, note), _worst(nonlin, note)]

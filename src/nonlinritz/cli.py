@@ -188,9 +188,7 @@ def _quasi_level(cfg: ExperimentConfig, record):
     if record.stop_residual is None or L is None:
         return None
     nu = cfg.certify_spec.get("nu", record.hoelder_nu)
-    last = record.iterates[-2]
-    c = math.hypot(last.grad_map_norm, record.stop_residual)
-    return cert.quasi_stationarity_level(float(L), float(nu), last.gamma, record.mu, c)
+    return cert.stopped_point_level(record, float(L), float(nu))[0]
 
 
 def _write(path: str, text: str):

@@ -23,7 +23,6 @@ by :func:`prox_optimality_residual` as a distance to the active normal cone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .errors import (
     NonFiniteValueError,
     SpdViolationError,
 )
-from .variational import L2Approx, QuadratureRule
+from .variational import QuadratureRule
 
 __all__ = [
     "FullSolveCG",
@@ -119,6 +118,18 @@ def decrease_check(system: AssembledSystem, w, w_plus):
 # ---------------------------------------------------------------------------
 
 
+def _half_form(d, Dd):
+    """0.5 <d, Dd>: a float for one point, an ``(N,)`` array for stacked rows.
+
+    Stacked rows go through a batched matmul, which reduces each row bitwise
+    as the 1-d ``d @ Dd`` does; ``np.sum`` and ``einsum`` reduce in another
+    order and differ from it in the last bit.
+    """
+    if d.ndim == 1:
+        return 0.5 * float(d @ Dd)
+    return 0.5 * np.matmul(d[:, None, :], Dd[:, :, None])[:, 0, 0]
+
+
 @dataclass(frozen=True)
 class EuclideanGeometry:
     """psi = 0.5 ||xi||^2; the prox is the Euclidean projected gradient step."""
@@ -128,10 +139,14 @@ class EuclideanGeometry:
     def weights(self, dim: int) -> np.ndarray:
         return np.ones(dim)
 
-    def div(self, eta, xi) -> float:
-        """D_psi(eta; xi) = psi(eta) - psi(xi) - <grad psi(xi), eta - xi>."""
+    def div(self, eta, xi):
+        """D_psi(eta; xi) = psi(eta) - psi(xi) - <grad psi(xi), eta - xi>.
+
+        ``eta`` may stack points as the rows of an ``(N, dim)`` array; the
+        result is then one distance per row.
+        """
         d = np.asarray(eta, dtype=float) - np.asarray(xi, dtype=float)
-        return 0.5 * float(d @ d)
+        return _half_form(d, d)
 
     def grad_psi(self, xi) -> np.ndarray:
         return np.asarray(xi, dtype=float)
@@ -160,10 +175,10 @@ class DiagonalGeometry:
             )
         return self.diag
 
-    def div(self, eta, xi) -> float:
-        """D_psi(eta; xi) = 0.5 (eta - xi).D.(eta - xi)."""
+    def div(self, eta, xi):
+        """D_psi(eta; xi) = 0.5 (eta - xi).D.(eta - xi), per row for stacked ``eta``."""
         d = np.asarray(eta, dtype=float) - np.asarray(xi, dtype=float)
-        return 0.5 * float(d @ (self.weights(d.size) * d))
+        return _half_form(d, self.weights(d.shape[-1]) * d)
 
     def grad_psi(self, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
@@ -245,15 +260,16 @@ def prox_optimality_residual(
 
 @dataclass(frozen=True)
 class EnergyGradients:
-    """Gradients of K(w, xi) in both blocks, by one of three routes.
+    """Gradients of K(w, xi) in the nonlinear block, by one of three routes.
 
-    * ``analytic``: differentiate under the integral using the family's
-      parameter derivatives (requires them to be members of the ambient
-      space).
+    * ``analytic``: under the L2 energy, differentiate under the integral:
+      ``d_i K = (u - f, d_i u)`` with ``u = w . phi(xi)`` and ``d_i u`` the
+      family's contracted parameter derivative ``dparam_values(xi, x, w)``.
     * ``closed_form``: hand-derived formulas; available for the indicator
       pair under the L2 energy, where the basis itself is not
       differentiable but the energy is.
-    * ``fd``: central finite differences of the assembled energy.
+    * ``fd``: central finite differences of the assembled energy; the only
+      route under an H1 energy.
     """
 
     problem: object
@@ -262,16 +278,8 @@ class EnergyGradients:
     mode: str
     fd_step: float = 1e-6
 
-    def system(self, xi) -> AssembledSystem:
-        return assemble(self.problem, self.rule, self.family, xi)
-
-    def energy(self, w, xi, system: Optional[AssembledSystem] = None) -> float:
-        sys_ = system if system is not None else self.system(xi)
-        return quadratic_energy(sys_, w)
-
-    def grad_w(self, w, xi, system: Optional[AssembledSystem] = None) -> np.ndarray:
-        sys_ = system if system is not None else self.system(xi)
-        return sys_.matrix @ np.asarray(w, dtype=float) - sys_.load
+    def energy(self, w, xi) -> float:
+        return quadratic_energy(assemble(self.problem, self.rule, self.family, xi), w)
 
     def grad_xi(self, w, xi) -> np.ndarray:
         w = np.asarray(w, dtype=float)
@@ -284,7 +292,7 @@ class EnergyGradients:
             return self._grad_xi_fd(w, xi)
         raise ConfigError(f"unknown gradient mode {self.mode!r}")
 
-    # -- analytic: d_i K = a(u, u_i) - ell(u_i) with u_i = w . d_i phi ------
+    # -- analytic: d_i K = (u, d_i u) - (f, d_i u) under the L2 energy -------
 
     def _grad_xi_analytic(self, w, xi):
         fam, prob = self.family, self.problem
@@ -292,32 +300,8 @@ class EnergyGradients:
             tuple(fam.breakpoints(xi)) + tuple(prob.coefficient_breakpoints())
         )
         x, q = r.nodes, r.weights
-        vals = fam.basis_values(xi, x)
-        dvals = fam.dparam_values(xi, x)
-        u = w @ vals
-        du = np.einsum("l,klx->kx", w, dvals)
-        if prob.needs_h1:
-            dders = fam.dparam_derivs(xi, x)
-            if dders is None:
-                raise ConfigError(
-                    "analytic parameter gradients need spatial derivatives of "
-                    "the parameter derivatives; this family cannot provide "
-                    "them under an H1 energy (use mode='fd')"
-                )
-            ders = fam.basis_derivs(xi, x)
-            up = w @ ders
-            dup = np.einsum("l,klx->kx", w, dders)
-            Kx = prob.diffusivity.values(x)
-            sx = prob.reaction.values(x)
-            fx = prob.source.values(x)
-            a_term = dup @ (q * Kx * up) + du @ (q * sx * u)
-            ell_term = du @ (q * fx)
-            if prob.bc_lo != 0.0 or prob.bc_hi != 0.0:
-                lift = prob.lifting
-                ell_term -= dup @ (q * Kx * lift.derivs(x)) + du @ (
-                    q * sx * lift.values(x)
-                )
-            return a_term - ell_term
+        u = w @ fam.basis_values(xi, x)
+        du = fam.dparam_values(xi, x, w)
         fx = prob.target.values(x)
         return du @ (q * u) - du @ (q * fx)
 
@@ -351,24 +335,29 @@ class EnergyGradients:
 
 
 def make_gradients(problem, rule, family, mode: str = "auto", fd_step: float = 1e-6) -> EnergyGradients:
-    """Build a gradient oracle, validating the requested mode for the family."""
+    """Build a gradient oracle, validating the requested mode for the pair.
+
+    The energy and the family fix the route: ``fd`` under an H1 energy (no
+    family provides spatial derivatives of its parameter derivatives);
+    under the L2 energy ``closed_form`` for the indicator pair and
+    ``analytic`` for every other family.  ``auto`` takes that route, and
+    ``fd`` is accepted for every pair.
+    """
+    if problem.needs_h1:
+        route = "fd"
+    elif isinstance(family, IndicatorPair):
+        route = "closed_form"
+    else:
+        route = "analytic"
     if mode == "auto":
-        if family.supports_analytic_dparam(problem):
-            mode = "analytic"
-        elif isinstance(family, IndicatorPair) and isinstance(problem, L2Approx):
-            mode = "closed_form"
-        else:
-            mode = "fd"
-    if mode == "analytic" and not family.supports_analytic_dparam(problem):
+        mode = route
+    if mode == "analytic" and route != "analytic":
         raise ConfigError(
-            "analytic parameter gradients need basis derivatives living in "
-            "the ambient space; this family/problem pair does not provide "
-            "them (the indicator pair never does; free-knot hats only under "
-            "the L2 energy)"
+            "analytic parameter gradients are implemented under the L2 energy "
+            "only, and not for the indicator pair, whose parameter "
+            "derivatives are Dirac masses (use mode='fd' or 'auto')"
         )
-    if mode == "closed_form" and not (
-        isinstance(family, IndicatorPair) and isinstance(problem, L2Approx)
-    ):
+    if mode == "closed_form" and route != "closed_form":
         raise ConfigError(
             "closed-form energy gradients are implemented for the indicator "
             "pair under the L2 energy only"

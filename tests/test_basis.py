@@ -13,11 +13,11 @@ from nonlinritz.basis import (
     SyntheticAmplitude,
     basis_difference_norm,
     basis_norms,
+    dparam_difference_norm,
     dparam_norm,
     estimate_hoelder,
     estimate_sup_norm,
     eval_basis,
-    eval_basis_dparam,
     realisation,
 )
 from nonlinritz.errors import (
@@ -167,24 +167,26 @@ def test_gaussian_values_and_derivs():
 def test_gaussian_dparam_diagonal_value():
     fam = _gauss_family()
     xi = np.array([0.5, 0.3])
-    dvals, dders = eval_basis_dparam(fam, xi, np.array([0.6]))
-    assert dvals.shape == (2, 2, 1)
-    assert_allclose(dvals[0, 0, 0], 10.0 * math.exp(-0.5), rtol=1e-14)
-    assert dvals[1, 0, 0] == 0.0 and dvals[0, 1, 0] == 0.0  # centers are independent
-    assert dders is not None
+    x = np.array([0.6])
+    du = fam.dparam_values(xi, x, np.array([1.0, 0.0]))
+    assert du.shape == (2, 1)
+    assert_allclose(du[0, 0], 10.0 * math.exp(-0.5), rtol=1e-14)
+    assert du[1, 0] == 0.0  # centers are independent
+    assert fam.dparam_values(xi, x, np.array([0.0, 1.0]))[0, 0] == 0.0
 
 
 def test_gaussian_dparam_matches_fd():
     fam = _gauss_family()
     xi = np.array([0.4, 0.7])
     x = np.linspace(0.0, 1.0, 11)
-    dvals, _ = eval_basis_dparam(fam, xi, x)
+    w = np.array([0.8, -1.3])
+    du = fam.dparam_values(xi, x, w)
     h = 1e-6
     for i in range(2):
         e = np.zeros(2)
         e[i] = h
-        fd = (fam.basis_values(xi + e, x) - fam.basis_values(xi - e, x)) / (2 * h)
-        assert_allclose(dvals[i], fd, atol=1e-8)
+        fd = w @ (fam.basis_values(xi + e, x) - fam.basis_values(xi - e, x)) / (2 * h)
+        assert_allclose(du[i], fd, atol=1e-8)
 
 
 def test_bad_parameter_shape_rejected():
@@ -265,7 +267,7 @@ def test_indicator_values():
 def test_indicator_dparam_raises():
     fam = _indicator_family()
     with pytest.raises(DerivativeUnavailableError, match="Dirac"):
-        fam.dparam_values(np.array([0.0, 0.5, 1.0]), np.array([0.3]))
+        fam.dparam_values(np.array([0.0, 0.5, 1.0]), np.array([0.3]), np.ones(2))
     assert fam.smoothness_nu == 0.5
 
 
@@ -289,7 +291,7 @@ def test_synthetic_norm_profile_raises_at_origin():
     dom = NonlinearDomain([-1.0, -1.0], [1.0, 1.0])
     fam = SyntheticAmplitude(dom, profile="norm")
     with pytest.raises(NumericalError):
-        fam.dparam_values(np.zeros(2), np.array([0.5]))
+        fam.dparam_values(np.zeros(2), np.array([0.5]), np.ones(1))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +334,16 @@ def test_dparam_norm_positive():
     fam = _gauss_family()
     rule = QuadratureRule.on_interval(0.0, 1.0, 8, 5)
     problem = L2Approx(Field.constant(0.0))
-    assert dparam_norm(problem, rule, fam, np.array([0.4, 0.6])) > 0.0
+    xi = np.array([0.4, 0.6])
+    assert dparam_norm(problem, rule, fam, xi) > 0.0
+    # d phi_k / d xi_k = z_k phi_k and the off-diagonal entries vanish
+    total = sum(
+        integrate(lambda x, k=k: (fam._z(xi, x) * fam.basis_values(xi, x))[k] ** 2, rule)
+        for k in range(2)
+    )
+    assert_allclose(dparam_norm(problem, rule, fam, xi), math.sqrt(total), rtol=1e-13)
+    assert dparam_difference_norm(problem, rule, fam, xi, xi) == 0.0
+    assert dparam_difference_norm(problem, rule, fam, xi, np.array([0.5, 0.6])) > 0.0
 
 
 def test_estimate_sup_norm_dominates_samples():

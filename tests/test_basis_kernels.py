@@ -2,6 +2,7 @@
 against the per-coordinate loop implementations they replace."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from nonlinritz.basis import FreeKnotHats, NonlinearDomain
 from nonlinritz.certify import minimiser_grid_oracle
 from nonlinritz.config import parse_config
 from nonlinritz.errors import DomainViolationError
+from nonlinritz.updates import make_gradients
 from nonlinritz.variational import L2Approx, Field, QuadratureRule
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -145,16 +147,31 @@ def test_hat_values_and_slopes_bitwise_equal_loops(case):
         assert got.tobytes() == want.tobytes()
 
 
+def nan_bits(a):
+    """The bytes of ``a`` with every NaN replaced by the same NaN."""
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+def unit_columns(fam, xi, x):
+    """The per-hat derivative tensor, one column per unit coefficient vector."""
+    return np.stack([fam.dparam_values(xi, x, e) for e in np.eye(fam.n_linear)], axis=1)
+
+
 @settings(max_examples=150, deadline=None)
-@given(hat_cases())
-def test_hat_knot_derivatives_match_loops(case):
+@given(hat_cases(), st.integers(0, 2 ** 32 - 1))
+def test_hat_knot_derivatives_match_loops(case, seed):
     fam, xi, x = case
-    got = fam.dparam_values(xi, x)
-    want = loop_dparam_values(fam, xi, x)
-    assert got.shape == want.shape == (fam.n_nonlinear, fam.n_linear, x.size)
-    # widths below about 1e-154 square to zero in both: same infs and NaNs
-    scale = np.max(np.abs(want[np.isfinite(want)]), initial=0.0)
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * scale, equal_nan=True)
+    loop = loop_dparam_values(fam, xi, x)
+    w = np.random.default_rng(seed).standard_normal(fam.n_linear)
+    got = fam.dparam_values(xi, x, w)
+    assert got.shape == (fam.n_nonlinear, x.size)
+    # widths below about 1e-154 square to zero in both: same infs, and NaNs
+    # in the same places (their sign bits may differ)
+    assert nan_bits(got) == nan_bits(np.einsum("l,klx->kx", w, loop))
+    # a unit vector picks one hat; 0 * inf would turn the other hats' infinite
+    # derivatives into NaN, so the column identity needs finite derivatives
+    if np.all(np.isfinite(loop)):
+        assert unit_columns(fam, xi, x).tobytes() == loop.tobytes()
 
 
 def test_hat_knot_derivatives_square_widths_like_the_loop():
@@ -173,7 +190,11 @@ def test_hat_knot_derivatives_square_widths_like_the_loop():
             continue
         found += 1
         x = np.concatenate([fam._grid(xi), rng.uniform(0.0, 1.0, 16)])
-        assert fam.dparam_values(xi, x).tobytes() == loop_dparam_values(fam, xi, x).tobytes()
+        loop = loop_dparam_values(fam, xi, x)
+        assert unit_columns(fam, xi, x).tobytes() == loop.tobytes()
+        w = rng.standard_normal(fam.n_linear)
+        assert (fam.dparam_values(xi, x, w).tobytes()
+                == np.einsum("l,klx->kx", w, loop).tobytes())
 
 
 def test_hat_kernels_on_coalesced_knots():
@@ -184,8 +205,30 @@ def test_hat_kernels_on_coalesced_knots():
     xi = np.array([0.5, 0.5, 0.5])
     x = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     assert fam.basis_values(xi, x).tobytes() == loop_basis_values(fam, xi, x).tobytes()
-    assert np.all(fam.dparam_values(xi, x) == loop_dparam_values(fam, xi, x))
+    assert np.all(unit_columns(fam, xi, x) == loop_dparam_values(fam, xi, x))
     assert fam.basis_values(xi, x)[:, 2].tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
+
+
+def test_analytic_hat_gradient_allocates_no_dense_tensor():
+    # a dense per-hat derivative tensor of 160 knots on this rule peaks above
+    # 230 MB; the contracted kernel holds arrays of one row per knot or cell
+    m = 160
+    dom = NonlinearDomain([0.005] * m, [0.995] * m, chains=(tuple(range(m)),), gap=0.001)
+    fam = FreeKnotHats(dom, 0.0, 1.0)
+    problem = L2Approx(Field(lambda x: np.sin(6.5 * x)))
+    grads = make_gradients(problem, QuadratureRule.on_interval(0.0, 1.0, 64, 5), fam)
+    assert grads.mode == "analytic"
+    xi = np.linspace(0.005, 0.995, m + 2)[1:-1]
+    w = np.random.default_rng(0).standard_normal(fam.n_linear)
+    grads.grad_xi(w, xi)  # warm-up: caches and lazy imports stay out of the peak
+    tracemalloc.start()
+    try:
+        g = grads.grad_xi(w, xi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.shape == (m,) and np.all(np.isfinite(g))
+    assert peak < 24e6
 
 
 # ---------------------------------------------------------------------------
