@@ -12,6 +12,14 @@ spectral statistics every solvability and conditioning certificate needs and
 the exact (minimum-norm, pseudo-inverse) solve w*(xi) = A(xi)^+ load(xi).
 For the L2 energy G is A itself; otherwise the smallest eigenvalue of G
 costs one more eigenvalue-only decomposition, again only when asked for.
+
+``assemble`` takes one point or a stack of points that share the family's
+breakpoints, hence one set of quadrature nodes.  A stack's matrices and
+loads carry its leading axis and are built by the same products; every
+check, the eigendecomposition (``numpy.linalg.eigh``, which decomposes a
+stack matrix by matrix) and the minimum-norm solve act per matrix, each
+bitwise as for that point alone, and a failed check names the stack's
+first offending point.
 """
 
 from __future__ import annotations
@@ -20,9 +28,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
-from .errors import ConfigError, NumericalError, SpdViolationError
+from .errors import ConfigError, NonFiniteValueError, NumericalError, SpdViolationError
 from .variational import ProblemConstants, QuadratureRule
 
 __all__ = [
@@ -45,6 +52,9 @@ _KERNEL_TOL = 1e-10
 class AssembledSystem:
     """Stiffness/Gram matrices and load vector at one parameter point.
 
+    For a stack of points every array carries the stack's leading axis;
+    ``spectrum``, ``kernel_cut`` and ``solution`` are then per matrix, while
+    the scalar statistics (``lambda_min`` ... ``phi_u2``) need one point.
     Spectra and the exact solve are computed on first use and cached, so a
     point that never asks for them (a finite-difference probe, a frozen
     grid point) never pays for a decomposition.
@@ -57,37 +67,37 @@ class AssembledSystem:
 
     @property
     def n_linear(self) -> int:
-        return int(self.load.size)
+        return int(self.load.shape[-1])
 
     @cached_property
     def spectrum(self):
         """Ascending eigenvalues and orthonormal eigenvectors of A."""
-        return scipy.linalg.eigh(self.matrix)
+        return np.linalg.eigh(self.matrix)
 
     @property
     def lambda_min(self) -> float:
-        return float(self.spectrum[0][0])
+        return float(self.spectrum[0][..., 0])
 
     @property
     def lambda_max(self) -> float:
-        return float(self.spectrum[0][-1])
+        return float(self.spectrum[0][..., -1])
 
     @cached_property
     def omega(self) -> float:
         """Smallest eigenvalue of G."""
         if self.gram is self.matrix:
             return self.lambda_min
-        return float(scipy.linalg.eigh(self.gram, eigvals_only=True)[0])
+        return float(np.linalg.eigvalsh(self.gram)[..., 0])
 
     @property
     def phi_u2(self) -> float:
         """||phi(xi)||_{U,2} = sqrt(trace G)."""
-        return float(np.sqrt(np.trace(self.gram)))
+        return float(np.sqrt(np.trace(self.gram, axis1=-2, axis2=-1)))
 
     @property
-    def kernel_cut(self) -> float:
+    def kernel_cut(self):
         """Eigenvalues of A at or below this cut span its numerical kernel."""
-        return _KERNEL_TOL * max(self.lambda_max, 1.0)
+        return _KERNEL_TOL * np.maximum(self.spectrum[0][..., -1], 1.0)
 
     @cached_property
     def solution(self) -> np.ndarray:
@@ -97,28 +107,66 @@ class AssembledSystem:
         """
         evals, Q = self.spectrum
         cut = self.kernel_cut
-        if evals[0] < -cut:
-            raise SpdViolationError(
-                f"stiffness matrix has a negative eigenvalue {evals[0]!r}"
-            )
-        kernel = evals <= cut
+        lowest = evals[..., 0]
+        _raise_first(lowest < -cut, self.xi, SpdViolationError,
+                     "stiffness matrix has a negative eigenvalue {!r}", lowest)
+        kernel = evals <= cut[..., None]
         inv = np.where(kernel, 0.0, 1.0 / np.where(kernel, 1.0, evals))
-        return Q @ (inv * (Q.T @ self.load))
+        return np.matvec(Q, inv * np.vecmat(self.load, Q))
 
 
-def _symmetrise(M: np.ndarray, label: str) -> np.ndarray:
-    scale = float(np.max(np.abs(M))) or 1.0
-    skew = float(np.max(np.abs(M - M.T)))
-    if skew > _SYM_TOL * scale:
+def _first(flags):
+    """Index of the first flagged point of a stack (one point: a 0-d flag), or None."""
+    return int(np.flatnonzero(flags)[0]) if flags.any() else None
+
+
+def _at(xi, i: int) -> str:
+    return f" at xi = {np.atleast_2d(xi)[i].tolist()!r}"
+
+
+def _raise_first(flags, xi, error, message: str, *values) -> None:
+    """Raise ``error`` for the first flagged point, naming its coordinates.
+
+    ``flags`` and each of ``values`` hold one entry per point of the stack
+    ``xi`` (0-d for one point); ``message`` is formatted with that point's
+    values.
+    """
+    i = _first(flags)
+    if i is not None:
+        text = message.format(*(float(np.ravel(v)[i]) for v in values))
+        raise error(text + _at(xi, i))
+
+
+def _t(M: np.ndarray) -> np.ndarray:
+    """Transpose of each matrix of a stack."""
+    return np.swapaxes(M, -1, -2)
+
+
+def _symmetrise(M: np.ndarray, label: str, xi) -> np.ndarray:
+    Mt = _t(M)
+    scale = np.max(np.abs(M), axis=(-2, -1))
+    skew = np.max(np.abs(M - Mt), axis=(-2, -1))
+    # non-finite entries are flagged too: numpy's eigh would return NaN
+    # eigenvalues for such a matrix instead of failing
+    i = _first(~np.isfinite(scale) | (skew > _SYM_TOL * scale))
+    if i is not None:
+        skew_i, scale_i = float(np.ravel(skew)[i]), float(np.ravel(scale)[i])
+        if not np.isfinite(scale_i):
+            raise NonFiniteValueError(f"assembled {label} has non-finite entries{_at(xi, i)}")
         raise NumericalError(
             f"assembled {label} is asymmetric beyond tolerance: "
-            f"max|M-M^T| = {skew!r} at scale {scale!r}"
+            f"max|M-M^T| = {skew_i!r} at scale {scale_i!r}{_at(xi, i)}"
         )
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + Mt)
 
 
 def assemble(problem, rule: QuadratureRule, family, xi) -> AssembledSystem:
-    """Assemble A(xi), load(xi), G(xi) with panels split at all breakpoints."""
+    """Assemble A(xi), load(xi), G(xi) with panels split at all breakpoints.
+
+    ``xi`` is one point ``(d,)`` or a stack ``(N, d)`` whose points share
+    the family's breakpoints; a stack gives ``(N, n, n)`` matrices and
+    ``(N, n)`` loads.
+    """
     xi = family.require_param(xi)
     if problem.needs_h1 and not family.vanishes_on_boundary:
         raise ConfigError(
@@ -126,21 +174,27 @@ def assemble(problem, rule: QuadratureRule, family, xi) -> AssembledSystem:
             "boundary; this family does not (use FreeKnotHats with "
             "dirichlet=True)"
         )
-    r = rule.split_at(
-        tuple(family.breakpoints(xi)) + tuple(problem.coefficient_breakpoints())
-    )
+    breaks = family.breakpoints(xi)
+    if xi.ndim == 2 and breaks:
+        by_point = np.stack(breaks, axis=-1)
+        if np.any(np.ptp(by_point, axis=0) > 0.0):
+            raise ConfigError("the points of a stack must share the family's breakpoints")
+        breaks = by_point[0]
+    r = rule.split_at(tuple(breaks) + tuple(problem.coefficient_breakpoints()))
     x, w = r.nodes, r.weights
     vals = family.basis_values(xi, x)
-    if not np.all(np.isfinite(vals)):
-        raise NumericalError("basis evaluation produced non-finite values")
+    finite = np.isfinite(vals)
+    if not finite.all():
+        _raise_first(~finite.all(axis=(-2, -1)), xi, NumericalError,
+                     "basis evaluation produced non-finite values")
 
     if problem.needs_h1:
         ders = family.basis_derivs(xi, x)
         Kx = problem.diffusivity.values(x)
         sx = problem.reaction.values(x)
         fx = problem.source.values(x)
-        A = (ders * (w * Kx)) @ ders.T + (vals * (w * sx)) @ vals.T
-        G = (ders * w) @ ders.T + (vals * w) @ vals.T
+        A = (ders * (w * Kx)) @ _t(ders) + (vals * (w * sx)) @ _t(vals)
+        G = (ders * w) @ _t(ders) + (vals * w) @ _t(vals)
         load = vals @ (w * fx)
         if problem.bc_lo != 0.0 or problem.bc_hi != 0.0:
             lift = problem.lifting
@@ -148,19 +202,24 @@ def assemble(problem, rule: QuadratureRule, family, xi) -> AssembledSystem:
             load = load - (ders @ (w * Kx * ld) + vals @ (w * sx * lv))
     else:
         fx = problem.target.values(x)
-        A = (vals * w) @ vals.T
+        A = (vals * w) @ _t(vals)
         load = vals @ (w * fx)
         G = None  # the ambient inner product is the bilinear form itself: G is A
 
-    A = _symmetrise(A, "stiffness matrix")
-    G = A if G is None else _symmetrise(G, "Gram matrix")
+    A = _symmetrise(A, "stiffness matrix", xi)
+    G = A if G is None else _symmetrise(G, "Gram matrix", xi)
     return AssembledSystem(xi=xi, matrix=A, load=load, gram=G)
 
 
-def quadratic_energy(system: AssembledSystem, w) -> float:
-    """K(w, xi) = 0.5 * w.A.w - w.load at the system's parameter point."""
+def quadratic_energy(system: AssembledSystem, w):
+    """K(w, xi) = 0.5 * w.A.w - w.load at the system's parameter point(s).
+
+    ``w`` is one coefficient vector, or one per point of a stack.  One point
+    gives a float, a stack an ``(N,)`` array.
+    """
     w = np.asarray(w, dtype=float)
-    return float(0.5 * w @ system.matrix @ w - w @ system.load)
+    K = np.vecdot(np.vecmat(0.5 * w, system.matrix), w) - np.vecdot(w, system.load)
+    return float(K) if K.ndim == 0 else K
 
 
 def check_lambda_max_bound(system: AssembledSystem, constants: ProblemConstants):

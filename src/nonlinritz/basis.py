@@ -3,7 +3,11 @@
 A family maps a nonlinear parameter vector ``xi`` (living in a convex
 compact set: a box intersected with ordered chains) to a tuple of basis
 functions ``phi_1(xi), ..., phi_nL(xi)``.  Realisations are linear
-combinations ``u = w . phi(xi)``.  Each differentiable family returns the
+combinations ``u = w . phi(xi)``.  ``basis_values``/``basis_derivs`` accept
+one point ``(d,)`` or a stack ``(..., d)`` and return ``(..., n_linear,
+len(x))``, so that points sharing quadrature nodes are evaluated at once;
+``breakpoints`` of a stack ``(N, d)`` gives one ``(N,)`` array per breakpoint.
+Each differentiable family returns the
 parameter derivative of a realisation, ``d u / d xi_i`` of shape
 ``(n_nonlinear, len(x))``, from ``dparam_values(xi, x, w)``; the derivative
 of a single basis function is that kernel applied to a unit vector.
@@ -318,12 +322,22 @@ class _FamilyBase:
     vanishes_on_boundary: bool = False
 
     def require_param(self, xi) -> np.ndarray:
+        """One point ``(d,)`` or a stack ``(N, d)``, checked against the domain.
+
+        A stack is checked in one ``feasible`` call; its first inadmissible
+        row raises the same error as that point alone.
+        """
         xi = np.asarray(xi, dtype=float)
-        if xi.shape != (self.n_nonlinear,):
+        if xi.ndim not in (1, 2) or xi.shape[-1] != self.n_nonlinear:
             raise DomainViolationError(
                 f"expected {self.n_nonlinear} nonlinear parameters, got shape {xi.shape}"
             )
-        return self.domain.require(xi)
+        if xi.ndim == 1:
+            return self.domain.require(xi)
+        bad = np.flatnonzero(~self.domain.feasible(xi))
+        if bad.size:
+            self.domain.require(xi[bad[0]])
+        return xi
 
     def breakpoints(self, xi) -> tuple:
         return ()
@@ -359,11 +373,11 @@ class GaussianBumps(_FamilyBase):
         return int(self.widths.size)
 
     def _z(self, xi, x):
-        return (np.asarray(x)[None, :] - xi[:, None]) / self.widths[:, None] ** 2
+        return (np.asarray(x) - xi[..., None]) / self.widths[:, None] ** 2
 
     def basis_values(self, xi, x):
         x = np.asarray(x, dtype=float)
-        d = x[None, :] - xi[:, None]
+        d = x - xi[..., None]
         return np.exp(-0.5 * (d / self.widths[:, None]) ** 2)
 
     def basis_derivs(self, xi, x):
@@ -416,10 +430,12 @@ class FreeKnotHats(_FamilyBase):
         return self.n_nonlinear if self.dirichlet else self.n_nonlinear + 2
 
     def _grid(self, xi) -> np.ndarray:
-        return np.concatenate(([self.x_lo], xi, [self.x_hi]))
+        t = np.empty(xi.shape[:-1] + (xi.shape[-1] + 2,))
+        t[..., 0], t[..., 1:-1], t[..., -1] = self.x_lo, xi, self.x_hi
+        return t
 
     def breakpoints(self, xi) -> tuple:
-        return tuple(self._grid(np.asarray(xi, dtype=float)))
+        return tuple(self._grid(np.asarray(xi, dtype=float)).T)
 
     def _cells(self, xi, x):
         """Grid ``t``, cell widths and per-cell membership masks at points x.
@@ -430,11 +446,11 @@ class FreeKnotHats(_FamilyBase):
         quotients stay finite.
         """
         t = self._grid(xi)
-        width = np.diff(t)
+        width = np.diff(t, axis=-1)
         live = width > 0.0
-        inside = live[:, None] & (x <= t[1:, None])
-        closed = inside & (x >= t[:-1, None])
-        half_open = inside & (x > t[:-1, None])
+        inside = live[..., None] & (x <= t[..., 1:, None])
+        closed = inside & (x >= t[..., :-1, None])
+        half_open = inside & (x > t[..., :-1, None])
         return t, np.where(live, width, 1.0), closed, half_open
 
     def _hats(self, closed, half_open, up, down):
@@ -444,23 +460,24 @@ class FreeKnotHats(_FamilyBase):
         half-open cell, except for hat 0, whose falling piece is closed.
         """
         falls = half_open.copy()
-        falls[0] = closed[0]
-        out = np.zeros((closed.shape[0] + 1, closed.shape[1]))
-        out[1:] = np.where(closed, up, 0.0)
-        out[:-1] = np.where(falls, down, out[:-1])
-        return out[1:-1] if self.dirichlet else out
+        falls[..., 0, :] = closed[..., 0, :]
+        shape = closed.shape
+        out = np.zeros(shape[:-2] + (shape[-2] + 1, shape[-1]))
+        out[..., 1:, :] = np.where(closed, up, 0.0)
+        out[..., :-1, :] = np.where(falls, down, out[..., :-1, :])
+        return out[..., 1:-1, :] if self.dirichlet else out
 
     def basis_values(self, xi, x):
         x = np.asarray(x, dtype=float)
         t, width, closed, half_open = self._cells(xi, x)
-        up = (x - t[:-1, None]) / width[:, None]
-        down = (t[1:, None] - x) / width[:, None]
+        up = (x - t[..., :-1, None]) / width[..., None]
+        down = (t[..., 1:, None] - x) / width[..., None]
         return self._hats(closed, half_open, up, down)
 
     def basis_derivs(self, xi, x):
         x = np.asarray(x, dtype=float)
         _, width, closed, half_open = self._cells(xi, x)
-        return self._hats(closed, half_open, (1.0 / width)[:, None], (-1.0 / width)[:, None])
+        return self._hats(closed, half_open, (1.0 / width)[..., None], (-1.0 / width)[..., None])
 
     def dparam_values(self, xi, x, w):
         """d (w . hat) / d xi_i, shape ``(m, len(x))``.
@@ -515,16 +532,17 @@ class IndicatorPair(_FamilyBase):
             raise ConfigError("IndicatorPair needs a 3-coordinate domain (a, b, c)")
 
     def breakpoints(self, xi) -> tuple:
-        return tuple(np.asarray(xi, dtype=float))
+        return tuple(np.asarray(xi, dtype=float).T)
 
     def basis_values(self, xi, x):
         x = np.asarray(x, dtype=float)
-        a, b, c = xi
+        a, b, c = (v[..., None] for v in np.moveaxis(xi, -1, 0))
         return np.stack(
             [
                 np.where((x > a) & (x < b), 1.0, 0.0),
                 np.where((x > b) & (x < c), 1.0, 0.0),
-            ]
+            ],
+            axis=-2,
         )
 
     def dparam_values(self, xi, x, w):
@@ -567,12 +585,13 @@ class SyntheticAmplitude(_FamilyBase):
         return self.domain.dim
 
     def _g(self, xi):
+        """g at one point, or one value per point of a stack."""
+        sq = np.vecdot(xi, xi)
         if self.profile == "sphere_quartic":
-            return np.sqrt(2.0) * self.scale * (float(xi @ xi) - self.radius ** 2)
-        r = float(np.linalg.norm(xi))
-        if r == 0.0:
+            return np.sqrt(2.0) * self.scale * (sq - self.radius ** 2)
+        if np.any(sq == 0.0):
             raise NumericalError("norm profile is not differentiable at xi = 0")
-        return self.scale * r
+        return self.scale * np.sqrt(sq)
 
     def _dg(self, xi):
         if self.profile == "sphere_quartic":
@@ -583,10 +602,10 @@ class SyntheticAmplitude(_FamilyBase):
         return self.scale * xi / r
 
     def basis_values(self, xi, x):
-        return np.full((1, np.size(x)), self._g(xi))
+        return np.tile(self._g(xi)[..., None, None], (1, np.size(x)))
 
     def basis_derivs(self, xi, x):
-        return np.zeros((1, np.size(x)))
+        return np.zeros(np.shape(xi)[:-1] + (1, np.size(x)))
 
     def dparam_values(self, xi, x, w):
         """d (w_0 g(xi)) / d xi = w_0 g'(xi), constant in space."""

@@ -63,6 +63,10 @@ __all__ = [
 ATOL = 1e-8
 RTOL = 1e-8
 
+#: grid points assembled and decomposed together by the grid oracle; bounds
+#: the oracle's working memory (one ``(block, n, Q)`` array of basis values)
+_GRID_BLOCK = 256
+
 
 # ---------------------------------------------------------------------------
 # report plumbing
@@ -204,6 +208,14 @@ def minimiser_grid_oracle(
     the largest energy difference quotient between adjacent feasible grid
     points.  Limited to three nonlinear parameters; use an analytic oracle
     beyond that.
+
+    Points are evaluated as stacks (see :func:`_grid_stacks`): one
+    ``assemble`` and one stacked ``numpy.linalg.eigh`` per block of up to
+    ``_GRID_BLOCK`` points that share the family's breakpoints.  Gaussian
+    bumps and the synthetic amplitude put the whole grid in one group;
+    free-knot hats and the indicator pair move their breakpoints with
+    ``xi``, so each of their points is assembled alone.  Every value is
+    bitwise the one of that point evaluated alone.
     """
     domain = family.domain
     if domain.dim > 3:
@@ -232,13 +244,13 @@ def minimiser_grid_oracle(
     if pts.shape[0] == 0:
         raise ConfigError("no feasible grid points; check domain and resolution")
 
-    def value(p):
+    vals = np.empty(pts.shape[0])
+    for idx in _grid_stacks(family, pts):
         if frozen_w is not None:
-            return quadratic_energy(assemble(problem, rule, family, p), frozen_w)
-        return reduced_energy(problem, rule, family, p)[0]
-
+            vals[idx] = quadratic_energy(assemble(problem, rule, family, pts[idx]), frozen_w)
+        else:
+            vals[idx] = reduced_energy(problem, rule, family, pts[idx])[0]
     vals_full = np.full(shape, np.nan).reshape(-1)
-    vals = np.array([value(p) for p in pts])
     vals_full[feasible] = vals
     vals_full = vals_full.reshape(shape)
 
@@ -265,6 +277,28 @@ def minimiser_grid_oracle(
         resolution=float(resolution),
         slack=float(slack),
     )
+
+
+def _grid_stacks(family, pts):
+    """Index blocks of ``pts`` whose points share the family's breakpoints.
+
+    Points are grouped by their breakpoints; groups come in the grid order
+    of their first point, and each is cut into blocks of at most
+    ``_GRID_BLOCK`` points in grid order.  A group of one point yields its
+    plain index, so that point is assembled alone, not as a stack of one.
+    """
+    cols = family.breakpoints(pts)
+    key = np.stack(cols, axis=-1) if cols else np.empty((pts.shape[0], 0))
+    _, first, group = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    lead = first[group.ravel()]  # each point's group, named by its first point
+    order = np.argsort(lead, kind="stable")
+    bounds = np.flatnonzero(np.diff(lead[order], prepend=-1, append=-1))
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        if end - start == 1:
+            yield order[start]
+            continue
+        for b in range(start, end, _GRID_BLOCK):
+            yield order[b:min(b + _GRID_BLOCK, end)]
 
 
 def _sphere_project(oracle: AnalyticSphereOracle, geom, xi: np.ndarray):

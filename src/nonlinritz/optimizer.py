@@ -31,7 +31,7 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from .assembly import AssembledSystem, assemble, quadratic_energy
+from .assembly import AssembledSystem, _raise_first, assemble, quadratic_energy
 from .errors import ConfigError, NumericalError
 from .updates import (
     Frozen,
@@ -167,21 +167,26 @@ def _reduced(system: AssembledSystem):
     """``(Kbar(xi), w_star)`` from an assembled system's exact solve.
 
     The value is computed both as the quadratic form ``-0.5 load . w*`` and
-    as ``K(w*, xi)``; disagreement beyond 1e-10 signals a failed solve.
+    as ``K(w*, xi)``; disagreement beyond 1e-10 signals a failed solve.  On
+    a stack both are per point, and the first disagreeing point is named.
     """
     w_star = system.solution
     direct = quadratic_energy(system, w_star)
-    form = -0.5 * float(system.load @ w_star)
-    if abs(direct - form) > 1e-10 * (1.0 + abs(direct)):
-        raise NumericalError(
-            f"reduced energy values disagree: K(w*) = {direct!r} vs quadratic "
-            f"form {form!r}; the inner solve is not accurate enough"
-        )
+    form = -0.5 * np.vecdot(system.load, w_star)
+    _raise_first(
+        np.abs(direct - form) > 1e-10 * (1.0 + np.abs(direct)), system.xi, NumericalError,
+        "reduced energy values disagree: K(w*) = {!r} vs quadratic form {!r}; the "
+        "inner solve is not accurate enough", direct, form,
+    )
     return direct, w_star
 
 
 def reduced_energy(problem, rule, family, xi):
-    """Exactly eliminate the linear block: returns ``(Kbar(xi), w_star)``."""
+    """Exactly eliminate the linear block: returns ``(Kbar(xi), w_star)``.
+
+    A stack of points that share the family's breakpoints gives ``(N,)``
+    energies and ``(N, n)`` coefficients.
+    """
     return _reduced(assemble(problem, rule, family, xi))
 
 

@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import (
     ConfigError,
@@ -46,8 +45,7 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def _gauss_nodes(order: int):
-    t, w = roots_legendre(order)
-    return np.asarray(t), np.asarray(w)
+    return np.polynomial.legendre.leggauss(order)
 
 
 class QuadratureRule:

@@ -376,10 +376,13 @@ def test_grid_oracle_mask_on_circle_survey(monkeypatch):
         cfg.problem, cfg.rule, cfg.family, data["oracle"]["resolution"],
         frozen_w=np.array(data["init"]["w0"]),
     )
-    assert len(seen) == 1
     dom, mesh, mask = seen[0]
     assert mask.tolist() == [dom.contains(p) for p in mesh]
     assert np.array_equal(oracle.points, mesh[mask])
+    # the later calls are assemble's checks of its stacks: each feasible
+    # grid point once, in grid order
+    assert all(m.all() for _, _, m in seen[1:])
+    assert np.array_equal(np.concatenate([p for _, p, _ in seen[1:]]), oracle.points)
 
 
 def test_grid_oracle_mask_on_two_knot_chain(monkeypatch):

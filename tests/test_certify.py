@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,32 @@ def test_grid_oracle_guards():
     )
     with pytest.raises(ConfigError, match="3"):
         minimiser_grid_oracle(prob_g, RULE, big, resolution=0.1)
+
+
+def test_grid_oracle_assembles_and_decomposes_per_block(count_calls):
+    problem, family = _gaussian_setup()[:2]
+    assembles = count_calls("assemble", nonlinritz.certify, nonlinritz.optimizer)
+    eighs = count_calls("eigh", np.linalg)
+    oracle = minimiser_grid_oracle(problem, RULE, family, resolution=0.015)
+    assert oracle.points.shape == (3025, 2)  # the 55 x 55 two-bump grid
+    # blocks of 256 points: one assembly and one stacked eigh each
+    assert len(assembles) <= math.ceil(3025 / 256)
+    assert len(eighs) <= math.ceil(3025 / 256)
+    for i in (0, 1234, 3024):
+        assert oracle.values[i] == reduced_energy(problem, RULE, family, oracle.points[i])[0]
+
+
+def test_grid_oracle_memory_is_bounded_by_the_block():
+    problem, family = _gaussian_setup()[:2]
+    minimiser_grid_oracle(problem, RULE, family, resolution=0.1)  # warm-up
+    tracemalloc.start()
+    try:
+        oracle = minimiser_grid_oracle(problem, RULE, family, resolution=0.015)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert oracle.points.shape[0] == 3025
+    assert peak < 4e6  # one stack of the whole grid peaks near 12 MB
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -413,3 +414,21 @@ def test_console_script_is_installed(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "trace.csv").exists()
+
+
+def test_import_and_reduced_energy_load_no_scipy():
+    # scipy is needed only by ``check``'s prox-optimality battery, which
+    # imports scipy.optimize itself; loading scipy would double import time
+    src = os.path.dirname(os.path.dirname(nonlinritz.cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nonlinritz as nr, nonlinritz.cli\n"
+         "fam = nr.GaussianBumps(nr.NonlinearDomain([0.1], [0.9]), [0.1])\n"
+         "nr.reduced_energy(nr.L2Approx(nr.Field.constant(1.0)),\n"
+         "                  nr.QuadratureRule.on_interval(0.0, 1.0), fam, [0.5])\n"
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert proc.stdout.strip() == "[]"

@@ -1,11 +1,21 @@
-"""Property tests of the proximal step, the projection, assembly and the
-linear-update decrease inequality over random domains, families and data."""
+"""Property tests of the proximal step, the projection, assembly, the
+linear-update decrease inequality and stacked evaluation over random
+domains, families and data."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from nonlinritz.assembly import assemble, quadratic_energy
-from nonlinritz.basis import FreeKnotHats, GaussianBumps, NonlinearDomain
+from nonlinritz.assembly import AssembledSystem, _symmetrise, assemble, quadratic_energy
+from nonlinritz.basis import (
+    FreeKnotHats,
+    GaussianBumps,
+    IndicatorPair,
+    NonlinearDomain,
+    SyntheticAmplitude,
+)
+from nonlinritz.errors import ConfigError, NumericalError
+from nonlinritz.optimizer import _reduced
 from nonlinritz.updates import (
     DiagonalGeometry,
     FullSolveCG,
@@ -120,3 +130,143 @@ def test_linear_update_achieves_guaranteed_decrease(n, seed, linear_rule):
     achieved, guaranteed = decrease_check(system, w, update_linear(linear_rule, system, w))
     assert guaranteed >= 0.0
     assert achieved >= guaranteed - 1e-12 * (1.0 + abs(quadratic_energy(system, w)))
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation: a stack of points is those points, one by one
+# ---------------------------------------------------------------------------
+
+
+def _stack_case(kind, rng):
+    """A problem, a family, distinct sample points and a stack sharing breakpoints."""
+    if kind in ("gaussian", "synthetic"):
+        n = int(rng.integers(1, 4))
+        if kind == "gaussian":
+            family = GaussianBumps(NonlinearDomain([0.05] * n, [0.95] * n),
+                                   rng.uniform(0.03, 0.3, n))
+            problem = TARGET
+        else:
+            family = SyntheticAmplitude(NonlinearDomain([-1.2] * n, [1.2] * n),
+                                        profile=str(rng.choice(["sphere_quartic", "norm"])))
+            problem = L2Approx(Field.constant(0.0))
+        points = np.array([family.domain.sample(rng) for _ in range(int(rng.integers(1, 40)))])
+        return problem, family, points, points
+    m = int(rng.integers(1, 5))
+    problem = TARGET
+    if kind == "indicator":
+        family = IndicatorPair(NonlinearDomain([0.05] * 3, [0.95] * 3, chains=((0, 1, 2),), gap=0.05))
+    else:
+        chains = (tuple(range(m)),) if m > 1 else ()
+        family = FreeKnotHats(NonlinearDomain([0.02] * m, [0.98] * m, chains=chains, gap=0.01),
+                              0.0, 1.0, dirichlet=kind == "h1_hats")
+        if kind == "h1_hats":
+            problem = DiffusionReaction1D(Field(lambda x: 1.0 + x, lambda x: np.ones_like(x)),
+                                          Field.constant(2.0), Field.constant(1.0), 0.0, 1.0,
+                                          0.3, -0.2)
+    points = np.array([family.domain.sample(rng) for _ in range(int(rng.integers(1, 12)))])
+    # points with moving breakpoints share them only with copies of themselves
+    return problem, family, points, np.repeat(points[:1], int(rng.integers(1, 6)), axis=0)
+
+
+def _close(a, b):
+    return np.all(np.abs(np.asarray(a) - np.asarray(b)) <= 1e-12 * (1.0 + np.abs(b)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["gaussian", "l2_hats", "h1_hats", "indicator", "synthetic"]), seeds)
+def test_stacked_evaluation_matches_point_by_point(kind, seed):
+    rng = np.random.default_rng(seed)
+    problem, family, points, stack = _stack_case(kind, rng)
+    # the ends and the points' own coordinates are where hats and indicators
+    # switch between their closed and half-open pieces
+    x = np.sort(np.concatenate([RULE.nodes, points.ravel(), [0.0, 1.0]]))
+    values = family.basis_values(points, x)
+    derivs = family.basis_derivs(points, x)
+    for i, p in enumerate(points):
+        assert np.array_equal(values[i], family.basis_values(p, x))
+        if derivs is not None:
+            assert np.array_equal(derivs[i], family.basis_derivs(p, x))
+
+    system = assemble(problem, RULE, family, stack)
+    alone = [assemble(problem, RULE, family, p) for p in stack]
+    assert _close(system.matrix, [s.matrix for s in alone])
+    assert _close(system.load, [s.load for s in alone])
+    if kind == "synthetic":  # a frozen coefficient, as in the circle survey
+        frozen = [quadratic_energy(s, [1.0]) for s in alone]
+        assert _close(quadratic_energy(system, [1.0]), frozen)
+    else:
+        energy, w_star = _reduced(system)
+        assert _close(energy, [_reduced(s)[0] for s in alone])
+        assert _close(w_star, [_reduced(s)[1] for s in alone])
+
+
+def test_stack_must_share_breakpoints():
+    family = FreeKnotHats(NonlinearDomain([0.1], [0.9]), 0.0, 1.0)
+    with pytest.raises(ConfigError, match="share"):
+        assemble(TARGET, RULE, family, np.array([[0.3], [0.4]]))
+
+
+def _first_failure(calls):
+    """Index and exception class of the first call that raises, one by one."""
+    for i, call in enumerate(calls):
+        try:
+            call()
+        except NumericalError as exc:
+            return i, type(exc)
+    raise AssertionError("no point fails")
+
+
+def _bumps_stack(bad):
+    """Six feasible two-bump points, ``bad`` the indices of those to spoil."""
+    family = GaussianBumps(NonlinearDomain([0.05, 0.05], [0.95, 0.95]), [0.1, 0.2])
+    xi = np.column_stack([np.linspace(0.1, 0.6, 6), np.full(6, 0.5)])
+    return family, xi, np.isin(np.arange(6), bad)
+
+
+def _spoiled_system(xi, matrices, solution=None):
+    system = AssembledSystem(xi=xi, matrix=matrices, load=np.ones(matrices.shape[:-1]),
+                             gram=matrices)
+    if solution is not None:
+        system.__dict__["solution"] = solution  # a planted inaccurate solve
+    return system
+
+
+def _spoil(kind, bad, monkeypatch):
+    """A stack evaluation and its point-by-point counterparts, spoiled at ``bad``."""
+    family, xi, flag = _bumps_stack(bad)
+    if kind == "non-finite basis":
+        clean = GaussianBumps.basis_values
+
+        def poisoned(self, p, x):
+            spoil = np.isin(np.atleast_2d(p)[:, 0], xi[flag, 0]).reshape(np.shape(p)[:-1])
+            return np.where(spoil[..., None, None], np.nan, clean(self, p, x))
+
+        monkeypatch.setattr(GaussianBumps, "basis_values", poisoned)
+        return (lambda: assemble(TARGET, RULE, family, xi),
+                [lambda p=p: assemble(TARGET, RULE, family, p) for p in xi])
+    A = np.tile(np.diag([2.0, 1.0]), (6, 1, 1))
+    if kind in ("asymmetric matrix", "non-finite matrix"):
+        A[flag, 0, 1] = 1e-3 if kind == "asymmetric matrix" else np.inf
+        return (lambda: _symmetrise(A, "stiffness matrix", xi),
+                [lambda i=i: _symmetrise(A[i], "stiffness matrix", xi[i]) for i in range(6)])
+    if kind == "negative eigenvalue":
+        A[flag, 1, 1] = -1.0
+        return (lambda: _spoiled_system(xi, A).solution,
+                [lambda i=i: _spoiled_system(xi[i], A[i]).solution for i in range(6)])
+    w = np.tile([0.5, 1.0], (6, 1))
+    w[flag] *= 1.01
+    return (lambda: _reduced(_spoiled_system(xi, A, w)),
+            [lambda i=i: _reduced(_spoiled_system(xi[i], A[i], w[i])) for i in range(6)])
+
+
+@pytest.mark.parametrize("kind", ["non-finite basis", "asymmetric matrix", "non-finite matrix",
+                                  "negative eigenvalue", "reduced energies disagree"])
+def test_stack_names_its_first_bad_point(kind, monkeypatch):
+    stacked, one_by_one = _spoil(kind, [2, 4], monkeypatch)
+    first, error = _first_failure(one_by_one)
+    assert first == 2
+    with pytest.raises(error) as caught:
+        stacked()
+    assert type(caught.value) is error
+    _, xi, _ = _bumps_stack([])
+    assert f"at xi = {xi[2].tolist()!r}" in str(caught.value)
