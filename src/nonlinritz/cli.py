@@ -41,8 +41,8 @@ from .optimizer import (
     reduced_gradient,
     run,
 )
-from .updates import prox_optimality_residual, prox_step
-from .variational import integrate
+from .updates import Frozen, prox_optimality_residual, prox_step
+from .variational import L2Approx, integrate
 
 TRACE_COLUMNS = (
     "iter",
@@ -142,18 +142,12 @@ def build_oracle(cfg: ExperimentConfig):
     if spec is None:
         return None
     if spec["kind"] == "points":
-        return cert.AnalyticPointsOracle(
-            points=np.array(spec["points"], dtype=float), K_star=float(spec["K_star"])
-        )
+        return cert.AnalyticPointsOracle(points=spec["points"], K_star=spec["K_star"])
     if spec["kind"] == "sphere":
-        return cert.AnalyticSphereOracle(
-            center=np.array(spec["center"], dtype=float),
-            radius=float(spec["radius"]),
-            K_star=float(spec["K_star"]),
-        )
-    frozen_w = cfg.w0 if cfg.raw["linear_rule"]["kind"] == "frozen" else None
+        return cert.AnalyticSphereOracle(spec["center"], spec["radius"], spec["K_star"])
+    frozen_w = cfg.w0 if isinstance(cfg.linear_rule, Frozen) else None
     return cert.minimiser_grid_oracle(
-        cfg.problem, cfg.rule, cfg.family, float(spec["resolution"]), frozen_w=frozen_w
+        cfg.problem, cfg.rule, cfg.family, spec["resolution"], frozen_w=frozen_w
     )
 
 
@@ -188,7 +182,7 @@ def _quasi_level(cfg: ExperimentConfig, record):
     if record.stop_residual is None or L is None:
         return None
     nu = cfg.certify_spec.get("nu", record.hoelder_nu)
-    return cert.stopped_point_level(record, float(L), float(nu))[0]
+    return cert.stopped_point_level(record, L, nu)[0]
 
 
 def _write(path: str, text: str):
@@ -337,7 +331,7 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str) -> int:
     if K_lower is None and oracle is not None:
         K_lower = oracle.K_star
     if K_lower is not None:
-        report.extend(cert.local_rate_certificate(record, float(K_lower)))
+        report.extend(cert.local_rate_certificate(record, K_lower))
     else:
         report.extend(
             cert._skipped("local-rate", "no lower energy bound (K_star) available")
@@ -345,9 +339,7 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str) -> int:
 
     if all(k in spec for k in ("L", "nu", "eps_target")):
         report.extend(
-            cert.surrogate_certificate(
-                record, float(spec["L"]), float(spec["nu"]), float(spec["eps_target"])
-            )
+            cert.surrogate_certificate(record, spec["L"], spec["nu"], spec["eps_target"])
         )
 
     if oracle is not None:
@@ -357,17 +349,17 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str) -> int:
         if "L_bar" in spec:
             report.extend(
                 cert.global_step_certificate(
-                    record, cfg.geometry, oracle, float(spec["L_bar"]), rho=cfg.rho
+                    record, cfg.geometry, oracle, spec["L_bar"], rho=cfg.rho
                 )
             )
             zeta = spec.get("zeta")
             if zeta is None and adaptive:
                 zeta = cfg.schedule.zeta
-            if zeta is not None and cfg.raw["problem"]["kind"] == "l2":
+            if zeta is not None and isinstance(cfg.problem, L2Approx):
                 result = cert.cea_certificate(
                     record, cfg.problem, cfg.rule, cfg.family,
                     cfg.problem.target, oracle,
-                    float(spec["L_bar"]), float(zeta), cfg.geometry,
+                    spec["L_bar"], zeta, cfg.geometry,
                     best_in_V=spec.get("best_in_V"),
                 )
                 report.extend(result.entry)

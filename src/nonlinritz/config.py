@@ -1,8 +1,11 @@
 """Declarative experiment configuration.
 
-A config is a JSON object; :func:`parse_config` validates it (unknown keys
-are rejected with dotted-path messages), fills documented defaults and
-builds the problem, family, geometry, rules and schedules.  Coefficient
+A config is a JSON object.  Its schema is the table ``_CONFIG`` below, the
+one place where each key's reader and default are stated.  :func:`parse_config`
+walks the table once: it rejects unknown keys and reports missing ones with
+dotted-path messages, reads every value to its parsed type and fills the
+defaults, which gives the config's normal form; short builders then make the
+problem, family, geometry, rules and schedules from it.  Coefficient
 functions are written in a tiny expression grammar over the variable ``x``:
 
     numbers, x, pi, + - * / ** and unary minus,
@@ -10,8 +13,10 @@ functions are written in a tiny expression grammar over the variable ``x``:
     gauss(x, c, s) = exp(-0.5 ((x-c)/s)^2),
     step(t) = 1 where t >= 0 else 0  (declare kinks via "breakpoints").
 
-The canonical form of a config (defaults filled, keys sorted) is hashed
-with SHA-256; the hash binds run artifacts to certificate reports.
+The normal form stores numbers as floats, so a default written out (as
+``1`` or ``1.0``) and one left out hash alike.  Its canonical JSON (keys
+sorted) is hashed with SHA-256; the hash binds run artifacts to
+certificate reports.
 """
 
 from __future__ import annotations
@@ -151,74 +156,191 @@ def expression_field(src, breakpoints=()) -> Field:
 
 
 # ---------------------------------------------------------------------------
-# schema helpers
+# the schema: readers, sections and the table
 # ---------------------------------------------------------------------------
 
+#: the key must be given
+_REQUIRED = object()
+#: optional without a default: a key not given stays out of the normal form
+_ABSENT = object()
 
-def _check_keys(d, path, required, optional):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(d).__name__}")
-    unknown = sorted(set(d) - set(required) - set(optional))
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _typed(what, ok, convert=None):
+    """Reader that accepts the values ``ok`` admits, converted by ``convert``."""
+
+    def read(v, path):
+        if not ok(v):
+            raise ConfigError(f"{path}: expected {what}, got {v!r}")
+        return v if convert is None else convert(v)
+
+    return read
+
+
+_number = _typed("a number", _is_number, float)
+_integer = _typed("an integer", lambda v: type(v) is int)
+_boolean = _typed("true/false", lambda v: isinstance(v, bool))
+_string = _typed("a string", lambda v: isinstance(v, str))
+_numbers = _typed("an array of numbers",
+                  lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                  lambda v: [float(t) for t in v])
+
+
+def _one_of(*options):
+    def read(v, path):
+        if _string(v, path) not in options:
+            raise ConfigError(f"{path}: {v!r} not one of {sorted(options)}")
+        return v
+
+    return read
+
+
+def _or_null(read):
+    return lambda v, path: None if v is None else read(v, path)
+
+
+def _points(v, path):
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{path}: expected a nonempty array of arrays, got {v!r}")
+    points = [_numbers(p, f"{path}[{i}]") for i, p in enumerate(v)]
+    if len({len(p) for p in points}) > 1:
+        raise ConfigError(f"{path}: points of different lengths")
+    return points
+
+
+_chains = _typed("an array of integer arrays",
+                 lambda v: isinstance(v, list) and all(
+                     isinstance(c, list) and all(type(i) is int for i in c) for c in v),
+                 lambda v: [list(c) for c in v])
+
+
+def _expression(v, path):
+    """A grammar expression (compiled by the builders) or a constant."""
+    return float(v) if _is_number(v) else _string(v, path)
+
+
+def _lipschitz(v, path):
+    return v if v == "estimate" else _number(v, path)
+
+
+def _object(spec, path):
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{path or 'config'}: expected an object, got {type(spec).__name__}")
+    return spec
+
+
+def _section(spec, path, keys):
+    """Normal form of the object ``spec`` under ``keys``.
+
+    ``keys`` maps each key to ``(reader, default)``; ``path`` is the dotted
+    path of the section ("" at the top level).  Unknown and missing keys
+    are reported first; then every given value is read to its parsed type
+    and every default is read the same way, so a default written out and
+    one left out give the same normal form.
+    """
+    where = path or "config"
+    unknown = sorted(set(_object(spec, path)) - set(keys))
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}")
-    missing = sorted(set(required) - set(d))
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    missing = sorted(k for k, (_, default) in keys.items()
+                     if default is _REQUIRED and k not in spec)
     if missing:
-        raise ConfigError(f"{path}: missing required keys {missing}")
+        raise ConfigError(f"{where}: missing required keys {missing}")
+    norm = {}
+    for key, (read, default) in keys.items():
+        value = spec.get(key, default)
+        if value is not _ABSENT:
+            norm[key] = read(value, f"{path}.{key}" if path else key)
+    return norm
 
 
-def _num(d, path, key, default=None):
-    if key not in d:
-        if default is None:
-            raise ConfigError(f"{path}.{key}: missing number")
-        return float(default)
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {v!r}")
-    return float(v)
+def _table(keys):
+    """Reader of a section with fixed keys."""
+    return lambda spec, path: _section(spec, path, keys)
 
 
-def _int(d, path, key, default=None):
-    if key not in d:
-        if default is None:
-            raise ConfigError(f"{path}.{key}: missing integer")
-        return int(default)
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {v!r}")
-    return int(v)
+def _by_kind(default=_REQUIRED, **kinds):
+    """Reader of a section whose other keys depend on its ``kind``."""
+    read_kind = _one_of(*kinds)
+    tables = {kind: {"kind": (read_kind, default), **keys} for kind, keys in kinds.items()}
+
+    def read(spec, path):
+        kind = _object(spec, path).get("kind", default)
+        if kind is _REQUIRED:
+            raise ConfigError(f"{path}: missing required keys ['kind']")
+        return _section(spec, path, tables[read_kind(kind, f"{path}.kind")])
+
+    return read
 
 
-def _bool(d, path, key, default):
-    v = d.get(key, default)
-    if not isinstance(v, bool):
-        raise ConfigError(f"{path}.{key}: expected true/false, got {v!r}")
-    return v
+_INTERVAL = {"x_lo": (_number, _REQUIRED), "x_hi": (_number, _REQUIRED),
+             "breakpoints": (_numbers, [])}
 
-
-def _str(d, path, key, options=None, default=None):
-    if key not in d:
-        if default is None:
-            raise ConfigError(f"{path}.{key}: missing string")
-        return default
-    v = d[key]
-    if not isinstance(v, str):
-        raise ConfigError(f"{path}.{key}: expected a string, got {v!r}")
-    if options is not None and v not in options:
-        raise ConfigError(f"{path}.{key}: {v!r} not one of {sorted(options)}")
-    return v
-
-
-def _vector(d, path, key, default=None):
-    if key not in d:
-        if default is None:
-            raise ConfigError(f"{path}.{key}: missing array")
-        return default
-    v = d[key]
-    if not isinstance(v, list) or not all(
-        isinstance(t, (int, float)) and not isinstance(t, bool) for t in v
-    ):
-        raise ConfigError(f"{path}.{key}: expected an array of numbers")
-    return [float(t) for t in v]
+#: the schema: key -> (reader, default), the default a value, _REQUIRED or _ABSENT
+_CONFIG = {
+    "seed": (_integer, 0),
+    "problem": (_by_kind(
+        l2={"target": (_expression, _REQUIRED), **_INTERVAL},
+        diffusion_reaction={
+            "diffusivity": (_expression, _REQUIRED), "reaction": (_expression, _REQUIRED),
+            "source": (_expression, _REQUIRED),
+            "bc_lo": (_number, 0.0), "bc_hi": (_number, 0.0), **_INTERVAL,
+        },
+    ), _REQUIRED),
+    "constants": (_table({
+        "alpha": (_number, _REQUIRED), "norm_a": (_number, _REQUIRED),
+        "norm_ell": (_number, _REQUIRED),
+        "omega_min": (_number, _ABSENT), "rho": (_number, _ABSENT), "K_star": (_number, _ABSENT),
+    }), _REQUIRED),
+    "quadrature": (_table({"n_panels": (_integer, 16), "order": (_integer, 5)}), {}),
+    "family": (_by_kind(
+        gaussian_bumps={"widths": (_numbers, _REQUIRED)},
+        free_knot_hats={"dirichlet": (_boolean, False)},
+        indicator_pair={},
+        synthetic_amplitude={
+            "profile": (_one_of("sphere_quartic", "norm"), "sphere_quartic"),
+            "radius": (_number, 1.0), "scale": (_number, 1.0),
+        },
+    ), _REQUIRED),
+    "domain": (_table({
+        "lower": (_numbers, _REQUIRED), "upper": (_numbers, _REQUIRED),
+        "chains": (_chains, []), "gap": (_number, 0.0),
+    }), _REQUIRED),
+    "geometry": (_by_kind("euclidean", euclidean={},
+                          diagonal={"diag": (_numbers, _REQUIRED)}), {}),
+    "linear_rule": (_by_kind("full_cg", full_cg={}, steepest_descent={}, frozen={}), {}),
+    "schedule": (_by_kind(
+        constant={"gamma": (_number, _REQUIRED)},
+        lipschitz={
+            "zeta": (_number, _REQUIRED), "lipschitz": (_lipschitz, "estimate"),
+            "nu": (_number, 1.0), "eps_holder": (_number, 0.0), "n_pairs": (_integer, 20),
+            "seed": (_integer, _ABSENT),  # parse_config fills in the config seed
+        },
+    ), _REQUIRED),
+    "stopping": (_table({
+        "max_epochs": (_integer, _REQUIRED), "eps_xi": (_number, 0.0),
+        "eps_energy": (_number, 0.0), "relative_energy": (_boolean, False),
+    }), _REQUIRED),
+    "init": (_table({"xi0": (_numbers, _REQUIRED), "w0": (_numbers, _ABSENT)}), _REQUIRED),
+    "gradient": (_table({
+        "mode": (_one_of("auto", "analytic", "closed_form", "fd"), "auto"),
+        "fd_step": (_number, 1e-6),
+    }), {}),
+    "oracle": (_or_null(_by_kind(
+        points={"points": (_points, _REQUIRED), "K_star": (_number, _REQUIRED)},
+        sphere={"center": (_numbers, _REQUIRED), "radius": (_number, _REQUIRED),
+                "K_star": (_number, _REQUIRED)},
+        grid={"resolution": (_number, _REQUIRED)},
+    )), None),
+    "certify": (_table({
+        key: (_number, _ABSENT)
+        for key in ("L", "nu", "eps_target", "L_bar", "zeta", "K_star_lower", "best_in_V")
+    }), {}),
+    "out_dir": (_or_null(_string), None),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +350,7 @@ def _vector(d, path, key, default=None):
 
 @dataclass
 class ExperimentConfig:
-    raw: dict  # normalised (defaults filled) JSON-compatible dict
+    raw: dict  # the normal form: every value parsed, every default filled
     problem: object
     constants: ProblemConstants
     rule: QuadratureRule
@@ -262,282 +384,77 @@ def config_hash_of(data: dict) -> str:
     return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
 
 
-def _parse_problem(spec):
-    path = "problem"
-    kind = _str(spec if isinstance(spec, dict) else {}, path, "kind",
-                {"l2", "diffusion_reaction"})
-    breaks = _vector(spec, path, "breakpoints", default=[])
-    x_lo = _num(spec, path, "x_lo")
-    x_hi = _num(spec, path, "x_hi")
-    if not x_hi > x_lo:
-        raise ConfigError(f"{path}: x_hi must exceed x_lo")
-    if kind == "l2":
-        _check_keys(spec, path, {"kind", "target", "x_lo", "x_hi"}, {"breakpoints"})
-        problem = L2Approx(expression_field(spec["target"], breaks))
-    else:
-        _check_keys(
-            spec,
-            path,
-            {"kind", "diffusivity", "reaction", "source", "x_lo", "x_hi"},
-            {"bc_lo", "bc_hi", "breakpoints"},
-        )
-        problem = DiffusionReaction1D(
-            diffusivity=expression_field(spec["diffusivity"], breaks),
-            reaction=expression_field(spec["reaction"], breaks),
-            source=expression_field(spec["source"], breaks),
-            x_lo=x_lo,
-            x_hi=x_hi,
-            bc_lo=_num(spec, path, "bc_lo", 0.0),
-            bc_hi=_num(spec, path, "bc_hi", 0.0),
-        )
-    norm = dict(spec)
-    norm.setdefault("breakpoints", [])
-    if kind == "diffusion_reaction":
-        norm.setdefault("bc_lo", 0.0)
-        norm.setdefault("bc_hi", 0.0)
-    return problem, (x_lo, x_hi), norm
+# ---------------------------------------------------------------------------
+# builders: components from the normal form
+# ---------------------------------------------------------------------------
 
 
-def _parse_domain(spec):
-    path = "domain"
-    _check_keys(spec, path, {"lower", "upper"}, {"chains", "gap"})
-    chains = spec.get("chains", [])
-    if not isinstance(chains, list) or not all(
-        isinstance(c, list) and all(isinstance(i, int) and not isinstance(i, bool) for i in c)
-        for c in chains
-    ):
-        raise ConfigError(f"{path}.chains: expected an array of integer arrays")
-    domain = NonlinearDomain(
-        lower=np.array(_vector(spec, path, "lower")),
-        upper=np.array(_vector(spec, path, "upper")),
-        chains=tuple(tuple(c) for c in chains),
-        gap=_num(spec, path, "gap", 0.0),
+def _build_problem(p):
+    if not p["x_hi"] > p["x_lo"]:
+        raise ConfigError("problem: x_hi must exceed x_lo")
+    if p["kind"] == "l2":
+        return L2Approx(expression_field(p["target"], p["breakpoints"]))
+    diffusivity, reaction, source = (
+        expression_field(p[key], p["breakpoints"]) for key in ("diffusivity", "reaction", "source")
     )
-    norm = dict(spec)
-    norm.setdefault("chains", [])
-    norm.setdefault("gap", 0.0)
-    return domain, norm
+    return DiffusionReaction1D(diffusivity, reaction, source, x_lo=p["x_lo"], x_hi=p["x_hi"],
+                               bc_lo=p["bc_lo"], bc_hi=p["bc_hi"])
 
 
-def _parse_family(spec, domain, interval):
-    path = "family"
-    kind = _str(spec if isinstance(spec, dict) else {}, path, "kind",
-                {"gaussian_bumps", "free_knot_hats", "indicator_pair",
-                 "synthetic_amplitude"})
-    norm = dict(spec)
-    if kind == "gaussian_bumps":
-        _check_keys(spec, path, {"kind", "widths"}, set())
-        family = GaussianBumps(domain, np.array(_vector(spec, path, "widths")))
-    elif kind == "free_knot_hats":
-        _check_keys(spec, path, {"kind"}, {"dirichlet"})
-        family = FreeKnotHats(
-            domain, interval[0], interval[1], dirichlet=_bool(spec, path, "dirichlet", False)
-        )
-        norm.setdefault("dirichlet", False)
-    elif kind == "indicator_pair":
-        _check_keys(spec, path, {"kind"}, set())
-        family = IndicatorPair(domain)
-    else:
-        _check_keys(spec, path, {"kind"}, {"profile", "radius", "scale"})
-        family = SyntheticAmplitude(
-            domain,
-            profile=_str(spec, path, "profile", {"sphere_quartic", "norm"},
-                         "sphere_quartic"),
-            radius=_num(spec, path, "radius", 1.0),
-            scale=_num(spec, path, "scale", 1.0),
-        )
-        norm.setdefault("profile", "sphere_quartic")
-        norm.setdefault("radius", 1.0)
-        norm.setdefault("scale", 1.0)
-    return family, norm
+def _build_family(f, d, problem):
+    domain = NonlinearDomain(lower=np.array(d["lower"]), upper=np.array(d["upper"]),
+                             chains=tuple(tuple(c) for c in d["chains"]), gap=d["gap"])
+    if f["kind"] == "gaussian_bumps":
+        return GaussianBumps(domain, np.array(f["widths"]))
+    if f["kind"] == "free_knot_hats":
+        return FreeKnotHats(domain, problem["x_lo"], problem["x_hi"], dirichlet=f["dirichlet"])
+    if f["kind"] == "indicator_pair":
+        return IndicatorPair(domain)
+    return SyntheticAmplitude(domain, profile=f["profile"], radius=f["radius"], scale=f["scale"])
 
 
-def _parse_geometry(spec):
-    path = "geometry"
-    kind = _str(spec, path, "kind", {"euclidean", "diagonal"}, "euclidean")
-    norm = dict(spec)
-    norm.setdefault("kind", kind)
-    if kind == "euclidean":
-        _check_keys(spec, path, set(), {"kind"})
-        return EuclideanGeometry(), norm
-    _check_keys(spec, path, {"kind", "diag"}, set())
-    return DiagonalGeometry(np.array(_vector(spec, path, "diag"))), norm
+def _build_schedule(s):
+    if s["kind"] == "constant":
+        return ConstantGamma(s["gamma"])
+    return LipschitzAdaptive(zeta=s["zeta"], lipschitz=s["lipschitz"], nu=s["nu"],
+                             eps_holder=s["eps_holder"], n_pairs=s["n_pairs"], seed=s["seed"])
 
 
-def _parse_linear_rule(spec):
-    path = "linear_rule"
-    kind = _str(spec, path, "kind", {"full_cg", "steepest_descent", "frozen"}, "full_cg")
-    norm = dict(spec)
-    norm.setdefault("kind", kind)
-    _check_keys(spec, path, set(), {"kind"})
-    rules = {"full_cg": FullSolveCG, "steepest_descent": SteepestDescent, "frozen": Frozen}
-    return rules[kind](), norm
-
-
-def _parse_schedule(spec, default_seed):
-    path = "schedule"
-    kind = _str(spec if isinstance(spec, dict) else {}, path, "kind",
-                {"constant", "lipschitz"})
-    norm = dict(spec)
-    if kind == "constant":
-        _check_keys(spec, path, {"kind", "gamma"}, set())
-        return ConstantGamma(_num(spec, path, "gamma")), norm
-    _check_keys(
-        spec, path, {"kind", "zeta"},
-        {"lipschitz", "nu", "eps_holder", "n_pairs", "seed"},
-    )
-    lip = spec.get("lipschitz", "estimate")
-    if lip != "estimate":
-        lip = _num(spec, path, "lipschitz")
-    schedule = LipschitzAdaptive(
-        zeta=_num(spec, path, "zeta"),
-        lipschitz=lip,
-        nu=_num(spec, path, "nu", 1.0),
-        eps_holder=_num(spec, path, "eps_holder", 0.0),
-        n_pairs=_int(spec, path, "n_pairs", 20),
-        seed=_int(spec, path, "seed", default_seed),
-    )
-    norm.setdefault("lipschitz", "estimate")
-    norm.setdefault("nu", 1.0)
-    norm.setdefault("eps_holder", 0.0)
-    norm.setdefault("n_pairs", 20)
-    norm.setdefault("seed", schedule.seed)
-    return schedule, norm
-
-
-def _parse_oracle(spec):
-    path = "oracle"
-    kind = _str(spec if isinstance(spec, dict) else {}, path, "kind",
-                {"points", "sphere", "grid"})
-    norm = dict(spec)
-    if kind == "points":
-        _check_keys(spec, path, {"kind", "points", "K_star"}, set())
-        pts = spec["points"]
-        if not isinstance(pts, list) or not pts:
-            raise ConfigError(f"{path}.points: expected a nonempty array of arrays")
-        for p in pts:
-            if not isinstance(p, list):
-                raise ConfigError(f"{path}.points: expected an array of arrays")
-        _num(spec, path, "K_star")
-    elif kind == "sphere":
-        _check_keys(spec, path, {"kind", "center", "radius", "K_star"}, set())
-        _vector(spec, path, "center")
-        _num(spec, path, "radius")
-        _num(spec, path, "K_star")
-    else:
-        _check_keys(spec, path, {"kind", "resolution"}, set())
-        _num(spec, path, "resolution")
-    return norm
-
-
-_CERTIFY_KEYS = {"L", "nu", "eps_target", "L_bar", "zeta", "K_star_lower", "best_in_V"}
+_LINEAR_RULES = {"full_cg": FullSolveCG, "steepest_descent": SteepestDescent, "frozen": Frozen}
 
 
 def parse_config(data: dict) -> ExperimentConfig:
-    """Validate a config object, fill defaults and build all components."""
-    top_required = {"problem", "constants", "family", "domain", "schedule",
-                    "stopping", "init"}
-    top_optional = {"quadrature", "geometry", "linear_rule", "gradient", "oracle",
-                    "certify", "seed", "out_dir"}
-    _check_keys(data, "config", top_required, top_optional)
-    norm = {}
-
-    seed = _int(data, "config", "seed", 0)
-    norm["seed"] = seed
-
-    problem, interval, norm["problem"] = _parse_problem(data["problem"])
-
-    cspec = data["constants"]
-    _check_keys(cspec, "constants", {"alpha", "norm_a", "norm_ell"},
-                {"omega_min", "rho", "K_star"})
-    constants = ProblemConstants(
-        alpha=_num(cspec, "constants", "alpha"),
-        norm_a=_num(cspec, "constants", "norm_a"),
-        norm_ell=_num(cspec, "constants", "norm_ell"),
-    )
-    omega_min = _num(cspec, "constants", "omega_min") if "omega_min" in cspec else None
-    rho = _num(cspec, "constants", "rho") if "rho" in cspec else None
-    K_star = _num(cspec, "constants", "K_star") if "K_star" in cspec else None
-    norm["constants"] = dict(cspec)
-
-    qspec = data.get("quadrature", {})
-    _check_keys(qspec, "quadrature", set(), {"n_panels", "order"})
-    n_panels = _int(qspec, "quadrature", "n_panels", 16)
-    order = _int(qspec, "quadrature", "order", 5)
-    rule = QuadratureRule.on_interval(interval[0], interval[1], n_panels, order)
-    norm["quadrature"] = {"n_panels": n_panels, "order": order}
-
-    domain, norm["domain"] = _parse_domain(data["domain"])
-    family, norm["family"] = _parse_family(data["family"], domain, interval)
-    geometry, norm["geometry"] = _parse_geometry(data.get("geometry", {}))
-    linear_rule, norm["linear_rule"] = _parse_linear_rule(data.get("linear_rule", {}))
-    schedule, norm["schedule"] = _parse_schedule(data["schedule"], seed)
-
-    sspec = data["stopping"]
-    _check_keys(sspec, "stopping", {"max_epochs"},
-                {"eps_xi", "eps_energy", "relative_energy"})
-    stopping = StoppingCriteria(
-        max_epochs=_int(sspec, "stopping", "max_epochs"),
-        eps_xi=_num(sspec, "stopping", "eps_xi", 0.0),
-        eps_energy=_num(sspec, "stopping", "eps_energy", 0.0),
-        relative_energy=_bool(sspec, "stopping", "relative_energy", False),
-    )
-    norm["stopping"] = {
-        "max_epochs": stopping.max_epochs,
-        "eps_xi": stopping.eps_xi,
-        "eps_energy": stopping.eps_energy,
-        "relative_energy": stopping.relative_energy,
-    }
-
-    ispec = data["init"]
-    _check_keys(ispec, "init", {"xi0"}, {"w0"})
-    xi0 = np.array(_vector(ispec, "init", "xi0"))
-    w0 = np.array(_vector(ispec, "init", "w0")) if "w0" in ispec else None
-    norm["init"] = dict(ispec)
-
-    gspec = data.get("gradient", {})
-    _check_keys(gspec, "gradient", set(), {"mode", "fd_step"})
-    gradient_mode = _str(
-        gspec, "gradient", "mode", {"auto", "analytic", "closed_form", "fd"}, "auto"
-    )
-    fd_step = _num(gspec, "gradient", "fd_step", 1e-6)
-    norm["gradient"] = {"mode": gradient_mode, "fd_step": fd_step}
-
-    oracle_spec = None
-    if "oracle" in data:
-        oracle_spec = _parse_oracle(data["oracle"])
-    norm["oracle"] = oracle_spec
-
-    certify_spec = data.get("certify", {})
-    _check_keys(certify_spec, "certify", set(), _CERTIFY_KEYS)
-    norm["certify"] = dict(certify_spec)
-
-    out_dir = data.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError("config.out_dir: expected a string")
-    norm["out_dir"] = out_dir
-
+    """Read a config object to its normal form and build all components."""
+    norm = _section(data, "", _CONFIG)
+    problem, constants, schedule = norm["problem"], norm["constants"], norm["schedule"]
+    if schedule["kind"] == "lipschitz" and "seed" not in schedule:
+        schedule["seed"] = norm["seed"]
+    geometry, init = norm["geometry"], norm["init"]
     return ExperimentConfig(
         raw=norm,
-        problem=problem,
-        constants=constants,
-        rule=rule,
-        family=family,
-        geometry=geometry,
-        linear_rule=linear_rule,
-        schedule=schedule,
-        stopping=stopping,
-        xi0=xi0,
-        w0=w0,
-        gradient_mode=gradient_mode,
-        fd_step=fd_step,
-        omega_min=omega_min,
-        rho=rho,
-        K_star=K_star,
-        seed=seed,
-        oracle_spec=oracle_spec,
-        certify_spec=dict(certify_spec),
-        out_dir=out_dir,
+        problem=_build_problem(problem),
+        constants=ProblemConstants(alpha=constants["alpha"], norm_a=constants["norm_a"],
+                                   norm_ell=constants["norm_ell"]),
+        rule=QuadratureRule.on_interval(problem["x_lo"], problem["x_hi"],
+                                        norm["quadrature"]["n_panels"],
+                                        norm["quadrature"]["order"]),
+        family=_build_family(norm["family"], norm["domain"], problem),
+        geometry=(EuclideanGeometry() if geometry["kind"] == "euclidean"
+                  else DiagonalGeometry(np.array(geometry["diag"]))),
+        linear_rule=_LINEAR_RULES[norm["linear_rule"]["kind"]](),
+        schedule=_build_schedule(schedule),
+        stopping=StoppingCriteria(**norm["stopping"]),  # the section's keys are its fields
+        xi0=np.array(init["xi0"]),
+        w0=np.array(init["w0"]) if "w0" in init else None,
+        gradient_mode=norm["gradient"]["mode"],
+        fd_step=norm["gradient"]["fd_step"],
+        omega_min=constants.get("omega_min"),
+        rho=constants.get("rho"),
+        K_star=constants.get("K_star"),
+        seed=norm["seed"],
+        oracle_spec=norm["oracle"],
+        certify_spec=norm["certify"],
+        out_dir=norm["out_dir"],
     )
 
 

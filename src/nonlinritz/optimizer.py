@@ -298,7 +298,7 @@ class RunRecord:
     ``stop_residual`` is ``||A(xi) A(xi)^+ load(xi) - load(xi)||`` at the
     stopped point, from the system the run assembled there (0 for frozen
     coefficients); it is None unless the run ended by parameter
-    stabilisation.
+    stabilisation.  ``linear_rule_kind`` is "full", "sd" or "frozen".
     """
 
     iterates: List[IterateRecord]
@@ -311,13 +311,15 @@ class RunRecord:
     final_K: float
     final_grad_w_norm: float
     mu: float
-    frozen: bool
-    eps_xi: float
     linear_rule_kind: str = "full"
     initial_decrease: Optional[tuple] = None
     hoelder_L: Optional[float] = None
     hoelder_nu: float = 1.0
     stop_residual: Optional[float] = None
+
+    @property
+    def frozen(self) -> bool:
+        return self.linear_rule_kind == "frozen"
 
     @property
     def n_steps(self) -> int:
@@ -491,8 +493,6 @@ def run(
         final_K=final_K,
         final_grad_w_norm=final_res,
         mu=mu,
-        frozen=frozen,
-        eps_xi=stopping.eps_xi,
         linear_rule_kind=(
             "frozen" if frozen
             else "full" if isinstance(linear_rule, FullSolveCG)

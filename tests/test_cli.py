@@ -337,6 +337,18 @@ def test_schema_violation_is_config_error(tmp_path, capsys):
     assert "family" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, value, path", [
+    ("certify", {"L_bar": "x"}, "certify.L_bar: expected a number"),
+    ("oracle", {"kind": "points", "points": [["a", 1]], "K_star": 0.0}, "oracle.points[0]"),
+])
+def test_malformed_value_is_config_error(tmp_path, capsys, section, value, path):
+    data = _base_config()
+    data[section] = value
+    cfg_path = _write_cfg(tmp_path, data)
+    assert main(["run", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 2
+    assert path in capsys.readouterr().err
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     data = _base_config()
     data["constants"]["omega_min"] = 1e9  # unattainable solvability floor

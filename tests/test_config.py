@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -133,6 +134,10 @@ def test_parse_normalises_defaults_into_raw():
     data["quadrature"] = {"n_panels": 16, "order": 5}
     data["gradient"] = {"mode": "auto", "fd_step": 1e-6}
     data["seed"] = 0
+    # ... also with integers where numbers are expected
+    data["schedule"]["nu"] = 1
+    data["schedule"]["eps_holder"] = 0
+    data["domain"]["gap"] = 0
     assert parse_config(data).config_hash == cfg.config_hash
 
 
@@ -252,6 +257,44 @@ def test_errors_carry_dotted_paths():
         parse_config(data)
 
 
+@pytest.mark.parametrize("section, value, message", [
+    ("certify", {"L_bar": "x"}, r"certify\.L_bar: expected a number"),
+    ("certify", {"best_in_V": None}, r"certify\.best_in_V: expected a number"),
+    ("oracle", {"kind": "points", "points": [["a", 1]], "K_star": 0.0},
+     r"oracle\.points\[0\]: expected an array of numbers"),
+    ("oracle", {"kind": "points", "points": [[0.3, 0.7], [0.5]], "K_star": 0.0},
+     r"oracle\.points: points of different lengths"),
+    ("oracle", {"kind": "points", "points": [[0.3, 0.7]], "K_star": "low"},
+     r"oracle\.K_star: expected a number"),
+    ("oracle", {"kind": "sphere", "center": [0, "0"], "radius": 1.0, "K_star": 0.0},
+     r"oracle\.center: expected an array of numbers"),
+    ("oracle", {"kind": "sphere", "center": [0, 0], "radius": True, "K_star": 0.0},
+     r"oracle\.radius: expected a number"),
+    ("oracle", {"kind": "grid", "resolution": [0.05]}, r"oracle\.resolution: expected a number"),
+    ("oracle", {"resolution": 0.05}, r"oracle: missing required keys \['kind'\]"),
+    ("oracle", {"kind": "cube"}, r"oracle\.kind: 'cube' not one of"),
+    ("oracle", {"kind": "grid"}, r"oracle: missing required keys \['resolution'\]"),
+    ("geometry", {"kind": "euclidean", "diag": [1.0, 1.0]}, r"geometry: unknown keys \['diag'\]"),
+    ("quadrature", [16, 5], r"quadrature: expected an object, got list"),
+])
+def test_malformed_values_name_their_path(section, value, message):
+    data = _base()
+    data[section] = value
+    with pytest.raises(ConfigError, match=message):
+        parse_config(data)
+
+
+def test_absent_optional_keys_stay_out_of_the_normal_form():
+    raw = parse_config(_base()).raw
+    assert raw["oracle"] is None and raw["out_dir"] is None
+    assert raw["certify"] == {}
+    assert raw["init"] == {"xi0": [0.45, 0.55]}
+    assert set(raw["constants"]) == {"alpha", "norm_a", "norm_ell"}
+    data = _base()
+    data["schedule"] = {"kind": "constant", "gamma": 0.1}
+    assert parse_config(data).raw["schedule"] == {"kind": "constant", "gamma": 0.1}
+
+
 def test_certify_block_is_validated():
     data = _base()
     data["certify"] = {"L_bar": 16.0, "zeta": 1.0}
@@ -284,6 +327,21 @@ def test_config_hash_sensitivity():
     data = _base()
     data["seed"] = 1
     assert parse_config(data).config_hash != base_hash
+
+
+DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "configs")
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("gaussian_fit.json", "563bc6007d3d8cbd9e7a32ac2f653a45dc1eff73e5af69de7cb137950b03bcf8"),
+    ("circle_frozen.json", "2b0ee279b2cae3e7c84a86ab74f497da3f911a156c078e2a35ceabc4d2d852b5"),
+    ("circle_grid_survey.json",
+     "07c2724d1b9584bd32023ee8647769dbd2231bad24a5d446c765edc94145369a"),
+])
+def test_demo_config_hashes_are_pinned(name, digest):
+    # artifacts written by earlier versions carry these hashes; certify
+    # refuses them if the normal form of the same file changes
+    assert load_config(os.path.join(DEMO_CONFIGS, name)).config_hash == digest
 
 
 # ---------------------------------------------------------------------------
