@@ -13,13 +13,17 @@ the exact (minimum-norm, pseudo-inverse) solve w*(xi) = A(xi)^+ load(xi).
 For the L2 energy G is A itself; otherwise the smallest eigenvalue of G
 costs one more eigenvalue-only decomposition, again only when asked for.
 
-``assemble`` takes one point or a stack of points that share the family's
-breakpoints, hence one set of quadrature nodes.  A stack's matrices and
-loads carry its leading axis and are built by the same products; every
-check, the eigendecomposition (``numpy.linalg.eigh``, which decomposes a
-stack matrix by matrix) and the minimum-norm solve act per matrix, each
-bitwise as for that point alone, and a failed check names the stack's
-first offending point.
+``assemble`` takes one point or a stack of points.  When the family's
+breakpoints do not move with ``xi`` the stack shares one set of quadrature
+nodes; otherwise each point gets its own split of the rule, and points
+whose splits have equally many panels are evaluated together on ``(N, Q)``
+nodes.  A stack's matrices and loads carry its leading axis and are built
+by the same products; every check, the eigendecomposition
+(``numpy.linalg.eigh``, which decomposes a stack matrix by matrix) and the
+minimum-norm solve act per matrix, each bitwise as for that point alone,
+and a failed check names the stack's first offending point.  Callers cut
+long stacks with :func:`stack_slices`, which bounds the memory one call
+holds.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ __all__ = [
     "AssembledSystem",
     "assemble",
     "quadratic_energy",
+    "stack_slices",
     "check_lambda_max_bound",
     "SpdCheck",
     "check_assumption_spd",
@@ -46,6 +51,13 @@ __all__ = [
 
 _SYM_TOL = 1e-12
 _KERNEL_TOL = 1e-10
+
+#: float64 entries one stacked ``assemble`` may evaluate: per point, its
+#: basis values, nodes and weights, ``n_linear + 2`` rows of one entry per
+#: node.  The arrays held at once come to about twice this (2.4 MB); the
+#: 2m finite-difference probes of 16 Dirichlet hats on 32 panels fit in one
+#: block.
+_STACK_ELEMENTS = 150_000
 
 
 @dataclass(frozen=True)
@@ -163,9 +175,9 @@ def _symmetrise(M: np.ndarray, label: str, xi) -> np.ndarray:
 def assemble(problem, rule: QuadratureRule, family, xi) -> AssembledSystem:
     """Assemble A(xi), load(xi), G(xi) with panels split at all breakpoints.
 
-    ``xi`` is one point ``(d,)`` or a stack ``(N, d)`` whose points share
-    the family's breakpoints; a stack gives ``(N, n, n)`` matrices and
-    ``(N, n)`` loads.
+    ``xi`` is one point ``(d,)`` or a stack ``(N, d)``; a stack gives
+    ``(N, n, n)`` matrices and ``(N, n)`` loads, each bitwise that of its
+    point assembled alone.
     """
     xi = family.require_param(xi)
     if problem.needs_h1 and not family.vanishes_on_boundary:
@@ -175,40 +187,84 @@ def assemble(problem, rule: QuadratureRule, family, xi) -> AssembledSystem:
             "dirichlet=True)"
         )
     breaks = family.breakpoints(xi)
-    if xi.ndim == 2 and breaks:
-        by_point = np.stack(breaks, axis=-1)
-        if np.any(np.ptp(by_point, axis=0) > 0.0):
-            raise ConfigError("the points of a stack must share the family's breakpoints")
-        breaks = by_point[0]
-    r = rule.split_at(tuple(breaks) + tuple(problem.coefficient_breakpoints()))
-    x, w = r.nodes, r.weights
-    vals = family.basis_values(xi, x)
-    finite = np.isfinite(vals)
-    if not finite.all():
-        _raise_first(~finite.all(axis=(-2, -1)), xi, NumericalError,
-                     "basis evaluation produced non-finite values")
-
-    if problem.needs_h1:
-        ders = family.basis_derivs(xi, x)
-        Kx = problem.diffusivity.values(x)
-        sx = problem.reaction.values(x)
-        fx = problem.source.values(x)
-        A = (ders * (w * Kx)) @ _t(ders) + (vals * (w * sx)) @ _t(vals)
-        G = (ders * w) @ _t(ders) + (vals * w) @ _t(vals)
-        load = vals @ (w * fx)
-        if problem.bc_lo != 0.0 or problem.bc_hi != 0.0:
-            lift = problem.lifting
-            lv, ld = lift.values(x), lift.derivs(x)
-            load = load - (ders @ (w * Kx * ld) + vals @ (w * sx * lv))
+    coefficient = tuple(problem.coefficient_breakpoints())
+    if xi.ndim == 1 or not breaks:
+        r = rule.split_at(tuple(breaks) + coefficient)
+        bad, A, G, load = _products(problem, family, xi, r.nodes, r.weights)
     else:
-        fx = problem.target.values(x)
-        A = (vals * w) @ _t(vals)
-        load = vals @ (w * fx)
-        G = None  # the ambient inner product is the bilinear form itself: G is A
-
+        rows = np.concatenate([np.stack(breaks, axis=-1),
+                               np.broadcast_to(coefficient, (len(xi), len(coefficient)))], axis=1)
+        parts = [(idx, _products(problem, family, xi[idx], x, w))
+                 for idx, x, w in rule.split_rows(rows)]
+        bad, A, G, load = (_gather(len(xi), [(idx, p[k]) for idx, p in parts]) for k in range(4))
+    _raise_first(bad, xi, NumericalError, "basis evaluation produced non-finite values")
     A = _symmetrise(A, "stiffness matrix", xi)
     G = A if G is None else _symmetrise(G, "Gram matrix", xi)
     return AssembledSystem(xi=xi, matrix=A, load=load, gram=G)
+
+
+def _products(problem, family, xi, x, w):
+    """``(bad, A, G, load)`` of the point(s) ``xi`` on nodes ``x``, weights ``w``.
+
+    ``x`` and ``w`` are ``(Q,)``, shared by every point, or ``(N, Q)``, one
+    row per point of the stack.  ``bad`` flags the points whose basis
+    values are not finite; A and G are not yet symmetrised, and G is None
+    under the L2 energy, whose Gram matrix is A.
+    """
+    # weights broadcast against the basis axis
+    if not problem.needs_h1:
+        vals = family.basis_values(xi, x)
+        A = (vals * w[..., None, :]) @ _t(vals)
+        return _nonfinite(vals), A, None, np.matvec(vals, w * problem.target.values(x))
+    # the derivative terms first: a stack's derivatives and values, each as
+    # large as the block allows, are never held at once
+    lifted = problem.bc_lo != 0.0 or problem.bc_hi != 0.0
+    ders = family.basis_derivs(xi, x)
+    wK = w * problem.diffusivity.values(x)
+    A = (ders * wK[..., None, :]) @ _t(ders)
+    G = (ders * w[..., None, :]) @ _t(ders)
+    if lifted:
+        lift = np.matvec(ders, wK * problem.lifting.derivs(x))
+    del ders, wK
+    vals = family.basis_values(xi, x)
+    ws = w * problem.reaction.values(x)
+    A = A + (vals * ws[..., None, :]) @ _t(vals)
+    G = G + (vals * w[..., None, :]) @ _t(vals)
+    load = np.matvec(vals, w * problem.source.values(x))
+    if lifted:
+        load = load - (lift + np.matvec(vals, ws * problem.lifting.values(x)))
+    return _nonfinite(vals), A, G, load
+
+
+def _nonfinite(vals):
+    """One flag per point: has it a non-finite basis value?"""
+    return ~np.isfinite(vals).all(axis=(-2, -1))
+
+
+def _gather(n: int, parts):
+    """Rows computed group by group, ``(rows, array)`` each, in stack order."""
+    first = parts[0][1]
+    if first is None or len(parts) == 1:
+        return first
+    out = np.empty((n,) + first.shape[1:], dtype=first.dtype)
+    for rows, part in parts:
+        out[rows] = part
+    return out
+
+
+def stack_slices(problem, rule: QuadratureRule, family, points) -> list:
+    """Slices cutting the stack ``points`` ``(N, d)`` into blocks for ``assemble``.
+
+    A block holds at most ``_STACK_ELEMENTS`` entries: its points times
+    ``n_linear + 2`` rows times a bound on their nodes, the rule's panels
+    plus one per breakpoint of the family and of the problem's
+    coefficients, times the order.  One point exceeding the budget still
+    makes a block of its own.
+    """
+    breaks = len(family.breakpoints(points[0])) + len(problem.coefficient_breakpoints())
+    nodes = (rule.boundaries.size - 1 + breaks) * rule.order
+    step = max(1, _STACK_ELEMENTS // ((family.n_linear + 2) * nodes))
+    return [slice(b, b + step) for b in range(0, len(points), step)]
 
 
 def quadratic_energy(system: AssembledSystem, w):

@@ -4,9 +4,10 @@ A family maps a nonlinear parameter vector ``xi`` (living in a convex
 compact set: a box intersected with ordered chains) to a tuple of basis
 functions ``phi_1(xi), ..., phi_nL(xi)``.  Realisations are linear
 combinations ``u = w . phi(xi)``.  ``basis_values``/``basis_derivs`` accept
-one point ``(d,)`` or a stack ``(..., d)`` and return ``(..., n_linear,
-len(x))``, so that points sharing quadrature nodes are evaluated at once;
-``breakpoints`` of a stack ``(N, d)`` gives one ``(N,)`` array per breakpoint.
+one point ``(d,)`` or a stack ``(N, d)``, with nodes ``x`` of shape ``(Q,)``
+shared by every point or ``(N, Q)``, one row per point, and return
+``(..., n_linear, Q)``; ``breakpoints`` of a stack ``(N, d)`` gives one
+``(N,)`` array per breakpoint.
 Each differentiable family returns the
 parameter derivative of a realisation, ``d u / d xi_i`` of shape
 ``(n_nonlinear, len(x))``, from ``dparam_values(xi, x, w)``; the derivative
@@ -372,13 +373,15 @@ class GaussianBumps(_FamilyBase):
     def n_nonlinear(self) -> int:
         return int(self.widths.size)
 
+    def _d(self, xi, x):
+        """x - xi_k with the bump axis before the node axis."""
+        return np.asarray(x, dtype=float)[..., None, :] - xi[..., None]
+
     def _z(self, xi, x):
-        return (np.asarray(x) - xi[..., None]) / self.widths[:, None] ** 2
+        return self._d(xi, x) / self.widths[:, None] ** 2
 
     def basis_values(self, xi, x):
-        x = np.asarray(x, dtype=float)
-        d = x - xi[..., None]
-        return np.exp(-0.5 * (d / self.widths[:, None]) ** 2)
+        return np.exp(-0.5 * (self._d(xi, x) / self.widths[:, None]) ** 2)
 
     def basis_derivs(self, xi, x):
         return -self._z(xi, x) * self.basis_values(xi, x)
@@ -443,7 +446,8 @@ class FreeKnotHats(_FamilyBase):
         Cell ``c`` is ``[t_c, t_{c+1}]``; ``closed[c]`` and ``half_open[c]``
         (the cell without its left end) are both empty for zero-width cells.
         Widths of empty cells are replaced by 1 so that the masked-out
-        quotients stay finite.
+        quotients stay finite.  ``x`` is ``(Q,)`` or, with per-point nodes,
+        ``(N, 1, Q)``: the cell axis comes before the node axis.
         """
         t = self._grid(xi)
         width = np.diff(t, axis=-1)
@@ -458,26 +462,43 @@ class FreeKnotHats(_FamilyBase):
 
         The rising piece covers the closed cell; the falling piece covers the
         half-open cell, except for hat 0, whose falling piece is closed.
+        ``up(cells)``/``down(cells)`` give the pieces on a slice of cells and
+        are asked only for the cells of the hats kept, so that besides the
+        result one piece at a time is held.
         """
-        falls = half_open.copy()
-        falls[..., 0, :] = closed[..., 0, :]
-        shape = closed.shape
-        out = np.zeros(shape[:-2] + (shape[-2] + 1, shape[-1]))
-        out[..., 1:, :] = np.where(closed, up, 0.0)
-        out[..., :-1, :] = np.where(falls, down, out[..., :-1, :])
-        return out[..., 1:-1, :] if self.dirichlet else out
+        m, d = self.n_nonlinear, int(self.dirichlet)
+        rise, fall = slice(0, m + 1 - d), slice(d, m + 1)
+        falls = half_open[..., fall, :]
+        if not d:
+            falls = falls.copy()
+            falls[..., 0, :] = closed[..., 0, :]
+        out = np.zeros(closed.shape[:-2] + (self.n_linear, closed.shape[-1]))
+        np.copyto(out[..., 1 - d:, :], up(rise), where=closed[..., rise, :])
+        np.copyto(out[..., :m + 1 - d, :], down(fall), where=falls)
+        return out
 
     def basis_values(self, xi, x):
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)[..., None, :]
         t, width, closed, half_open = self._cells(xi, x)
-        up = (x - t[..., :-1, None]) / width[..., None]
-        down = (t[..., 1:, None] - x) / width[..., None]
+        lo, hi, h = t[..., :-1, None], t[..., 1:, None], width[..., None]
+
+        def up(c):
+            piece = x - lo[..., c, :]
+            piece /= h[..., c, :]
+            return piece
+
+        def down(c):
+            piece = hi[..., c, :] - x
+            piece /= h[..., c, :]
+            return piece
+
         return self._hats(closed, half_open, up, down)
 
     def basis_derivs(self, xi, x):
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float)[..., None, :]
         _, width, closed, half_open = self._cells(xi, x)
-        return self._hats(closed, half_open, (1.0 / width)[..., None], (-1.0 / width)[..., None])
+        slope = (1.0 / width)[..., None]
+        return self._hats(closed, half_open, lambda c: slope[..., c, :], lambda c: -slope[..., c, :])
 
     def dparam_values(self, xi, x, w):
         """d (w . hat) / d xi_i, shape ``(m, len(x))``.
@@ -536,6 +557,8 @@ class IndicatorPair(_FamilyBase):
 
     def basis_values(self, xi, x):
         x = np.asarray(x, dtype=float)
+        # ends of shape (..., 1) against (Q,) or (N, Q) nodes; np.stack adds
+        # the basis axis
         a, b, c = (v[..., None] for v in np.moveaxis(xi, -1, 0))
         return np.stack(
             [
@@ -602,10 +625,10 @@ class SyntheticAmplitude(_FamilyBase):
         return self.scale * xi / r
 
     def basis_values(self, xi, x):
-        return np.tile(self._g(xi)[..., None, None], (1, np.size(x)))
+        return np.tile(self._g(xi)[..., None, None], (1, np.shape(x)[-1]))
 
     def basis_derivs(self, xi, x):
-        return np.zeros(np.shape(xi)[:-1] + (1, np.size(x)))
+        return np.zeros(np.shape(xi)[:-1] + (1, np.shape(x)[-1]))
 
     def dparam_values(self, xi, x, w):
         """d (w_0 g(xi)) / d xi = w_0 g'(xi), constant in space."""

@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .assembly import assemble, quadratic_energy
+from .assembly import assemble, quadratic_energy, stack_slices
 from .basis import (
     basis_difference_norm,
     basis_norms,
@@ -62,11 +62,6 @@ __all__ = [
 
 ATOL = 1e-8
 RTOL = 1e-8
-
-#: grid points assembled and decomposed together by the grid oracle; bounds
-#: the oracle's working memory (one ``(block, n, Q)`` array of basis values)
-_GRID_BLOCK = 256
-
 
 # ---------------------------------------------------------------------------
 # report plumbing
@@ -209,13 +204,12 @@ def minimiser_grid_oracle(
     points.  Limited to three nonlinear parameters; use an analytic oracle
     beyond that.
 
-    Points are evaluated as stacks (see :func:`_grid_stacks`): one
-    ``assemble`` and one stacked ``numpy.linalg.eigh`` per block of up to
-    ``_GRID_BLOCK`` points that share the family's breakpoints.  Gaussian
-    bumps and the synthetic amplitude put the whole grid in one group;
-    free-knot hats and the indicator pair move their breakpoints with
-    ``xi``, so each of their points is assembled alone.  Every value is
-    bitwise the one of that point evaluated alone.
+    The feasible points are evaluated in grid order as stacks cut by
+    :func:`~nonlinritz.assembly.stack_slices`: one ``assemble`` and one
+    stacked ``numpy.linalg.eigh`` per block, whatever the family (hats and
+    the indicator pair split the quadrature per point inside
+    ``assemble``).  Every value is bitwise the one of that point evaluated
+    alone.
     """
     domain = family.domain
     if domain.dim > 3:
@@ -245,11 +239,11 @@ def minimiser_grid_oracle(
         raise ConfigError("no feasible grid points; check domain and resolution")
 
     vals = np.empty(pts.shape[0])
-    for idx in _grid_stacks(family, pts):
+    for block in stack_slices(problem, rule, family, pts):
         if frozen_w is not None:
-            vals[idx] = quadratic_energy(assemble(problem, rule, family, pts[idx]), frozen_w)
+            vals[block] = quadratic_energy(assemble(problem, rule, family, pts[block]), frozen_w)
         else:
-            vals[idx] = reduced_energy(problem, rule, family, pts[idx])[0]
+            vals[block] = reduced_energy(problem, rule, family, pts[block])[0]
     vals_full = np.full(shape, np.nan).reshape(-1)
     vals_full[feasible] = vals
     vals_full = vals_full.reshape(shape)
@@ -277,28 +271,6 @@ def minimiser_grid_oracle(
         resolution=float(resolution),
         slack=float(slack),
     )
-
-
-def _grid_stacks(family, pts):
-    """Index blocks of ``pts`` whose points share the family's breakpoints.
-
-    Points are grouped by their breakpoints; groups come in the grid order
-    of their first point, and each is cut into blocks of at most
-    ``_GRID_BLOCK`` points in grid order.  A group of one point yields its
-    plain index, so that point is assembled alone, not as a stack of one.
-    """
-    cols = family.breakpoints(pts)
-    key = np.stack(cols, axis=-1) if cols else np.empty((pts.shape[0], 0))
-    _, first, group = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    lead = first[group.ravel()]  # each point's group, named by its first point
-    order = np.argsort(lead, kind="stable")
-    bounds = np.flatnonzero(np.diff(lead[order], prepend=-1, append=-1))
-    for start, end in zip(bounds[:-1], bounds[1:]):
-        if end - start == 1:
-            yield order[start]
-            continue
-        for b in range(start, end, _GRID_BLOCK):
-            yield order[b:min(b + _GRID_BLOCK, end)]
 
 
 def _sphere_project(oracle: AnalyticSphereOracle, geom, xi: np.ndarray):

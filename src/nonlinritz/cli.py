@@ -41,7 +41,7 @@ from .optimizer import (
     reduced_gradient,
     run,
 )
-from .updates import Frozen, prox_optimality_residual, prox_step
+from .updates import Frozen, central_differences, prox_optimality_residual, prox_step
 from .variational import L2Approx, integrate
 
 TRACE_COLUMNS = (
@@ -452,14 +452,10 @@ def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
     for _ in range(3):
         xi = interior.sample(rng)
         g = reduced_gradient(cfg.problem, cfg.rule, cfg.family, xi, mode=cfg.gradient_mode)
-        h = 1e-5
-        fd = np.zeros_like(g)
-        for i in range(xi.size):
-            e_i = np.zeros_like(xi)
-            e_i[i] = h
-            kp, _ = reduced_energy(cfg.problem, cfg.rule, cfg.family, xi + e_i)
-            km, _ = reduced_energy(cfg.problem, cfg.rule, cfg.family, xi - e_i)
-            fd[i] = (kp - km) / (2.0 * h)
+        fd = central_differences(
+            lambda probes: reduced_energy(cfg.problem, cfg.rule, cfg.family, probes)[0],
+            cfg.problem, cfg.rule, cfg.family, xi, 1e-5,
+        )
         rel = float(np.linalg.norm(g - fd) / (1.0 + np.linalg.norm(fd)))
         worst_rel = max(worst_rel, rel)
         grad_ok &= rel <= 1e-4

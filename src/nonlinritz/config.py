@@ -166,7 +166,10 @@ _ABSENT = object()
 
 
 def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """An integer or a finite float; JSON ``NaN`` and ``Infinity`` are not."""
+    if isinstance(v, float):
+        return math.isfinite(v)
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _typed(what, ok, convert=None):
@@ -420,6 +423,17 @@ def _build_schedule(s):
                              eps_holder=s["eps_holder"], n_pairs=s["n_pairs"], seed=s["seed"])
 
 
+def _check_oracle_dim(oracle, dim: int) -> None:
+    """Oracle points and a sphere's centre must have the domain's dimension."""
+    if oracle is None or oracle["kind"] == "grid":
+        return
+    # _points has made every point as long as the first
+    key = "points" if oracle["kind"] == "points" else "center"
+    got = len(oracle["points"][0]) if key == "points" else len(oracle["center"])
+    if got != dim:
+        raise ConfigError(f"oracle.{key}: expected {dim} coordinates, the domain's, got {got}")
+
+
 _LINEAR_RULES = {"full_cg": FullSolveCG, "steepest_descent": SteepestDescent, "frozen": Frozen}
 
 
@@ -430,7 +444,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     if schedule["kind"] == "lipschitz" and "seed" not in schedule:
         schedule["seed"] = norm["seed"]
     geometry, init = norm["geometry"], norm["init"]
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         raw=norm,
         problem=_build_problem(problem),
         constants=ProblemConstants(alpha=constants["alpha"], norm_a=constants["norm_a"],
@@ -456,6 +470,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         certify_spec=norm["certify"],
         out_dir=norm["out_dir"],
     )
+    _check_oracle_dim(norm["oracle"], cfg.family.domain.dim)
+    return cfg
 
 
 def load_config(path: str, overrides: Optional[dict] = None) -> ExperimentConfig:

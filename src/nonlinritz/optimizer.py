@@ -184,8 +184,9 @@ def _reduced(system: AssembledSystem):
 def reduced_energy(problem, rule, family, xi):
     """Exactly eliminate the linear block: returns ``(Kbar(xi), w_star)``.
 
-    A stack of points that share the family's breakpoints gives ``(N,)``
-    energies and ``(N, n)`` coefficients.
+    A stack of points ``(N, d)`` gives ``(N,)`` energies and ``(N, n)``
+    coefficients; callers cut long stacks with
+    :func:`~nonlinritz.assembly.stack_slices`.
     """
     return _reduced(assemble(problem, rule, family, xi))
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import AssembledSystem, assemble, quadratic_energy
+from .assembly import AssembledSystem, assemble, quadratic_energy, stack_slices
 from .basis import IndicatorPair, NonlinearDomain
 from .errors import (
     ConfigError,
@@ -48,6 +48,7 @@ __all__ = [
     "prox_optimality_residual",
     "EnergyGradients",
     "make_gradients",
+    "central_differences",
 ]
 
 
@@ -269,7 +270,10 @@ class EnergyGradients:
       pair under the L2 energy, where the basis itself is not
       differentiable but the energy is.
     * ``fd``: central finite differences of the assembled energy; the only
-      route under an H1 energy.
+      route under an H1 energy.  The ``2m`` probes ``xi +- h e_i`` are one
+      stack, assembled in the blocks of
+      :func:`~nonlinritz.assembly.stack_slices` (each probe moves the
+      family's breakpoints differently; ``assemble`` splits per point).
     """
 
     problem: object
@@ -278,7 +282,8 @@ class EnergyGradients:
     mode: str
     fd_step: float = 1e-6
 
-    def energy(self, w, xi) -> float:
+    def energy(self, w, xi):
+        """K(w, xi) at one point, or one value per point of a stack."""
         return quadratic_energy(assemble(self.problem, self.rule, self.family, xi), w)
 
     def grad_xi(self, w, xi) -> np.ndarray:
@@ -323,15 +328,22 @@ class EnergyGradients:
     # -- central differences of the assembled energy -----------------------
 
     def _grad_xi_fd(self, w, xi):
-        h = self.fd_step
-        out = np.empty(xi.size)
-        for i in range(xi.size):
-            e = np.zeros(xi.size)
-            e[i] = h
-            kp = self.energy(w, xi + e)
-            km = self.energy(w, xi - e)
-            out[i] = (kp - km) / (2.0 * h)
-        return out
+        return central_differences(lambda probes: self.energy(w, probes),
+                                   self.problem, self.rule, self.family, xi, self.fd_step)
+
+
+def central_differences(energy, problem, rule, family, xi, h: float) -> np.ndarray:
+    """``(E(xi + h e_i) - E(xi - h e_i)) / 2h`` for every coordinate ``i``.
+
+    ``energy`` maps a stack of probes to one value each.  The probes
+    ``xi + h e_0, xi - h e_0, xi + h e_1, ...`` are passed in that order, in
+    the blocks of :func:`~nonlinritz.assembly.stack_slices`.
+    """
+    e = h * np.eye(xi.size)
+    probes = np.stack([xi + e, xi - e], axis=1).reshape(-1, xi.size)
+    K = np.concatenate([energy(probes[block])
+                        for block in stack_slices(problem, rule, family, probes)])
+    return (K[0::2] - K[1::2]) / (2.0 * h)
 
 
 def make_gradients(problem, rule, family, mode: str = "auto", fd_step: float = 1e-6) -> EnergyGradients:

@@ -73,13 +73,7 @@ class QuadratureRule:
             raise ConfigError(f"quadrature order must be >= 1, got {order}")
         self.boundaries = b
         self.order = int(order)
-        t, w = _gauss_nodes(self.order)
-        a, c = b[:-1], b[1:]
-        half = 0.5 * (c - a)
-        mid = 0.5 * (c + a)
-        # nodes laid out panel by panel
-        self.nodes = (mid[:, None] + half[:, None] * t[None, :]).ravel()
-        self.weights = (half[:, None] * w[None, :]).ravel()
+        self.nodes, self.weights = _panel_nodes(b, self.order)
 
     @classmethod
     def on_interval(cls, x_lo: float, x_hi: float, n_panels: int = 16, order: int = 5):
@@ -100,33 +94,77 @@ class QuadratureRule:
     def split_at(self, points) -> "QuadratureRule":
         """Return a rule with panels additionally split at ``points``.
 
-        Points outside the open interval or closer than ``1e-13 * span`` to an
-        existing boundary are dropped; the rule is otherwise unchanged.
+        The one-row case of :meth:`split_rows`: points outside the open
+        interval or closer than ``1e-13 * span`` to a boundary are dropped,
+        and without a point left the rule itself is returned.
         """
-        pts = np.atleast_1d(np.asarray(points, dtype=float))
+        pts = np.asarray(points, dtype=float).reshape(1, -1)
         if pts.size == 0:
             return self
+        merged, count = self._merged(pts)
+        if count[0] == self.boundaries.size:
+            return self
+        return QuadratureRule(merged[0, :count[0]], self.order)
+
+    def split_rows(self, points) -> list:
+        """Nodes and weights of the rule split at each row of ``points`` ``(N, k)``.
+
+        Row ``i`` gives bitwise the nodes and weights of
+        ``split_at(points[i])``.  Rows are grouped by their number of panels
+        (a point on a panel edge or outside the interval adds none): the
+        result holds one ``(rows, nodes, weights)`` per group, ``rows``
+        ascending and ``nodes``/``weights`` of shape ``(len(rows), Q)``.
+        """
+        merged, count = self._merged(np.asarray(points, dtype=float))
+        groups = []
+        for c in np.unique(count):
+            rows = np.flatnonzero(count == c)
+            groups.append((rows, *_panel_nodes(merged[rows, :c], self.order)))
+        return groups
+
+    def _merged(self, pts):
+        """Sorted boundaries of each row of ``pts`` ``(N, k)`` merged into the rule's.
+
+        Returns ``(merged, count)``: row ``i`` keeps its ``count[i]``
+        boundaries in front, NaN behind.  A row drops its points outside
+        the open interval, then exact duplicates, then of every pair closer
+        than ``1e-13 * span`` the newcomer (an original boundary stays).
+        """
         if not np.all(np.isfinite(pts)):
             raise NonFiniteValueError("non-finite quadrature split point")
-        span = self.x_hi - self.x_lo
-        keep = pts[(pts > self.x_lo) & (pts < self.x_hi)]
-        if keep.size == 0:
-            return self
-        merged = np.union1d(self.boundaries, keep)
-        tight = np.diff(merged) <= 1e-13 * span
-        if np.any(tight):
-            # drop the newcomer of any near-coincident pair, never an
-            # original boundary
+        nb = self.boundaries.size
+        merged = np.empty((pts.shape[0], nb + pts.shape[1]))
+        merged[:, :nb] = self.boundaries
+        merged[:, nb:] = np.where((pts > self.x_lo) & (pts < self.x_hi), pts, np.nan)
+        # NaN sorts last, compares unequal and is never tight: dropping an
+        # entry is setting it to NaN and sorting again
+        merged.sort(axis=1)
+        dup = merged[:, 1:] == merged[:, :-1]
+        if dup.any():
+            merged[:, 1:][dup] = np.nan
+            merged.sort(axis=1)
+        tight = np.diff(merged, axis=1) <= 1e-13 * (self.x_hi - self.x_lo)
+        if tight.any():
             original = np.isin(merged, self.boundaries)
-            drop = np.zeros(merged.size, dtype=bool)
-            for i in np.nonzero(tight)[0]:
-                j = i if not original[i] else i + 1
-                if not original[j]:
-                    drop[j] = True
-            merged = merged[~drop]
-        if merged.size == self.boundaries.size:
-            return self
-        return QuadratureRule(merged, self.order)
+            drop = np.zeros(merged.shape, dtype=bool)
+            drop[:, :-1] = tight & ~original[:, :-1]
+            drop[:, 1:] |= tight & original[:, :-1] & ~original[:, 1:]
+            merged[drop] = np.nan
+            merged.sort(axis=1)
+        return merged, np.count_nonzero(~np.isnan(merged), axis=1)
+
+
+def _panel_nodes(b, order: int):
+    """Gauss nodes and weights on the panels between boundaries ``b`` ``(..., P+1)``.
+
+    Laid out panel by panel, of shape ``(..., P * order)``.
+    """
+    t, w = _gauss_nodes(order)
+    a, c = b[..., :-1, None], b[..., 1:, None]
+    half = 0.5 * (c - a)
+    mid = 0.5 * (c + a)
+    shape = b.shape[:-1] + (-1,)
+    return (mid + half * t).reshape(shape), (half * w).reshape(shape)
 
 
 def integrate(g: Callable[[np.ndarray], np.ndarray], rule: QuadratureRule) -> float:

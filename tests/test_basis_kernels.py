@@ -2,6 +2,7 @@
 against the per-coordinate loop implementations they replace."""
 
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -9,12 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nonlinritz.updates
+from nonlinritz.assembly import assemble, quadratic_energy, stack_slices
 from nonlinritz.basis import FreeKnotHats, NonlinearDomain
 from nonlinritz.certify import minimiser_grid_oracle
 from nonlinritz.config import parse_config
 from nonlinritz.errors import DomainViolationError
 from nonlinritz.updates import make_gradients
-from nonlinritz.variational import L2Approx, Field, QuadratureRule
+from nonlinritz.variational import DiffusionReaction1D, L2Approx, Field, QuadratureRule
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -231,6 +234,56 @@ def test_analytic_hat_gradient_allocates_no_dense_tensor():
     assert peak < 24e6
 
 
+def _dirichlet_hats(m, n_panels):
+    """Dirichlet hats on m evenly spaced knots of a diffusion problem with
+    boundary data, and a random coefficient vector."""
+    dom = NonlinearDomain([0.005] * m, [0.995] * m, chains=(tuple(range(m)),), gap=0.001)
+    fam = FreeKnotHats(dom, 0.0, 1.0, dirichlet=True)
+    problem = DiffusionReaction1D(
+        Field(lambda x: 1.0 + 0.25 * np.sin(2.0 * np.pi * x), lambda x: np.zeros_like(x)),
+        Field.constant(1.25), Field(lambda x: 1.0 + np.exp(-40.0 * (x - 0.5) ** 2)),
+        0.0, 1.0, 0.3, -0.2,
+    )
+    grads = make_gradients(problem, QuadratureRule.on_interval(0.0, 1.0, n_panels, 5), fam)
+    assert grads.mode == "fd"
+    xi = np.linspace(0.0, 1.0, m + 2)[1:-1]
+    return grads, xi, np.random.default_rng(0).standard_normal(fam.n_linear)
+
+
+def test_fd_gradient_assembles_its_probes_in_blocks(count_calls):
+    m = 16
+    grads, xi, w = _dirichlet_hats(m, 32)
+    calls = count_calls("assemble", nonlinritz.updates)
+    g = grads.grad_xi(w, xi)
+    probes = np.repeat(xi[None, :], 2 * m, axis=0)
+    block = stack_slices(grads.problem, grads.rule, grads.family, probes)[0].stop
+    # one assembly per probe before stacking: 32
+    assert len(calls) <= math.ceil(2 * m / block) == 1
+    # bitwise the probe-by-probe central differences
+    h = grads.fd_step
+    for i in range(m):
+        e = np.zeros(m)
+        e[i] = h
+        kp, km = (quadratic_energy(assemble(grads.problem, grads.rule, grads.family, p), w)
+                  for p in (xi + e, xi - e))
+        assert g[i] == (kp - km) / (2.0 * h)
+
+
+def test_fd_gradient_memory_is_bounded_by_the_block():
+    # all 320 probes of 160 knots in one stack peak near 1.9 GB
+    warm, xi4, w4 = _dirichlet_hats(4, 64)
+    warm.grad_xi(w4, xi4)  # warm-up: lazy imports stay out of the peak
+    grads, xi, w = _dirichlet_hats(160, 64)
+    tracemalloc.start()
+    try:
+        g = grads.grad_xi(w, xi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.shape == (160,) and np.all(np.isfinite(g))
+    assert peak < 16e6
+
+
 # ---------------------------------------------------------------------------
 # domain membership
 # ---------------------------------------------------------------------------
@@ -391,9 +444,12 @@ def test_grid_oracle_mask_on_two_knot_chain(monkeypatch):
     problem = L2Approx(Field(lambda x: np.abs(x - 0.33) + 0.5 * x * x, None, (0.33,)))
     seen = _spy_feasible(monkeypatch)
     oracle = minimiser_grid_oracle(problem, QuadratureRule.on_interval(0.0, 1.0, n_panels=8, order=3), fam, 0.1)
-    assert len(seen) == 1
+    # the first call masks the whole 10 x 10 mesh; the later ones are
+    # assemble's checks of its stacks
     _, mesh, mask = seen[0]
+    assert mesh.shape == (100, 2)
     per_point = [dom.contains(p) for p in mesh]
     assert mask.tolist() == per_point
     assert 0 < sum(per_point) < len(per_point)
     assert np.array_equal(oracle.points, mesh[mask])
+    assert np.array_equal(np.concatenate([p for _, p, _ in seen[1:]]), oracle.points)

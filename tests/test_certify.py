@@ -8,8 +8,9 @@ from numpy.testing import assert_allclose
 
 import nonlinritz.certify
 import nonlinritz.optimizer
-from nonlinritz.assembly import ProblemConstants, assemble, kappa_bound
+from nonlinritz.assembly import ProblemConstants, assemble, kappa_bound, stack_slices
 from nonlinritz.basis import (
+    FreeKnotHats,
     GaussianBumps,
     NonlinearDomain,
     SyntheticAmplitude,
@@ -256,6 +257,26 @@ def test_grid_oracle_assembles_and_decomposes_per_block(count_calls):
     assert len(eighs) <= math.ceil(3025 / 256)
     for i in (0, 1234, 3024):
         assert oracle.values[i] == reduced_energy(problem, RULE, family, oracle.points[i])[0]
+
+
+def test_hat_grid_oracle_assembles_per_block(count_calls):
+    # two chained knots move the breakpoints at every grid point; points
+    # with a knot on a panel edge have fewer panels
+    dom = NonlinearDomain([0.05, 0.05], [0.95, 0.95], chains=((0, 1),), gap=0.02)
+    family = FreeKnotHats(dom, 0.0, 1.0)
+    problem = L2Approx(Field(lambda x: np.abs(x - 0.33) + 0.5 * x * x, None, (0.33,)))
+    rule = QuadratureRule.on_interval(0.0, 1.0, n_panels=16, order=5)
+    assembles = count_calls("assemble", nonlinritz.certify, nonlinritz.optimizer)
+    oracle = minimiser_grid_oracle(problem, rule, family, resolution=0.025)
+    n = oracle.points.shape[0]
+    block = stack_slices(problem, rule, family, oracle.points)[0].stop
+    ends = np.column_stack([np.zeros(n), oracle.points, np.ones(n), np.full(n, 0.33)])
+    groups = len(rule.split_rows(ends))
+    assert groups == 3  # no, one or two knots on a panel edge
+    # one assembly per point before stacking
+    assert len(assembles) <= math.ceil(n / block) + groups < n / 50
+    for i in range(n):
+        assert oracle.values[i] == reduced_energy(problem, rule, family, oracle.points[i])[0]
 
 
 def test_grid_oracle_memory_is_bounded_by_the_block():

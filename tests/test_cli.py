@@ -311,6 +311,28 @@ def test_check_battery_passes(tmp_path, capsys):
     assert "[FAIL]" not in printed
 
 
+def test_check_stacks_the_probes_of_each_sample(tmp_path, capsys, count_calls):
+    # reduced-gradient-fd: one stacked reduced energy per sampled point
+    # (3 samples) instead of 2 per coordinate
+    m = 5
+    data = {
+        "problem": {"kind": "diffusion_reaction",
+                    "diffusivity": "1 + 0.25*sin(2*pi*x)", "reaction": 1.25,
+                    "source": "1 + 8*gauss(x, 0.5, 0.08)", "x_lo": 0.0, "x_hi": 1.0},
+        "constants": {"alpha": 1.0, "norm_a": 1.0, "norm_ell": 1.0},
+        "family": {"kind": "free_knot_hats", "dirichlet": True},
+        "domain": {"lower": [0.02] * m, "upper": [0.98] * m,
+                   "chains": [list(range(m))], "gap": 0.01},
+        "schedule": {"kind": "lipschitz", "zeta": 0.5, "lipschitz": 2.0},
+        "stopping": {"max_epochs": 2},
+        "init": {"xi0": [0.15, 0.3, 0.5, 0.7, 0.85]},
+    }
+    calls = count_calls("reduced_energy", nonlinritz.cli)
+    assert main(["check", "--config", _write_cfg(tmp_path, data)]) == 0
+    assert "[PASS] reduced-gradient-fd" in capsys.readouterr().out
+    assert len(calls) == 3
+
+
 # ---------------------------------------------------------------------------
 # error paths and the environment knob
 # ---------------------------------------------------------------------------
@@ -340,6 +362,14 @@ def test_schema_violation_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("section, value, path", [
     ("certify", {"L_bar": "x"}, "certify.L_bar: expected a number"),
     ("oracle", {"kind": "points", "points": [["a", 1]], "K_star": 0.0}, "oracle.points[0]"),
+    # JSON NaN on a chained domain
+    ("domain", {"lower": [0.1, 0.1], "upper": [0.9, 0.9], "chains": [[0, 1]], "gap": float("nan")},
+     "domain.gap: expected a number, got nan"),
+    # a 1-d minimiser for the 2-d domain
+    ("oracle", {"kind": "points", "points": [[0.3]], "K_star": 0.0},
+     "oracle.points: expected 2 coordinates"),
+    ("oracle", {"kind": "sphere", "center": [0.0], "radius": 1.0, "K_star": 0.0},
+     "oracle.center: expected 2 coordinates"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, section, value, path):
     data = _base_config()

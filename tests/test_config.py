@@ -276,6 +276,15 @@ def test_errors_carry_dotted_paths():
     ("oracle", {"kind": "grid"}, r"oracle: missing required keys \['resolution'\]"),
     ("geometry", {"kind": "euclidean", "diag": [1.0, 1.0]}, r"geometry: unknown keys \['diag'\]"),
     ("quadrature", [16, 5], r"quadrature: expected an object, got list"),
+    ("domain", {"lower": [0.1, 0.1], "upper": [0.9, 0.9], "chains": [[0, 1]],
+                "gap": float("nan")}, r"domain\.gap: expected a number, got nan"),
+    ("domain", {"lower": [0.1, -float("inf")], "upper": [0.9, 0.9]},
+     r"domain\.lower: expected an array of numbers, got \[0\.1, -inf\]"),
+    ("certify", {"L_bar": float("inf")}, r"certify\.L_bar: expected a number, got inf"),
+    ("oracle", {"kind": "points", "points": [[0.3]], "K_star": 0.0},
+     r"oracle\.points: expected 2 coordinates, the domain's, got 1"),
+    ("oracle", {"kind": "sphere", "center": [0.0, 0.0, 0.0], "radius": 1.0, "K_star": 0.0},
+     r"oracle\.center: expected 2 coordinates, the domain's, got 3"),
 ])
 def test_malformed_values_name_their_path(section, value, message):
     data = _base()

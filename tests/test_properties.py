@@ -14,7 +14,7 @@ from nonlinritz.basis import (
     NonlinearDomain,
     SyntheticAmplitude,
 )
-from nonlinritz.errors import ConfigError, NumericalError
+from nonlinritz.errors import NumericalError
 from nonlinritz.optimizer import _reduced
 from nonlinritz.updates import (
     DiagonalGeometry,
@@ -138,7 +138,7 @@ def test_linear_update_achieves_guaranteed_decrease(n, seed, linear_rule):
 
 
 def _stack_case(kind, rng):
-    """A problem, a family, distinct sample points and a stack sharing breakpoints."""
+    """A problem, a family and distinct sample points, stacked as they are."""
     if kind in ("gaussian", "synthetic"):
         n = int(rng.integers(1, 4))
         if kind == "gaussian":
@@ -150,7 +150,7 @@ def _stack_case(kind, rng):
                                         profile=str(rng.choice(["sphere_quartic", "norm"])))
             problem = L2Approx(Field.constant(0.0))
         points = np.array([family.domain.sample(rng) for _ in range(int(rng.integers(1, 40)))])
-        return problem, family, points, points
+        return problem, family, points
     m = int(rng.integers(1, 5))
     problem = TARGET
     if kind == "indicator":
@@ -164,8 +164,7 @@ def _stack_case(kind, rng):
                                           Field.constant(2.0), Field.constant(1.0), 0.0, 1.0,
                                           0.3, -0.2)
     points = np.array([family.domain.sample(rng) for _ in range(int(rng.integers(1, 12)))])
-    # points with moving breakpoints share them only with copies of themselves
-    return problem, family, points, np.repeat(points[:1], int(rng.integers(1, 6)), axis=0)
+    return problem, family, points
 
 
 def _close(a, b):
@@ -176,19 +175,22 @@ def _close(a, b):
 @given(st.sampled_from(["gaussian", "l2_hats", "h1_hats", "indicator", "synthetic"]), seeds)
 def test_stacked_evaluation_matches_point_by_point(kind, seed):
     rng = np.random.default_rng(seed)
-    problem, family, points, stack = _stack_case(kind, rng)
+    problem, family, points = _stack_case(kind, rng)
     # the ends and the points' own coordinates are where hats and indicators
     # switch between their closed and half-open pieces
     x = np.sort(np.concatenate([RULE.nodes, points.ravel(), [0.0, 1.0]]))
-    values = family.basis_values(points, x)
-    derivs = family.basis_derivs(points, x)
-    for i, p in enumerate(points):
-        assert np.array_equal(values[i], family.basis_values(p, x))
-        if derivs is not None:
-            assert np.array_equal(derivs[i], family.basis_derivs(p, x))
+    # shared (Q,) nodes, and per-point (N, Q) nodes (here a shifted order)
+    xs = np.stack([np.roll(x, i) for i in range(len(points))])
+    for nodes, alone in ((x, lambda i: x), (xs, lambda i: xs[i])):
+        values = family.basis_values(points, nodes)
+        derivs = family.basis_derivs(points, nodes)
+        for i, p in enumerate(points):
+            assert np.array_equal(values[i], family.basis_values(p, alone(i)))
+            if derivs is not None:
+                assert np.array_equal(derivs[i], family.basis_derivs(p, alone(i)))
 
-    system = assemble(problem, RULE, family, stack)
-    alone = [assemble(problem, RULE, family, p) for p in stack]
+    system = assemble(problem, RULE, family, points)
+    alone = [assemble(problem, RULE, family, p) for p in points]
     assert _close(system.matrix, [s.matrix for s in alone])
     assert _close(system.load, [s.load for s in alone])
     if kind == "synthetic":  # a frozen coefficient, as in the circle survey
@@ -200,10 +202,81 @@ def test_stacked_evaluation_matches_point_by_point(kind, seed):
         assert _close(w_star, [_reduced(s)[1] for s in alone])
 
 
-def test_stack_must_share_breakpoints():
-    family = FreeKnotHats(NonlinearDomain([0.1], [0.9]), 0.0, 1.0)
-    with pytest.raises(ConfigError, match="share"):
-        assemble(TARGET, RULE, family, np.array([[0.3], [0.4]]))
+@pytest.mark.parametrize("h1", [False, True])
+def test_stack_mixing_panel_counts_matches_point_by_point(h1):
+    # RULE's panel edges sit at multiples of 1/8, and a knot on one adds no
+    # panel: these points split the rule into 10, 9 and 8 panels
+    domain = NonlinearDomain([0.05, 0.05], [0.95, 0.95], chains=((0, 1),), gap=0.01)
+    family = FreeKnotHats(domain, 0.0, 1.0, dirichlet=h1)
+    problem = TARGET
+    if h1:
+        problem = DiffusionReaction1D(Field(lambda x: 1.0 + x, lambda x: np.ones_like(x)),
+                                      Field.constant(2.0), Field.constant(1.0), 0.0, 1.0,
+                                      0.3, -0.2)
+    stack = np.array([[0.3, 0.6], [0.25, 0.6], [0.5, 0.625], [0.31, 0.77], [0.25, 0.5]])
+    ends = np.column_stack([np.zeros(5), stack, np.ones(5)])
+    groups = [(x.shape[1] // RULE.order, rows.tolist()) for rows, x, _ in RULE.split_rows(ends)]
+    assert groups == [(8, [2, 4]), (9, [1]), (10, [0, 3])]
+    system = assemble(problem, RULE, family, stack)
+    for i, p in enumerate(stack):
+        alone = assemble(problem, RULE, family, p)
+        assert system.matrix[i].tobytes() == alone.matrix.tobytes()
+        assert system.gram[i].tobytes() == alone.gram.tobytes()
+        assert system.load[i].tobytes() == alone.load.tobytes()
+
+
+def _split_at_reference(rule, points):
+    """Boundaries of ``rule`` split at ``points``: union, then one loop over
+    near-coincident pairs dropping the newcomer of each."""
+    pts = np.asarray(points, dtype=float)
+    span = rule.x_hi - rule.x_lo
+    keep = pts[(pts > rule.x_lo) & (pts < rule.x_hi)]
+    merged = np.union1d(rule.boundaries, keep)
+    original = np.isin(merged, rule.boundaries)
+    drop = np.zeros(merged.size, dtype=bool)
+    for i in np.nonzero(np.diff(merged) <= 1e-13 * span)[0]:
+        j = i if not original[i] else i + 1
+        if not original[j]:
+            drop[j] = True
+    return merged[~drop]
+
+
+SPLIT_RULE = QuadratureRule.on_interval(0.2, 1.7, n_panels=6, order=3)
+
+
+@st.composite
+def split_rows(draw):
+    """Equally long rows of split points: free, outside the interval, on a
+    panel edge or within a few 1e-13 spans of one, and coincident or nearly
+    coincident with another point of the row."""
+    span = SPLIT_RULE.x_hi - SPLIT_RULE.x_lo
+    sign = st.sampled_from([-1.0, 1.0])
+    tiny = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5]).map(lambda f: f * 1e-13 * span)
+    edge = st.builds(lambda e, s, t: e + s * t,
+                     st.sampled_from(SPLIT_RULE.boundaries.tolist()), sign, tiny)
+    free = st.floats(SPLIT_RULE.x_lo - 0.3, SPLIT_RULE.x_hi + 0.3)
+    k = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        row = draw(st.lists(st.one_of(free, edge), min_size=1, max_size=k))
+        while len(row) < k:  # coincident or nearly coincident newcomers
+            row.append(draw(st.sampled_from(row)) + draw(sign) * draw(tiny))
+        rows.append(row)
+    return np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_rows())
+def test_stacked_split_is_split_at_row_by_row(rows):
+    covered = []
+    for idx, nodes, weights in SPLIT_RULE.split_rows(rows):
+        covered.extend(idx.tolist())
+        for i, x, w in zip(idx, nodes, weights):
+            alone = SPLIT_RULE.split_at(rows[i])
+            assert x.tobytes() == alone.nodes.tobytes()
+            assert w.tobytes() == alone.weights.tobytes()
+            assert alone.boundaries.tobytes() == _split_at_reference(SPLIT_RULE, rows[i]).tobytes()
+    assert sorted(covered) == list(range(len(rows)))
 
 
 def _first_failure(calls):
@@ -270,3 +343,19 @@ def test_stack_names_its_first_bad_point(kind, monkeypatch):
     assert type(caught.value) is error
     _, xi, _ = _bumps_stack([])
     assert f"at xi = {xi[2].tolist()!r}" in str(caught.value)
+
+
+def test_stack_names_its_first_bad_point_across_panel_groups(monkeypatch):
+    # the knot on a panel edge gives fewer panels, so its group is evaluated
+    # first; the error still names the first spoiled point of the stack
+    family = FreeKnotHats(NonlinearDomain([0.05], [0.95]), 0.0, 1.0)
+    stack = np.array([[0.3], [0.25], [0.6]])
+    clean = FreeKnotHats.basis_values
+
+    def poisoned(self, p, x):
+        spoil = np.isin(np.atleast_2d(p)[:, 0], [0.3, 0.25]).reshape(np.shape(p)[:-1])
+        return np.where(spoil[..., None, None], np.nan, clean(self, p, x))
+
+    monkeypatch.setattr(FreeKnotHats, "basis_values", poisoned)
+    with pytest.raises(NumericalError, match=r"non-finite values at xi = \[0\.3\]"):
+        assemble(TARGET, RULE, family, stack)
