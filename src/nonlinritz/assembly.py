@@ -13,6 +13,14 @@ the exact (minimum-norm, pseudo-inverse) solve w*(xi) = A(xi)^+ load(xi).
 For the L2 energy G is A itself; otherwise the smallest eigenvalue of G
 costs one more eigenvalue-only decomposition, again only when asked for.
 
+Free-knot hats on ordered knots are assembled as finite elements: each
+quadrature node lies in one cell of the knot grid, where two hats are
+nonzero, so per-cell sums of the products of their pieces fill the three
+diagonals of A and G (:meth:`~nonlinritz.basis.FreeKnotHats.element_products`),
+O(Q) work per point besides filling the dense outputs.  Every other family,
+and hats whose knots cross, is assembled from dense products of its basis
+values, O(n^2 Q) per point.
+
 ``assemble`` takes one point or a stack of points.  When the family's
 breakpoints do not move with ``xi`` the stack shares one set of quadrature
 nodes; otherwise each point gets its own split of the rule, and points
@@ -33,6 +41,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .basis import FreeKnotHats
 from .errors import ConfigError, NonFiniteValueError, NumericalError, SpdViolationError
 from .variational import ProblemConstants, QuadratureRule
 
@@ -52,12 +61,19 @@ __all__ = [
 _SYM_TOL = 1e-12
 _KERNEL_TOL = 1e-10
 
-#: float64 entries one stacked ``assemble`` may evaluate: per point, its
-#: basis values, nodes and weights, ``n_linear + 2`` rows of one entry per
-#: node.  The arrays held at once come to about twice this (2.4 MB); the
-#: 2m finite-difference probes of 16 Dirichlet hats on 32 panels fit in one
-#: block.
+#: float64 entries one stacked ``assemble`` of dense products may evaluate:
+#: per point, its basis values, nodes and weights, ``n_linear + 2`` rows of
+#: one entry per node.  The arrays held at once come to about twice this
+#: (2.4 MB).
 _STACK_ELEMENTS = 150_000
+
+#: float64 entries one stacked ``assemble`` of hats on ordered knots may
+#: hold at once (12 MB): per point, ``_ELEMENT_ROWS`` rows of one entry per
+#: node and three ``n_linear x n_linear`` matrices (A, G and a temporary of
+#: the symmetrisation).  The 2m finite-difference probes of 160 Dirichlet
+#: hats on 64 panels go in blocks of 16, those of 16 hats in one block.
+_ELEMENT_STACK_ELEMENTS = 1_500_000
+_ELEMENT_ROWS = 12
 
 
 @dataclass(frozen=True)
@@ -157,7 +173,9 @@ def _t(M: np.ndarray) -> np.ndarray:
 def _symmetrise(M: np.ndarray, label: str, xi) -> np.ndarray:
     Mt = _t(M)
     scale = np.max(np.abs(M), axis=(-2, -1))
-    skew = np.max(np.abs(M - Mt), axis=(-2, -1))
+    # in place: a stack of large matrices costs one temporary, not two
+    skew = M - Mt
+    skew = np.max(np.abs(skew, out=skew), axis=(-2, -1))
     # non-finite entries are flagged too: numpy's eigh would return NaN
     # eigenvalues for such a matrix instead of failing
     i = _first(~np.isfinite(scale) | (skew > _SYM_TOL * scale))
@@ -169,7 +187,9 @@ def _symmetrise(M: np.ndarray, label: str, xi) -> np.ndarray:
             f"assembled {label} is asymmetric beyond tolerance: "
             f"max|M-M^T| = {skew_i!r} at scale {scale_i!r}{_at(xi, i)}"
         )
-    return 0.5 * (M + Mt)
+    out = M + Mt
+    out *= 0.5
+    return out
 
 
 def assemble(problem, rule: QuadratureRule, family, xi) -> AssembledSystem:
@@ -194,9 +214,16 @@ def assemble(problem, rule: QuadratureRule, family, xi) -> AssembledSystem:
     else:
         rows = np.concatenate([np.stack(breaks, axis=-1),
                                np.broadcast_to(coefficient, (len(xi), len(coefficient)))], axis=1)
-        parts = [(idx, _products(problem, family, xi[idx], x, w))
-                 for idx, x, w in rule.split_rows(rows)]
+        groups = rule.split_rows(rows)
+        if isinstance(family, FreeKnotHats):
+            # points whose knots cross take the dense products: keep them
+            # apart, so that each point is assembled as it is alone
+            ordered = family.ordered(xi)
+            groups = [(idx[sel], x[sel], w[sel]) for idx, x, w in groups
+                      for sel in (ordered[idx], ~ordered[idx]) if sel.any()]
+        parts = [(idx, _products(problem, family, xi[idx], x, w)) for idx, x, w in groups]
         bad, A, G, load = (_gather(len(xi), [(idx, p[k]) for idx, p in parts]) for k in range(4))
+        del parts  # the unsymmetrised matrices go as they are replaced
     _raise_first(bad, xi, NumericalError, "basis evaluation produced non-finite values")
     A = _symmetrise(A, "stiffness matrix", xi)
     G = A if G is None else _symmetrise(G, "Gram matrix", xi)
@@ -209,8 +236,12 @@ def _products(problem, family, xi, x, w):
     ``x`` and ``w`` are ``(Q,)``, shared by every point, or ``(N, Q)``, one
     row per point of the stack.  ``bad`` flags the points whose basis
     values are not finite; A and G are not yet symmetrised, and G is None
-    under the L2 energy, whose Gram matrix is A.
+    under the L2 energy, whose Gram matrix is A.  Hats on ordered knots
+    are assembled cell by cell; every other family, and hats whose knots
+    cross, by dense products of their basis values.
     """
+    if isinstance(family, FreeKnotHats) and family.ordered(xi).all():
+        return _element_products(problem, family, xi, x, w)
     # weights broadcast against the basis axis
     if not problem.needs_h1:
         vals = family.basis_values(xi, x)
@@ -236,6 +267,26 @@ def _products(problem, family, xi, x, w):
     return _nonfinite(vals), A, G, load
 
 
+def _element_products(problem, family, xi, x, w):
+    """``_products`` of hats on ordered knots, from per-cell integrals.
+
+    The hat pieces of finite knots on finite nodes are finite, so no point
+    is flagged.
+    """
+    bad = np.zeros(np.shape(xi)[:-1], dtype=bool)
+    if not problem.needs_h1:
+        (A,), load = family.element_products(xi, x, [(w, None)], w * problem.target.values(x))
+        return bad, A, None, load
+    wK = w * problem.diffusivity.values(x)
+    ws = w * problem.reaction.values(x)
+    values, slopes = w * problem.source.values(x), None
+    if problem.bc_lo != 0.0 or problem.bc_hi != 0.0:
+        values = values - ws * problem.lifting.values(x)
+        slopes = -wK * problem.lifting.derivs(x)
+    (A, G), load = family.element_products(xi, x, [(ws, wK), (w, w)], values, slopes)
+    return bad, A, G, load
+
+
 def _nonfinite(vals):
     """One flag per point: has it a non-finite basis value?"""
     return ~np.isfinite(vals).all(axis=(-2, -1))
@@ -255,15 +306,21 @@ def _gather(n: int, parts):
 def stack_slices(problem, rule: QuadratureRule, family, points) -> list:
     """Slices cutting the stack ``points`` ``(N, d)`` into blocks for ``assemble``.
 
-    A block holds at most ``_STACK_ELEMENTS`` entries: its points times
-    ``n_linear + 2`` rows times a bound on their nodes, the rule's panels
-    plus one per breakpoint of the family and of the problem's
-    coefficients, times the order.  One point exceeding the budget still
-    makes a block of its own.
+    A block's points are counted on a bound on their nodes: the rule's
+    panels plus one per breakpoint of the family and of the problem's
+    coefficients, times the order.  Hats on ordered knots, assembled cell
+    by cell, fill ``_ELEMENT_STACK_ELEMENTS``; every other stack, evaluated
+    by dense products, fills ``_STACK_ELEMENTS``.  One point exceeding the
+    budget still makes a block of its own.
     """
     breaks = len(family.breakpoints(points[0])) + len(problem.coefficient_breakpoints())
     nodes = (rule.boundaries.size - 1 + breaks) * rule.order
-    step = max(1, _STACK_ELEMENTS // ((family.n_linear + 2) * nodes))
+    n = family.n_linear
+    if isinstance(family, FreeKnotHats) and family.ordered(points).all():
+        step = _ELEMENT_STACK_ELEMENTS // (_ELEMENT_ROWS * nodes + 3 * n * n)
+    else:
+        step = _STACK_ELEMENTS // ((n + 2) * nodes)
+    step = max(1, step)
     return [slice(b, b + step) for b in range(0, len(points), step)]
 
 

@@ -276,6 +276,32 @@ class NonlinearDomain:
             x[idx] = z + shift if changed else p[idx]
         return x
 
+    def normal_cone_distance(self, point, v, atol: float) -> float:
+        """Distance of ``v`` to the normal cone of the domain at ``point``.
+
+        Constraints within ``atol`` of equality count as active.  By
+        Moreau's decomposition the distance is the norm of the projection
+        of ``v`` onto the polar cone: vectors nonnegative where a lower
+        bound is active, nonpositive where an upper one is, and
+        nondecreasing along each run of active chain links.  Off the runs
+        that projection clips; on a run it is a bounded isotonic regression.
+        """
+        point = np.asarray(point, dtype=float)
+        v = np.asarray(v, dtype=float)
+        lo = np.where(point <= self.lower + atol, 0.0, -np.inf)
+        hi = np.where(point >= self.upper - atol, 0.0, np.inf)
+        z = np.minimum(np.maximum(v, lo), hi)
+        for c in self.chains:
+            idx = np.asarray(c)
+            loose = np.flatnonzero(np.diff(point[idx]) > self.gap + atol)
+            for run in np.split(idx, loose + 1):
+                if run.size > 1:
+                    z[run] = _bounded_isotonic(
+                        v[run], np.ones(run.size), np.maximum.accumulate(lo[run]),
+                        np.minimum.accumulate(hi[run][::-1])[::-1],
+                    )[0]
+        return float(np.linalg.norm(z))
+
     def sample(self, rng: np.random.Generator, max_tries: int = 200) -> np.ndarray:
         """Draw a feasible point: rejection from the box, projection fallback.
 
@@ -404,7 +430,8 @@ class FreeKnotHats(_FamilyBase):
     masks, not loops over hats: hat j rises on the closed cell
     ``[t_{j-1}, t_j]`` and falls on the half-open cell ``(t_j, t_{j+1}]``
     (closed for hat 0), so at a shared knot the rising piece wins.
-    ``dparam_values`` sums only the at most three hats each knot moves.
+    ``dparam_values`` sums only the at most three hats each knot moves, and
+    ``element_products`` assembles Galerkin systems cell by cell.
     """
 
     domain: NonlinearDomain
@@ -460,11 +487,9 @@ class FreeKnotHats(_FamilyBase):
     def _hats(self, closed, half_open, up, down):
         """Hat rows from per-cell pieces: hat j rises on cell j-1, falls on cell j.
 
-        The rising piece covers the closed cell; the falling piece covers the
-        half-open cell, except for hat 0, whose falling piece is closed.
-        ``up(cells)``/``down(cells)`` give the pieces on a slice of cells and
-        are asked only for the cells of the hats kept, so that besides the
-        result one piece at a time is held.
+        The rising piece ``up`` covers the closed cell; the falling piece
+        ``down`` covers the half-open cell, except for hat 0, whose falling
+        piece is closed.
         """
         m, d = self.n_nonlinear, int(self.dirichlet)
         rise, fall = slice(0, m + 1 - d), slice(d, m + 1)
@@ -473,32 +498,110 @@ class FreeKnotHats(_FamilyBase):
             falls = falls.copy()
             falls[..., 0, :] = closed[..., 0, :]
         out = np.zeros(closed.shape[:-2] + (self.n_linear, closed.shape[-1]))
-        np.copyto(out[..., 1 - d:, :], up(rise), where=closed[..., rise, :])
-        np.copyto(out[..., :m + 1 - d, :], down(fall), where=falls)
+        np.copyto(out[..., 1 - d:, :], up[..., rise, :], where=closed[..., rise, :])
+        np.copyto(out[..., :m + 1 - d, :], down[..., fall, :], where=falls)
         return out
 
     def basis_values(self, xi, x):
         x = np.asarray(x, dtype=float)[..., None, :]
         t, width, closed, half_open = self._cells(xi, x)
-        lo, hi, h = t[..., :-1, None], t[..., 1:, None], width[..., None]
-
-        def up(c):
-            piece = x - lo[..., c, :]
-            piece /= h[..., c, :]
-            return piece
-
-        def down(c):
-            piece = hi[..., c, :] - x
-            piece /= h[..., c, :]
-            return piece
-
-        return self._hats(closed, half_open, up, down)
+        h = width[..., None]
+        return self._hats(closed, half_open, (x - t[..., :-1, None]) / h, (t[..., 1:, None] - x) / h)
 
     def basis_derivs(self, xi, x):
         x = np.asarray(x, dtype=float)[..., None, :]
         _, width, closed, half_open = self._cells(xi, x)
         slope = (1.0 / width)[..., None]
-        return self._hats(closed, half_open, lambda c: slope[..., c, :], lambda c: -slope[..., c, :])
+        return self._hats(closed, half_open, slope, -slope)
+
+    def ordered(self, xi) -> np.ndarray:
+        """One flag per point (0-d for one point): is its grid nondecreasing?
+
+        Only then are the cells disjoint and the hat system tridiagonal, as
+        :meth:`element_products` needs; crossed knots make cells overlap.
+        """
+        return np.all(np.diff(self._grid(xi), axis=-1) >= 0.0, axis=-1)
+
+    def element_products(self, xi, x, forms, values, slopes=None):
+        """Galerkin matrices and load of the hats, assembled cell by cell.
+
+        ``xi`` is one point with nodes ``x`` ``(Q,)`` or a stack ``(N, d)``
+        with nodes ``(N, Q)``, each point :meth:`ordered`.  The other
+        arguments hold one weight per node: each ``(mass, stiffness)`` pair
+        of ``forms`` gives the matrix ``sum_x mass phi_i phi_j + stiffness
+        phi_i' phi_j'`` (``stiffness`` None: no slope term), and the load is
+        ``sum_x values phi_j + slopes phi_j'``.  Returns the list of
+        matrices ``(..., n, n)`` and the load ``(..., n)``.
+
+        A node lies in the cell ``[t_c, t_{c+1}]`` after the ``c`` interior
+        knots strictly left of it (a node on a knot closes the cell where
+        the knot's hat rises, as in :meth:`basis_values`).  There hat c
+        falls as ``(t_{c+1} - x) / h_c`` and hat c+1 rises as
+        ``(x - t_c) / h_c``; their weighted products, summed per cell and
+        divided by ``h_c^2`` there, are the 2x2 element matrices, which fill
+        the three diagonals.  Each sum reduces one run of a point's nodes
+        (``numpy.add.reduceat`` over flat (point, cell) bins), so a stack
+        gives bitwise its points' systems.
+        """
+        t = np.atleast_2d(self._grid(xi))
+        x = np.atleast_2d(x)
+        N, cells = len(t), t.shape[1] - 1
+        # the count of interior knots left of each node, in as few Python
+        # steps as possible: one pass per knot or one search per point
+        if cells - 1 < N:
+            c = np.zeros(x.shape, dtype=np.intp)
+            for knot in t[:, 1:-1].T:
+                c += knot[:, None] < x
+        else:
+            c = np.stack([np.searchsorted(row[1:-1], nodes) for row, nodes in zip(t, x)])
+        # flat index of each node's cell, and of the cell's left end in t
+        at = c + (cells + 1) * np.arange(N)[:, None]
+        # the pieces times the cell's width: divided per cell, not per node
+        rise, fall = x - np.take(t, at), np.take(t, at + 1) - x
+        bins = at.ravel()
+        if x.min() < self.x_lo or x.max() > self.x_hi:
+            # the last bin of each point collects its nodes outside [x_lo, x_hi]
+            bins = np.where((x < self.x_lo) | (x > self.x_hi), at - c + cells, at).ravel()
+        starts = np.flatnonzero(np.diff(bins, prepend=-1))
+        width = np.diff(t, axis=1)
+        slope = np.divide(1.0, width, out=np.zeros_like(width), where=width > 0.0)
+
+        def per_cell(v, scale):
+            sums = np.zeros(N * (cells + 1))
+            np.add.at(sums, bins[starts], np.add.reduceat(np.ravel(v), starts))
+            sums = sums.reshape(N, cells + 1)[:, :cells]
+            # a cell without nodes adds nothing, however narrow
+            return np.where(sums == 0.0, 0.0, sums * scale)
+
+        def on_hats(on_falling, on_rising):
+            out = np.zeros((N, cells + 1))
+            out[:, :-1] = on_falling
+            out[:, 1:] += on_rising
+            return out
+
+        m, d = self.n_nonlinear, int(self.dirichlet)
+        n = self.n_linear
+        keep, i = slice(d, m + 2 - d), np.arange(n)
+        sq = slope * slope
+        mats = []
+        for mass, stiffness in forms:
+            v_fall = mass * fall
+            ff, fr, rr = per_cell(v_fall * fall, sq), per_cell(v_fall * rise, sq), per_cell(mass * rise * rise, sq)
+            if stiffness is not None:
+                k = per_cell(stiffness, sq)
+                ff, fr, rr = ff + k, fr - k, rr + k
+            M = np.zeros((N, n, n))
+            M[:, i, i] = on_hats(ff, rr)[:, keep]
+            M[:, i[:-1], i[1:]] = M[:, i[1:], i[:-1]] = fr[:, d:m + 1 - d]
+            mats.append(M)
+        vf, vr = per_cell(values * fall, slope), per_cell(values * rise, slope)
+        if slopes is not None:
+            k = per_cell(slopes, slope)
+            vf, vr = vf - k, vr + k
+        load = on_hats(vf, vr)[:, keep]
+        if np.ndim(xi) == 1:
+            return [M[0] for M in mats], load[0]
+        return mats, load
 
     def dparam_values(self, xi, x, w):
         """d (w . hat) / d xi_i, shape ``(m, len(x))``.

@@ -111,9 +111,24 @@ def _skipped(name, note) -> CertificateEntry:
     return CertificateEntry(name, "-", math.nan, math.nan, math.nan, "skipped", note)
 
 
+#: margins closer than this, relative to the smallest margin's sides, are tied
+_TIE_RTOL = 1e-13
+
+
 def _worst(entries, note) -> CertificateEntry:
-    """The first entry of smallest margin, carrying ``note``."""
-    worst = min(entries, key=lambda e: e.margin)
+    """The entry of the worst status and smallest margin, carrying ``note``.
+
+    A failing entry is never replaced by a passing one: tolerances differ
+    between entries, so a passing margin may be the smaller.  Among the
+    entries of the worst status, margins within roundoff of the smallest
+    (``_TIE_RTOL`` times its sides) are tied, and the first of them is
+    taken, so that a last-bit change in the data does not move the anchor.
+    A NaN margin counts as the smallest.
+    """
+    pool = [e for e in entries if e.status == "fail"] or entries
+    low = min(pool, key=lambda e: -math.inf if math.isnan(e.margin) else e.margin)
+    tie = _TIE_RTOL * max(abs(low.lhs), abs(low.rhs))
+    worst = next(e for e in pool if e is low or e.margin <= low.margin + tie)
     worst.note = note
     return worst
 

@@ -209,49 +209,22 @@ def gradient_mapping(xi, xi_plus, gamma: float) -> np.ndarray:
     return (np.asarray(xi, dtype=float) - np.asarray(xi_plus, dtype=float)) / gamma
 
 
-def _active_normals(domain: NonlinearDomain, xi_plus, atol: float):
-    rows = []
-    n = domain.dim
-    for i in range(n):
-        if xi_plus[i] <= domain.lower[i] + atol:
-            e = np.zeros(n)
-            e[i] = -1.0
-            rows.append(e)
-        if xi_plus[i] >= domain.upper[i] - atol:
-            e = np.zeros(n)
-            e[i] = 1.0
-            rows.append(e)
-    for c in domain.chains:
-        for a, b in zip(c[:-1], c[1:]):
-            if xi_plus[b] - xi_plus[a] <= domain.gap + atol:
-                e = np.zeros(n)
-                e[a], e[b] = 1.0, -1.0
-                rows.append(e)
-    return rows
-
-
 def prox_optimality_residual(
     geom, domain: NonlinearDomain, xi, grad, gamma: float, xi_plus
 ) -> float:
     """Distance of -gamma*g - (grad psi(xi+) - grad psi(xi)) to the normal cone.
 
     Zero (up to roundoff) certifies that ``xi_plus`` satisfies the prox
-    optimality condition; the distance is computed by nonnegative least
-    squares over the active constraint normals at ``xi_plus``.
+    optimality condition; constraints within ``1e-9`` of the domain's
+    scale of equality at ``xi_plus`` count as active
+    (:meth:`~nonlinritz.basis.NonlinearDomain.normal_cone_distance`).
     """
     xi = np.asarray(xi, dtype=float)
     xi_plus = np.asarray(xi_plus, dtype=float)
     g = np.asarray(grad, dtype=float)
     v = -gamma * g - (geom.grad_psi(xi_plus) - geom.grad_psi(xi))
     scale = 1.0 + float(np.max(np.abs(domain.upper - domain.lower)))
-    normals = _active_normals(domain, xi_plus, atol=1e-9 * scale)
-    if not normals:
-        return float(np.linalg.norm(v))
-    import scipy.optimize  # imported here only: loading it slows the package import
-
-    N = np.stack(normals, axis=1)
-    _, resid = scipy.optimize.nnls(N, v)
-    return float(resid)
+    return domain.normal_cone_distance(xi_plus, v, atol=1e-9 * scale)
 
 
 # ---------------------------------------------------------------------------

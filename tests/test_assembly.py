@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from nonlinritz.assembly import (
@@ -201,3 +202,114 @@ def test_consistency_full_rank_kernel_free():
     assert report.load_kernel_residual == 0.0
     assert report.realisation_gap == 0.0
     assert_allclose(system.matrix @ report.w_primary, system.load, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# element-wise hat assembly against dense products of the basis values
+# ---------------------------------------------------------------------------
+
+
+def dense_products(problem, family, xi, x, w):
+    """A, G (None under L2) and load of one point from its dense basis arrays:
+    the products every family was assembled by before hats went cell by cell."""
+    vals = family.basis_values(xi, x)
+    if not problem.needs_h1:
+        return (vals * w) @ vals.T, None, vals @ (w * problem.target.values(x))
+    ders = family.basis_derivs(xi, x)
+    wK, ws = w * problem.diffusivity.values(x), w * problem.reaction.values(x)
+    A = (ders * wK) @ ders.T + (vals * ws) @ vals.T
+    G = (ders * w) @ ders.T + (vals * w) @ vals.T
+    load = vals @ (w * problem.source.values(x))
+    if problem.bc_lo != 0.0 or problem.bc_hi != 0.0:
+        load = load - (ders @ (wK * problem.lifting.derivs(x))
+                       + vals @ (ws * problem.lifting.values(x)))
+    return A, G, load
+
+
+def dense_system(problem, rule, family, xi):
+    r = rule.split_at(tuple(family.breakpoints(xi)) + tuple(problem.coefficient_breakpoints()))
+    A, G, load = dense_products(problem, family, xi, r.nodes, r.weights)
+    A = 0.5 * (A + A.T)
+    return A, A if G is None else 0.5 * (G + G.T), load
+
+
+EDGES = RULE.boundaries
+
+
+@st.composite
+def hat_systems(draw):
+    """A hat problem and a stack of ordered knot vectors: free knots, knots on
+    and within 1e-13 of panel edges, coincident knots and knots on the ends."""
+    m = draw(st.integers(1, 7))
+    h1 = draw(st.booleans())
+    dirichlet = h1 or draw(st.booleans())
+    if h1:
+        bc = draw(st.sampled_from([(0.0, 0.0), (0.3, -0.2), (1.0, 0.0)]))
+        problem = DiffusionReaction1D(
+            Field(lambda x: 1.0 + 0.5 * np.sin(3.0 * x), lambda x: 1.5 * np.cos(3.0 * x)),
+            Field(lambda x: 2.0 + x), Field(lambda x: np.exp(-8.0 * (x - 0.4) ** 2)),
+            0.0, 1.0, *bc,
+        )
+    else:
+        problem = L2
+    knot = st.one_of(
+        # a cell of width below 1e-154 has a slope whose square overflows
+        st.floats(0.0, 1.0).filter(lambda v: v == 0.0 or v > 1e-100),
+        st.builds(lambda e, d: min(max(e + d, 0.0), 1.0), st.sampled_from(list(EDGES)),
+                  st.sampled_from([0.0, -1e-13, -4e-14, 4e-14, 1e-13, 2e-13])),
+    )
+    points = []
+    for _ in range(draw(st.integers(1, 5))):
+        xi = draw(st.lists(knot, min_size=m, max_size=m))
+        if m > 1 and draw(st.booleans()):  # coincident knots
+            i = draw(st.integers(1, m - 1))
+            xi[i] = xi[i - 1]
+        points.append(np.sort(xi))
+    chains = (tuple(range(m)),) if m > 1 else ()
+    family = FreeKnotHats(NonlinearDomain([0.0] * m, [1.0] * m, chains=chains), 0.0, 1.0,
+                          dirichlet=dirichlet)
+    return problem, family, np.array(points)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hat_systems())
+def test_element_hat_assembly_matches_dense_products(case):
+    problem, family, points = case
+    # a knot dropped from the split (within 1e-13 of a panel edge) can sit on
+    # the middle node of a panel narrower than 2e-13; at a knot the dense
+    # slopes mix both sides, the cells take the left one
+    for xi in points:
+        nodes = RULE.split_at(family.breakpoints(xi)).nodes
+        assume(not np.isin(nodes, xi).any())
+    stack = assemble(problem, RULE, family, points)
+    n = family.n_linear
+    band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
+    for i, xi in enumerate(points):
+        alone = assemble(problem, RULE, family, xi)
+        for got, want in ((stack.matrix[i], alone.matrix), (stack.gram[i], alone.gram),
+                          (stack.load[i], alone.load)):
+            assert got.tobytes() == want.tobytes()
+        A, G, load = dense_system(problem, RULE, family, xi)
+        scale = max(np.max(np.abs(A)), np.max(np.abs(G)), np.max(np.abs(load)))
+        for got, want in ((alone.matrix, A), (alone.gram, G), (alone.load, load)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        for M in (alone.matrix, alone.gram):
+            assert np.all(M[~band] == 0.0)
+
+
+def test_crossed_knots_take_the_dense_products():
+    # without a chain two knots may cross: their cells overlap and the hats
+    # of both cells meet, so the system is not tridiagonal; a stack mixing
+    # crossed and ordered knots still gives each point as it is alone
+    family = FreeKnotHats(NonlinearDomain([0.05, 0.05], [0.95, 0.95]), 0.0, 1.0)
+    points = np.array([[0.6, 0.3], [0.3, 0.6], [0.7, 0.2]])
+    assert family.ordered(points).tolist() == [False, True, False]
+    stack = assemble(L2, RULE, family, points)
+    for i, xi in enumerate(points):
+        alone = assemble(L2, RULE, family, xi)
+        assert stack.matrix[i].tobytes() == alone.matrix.tobytes()
+        assert stack.load[i].tobytes() == alone.load.tobytes()
+    A, _, load = dense_system(L2, RULE, family, points[0])
+    assert_allclose(stack.matrix[0], A, rtol=0.0, atol=1e-15 * np.max(np.abs(A)))
+    assert_allclose(stack.load[0], load, rtol=0.0, atol=1e-15 * np.max(np.abs(load)))
+    assert stack.matrix[0][0, 3] != 0.0

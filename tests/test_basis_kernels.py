@@ -269,8 +269,21 @@ def test_fd_gradient_assembles_its_probes_in_blocks(count_calls):
         assert g[i] == (kp - km) / (2.0 * h)
 
 
+def test_large_fd_gradient_stacks_its_probes(count_calls):
+    # the hat systems are assembled cell by cell, so a block counts its node
+    # rows and its 160 x 160 matrices: one probe per block before
+    m = 160
+    grads, xi, w = _dirichlet_hats(m, 64)
+    probes = np.repeat(xi[None, :], 2 * m, axis=0)
+    block = stack_slices(grads.problem, grads.rule, grads.family, probes)[0].stop
+    assert block >= 16
+    calls = count_calls("assemble", nonlinritz.updates)
+    grads.grad_xi(w, xi)
+    assert len(calls) == math.ceil(2 * m / block)
+
+
 def test_fd_gradient_memory_is_bounded_by_the_block():
-    # all 320 probes of 160 knots in one stack peak near 1.9 GB
+    # all 320 probes of 160 knots in one stack peak near 200 MB
     warm, xi4, w4 = _dirichlet_hats(4, 64)
     warm.grad_xi(w4, xi4)  # warm-up: lazy imports stay out of the peak
     grads, xi, w = _dirichlet_hats(160, 64)

@@ -130,6 +130,28 @@ def test_report_collects_and_judges():
     }
 
 
+def test_worst_entry_keeps_failures_and_ties_on_roundoff():
+    from nonlinritz.certify import _check, _worst
+
+    # a wide tolerance lets the smaller margin pass; the failure is reported
+    wide = _check("c", "wide", 1.5, 1.0, atol=1.0)
+    tight = _check("c", "tight", 1.1, 1.0, atol=0.0)
+    assert (wide.status, tight.status) == ("pass", "fail")
+    assert _worst([wide, tight], "n").anchor == "tight"
+    # margins of one ulp either way are tied: the first is taken
+    lhs = 0.0123
+    up, down = np.nextafter(lhs, 1.0), np.nextafter(lhs, 0.0)
+    for first, second in ((up, down), (down, up)):
+        entries = [_check("c", "first", lhs, first), _check("c", "second", lhs, second)]
+        assert _worst(entries, "n").anchor == "first"
+    # margins apart beyond roundoff: the smallest
+    assert _worst([_check("c", "big", 0.0, 1.0), _check("c", "small", 0.9, 1.0)],
+                  "n").anchor == "small"
+    # a NaN margin fails and counts as the smallest
+    nan = _check("c", "nan", math.nan, 1.0)
+    assert _worst([tight, nan], "n").anchor == "nan"
+
+
 def test_quasi_stationarity_level_formula():
     L, nu, gamma, mu, c = 2.0, 0.5, 0.1, 1.5, 0.04
     assert_allclose(

@@ -458,9 +458,37 @@ def test_console_script_is_installed(tmp_path):
     assert (out / "trace.csv").exists()
 
 
+def test_check_on_a_chain_loads_no_scipy(tmp_path):
+    # the prox-optimality battery meets active chain and bound constraints,
+    # and measures the distance to their normal cone with numpy alone
+    m = 6
+    data = {
+        "problem": {"kind": "l2", "target": "sin(6.5*x)", "x_lo": 0.0, "x_hi": 1.0},
+        "constants": {"alpha": 1.0, "norm_a": 1.0, "norm_ell": 1.0},
+        "family": {"kind": "free_knot_hats"},
+        "domain": {"lower": [0.005] * m, "upper": [0.995] * m,
+                   "chains": [list(range(m))], "gap": 0.001},
+        "schedule": {"kind": "lipschitz", "zeta": 0.5, "lipschitz": 2.0},
+        "stopping": {"max_epochs": 2},
+        "init": {"xi0": [0.15, 0.3, 0.45, 0.6, 0.75, 0.9]},
+    }
+    cfg_path = _write_cfg(tmp_path, data)
+    src = os.path.dirname(os.path.dirname(nonlinritz.cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nonlinritz.cli\n"
+         f"rc = nonlinritz.cli.main(['check', '--config', {cfg_path!r}])\n"
+         "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
+    )
+    assert "[PASS] prox-optimality" in proc.stdout
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"
+
+
 def test_import_and_reduced_energy_load_no_scipy():
-    # scipy is needed only by ``check``'s prox-optimality battery, which
-    # imports scipy.optimize itself; loading scipy would double import time
+    # nothing the package runs imports scipy; loading it would double the
+    # import time
     src = os.path.dirname(os.path.dirname(nonlinritz.cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)

@@ -346,16 +346,18 @@ def test_stack_names_its_first_bad_point(kind, monkeypatch):
 
 
 def test_stack_names_its_first_bad_point_across_panel_groups(monkeypatch):
-    # the knot on a panel edge gives fewer panels, so its group is evaluated
-    # first; the error still names the first spoiled point of the stack
-    family = FreeKnotHats(NonlinearDomain([0.05], [0.95]), 0.0, 1.0)
-    stack = np.array([[0.3], [0.25], [0.6]])
-    clean = FreeKnotHats.basis_values
+    # the breakpoint on a panel edge gives fewer panels, so its group is
+    # evaluated first; the error still names the first spoiled point of the
+    # stack (hats on ordered knots have no basis values to spoil: the
+    # indicator pair moves its breakpoints too)
+    family = IndicatorPair(NonlinearDomain([0.05] * 3, [0.95] * 3, chains=((0, 1, 2),)))
+    stack = np.array([[0.1, 0.3, 0.9], [0.1, 0.25, 0.9], [0.1, 0.6, 0.9]])
+    clean = IndicatorPair.basis_values
 
     def poisoned(self, p, x):
-        spoil = np.isin(np.atleast_2d(p)[:, 0], [0.3, 0.25]).reshape(np.shape(p)[:-1])
+        spoil = np.isin(np.atleast_2d(p)[:, 1], [0.3, 0.25]).reshape(np.shape(p)[:-1])
         return np.where(spoil[..., None, None], np.nan, clean(self, p, x))
 
-    monkeypatch.setattr(FreeKnotHats, "basis_values", poisoned)
-    with pytest.raises(NumericalError, match=r"non-finite values at xi = \[0\.3\]"):
+    monkeypatch.setattr(IndicatorPair, "basis_values", poisoned)
+    with pytest.raises(NumericalError, match=r"non-finite values at xi = \[0\.1, 0\.3, 0\.9\]"):
         assemble(TARGET, RULE, family, stack)

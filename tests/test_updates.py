@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -244,6 +246,68 @@ def test_prox_optimality_residual_certifies_the_step():
     g = np.array([1.0, 0.0, 0.0])
     wrong = np.array([0.5, 0.65, 0.8])
     assert prox_optimality_residual(geom, dom, xi, g, 0.1, wrong) > 1e-3
+
+
+@st.composite
+def points_on_constraints(draw):
+    """A box with up to two chains, a point with coordinates on bounds and
+    links at the gap (or within 1e-10 of them), and a vector of any scale."""
+    n = draw(st.integers(1, 5))
+    lower = np.zeros(n)
+    upper = np.array([draw(st.sampled_from([0.0, 1.0, 1.0])) for _ in range(n)])
+    cut = draw(st.integers(0, n))
+    chains = tuple(c for c in (tuple(range(cut)), tuple(range(cut, n))) if len(c) > 1)
+    gap = draw(st.sampled_from([0.0, 0.0, 0.1]))
+    dom = NonlinearDomain(lower, np.maximum(upper, (n - 1) * gap), chains=chains, gap=gap)
+    p = np.empty(n)
+    for i in range(n):
+        anchor = draw(st.sampled_from(["lower", "upper", "link", "free"]))
+        if anchor == "link" and i > 0:
+            p[i] = p[i - 1] + gap
+        elif anchor == "free":
+            p[i] = draw(st.floats(0.0, 1.0))
+        else:
+            p[i] = dom.upper[i] if anchor == "upper" else dom.lower[i]
+        p[i] += draw(st.sampled_from([0.0, 0.0, 1e-10, -1e-10]))
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    return dom, p, v * 10.0 ** draw(st.integers(-8, 3))
+
+
+def active_normals(dom, p, atol):
+    """Outward normals of the constraints active at ``p``: -e_i at a lower
+    bound, e_i at an upper one, e_a - e_b for a chain link (a, b) at the gap."""
+    eye = np.eye(dom.dim)
+    cols = [-eye[i] for i in range(dom.dim) if p[i] <= dom.lower[i] + atol]
+    cols += [eye[i] for i in range(dom.dim) if p[i] >= dom.upper[i] - atol]
+    cols += [eye[a] - eye[b] for c in dom.chains for a, b in zip(c[:-1], c[1:])
+             if p[b] - p[a] <= dom.gap + atol]
+    return np.array(cols).reshape(-1, dom.dim).T
+
+
+def brute_force_nnls_residual(N, v):
+    """min ||N c - v|| over c >= 0: the smallest residual of a least-squares
+    fit with nonnegative coefficients on a set of independent columns, over
+    every such set."""
+    best = float(np.linalg.norm(v))
+    for size in range(1, min(N.shape) + 1):
+        for cols in itertools.combinations(range(N.shape[1]), size):
+            sub = N[:, cols]
+            if np.linalg.matrix_rank(sub) < size:
+                continue
+            c = np.linalg.lstsq(sub, v, rcond=None)[0]
+            if np.all(c >= 0.0):
+                best = min(best, float(np.linalg.norm(v - sub @ c)))
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(points_on_constraints())
+def test_normal_cone_distance_matches_brute_force_nnls(case):
+    dom, p, v = case
+    atol = 1e-9
+    want = brute_force_nnls_residual(active_normals(dom, p, atol), v)
+    assert abs(dom.normal_cone_distance(p, v, atol) - want) <= 1e-12 * (
+        1.0 + float(np.linalg.norm(v)))
 
 
 # ---------------------------------------------------------------------------
