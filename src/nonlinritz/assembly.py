@@ -13,13 +13,12 @@ the exact (minimum-norm, pseudo-inverse) solve w*(xi) = A(xi)^+ load(xi).
 For the L2 energy G is A itself; otherwise the smallest eigenvalue of G
 costs one more eigenvalue-only decomposition, again only when asked for.
 
-Free-knot hats on ordered knots are assembled as finite elements: each
-quadrature node lies in one cell of the knot grid, where two hats are
+Free-knot hats, whose knots are ordered, are assembled as finite elements:
+each quadrature node lies in one cell of the knot grid, where two hats are
 nonzero, so per-cell sums of the products of their pieces fill the three
 diagonals of A and G (:meth:`~nonlinritz.basis.FreeKnotHats.element_products`),
-O(Q) work per point besides filling the dense outputs.  Every other family,
-and hats whose knots cross, is assembled from dense products of its basis
-values, O(n^2 Q) per point.
+O(Q) work per point besides filling the dense outputs.  Every other family
+is assembled from dense products of its basis values, O(n^2 Q) per point.
 
 ``assemble`` takes one point or a stack of points.  When the family's
 breakpoints do not move with ``xi`` the stack shares one set of quadrature
@@ -67,8 +66,8 @@ _KERNEL_TOL = 1e-10
 #: (2.4 MB).
 _STACK_ELEMENTS = 150_000
 
-#: float64 entries one stacked ``assemble`` of hats on ordered knots may
-#: hold at once (12 MB): per point, ``_ELEMENT_ROWS`` rows of one entry per
+#: float64 entries one stacked ``assemble`` of free-knot hats may hold at
+#: once (12 MB): per point, ``_ELEMENT_ROWS`` rows of one entry per
 #: node and three ``n_linear x n_linear`` matrices (A, G and a temporary of
 #: the symmetrisation).  The 2m finite-difference probes of 160 Dirichlet
 #: hats on 64 panels go in blocks of 16, those of 16 hats in one block.
@@ -214,14 +213,8 @@ def assemble(problem, rule: QuadratureRule, family, xi) -> AssembledSystem:
     else:
         rows = np.concatenate([np.stack(breaks, axis=-1),
                                np.broadcast_to(coefficient, (len(xi), len(coefficient)))], axis=1)
-        groups = rule.split_rows(rows)
-        if isinstance(family, FreeKnotHats):
-            # points whose knots cross take the dense products: keep them
-            # apart, so that each point is assembled as it is alone
-            ordered = family.ordered(xi)
-            groups = [(idx[sel], x[sel], w[sel]) for idx, x, w in groups
-                      for sel in (ordered[idx], ~ordered[idx]) if sel.any()]
-        parts = [(idx, _products(problem, family, xi[idx], x, w)) for idx, x, w in groups]
+        parts = [(idx, _products(problem, family, xi[idx], x, w))
+                 for idx, x, w in rule.split_rows(rows)]
         bad, A, G, load = (_gather(len(xi), [(idx, p[k]) for idx, p in parts]) for k in range(4))
         del parts  # the unsymmetrised matrices go as they are replaced
     _raise_first(bad, xi, NumericalError, "basis evaluation produced non-finite values")
@@ -236,11 +229,10 @@ def _products(problem, family, xi, x, w):
     ``x`` and ``w`` are ``(Q,)``, shared by every point, or ``(N, Q)``, one
     row per point of the stack.  ``bad`` flags the points whose basis
     values are not finite; A and G are not yet symmetrised, and G is None
-    under the L2 energy, whose Gram matrix is A.  Hats on ordered knots
-    are assembled cell by cell; every other family, and hats whose knots
-    cross, by dense products of their basis values.
+    under the L2 energy, whose Gram matrix is A.  Hats are assembled cell
+    by cell, every other family by dense products of its basis values.
     """
-    if isinstance(family, FreeKnotHats) and family.ordered(xi).all():
+    if isinstance(family, FreeKnotHats):
         return _element_products(problem, family, xi, x, w)
     # weights broadcast against the basis axis
     if not problem.needs_h1:
@@ -268,7 +260,7 @@ def _products(problem, family, xi, x, w):
 
 
 def _element_products(problem, family, xi, x, w):
-    """``_products`` of hats on ordered knots, from per-cell integrals.
+    """``_products`` of free-knot hats, from per-cell integrals.
 
     The hat pieces of finite knots on finite nodes are finite, so no point
     is flagged.
@@ -308,15 +300,15 @@ def stack_slices(problem, rule: QuadratureRule, family, points) -> list:
 
     A block's points are counted on a bound on their nodes: the rule's
     panels plus one per breakpoint of the family and of the problem's
-    coefficients, times the order.  Hats on ordered knots, assembled cell
-    by cell, fill ``_ELEMENT_STACK_ELEMENTS``; every other stack, evaluated
-    by dense products, fills ``_STACK_ELEMENTS``.  One point exceeding the
-    budget still makes a block of its own.
+    coefficients, times the order.  Hats, assembled cell by cell, fill
+    ``_ELEMENT_STACK_ELEMENTS``; every other family, evaluated by dense
+    products, fills ``_STACK_ELEMENTS``.  One point exceeding the budget
+    still makes a block of its own.
     """
     breaks = len(family.breakpoints(points[0])) + len(problem.coefficient_breakpoints())
     nodes = (rule.boundaries.size - 1 + breaks) * rule.order
     n = family.n_linear
-    if isinstance(family, FreeKnotHats) and family.ordered(points).all():
+    if isinstance(family, FreeKnotHats):
         step = _ELEMENT_STACK_ELEMENTS // (_ELEMENT_ROWS * nodes + 3 * n * n)
     else:
         step = _STACK_ELEMENTS // ((n + 2) * nodes)

@@ -16,7 +16,7 @@ of a single basis function is that kernel applied to a unit vector.
 Families
 --------
 GaussianBumps      movable centers, fixed widths; smooth in x and xi
-FreeKnotHats       piecewise-linear hats on movable interior knots
+FreeKnotHats       piecewise-linear hats on movable, ordered interior knots
 IndicatorPair      two indicators sharing a movable breakpoint (L2 only;
                    parameter derivatives exist only distributionally)
 SyntheticAmplitude single spatially-constant function whose amplitude is a
@@ -419,19 +419,19 @@ class GaussianBumps(_FamilyBase):
 
 @dataclass(frozen=True)
 class FreeKnotHats(_FamilyBase):
-    """Piecewise-linear hats on the grid (x_lo, xi_1, ..., xi_m, x_hi).
+    """Piecewise-linear hats on the mesh x_lo <= xi_1 <= ... <= xi_m <= x_hi.
 
-    ``dirichlet=True`` keeps only the interior hats (they vanish on the
-    boundary); otherwise all ``m + 2`` hats are used.  Zero-width cells
-    (coincident knots) evaluate to the zero function on that cell, so
-    degenerate parameters stay well defined in L2.
+    The domain must hold the chain ``(0, 1, ..., m - 1)`` (one knot needs
+    none), so the cells ``[t_c, t_{c+1}]`` of the grid ``t`` do not overlap
+    and on cell c only hat c falls and hat c+1 rises.  ``dirichlet=True``
+    keeps only the interior hats (they vanish on the boundary); otherwise
+    all ``m + 2`` hats are used.  Zero-width cells (coincident knots) add
+    nothing, so degenerate parameters stay well defined in L2.
 
-    Values, slopes and knot derivatives are built with numpy from per-cell
-    masks, not loops over hats: hat j rises on the closed cell
-    ``[t_{j-1}, t_j]`` and falls on the half-open cell ``(t_j, t_{j+1}]``
-    (closed for hat 0), so at a shared knot the rising piece wins.
-    ``dparam_values`` sums only the at most three hats each knot moves, and
-    ``element_products`` assembles Galerkin systems cell by cell.
+    Values, slopes, knot derivatives and Galerkin systems
+    (``element_products``) are built from the cell :meth:`_locate` gives
+    each node, O(1) work per node; a node on a knot takes the cell on its
+    left, where the knot's hat rises.
     """
 
     domain: NonlinearDomain
@@ -446,6 +446,10 @@ class FreeKnotHats(_FamilyBase):
             raise ConfigError("empty interval for FreeKnotHats")
         if np.any(self.domain.lower < self.x_lo) or np.any(self.domain.upper > self.x_hi):
             raise ConfigError("knot domain must lie inside the interval")
+        chain = tuple(range(self.domain.dim))
+        if len(chain) > 1 and self.domain.chains != (chain,):
+            raise ConfigError("free-knot hats need ordered knots: the domain must hold "
+                              f"the one chain {list(chain)}")
 
     @property
     def vanishes_on_boundary(self) -> bool:  # type: ignore[override]
@@ -460,116 +464,114 @@ class FreeKnotHats(_FamilyBase):
         return self.n_nonlinear if self.dirichlet else self.n_nonlinear + 2
 
     def _grid(self, xi) -> np.ndarray:
+        """The grid ``(x_lo, xi_1, ..., xi_m, x_hi)`` of one point or each of a stack.
+
+        The knots pass through a running maximum: a chain link may fall short
+        by the domain's tolerance, and only on a nondecreasing grid do the
+        two strategies of :meth:`_locate` agree.
+        """
         t = np.empty(xi.shape[:-1] + (xi.shape[-1] + 2,))
-        t[..., 0], t[..., 1:-1], t[..., -1] = self.x_lo, xi, self.x_hi
+        t[..., 0], t[..., -1] = self.x_lo, self.x_hi
+        np.maximum.accumulate(xi, axis=-1, out=t[..., 1:-1])
         return t
 
     def breakpoints(self, xi) -> tuple:
         return tuple(self._grid(np.asarray(xi, dtype=float)).T)
 
-    def _cells(self, xi, x):
-        """Grid ``t``, cell widths and per-cell membership masks at points x.
+    def _locate(self, xi, x):
+        """The cell of each node: ``(t, x, at)``, one row per point.
 
-        Cell ``c`` is ``[t_c, t_{c+1}]``; ``closed[c]`` and ``half_open[c]``
-        (the cell without its left end) are both empty for zero-width cells.
-        Widths of empty cells are replaced by 1 so that the masked-out
-        quotients stay finite.  ``x`` is ``(Q,)`` or, with per-point nodes,
-        ``(N, 1, Q)``: the cell axis comes before the node axis.
+        ``xi`` is one point or a stack ``(N, d)``, with nodes ``(Q,)`` or
+        ``(N, Q)``.  A node lies in the cell ``[t_c, t_{c+1}]`` after the
+        ``c`` interior knots strictly left of it: ``x_lo`` lies in cell 0,
+        a node on a knot in the cell on its left, and a node outside
+        ``[x_lo, x_hi]`` in the empty cell ``[x_hi, x_hi]`` appended to
+        each grid.  Returns those grids ``(N, m + 3)``, the nodes ``(N, Q)``
+        and the flat index in ``t`` of each node's cell's left end.
         """
-        t = self._grid(xi)
-        width = np.diff(t, axis=-1)
-        live = width > 0.0
-        inside = live[..., None] & (x <= t[..., 1:, None])
-        closed = inside & (x >= t[..., :-1, None])
-        half_open = inside & (x > t[..., :-1, None])
-        return t, np.where(live, width, 1.0), closed, half_open
+        grid = np.atleast_2d(self._grid(xi))
+        N, m = len(grid), self.n_nonlinear
+        t = np.empty((N, m + 3))
+        t[:, :-1], t[:, -1] = grid, self.x_hi
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if len(x) < N:  # nodes shared by every point
+            x = np.broadcast_to(x, (N, x.shape[1]))
+        # the count of interior knots left of each node, in as few Python
+        # steps as possible: one pass per knot or one search per point
+        if m < N:
+            c = np.zeros(x.shape, dtype=np.intp)
+            for knot in grid[:, 1:-1].T:
+                c += knot[:, None] < x
+        else:
+            c = np.stack([np.searchsorted(row[1:-1], nodes) for row, nodes in zip(grid, x)])
+        if x.min() < self.x_lo or x.max() > self.x_hi:
+            c[(x < self.x_lo) | (x > self.x_hi)] = m + 1
+        return t, x, c + (m + 3) * np.arange(N)[:, None]
 
-    def _hats(self, closed, half_open, up, down):
-        """Hat rows from per-cell pieces: hat j rises on cell j-1, falls on cell j.
+    def _hat_rows(self, xi, x, slopes: bool):
+        """Values (or slopes) of the hats, ``(..., n_linear, Q)``.
 
-        The rising piece ``up`` covers the closed cell; the falling piece
-        ``down`` covers the half-open cell, except for hat 0, whose falling
-        piece is closed.
+        On its cell of width h a node gets hat c's falling piece
+        ``(t_{c+1} - x) / h`` (slope ``-1/h``) and hat c+1's rising piece
+        ``(x - t_c) / h`` (slope ``1/h``); all other entries are 0.
         """
-        m, d = self.n_nonlinear, int(self.dirichlet)
-        rise, fall = slice(0, m + 1 - d), slice(d, m + 1)
-        falls = half_open[..., fall, :]
-        if not d:
-            falls = falls.copy()
-            falls[..., 0, :] = closed[..., 0, :]
-        out = np.zeros(closed.shape[:-2] + (self.n_linear, closed.shape[-1]))
-        np.copyto(out[..., 1 - d:, :], up[..., rise, :], where=closed[..., rise, :])
-        np.copyto(out[..., :m + 1 - d, :], down[..., fall, :], where=falls)
-        return out
+        t, x, at = self._locate(xi, x)
+        lo, hi = np.take(t, at), np.take(t, at + 1)
+        live = hi > lo
+        h = np.where(live, hi - lo, 1.0)
+        if slopes:
+            rise, fall = 1.0 / h, -1.0 / h
+        else:
+            rise, fall = (x - lo) / h, (hi - x) / h
+        # rows: hats 0 .. m+1 and the empty cell's rising piece; a node's
+        # column gets its cell's two entries
+        Q = x.shape[1]
+        out = np.zeros(t.shape + (Q,))
+        flat, col = out.reshape(-1), at * Q + np.arange(Q)
+        flat[col] = np.where(live, fall, 0.0)
+        flat[col + Q] = np.where(live, rise, 0.0)
+        d = int(self.dirichlet)
+        out = np.ascontiguousarray(out[:, d:self.n_nonlinear + 2 - d])
+        return out[0] if np.ndim(xi) == 1 else out
 
     def basis_values(self, xi, x):
-        x = np.asarray(x, dtype=float)[..., None, :]
-        t, width, closed, half_open = self._cells(xi, x)
-        h = width[..., None]
-        return self._hats(closed, half_open, (x - t[..., :-1, None]) / h, (t[..., 1:, None] - x) / h)
+        return self._hat_rows(xi, x, slopes=False)
 
     def basis_derivs(self, xi, x):
-        x = np.asarray(x, dtype=float)[..., None, :]
-        _, width, closed, half_open = self._cells(xi, x)
-        slope = (1.0 / width)[..., None]
-        return self._hats(closed, half_open, slope, -slope)
-
-    def ordered(self, xi) -> np.ndarray:
-        """One flag per point (0-d for one point): is its grid nondecreasing?
-
-        Only then are the cells disjoint and the hat system tridiagonal, as
-        :meth:`element_products` needs; crossed knots make cells overlap.
-        """
-        return np.all(np.diff(self._grid(xi), axis=-1) >= 0.0, axis=-1)
+        return self._hat_rows(xi, x, slopes=True)
 
     def element_products(self, xi, x, forms, values, slopes=None):
         """Galerkin matrices and load of the hats, assembled cell by cell.
 
         ``xi`` is one point with nodes ``x`` ``(Q,)`` or a stack ``(N, d)``
-        with nodes ``(N, Q)``, each point :meth:`ordered`.  The other
-        arguments hold one weight per node: each ``(mass, stiffness)`` pair
-        of ``forms`` gives the matrix ``sum_x mass phi_i phi_j + stiffness
-        phi_i' phi_j'`` (``stiffness`` None: no slope term), and the load is
-        ``sum_x values phi_j + slopes phi_j'``.  Returns the list of
-        matrices ``(..., n, n)`` and the load ``(..., n)``.
+        with nodes ``(N, Q)``.  The other arguments hold one weight per
+        node: each ``(mass, stiffness)`` pair of ``forms`` gives the matrix
+        ``sum_x mass phi_i phi_j + stiffness phi_i' phi_j'`` (``stiffness``
+        None: no slope term), and the load is ``sum_x values phi_j + slopes
+        phi_j'``.  Returns the list of matrices ``(..., n, n)`` and the load
+        ``(..., n)``.
 
-        A node lies in the cell ``[t_c, t_{c+1}]`` after the ``c`` interior
-        knots strictly left of it (a node on a knot closes the cell where
-        the knot's hat rises, as in :meth:`basis_values`).  There hat c
-        falls as ``(t_{c+1} - x) / h_c`` and hat c+1 rises as
-        ``(x - t_c) / h_c``; their weighted products, summed per cell and
-        divided by ``h_c^2`` there, are the 2x2 element matrices, which fill
-        the three diagonals.  Each sum reduces one run of a point's nodes
-        (``numpy.add.reduceat`` over flat (point, cell) bins), so a stack
-        gives bitwise its points' systems.
+        On the cell :meth:`_locate` gives a node, hat c falls as
+        ``(t_{c+1} - x) / h_c`` and hat c+1 rises as ``(x - t_c) / h_c``;
+        their weighted products, summed per cell and divided by ``h_c^2``
+        there, are the 2x2 element matrices, which fill the three diagonals.
+        Each sum reduces one run of a point's nodes (``numpy.add.reduceat``
+        over flat (point, cell) bins), so a stack gives bitwise its points'
+        systems.
         """
-        t = np.atleast_2d(self._grid(xi))
-        x = np.atleast_2d(x)
-        N, cells = len(t), t.shape[1] - 1
-        # the count of interior knots left of each node, in as few Python
-        # steps as possible: one pass per knot or one search per point
-        if cells - 1 < N:
-            c = np.zeros(x.shape, dtype=np.intp)
-            for knot in t[:, 1:-1].T:
-                c += knot[:, None] < x
-        else:
-            c = np.stack([np.searchsorted(row[1:-1], nodes) for row, nodes in zip(t, x)])
-        # flat index of each node's cell, and of the cell's left end in t
-        at = c + (cells + 1) * np.arange(N)[:, None]
+        t, x, at = self._locate(xi, x)
+        N, cells = len(t), self.n_nonlinear + 1
         # the pieces times the cell's width: divided per cell, not per node
         rise, fall = x - np.take(t, at), np.take(t, at + 1) - x
         bins = at.ravel()
-        if x.min() < self.x_lo or x.max() > self.x_hi:
-            # the last bin of each point collects its nodes outside [x_lo, x_hi]
-            bins = np.where((x < self.x_lo) | (x > self.x_hi), at - c + cells, at).ravel()
         starts = np.flatnonzero(np.diff(bins, prepend=-1))
-        width = np.diff(t, axis=1)
+        width = np.diff(t[:, :-1], axis=1)
         slope = np.divide(1.0, width, out=np.zeros_like(width), where=width > 0.0)
 
         def per_cell(v, scale):
-            sums = np.zeros(N * (cells + 1))
+            sums = np.zeros(t.size)
             np.add.at(sums, bins[starts], np.add.reduceat(np.ravel(v), starts))
-            sums = sums.reshape(N, cells + 1)[:, :cells]
+            sums = sums.reshape(t.shape)[:, :cells]
             # a cell without nodes adds nothing, however narrow
             return np.where(sums == 0.0, 0.0, sums * scale)
 
@@ -579,8 +581,7 @@ class FreeKnotHats(_FamilyBase):
             out[:, 1:] += on_rising
             return out
 
-        m, d = self.n_nonlinear, int(self.dirichlet)
-        n = self.n_linear
+        m, d, n = self.n_nonlinear, int(self.dirichlet), self.n_linear
         keep, i = slice(d, m + 2 - d), np.arange(n)
         sq = slope * slope
         mats = []
@@ -604,36 +605,38 @@ class FreeKnotHats(_FamilyBase):
         return mats, load
 
     def dparam_values(self, xi, x, w):
-        """d (w . hat) / d xi_i, shape ``(m, len(x))``.
+        """d (w . hat) / d xi_i of one point, shape ``(m, len(x))``.
 
-        Knot i sits at grid position k = i + 1 between the cells
-        L = [t_{k-1}, t_k] and R = [t_k, t_{k+1}], and moves only hats k-1, k
-        and k+1: on L, d hat_k = -(x - t_{k-1}) / |L|^2 (closed) and
-        d hat_{k-1} = (x - t_{k-1}) / |L|^2 (half-open); on R,
-        d hat_k = (t_{k+1} - x) / |R|^2 (half-open) and
-        d hat_{k+1} = (x - t_{k+1}) / |R|^2 (closed).  The three terms are
-        added to zeros in ascending hat order, which reproduces bitwise the
-        contraction of the per-hat derivatives with ``w``.
+        A node's cell ``[a, b]`` (hats c and c+1) is the left cell of knot
+        c+1, which moves the hats by ``(x - a) / h^2`` and ``-(x - a) / h^2``,
+        and the right cell of knot c, which moves them by ``(b - x) / h^2``
+        and ``(x - b) / h^2``.  Each entry adds its terms to zero in
+        ascending hat order: bitwise the contraction of the per-hat
+        derivatives with ``w``.
         """
-        x = np.asarray(x, dtype=float)
-        t, width, closed, half_open = self._cells(xi, x)
+        t, x, at = (a[0] for a in self._locate(xi, x))
+        width = np.diff(t)
         # squared through libm pow like a scalar ``** 2``; an array square
         # differs from it in the last bit for about 0.1 % of widths
-        sq = np.array([h ** 2 for h in width.tolist()])[:, None]
-        rise = (x - t[:-1, None]) / sq  # per cell, from its left end
-        fall = (x - t[1:, None]) / sq  # per cell, from its right end
-        # the Dirichlet family drops hats 0 and m+1: its first knot has no
-        # hat k-1 and its last knot no hat k+1
+        sq = np.array([h ** 2 if h > 0.0 else 1.0 for h in width.tolist()])[at]
+        live = width[at] > 0.0
+        rise, fall = (x - t[at]) / sq, (x - t[at + 1]) / sq
+        # coefficients by hat, padded to the rows of _locate; the Dirichlet
+        # family has no hat 0 and m+1, whose terms are left out rather than
+        # multiplied by zero (0 * inf is NaN)
         m, d = self.n_nonlinear, int(self.dirichlet)
-        out = np.zeros((m, x.size))
-        out[d:] += w[:m - d, None] * np.where(half_open[d:-1], rise[d:-1], 0.0)
-        out += w[1 - d:m + 1 - d, None] * np.where(
-            closed[:-1], -rise[:-1], np.where(half_open[1:], -fall[1:], 0.0)
-        )
-        out[:m - d] += w[2 - d:, None] * np.where(
-            closed[1:m + 1 - d], fall[1:m + 1 - d], 0.0
-        )
-        return out
+        coef, has = np.zeros(m + 3), np.zeros(m + 3, dtype=bool)
+        coef[d:m + 2 - d], has[d:m + 2 - d] = w, True
+
+        def times(j, p):
+            return np.multiply(coef[j], p, out=np.zeros_like(p), where=has[j])
+
+        # rows: knot positions 0 .. m+2 of the padded grid
+        out = np.zeros((m + 3, x.size))
+        col = np.arange(x.size)
+        out[at + 1, col] = np.where(live, 0.0 + times(at, rise) + times(at + 1, -rise), 0.0)
+        out[at, col] = np.where(live, 0.0 + times(at, -fall) + times(at + 1, fall), 0.0)
+        return out[1:m + 1]
 
 
 @dataclass(frozen=True)

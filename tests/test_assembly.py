@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from nonlinritz.assembly import (
@@ -16,6 +16,7 @@ from nonlinritz.basis import (
     GaussianBumps,
     IndicatorPair,
     NonlinearDomain,
+    realisation,
 )
 from nonlinritz.errors import ConfigError
 from nonlinritz.variational import (
@@ -25,6 +26,8 @@ from nonlinritz.variational import (
     ProblemConstants,
     QuadratureRule,
 )
+
+from hat_loops import loop_basis_derivs, loop_basis_values
 
 RULE = QuadratureRule.on_interval(0.0, 1.0, n_panels=16, order=5)
 L2 = L2Approx(Field(lambda x: np.sin(np.pi * x)))
@@ -210,12 +213,13 @@ def test_consistency_full_rank_kernel_free():
 
 
 def dense_products(problem, family, xi, x, w):
-    """A, G (None under L2) and load of one point from its dense basis arrays:
-    the products every family was assembled by before hats went cell by cell."""
-    vals = family.basis_values(xi, x)
+    """A, G (None under L2) and load of one point from dense basis arrays,
+    built by the per-hat loop references: the products every family was
+    assembled by before hats went cell by cell."""
+    vals = loop_basis_values(family, xi, x)
     if not problem.needs_h1:
         return (vals * w) @ vals.T, None, vals @ (w * problem.target.values(x))
-    ders = family.basis_derivs(xi, x)
+    ders = loop_basis_derivs(family, xi, x)
     wK, ws = w * problem.diffusivity.values(x), w * problem.reaction.values(x)
     A = (ders * wK) @ ders.T + (vals * ws) @ vals.T
     G = (ders * w) @ ders.T + (vals * w) @ vals.T
@@ -274,42 +278,74 @@ def hat_systems(draw):
 @settings(max_examples=200, deadline=None)
 @given(hat_systems())
 def test_element_hat_assembly_matches_dense_products(case):
-    problem, family, points = case
     # a knot dropped from the split (within 1e-13 of a panel edge) can sit on
-    # the middle node of a panel narrower than 2e-13; at a knot the dense
-    # slopes mix both sides, the cells take the left one
-    for xi in points:
-        nodes = RULE.split_at(family.breakpoints(xi)).nodes
-        assume(not np.isin(nodes, xi).any())
+    # the middle node of a panel narrower than 2e-13: there both paths take
+    # the cell left of the knot
+    problem, family, points = case
     stack = assemble(problem, RULE, family, points)
-    n = family.n_linear
-    band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
     for i, xi in enumerate(points):
         alone = assemble(problem, RULE, family, xi)
         for got, want in ((stack.matrix[i], alone.matrix), (stack.gram[i], alone.gram),
                           (stack.load[i], alone.load)):
             assert got.tobytes() == want.tobytes()
-        A, G, load = dense_system(problem, RULE, family, xi)
-        scale = max(np.max(np.abs(A)), np.max(np.abs(G)), np.max(np.abs(load)))
-        for got, want in ((alone.matrix, A), (alone.gram, G), (alone.load, load)):
-            assert np.max(np.abs(got - want)) <= 1e-13 * scale
-        for M in (alone.matrix, alone.gram):
-            assert np.all(M[~band] == 0.0)
+        _assert_matches_dense(problem, family, xi, alone)
 
 
-def test_crossed_knots_take_the_dense_products():
-    # without a chain two knots may cross: their cells overlap and the hats
-    # of both cells meet, so the system is not tridiagonal; a stack mixing
-    # crossed and ordered knots still gives each point as it is alone
-    family = FreeKnotHats(NonlinearDomain([0.05, 0.05], [0.95, 0.95]), 0.0, 1.0)
-    points = np.array([[0.6, 0.3], [0.3, 0.6], [0.7, 0.2]])
-    assert family.ordered(points).tolist() == [False, True, False]
-    stack = assemble(L2, RULE, family, points)
-    for i, xi in enumerate(points):
-        alone = assemble(L2, RULE, family, xi)
-        assert stack.matrix[i].tobytes() == alone.matrix.tobytes()
-        assert stack.load[i].tobytes() == alone.load.tobytes()
-    A, _, load = dense_system(L2, RULE, family, points[0])
-    assert_allclose(stack.matrix[0], A, rtol=0.0, atol=1e-15 * np.max(np.abs(A)))
-    assert_allclose(stack.load[0], load, rtol=0.0, atol=1e-15 * np.max(np.abs(load)))
-    assert stack.matrix[0][0, 3] != 0.0
+def _assert_matches_dense(problem, family, xi, system):
+    A, G, load = dense_system(problem, RULE, family, xi)
+    scale = max(np.max(np.abs(A)), np.max(np.abs(G)), np.max(np.abs(load)))
+    for got, want in ((system.matrix, A), (system.gram, G), (system.load, load)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+    n = family.n_linear
+    band = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= 1
+    for M in (system.matrix, system.gram):
+        assert np.all(M[~band] == 0.0)
+
+
+#: a Dirichlet problem with boundary data, for Dirichlet hats
+H1_LIFTED = DiffusionReaction1D(Field(lambda x: 1.0 + x, lambda x: np.ones_like(x)),
+                                Field.constant(2.0), Field.constant(1.0), 0.0, 1.0, 0.3, -0.2)
+
+
+@pytest.mark.parametrize("dirichlet", [False, True])
+def test_node_on_a_knot_takes_the_cell_on_its_left(dirichlet):
+    # the split drops the knot 1e-13, within 1e-13 of the panel edge 0, and
+    # keeps 2e-13: the middle Gauss node of the panel [0, 2e-13] is the knot
+    dom = NonlinearDomain([0.0, 0.0], [1.0, 1.0], chains=((0, 1),))
+    family = FreeKnotHats(dom, 0.0, 1.0, dirichlet=dirichlet)
+    xi = np.array([1e-13, 2e-13])
+    nodes = RULE.split_at(family.breakpoints(xi)).nodes
+    assert np.count_nonzero(nodes == xi[0]) == 1
+    problem = H1_LIFTED if dirichlet else L2
+    _assert_matches_dense(problem, family, xi, assemble(problem, RULE, family, xi))
+    # at an interior knot a realisation's derivative is its slope on the cell
+    # to the left: (u(t_k) - u(t_{k-1})) / (t_k - t_{k-1})
+    xi = np.array([0.25, 0.5])
+    w = np.arange(1.0, family.n_linear + 1.0) ** 2
+    u = realisation(family, xi, w)
+    t = family.breakpoints(xi)
+    for k in (1, 2):
+        left = (u.values(np.array([t[k]])) - u.values(np.array([t[k - 1]]))) / (t[k] - t[k - 1])
+        assert u.derivs(np.array([t[k]])) == pytest.approx(left, rel=1e-14)
+
+
+def test_short_chain_links_assemble_as_their_running_maximum():
+    # a chain link may fall short by the domain's tolerance: on such a grid
+    # the count per knot (a stack of more points than knots) and the search
+    # per point (one point) would put the nodes between 0.5 and 0.5 + 4e-13
+    # in different cells
+    dom = NonlinearDomain([0.0] * 3, [1.0] * 3, chains=((0, 1, 2),))
+    points = np.array([[0.3, 0.5 + 4e-13, 0.5],
+                       [0.2, 0.7 + 1e-12, 0.7],
+                       [0.4, 0.4 - 5e-13, 0.6],
+                       [0.1, 0.6, 0.6 - 1e-12]])
+    assert dom.feasible(points).all()
+    for dirichlet, problem in ((False, L2), (True, H1_LIFTED)):
+        family = FreeKnotHats(dom, 0.0, 1.0, dirichlet=dirichlet)
+        stack = assemble(problem, RULE, family, points)
+        for i, xi in enumerate(points):
+            for p in (xi, np.maximum.accumulate(xi)):
+                alone = assemble(problem, RULE, family, p)
+                for got, want in ((stack.matrix[i], alone.matrix),
+                                  (stack.gram[i], alone.gram), (stack.load[i], alone.load)):
+                    assert got.tobytes() == want.tobytes()

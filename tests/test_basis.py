@@ -207,6 +207,23 @@ def _hat_family(m=3, dirichlet=False, gap=0.05):
     return FreeKnotHats(dom, 0.0, 1.0, dirichlet=dirichlet)
 
 
+@pytest.mark.parametrize("m, chains", [
+    (2, ()),                 # a box: knots may cross
+    (4, ((0, 1), (2, 3))),   # two chains: knots 1 and 2 may cross
+    (3, ((0, 2, 1),)),       # a chain in another order
+    (3, ((0, 1),)),          # a chain leaving a knot out
+], ids=["box", "two-chains", "reordered", "partial"])
+def test_hats_need_their_knots_in_one_chain(m, chains):
+    dom = NonlinearDomain([0.05] * m, [0.95] * m, chains=chains)
+    with pytest.raises(ConfigError, match="need ordered knots"):
+        FreeKnotHats(dom, 0.0, 1.0)
+
+
+def test_one_knot_needs_no_chain():
+    fam = FreeKnotHats(NonlinearDomain([0.05], [0.95]), 0.0, 1.0)
+    assert fam.n_linear == 3
+
+
 def test_hats_partition_of_unity_including_endpoints():
     fam = _hat_family()
     xi = np.array([0.2, 0.5, 0.7])

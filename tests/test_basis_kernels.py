@@ -19,73 +19,14 @@ from nonlinritz.errors import DomainViolationError
 from nonlinritz.updates import make_gradients
 from nonlinritz.variational import DiffusionReaction1D, L2Approx, Field, QuadratureRule
 
+from hat_loops import loop_basis_derivs, loop_basis_values, loop_dparam_values
+
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 
 # ---------------------------------------------------------------------------
-# oracles: the loop implementations, one hat and one knot at a time
+# oracles: the loop implementations, one coordinate or one draw at a time
 # ---------------------------------------------------------------------------
-
-
-def _hat_range(fam):
-    m = fam.n_nonlinear
-    return range(1, m + 1) if fam.dirichlet else range(0, m + 2)
-
-
-def loop_basis_values(fam, xi, x):
-    t = fam._grid(xi)
-    rows = []
-    for j in _hat_range(fam):
-        v = np.zeros_like(x)
-        if j > 0 and t[j] > t[j - 1]:
-            m = (x >= t[j - 1]) & (x <= t[j])
-            v[m] = (x[m] - t[j - 1]) / (t[j] - t[j - 1])
-        if j < t.size - 1 and t[j + 1] > t[j]:
-            m = ((x >= t[j]) if j == 0 else (x > t[j])) & (x <= t[j + 1])
-            v[m] = (t[j + 1] - x[m]) / (t[j + 1] - t[j])
-        rows.append(v)
-    return np.stack(rows)
-
-
-def loop_basis_derivs(fam, xi, x):
-    t = fam._grid(xi)
-    rows = []
-    for j in _hat_range(fam):
-        v = np.zeros_like(x)
-        if j > 0 and t[j] > t[j - 1]:
-            m = (x >= t[j - 1]) & (x <= t[j])
-            v[m] = 1.0 / (t[j] - t[j - 1])
-        if j < t.size - 1 and t[j + 1] > t[j]:
-            m = ((x >= t[j]) if j == 0 else (x > t[j])) & (x <= t[j + 1])
-            v[m] = -1.0 / (t[j + 1] - t[j])
-        rows.append(v)
-    return np.stack(rows)
-
-
-def loop_dparam_values(fam, xi, x):
-    t = fam._grid(xi)
-    hats = list(_hat_range(fam))
-    out = np.zeros((fam.n_nonlinear, len(hats), x.size))
-    for i in range(fam.n_nonlinear):
-        k = i + 1
-        for col, j in enumerate(hats):
-            a, b = t[j - 1] if j > 0 else None, t[j]
-            c = t[j + 1] if j < t.size - 1 else None
-            g = np.zeros_like(x)
-            if a is not None and b > a:
-                up = (x >= a) & (x <= b)
-                if k == j - 1:
-                    g[up] += (x[up] - b) / (b - a) ** 2
-                elif k == j:
-                    g[up] += -(x[up] - a) / (b - a) ** 2
-            if c is not None and c > b:
-                dn = (x > b) & (x <= c)
-                if k == j:
-                    g[dn] += (c - x[dn]) / (c - b) ** 2
-                elif k == j + 1:
-                    g[dn] += (x[dn] - b) / (c - b) ** 2
-            out[i, col] = g
-    return out
 
 
 def loop_violations(dom, xi, tol=1e-12):
@@ -132,7 +73,12 @@ def hat_cases(draw):
     )
     xi = np.sort(np.array(draw(st.lists(knot, min_size=m, max_size=m))))
     inner = draw(st.lists(st.floats(x_lo, x_hi), min_size=0, max_size=12))
-    x = np.concatenate([xi, [x_lo, x_hi], inner, np.linspace(x_lo, x_hi, 7)])
+    # nodes outside [x_lo, x_hi], where every hat is 0: next to the ends and
+    # anywhere within one more interval length
+    span = x_hi - x_lo
+    outer = draw(st.lists(st.floats(x_lo - span, x_hi + span), min_size=0, max_size=6))
+    beyond = [np.nextafter(x_lo, -np.inf), np.nextafter(x_hi, np.inf), x_lo - 0.5 * span, x_hi + span]
+    x = np.concatenate([xi, [x_lo, x_hi], inner, outer, beyond, np.linspace(x_lo, x_hi, 7)])
     dom = NonlinearDomain([x_lo] * m, [x_hi] * m, chains=(tuple(range(m)),) if m > 1 else ())
     fam = FreeKnotHats(dom, x_lo, x_hi, dirichlet=draw(st.booleans()))
     return fam, xi, x

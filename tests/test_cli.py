@@ -379,6 +379,15 @@ def test_malformed_value_is_config_error(tmp_path, capsys, section, value, path)
     assert path in capsys.readouterr().err
 
 
+def test_hats_without_their_chain_are_a_config_error(tmp_path, capsys):
+    data = _base_config()
+    data["family"] = {"kind": "free_knot_hats"}
+    cfg_path = _write_cfg(tmp_path, data)
+    assert main(["run", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 2
+    assert "need ordered knots: the domain must hold the one chain [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "trace.csv").exists()
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     data = _base_config()
     data["constants"]["omega_min"] = 1e9  # unattainable solvability floor
