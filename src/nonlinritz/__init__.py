@@ -80,6 +80,7 @@ from .optimizer import (
     optimal_zeta,
     reduced_energy,
     reduced_gradient,
+    replay,
     run,
 )
 from .updates import (

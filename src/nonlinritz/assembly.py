@@ -49,6 +49,7 @@ __all__ = [
     "assemble",
     "quadratic_energy",
     "stack_slices",
+    "quadrature_groups",
     "check_lambda_max_bound",
     "SpdCheck",
     "check_assumption_spd",
@@ -68,8 +69,8 @@ _STACK_ELEMENTS = 150_000
 
 #: float64 entries one stacked ``assemble`` of free-knot hats may hold at
 #: once (12 MB): per point, ``_ELEMENT_ROWS`` rows of one entry per
-#: node and three ``n_linear x n_linear`` matrices (A, G and a temporary of
-#: the symmetrisation).  The 2m finite-difference probes of 160 Dirichlet
+#: node and three ``n_linear x n_linear`` matrices (A, G and a
+#: temporary).  The 2m finite-difference probes of 160 Dirichlet
 #: hats on 64 panels go in blocks of 16, those of 16 hats in one block.
 _ELEMENT_STACK_ELEMENTS = 1_500_000
 _ELEMENT_ROWS = 12
@@ -126,6 +127,31 @@ class AssembledSystem:
         """Eigenvalues of A at or below this cut span its numerical kernel."""
         return _KERNEL_TOL * np.maximum(self.spectrum[0][..., -1], 1.0)
 
+    def rows(self, solve: bool = False) -> list:
+        """The points of a stack as one-point systems, in stack order.
+
+        Each shares its slices of the stack's arrays and holds its slice of
+        the stack's eigendecompositions (``numpy.linalg.eigh`` and
+        ``eigvalsh`` decompose a stack matrix by matrix) and, with
+        ``solve``, of the stack's exact solve, so its spectrum, ``omega``
+        and solution are bitwise those of the point assembled alone.
+        """
+        evals, vecs = self.spectrum
+        omegas = None if self.gram is self.matrix else np.linalg.eigvalsh(self.gram)[:, 0]
+        solutions = self.solution if solve else None
+        out = []
+        for i in range(len(self.xi)):
+            A = self.matrix[i]
+            row = AssembledSystem(self.xi[i], A, self.load[i],
+                                  A if omegas is None else self.gram[i])
+            row.__dict__["spectrum"] = (evals[i], vecs[i])
+            if omegas is not None:
+                row.__dict__["omega"] = float(omegas[i])
+            if solutions is not None:
+                row.__dict__["solution"] = solutions[i]
+            out.append(row)
+        return out
+
     @cached_property
     def solution(self) -> np.ndarray:
         """Minimum-norm solution A^+ load, with the kernel cut at ``kernel_cut``.
@@ -169,6 +195,17 @@ def _t(M: np.ndarray) -> np.ndarray:
     return np.swapaxes(M, -1, -2)
 
 
+def _finite(M: np.ndarray, label: str, xi) -> np.ndarray:
+    """An exactly symmetric matrix (stack), checked for non-finite entries only.
+
+    numpy's eigh would return NaN eigenvalues for such a matrix instead of
+    failing.
+    """
+    _raise_first(~np.isfinite(M).all(axis=(-2, -1)), xi, NonFiniteValueError,
+                 f"assembled {label} has non-finite entries")
+    return M
+
+
 def _symmetrise(M: np.ndarray, label: str, xi) -> np.ndarray:
     Mt = _t(M)
     scale = np.max(np.abs(M), axis=(-2, -1))
@@ -205,22 +242,40 @@ def assemble(problem, rule: QuadratureRule, family, xi) -> AssembledSystem:
             "boundary; this family does not (use FreeKnotHats with "
             "dirichlet=True)"
         )
-    breaks = family.breakpoints(xi)
-    coefficient = tuple(problem.coefficient_breakpoints())
-    if xi.ndim == 1 or not breaks:
-        r = rule.split_at(tuple(breaks) + coefficient)
+    if xi.ndim == 1:
+        r = rule.split_at(tuple(family.breakpoints(xi)) + tuple(problem.coefficient_breakpoints()))
         bad, A, G, load = _products(problem, family, xi, r.nodes, r.weights)
     else:
-        rows = np.concatenate([np.stack(breaks, axis=-1),
-                               np.broadcast_to(coefficient, (len(xi), len(coefficient)))], axis=1)
         parts = [(idx, _products(problem, family, xi[idx], x, w))
-                 for idx, x, w in rule.split_rows(rows)]
+                 for idx, x, w in quadrature_groups(problem, rule, family, xi)]
         bad, A, G, load = (_gather(len(xi), [(idx, p[k]) for idx, p in parts]) for k in range(4))
         del parts  # the unsymmetrised matrices go as they are replaced
     _raise_first(bad, xi, NumericalError, "basis evaluation produced non-finite values")
-    A = _symmetrise(A, "stiffness matrix", xi)
-    G = A if G is None else _symmetrise(G, "Gram matrix", xi)
+    # element-assembled hat systems are symmetric by construction
+    fix = _finite if isinstance(family, FreeKnotHats) else _symmetrise
+    A = fix(A, "stiffness matrix", xi)
+    G = A if G is None else fix(G, "Gram matrix", xi)
     return AssembledSystem(xi=xi, matrix=A, load=load, gram=G)
+
+
+def quadrature_groups(problem, rule: QuadratureRule, family, xi) -> list:
+    """The rule split at the breakpoints of each point of the stack ``xi`` ``(N, d)``.
+
+    Returns ``(rows, nodes, weights)`` per group of points evaluated
+    together.  When the family's breakpoints do not move with ``xi`` the
+    whole stack shares one split (``rows`` selects every point, nodes and
+    weights are ``(Q,)``); otherwise the groups of
+    :meth:`~nonlinritz.variational.QuadratureRule.split_rows`, whose rows
+    are bitwise ``split_at`` of each point.
+    """
+    breaks = family.breakpoints(xi)
+    coefficient = tuple(problem.coefficient_breakpoints())
+    if not breaks:
+        r = rule.split_at(coefficient)
+        return [(slice(None), r.nodes, r.weights)]
+    rows = np.concatenate([np.stack(breaks, axis=-1),
+                           np.broadcast_to(coefficient, (len(xi), len(coefficient)))], axis=1)
+    return rule.split_rows(rows)
 
 
 def _products(problem, family, xi, x, w):
@@ -295,20 +350,21 @@ def _gather(n: int, parts):
     return out
 
 
-def stack_slices(problem, rule: QuadratureRule, family, points) -> list:
+def stack_slices(problem, rule: QuadratureRule, family, points, dense: bool = False) -> list:
     """Slices cutting the stack ``points`` ``(N, d)`` into blocks for ``assemble``.
 
     A block's points are counted on a bound on their nodes: the rule's
     panels plus one per breakpoint of the family and of the problem's
     coefficients, times the order.  Hats, assembled cell by cell, fill
     ``_ELEMENT_STACK_ELEMENTS``; every other family, evaluated by dense
-    products, fills ``_STACK_ELEMENTS``.  One point exceeding the budget
-    still makes a block of its own.
+    products, fills ``_STACK_ELEMENTS``, and so do hats with ``dense``
+    (analytic gradients evaluate dense basis values of every family).  One
+    point exceeding the budget still makes a block of its own.
     """
     breaks = len(family.breakpoints(points[0])) + len(problem.coefficient_breakpoints())
     nodes = (rule.boundaries.size - 1 + breaks) * rule.order
     n = family.n_linear
-    if isinstance(family, FreeKnotHats):
+    if isinstance(family, FreeKnotHats) and not dense:
         step = _ELEMENT_STACK_ELEMENTS // (_ELEMENT_ROWS * nodes + 3 * n * n)
     else:
         step = _STACK_ELEMENTS // ((n + 2) * nodes)

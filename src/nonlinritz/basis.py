@@ -78,38 +78,32 @@ def _bounded_isotonic(y, w, lo, hi):
     already feasible and untouched (bitwise passthrough).
     """
     n = len(y)
-    # blocks as parallel lists: start index, weight sum, mean, lo, hi
-    starts, wsum, mean, blo, bhi = [], [], [], [], []
-
-    def value(j):
-        return min(max(mean[j], blo[j]), bhi[j])
-
-    for i in range(n):
-        starts.append(i)
-        wsum.append(w[i])
-        mean.append(y[i])
-        blo.append(lo[i])
-        bhi.append(hi[i])
-        while len(starts) >= 2 and value(len(starts) - 2) > value(len(starts) - 1):
-            # merge the top two blocks
-            w2, w1 = wsum.pop(), wsum[-1]
-            m2 = mean.pop()
-            starts.pop()
-            l2 = blo.pop()
-            h2 = bhi.pop()
-            wsum[-1] = w1 + w2
-            mean[-1] = (w1 * mean[-1] + w2 * m2) / (w1 + w2)
-            blo[-1] = max(blo[-1], l2)
-            bhi[-1] = min(bhi[-1], h2)
+    # finished blocks as parallel lists: start index, weight sum, mean, lo,
+    # hi and the clipped value; the newest block is held in locals until the
+    # blocks below it no longer exceed its value
+    starts, wsum, mean, blo, bhi, val = [], [], [], [], [], []
+    for i, (cm, cw, cl, ch) in enumerate(zip(y.tolist(), w.tolist(), lo.tolist(), hi.tolist())):
+        cs, cv = i, min(max(cm, cl), ch)
+        while val and val[-1] > cv:
+            # merge the block below into the newest one
+            w1 = wsum.pop()
+            cm = (w1 * mean.pop() + cw * cm) / (w1 + cw)
+            cw = w1 + cw
+            cl, ch = max(blo.pop(), cl), min(bhi.pop(), ch)
+            cs = starts.pop()
+            val.pop()
+            cv = min(max(cm, cl), ch)
+        starts.append(cs)
+        wsum.append(cw)
+        mean.append(cm)
+        blo.append(cl)
+        bhi.append(ch)
+        val.append(cv)
 
     x = np.empty(n)
-    changed = len(starts) < n
-    boundaries = starts + [n]
-    for j in range(len(starts)):
-        v = value(j)
-        if v != mean[j]:
-            changed = True
-        x[boundaries[j]:boundaries[j + 1]] = v
+    changed = len(starts) < n or any(v != m for v, m in zip(val, mean))
+    for j, (a, b) in enumerate(zip(starts, starts[1:] + [n])):
+        x[a:b] = val[j]
     return x, changed
 
 
@@ -163,6 +157,22 @@ class NonlinearDomain:
         object.__setattr__(self, "_link_a", link_a)
         object.__setattr__(self, "_link_b", link_b)
         object.__setattr__(self, "_limits", (lo - _TOL, hi + _TOL, self.gap - _TOL))
+        # per chain, for the projection: indices, the gap shift ``k*gap`` and
+        # the monotone envelopes of the shifted bounds, which make the
+        # bounds consistent with isotonicity
+        envelopes = []
+        for c in self.chains:
+            idx = np.asarray(c)
+            shift = np.arange(idx.size, dtype=float) * self.gap
+            lo_env = np.maximum.accumulate(lo[idx] - shift)
+            hi_env = np.minimum.accumulate((hi[idx] - shift)[::-1])[::-1]
+            if np.any(lo_env > hi_env):
+                raise ConfigError(
+                    "domain is empty along chain "
+                    f"{c}: bounds and gap {self.gap!r} are incompatible"
+                )
+            envelopes.append((idx, shift, lo_env, hi_env))
+        object.__setattr__(self, "_envelopes", envelopes)
         # nonempty check: the chain-respecting midpoint must project cleanly
         mid = 0.5 * (lo + hi)
         try:
@@ -257,21 +267,13 @@ class NonlinearDomain:
         if np.any(d <= 0.0):
             raise ConfigError("projection weights must be positive")
         x = np.minimum(np.maximum(p, self.lower), self.upper)
-        for c in self.chains:
-            idx = np.asarray(c)
-            k = np.arange(idx.size, dtype=float)
-            shift = k * self.gap
+        for idx, shift, lo_env, hi_env in self._envelopes:
             y = p[idx] - shift
-            lo = self.lower[idx] - shift
-            hi = self.upper[idx] - shift
-            # monotone envelopes make the bounds consistent with isotonicity
-            lo_env = np.maximum.accumulate(lo)
-            hi_env = np.minimum.accumulate(hi[::-1])[::-1]
-            if np.any(lo_env > hi_env):
-                raise ConfigError(
-                    "domain is empty along chain "
-                    f"{c}: bounds and gap {self.gap!r} are incompatible"
-                )
+            # a feasible chain passes through: pool-adjacent-violators pools
+            # only on a strict decrease and clips nothing inside the envelopes
+            if np.all(y[1:] >= y[:-1]) and np.all(lo_env <= y) and np.all(y <= hi_env):
+                x[idx] = p[idx]
+                continue
             z, changed = _bounded_isotonic(y, d[idx], lo_env, hi_env)
             x[idx] = z + shift if changed else p[idx]
         return x
@@ -372,6 +374,11 @@ class _FamilyBase:
     def basis_derivs(self, xi, x):
         return None
 
+    def realisation_and_dparam(self, xi, x, w):
+        """``(u, du)``: the realisation ``w . phi(xi)`` on ``x``, ``(..., Q)``,
+        and its parameter derivative ``dparam_values(xi, x, w)``."""
+        return np.vecmat(w, self.basis_values(xi, x)), self.dparam_values(xi, x, w)
+
 
 @dataclass(frozen=True)
 class GaussianBumps(_FamilyBase):
@@ -406,15 +413,38 @@ class GaussianBumps(_FamilyBase):
     def _z(self, xi, x):
         return self._d(xi, x) / self.widths[:, None] ** 2
 
+    def _phi(self, d):
+        """exp(-((x - xi_k) / width_k)^2 / 2) from ``d = x - xi_k``, in one temporary."""
+        t = d / self.widths[:, None]
+        t *= t
+        t *= -0.5
+        return np.exp(t, out=t)
+
     def basis_values(self, xi, x):
-        return np.exp(-0.5 * (self._d(xi, x) / self.widths[:, None]) ** 2)
+        return self._phi(self._d(xi, x))
 
     def basis_derivs(self, xi, x):
         return -self._z(xi, x) * self.basis_values(xi, x)
 
     def dparam_values(self, xi, x, w):
-        """d (w . phi) / d xi_k = w_k z_k phi_k: center k moves bump k only."""
-        return w[:, None] * (self._z(xi, x) * self.basis_values(xi, x))
+        """d (w . phi) / d xi_k = w_k z_k phi_k: center k moves bump k only.
+
+        A stack of points takes one coefficient row per point.
+        """
+        return self.realisation_and_dparam(xi, x, w)[1]
+
+    def realisation_and_dparam(self, xi, x, w):
+        """The base class's pair, with the bumps evaluated once.
+
+        The derivative ``w_k z_k phi_k`` is built in place of ``x - xi_k``,
+        holding two arrays of the bumps' size at once.
+        """
+        du = self._d(xi, x)
+        phi = self._phi(du)
+        du /= self.widths[:, None] ** 2
+        du *= phi
+        du *= w[..., None]
+        return np.vecmat(w, phi), du
 
 
 @dataclass(frozen=True)
@@ -483,8 +513,9 @@ class FreeKnotHats(_FamilyBase):
 
         ``xi`` is one point or a stack ``(N, d)``, with nodes ``(Q,)`` or
         ``(N, Q)``.  A node lies in the cell ``[t_c, t_{c+1}]`` after the
-        ``c`` interior knots strictly left of it: ``x_lo`` lies in cell 0,
-        a node on a knot in the cell on its left, and a node outside
+        ``c`` interior knots strictly left of it: a node on a knot in the
+        cell on its left, ``x_lo`` in the first cell of positive width
+        (after the knots sitting on ``x_lo``), and a node outside
         ``[x_lo, x_hi]`` in the empty cell ``[x_hi, x_hi]`` appended to
         each grid.  Returns those grids ``(N, m + 3)``, the nodes ``(N, Q)``
         and the flat index in ``t`` of each node's cell's left end.
@@ -504,6 +535,10 @@ class FreeKnotHats(_FamilyBase):
                 c += knot[:, None] < x
         else:
             c = np.stack([np.searchsorted(row[1:-1], nodes) for row, nodes in zip(grid, x)])
+        on_lo = x == self.x_lo
+        if on_lo.any():
+            on_knots = np.count_nonzero(grid[:, 1:-1] == self.x_lo, axis=1)
+            c[on_lo] = np.broadcast_to(on_knots[:, None], x.shape)[on_lo]
         if x.min() < self.x_lo or x.max() > self.x_hi:
             c[(x < self.x_lo) | (x > self.x_hi)] = m + 1
         return t, x, c + (m + 3) * np.arange(N)[:, None]
@@ -605,38 +640,47 @@ class FreeKnotHats(_FamilyBase):
         return mats, load
 
     def dparam_values(self, xi, x, w):
-        """d (w . hat) / d xi_i of one point, shape ``(m, len(x))``.
+        """d (w . hat) / d xi_i, shape ``(..., m, Q)``.
 
-        A node's cell ``[a, b]`` (hats c and c+1) is the left cell of knot
-        c+1, which moves the hats by ``(x - a) / h^2`` and ``-(x - a) / h^2``,
-        and the right cell of knot c, which moves them by ``(b - x) / h^2``
-        and ``(x - b) / h^2``.  Each entry adds its terms to zero in
-        ascending hat order: bitwise the contraction of the per-hat
-        derivatives with ``w``.
+        One point ``(d,)`` with nodes ``(Q,)`` and coefficients ``(n,)``, or
+        a stack ``(N, d)`` with nodes ``(N, Q)`` and one coefficient row per
+        point ``(N, n)``.  A node's cell ``[a, b]`` (hats c and c+1) is the
+        left cell of knot c+1, which moves the hats by ``(x - a) / h^2`` and
+        ``-(x - a) / h^2``, and the right cell of knot c, which moves them
+        by ``(b - x) / h^2`` and ``(x - b) / h^2``.  Each entry adds its
+        terms to zero in ascending hat order: bitwise the contraction of the
+        per-hat derivatives with ``w``, and for each point of a stack
+        bitwise that point's derivative alone.
         """
-        t, x, at = (a[0] for a in self._locate(xi, x))
-        width = np.diff(t)
+        t, x, at = self._locate(xi, x)
+        (N, Q), m, d = x.shape, self.n_nonlinear, int(self.dirichlet)
+        # cell widths in the flat layout of t (the last column pads)
+        width = np.zeros(t.shape)
+        width[:, :-1] = np.diff(t, axis=1)
+        width = width.ravel()
         # squared through libm pow like a scalar ``** 2``; an array square
         # differs from it in the last bit for about 0.1 % of widths
         sq = np.array([h ** 2 if h > 0.0 else 1.0 for h in width.tolist()])[at]
         live = width[at] > 0.0
+        t = t.ravel()
         rise, fall = (x - t[at]) / sq, (x - t[at + 1]) / sq
         # coefficients by hat, padded to the rows of _locate; the Dirichlet
         # family has no hat 0 and m+1, whose terms are left out rather than
         # multiplied by zero (0 * inf is NaN)
-        m, d = self.n_nonlinear, int(self.dirichlet)
-        coef, has = np.zeros(m + 3), np.zeros(m + 3, dtype=bool)
-        coef[d:m + 2 - d], has[d:m + 2 - d] = w, True
+        coef, has = np.zeros((N, m + 3)), np.zeros((N, m + 3), dtype=bool)
+        coef[:, d:m + 2 - d], has[:, d:m + 2 - d] = np.reshape(w, (N, -1)), True
+        coef, has = coef.ravel(), has.ravel()
 
         def times(j, p):
             return np.multiply(coef[j], p, out=np.zeros_like(p), where=has[j])
 
-        # rows: knot positions 0 .. m+2 of the padded grid
-        out = np.zeros((m + 3, x.size))
-        col = np.arange(x.size)
+        # rows: knot positions 0 .. m+2 of each point's padded grid
+        out = np.zeros((N * (m + 3), Q))
+        col = np.arange(Q)
         out[at + 1, col] = np.where(live, 0.0 + times(at, rise) + times(at + 1, -rise), 0.0)
         out[at, col] = np.where(live, 0.0 + times(at, -fall) + times(at + 1, fall), 0.0)
-        return out[1:m + 1]
+        out = out.reshape(N, m + 3, Q)[:, 1:m + 1]
+        return out[0] if np.ndim(xi) == 1 else out
 
 
 @dataclass(frozen=True)
@@ -723,10 +767,11 @@ class SyntheticAmplitude(_FamilyBase):
         return self.scale * np.sqrt(sq)
 
     def _dg(self, xi):
+        """g' at one point, or one gradient per point of a stack."""
         if self.profile == "sphere_quartic":
             return 2.0 * np.sqrt(2.0) * self.scale * xi
-        r = float(np.linalg.norm(xi))
-        if r == 0.0:
+        r = np.sqrt(np.vecdot(xi, xi))[..., None]
+        if np.any(r == 0.0):
             raise NumericalError("norm profile is not differentiable at xi = 0")
         return self.scale * xi / r
 
@@ -737,8 +782,8 @@ class SyntheticAmplitude(_FamilyBase):
         return np.zeros(np.shape(xi)[:-1] + (1, np.shape(x)[-1]))
 
     def dparam_values(self, xi, x, w):
-        """d (w_0 g(xi)) / d xi = w_0 g'(xi), constant in space."""
-        return np.tile((w[0] * self._dg(xi))[:, None], (1, np.size(x)))
+        """d (w_0 g(xi)) / d xi = w_0 g'(xi), constant in space; per point of a stack."""
+        return np.tile((w[..., :1] * self._dg(xi))[..., None], (1, np.shape(x)[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,20 @@ Subcommands::
     nonlinritz grid    --config cfg.json [--out-dir D] ...
     nonlinritz check   --config cfg.json ...
 
-``run`` executes the alternating minimisation and writes ``trace.csv`` and
-``summary.json``; ``certify`` evaluates the certificate suite against those
-artifacts (the config hash must match) and writes ``report.json``;
-``grid`` writes a brute-force minimiser oracle to ``oracle.json``;
-``check`` runs the internal invariant battery on the configured problem.
+``run`` executes the alternating minimisation and writes ``trace.csv``,
+``iterates.npy`` (row k is the visited state ``[xi_k, w_k]``, float64,
+written by ``numpy.save``) and ``summary.json``, which holds the config
+hash and the SHA-256 of ``iterates.npy``.  ``certify`` checks the run those
+artifacts record, without running it again: it replays the written states
+(stacked assemblies and gradients, every transition and the stopping rule
+checked bitwise), requires the replayed trace to be byte-identical to
+``trace.csv``, evaluates the certificate suite on the replayed record and
+writes ``report.json``.  States that do not match their digest, checked
+before they are loaded, or that leave the domain fail ``trace-consistency``
+and leave no record to certify.  The Lipschitz estimate and the grid oracle are
+computed again, never read from a file.  ``grid`` writes a brute-force
+minimiser oracle to ``oracle.json``; ``check`` runs the internal invariant
+battery on the configured problem.
 
 Exit codes: 0 success, 1 certificate/invariant failure, 2 configuration
 error, 3 numerical failure.  ``NONLINRITZ_THREADS`` caps BLAS/OpenMP
@@ -24,6 +33,8 @@ digits, so every value round-trips exactly to the double that produced it.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import io
 import json
 import math
 import os
@@ -39,6 +50,7 @@ from .optimizer import (
     LipschitzAdaptive,
     reduced_energy,
     reduced_gradient,
+    replay,
     run,
 )
 from .updates import Frozen, central_differences, prox_optimality_residual, prox_step
@@ -151,29 +163,24 @@ def build_oracle(cfg: ExperimentConfig):
     )
 
 
+def _loop(cfg: ExperimentConfig, oracle):
+    """The configured loop as the arguments ``run`` and ``replay`` share."""
+    dfn = None
+    if oracle is not None:
+        dfn = lambda xi: cert.delta_star(cfg.geometry, oracle, xi)[0]  # noqa: E731
+    args = (cfg.problem, cfg.rule, cfg.family, cfg.linear_rule, cfg.geometry,
+            cfg.schedule, cfg.stopping, cfg.xi0)
+    kwargs = dict(w0=cfg.w0, gradient_mode=cfg.gradient_mode, fd_step=cfg.fd_step,
+                  omega_min=cfg.omega_min, delta_star_fn=dfn)
+    return args, kwargs
+
+
 def execute(cfg: ExperimentConfig, oracle=None):
     """Deterministic run of the configured experiment."""
     if oracle is None:
         oracle = build_oracle(cfg)
-    dfn = None
-    if oracle is not None:
-        dfn = lambda xi: cert.delta_star(cfg.geometry, oracle, xi)[0]  # noqa: E731
-    record = run(
-        cfg.problem,
-        cfg.rule,
-        cfg.family,
-        cfg.linear_rule,
-        cfg.geometry,
-        cfg.schedule,
-        cfg.stopping,
-        cfg.xi0,
-        w0=cfg.w0,
-        gradient_mode=cfg.gradient_mode,
-        fd_step=cfg.fd_step,
-        omega_min=cfg.omega_min,
-        delta_star_fn=dfn,
-    )
-    return record, oracle
+    args, kwargs = _loop(cfg, oracle)
+    return run(*args, **kwargs), oracle
 
 
 def _quasi_level(cfg: ExperimentConfig, record):
@@ -199,12 +206,18 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str) -> int:
     record, _ = execute(cfg)
     os.makedirs(out_dir, exist_ok=True)
     _write(os.path.join(out_dir, "trace.csv"), render_trace(record))
+    buf = io.BytesIO()  # iterates.npy: row k is [xi_k, w_k]
+    np.save(buf, np.array([np.concatenate([it.xi, it.w]) for it in record.iterates]))
+    states = buf.getvalue()
+    with open(os.path.join(out_dir, "iterates.npy"), "wb") as fh:
+        fh.write(states)
     summary = {
         "best_energy": record.final_K,
         "iterations": record.n_steps,
         "termination": record.termination,
         "quasi_stationarity_level": _quasi_level(cfg, record),
         "config_hash": cfg.config_hash,
+        "iterates_sha256": hashlib.sha256(states).hexdigest(),
     }
     _write(os.path.join(out_dir, "summary.json"), _dumps(summary) + "\n")
     print(f"wrote {out_dir}/trace.csv and {out_dir}/summary.json")
@@ -256,7 +269,8 @@ def _parse_trace(text: str):
 def cmd_certify(cfg: ExperimentConfig, out_dir: str) -> int:
     trace_path = os.path.join(out_dir, "trace.csv")
     summary_path = os.path.join(out_dir, "summary.json")
-    for p in (trace_path, summary_path):
+    states_path = os.path.join(out_dir, "iterates.npy")
+    for p in (trace_path, summary_path, states_path):
         if not os.path.exists(p):
             raise ConfigError(f"missing run artifact {p}; run the 'run' subcommand first")
     with open(summary_path, "r", encoding="utf-8") as fh:
@@ -268,6 +282,8 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str) -> int:
         )
     with open(trace_path, "r", encoding="utf-8", newline="") as fh:
         trace_text = fh.read()
+    with open(states_path, "rb") as fh:
+        state_bytes = fh.read()
 
     # certificates evaluated directly on the written artifact numbers
     rows = _parse_trace(trace_text)
@@ -295,23 +311,41 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str) -> int:
             [(row["iter"], row["K"]) for row in rows], "energy-monotone (trace)"
         ))
 
-    # deterministic re-run for the state-dependent certificates
-    record, oracle = execute(cfg)
-    regenerated = render_trace(record)
+    # the state-dependent certificates: the written states, replayed; states
+    # that are not the recorded ones, or that cannot be replayed, leave no
+    # record to certify
+    record, oracle = None, None
+    if hashlib.sha256(state_bytes).hexdigest() != summary.get("iterates_sha256"):
+        faults = ["iterates.npy does not match its digest in summary.json"]
+    else:
+        try:
+            states = np.load(io.BytesIO(state_bytes), allow_pickle=False)
+        except (ValueError, EOFError) as e:
+            raise ConfigError(f"iterates.npy is not a numpy array file: {e}")
+        oracle = build_oracle(cfg)
+        args, kwargs = _loop(cfg, oracle)
+        record, faults = replay(*args, states, **kwargs)
+    if not faults and render_trace(record) != trace_text:
+        faults.append("trace.csv differs from the replay of iterates.npy")
     report.extend(
         cert.CertificateEntry(
             "trace-consistency",
-            f"{len(record.iterates)} rows",
+            f"{len(rows)} rows",
             0.0,
             0.0,
             0.0,
-            "pass" if regenerated == trace_text else "fail",
-            "recomputed trace is byte-identical"
-            if regenerated == trace_text
-            else "trace.csv differs from the deterministic recomputation",
+            "fail" if faults else "pass",
+            faults[0] if faults else "recomputed trace is byte-identical",
         )
     )
+    if record is not None:
+        _state_certificates(cfg, record, oracle, adaptive, report)
+    _write_report(cfg, out_dir, report)
+    return 0 if report.passed else 1
 
+
+def _state_certificates(cfg: ExperimentConfig, record, oracle, adaptive: bool, report):
+    """The certificates evaluated on the replayed record."""
     report.extend(cert.lambda_max_certificate(record, cfg.constants))
     if cfg.omega_min is not None:
         report.extend(cert.spd_certificate(record, cfg.omega_min))
@@ -364,6 +398,9 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str) -> int:
                 )
                 report.extend(result.entry)
 
+
+def _write_report(cfg: ExperimentConfig, out_dir: str, report):
+    """``report.json`` and one line per entry on stdout."""
     os.makedirs(out_dir, exist_ok=True)
     payload = {"config_hash": cfg.config_hash}
     payload.update(report.to_dict())
@@ -384,7 +421,6 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str) -> int:
         f"{n_fail} failed, "
         f"{sum(1 for e in report.entries if e.status == 'skipped')} skipped"
     )
-    return 0 if report.passed else 1
 
 
 def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
@@ -453,7 +489,7 @@ def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
         xi = interior.sample(rng)
         g = reduced_gradient(cfg.problem, cfg.rule, cfg.family, xi, mode=cfg.gradient_mode)
         fd = central_differences(
-            lambda probes: reduced_energy(cfg.problem, cfg.rule, cfg.family, probes)[0],
+            lambda probes, _: reduced_energy(cfg.problem, cfg.rule, cfg.family, probes)[0],
             cfg.problem, cfg.rule, cfg.family, xi, 1e-5,
         )
         rel = float(np.linalg.norm(g - fd) / (1.0 + np.linalg.norm(fd)))
@@ -503,8 +539,8 @@ def _build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
     helps = {
-        "run": "execute a configured run; write trace.csv and summary.json",
-        "certify": "evaluate the certificate suite against run artifacts",
+        "run": "execute a configured run; write trace.csv, iterates.npy and summary.json",
+        "certify": "replay the run artifacts and evaluate the certificate suite on them",
         "grid": "write a brute-force minimiser oracle to oracle.json",
         "check": "run the internal invariant battery",
     }

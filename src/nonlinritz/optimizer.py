@@ -17,6 +17,12 @@ spectral statistics.  A run stopped by parameter stabilisation also keeps
 the exact-solve residual ``||A A^+ load - load||`` of the last system it
 assembled, at the stopped point.
 
+:func:`replay` rebuilds that record from the states ``(xi_k, w_k)`` a run
+visited, without walking them one step at a time: once written, the
+states no longer depend on each other, so their systems and gradients are
+evaluated as stacks, and every transition and the stopping rule are
+checked bitwise.  ``run`` and ``replay`` share one record builder.
+
 The reduced (variable-projection) energy eliminates the linear block
 exactly:  Kbar(xi) = K(w*(xi), xi) = -0.5 * load(xi) . w*(xi).  Its
 gradient needs no derivative of w*(xi): grad Kbar(xi) =
@@ -31,7 +37,7 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from .assembly import AssembledSystem, _raise_first, assemble, quadratic_energy
+from .assembly import AssembledSystem, _raise_first, assemble, quadratic_energy, stack_slices
 from .errors import ConfigError, NumericalError
 from .updates import (
     Frozen,
@@ -56,6 +62,7 @@ __all__ = [
     "IterateRecord",
     "RunRecord",
     "run",
+    "replay",
 ]
 
 
@@ -139,22 +146,26 @@ def estimate_lipschitz_L(
     grads = make_gradients(problem, rule, family, mode=mode, fd_step=fd_step)
     domain = family.domain.shrink(fd_step) if grads.mode == "fd" else family.domain
     rng = np.random.default_rng(seed)
-    w = np.asarray(w, dtype=float)
-    best = 0.0
-    got = 0
+    points, dists = [], []
     tries = 0
-    while got < n_pairs and tries < 50 * n_pairs:
+    while len(dists) < n_pairs and tries < 50 * n_pairs:
         tries += 1
         xi = domain.sample(rng)
         eta = domain.sample(rng)
         d = float(np.linalg.norm(xi - eta))
         if d <= 0.0:
             continue
-        diff = float(np.linalg.norm(grads.grad_xi(w, xi) - grads.grad_xi(w, eta)))
-        best = max(best, diff / d ** nu)
-        got += 1
-    if got < n_pairs:
+        points += [xi, eta]
+        dists.append(d)
+    if len(dists) < n_pairs:
         raise NumericalError("could not sample enough distinct parameter pairs")
+    # every gradient in one stack, each bitwise that point's alone
+    w = np.asarray(w, dtype=float)
+    g = grads.grad_xi(np.broadcast_to(w, (len(points), w.size)), np.stack(points))
+    best = 0.0
+    for i, d in enumerate(dists):
+        diff = float(np.linalg.norm(g[2 * i] - g[2 * i + 1]))
+        best = max(best, diff / d ** nu)
     return 2.0 * best
 
 
@@ -371,6 +382,124 @@ def _check_assumption1(system: AssembledSystem, omega_min, frozen: bool):
         )
 
 
+def _start(family, linear_rule, xi0, w0):
+    """The checked start ``xi0`` and the coefficients before the initial update."""
+    xi = family.require_param(xi0)
+    if w0 is None:
+        if isinstance(linear_rule, Frozen):
+            raise ConfigError("the frozen rule needs explicit initial coefficients")
+        return xi, np.zeros(family.n_linear)
+    w = np.asarray(w0, dtype=float)
+    if w.shape != (family.n_linear,):
+        raise ConfigError(
+            f"expected {family.n_linear} linear coefficients, got {w.shape}"
+        )
+    return xi, w
+
+
+class _Recorder:
+    """The bookkeeping of a run: iterate records, best state, stopping rule.
+
+    Starts from the first state ``(system.xi, w)``, reached from ``w_init``
+    by the initial linear update, and fixes the step size.  It is then fed
+    the visited states in order, each with its assembled system: by
+    :func:`run` as it walks them, by :func:`replay` from a run's written
+    states.  :meth:`finish` adds the final exact solve at the best state.
+    """
+
+    def __init__(self, problem, rule, family, linear_rule, geometry, schedule, stopping,
+                 grads, delta_star_fn, system, w_init, w):
+        self.linear_rule, self.stopping, self.mu = linear_rule, stopping, geometry.mu
+        self.frozen = isinstance(linear_rule, Frozen)
+        self.initial_decrease = None if self.frozen else decrease_check(system, w_init, w)
+        self.L_eff, self.L_raw, self.nu = _resolve_lipschitz(
+            schedule, problem, rule, family, w, grads)
+        self.gamma = _gamma_at(schedule, self.mu, self.L_eff)
+        self.delta_star_fn = delta_star_fn
+        self.system, self.w = system, w
+        self.K = quadratic_energy(system, w)
+        self.records = [self._state(0, system, w, self.K)]
+        self.best = (0, system, w.copy(), self.K)
+
+    def _state(self, k, system, w, K):
+        return IterateRecord(
+            k=k,
+            xi=system.xi.copy(),
+            w=w.copy(),
+            K=K,
+            K_reduced=K if self.frozen else _reduced(system)[0],
+            lambda_max=system.lambda_max,
+            lambda_min=system.lambda_min,
+            omega=system.omega,
+            phi_u2=system.phi_u2,
+            delta_star=(None if self.delta_star_fn is None
+                        else float(self.delta_star_fn(system.xi))),
+        )
+
+    def step(self, system, w_next) -> Optional[str]:
+        """Record the step to the state ``(system.xi, w_next)``.
+
+        Returns the stopping trigger this step fires, or None.
+        """
+        xi, xi_next, w, gamma = self.system.xi, system.xi, self.w, self.gamma
+        cur = self.records[-1]
+        cur.gamma = gamma
+        cur.lipschitz_L = self.L_eff
+        cur.grad_map_norm = float(np.linalg.norm(gradient_mapping(xi, xi_next, gamma)))
+        cur.step_norm = float(np.linalg.norm(xi_next - xi))
+        cur.grad_w_post_norm = float(np.linalg.norm(system.matrix @ w - system.load))
+        if not self.frozen:
+            cur.decrease_achieved, cur.decrease_guaranteed = decrease_check(system, w, w_next)
+        K_next = quadratic_energy(system, w_next)
+        k = len(self.records)
+        self.records.append(self._state(k, system, w_next, K_next))
+        if K_next < self.best[3]:
+            self.best = (k, system, w_next.copy(), K_next)
+        stop_xi = cur.step_norm <= self.stopping.eps_xi
+        plateau_scale = (1.0 + abs(self.K)) if self.stopping.relative_energy else 1.0
+        stop_K = abs(K_next - self.K) <= self.stopping.eps_energy * plateau_scale
+        self.system, self.w, self.K = system, w_next, K_next
+        if stop_xi:
+            return "xi_stabilised"
+        if stop_K:
+            return "energy_plateau"
+        return None
+
+    def finish(self, termination: str) -> RunRecord:
+        """The run record, with the final exact solve at the best parameters."""
+        best_k, best_system, best_w, best_K = self.best
+        final_w = best_w.copy() if self.frozen else best_system.solution.copy()
+        final_K = quadratic_energy(best_system, final_w)
+        final_res = float(np.linalg.norm(best_system.matrix @ final_w - best_system.load))
+        stop_residual = None
+        if termination == "xi_stabilised":
+            system = self.system
+            stop_residual = 0.0 if self.frozen else float(
+                np.linalg.norm(system.matrix @ system.solution - system.load)
+            )
+        return RunRecord(
+            iterates=self.records,
+            termination=termination,
+            best_k=best_k,
+            best_xi=best_system.xi.copy(),
+            best_w=best_w,
+            best_K=best_K,
+            final_w=final_w,
+            final_K=final_K,
+            final_grad_w_norm=final_res,
+            mu=self.mu,
+            linear_rule_kind=(
+                "frozen" if self.frozen
+                else "full" if isinstance(self.linear_rule, FullSolveCG)
+                else "sd"
+            ),
+            initial_decrease=self.initial_decrease,
+            hoelder_L=self.L_raw,
+            hoelder_nu=self.nu,
+            stop_residual=stop_residual,
+        )
+
+
 def run(
     problem,
     rule,
@@ -395,112 +524,111 @@ def run(
     """
     grads = make_gradients(problem, rule, family, mode=gradient_mode, fd_step=fd_step)
     frozen = isinstance(linear_rule, Frozen)
-    xi = family.require_param(xi0)
-    if w0 is None:
-        if frozen:
-            raise ConfigError("the frozen rule needs explicit initial coefficients")
-        w = np.zeros(family.n_linear)
-    else:
-        w = np.asarray(w0, dtype=float)
-        if w.shape != (family.n_linear,):
-            raise ConfigError(
-                f"expected {family.n_linear} linear coefficients, got {w.shape}"
-            )
-
+    xi, w_init = _start(family, linear_rule, xi0, w0)
     system = assemble(problem, rule, family, xi)
     _check_assumption1(system, omega_min, frozen)
+    w = update_linear(linear_rule, system, w_init)
+    recorder = _Recorder(problem, rule, family, linear_rule, geometry, schedule, stopping,
+                         grads, delta_star_fn, system, w_init, w)
 
-    w_new = update_linear(linear_rule, system, w)
-    initial_decrease = None if frozen else decrease_check(system, w, w_new)
-    w = w_new
-
-    L_eff, L_raw, nu_raw = _resolve_lipschitz(schedule, problem, rule, family, w, grads)
-    mu = geometry.mu
-
-    def state_record(k, sys_, w_now, K_now):
-        return IterateRecord(
-            k=k,
-            xi=sys_.xi.copy(),
-            w=w_now.copy(),
-            K=K_now,
-            K_reduced=K_now if frozen else _reduced(sys_)[0],
-            lambda_max=sys_.lambda_max,
-            lambda_min=sys_.lambda_min,
-            omega=sys_.omega,
-            phi_u2=sys_.phi_u2,
-            delta_star=(None if delta_star_fn is None else float(delta_star_fn(sys_.xi))),
-        )
-
-    K = quadratic_energy(system, w)
-    records = [state_record(0, system, w, K)]
-    best_k, best_system, best_w, best_K = 0, system, w.copy(), K
-    termination = "max_epochs"
-
-    for k in range(stopping.max_epochs):
-        gamma = _gamma_at(schedule, mu, L_eff)
-        g = grads.grad_xi(w, xi)
-        xi_next = prox_step(geometry, family.domain, xi, g, gamma)
-        cur = records[-1]
-        cur.gamma = gamma
-        cur.lipschitz_L = L_eff
-        cur.grad_map_norm = float(np.linalg.norm(gradient_mapping(xi, xi_next, gamma)))
-        cur.step_norm = float(np.linalg.norm(xi_next - xi))
-
-        system = assemble(problem, rule, family, xi_next)
+    for _ in range(stopping.max_epochs):
+        xi = prox_step(geometry, family.domain, xi, grads.grad_xi(w, xi), recorder.gamma)
+        system = assemble(problem, rule, family, xi)
         _check_assumption1(system, omega_min, frozen)
-        cur.grad_w_post_norm = float(
-            np.linalg.norm(system.matrix @ w - system.load)
+        w = update_linear(linear_rule, system, w)
+        termination = recorder.step(system, w)
+        if termination is not None:
+            return recorder.finish(termination)
+    return recorder.finish("max_epochs")
+
+
+def _same(a, b) -> bool:
+    """Bitwise equality of two float arrays."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def replay(
+    problem,
+    rule,
+    family,
+    linear_rule,
+    geometry,
+    schedule,
+    stopping: StoppingCriteria,
+    xi0,
+    states,
+    w0=None,
+    gradient_mode: str = "auto",
+    fd_step: float = 1e-6,
+    omega_min: Optional[float] = None,
+    delta_star_fn: Optional[Callable[[np.ndarray], float]] = None,
+):
+    """Rebuild the record of a run from the states it visited.
+
+    ``states`` holds one row ``[xi_k, w_k]`` per recorded iterate; the other
+    arguments are those :func:`run` took.  The states do not depend on each
+    other once written, so the gradients at ``(w_k, xi_k)`` are one stacked
+    ``grad_xi`` and the states are assembled as stacks, in the blocks of
+    :func:`~nonlinritz.assembly.stack_slices`; each is bitwise what the run
+    computed at that state.  Block by block, the record is built by the
+    same bookkeeping as the run's.
+
+    Returns ``(record, faults)``.  ``faults`` lists, in order, what does not
+    replay bitwise: ``xi_0`` and ``w_0`` against the config and the initial
+    update, every ``xi_{k+1} = prox_step(xi_k, g_k, gamma_k)`` and
+    ``w_{k+1} = update_linear(rule, A(xi_{k+1}), w_k)``, and the stopping
+    rule, which must first fire at the last state (or never, after
+    ``max_epochs`` steps).  It is empty when the states are a run of this
+    configuration.  A state outside the admissible domain cannot be
+    assembled: the record is then ``None`` and the one fault names it.  The
+    sampled Lipschitz estimate, when the schedule asks for one, is computed
+    again at ``w_0``.
+    """
+    grads = make_gradients(problem, rule, family, mode=gradient_mode, fd_step=fd_step)
+    frozen = isinstance(linear_rule, Frozen)
+    xi_start, w_init = _start(family, linear_rule, xi0, w0)
+    states = np.asarray(states, dtype=float)
+    d = family.n_nonlinear
+    if states.ndim != 2 or len(states) == 0 or states.shape[1] != d + family.n_linear:
+        raise ConfigError(
+            f"expected one row of {d} + {family.n_linear} state values per iterate, "
+            f"got shape {states.shape}"
         )
-        w_next = update_linear(linear_rule, system, w)
-        if not frozen:
-            ach, gua = decrease_check(system, w, w_next)
-            cur.decrease_achieved, cur.decrease_guaranteed = ach, gua
-
-        K_next = quadratic_energy(system, w_next)
-        records.append(state_record(k + 1, system, w_next, K_next))
-
-        if K_next < best_K:
-            best_k, best_system, best_w, best_K = k + 1, system, w_next.copy(), K_next
-
-        stop_xi = cur.step_norm <= stopping.eps_xi
-        plateau_scale = (1.0 + abs(K)) if stopping.relative_energy else 1.0
-        stop_K = abs(K_next - K) <= stopping.eps_energy * plateau_scale
-        xi, w, K = xi_next, w_next, K_next
-        if stop_xi:
-            termination = "xi_stabilised"
-            break
-        if stop_K:
-            termination = "energy_plateau"
-            break
-
-    # final exact solve at the best parameters
-    final_w = best_w.copy() if frozen else best_system.solution.copy()
-    final_K = quadratic_energy(best_system, final_w)
-    final_res = float(np.linalg.norm(best_system.matrix @ final_w - best_system.load))
-    stop_residual = None
-    if termination == "xi_stabilised":
-        stop_residual = 0.0 if frozen else float(
-            np.linalg.norm(system.matrix @ system.solution - system.load)
-        )
-
-    return RunRecord(
-        iterates=records,
-        termination=termination,
-        best_k=best_k,
-        best_xi=best_system.xi.copy(),
-        best_w=best_w,
-        best_K=best_K,
-        final_w=final_w,
-        final_K=final_K,
-        final_grad_w_norm=final_res,
-        mu=mu,
-        linear_rule_kind=(
-            "frozen" if frozen
-            else "full" if isinstance(linear_rule, FullSolveCG)
-            else "sd"
-        ),
-        initial_decrease=initial_decrease,
-        hoelder_L=L_raw,
-        hoelder_nu=nu_raw,
-        stop_residual=stop_residual,
-    )
+    xis, ws = states[:, :d], states[:, d:]
+    outside = np.flatnonzero(~family.domain.feasible(xis))
+    if outside.size:
+        return None, [f"xi_{outside[0]} lies outside the admissible domain"]
+    n = len(states) - 1
+    grads_at = grads.grad_xi(ws[:-1], xis[:-1]) if n else None
+    faults, stops = [], []
+    # one block of systems alive at a time, each block's exact solves as one
+    # stacked solve (frozen coefficients never ask for one)
+    for block in stack_slices(problem, rule, family, xis):
+        for k, system in zip(range(len(xis))[block], assemble(
+                problem, rule, family, xis[block]).rows(solve=not frozen)):
+            _check_assumption1(system, omega_min, frozen)
+            if k == 0:
+                if not _same(xis[0], xi_start):
+                    faults.append("xi_0 is not the configured start")
+                if not _same(update_linear(linear_rule, system, w_init), ws[0]):
+                    faults.append("w_0 is not the initial linear update")
+                recorder = _Recorder(problem, rule, family, linear_rule, geometry, schedule,
+                                     stopping, grads, delta_star_fn, system, w_init, ws[0])
+                continue
+            xi_next = prox_step(geometry, family.domain, xis[k - 1], grads_at[k - 1],
+                                recorder.gamma)
+            if not _same(xi_next, xis[k]):
+                faults.append(f"xi_{k} is not the prox step from iterate {k - 1}")
+            if not _same(update_linear(linear_rule, system, ws[k - 1]), ws[k]):
+                faults.append(f"w_{k} is not the linear update at xi_{k}")
+            stops.append(recorder.step(system, ws[k]))
+    fired = [k for k, stop in enumerate(stops) if stop is not None]
+    if n > stopping.max_epochs:
+        faults.append(f"{n} steps recorded, more than max_epochs = {stopping.max_epochs}")
+    elif fired and fired[0] < n - 1:
+        faults.append(f"the stopping rule fires at step {fired[0]}, before the last state")
+    elif not fired and n < stopping.max_epochs:
+        faults.append(f"{n} steps recorded, but the stopping rule never fires and "
+                      f"max_epochs is {stopping.max_epochs}")
+    return recorder.finish((stops[-1] if stops else None) or "max_epochs"), faults

@@ -26,7 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import AssembledSystem, assemble, quadratic_energy, stack_slices
+from .assembly import (
+    AssembledSystem,
+    assemble,
+    quadrature_groups,
+    quadratic_energy,
+    stack_slices,
+)
 from .basis import IndicatorPair, NonlinearDomain
 from .errors import (
     ConfigError,
@@ -238,15 +244,20 @@ class EnergyGradients:
 
     * ``analytic``: under the L2 energy, differentiate under the integral:
       ``d_i K = (u - f, d_i u)`` with ``u = w . phi(xi)`` and ``d_i u`` the
-      family's contracted parameter derivative ``dparam_values(xi, x, w)``.
+      family's contracted parameter derivative ``dparam_values(xi, x, w)``,
+      both from ``realisation_and_dparam``.
     * ``closed_form``: hand-derived formulas; available for the indicator
       pair under the L2 energy, where the basis itself is not
       differentiable but the energy is.
     * ``fd``: central finite differences of the assembled energy; the only
-      route under an H1 energy.  The ``2m`` probes ``xi +- h e_i`` are one
-      stack, assembled in the blocks of
+      route under an H1 energy.  The ``2m`` probes ``xi +- h e_i`` of every
+      point are one stack, assembled in the blocks of
       :func:`~nonlinritz.assembly.stack_slices` (each probe moves the
       family's breakpoints differently; ``assemble`` splits per point).
+
+    :meth:`grad_xi` takes one point or a stack of points with one
+    coefficient vector each; every route evaluates a stack, and one point
+    is the stack of one.
     """
 
     problem: object
@@ -260,63 +271,89 @@ class EnergyGradients:
         return quadratic_energy(assemble(self.problem, self.rule, self.family, xi), w)
 
     def grad_xi(self, w, xi) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
+        """grad_xi K(w, xi) at one point ``(d,)``, or at each row of a stack.
+
+        A stack ``(N, d)`` takes one coefficient row per point ``(N, n)``
+        and gives ``(N, d)``, each row bitwise the gradient of that point
+        alone.
+        """
         xi = self.family.require_param(xi)
+        points = np.atleast_2d(xi)
+        w = np.asarray(w, dtype=float).reshape(len(points), -1)
         if self.mode == "analytic":
-            return self._grad_xi_analytic(w, xi)
-        if self.mode == "closed_form":
-            return self._grad_xi_indicator(w, xi)
-        if self.mode == "fd":
-            return self._grad_xi_fd(w, xi)
-        raise ConfigError(f"unknown gradient mode {self.mode!r}")
+            g = self._grad_xi_analytic(w, points)
+        elif self.mode == "closed_form":
+            g = self._grad_xi_indicator(w, points)
+        elif self.mode == "fd":
+            g = self._grad_xi_fd(w, points)
+        else:
+            raise ConfigError(f"unknown gradient mode {self.mode!r}")
+        return g[0] if xi.ndim == 1 else g
 
     # -- analytic: d_i K = (u, d_i u) - (f, d_i u) under the L2 energy -------
 
     def _grad_xi_analytic(self, w, xi):
+        """One pass per block of :func:`stack_slices` and group of splits."""
         fam, prob = self.family, self.problem
-        r = self.rule.split_at(
-            tuple(fam.breakpoints(xi)) + tuple(prob.coefficient_breakpoints())
-        )
-        x, q = r.nodes, r.weights
-        u = w @ fam.basis_values(xi, x)
-        du = fam.dparam_values(xi, x, w)
-        fx = prob.target.values(x)
-        return du @ (q * u) - du @ (q * fx)
+        g = np.empty(xi.shape)
+        for block in stack_slices(prob, self.rule, fam, xi, dense=True):
+            xb, wb = xi[block], w[block]
+            part = g[block]
+            for idx, x, q in quadrature_groups(prob, self.rule, fam, xb):
+                u, du = fam.realisation_and_dparam(xb[idx], x, wb[idx])
+                fx = prob.target.values(x)
+                part[idx] = np.matvec(du, q * u) - np.matvec(du, q * fx)
+        return g
 
     # -- closed form for the indicator pair under the L2 energy ------------
 
     def _grad_xi_indicator(self, w, xi):
-        a, b, c = (float(t) for t in xi)
-        w1, w2 = (float(t) for t in w)
+        a, b, c = np.ascontiguousarray(xi.T)
+        w1, w2 = np.ascontiguousarray(w.T)
         f = self.problem.target
-        fa, fb, fc = (float(f.values(np.array([t]))[0]) for t in (a, b, c))
-        return np.array(
+        fa, fb, fc = (f.values(t) for t in (a, b, c))
+        return np.stack(
             [
                 -0.5 * w1 * w1 + w1 * fa,
                 0.5 * (w1 * w1 - w2 * w2) + (w2 - w1) * fb,
                 0.5 * w2 * w2 - w2 * fc,
-            ]
+            ],
+            axis=-1,
         )
 
     # -- central differences of the assembled energy -----------------------
 
     def _grad_xi_fd(self, w, xi):
-        return central_differences(lambda probes: self.energy(w, probes),
+        return central_differences(lambda probes, owner: self.energy(w[owner], probes),
                                    self.problem, self.rule, self.family, xi, self.fd_step)
 
 
 def central_differences(energy, problem, rule, family, xi, h: float) -> np.ndarray:
     """``(E(xi + h e_i) - E(xi - h e_i)) / 2h`` for every coordinate ``i``.
 
-    ``energy`` maps a stack of probes to one value each.  The probes
-    ``xi + h e_0, xi - h e_0, xi + h e_1, ...`` are passed in that order, in
-    the blocks of :func:`~nonlinritz.assembly.stack_slices`.
+    ``xi`` is one point ``(d,)`` or a stack ``(N, d)``, which gives
+    ``(N, d)``.  ``energy(probes, owner)`` maps a stack of probes to one
+    value each; ``owner`` holds the index of each probe's point in the
+    stack.  Every point's probes ``xi + h e_0, xi - h e_0, xi + h e_1, ...``
+    follow in that order, point after point, all in the blocks of
+    :func:`~nonlinritz.assembly.stack_slices`; each block's probes are formed
+    when its turn comes, so one block of probes is alive at a time.
     """
-    e = h * np.eye(xi.size)
-    probes = np.stack([xi + e, xi - e], axis=1).reshape(-1, xi.size)
-    K = np.concatenate([energy(probes[block])
-                        for block in stack_slices(problem, rule, family, probes)])
-    return (K[0::2] - K[1::2]) / (2.0 * h)
+    points = np.atleast_2d(xi)
+    N, d = points.shape
+    e = h * np.eye(d)
+    # probe i belongs to point i // 2d, moves coordinate (i // 2) % d and
+    # steps up for even i, down for odd i
+    first = np.broadcast_to(points[0] + e[0], (2 * d * N, d))
+    K = []
+    for block in stack_slices(problem, rule, family, first):
+        i = np.arange(*block.indices(2 * d * N))
+        owner, step = i // (2 * d), e[(i // 2) % d]
+        up = (i % 2 == 0)[:, None]
+        K.append(energy(np.where(up, points[owner] + step, points[owner] - step), owner))
+    K = np.concatenate(K)
+    g = ((K[0::2] - K[1::2]) / (2.0 * h)).reshape(N, d)
+    return g[0] if np.ndim(xi) == 1 else g
 
 
 def make_gradients(problem, rule, family, mode: str = "auto", fd_step: float = 1e-6) -> EnergyGradients:

@@ -1,10 +1,11 @@
 """Loop references for free-knot hats, one hat and one knot at a time.
 
 Hat j rises on the cell ``(t_{j-1}, t_j]`` and falls on ``(t_j, t_{j+1}]``;
-the cell ``[t_0, t_1]`` is closed, so ``x_lo`` lies in it.  A node on a
-knot thus belongs to the cell on its left, where the knot's hat rises, and
-its slopes and knot derivatives are that cell's.  Zero-width cells and
-nodes outside ``[x_lo, x_hi]`` give 0.
+the first cell of positive width is closed on the left, so ``x_lo`` lies
+in it even when knots sit on ``x_lo``.  A node on a knot thus belongs to
+the cell on its left, where the knot's hat rises, and its slopes and knot
+derivatives are that cell's.  Zero-width cells and nodes outside
+``[x_lo, x_hi]`` give 0.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ def _cell(t, c, x):
     """Mask of the nodes in cell c, or None when the cell is empty."""
     if not t[c + 1] > t[c]:
         return None
-    left = (x >= t[c]) if c == 0 else (x > t[c])
+    left = (x >= t[c]) if t[c] == t[0] else (x > t[c])
     return left & (x <= t[c + 1])
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+import nonlinritz.assembly
 from nonlinritz.assembly import (
     assemble,
     check_assumption_spd,
@@ -18,7 +19,7 @@ from nonlinritz.basis import (
     NonlinearDomain,
     realisation,
 )
-from nonlinritz.errors import ConfigError
+from nonlinritz.errors import ConfigError, NonFiniteValueError
 from nonlinritz.variational import (
     DiffusionReaction1D,
     Field,
@@ -327,6 +328,34 @@ def test_node_on_a_knot_takes_the_cell_on_its_left(dirichlet):
     for k in (1, 2):
         left = (u.values(np.array([t[k]])) - u.values(np.array([t[k - 1]]))) / (t[k] - t[k - 1])
         assert u.derivs(np.array([t[k]])) == pytest.approx(left, rel=1e-14)
+
+
+def test_element_assembled_hats_skip_the_symmetry_test(count_calls):
+    # hat systems are symmetric by construction; dense products are not
+    calls = count_calls("_symmetrise", nonlinritz.assembly)
+    dom = NonlinearDomain([0.0, 0.0], [1.0, 1.0], chains=((0, 1),))
+    for dirichlet, problem in ((False, L2), (True, H1_LIFTED)):
+        family = FreeKnotHats(dom, 0.0, 1.0, dirichlet=dirichlet)
+        system = assemble(problem, RULE, family, np.array([[0.3, 0.6], [0.2, 0.9]]))
+        for M in (system.matrix, system.gram):
+            assert np.array_equal(M, np.swapaxes(M, -1, -2))
+    assert calls == []
+    assemble(L2, RULE, _gauss_family(), np.array([0.3, 0.6]))
+    assert calls == ["_symmetrise"]
+
+
+def test_non_finite_hat_system_is_flagged(monkeypatch):
+    family = FreeKnotHats(NonlinearDomain([0.0, 0.0], [1.0, 1.0], chains=((0, 1),)), 0.0, 1.0)
+    clean = FreeKnotHats.element_products
+
+    def poisoned(self, *args, **kwargs):
+        mats, load = clean(self, *args, **kwargs)
+        mats[0][..., 0, 0] = np.nan
+        return mats, load
+
+    monkeypatch.setattr(FreeKnotHats, "element_products", poisoned)
+    with pytest.raises(NonFiniteValueError, match="stiffness matrix has non-finite entries"):
+        assemble(L2, RULE, family, np.array([0.3, 0.6]))
 
 
 def test_short_chain_links_assemble_as_their_running_maximum():

@@ -257,6 +257,22 @@ def test_hats_zero_width_cell_stays_finite():
     assert np.all(np.isfinite(ders))
 
 
+def test_hats_at_x_lo_take_the_first_cell_of_positive_width():
+    # knots (0, 0.5): cell 0 is [0, 0] and x_lo lies in cell 1, where hat 1
+    # peaks, so the realisation is continuous at the end of the interval
+    dom = NonlinearDomain([0.0, 0.0], [1.0, 1.0], chains=((0, 1),))
+    fam = FreeKnotHats(dom, 0.0, 1.0)
+    u = realisation(fam, np.array([0.0, 0.5]), np.array([1.0, 2.0, 3.0, 4.0]))
+    assert u.values(np.array([0.0])).tolist() == [2.0]
+    assert u.values(np.array([1e-12]))[0] == pytest.approx(2.0, rel=1e-10)
+    # the slope at x_lo is that cell's, and a stack agrees with its points
+    assert u.derivs(np.array([0.0])).tolist() == [(3.0 - 2.0) / 0.5]
+    stack = np.array([[0.0, 0.5], [0.0, 0.0], [0.25, 0.5]])
+    x = np.array([0.0, 0.25, 1.0])
+    for i, p in enumerate(stack):
+        assert np.array_equal(fam.basis_values(stack, x)[i], fam.basis_values(p, x))
+
+
 def test_hats_breakpoints_are_knots():
     fam = _hat_family()
     xi = np.array([0.2, 0.5, 0.7])

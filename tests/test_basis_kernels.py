@@ -16,7 +16,7 @@ from nonlinritz.basis import FreeKnotHats, NonlinearDomain
 from nonlinritz.certify import minimiser_grid_oracle
 from nonlinritz.config import parse_config
 from nonlinritz.errors import DomainViolationError
-from nonlinritz.updates import make_gradients
+from nonlinritz.updates import central_differences, make_gradients
 from nonlinritz.variational import DiffusionReaction1D, L2Approx, Field, QuadratureRule
 
 from hat_loops import loop_basis_derivs, loop_basis_values, loop_dparam_values
@@ -241,6 +241,32 @@ def test_fd_gradient_memory_is_bounded_by_the_block():
         tracemalloc.stop()
     assert g.shape == (160,) and np.all(np.isfinite(g))
     assert peak < 16e6
+
+
+def test_stacked_fd_probes_are_formed_block_by_block():
+    # the 2 * 160 probes of one point of 160 knots take 0.4 MB, so the probes
+    # of 100 points formed at once would take 41 MB; a cheap energy keeps the
+    # measurement on the probes and the test fast
+    grads, xi, w = _dirichlet_hats(160, 64)
+    points = xi + np.linspace(0.0, 1e-4, 100)[:, None]
+    weights = np.arange(1.0, 161.0)
+
+    def energy(probes, owner):
+        return probes @ weights + owner
+
+    tracemalloc.start()
+    try:
+        g = central_differences(energy, grads.problem, grads.rule, grads.family, points, 1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.shape == (100, 160) and np.all(np.isfinite(g))
+    assert peak < 16e6
+    # each row is the point's own central differences
+    for k in (0, 57, 99):
+        assert np.array_equal(g[k], central_differences(
+            lambda probes, owner: energy(probes, owner + k),
+            grads.problem, grads.rule, grads.family, points[k], 1e-6))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import hashlib
 import importlib.util
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -9,10 +11,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import nonlinritz.assembly
 import nonlinritz.certify
 import nonlinritz.cli
 import nonlinritz.optimizer
 import nonlinritz.updates
+from nonlinritz.assembly import stack_slices
 from nonlinritz.cli import TRACE_COLUMNS, main
 from nonlinritz.config import parse_config
 from nonlinritz.optimizer import reduced_energy
@@ -86,11 +90,18 @@ def test_run_writes_trace_and_summary(tmp_path):
     summary = json.loads(_read(out / "summary.json"))
     assert set(summary) == {
         "best_energy", "iterations", "termination",
-        "quasi_stationarity_level", "config_hash",
+        "quasi_stationarity_level", "config_hash", "iterates_sha256",
     }
     assert summary["iterations"] == 6
     assert summary["termination"] == "max_epochs"
     assert summary["config_hash"] == parse_config(_base_config()).config_hash
+
+    # the visited states: one row [xi_k, w_k] per trace row, and their digest
+    data = (out / "iterates.npy").read_bytes()
+    assert summary["iterates_sha256"] == hashlib.sha256(data).hexdigest()
+    states = np.load(out / "iterates.npy")
+    assert states.dtype == np.float64 and states.shape == (7, 2 + 2)
+    assert states[0, :2].tolist() == [0.45, 0.55]
 
 
 def test_run_zero_epochs_is_galerkin_solve(tmp_path):
@@ -114,6 +125,7 @@ def test_reruns_are_byte_identical(tmp_path):
     assert main(["run", "--config", cfg_path, "--out-dir", str(b)]) == 0
     assert _read(a / "trace.csv") == _read(b / "trace.csv")
     assert _read(a / "summary.json") == _read(b / "summary.json")
+    assert (a / "iterates.npy").read_bytes() == (b / "iterates.npy").read_bytes()
 
 
 def test_seed_override_changes_hash(tmp_path):
@@ -202,6 +214,92 @@ def test_certify_needs_artifacts(tmp_path, capsys):
     assert main(["certify", "--config", cfg_path, "--out-dir",
                  str(tmp_path / "empty")]) == 2
     assert "missing run artifact" in capsys.readouterr().err
+
+
+def _empty_states(out):
+    """An empty iterates.npy, with its digest recorded in summary.json."""
+    open(out / "iterates.npy", "wb").close()
+    summary = json.loads(_read(out / "summary.json"))
+    summary["iterates_sha256"] = hashlib.sha256(b"").hexdigest()
+    (out / "summary.json").write_text(json.dumps(summary))
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda out: os.remove(out / "iterates.npy"), "missing run artifact"),
+    (_empty_states, "iterates.npy is not a numpy array file"),
+], ids=["missing", "empty"])
+def test_certify_needs_the_written_states(tmp_path, capsys, spoil, message):
+    # no fallback: without readable states nothing is run again
+    cfg_path = _write_cfg(tmp_path, _base_config())
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out-dir", str(out)]) == 0
+    spoil(out)
+    assert main(["certify", "--config", cfg_path, "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def _set_state(out, row, col, value, digest):
+    """Set one entry of iterates.npy; ``digest``: record the new file's
+    digest in summary.json, so that only the replay can tell."""
+    states = np.load(out / "iterates.npy")
+    states[row, col] = value(states[row, col])
+    np.save(out / "iterates.npy", states)
+    if digest:
+        summary = json.loads(_read(out / "summary.json"))
+        summary["iterates_sha256"] = hashlib.sha256(
+            (out / "iterates.npy").read_bytes()).hexdigest()
+        (out / "summary.json").write_text(json.dumps(summary))
+
+
+def _next_ulp(out, row, col, digest):
+    """Move one entry of iterates.npy up by one ulp."""
+    _set_state(out, row, col, lambda v: np.nextafter(v, np.inf), digest)
+
+
+def _other_digit(out, column, row):
+    """Change the first decimal of one trace cell."""
+    lines = _read(out / "trace.csv").splitlines()
+    cells = lines[row].split(",")
+    cell = cells[TRACE_COLUMNS.index(column)]
+    i = cell.index(".") + 1
+    cells[TRACE_COLUMNS.index(column)] = cell[:i] + str((int(cell[i]) + 1) % 10) + cell[i + 1:]
+    lines[row] = ",".join(cells)
+    (out / "trace.csv").write_text("\n".join(lines) + "\n")
+
+
+def _wrong_digest(out):
+    summary = json.loads(_read(out / "summary.json"))
+    summary["iterates_sha256"] = hashlib.sha256(b"another run").hexdigest()
+    (out / "summary.json").write_text(json.dumps(summary))
+
+
+@pytest.mark.parametrize("tamper, reason", [
+    (lambda out: _next_ulp(out, 3, 0, digest=True), "xi_3 is not the prox step"),
+    (lambda out: _next_ulp(out, 0, 1, digest=True), "xi_0 is not the configured start"),
+    (lambda out: _next_ulp(out, 4, 3, digest=True), "w_4 is not the linear update"),
+    (lambda out: _next_ulp(out, 6, 2, digest=False), "does not match its digest"),
+    (lambda out: _other_digit(out, "K", 4), "differs from the replay"),
+    (lambda out: _other_digit(out, "gamma", 2), "differs from the replay"),
+    (_wrong_digest, "does not match its digest"),
+    # a digest mismatch is found before the states are loaded and assembled
+    (lambda out: _set_state(out, 2, 0, lambda v: -5.0, digest=True),
+     "xi_2 lies outside the admissible domain"),
+    (lambda out: _set_state(out, 2, 0, lambda v: -5.0, digest=False),
+     "does not match its digest"),
+], ids=["xi ulp", "xi_0 ulp", "w ulp", "ulp without digest", "K digit", "gamma digit",
+        "digest", "outside", "outside without digest"])
+def test_certify_detects_tampered_artifacts(tmp_path, capsys, tamper, reason):
+    cfg_path = _write_cfg(tmp_path, _base_config())
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out-dir", str(out)]) == 0
+    assert main(["certify", "--config", cfg_path, "--out-dir", str(out)]) == 0
+    tamper(out)
+    assert main(["certify", "--config", cfg_path, "--out-dir", str(out)]) == 1
+    report = json.loads(_read(out / "report.json"))
+    entry = next(e for e in report["entries"] if e["name"] == "trace-consistency")
+    assert entry["status"] == "fail"
+    assert reason in entry["note"]
 
 
 def test_certify_circle_with_sphere_oracle(tmp_path, capsys):
@@ -421,37 +519,76 @@ def test_main_leaves_environment_unchanged(tmp_path, monkeypatch, capsys):
         assert "needs threadpoolctl" in capsys.readouterr().err
 
 
-def test_run_and_certify_assemble_only_inside_run(tmp_path, monkeypatch, count_calls):
-    """The stopped-point residual comes from the run, not a re-assembly."""
+def _fd_hats_config():
+    m = 5
+    return {
+        "problem": {"kind": "diffusion_reaction",
+                    "diffusivity": "1 + 0.25*sin(2*pi*x)", "reaction": 1.25,
+                    "source": "1 + 8*gauss(x, 0.5, 0.08)", "x_lo": 0.0, "x_hi": 1.0},
+        "constants": {"alpha": 1.0, "norm_a": 1.0, "norm_ell": 1.0},
+        "quadrature": {"n_panels": 16, "order": 5},
+        "family": {"kind": "free_knot_hats", "dirichlet": True},
+        "domain": {"lower": [0.02] * m, "upper": [0.98] * m,
+                   "chains": [list(range(m))], "gap": 0.01},
+        "gradient": {"mode": "fd"},
+        "schedule": {"kind": "lipschitz", "zeta": 0.5, "lipschitz": 2.0},
+        "stopping": {"max_epochs": 40},
+        "init": {"xi0": [0.15, 0.3, 0.5, 0.7, 0.85]},
+    }
+
+
+def _analytic_bumps_config():
     data = _base_config()
     data["stopping"] = {"max_epochs": 400, "eps_xi": 0.9 / 5.0 * 1e-3}
     data["certify"] = {"L": 5.0, "nu": 1.0, "eps_target": 1e-3}
+    return data
+
+
+@pytest.mark.parametrize("make", [_analytic_bumps_config, _fd_hats_config],
+                         ids=["analytic", "fd"])
+def test_certify_replays_the_written_states_in_blocks(tmp_path, monkeypatch, count_calls, make):
+    """certify runs nothing again: it assembles the written states in
+    stacked blocks, plus, on the fd route, the gradients' probe blocks."""
+    data = make()
     cfg_path = _write_cfg(tmp_path, data)
     out = str(tmp_path / "out")
-    calls = count_calls("assemble", nonlinritz.cli, nonlinritz.certify,
-                        nonlinritz.optimizer, nonlinritz.updates)
-    in_run = []
-    orig_run = nonlinritz.cli.run
-
-    def counted_run(*args, **kwargs):
-        before = len(calls)
-        record = orig_run(*args, **kwargs)
-        in_run.append(len(calls) - before)
-        return record
-
-    monkeypatch.setattr(nonlinritz.cli, "run", counted_run)
     assert main(["run", "--config", cfg_path, "--out-dir", out]) == 0
     summary = json.loads(_read(os.path.join(out, "summary.json")))
-    assert summary["termination"] == "xi_stabilised"
-    assert summary["quasi_stationarity_level"] is not None
-    assert in_run[0] > 0 and len(calls) == in_run[0]
+    if make is _analytic_bumps_config:
+        # the stopped-point residual comes from the run, not a re-assembly
+        assert summary["termination"] == "xi_stabilised"
+        assert summary["quasi_stationarity_level"] is not None
 
-    del calls[:]
+    def refuse(*args, **kwargs):
+        raise AssertionError("certify must not run the optimisation again")
+
+    monkeypatch.setattr(nonlinritz.cli, "run", refuse)
+    monkeypatch.setattr(nonlinritz.cli, "execute", refuse)
+    if make is _analytic_bumps_config:
+        # blocks of a few states, so that the count tells blocks from states
+        monkeypatch.setattr(nonlinritz.assembly, "_STACK_ELEMENTS", 2_000)
+    calls = count_calls("assemble", nonlinritz.cli, nonlinritz.certify,
+                        nonlinritz.optimizer, nonlinritz.updates)
     assert main(["certify", "--config", cfg_path, "--out-dir", out]) == 0
     report = json.loads(_read(os.path.join(out, "report.json")))
-    assert [e["status"] for e in report["entries"]
-            if e["name"] == "surrogate-level"] == ["pass"]
-    assert len(in_run) == 2 and len(calls) == in_run[1] == in_run[0]
+    assert all(e["status"] != "fail" for e in report["entries"])
+    if make is _analytic_bumps_config:
+        assert [e["status"] for e in report["entries"]
+                if e["name"] == "surrogate-level"] == ["pass"]
+
+    cfg = parse_config(data)
+    states = np.load(os.path.join(out, "iterates.npy"))[:, :cfg.family.n_nonlinear]
+    n = len(states)
+    assert n == summary["iterations"] + 1 > 2
+    block = stack_slices(cfg.problem, cfg.rule, cfg.family, states)[0].stop
+    expected = math.ceil(n / block)
+    if make is _fd_hats_config:
+        probes = np.repeat(states[:1], 2 * states.shape[1] * (n - 1), axis=0)
+        expected += math.ceil(len(probes) / stack_slices(
+            cfg.problem, cfg.rule, cfg.family, probes)[0].stop)
+    assert len(calls) == expected
+    if make is _analytic_bumps_config:
+        assert expected > 1
 
 
 def test_console_script_is_installed(tmp_path):

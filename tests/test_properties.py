@@ -13,6 +13,7 @@ from nonlinritz.basis import (
     IndicatorPair,
     NonlinearDomain,
     SyntheticAmplitude,
+    _bounded_isotonic,
 )
 from nonlinritz.errors import NumericalError
 from nonlinritz.optimizer import _reduced
@@ -21,6 +22,7 @@ from nonlinritz.updates import (
     FullSolveCG,
     SteepestDescent,
     decrease_check,
+    make_gradients,
     prox_optimality_residual,
     prox_step,
     update_linear,
@@ -34,7 +36,12 @@ seeds = st.integers(0, 2**32 - 1)
 
 @st.composite
 def chained_domains(draw):
-    """A box in [0, 1]^n with one or two ordered chains and a feasible gap."""
+    """A box in [0, 1]^n with one or two ordered chains and a feasible gap.
+
+    Every lower bound is at most 0.4 and every upper bound at least 0.6, so
+    a gap below 0.2 / (longest chain length) leaves every chain room, far
+    above rounding.
+    """
     n = draw(st.integers(2, 6))
     lower = np.array(draw(st.lists(st.floats(0.0, 0.4), min_size=n, max_size=n)))
     upper = np.array(draw(st.lists(st.floats(0.6, 1.0), min_size=n, max_size=n)))
@@ -42,7 +49,7 @@ def chained_domains(draw):
     chains = [tuple(range(k))]
     if n - k >= 2 and draw(st.booleans()):
         chains.append(tuple(range(k, n)))
-    gap = draw(st.floats(0.0, 0.2 / k))
+    gap = draw(st.floats(0.0, 0.2 / max(len(c) for c in chains)))
     return NonlinearDomain(lower, upper, chains=tuple(chains), gap=gap)
 
 
@@ -84,6 +91,78 @@ def test_project_is_identity_on_feasible_points_and_nearest(domain, seed):
         q = domain.sample(rng)
         other = _weighted_sq(d, q - z)
         assert dist <= other + 1e-12 * (1.0 + other)
+
+
+def _pav_reference(y, w, lo, hi):
+    """Bounded pool-adjacent-violators, one block list per quantity, each
+    block's value recomputed when compared."""
+    n = len(y)
+    starts, wsum, mean, blo, bhi = [], [], [], [], []
+
+    def value(j):
+        return min(max(mean[j], blo[j]), bhi[j])
+
+    for i in range(n):
+        starts.append(i)
+        wsum.append(w[i])
+        mean.append(y[i])
+        blo.append(lo[i])
+        bhi.append(hi[i])
+        while len(starts) >= 2 and value(len(starts) - 2) > value(len(starts) - 1):
+            w2, w1 = wsum.pop(), wsum[-1]
+            m2 = mean.pop()
+            starts.pop()
+            l2, h2 = blo.pop(), bhi.pop()
+            wsum[-1] = w1 + w2
+            mean[-1] = (w1 * mean[-1] + w2 * m2) / (w1 + w2)
+            blo[-1] = max(blo[-1], l2)
+            bhi[-1] = min(bhi[-1], h2)
+    x = np.empty(n)
+    changed = len(starts) < n
+    for j, (a, b) in enumerate(zip(starts, starts[1:] + [n])):
+        changed |= bool(value(j) != mean[j])
+        x[a:b] = value(j)
+    return x, changed
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), seeds, st.booleans())
+def test_bounded_isotonic_is_the_reference_bitwise(n, seed, ties):
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=n)
+    if ties:  # equal and nearly equal neighbours, as pooled chains give
+        y = np.round(y, 1) * (1.0 + rng.choice([0.0, 2.0 ** -52, -(2.0 ** -52)], size=n))
+    w = rng.uniform(0.2, 5.0, n)
+    lo = np.maximum.accumulate(rng.uniform(-2.0, 0.0, n))
+    hi = np.minimum.accumulate(rng.uniform(0.0, 2.0, n)[::-1])[::-1]
+    got, changed = _bounded_isotonic(y, w, lo, hi)
+    want, want_changed = _pav_reference(y, w, lo, hi)
+    assert got.tobytes() == want.tobytes() and changed == want_changed
+
+
+def _project_by_isotonic(domain, p, d):
+    """The projection with every chain through the isotonic solver."""
+    x = np.minimum(np.maximum(p, domain.lower), domain.upper)
+    for c in domain.chains:
+        idx = np.asarray(c)
+        shift = np.arange(idx.size, dtype=float) * domain.gap
+        lo = np.maximum.accumulate(domain.lower[idx] - shift)
+        hi = np.minimum.accumulate((domain.upper[idx] - shift)[::-1])[::-1]
+        z, changed = _bounded_isotonic(p[idx] - shift, d[idx], lo, hi)
+        x[idx] = z + shift if changed else p[idx]
+    return x
+
+
+@settings(max_examples=100, deadline=None)
+@given(chained_domains(), seeds)
+def test_project_passthrough_is_the_isotonic_solve_bitwise(domain, seed):
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(0.2, 5.0, domain.dim)
+    feasible = domain.shrink(1e-9).sample(rng)
+    boundary = domain.project(rng.uniform(-0.5, 1.5, domain.dim))
+    infeasible = rng.uniform(-0.5, 1.5, domain.dim)
+    for p in (feasible, boundary, domain.sample(rng), infeasible):
+        assert domain.project(p, weights=d).tobytes() == _project_by_isotonic(domain, p, d).tobytes()
 
 
 def _assert_symmetric_psd(matrix):
@@ -202,6 +281,24 @@ def test_stacked_evaluation_matches_point_by_point(kind, seed):
         assert _close(w_star, [_reduced(s)[1] for s in alone])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["gaussian", "l2_hats", "h1_hats", "indicator", "synthetic"]), seeds)
+def test_stacked_gradient_is_bitwise_per_row(kind, seed):
+    # one coefficient vector per row; the fd route (H1 hats) probes every
+    # point in the stacked blocks of central_differences
+    rng = np.random.default_rng(seed)
+    problem, family, points = _stack_case(kind, rng)
+    grads = make_gradients(problem, RULE, family)
+    if grads.mode == "fd":
+        inner = family.domain.shrink(grads.fd_step)
+        points = np.array([inner.sample(rng) for _ in points])
+    w = rng.standard_normal((len(points), family.n_linear))
+    stacked = grads.grad_xi(w, points)
+    assert stacked.shape == points.shape
+    for i, p in enumerate(points):
+        assert stacked[i].tobytes() == grads.grad_xi(w[i], p).tobytes()
+
+
 @pytest.mark.parametrize("h1", [False, True])
 def test_stack_mixing_panel_counts_matches_point_by_point(h1):
     # RULE's panel edges sit at multiples of 1/8, and a knot on one adds no
@@ -218,11 +315,15 @@ def test_stack_mixing_panel_counts_matches_point_by_point(h1):
     groups = [(x.shape[1] // RULE.order, rows.tolist()) for rows, x, _ in RULE.split_rows(ends)]
     assert groups == [(8, [2, 4]), (9, [1]), (10, [0, 3])]
     system = assemble(problem, RULE, family, stack)
+    grads = make_gradients(problem, RULE, family)
+    w = np.linspace(0.5, 1.5, 5 * family.n_linear).reshape(5, -1)
+    g = grads.grad_xi(w, stack)
     for i, p in enumerate(stack):
         alone = assemble(problem, RULE, family, p)
         assert system.matrix[i].tobytes() == alone.matrix.tobytes()
         assert system.gram[i].tobytes() == alone.gram.tobytes()
         assert system.load[i].tobytes() == alone.load.tobytes()
+        assert g[i].tobytes() == grads.grad_xi(w[i], p).tobytes()
 
 
 def _split_at_reference(rule, points):
