@@ -44,12 +44,10 @@ from .certify import (
     decrease_certificate,
     delta_star,
     directional_convexity_probe,
-    energy_monotone_entry,
     energy_monotonicity_certificate,
     global_rate_certificate,
     global_step_certificate,
     lambda_max_certificate,
-    linear_decrease_entry,
     local_rate_certificate,
     minimiser_grid_oracle,
     quantitative_dc_condition,

@@ -43,11 +43,9 @@ __all__ = [
     "delta_star",
     "quasi_stationarity_level",
     "stopped_point_level",
-    "linear_decrease_entry",
     "decrease_certificate",
     "lambda_max_certificate",
     "spd_certificate",
-    "energy_monotone_entry",
     "energy_monotonicity_certificate",
     "local_rate_certificate",
     "surrogate_certificate",
@@ -380,17 +378,6 @@ def _transitions(record: RunRecord):
     return record.iterates[:-1]
 
 
-def linear_decrease_entry(updates, name: str = "linear-decrease") -> CertificateEntry:
-    """Worst of ``guaranteed <= achieved + 1e-9`` over linear updates.
-
-    ``updates`` holds at least one ``(anchor, achieved, guaranteed)``
-    triple, from a run record or from the rows of a written trace.
-    """
-    entries = [_check(name, anchor, gua, ach, atol=1e-9, rtol=0.0)
-               for anchor, ach, gua in updates]
-    return _worst(entries, f"checked {len(entries)} updates")
-
-
 def decrease_certificate(record: RunRecord) -> List[CertificateEntry]:
     """Achieved linear-update drop >= guaranteed drop at every update."""
     if record.frozen:
@@ -402,7 +389,9 @@ def decrease_certificate(record: RunRecord) -> List[CertificateEntry]:
         checks.append((f"step {it.k}", it.decrease_achieved, it.decrease_guaranteed))
     if not checks:
         return [_skipped("linear-decrease", "no linear updates recorded")]
-    return [linear_decrease_entry(checks)]
+    entries = [_check("linear-decrease", anchor, gua, ach, atol=1e-9, rtol=0.0)
+               for anchor, ach, gua in checks]
+    return [_worst(entries, f"checked {len(entries)} updates")]
 
 
 def lambda_max_certificate(record: RunRecord, constants) -> List[CertificateEntry]:
@@ -433,23 +422,16 @@ def spd_certificate(record: RunRecord, omega_min: float) -> List[CertificateEntr
     return [_worst(entries, f"checked {len(record.iterates)} iterates")]
 
 
-def energy_monotone_entry(energies, name: str = "energy-monotone") -> CertificateEntry:
-    """Worst of ``K_{k+1} <= K_k + 1e-10 (1 + |K_k|)`` over consecutive steps.
-
-    ``energies`` lists ``(k, K_k)`` in step order, at least two of them.
-    """
-    entries = [
-        _check(name, f"step {ka}", Kb, Ka, atol=1e-10 * (1.0 + abs(Ka)), rtol=0.0)
-        for (ka, Ka), (_, Kb) in zip(energies[:-1], energies[1:])
-    ]
-    return _worst(entries, f"checked {len(entries)} steps")
-
-
 def energy_monotonicity_certificate(record: RunRecord) -> List[CertificateEntry]:
     """K_{k+1} <= K_k along the recorded iterates (valid step sizes)."""
     if len(record.iterates) < 2:
         return [_skipped("energy-monotone", "run recorded no steps")]
-    return [energy_monotone_entry([(it.k, it.K) for it in record.iterates])]
+    entries = [
+        _check("energy-monotone", f"step {a.k}", b.K, a.K,
+               atol=1e-10 * (1.0 + abs(a.K)), rtol=0.0)
+        for a, b in zip(record.iterates, record.iterates[1:])
+    ]
+    return [_worst(entries, f"checked {len(entries)} steps")]
 
 
 def local_rate_certificate(

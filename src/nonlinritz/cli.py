@@ -7,27 +7,31 @@ Subcommands::
     nonlinritz grid    --config cfg.json [--out-dir D] ...
     nonlinritz check   --config cfg.json ...
 
-``run`` executes the alternating minimisation and writes ``trace.csv``,
+``run`` executes the alternating minimisation and writes what
+:func:`run_artifacts` renders from its record: ``trace.csv``,
 ``iterates.npy`` (row k is the visited state ``[xi_k, w_k]``, float64,
 written by ``numpy.save``) and ``summary.json``, which holds the config
 hash and the SHA-256 of ``iterates.npy``.  ``certify`` checks the run those
 artifacts record, without running it again: it replays the written states
 (stacked assemblies and gradients, every transition and the stopping rule
-checked bitwise), requires the replayed trace to be byte-identical to
-``trace.csv``, evaluates the certificate suite on the replayed record and
-writes ``report.json``.  States that do not match their digest, checked
-before they are loaded, or that leave the domain fail ``trace-consistency``
-and leave no record to certify.  The Lipschitz estimate and the grid oracle are
+checked bitwise), requires each of the three files to be byte-identical to
+its rendering from the replayed record, evaluates the certificate suite on
+that record and writes ``report.json``.  It parses no trace and reads only
+``config_hash`` and ``iterates_sha256`` from ``summary.json``.  States that
+do not match their digest, checked before they are loaded, that are not
+finite or that leave the domain fail ``trace-consistency`` and leave no
+record to certify.  The Lipschitz estimate and the grid oracle are
 computed again, never read from a file.  ``grid`` writes a brute-force
 minimiser oracle to ``oracle.json``; ``check`` runs the internal invariant
 battery on the configured problem.
 
 Exit codes: 0 success, 1 certificate/invariant failure, 2 configuration
-error, 3 numerical failure.  ``NONLINRITZ_THREADS`` caps BLAS/OpenMP
-parallelism through threadpoolctl; without threadpoolctl it has no effect
-(a note goes to stderr), and ``OPENBLAS_NUM_THREADS`` (and friends) must be
-set before the process starts.  All numeric output uses 17 significant
-digits, so every value round-trips exactly to the double that produced it.
+or artifact I/O error, 3 numerical failure.  ``NONLINRITZ_THREADS`` caps
+BLAS/OpenMP parallelism through threadpoolctl; without threadpoolctl it has
+no effect (a note goes to stderr), and ``OPENBLAS_NUM_THREADS`` (and
+friends) must be set before the process starts.  All numeric output uses 17
+significant digits, so every value round-trips exactly to the double that
+produced it.
 """
 
 from __future__ import annotations
@@ -122,25 +126,18 @@ def _dumps(obj, indent=0) -> str:
     raise TypeError(f"cannot serialise {type(obj).__name__}")
 
 
+def _trace_values(it):
+    """The numeric cells of one trace row, from ``K`` to ``delta_star``."""
+    return (it.K, it.K_reduced, it.grad_map_norm, it.grad_w_post_norm, it.gamma,
+            it.step_norm, it.decrease_achieved, it.decrease_guaranteed, it.delta_star)
+
+
 def render_trace(record) -> str:
-    """The exact byte content of trace.csv for a run record."""
+    """The exact text of trace.csv for a run record."""
     lines = [",".join(TRACE_COLUMNS)]
-    last = len(record.iterates) - 1
     for it in record.iterates:
-        cells = [
-            str(it.k),
-            _fmt(it.K),
-            _fmt(it.K_reduced),
-            _fmt_opt(it.grad_map_norm),
-            _fmt_opt(it.grad_w_post_norm),
-            _fmt_opt(it.gamma),
-            _fmt_opt(it.step_norm),
-            _fmt_opt(it.decrease_achieved),
-            _fmt_opt(it.decrease_guaranteed),
-            _fmt_opt(it.delta_star),
-            record.termination if it.k == last else "",
-        ]
-        lines.append(",".join(cells))
+        stop = record.termination if it.k == record.n_steps else ""
+        lines.append(",".join([str(it.k), *map(_fmt_opt, _trace_values(it)), stop]))
     return "\n".join(lines) + "\n"
 
 
@@ -175,14 +172,6 @@ def _loop(cfg: ExperimentConfig, oracle):
     return args, kwargs
 
 
-def execute(cfg: ExperimentConfig, oracle=None):
-    """Deterministic run of the configured experiment."""
-    if oracle is None:
-        oracle = build_oracle(cfg)
-    args, kwargs = _loop(cfg, oracle)
-    return run(*args, **kwargs), oracle
-
-
 def _quasi_level(cfg: ExperimentConfig, record):
     """Certified quasi-stationarity level at the stopped iterate, if available."""
     L = cfg.certify_spec.get("L", record.hoelder_L)
@@ -192,25 +181,12 @@ def _quasi_level(cfg: ExperimentConfig, record):
     return cert.stopped_point_level(record, L, nu)[0]
 
 
-def _write(path: str, text: str):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-
-def cmd_run(cfg: ExperimentConfig, out_dir: str) -> int:
-    record, _ = execute(cfg)
-    os.makedirs(out_dir, exist_ok=True)
-    _write(os.path.join(out_dir, "trace.csv"), render_trace(record))
+def run_artifacts(cfg: ExperimentConfig, record) -> dict:
+    """The exact bytes of ``trace.csv``, ``iterates.npy`` and ``summary.json``
+    for a run record, by file name."""
     buf = io.BytesIO()  # iterates.npy: row k is [xi_k, w_k]
     np.save(buf, np.array([np.concatenate([it.xi, it.w]) for it in record.iterates]))
     states = buf.getvalue()
-    with open(os.path.join(out_dir, "iterates.npy"), "wb") as fh:
-        fh.write(states)
     summary = {
         "best_energy": record.final_K,
         "iterations": record.n_steps,
@@ -219,7 +195,29 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str) -> int:
         "config_hash": cfg.config_hash,
         "iterates_sha256": hashlib.sha256(states).hexdigest(),
     }
-    _write(os.path.join(out_dir, "summary.json"), _dumps(summary) + "\n")
+    return {
+        "trace.csv": render_trace(record).encode("utf-8"),
+        "iterates.npy": states,
+        "summary.json": (_dumps(summary) + "\n").encode("utf-8"),
+    }
+
+
+def _write(path: str, data: bytes):
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+# ---------------------------------------------------------------------------
+
+
+def cmd_run(cfg: ExperimentConfig, out_dir: str) -> int:
+    args, kwargs = _loop(cfg, build_oracle(cfg))
+    record = run(*args, **kwargs)
+    os.makedirs(out_dir, exist_ok=True)
+    for name, data in run_artifacts(cfg, record).items():
+        _write(os.path.join(out_dir, name), data)
     print(f"wrote {out_dir}/trace.csv and {out_dir}/summary.json")
     print(
         f"best energy {_fmt(record.final_K)} after {record.n_steps} step(s); "
@@ -242,7 +240,7 @@ def cmd_grid(cfg: ExperimentConfig, out_dir: str) -> int:
         "minimisers": oracle.minimisers,
         "config_hash": cfg.config_hash,
     }
-    _write(os.path.join(out_dir, "oracle.json"), _dumps(payload) + "\n")
+    _write(os.path.join(out_dir, "oracle.json"), (_dumps(payload) + "\n").encode("utf-8"))
     print(
         f"wrote {out_dir}/oracle.json: K* = {_fmt(oracle.K_star)}, "
         f"{oracle.minimisers.shape[0]} minimiser(s) within slack {_fmt(oracle.slack)}"
@@ -250,102 +248,77 @@ def cmd_grid(cfg: ExperimentConfig, out_dir: str) -> int:
     return 0
 
 
-def _parse_trace(text: str):
-    lines = text.splitlines()
-    if not lines or tuple(lines[0].split(",")) != TRACE_COLUMNS:
-        raise ConfigError("trace.csv: unexpected header")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        if len(cells) != len(TRACE_COLUMNS):
-            raise ConfigError("trace.csv: wrong number of columns")
-        row = {"iter": int(cells[0]), "stop_reason": cells[-1]}
-        for key, cell in zip(TRACE_COLUMNS[1:-1], cells[1:-1]):
-            row[key] = float(cell) if cell else None
-        rows.append(row)
-    return rows
-
-
 def cmd_certify(cfg: ExperimentConfig, out_dir: str) -> int:
-    trace_path = os.path.join(out_dir, "trace.csv")
+    files = {}
+    for name in ("trace.csv", "summary.json", "iterates.npy"):
+        path = os.path.join(out_dir, name)
+        if not os.path.exists(path):
+            raise ConfigError(f"missing run artifact {path}; run the 'run' subcommand first")
+        with open(path, "rb") as fh:
+            files[name] = fh.read()
     summary_path = os.path.join(out_dir, "summary.json")
-    states_path = os.path.join(out_dir, "iterates.npy")
-    for p in (trace_path, summary_path, states_path):
-        if not os.path.exists(p):
-            raise ConfigError(f"missing run artifact {p}; run the 'run' subcommand first")
-    with open(summary_path, "r", encoding="utf-8") as fh:
-        summary = json.load(fh)
+    try:
+        summary = json.loads(files["summary.json"])
+    except ValueError as e:
+        raise ConfigError(f"{summary_path} is not valid JSON: {e}") from e
+    if not isinstance(summary, dict):
+        raise ConfigError(f"{summary_path} does not hold a JSON object")
     if summary.get("config_hash") != cfg.config_hash:
         raise ConfigError(
             "config hash mismatch between the supplied config and summary.json; "
             "refusing to certify artifacts produced by a different configuration"
         )
-    with open(trace_path, "r", encoding="utf-8", newline="") as fh:
-        trace_text = fh.read()
-    with open(states_path, "rb") as fh:
-        state_bytes = fh.read()
 
-    # certificates evaluated directly on the written artifact numbers
-    rows = _parse_trace(trace_text)
-    adaptive = isinstance(cfg.schedule, LipschitzAdaptive)
-    finite = all(
-        v is None or math.isfinite(v)
-        for row in rows
-        for k, v in row.items()
-        if k not in ("iter", "stop_reason")
-    )
-    report = cert.CertificateReport()
-    report.extend(
-        cert.CertificateEntry(
-            "trace-finite", f"{len(rows)} rows", 0.0, 0.0, 0.0,
-            "pass" if finite else "fail",
-            "all recorded values are finite" if finite else "non-finite value in trace",
-        )
-    )
-    updates = [(f"step {row['iter']}", row["decrease_lhs"], row["decrease_rhs"])
-               for row in rows if row["decrease_lhs"] is not None]
-    if updates:
-        report.extend(cert.linear_decrease_entry(updates, "linear-decrease (trace)"))
-    if adaptive and len(rows) > 1:
-        report.extend(cert.energy_monotone_entry(
-            [(row["iter"], row["K"]) for row in rows], "energy-monotone (trace)"
-        ))
-
-    # the state-dependent certificates: the written states, replayed; states
-    # that are not the recorded ones, or that cannot be replayed, leave no
-    # record to certify
+    # the written states, replayed; states that are not the recorded ones, or
+    # that cannot be replayed, leave no record to certify
     record, oracle = None, None
-    if hashlib.sha256(state_bytes).hexdigest() != summary.get("iterates_sha256"):
+    if hashlib.sha256(files["iterates.npy"]).hexdigest() != summary.get("iterates_sha256"):
         faults = ["iterates.npy does not match its digest in summary.json"]
     else:
         try:
-            states = np.load(io.BytesIO(state_bytes), allow_pickle=False)
+            states = np.load(io.BytesIO(files["iterates.npy"]), allow_pickle=False)
         except (ValueError, EOFError) as e:
             raise ConfigError(f"iterates.npy is not a numpy array file: {e}")
+        if getattr(states, "dtype", None) != np.float64:
+            raise ConfigError("iterates.npy does not hold one float64 array")
         oracle = build_oracle(cfg)
         args, kwargs = _loop(cfg, oracle)
         record, faults = replay(*args, states, **kwargs)
-    if not faults and render_trace(record) != trace_text:
-        faults.append("trace.csv differs from the replay of iterates.npy")
+    # each run file must be its rendering from the replayed record
+    if not faults:
+        faults = [f"{name} differs from the replay of iterates.npy"
+                  for name, data in run_artifacts(cfg, record).items() if files[name] != data]
+
+    report = cert.CertificateReport()
+    if record is None:
+        anchor = "iterates.npy"
+    else:
+        anchor = f"{len(record.iterates)} rows"
+        finite = all(v is None or math.isfinite(v)
+                     for it in record.iterates for v in _trace_values(it))
+        report.extend(
+            cert.CertificateEntry(
+                "trace-finite", anchor, 0.0, 0.0, 0.0,
+                "pass" if finite else "fail",
+                "all recorded values are finite" if finite else "non-finite value in trace",
+            )
+        )
     report.extend(
         cert.CertificateEntry(
-            "trace-consistency",
-            f"{len(rows)} rows",
-            0.0,
-            0.0,
-            0.0,
+            "trace-consistency", anchor, 0.0, 0.0, 0.0,
             "fail" if faults else "pass",
             faults[0] if faults else "recomputed trace is byte-identical",
         )
     )
     if record is not None:
-        _state_certificates(cfg, record, oracle, adaptive, report)
+        _state_certificates(cfg, record, oracle, report)
     _write_report(cfg, out_dir, report)
     return 0 if report.passed else 1
 
 
-def _state_certificates(cfg: ExperimentConfig, record, oracle, adaptive: bool, report):
+def _state_certificates(cfg: ExperimentConfig, record, oracle, report):
     """The certificates evaluated on the replayed record."""
+    adaptive = isinstance(cfg.schedule, LipschitzAdaptive)
     report.extend(cert.lambda_max_certificate(record, cfg.constants))
     if cfg.omega_min is not None:
         report.extend(cert.spd_certificate(record, cfg.omega_min))
@@ -404,7 +377,7 @@ def _write_report(cfg: ExperimentConfig, out_dir: str, report):
     os.makedirs(out_dir, exist_ok=True)
     payload = {"config_hash": cfg.config_hash}
     payload.update(report.to_dict())
-    _write(os.path.join(out_dir, "report.json"), _dumps(payload) + "\n")
+    _write(os.path.join(out_dir, "report.json"), (_dumps(payload) + "\n").encode("utf-8"))
 
     tags = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}
     for e in report.entries:
@@ -575,6 +548,9 @@ def main(argv=None) -> int:
         return dispatch[args.command](cfg, out_dir)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        print(f"artifact i/o error: {e}", file=sys.stderr)
         return 2
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)

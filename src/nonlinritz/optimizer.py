@@ -580,10 +580,10 @@ def replay(
     ``w_{k+1} = update_linear(rule, A(xi_{k+1}), w_k)``, and the stopping
     rule, which must first fire at the last state (or never, after
     ``max_epochs`` steps).  It is empty when the states are a run of this
-    configuration.  A state outside the admissible domain cannot be
-    assembled: the record is then ``None`` and the one fault names it.  The
-    sampled Lipschitz estimate, when the schedule asks for one, is computed
-    again at ``w_0``.
+    configuration.  A state that is not finite, or whose ``xi`` lies outside
+    the admissible domain, cannot be assembled: the record is then ``None``
+    and the one fault names it.  The sampled Lipschitz estimate, when the
+    schedule asks for one, is computed again at ``w_0``.
     """
     grads = make_gradients(problem, rule, family, mode=gradient_mode, fd_step=fd_step)
     frozen = isinstance(linear_rule, Frozen)
@@ -595,6 +595,9 @@ def replay(
             f"expected one row of {d} + {family.n_linear} state values per iterate, "
             f"got shape {states.shape}"
         )
+    nonfinite = np.flatnonzero(~np.isfinite(states).all(axis=1))
+    if nonfinite.size:
+        return None, [f"state {nonfinite[0]} holds a non-finite value"]
     xis, ws = states[:, :d], states[:, d:]
     outside = np.flatnonzero(~family.domain.feasible(xis))
     if outside.size:

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -170,10 +171,10 @@ def test_certify_clean_artifacts(tmp_path, capsys):
     assert report["passed"] is True
     assert report["config_hash"] == parse_config(_base_config()).config_hash
     names = [e["name"] for e in report["entries"]]
-    for expected in ("trace-finite", "linear-decrease (trace)",
-                     "energy-monotone (trace)", "trace-consistency",
-                     "lambda-max-bound", "linear-decrease", "energy-monotone"):
+    assert names[:2] == ["trace-finite", "trace-consistency"], names
+    for expected in ("lambda-max-bound", "linear-decrease", "energy-monotone"):
         assert expected in names, names
+    assert not any(n.endswith("(trace)") for n in names), names
 
 
 def test_certify_detects_tampered_trace(tmp_path, capsys):
@@ -188,14 +189,16 @@ def test_certify_detects_tampered_trace(tmp_path, capsys):
     lines[3] = ",".join(row)
     (out / "trace.csv").write_text("\n".join(lines) + "\n")
 
+    # the energies certified are the replayed ones; the written trace must
+    # equal their rendering
     assert main(["certify", "--config", cfg_path, "--out-dir", str(out)]) == 1
     printed = capsys.readouterr().out
-    assert "[FAIL]" in printed
+    assert "[FAIL] trace-consistency" in printed
     report = json.loads(_read(out / "report.json"))
     assert report["passed"] is False
     failed = {e["name"] for e in report["entries"] if e["status"] == "fail"}
-    assert "energy-monotone (trace)" in failed
-    assert "trace-consistency" in failed
+    assert failed == {"trace-consistency"}
+    assert not any(e["name"].endswith("(trace)") for e in report["entries"])
 
 
 def test_certify_refuses_foreign_artifacts(tmp_path, capsys):
@@ -216,18 +219,29 @@ def test_certify_needs_artifacts(tmp_path, capsys):
     assert "missing run artifact" in capsys.readouterr().err
 
 
-def _empty_states(out):
-    """An empty iterates.npy, with its digest recorded in summary.json."""
-    open(out / "iterates.npy", "wb").close()
+def _record_digest(out):
+    """Record the digest of the present iterates.npy in summary.json."""
     summary = json.loads(_read(out / "summary.json"))
-    summary["iterates_sha256"] = hashlib.sha256(b"").hexdigest()
+    summary["iterates_sha256"] = hashlib.sha256(
+        (out / "iterates.npy").read_bytes()).hexdigest()
     (out / "summary.json").write_text(json.dumps(summary))
+
+
+def _empty_states(out):
+    open(out / "iterates.npy", "wb").close()
+    _record_digest(out)
+
+
+def _text_states(out):
+    np.save(out / "iterates.npy", np.full((7, 4), "abc"))
+    _record_digest(out)
 
 
 @pytest.mark.parametrize("spoil, message", [
     (lambda out: os.remove(out / "iterates.npy"), "missing run artifact"),
     (_empty_states, "iterates.npy is not a numpy array file"),
-], ids=["missing", "empty"])
+    (_text_states, "float64"),
+], ids=["missing", "empty", "not float64"])
 def test_certify_needs_the_written_states(tmp_path, capsys, spoil, message):
     # no fallback: without readable states nothing is run again
     cfg_path = _write_cfg(tmp_path, _base_config())
@@ -246,10 +260,7 @@ def _set_state(out, row, col, value, digest):
     states[row, col] = value(states[row, col])
     np.save(out / "iterates.npy", states)
     if digest:
-        summary = json.loads(_read(out / "summary.json"))
-        summary["iterates_sha256"] = hashlib.sha256(
-            (out / "iterates.npy").read_bytes()).hexdigest()
-        (out / "summary.json").write_text(json.dumps(summary))
+        _record_digest(out)
 
 
 def _next_ulp(out, row, col, digest):
@@ -257,15 +268,29 @@ def _next_ulp(out, row, col, digest):
     _set_state(out, row, col, lambda v: np.nextafter(v, np.inf), digest)
 
 
-def _other_digit(out, column, row):
-    """Change the first decimal of one trace cell."""
+def _set_cell(out, column, row, cell):
+    """Write ``cell`` into one cell of trace.csv."""
     lines = _read(out / "trace.csv").splitlines()
     cells = lines[row].split(",")
-    cell = cells[TRACE_COLUMNS.index(column)]
-    i = cell.index(".") + 1
-    cells[TRACE_COLUMNS.index(column)] = cell[:i] + str((int(cell[i]) + 1) % 10) + cell[i + 1:]
+    cells[TRACE_COLUMNS.index(column)] = cell
     lines[row] = ",".join(cells)
     (out / "trace.csv").write_text("\n".join(lines) + "\n")
+
+
+def _other_digit(out, column, row):
+    """Change the first decimal of one trace cell."""
+    cell = _read(out / "trace.csv").splitlines()[row].split(",")[TRACE_COLUMNS.index(column)]
+    i = cell.index(".") + 1
+    _set_cell(out, column, row, cell[:i] + str((int(cell[i]) + 1) % 10) + cell[i + 1:])
+
+
+def _forge(out, key, value):
+    """Write ``value`` (JSON text) as one field of summary.json, leaving the
+    rest of the file byte for byte as written."""
+    text = _read(out / "summary.json")
+    forged = re.sub(rf'("{key}": )[^,\n]*', lambda m: m.group(1) + value, text)
+    assert forged != text
+    (out / "summary.json").write_text(forged)
 
 
 def _wrong_digest(out):
@@ -287,8 +312,25 @@ def _wrong_digest(out):
      "xi_2 lies outside the admissible domain"),
     (lambda out: _set_state(out, 2, 0, lambda v: -5.0, digest=False),
      "does not match its digest"),
+    # the feasibility test passes NaN: finiteness is tested first
+    (lambda out: _set_state(out, 2, 0, lambda v: np.nan, digest=True),
+     "state 2 holds a non-finite value"),
+    (lambda out: _set_state(out, 4, 3, lambda v: np.nan, digest=True),
+     "state 4 holds a non-finite value"),
+    (lambda out: _set_cell(out, "gamma", 2, "abc"), "trace.csv differs from the replay"),
+    (lambda out: (out / "trace.csv").write_bytes(b"\xff" + (out / "trace.csv").read_bytes()),
+     "trace.csv differs from the replay"),
+    # what summary.json says about the run is rendered from the replay too
+    (lambda out: _forge(out, "best_energy", "-123"), "summary.json differs from the replay"),
+    (lambda out: _forge(out, "iterations", "3"), "summary.json differs from the replay"),
+    (lambda out: _forge(out, "termination", '"xi_stabilised"'),
+     "summary.json differs from the replay"),
+    (lambda out: _forge(out, "quasi_stationarity_level", "0.5"),
+     "summary.json differs from the replay"),
 ], ids=["xi ulp", "xi_0 ulp", "w ulp", "ulp without digest", "K digit", "gamma digit",
-        "digest", "outside", "outside without digest"])
+        "digest", "outside", "outside without digest", "NaN xi", "NaN w",
+        "non-numeric cell", "non-UTF-8 trace", "best_energy", "iterations",
+        "termination", "quasi level"])
 def test_certify_detects_tampered_artifacts(tmp_path, capsys, tamper, reason):
     cfg_path = _write_cfg(tmp_path, _base_config())
     out = tmp_path / "out"
@@ -300,6 +342,27 @@ def test_certify_detects_tampered_artifacts(tmp_path, capsys, tamper, reason):
     entry = next(e for e in report["entries"] if e["name"] == "trace-consistency")
     assert entry["status"] == "fail"
     assert reason in entry["note"]
+
+
+@pytest.mark.parametrize("content", [b'{"config_hash": ', b"[1, 2]", b"\xff{}"],
+                         ids=["invalid JSON", "array", "non-UTF-8"])
+def test_certify_rejects_a_malformed_summary(tmp_path, capsys, content):
+    cfg_path = _write_cfg(tmp_path, _base_config())
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out-dir", str(out)]) == 0
+    (out / "summary.json").write_bytes(content)
+    assert main(["certify", "--config", cfg_path, "--out-dir", str(out)]) == 2
+    assert "summary.json" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_run_into_an_unwritable_out_dir(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, _base_config())
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file, not a directory")
+    assert main(["run", "--config", cfg_path, "--out-dir", str(blocker)]) == 2
+    assert str(blocker) in capsys.readouterr().err
+    assert blocker.read_text() == "a file, not a directory"
 
 
 def test_certify_circle_with_sphere_oracle(tmp_path, capsys):
@@ -563,7 +626,6 @@ def test_certify_replays_the_written_states_in_blocks(tmp_path, monkeypatch, cou
         raise AssertionError("certify must not run the optimisation again")
 
     monkeypatch.setattr(nonlinritz.cli, "run", refuse)
-    monkeypatch.setattr(nonlinritz.cli, "execute", refuse)
     if make is _analytic_bumps_config:
         # blocks of a few states, so that the count tells blocks from states
         monkeypatch.setattr(nonlinritz.assembly, "_STACK_ELEMENTS", 2_000)
