@@ -20,17 +20,18 @@ diagonals of A and G (:meth:`~nonlinritz.basis.FreeKnotHats.element_products`),
 O(Q) work per point besides filling the dense outputs.  Every other family
 is assembled from dense products of its basis values, O(n^2 Q) per point.
 
-``assemble`` takes one point or a stack of points.  When the family's
-breakpoints do not move with ``xi`` the stack shares one set of quadrature
-nodes; otherwise each point gets its own split of the rule, and points
-whose splits have equally many panels are evaluated together on ``(N, Q)``
-nodes.  A stack's matrices and loads carry its leading axis and are built
-by the same products; every check, the eigendecomposition
-(``numpy.linalg.eigh``, which decomposes a stack matrix by matrix) and the
-minimum-norm solve act per matrix, each bitwise as for that point alone,
-and a failed check names the stack's first offending point.  Callers cut
-long stacks with :func:`stack_slices`, which bounds the memory one call
-holds.
+``assemble`` takes a stack of points; one point is the stack of one, so a
+run and the replay of its states build every system through the same code.
+When the family's breakpoints do not move with ``xi`` the stack shares one
+set of quadrature nodes; otherwise each point gets its own split of the
+rule, and points whose splits have equally many panels are evaluated
+together on ``(N, Q)`` nodes.  A stack's matrices and loads carry its
+leading axis and are built by the same products; every check, the
+eigendecomposition (``numpy.linalg.eigh``, which decomposes a stack matrix
+by matrix) and the minimum-norm solve act per matrix, each bitwise as for
+that point alone, and a failed check names the stack's first offending
+point.  Callers cut long stacks with :func:`stack_slices`, which bounds
+the memory one call holds.
 """
 
 from __future__ import annotations
@@ -233,7 +234,8 @@ def assemble(problem, rule: QuadratureRule, family, xi) -> AssembledSystem:
 
     ``xi`` is one point ``(d,)`` or a stack ``(N, d)``; a stack gives
     ``(N, n, n)`` matrices and ``(N, n)`` loads, each bitwise that of its
-    point assembled alone.
+    point assembled alone.  A point is assembled as the stack of one, whose
+    row it returns.
     """
     xi = family.require_param(xi)
     if problem.needs_h1 and not family.vanishes_on_boundary:
@@ -242,19 +244,19 @@ def assemble(problem, rule: QuadratureRule, family, xi) -> AssembledSystem:
             "boundary; this family does not (use FreeKnotHats with "
             "dirichlet=True)"
         )
-    if xi.ndim == 1:
-        r = rule.split_at(tuple(family.breakpoints(xi)) + tuple(problem.coefficient_breakpoints()))
-        bad, A, G, load = _products(problem, family, xi, r.nodes, r.weights)
-    else:
-        parts = [(idx, _products(problem, family, xi[idx], x, w))
-                 for idx, x, w in quadrature_groups(problem, rule, family, xi)]
-        bad, A, G, load = (_gather(len(xi), [(idx, p[k]) for idx, p in parts]) for k in range(4))
-        del parts  # the unsymmetrised matrices go as they are replaced
-    _raise_first(bad, xi, NumericalError, "basis evaluation produced non-finite values")
+    stack = np.atleast_2d(xi)
+    parts = [(idx, _products(problem, family, stack[idx], x, w))
+             for idx, x, w in quadrature_groups(problem, rule, family, stack)]
+    bad, A, G, load = (_gather(len(stack), [(idx, p[k]) for idx, p in parts]) for k in range(4))
+    del parts  # the unsymmetrised matrices go as they are replaced
+    _raise_first(bad, stack, NumericalError, "basis evaluation produced non-finite values")
     # element-assembled hat systems are symmetric by construction
     fix = _finite if isinstance(family, FreeKnotHats) else _symmetrise
-    A = fix(A, "stiffness matrix", xi)
-    G = A if G is None else fix(G, "Gram matrix", xi)
+    A = fix(A, "stiffness matrix", stack)
+    G = A if G is None else fix(G, "Gram matrix", stack)
+    if xi.ndim == 1:  # the stack's one row, still decomposed only on first use
+        row = A[0]
+        A, G, load = row, (row if G is A else G[0]), load[0]
     return AssembledSystem(xi=xi, matrix=A, load=load, gram=G)
 
 
@@ -273,45 +275,28 @@ def quadrature_groups(problem, rule: QuadratureRule, family, xi) -> list:
     if not breaks:
         r = rule.split_at(coefficient)
         return [(slice(None), r.nodes, r.weights)]
-    rows = np.concatenate([np.stack(breaks, axis=-1),
-                           np.broadcast_to(coefficient, (len(xi), len(coefficient)))], axis=1)
+    rows = np.empty((len(xi), len(breaks) + len(coefficient)))
+    rows[:, :len(breaks)] = np.transpose(breaks)
+    rows[:, len(breaks):] = coefficient
     return rule.split_rows(rows)
 
 
 def _products(problem, family, xi, x, w):
-    """``(bad, A, G, load)`` of the point(s) ``xi`` on nodes ``x``, weights ``w``.
+    """``(bad, A, G, load)`` of the stack ``xi`` on nodes ``x``, weights ``w``.
 
     ``x`` and ``w`` are ``(Q,)``, shared by every point, or ``(N, Q)``, one
     row per point of the stack.  ``bad`` flags the points whose basis
     values are not finite; A and G are not yet symmetrised, and G is None
     under the L2 energy, whose Gram matrix is A.  Hats are assembled cell
-    by cell, every other family by dense products of its basis values.
+    by cell, every other family by dense products of its basis values
+    (``assemble`` admits no other family under an H1 energy).
     """
     if isinstance(family, FreeKnotHats):
         return _element_products(problem, family, xi, x, w)
     # weights broadcast against the basis axis
-    if not problem.needs_h1:
-        vals = family.basis_values(xi, x)
-        A = (vals * w[..., None, :]) @ _t(vals)
-        return _nonfinite(vals), A, None, np.matvec(vals, w * problem.target.values(x))
-    # the derivative terms first: a stack's derivatives and values, each as
-    # large as the block allows, are never held at once
-    lifted = problem.bc_lo != 0.0 or problem.bc_hi != 0.0
-    ders = family.basis_derivs(xi, x)
-    wK = w * problem.diffusivity.values(x)
-    A = (ders * wK[..., None, :]) @ _t(ders)
-    G = (ders * w[..., None, :]) @ _t(ders)
-    if lifted:
-        lift = np.matvec(ders, wK * problem.lifting.derivs(x))
-    del ders, wK
     vals = family.basis_values(xi, x)
-    ws = w * problem.reaction.values(x)
-    A = A + (vals * ws[..., None, :]) @ _t(vals)
-    G = G + (vals * w[..., None, :]) @ _t(vals)
-    load = np.matvec(vals, w * problem.source.values(x))
-    if lifted:
-        load = load - (lift + np.matvec(vals, ws * problem.lifting.values(x)))
-    return _nonfinite(vals), A, G, load
+    A = (vals * w[..., None, :]) @ _t(vals)
+    return _nonfinite(vals), A, None, np.matvec(vals, w * problem.target.values(x))
 
 
 def _element_products(problem, family, xi, x, w):

@@ -325,16 +325,17 @@ class NonlinearDomain:
             return rng.uniform(self.lower, self.upper, size=(k + 1, self.dim))[k]
         return self.project(rng.uniform(self.lower, self.upper))
 
-    def shrink(self, margin: float) -> "NonlinearDomain":
+    def shrink(self, margin) -> "NonlinearDomain":
         """Domain whose points keep all constraints slack by ``margin``.
 
-        Any single coordinate of a point of the shrunk domain may move by up
-        to ``margin`` without leaving the original domain (used by finite
+        ``margin`` is one number or one per coordinate.  Any single
+        coordinate ``i`` of a point of the shrunk domain may move by up to
+        its margin without leaving the original domain (used by finite
         difference probes).
         """
         return NonlinearDomain(
             self.lower + margin, self.upper - margin, self.chains,
-            self.gap + 2.0 * margin,
+            self.gap + 2.0 * float(np.max(margin)),
         )
 
 
@@ -578,13 +579,12 @@ class FreeKnotHats(_FamilyBase):
     def element_products(self, xi, x, forms, values, slopes=None):
         """Galerkin matrices and load of the hats, assembled cell by cell.
 
-        ``xi`` is one point with nodes ``x`` ``(Q,)`` or a stack ``(N, d)``
-        with nodes ``(N, Q)``.  The other arguments hold one weight per
-        node: each ``(mass, stiffness)`` pair of ``forms`` gives the matrix
-        ``sum_x mass phi_i phi_j + stiffness phi_i' phi_j'`` (``stiffness``
-        None: no slope term), and the load is ``sum_x values phi_j + slopes
-        phi_j'``.  Returns the list of matrices ``(..., n, n)`` and the load
-        ``(..., n)``.
+        ``xi`` is a stack ``(N, d)`` with nodes ``(N, Q)``.  The other
+        arguments hold one weight per node: each ``(mass, stiffness)`` pair
+        of ``forms`` gives the matrix ``sum_x mass phi_i phi_j + stiffness
+        phi_i' phi_j'`` (``stiffness`` None: no slope term), and the load is
+        ``sum_x values phi_j + slopes phi_j'``.  Returns the list of
+        matrices ``(N, n, n)`` and the load ``(N, n)``.
 
         On the cell :meth:`_locate` gives a node, hat c falls as
         ``(t_{c+1} - x) / h_c`` and hat c+1 rises as ``(x - t_c) / h_c``;
@@ -634,10 +634,7 @@ class FreeKnotHats(_FamilyBase):
         if slopes is not None:
             k = per_cell(slopes, slope)
             vf, vr = vf - k, vr + k
-        load = on_hats(vf, vr)[:, keep]
-        if np.ndim(xi) == 1:
-            return [M[0] for M in mats], load[0]
-        return mats, load
+        return mats, on_hats(vf, vr)[:, keep]
 
     def dparam_values(self, xi, x, w):
         """d (w . hat) / d xi_i, shape ``(..., m, Q)``.

@@ -216,9 +216,11 @@ def cmd_run(cfg: ExperimentConfig, out_dir: str) -> int:
     args, kwargs = _loop(cfg, build_oracle(cfg))
     record = run(*args, **kwargs)
     os.makedirs(out_dir, exist_ok=True)
-    for name, data in run_artifacts(cfg, record).items():
+    artifacts = run_artifacts(cfg, record)
+    for name, data in artifacts.items():
         _write(os.path.join(out_dir, name), data)
-    print(f"wrote {out_dir}/trace.csv and {out_dir}/summary.json")
+    paths = [f"{out_dir}/{name}" for name in artifacts]
+    print(f"wrote {', '.join(paths[:-1])} and {paths[-1]}")
     print(
         f"best energy {_fmt(record.final_K)} after {record.n_steps} step(s); "
         f"terminated by {record.termination}"
@@ -455,16 +457,22 @@ def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
         f"realisation gap {_fmt(rep.realisation_gap)}",
     )
 
-    grad_ok, worst_rel = True, 0.0
-    span = float(np.min(cfg.family.domain.upper - cfg.family.domain.lower))
-    interior = cfg.family.domain.shrink(min(1e-3 * span, 0.25 * span))
+    # the coordinates that can move are probed, from points at least one
+    # probe step inside the domain; a fixed one keeps its value in every probe
+    grad_ok, worst_rel, h = True, 0.0, 1e-5
+    width = cfg.family.domain.upper - cfg.family.domain.lower
+    moves = width >= 2.0 * h
+    margin = max(1e-3 * float(np.min(width, where=moves, initial=np.inf)), h)
+    interior = cfg.family.domain.shrink(np.where(moves, margin, 0.0))
     for _ in range(3):
         xi = interior.sample(rng)
         g = reduced_gradient(cfg.problem, cfg.rule, cfg.family, xi, mode=cfg.gradient_mode)
         fd = central_differences(
-            lambda probes, _: reduced_energy(cfg.problem, cfg.rule, cfg.family, probes)[0],
-            cfg.problem, cfg.rule, cfg.family, xi, 1e-5,
+            lambda probes, _: reduced_energy(cfg.problem, cfg.rule, cfg.family,
+                                             np.where(moves, probes, xi))[0],
+            cfg.problem, cfg.rule, cfg.family, xi, h,
         )
+        g, fd = g[moves], fd[moves]
         rel = float(np.linalg.norm(g - fd) / (1.0 + np.linalg.norm(fd)))
         worst_rel = max(worst_rel, rel)
         grad_ok &= rel <= 1e-4

@@ -434,6 +434,20 @@ def _check_oracle_dim(oracle, dim: int) -> None:
         raise ConfigError(f"oracle.{key}: expected {dim} coordinates, the domain's, got {got}")
 
 
+def _check_start(init, family) -> None:
+    """``init.xi0`` must lie in the domain, ``init.w0`` hold one coefficient per
+    basis function."""
+    dim, xi0 = family.domain.dim, init["xi0"]
+    if len(xi0) != dim:
+        raise ConfigError(f"init.xi0: expected {dim} coordinates, the domain's, got {len(xi0)}")
+    outside = family.domain.violations(np.array(xi0))
+    if outside:
+        raise ConfigError("init.xi0: outside the admissible domain: " + "; ".join(outside))
+    n = family.n_linear
+    if "w0" in init and len(init["w0"]) != n:
+        raise ConfigError(f"init.w0: expected {n} coefficients, the family's, got {len(init['w0'])}")
+
+
 _LINEAR_RULES = {"full_cg": FullSolveCG, "steepest_descent": SteepestDescent, "frozen": Frozen}
 
 
@@ -471,6 +485,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         out_dir=norm["out_dir"],
     )
     _check_oracle_dim(norm["oracle"], cfg.family.domain.dim)
+    _check_start(init, cfg.family)
     return cfg
 
 

@@ -128,13 +128,12 @@ def decrease_check(system: AssembledSystem, w, w_plus):
 def _half_form(d, Dd):
     """0.5 <d, Dd>: a float for one point, an ``(N,)`` array for stacked rows.
 
-    Stacked rows go through a batched matmul, which reduces each row bitwise
-    as the 1-d ``d @ Dd`` does; ``np.sum`` and ``einsum`` reduce in another
-    order and differ from it in the last bit.
+    One point is a row too: a batched matmul reduces each row bitwise as the
+    1-d ``d @ Dd`` does; ``np.sum`` and ``einsum`` reduce in another order
+    and differ from it in the last bit.
     """
-    if d.ndim == 1:
-        return 0.5 * float(d @ Dd)
-    return 0.5 * np.matmul(d[:, None, :], Dd[:, :, None])[:, 0, 0]
+    h = 0.5 * np.matmul(d[..., None, :], Dd[..., :, None])[..., 0, 0]
+    return float(h) if h.ndim == 0 else h
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,15 @@ def test_run_writes_trace_and_summary(tmp_path):
     assert states[0, :2].tolist() == [0.45, 0.55]
 
 
+def test_run_names_every_file_it_writes(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, _base_config())
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out-dir", str(out)]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == f"wrote {out}/trace.csv, {out}/iterates.npy and {out}/summary.json"
+    assert sorted(os.listdir(out)) == ["iterates.npy", "summary.json", "trace.csv"]
+
+
 def test_run_zero_epochs_is_galerkin_solve(tmp_path):
     cfg_path = _write_cfg(tmp_path, _base_config())
     out = tmp_path / "out"
@@ -344,6 +353,66 @@ def test_certify_detects_tampered_artifacts(tmp_path, capsys, tamper, reason):
     assert reason in entry["note"]
 
 
+@pytest.mark.parametrize("ran, certified, reason", [
+    ({"max_epochs": 3}, {"max_epochs": 6},
+     "3 steps recorded, but the stopping rule never fires and max_epochs is 6"),
+    ({"max_epochs": 8}, {"max_epochs": 6}, "8 steps recorded, more than max_epochs = 6"),
+    ({"max_epochs": 6}, {"max_epochs": 6, "eps_xi": 1.0},
+     "the stopping rule fires at step 0, before the last state"),
+], ids=["too few", "too many", "fires early"])
+def test_certify_checks_the_stopping_rule(tmp_path, ran, certified, reason):
+    # a run under other stopping settings, written for the certified config:
+    # digest, trace and summary agree, and only the stopping rule is at fault
+    data = _base_config()
+    args, kwargs = nonlinritz.cli._loop(parse_config({**data, "stopping": ran}), None)
+    record = nonlinritz.optimizer.run(*args, **kwargs)
+    data["stopping"] = certified
+    out = tmp_path / "out"
+    out.mkdir()
+    for name, blob in nonlinritz.cli.run_artifacts(parse_config(data), record).items():
+        (out / name).write_bytes(blob)
+    assert main(["certify", "--config", _write_cfg(tmp_path, data), "--out-dir", str(out)]) == 1
+    report = json.loads(_read(out / "report.json"))
+    entry = next(e for e in report["entries"] if e["name"] == "trace-consistency")
+    assert entry["status"] == "fail" and entry["note"] == reason
+
+
+def test_certify_checks_uniform_solvability(tmp_path, capsys):
+    data = _base_config()
+    data["constants"]["omega_min"] = 1e-3
+    cfg_path = _write_cfg(tmp_path, data)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out-dir", str(out)]) == 0
+    assert main(["certify", "--config", cfg_path, "--out-dir", str(out)]) == 0
+    assert "[PASS] uniform-solvability" in capsys.readouterr().out
+    report = json.loads(_read(out / "report.json"))
+    entry = next(e for e in report["entries"] if e["name"] == "uniform-solvability")
+    assert entry["status"] == "pass" and entry["lhs"] == 1e-3
+
+
+def test_certify_with_a_points_oracle(tmp_path):
+    # the distances to the analytic minimiser go into the trace and the
+    # global rate; without certify.zeta, cea takes the schedule's zeta
+    reports = {}
+    for zeta in (None, 0.9):
+        data = _base_config()
+        data["oracle"] = {"kind": "points", "points": [[0.3, 0.7]], "K_star": -0.0862014}
+        data["certify"] = {"L_bar": 10.0} if zeta is None else {"L_bar": 10.0, "zeta": zeta}
+        cfg_path = _write_cfg(tmp_path, data)
+        out = tmp_path / f"out-{zeta}"
+        assert main(["run", "--config", cfg_path, "--out-dir", str(out)]) == 0
+        assert main(["certify", "--config", cfg_path, "--out-dir", str(out)]) == 0
+        rows = _read(out / "trace.csv").splitlines()[1:]
+        column = TRACE_COLUMNS.index("delta_star")
+        assert all(float(row.split(",")[column]) > 0.0 for row in rows)
+        report = json.loads(_read(out / "report.json"))
+        reports[zeta] = {e["name"]: e for e in report["entries"]}
+    entries = reports[None]
+    assert entries["global-rate"]["status"] == "pass"
+    assert entries["cea"]["status"] == "pass"
+    assert entries["cea"] == reports[0.9]["cea"]
+
+
 @pytest.mark.parametrize("content", [b'{"config_hash": ', b"[1, 2]", b"\xff{}"],
                          ids=["invalid JSON", "array", "non-UTF-8"])
 def test_certify_rejects_a_malformed_summary(tmp_path, capsys, content):
@@ -494,6 +563,19 @@ def test_check_stacks_the_probes_of_each_sample(tmp_path, capsys, count_calls):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("upper", [0.5, 0.50001, 0.50003], ids=["fixed", "1e-5", "3e-5"])
+def test_check_probes_a_domain_with_a_narrow_coordinate(tmp_path, capsys, upper):
+    # xi[1] is fixed or narrower than two difference steps of 1e-5, and is
+    # held fixed in every probe, or just wider, and is probed from one step
+    # inside its bounds
+    data = _base_config()
+    data["domain"] = {"lower": [0.1, 0.5], "upper": [0.9, upper]}
+    data["init"] = {"xi0": [0.45, 0.5]}
+    cfg_path = _write_cfg(tmp_path, data)
+    assert main(["check", "--config", cfg_path]) == 0
+    assert "[PASS] reduced-gradient-fd" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # error paths and the environment knob
 # ---------------------------------------------------------------------------
@@ -531,6 +613,11 @@ def test_schema_violation_is_config_error(tmp_path, capsys):
      "oracle.points: expected 2 coordinates"),
     ("oracle", {"kind": "sphere", "center": [0.0], "radius": 1.0, "K_star": 0.0},
      "oracle.center: expected 2 coordinates"),
+    # a start the run could not take
+    ("init", {"xi0": [0.45]}, "init.xi0: expected 2 coordinates"),
+    ("init", {"xi0": [0.05, 0.55]},
+     "init.xi0: outside the admissible domain: xi[0]=0.05 below lower bound 0.1"),
+    ("init", {"xi0": [0.45, 0.55], "w0": [1.0]}, "init.w0: expected 2 coefficients"),
 ])
 def test_malformed_value_is_config_error(tmp_path, capsys, section, value, path):
     data = _base_config()

@@ -6,7 +6,7 @@ import nonlinritz.optimizer
 import nonlinritz.updates
 from nonlinritz.assembly import assemble
 from nonlinritz.basis import GaussianBumps, NonlinearDomain
-from nonlinritz.errors import ConfigError, NumericalError
+from nonlinritz.errors import ConfigError, DomainViolationError, NumericalError
 from nonlinritz.optimizer import (
     ConstantGamma,
     LipschitzAdaptive,
@@ -294,6 +294,14 @@ def test_run_frozen_requires_and_keeps_w0():
 def test_run_rejects_bad_w0_shape():
     with pytest.raises(ConfigError):
         run(**_run_kwargs(w0=np.zeros(3)))
+
+
+@pytest.mark.parametrize("xi0", [[0.45], [0.05, 0.55]], ids=["short", "outside"])
+def test_run_rejects_a_start_outside_the_domain(xi0):
+    # a config with such a start is refused when parsed (exit 2); the
+    # library keeps raising the domain error
+    with pytest.raises(DomainViolationError):
+        run(**_run_kwargs(xi0=np.array(xi0)))
 
 
 def test_run_omega_min_guard():
