@@ -37,6 +37,7 @@ produced it.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -57,7 +58,8 @@ from .optimizer import (
     replay,
     run,
 )
-from .updates import Frozen, central_differences, prox_optimality_residual, prox_step
+from .updates import (Frozen, central_differences, probed_coordinates,
+                      prox_optimality_residual, prox_step)
 from .variational import L2Approx, integrate
 
 TRACE_COLUMNS = (
@@ -88,6 +90,36 @@ def _fmt_opt(x) -> str:
     return "" if x is None else _fmt(x)
 
 
+def _number(x: float) -> str:
+    """JSON text of a float; non-finite ones are the strings "nan", "inf", "-inf"."""
+    if math.isnan(x):
+        return '"nan"'
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    return _fmt(x)
+
+
+def _dumps_floats(a: np.ndarray, indent: int) -> str:
+    """:func:`_dumps` of a float array: each distinct bit pattern (``-0.0`` is
+    not ``0.0``) is formatted once, and the text is joined in one pass."""
+    if a.ndim == 0 or a.size == 0:  # no values; list() raises TypeError on 0-d
+        return _dumps(list(a), indent)
+    flat = np.ravel(np.asarray(a, dtype=np.float64))
+    bits, inverse = np.unique(flat.view(np.int64), return_inverse=True)
+    text = np.array([_number(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    n, pads = a.ndim, ["  " * (indent + k) for k in range(a.ndim + 1)]
+    opened = ["".join(pads[k] + "[\n" for k in range(n - c, n)) + pads[n] for c in range(n)]
+    shut = ["".join("\n" + pads[k] + "]" for k in range(n - 1, n - 1 - c, -1))
+            for c in range(n + 1)]
+    # between two values c levels of lists end, then a comma, then c begin
+    closed = sum(np.arange(1, a.size) % math.prod(a.shape[k:]) == 0 for k in range(1, n))
+    parts = np.empty(2 * a.size + 1, dtype=object)
+    parts[0], parts[-1] = "[\n" + opened[n - 1], shut[n]
+    parts[1::2] = text[inverse]
+    parts[2:-1:2] = np.array([e + ",\n" + b for e, b in zip(shut, opened)], dtype=object)[closed]
+    return "".join(parts.tolist())
+
+
 def _dumps(obj, indent=0) -> str:
     """JSON text with floats at 17 significant digits."""
     pad = "  " * indent
@@ -98,13 +130,11 @@ def _dumps(obj, indent=0) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        if math.isnan(obj):
-            return '"nan"'
-        if math.isinf(obj):
-            return '"inf"' if obj > 0 else '"-inf"'
-        return _fmt(obj)
+        return _number(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f":
+        return _dumps_floats(obj, indent)
     if isinstance(obj, (list, tuple, np.ndarray)):
         items = [_dumps(v, indent + 1) for v in obj]
         if not items:
@@ -120,7 +150,7 @@ def _dumps(obj, indent=0) -> str:
             return "{}"
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (np.floating,)):
-        return _dumps(float(obj), indent)
+        return _number(float(obj))
     if isinstance(obj, (np.integer,)):
         return str(int(obj))
     raise TypeError(f"cannot serialise {type(obj).__name__}")
@@ -457,19 +487,18 @@ def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
         f"realisation gap {_fmt(rep.realisation_gap)}",
     )
 
-    # the coordinates that can move are probed, from points at least one
-    # probe step inside the domain; a fixed one keeps its value in every probe
+    # the probed coordinates are compared, from points at least one probe
+    # step inside the domain
     grad_ok, worst_rel, h = True, 0.0, 1e-5
     width = cfg.family.domain.upper - cfg.family.domain.lower
-    moves = width >= 2.0 * h
+    moves = probed_coordinates(cfg.family.domain, h)
     margin = max(1e-3 * float(np.min(width, where=moves, initial=np.inf)), h)
     interior = cfg.family.domain.shrink(np.where(moves, margin, 0.0))
     for _ in range(3):
         xi = interior.sample(rng)
         g = reduced_gradient(cfg.problem, cfg.rule, cfg.family, xi, mode=cfg.gradient_mode)
         fd = central_differences(
-            lambda probes, _: reduced_energy(cfg.problem, cfg.rule, cfg.family,
-                                             np.where(moves, probes, xi))[0],
+            lambda probes, _: reduced_energy(cfg.problem, cfg.rule, cfg.family, probes)[0],
             cfg.problem, cfg.rule, cfg.family, xi, h,
         )
         g, fd = g[moves], fd[moves]
@@ -512,7 +541,9 @@ def _apply_thread_cap():
     threadpool_limits(limits=n)
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process; parsing leaves it as it is."""
     p = argparse.ArgumentParser(
         prog="nonlinritz",
         description="Alternating minimisation over nonlinear approximation "

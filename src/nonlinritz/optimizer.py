@@ -45,6 +45,7 @@ from .updates import (
     decrease_check,
     gradient_mapping,
     make_gradients,
+    probed_coordinates,
     prox_step,
     update_linear,
 )
@@ -136,15 +137,17 @@ def estimate_lipschitz_L(
 
     Maximum of ``||g(xi) - g(eta)|| / ||xi - eta||^nu`` over ``n_pairs``
     feasible pairs, doubled.  Returns 0 for an energy constant in xi.
-    Under finite-difference gradients the pairs come from the domain shrunk
-    by ``fd_step``, so that every difference probe stays admissible.
+    Under finite-difference gradients the pairs come from the domain with
+    every probed coordinate shrunk by ``fd_step``, so that every difference
+    probe stays admissible.
     """
     if n_pairs < 1:
         raise ConfigError("estimate_lipschitz_L needs at least one pair")
     if not 0.0 < nu <= 1.0:
         raise ConfigError(f"Hoelder exponent must lie in (0, 1], got {nu!r}")
     grads = make_gradients(problem, rule, family, mode=mode, fd_step=fd_step)
-    domain = family.domain.shrink(fd_step) if grads.mode == "fd" else family.domain
+    margin = np.where(probed_coordinates(family.domain, fd_step), fd_step, 0.0)
+    domain = family.domain.shrink(margin) if grads.mode == "fd" else family.domain
     rng = np.random.default_rng(seed)
     points, dists = [], []
     tries = 0

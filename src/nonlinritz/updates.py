@@ -55,6 +55,7 @@ __all__ = [
     "EnergyGradients",
     "make_gradients",
     "central_differences",
+    "probed_coordinates",
 ]
 
 
@@ -327,31 +328,44 @@ class EnergyGradients:
                                    self.problem, self.rule, self.family, xi, self.fd_step)
 
 
+def probed_coordinates(domain: NonlinearDomain, h: float) -> np.ndarray:
+    """Mask of the coordinates central differences of step ``h`` probe: those
+    at least two steps wide.  Any other coordinate cannot take both probes."""
+    return domain.upper - domain.lower >= 2.0 * h
+
+
 def central_differences(energy, problem, rule, family, xi, h: float) -> np.ndarray:
-    """``(E(xi + h e_i) - E(xi - h e_i)) / 2h`` for every coordinate ``i``.
+    """``(E(xi + h e_i) - E(xi - h e_i)) / 2h`` for every probed coordinate
+    ``i`` of the family's domain (:func:`probed_coordinates`), 0 for the
+    others, which cost no probe.
 
     ``xi`` is one point ``(d,)`` or a stack ``(N, d)``, which gives
     ``(N, d)``.  ``energy(probes, owner)`` maps a stack of probes to one
     value each; ``owner`` holds the index of each probe's point in the
-    stack.  Every point's probes ``xi + h e_0, xi - h e_0, xi + h e_1, ...``
-    follow in that order, point after point, all in the blocks of
-    :func:`~nonlinritz.assembly.stack_slices`; each block's probes are formed
-    when its turn comes, so one block of probes is alive at a time.
+    stack.  Every point's probes ``xi + h e_i, xi - h e_i`` follow in the
+    order of the probed coordinates ``i``, point after point, all in the
+    blocks of :func:`~nonlinritz.assembly.stack_slices`; each block's probes
+    are formed when its turn comes, so one block of probes is alive at a
+    time.
     """
     points = np.atleast_2d(xi)
-    N, d = points.shape
-    e = h * np.eye(d)
-    # probe i belongs to point i // 2d, moves coordinate (i // 2) % d and
-    # steps up for even i, down for odd i
-    first = np.broadcast_to(points[0] + e[0], (2 * d * N, d))
+    probed = np.flatnonzero(probed_coordinates(family.domain, h))
+    (N, d), m = points.shape, probed.size
+    if m == 0:
+        return np.zeros(np.shape(xi))
+    e = h * np.eye(d)[probed]
+    # probe i belongs to point i // 2m, moves probed coordinate (i // 2) % m
+    # and steps up for even i, down for odd i
+    first = np.broadcast_to(points[0] + e[0], (2 * m * N, d))
     K = []
     for block in stack_slices(problem, rule, family, first):
-        i = np.arange(*block.indices(2 * d * N))
-        owner, step = i // (2 * d), e[(i // 2) % d]
+        i = np.arange(*block.indices(2 * m * N))
+        owner, step = i // (2 * m), e[(i // 2) % m]
         up = (i % 2 == 0)[:, None]
         K.append(energy(np.where(up, points[owner] + step, points[owner] - step), owner))
     K = np.concatenate(K)
-    g = ((K[0::2] - K[1::2]) / (2.0 * h)).reshape(N, d)
+    g = np.zeros((N, d))
+    g[:, probed] = ((K[0::2] - K[1::2]) / (2.0 * h)).reshape(N, m)
     return g[0] if np.ndim(xi) == 1 else g
 
 

@@ -10,6 +10,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import nonlinritz.assembly
@@ -515,10 +516,14 @@ def test_estimated_lipschitz_under_fd_gradients_on_a_chain(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_grid_writes_oracle_artifact(tmp_path):
+def test_grid_writes_oracle_artifact(tmp_path, monkeypatch):
     cfg_path = _write_cfg(tmp_path, _circle_config())
     out = tmp_path / "out"
+    written, dumps = [], nonlinritz.cli._dumps
+    monkeypatch.setattr(nonlinritz.cli, "_dumps",
+                        lambda obj, indent=0: written.append(obj) or dumps(obj, indent))
     assert main(["grid", "--config", cfg_path, "--out-dir", str(out)]) == 0
+    assert _read(out / "oracle.json") == reference_dumps(written[0]) + "\n"
     payload = json.loads(_read(out / "oracle.json"))
     assert payload["kind"] == "grid"
     assert payload["K_star"] >= 0.0 and payload["K_star"] <= 5e-2
@@ -576,9 +581,164 @@ def test_check_probes_a_domain_with_a_narrow_coordinate(tmp_path, capsys, upper)
     assert "[PASS] reduced-gradient-fd" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("lipschitz", [2.0, "estimate"])
+def test_fd_gradients_on_a_domain_with_a_fixed_coordinate(tmp_path, capsys, lipschitz):
+    # xi[1] is fixed: central differences probe xi[0] alone, and the
+    # Lipschitz pairs keep only xi[0] one difference step inside its bounds
+    data = _base_config()
+    data["domain"] = {"lower": [0.1, 0.5], "upper": [0.9, 0.5]}
+    data["init"] = {"xi0": [0.45, 0.5]}
+    data["gradient"] = {"mode": "fd"}
+    data["schedule"]["lipschitz"] = lipschitz
+    cfg_path = _write_cfg(tmp_path, data)
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg_path, "--out-dir", out]) == 0
+    assert main(["certify", "--config", cfg_path, "--out-dir", out]) == 0
+    assert main(["check", "--config", cfg_path]) == 0
+    printed = capsys.readouterr().out
+    assert "[FAIL]" not in printed and "all checks passed" in printed
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+# ---------------------------------------------------------------------------
+
+
+def reference_dumps(obj, indent=0) -> str:
+    """The writer as it was before float arrays were written in bulk: one
+    recursive call per value, kept as the reference for its bytes."""
+    pad = "  " * indent
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        if math.isnan(obj):
+            return '"nan"'
+        if math.isinf(obj):
+            return '"inf"' if obj > 0 else '"-inf"'
+        return "%.17g" % float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        items = [reference_dumps(v, indent + 1) for v in obj]
+        if not items:
+            return "[]"
+        inner = ",\n".join("  " * (indent + 1) + s for s in items)
+        return "[\n" + inner + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        items = [
+            "  " * (indent + 1) + json.dumps(str(k)) + ": " + reference_dumps(v, indent + 1)
+            for k, v in obj.items()
+        ]
+        if not items:
+            return "{}"
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, (np.floating,)):
+        return reference_dumps(float(obj), indent)
+    if isinstance(obj, (np.integer,)):
+        return str(int(obj))
+    raise TypeError(f"cannot serialise {type(obj).__name__}")
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, math.nan,
+            math.inf, -math.inf, 1.0, 0.1]
+
+
+@st.composite
+def _float_arrays(draw):
+    """float64 or float32 arrays of 1-3 dimensions, possibly empty, as they
+    are or as a transposed, reversed or strided view; values repeat often."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    shape = tuple(draw(st.lists(st.integers(0, 4), min_size=1, max_size=3)))
+    pool = st.sampled_from(_SPECIAL) | st.floats(width=np.finfo(dtype).bits)
+    values = draw(st.lists(pool, min_size=1, max_size=5))
+    picks = draw(st.lists(st.sampled_from(values), min_size=math.prod(shape),
+                          max_size=math.prod(shape)))
+    a = np.array(picks, dtype=dtype).reshape(shape)
+    view = draw(st.sampled_from(["as is", "transposed", "reversed", "strided"]))
+    if view == "transposed":
+        return a.T
+    if view == "reversed":
+        return np.flip(a)
+    return a[..., ::2] if view == "strided" else a
+
+
+# leaves the writer cannot serialise: both writers raise TypeError
+_UNWRITABLE = st.sampled_from([np.array(1.5), np.array([True]), 1j, object()])
+
+_LEAVES = (st.sampled_from(_SPECIAL) | st.floats() | st.integers() | st.booleans()
+           | st.none() | st.text(max_size=4) | _float_arrays()
+           | st.floats(width=32).map(np.float32) | st.integers(-5, 5).map(np.int64))
+
+
+def _documents(leaves):
+    return st.recursive(leaves, lambda inner: st.lists(inner, max_size=4)
+                        | st.tuples(inner, inner)
+                        | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+                        max_leaves=10)
+
+
+def _assert_reads_back(obj, loaded):
+    """Every finite float of ``obj`` reads back as itself, sign of zero too."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            _assert_reads_back(v, loaded[k])
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        assert len(loaded) == len(obj)
+        for v, back in zip(obj, loaded):
+            _assert_reads_back(v, back)
+    elif isinstance(obj, (float, np.floating)) and math.isfinite(obj):
+        assert loaded == float(obj) and math.copysign(1.0, loaded) == math.copysign(1.0, obj)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents(_LEAVES), st.integers(0, 3))
+def test_writer_matches_the_reference_byte_for_byte(obj, indent):
+    text = nonlinritz.cli._dumps(obj, indent)
+    assert text == reference_dumps(obj, indent)
+    _assert_reads_back(obj, json.loads(text, parse_int=float))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_documents(_LEAVES | _UNWRITABLE))
+def test_writer_refuses_what_the_reference_refuses(obj):
+    try:
+        expected = reference_dumps(obj)
+    except TypeError:
+        with pytest.raises(TypeError):
+            nonlinritz.cli._dumps(obj)
+    else:
+        assert nonlinritz.cli._dumps(obj) == expected
+
+
+def test_writer_formats_each_distinct_grid_coordinate_once(count_calls):
+    # a (2939, 2) minimiser grid over 55 distinct coordinates, both zeros
+    # among them: at most 55 numbers are formatted
+    coords = np.concatenate([[-0.0, 0.0], np.linspace(0.05, 1.25, 53)])
+    grid = coords[np.random.default_rng(0).integers(0, coords.size, (2939, 2))]
+    calls = count_calls("_number", nonlinritz.cli)
+    text = nonlinritz.cli._dumps({"minimisers": grid})
+    assert len(calls) == 55
+    assert text == reference_dumps({"minimisers": grid})
+    assert re.search(r"^ *-0,?$", text, re.M) and re.search(r"^ *0,?$", text, re.M)
+
+
 # ---------------------------------------------------------------------------
 # error paths and the environment knob
 # ---------------------------------------------------------------------------
+
+
+def test_parser_is_built_once_and_parses_alike(capsys):
+    assert nonlinritz.cli._build_parser() is nonlinritz.cli._build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["run"])
+        assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("the following arguments are required: --config") == 2
 
 
 def test_invalid_json_reports_line(tmp_path, capsys):

@@ -14,12 +14,14 @@ from nonlinritz.basis import (
     SyntheticAmplitude,
 )
 from nonlinritz.errors import ConfigError, SpdViolationError
+from nonlinritz.optimizer import estimate_lipschitz_L
 from nonlinritz.updates import (
     DiagonalGeometry,
     EuclideanGeometry,
     Frozen,
     FullSolveCG,
     SteepestDescent,
+    central_differences,
     decrease_check,
     gradient_mapping,
     make_gradients,
@@ -361,6 +363,47 @@ def test_fd_grad_hats_h1_matches_direct_difference():
             kp = quadratic_energy(assemble(problem, RULE, fam, xi + e), w)
             km = quadratic_energy(assemble(problem, RULE, fam, xi - e), w)
             assert abs(got[i] - (kp - km) / (2 * h)) <= 1e-5 * (1 + abs(got[i]))
+
+
+def test_central_differences_skip_a_coordinate_narrower_than_two_steps():
+    # xi[1] is fixed and xi[2] is narrower than two steps of 1e-6: neither
+    # takes a probe, both get derivative 0, and xi[0] is differenced as alone
+    dom = NonlinearDomain([0.1, 0.5, 0.3], [0.9, 0.5, 0.3 + 1.5e-6])
+    fam = GaussianBumps(dom, np.array([0.1, 0.12, 0.08]))
+    points = np.array([[0.45, 0.5, 0.3], [0.6, 0.5, 0.3000015]])
+    probes = []
+
+    def value(stack):
+        return np.sin(3.0 * stack[:, 0]) + stack[:, 1] ** 2 + stack[:, 2]
+
+    def energy(stack, owner):
+        assert all(dom.contains(p) for p in stack)
+        probes.append(stack)
+        return value(stack)
+
+    g = central_differences(energy, _l2_problem(), RULE, fam, points, 1e-6)
+    stacked = np.concatenate(probes)
+    assert stacked.shape == (2 * 2, 3)  # two probes of one coordinate per point
+    assert np.array_equal(stacked[:, 1:], np.repeat(points[:, 1:], 2, axis=0))
+    assert np.all(g[:, 1:] == 0.0)
+    up, down = points.copy(), points.copy()
+    up[:, 0] += 1e-6
+    down[:, 0] -= 1e-6
+    assert np.array_equal(g[:, 0], (value(up) - value(down)) / 2e-6)
+    # no coordinate wide enough: no probe at all
+    fixed = GaussianBumps(NonlinearDomain([0.5], [0.5]), np.array([0.1]))
+    assert central_differences(energy, _l2_problem(), RULE, fixed, [0.5], 1e-6).tolist() == [0.0]
+    assert len(probes) == 1
+
+
+def test_fd_lipschitz_estimate_samples_a_domain_with_a_fixed_coordinate():
+    # only the probed coordinate is shrunk by the difference step; shrinking
+    # the fixed one as well leaves lower > upper
+    dom = NonlinearDomain([0.1, 0.5], [0.9, 0.5])
+    fam = GaussianBumps(dom, np.array([0.1, 0.12]))
+    L = estimate_lipschitz_L(_l2_problem(), RULE, fam, [1.0, 0.5], n_pairs=4, seed=0,
+                             mode="fd")
+    assert np.isfinite(L) and L > 0.0
 
 
 def test_indicator_closed_form_matches_fd():
