@@ -157,9 +157,9 @@ class NonlinearDomain:
         object.__setattr__(self, "_link_a", link_a)
         object.__setattr__(self, "_link_b", link_b)
         object.__setattr__(self, "_limits", (lo - _TOL, hi + _TOL, self.gap - _TOL))
-        # per chain, for the projection: indices, the gap shift ``k*gap`` and
-        # the monotone envelopes of the shifted bounds, which make the
-        # bounds consistent with isotonicity
+        # per chain, for the projection: indices, the gap shift ``k*gap`` and the
+        # monotone envelopes of the shifted bounds; the chain holds a point (its
+        # lower envelope, shifted back) exactly when lo_env <= hi_env throughout
         envelopes = []
         for c in self.chains:
             idx = np.asarray(c)
@@ -173,14 +173,6 @@ class NonlinearDomain:
                 )
             envelopes.append((idx, shift, lo_env, hi_env))
         object.__setattr__(self, "_envelopes", envelopes)
-        # nonempty check: the chain-respecting midpoint must project cleanly
-        mid = 0.5 * (lo + hi)
-        try:
-            p = self.project(mid)
-        except ConfigError:
-            raise
-        if not self.contains(p, tol=1e-9 * (1.0 + float(np.max(hi - lo)))):
-            raise ConfigError("domain is empty: box and chain constraints conflict")
 
     @property
     def dim(self) -> int:
@@ -833,10 +825,17 @@ def _sq_u_norms(problem, rule, mat_values, mat_derivs):
     return out
 
 
+def _split(problem, rule: QuadratureRule, family, *params):
+    """The checked ``params`` and ``rule`` split at their breakpoints and the
+    problem's coefficient breakpoints, one common rule for all of them."""
+    params = [family.require_param(p) for p in params]
+    cuts = [b for p in params for b in family.breakpoints(p)]
+    return (*params, rule.split_at(tuple(cuts) + tuple(problem.coefficient_breakpoints())))
+
+
 def basis_norms(problem, rule: QuadratureRule, family, xi) -> float:
     """||phi(xi)||_{U,2} = sqrt(sum_k ||phi_k(xi)||_U^2)."""
-    xi = family.require_param(xi)
-    r = rule.split_at(family.breakpoints(xi) + problem.coefficient_breakpoints())
+    xi, r = _split(problem, rule, family, xi)
     vals = family.basis_values(xi, r.nodes)
     ders = family.basis_derivs(xi, r.nodes) if problem.needs_h1 else None
     return float(np.sqrt(np.sum(_sq_u_norms(problem, r, vals, ders))))
@@ -844,17 +843,10 @@ def basis_norms(problem, rule: QuadratureRule, family, xi) -> float:
 
 def basis_difference_norm(problem, rule: QuadratureRule, family, xi, eta) -> float:
     """||phi(xi) - phi(eta)||_{U,2} on a common refined rule."""
-    xi = family.require_param(xi)
-    eta = family.require_param(eta)
-    r = rule.split_at(
-        tuple(family.breakpoints(xi))
-        + tuple(family.breakpoints(eta))
-        + tuple(problem.coefficient_breakpoints())
-    )
+    xi, eta, r = _split(problem, rule, family, xi, eta)
     dv = family.basis_values(xi, r.nodes) - family.basis_values(eta, r.nodes)
-    dd = None
-    if problem.needs_h1:
-        dd = family.basis_derivs(xi, r.nodes) - family.basis_derivs(eta, r.nodes)
+    dd = (family.basis_derivs(xi, r.nodes) - family.basis_derivs(eta, r.nodes)
+          if problem.needs_h1 else None)
     return float(np.sqrt(np.sum(_sq_u_norms(problem, r, dv, dd))))
 
 
@@ -874,8 +866,7 @@ def _dparam_root_sum(problem, rule, family, column) -> float:
 
 def dparam_norm(problem, rule: QuadratureRule, family, xi) -> float:
     """||grad_xi phi(xi)||_{U,2,2}: root sum of squared U-norms of all entries."""
-    xi = family.require_param(xi)
-    r = rule.split_at(family.breakpoints(xi) + problem.coefficient_breakpoints())
+    xi, r = _split(problem, rule, family, xi)
     return _dparam_root_sum(
         problem, r, family, lambda e: family.dparam_values(xi, r.nodes, e)
     )
@@ -883,13 +874,7 @@ def dparam_norm(problem, rule: QuadratureRule, family, xi) -> float:
 
 def dparam_difference_norm(problem, rule: QuadratureRule, family, xi, eta) -> float:
     """||grad_xi phi(xi) - grad_xi phi(eta)||_{U,2,2} on a common rule."""
-    xi = family.require_param(xi)
-    eta = family.require_param(eta)
-    r = rule.split_at(
-        tuple(family.breakpoints(xi))
-        + tuple(family.breakpoints(eta))
-        + tuple(problem.coefficient_breakpoints())
-    )
+    xi, eta, r = _split(problem, rule, family, xi, eta)
     return _dparam_root_sum(
         problem, r, family,
         lambda e: family.dparam_values(xi, r.nodes, e) - family.dparam_values(eta, r.nodes, e),

@@ -25,6 +25,7 @@ import ast
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -69,56 +70,64 @@ __all__ = [
 # expression grammar
 # ---------------------------------------------------------------------------
 
+#: name -> (function, arity 1 or 3): what a call of that name applies
 _FUNCS = {
-    "exp": np.exp,
-    "sin": np.sin,
-    "cos": np.cos,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-    "gauss": lambda x, c, s: np.exp(-0.5 * ((x - c) / s) ** 2),
-    "step": lambda t: np.where(np.asarray(t) >= 0.0, 1.0, 0.0),
+    "exp": (np.exp, 1),
+    "sin": (np.sin, 1),
+    "cos": (np.cos, 1),
+    "sqrt": (np.sqrt, 1),
+    "abs": (np.abs, 1),
+    "gauss": (lambda x, c, s: np.exp(-0.5 * ((x - c) / s) ** 2), 3),
+    "step": (lambda t: np.where(np.asarray(t) >= 0.0, 1.0, 0.0), 1),
 }
-_FUNC_ARITY = {"exp": 1, "sin": 1, "cos": 1, "sqrt": 1, "abs": 1, "gauss": 3, "step": 1}
-_NAMES = {"x", "pi"}
-_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
-_UNARYOPS = (ast.UAdd, ast.USub)
+_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+_UNARYOPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
-def _validate_expr(node, src):
-    if isinstance(node, ast.Expression):
-        _validate_expr(node.body, src)
-    elif isinstance(node, ast.BinOp) and isinstance(node.op, _BINOPS):
-        _validate_expr(node.left, src)
-        _validate_expr(node.right, src)
-    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, _UNARYOPS):
-        _validate_expr(node.operand, src)
-    elif isinstance(node, ast.Call):
-        if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCS:
+def _build(node, src):
+    """Check the grammar node ``node`` and return its value as a function of ``x``.
+
+    Each node's closure applies the ``operator`` or numpy function that Python
+    applies to that node, to the same operands, so the values are Python's;
+    a call is specialised by its arity.  Nodes are checked depth first, left
+    to right, so the first error found is the one reported.
+    """
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+        op, left, right = _BINOPS[type(node.op)], _build(node.left, src), _build(node.right, src)
+        return lambda x: op(left(x), right(x))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARYOPS:
+        op, operand = _UNARYOPS[type(node.op)], _build(node.operand, src)
+        return lambda x: op(operand(x))
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "id", "?")  # only an ast.Name has an id
+        if name not in _FUNCS:
             raise ConfigError(
-                f"expression {src!r}: unknown function "
-                f"{getattr(node.func, 'id', '?')!r}; allowed: {sorted(_FUNCS)}"
+                f"expression {src!r}: unknown function {name!r}; allowed: {sorted(_FUNCS)}"
             )
         if node.keywords:
             raise ConfigError(f"expression {src!r}: keyword arguments not allowed")
-        if len(node.args) != _FUNC_ARITY[node.func.id]:
-            raise ConfigError(
-                f"expression {src!r}: {node.func.id} takes "
-                f"{_FUNC_ARITY[node.func.id]} argument(s)"
-            )
-        for a in node.args:
-            _validate_expr(a, src)
-    elif isinstance(node, ast.Name):
-        if node.id not in _NAMES:
-            raise ConfigError(
-                f"expression {src!r}: unknown name {node.id!r}; allowed: x, pi"
-            )
-    elif isinstance(node, ast.Constant):
+        fn, arity = _FUNCS[name]
+        if len(node.args) != arity:
+            raise ConfigError(f"expression {src!r}: {name} takes {arity} argument(s)")
+        args = [_build(a, src) for a in node.args]
+        if arity == 1:
+            (a,) = args
+            return lambda x: fn(a(x))
+        a, b, c = args
+        return lambda x: fn(a(x), b(x), c(x))
+    if isinstance(node, ast.Name):
+        if node.id == "x":
+            return lambda x: x
+        if node.id == "pi":
+            return lambda x: math.pi
+        raise ConfigError(f"expression {src!r}: unknown name {node.id!r}; allowed: x, pi")
+    if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ConfigError(f"expression {src!r}: only numeric constants allowed")
-    else:
-        raise ConfigError(
-            f"expression {src!r}: construct {type(node).__name__} not in the grammar"
-        )
+        value = node.value
+        return lambda x: value
+    raise ConfigError(f"expression {src!r}: construct {type(node).__name__} not in the grammar")
 
 
 def compile_expression(src):
@@ -132,17 +141,11 @@ def compile_expression(src):
         tree = ast.parse(src, mode="eval")
     except SyntaxError as e:
         raise ConfigError(f"expression {src!r}: syntax error at column {e.offset}") from e
-    _validate_expr(tree, src)
-    code = compile(tree, "<config-expression>", "eval")
-    env = dict(_FUNCS)
-    env["pi"] = math.pi
+    body = _build(tree.body, src)
 
     def fn(x):
         x = np.asarray(x, dtype=float)
-        scope = dict(env)
-        scope["x"] = x
-        out = eval(code, {"__builtins__": {}}, scope)  # noqa: S307 - whitelisted AST
-        arr = np.asarray(out, dtype=float)
+        arr = np.asarray(body(x), dtype=float)
         if arr.shape != x.shape:
             arr = np.broadcast_to(arr, x.shape)
         return arr
@@ -423,29 +426,35 @@ def _build_schedule(s):
                              eps_holder=s["eps_holder"], n_pairs=s["n_pairs"], seed=s["seed"])
 
 
-def _check_oracle_dim(oracle, dim: int) -> None:
-    """Oracle points and a sphere's centre must have the domain's dimension."""
-    if oracle is None or oracle["kind"] == "grid":
-        return
-    # _points has made every point as long as the first
-    key = "points" if oracle["kind"] == "points" else "center"
-    got = len(oracle["points"][0]) if key == "points" else len(oracle["center"])
-    if got != dim:
-        raise ConfigError(f"oracle.{key}: expected {dim} coordinates, the domain's, got {got}")
+def _check_dims(norm, dim: int) -> None:
+    """Oracle points, a sphere's centre, a diagonal geometry's ``diag`` and
+    ``init.xi0`` must each have one entry per domain coordinate."""
+    oracle, geometry = norm["oracle"], norm["geometry"]
+    given = {}
+    if oracle is not None and oracle["kind"] == "points":
+        given["oracle.points"] = len(oracle["points"][0])  # _points: all equally long
+    if oracle is not None and oracle["kind"] == "sphere":
+        given["oracle.center"] = len(oracle["center"])
+    if geometry["kind"] == "diagonal":
+        given["geometry.diag"] = len(geometry["diag"])
+    given["init.xi0"] = len(norm["init"]["xi0"])
+    for key, got in given.items():
+        if got != dim:
+            raise ConfigError(f"{key}: expected {dim} coordinates, the domain's, got {got}")
 
 
-def _check_start(init, family) -> None:
+def _check_start(norm, family) -> None:
     """``init.xi0`` must lie in the domain, ``init.w0`` hold one coefficient per
-    basis function."""
-    dim, xi0 = family.domain.dim, init["xi0"]
-    if len(xi0) != dim:
-        raise ConfigError(f"init.xi0: expected {dim} coordinates, the domain's, got {len(xi0)}")
-    outside = family.domain.violations(np.array(xi0))
+    basis function and be given under the frozen linear rule."""
+    init = norm["init"]
+    outside = family.domain.violations(np.array(init["xi0"]))
     if outside:
         raise ConfigError("init.xi0: outside the admissible domain: " + "; ".join(outside))
     n = family.n_linear
     if "w0" in init and len(init["w0"]) != n:
         raise ConfigError(f"init.w0: expected {n} coefficients, the family's, got {len(init['w0'])}")
+    if "w0" not in init and norm["linear_rule"]["kind"] == "frozen":
+        raise ConfigError("init.w0: the frozen linear rule needs initial coefficients")
 
 
 _LINEAR_RULES = {"full_cg": FullSolveCG, "steepest_descent": SteepestDescent, "frozen": Frozen}
@@ -484,8 +493,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         certify_spec=norm["certify"],
         out_dir=norm["out_dir"],
     )
-    _check_oracle_dim(norm["oracle"], cfg.family.domain.dim)
-    _check_start(init, cfg.family)
+    _check_dims(norm, cfg.family.domain.dim)
+    _check_start(norm, cfg.family)
     return cfg
 
 

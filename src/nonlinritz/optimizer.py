@@ -349,31 +349,6 @@ class RunRecord:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_lipschitz(schedule, problem, rule, family, w, grads):
-    """Returns (converted Lipschitz surrogate, raw Hoelder constant, exponent)."""
-    if isinstance(schedule, ConstantGamma):
-        return None, None, 1.0
-    L = schedule.lipschitz
-    if L == "estimate":
-        L = estimate_lipschitz_L(
-            problem, rule, family, w, schedule.n_pairs, schedule.seed,
-            nu=schedule.nu, mode=grads.mode, fd_step=grads.fd_step,
-        )
-    L_eff = hoelder_to_lipschitz(float(L), schedule.nu, schedule.eps_holder)
-    if L_eff <= 0.0:
-        raise NumericalError(
-            "Lipschitz surrogate is zero (energy constant along the "
-            "nonlinear block); use ConstantGamma instead"
-        )
-    return L_eff, float(L), schedule.nu
-
-
-def _gamma_at(schedule, mu, L_eff):
-    if isinstance(schedule, ConstantGamma):
-        return schedule.gamma
-    return schedule.zeta * mu / L_eff
-
-
 def _check_assumption1(system: AssembledSystem, omega_min, frozen: bool):
     if frozen or omega_min is None:
         return
@@ -415,9 +390,24 @@ class _Recorder:
         self.linear_rule, self.stopping, self.mu = linear_rule, stopping, geometry.mu
         self.frozen = isinstance(linear_rule, Frozen)
         self.initial_decrease = None if self.frozen else decrease_check(system, w_init, w)
-        self.L_eff, self.L_raw, self.nu = _resolve_lipschitz(
-            schedule, problem, rule, family, w, grads)
-        self.gamma = _gamma_at(schedule, self.mu, self.L_eff)
+        if isinstance(schedule, ConstantGamma):
+            self.L_eff, self.L_raw, self.nu, self.gamma = None, None, 1.0, schedule.gamma
+        else:
+            L = schedule.lipschitz
+            if L == "estimate":
+                L = estimate_lipschitz_L(
+                    problem, rule, family, w, schedule.n_pairs, schedule.seed,
+                    nu=schedule.nu, mode=grads.mode, fd_step=grads.fd_step,
+                )
+            # L_raw is the Hoelder constant, L_eff its Lipschitz surrogate
+            self.L_raw, self.nu = float(L), schedule.nu
+            self.L_eff = hoelder_to_lipschitz(self.L_raw, self.nu, schedule.eps_holder)
+            if self.L_eff <= 0.0:
+                raise NumericalError(
+                    "Lipschitz surrogate is zero (energy constant along the "
+                    "nonlinear block); use ConstantGamma instead"
+                )
+            self.gamma = schedule.zeta * self.mu / self.L_eff
         self.delta_star_fn = delta_star_fn
         self.system, self.w = system, w
         self.K = quadratic_energy(system, w)

@@ -141,7 +141,7 @@ def _half_form(d, Dd):
 class EuclideanGeometry:
     """psi = 0.5 ||xi||^2; the prox is the Euclidean projected gradient step."""
 
-    mu: float = 1.0
+    mu = 1.0  # the strong convexity modulus of psi: fixed, not a field
 
     def weights(self, dim: int) -> np.ndarray:
         return np.ones(dim)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
@@ -48,6 +49,59 @@ def test_domain_validation():
     # chain gap larger than the box extent leaves no feasible point
     with pytest.raises(ConfigError, match="empty"):
         NonlinearDomain([0.0, 0.0], [1.0, 1.0], chains=((0, 1),), gap=1.5)
+
+
+@pytest.mark.parametrize("lower, upper, chains, gap, message", [
+    # the gap alone outruns the box
+    ([0.0, 0.0], [1.0, 1.0], ((0, 1),), 1.5, "are incompatible"),
+    # no gap, but the order contradicts the bounds: x0 >= 0.6 > 0.5 >= x1
+    ([0.6, 0.0], [1.0, 0.5], ((0, 1),), 0.0, "are incompatible"),
+    # a middle bound pushes the chain's last member past its upper bound
+    ([0.0, 0.5, 0.0], [1.0, 1.0, 0.55], ((0, 1, 2),), 0.1, "are incompatible"),
+    # only the second of two chains is empty
+    ([0.0, 0.0, 0.7, 0.0], [1.0, 1.0, 1.0, 0.6], ((0, 1), (2, 3)), 0.0, r"chain \(2, 3\)"),
+    ([0.0, 1.0], [1.0, 0.5], (), 0.0, "lower > upper"),
+    ([0.0, 1.0], [1.0, 0.5], ((0, 1),), 0.0, "lower > upper"),
+])
+def test_empty_domains_are_refused(lower, upper, chains, gap, message):
+    with pytest.raises(ConfigError, match=message):
+        NonlinearDomain(lower, upper, chains=chains, gap=gap)
+
+
+@st.composite
+def _domain_specs(draw):
+    """Bounds and gaps on a grid of sixteenths, so every sum is exact: an
+    arbitrary box with one or two chains, empty or not."""
+    n = draw(st.integers(2, 6))
+    sixteenths = st.integers(0, 16).map(lambda i: i / 16.0)
+    lower = draw(st.lists(sixteenths, min_size=n, max_size=n))
+    upper = [lo + draw(sixteenths) for lo in lower]
+    k = draw(st.integers(2, n))
+    chains = [tuple(range(k))]
+    if n - k >= 2 and draw(st.booleans()):
+        chains.append(tuple(range(k, n)))
+    return lower, upper, tuple(chains), draw(st.integers(0, 8).map(lambda i: i / 16.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_domain_specs())
+def test_a_domain_is_refused_exactly_when_it_is_empty(spec):
+    lower, upper, chains, gap = spec
+    # the least point of each chain, built member by member, is admissible
+    # exactly when the chain is not empty
+    point, empty = np.array(lower), False
+    for c in chains:
+        for a, b in zip(c[:-1], c[1:]):
+            point[b] = max(point[b], point[a] + gap)
+            empty |= point[b] > upper[b]
+    if empty:
+        with pytest.raises(ConfigError, match="are incompatible"):
+            NonlinearDomain(lower, upper, chains=chains, gap=gap)
+        return
+    dom = NonlinearDomain(lower, upper, chains=chains, gap=gap)
+    assert dom.contains(point)
+    # the projected midpoint is admissible too
+    assert dom.contains(dom.project(0.5 * (np.array(lower) + np.array(upper))))
 
 
 def test_contains_and_require():

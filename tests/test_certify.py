@@ -16,6 +16,7 @@ from nonlinritz.basis import (
     SyntheticAmplitude,
     basis_norms,
     dparam_norm,
+    realisation,
 )
 from nonlinritz.certify import (
     AnalyticPointsOracle,
@@ -522,6 +523,25 @@ def test_quantitative_dc_condition_pass_and_fail():
         inf_dist=10.0, **kwargs,
     )
     assert bad.status == "fail"
+
+
+def test_quantitative_dc_condition_builds_each_realisation_once(monkeypatch):
+    problem, family, _ = _circle_setup()
+    built = []
+
+    def counted(family, xi, w):
+        built.append(np.array(xi))
+        return realisation(family, xi, w)
+
+    monkeypatch.setattr(nonlinritz.certify, "realisation", counted)
+    quantitative_dc_condition(
+        problem, RULE, family, np.array([0.9, 0.0]), np.array([1.0, 0.0]), kappa_max=1.0,
+        norm_ell=0.0, alpha=1.0, L_phi=1.0, rho=1.0, inf_dist=1e-8, n_samples=3,
+        frozen_w=np.array([1.0]),
+    )
+    # eta and eta +- h D, eta +- (h/2) D at each of the 3 segment points
+    assert len(built) == 3 * 5
+    assert len({p.tobytes() for p in built}) == 3 * 5
 
 
 # ---------------------------------------------------------------------------

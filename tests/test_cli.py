@@ -787,6 +787,33 @@ def test_malformed_value_is_config_error(tmp_path, capsys, section, value, path)
     assert path in capsys.readouterr().err
 
 
+def _circle_without_w0():
+    data = _circle_config()
+    del data["init"]["w0"]
+    return data
+
+
+def _base_with_long_diag():
+    data = _base_config()
+    data["geometry"] = {"kind": "diagonal", "diag": [1.0, 1.0, 1.0]}
+    return data
+
+
+@pytest.mark.parametrize("sub", ["grid", "run", "certify", "check"])
+@pytest.mark.parametrize("make, message", [
+    # without coefficients a frozen survey would grade the reduced energy
+    (_circle_without_w0, "init.w0: the frozen linear rule needs initial coefficients"),
+    # refused before the initial solve, not at the first prox step
+    (_base_with_long_diag, "geometry.diag: expected 2 coordinates, the domain's, got 3"),
+])
+def test_every_subcommand_refuses_the_config(tmp_path, capsys, sub, make, message):
+    cfg_path = _write_cfg(tmp_path, make())
+    out = tmp_path / "out"
+    assert main([sub, "--config", cfg_path, "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
+
+
 def test_hats_without_their_chain_are_a_config_error(tmp_path, capsys):
     data = _base_config()
     data["family"] = {"kind": "free_knot_hats"}

@@ -1,10 +1,14 @@
+import ast
 import copy
 import json
 import math
 import os
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from nonlinritz.basis import (
@@ -69,21 +73,200 @@ def test_expression_constants_broadcast():
     assert compile_expression(3)(np.zeros(())).shape == ()
 
 
-@pytest.mark.parametrize("bad", [
-    "__import__('os')",
-    "x.__class__",
-    "y + 1",
-    "foo(x)",
-    "x < 1",
-    "lambda x: x",
-    "x[0]",
-    "'hello'",
-    "gauss(x, c=1, s=1)",
-    "x ; x",
-])
-def test_expression_rejects_unsafe_or_unknown(bad):
-    with pytest.raises(ConfigError):
+_ALLOWED = "['abs', 'cos', 'exp', 'gauss', 'sin', 'sqrt', 'step']"
+
+
+_UNSAFE = [
+    ("__import__('os')", f"unknown function '__import__'; allowed: {_ALLOWED}"),
+    ("x.__class__", "construct Attribute not in the grammar"),
+    ("y + 1", "unknown name 'y'; allowed: x, pi"),
+    ("foo(x)", f"unknown function 'foo'; allowed: {_ALLOWED}"),
+    ("np.exp(x)", f"unknown function '?'; allowed: {_ALLOWED}"),
+    ("x < 1", "construct Compare not in the grammar"),
+    ("lambda x: x", "construct Lambda not in the grammar"),
+    ("x[0]", "construct Subscript not in the grammar"),
+    ("'hello'", "only numeric constants allowed"),
+    ("gauss(x, c=1, s=1)", "keyword arguments not allowed"),
+    ("sin(x, 1)", "sin takes 1 argument(s)"),
+    ("gauss(x)", "gauss takes 3 argument(s)"),
+    ("x % 2", "construct BinOp not in the grammar"),
+    ("not x", "construct UnaryOp not in the grammar"),
+    ("x ; x", "syntax error at column 3"),
+]
+
+
+@pytest.mark.parametrize("bad, message", _UNSAFE, ids=[bad for bad, _ in _UNSAFE])
+def test_expression_rejects_unsafe_or_unknown(bad, message):
+    with pytest.raises(ConfigError, match=re.escape(f"expression {bad!r}: {message}") + "$"):
         compile_expression(bad)
+
+
+# The compiler as it was before expressions were built in one walk: the
+# grammar checked by one recursion, the tree then run by ``eval``.  Kept as
+# the reference for values and error messages.
+_REFERENCE_FUNCS = {
+    "exp": np.exp,
+    "sin": np.sin,
+    "cos": np.cos,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+    "gauss": lambda x, c, s: np.exp(-0.5 * ((x - c) / s) ** 2),
+    "step": lambda t: np.where(np.asarray(t) >= 0.0, 1.0, 0.0),
+}
+_REFERENCE_ARITY = {"exp": 1, "sin": 1, "cos": 1, "sqrt": 1, "abs": 1, "gauss": 3, "step": 1}
+
+
+def _reference_validate(node, src):
+    if isinstance(node, ast.Expression):
+        _reference_validate(node.body, src)
+    elif isinstance(node, ast.BinOp) and isinstance(
+            node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)):
+        _reference_validate(node.left, src)
+        _reference_validate(node.right, src)
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        _reference_validate(node.operand, src)
+    elif isinstance(node, ast.Call):
+        if not isinstance(node.func, ast.Name) or node.func.id not in _REFERENCE_FUNCS:
+            raise ConfigError(
+                f"expression {src!r}: unknown function "
+                f"{getattr(node.func, 'id', '?')!r}; allowed: {sorted(_REFERENCE_FUNCS)}"
+            )
+        if node.keywords:
+            raise ConfigError(f"expression {src!r}: keyword arguments not allowed")
+        if len(node.args) != _REFERENCE_ARITY[node.func.id]:
+            raise ConfigError(
+                f"expression {src!r}: {node.func.id} takes "
+                f"{_REFERENCE_ARITY[node.func.id]} argument(s)"
+            )
+        for a in node.args:
+            _reference_validate(a, src)
+    elif isinstance(node, ast.Name):
+        if node.id not in {"x", "pi"}:
+            raise ConfigError(
+                f"expression {src!r}: unknown name {node.id!r}; allowed: x, pi"
+            )
+    elif isinstance(node, ast.Constant):
+        if not isinstance(node.value, (int, float)):
+            raise ConfigError(f"expression {src!r}: only numeric constants allowed")
+    else:
+        raise ConfigError(
+            f"expression {src!r}: construct {type(node).__name__} not in the grammar"
+        )
+
+
+def reference_compile_expression(src):
+    if isinstance(src, (int, float)) and not isinstance(src, bool):
+        c = float(src)
+        return lambda x: np.full(np.shape(x), c)
+    if not isinstance(src, str):
+        raise ConfigError(f"expected an expression string or number, got {src!r}")
+    try:
+        tree = ast.parse(src, mode="eval")
+    except SyntaxError as e:
+        raise ConfigError(f"expression {src!r}: syntax error at column {e.offset}") from e
+    _reference_validate(tree, src)
+    code = compile(tree, "<config-expression>", "eval")
+    env = dict(_REFERENCE_FUNCS)
+    env["pi"] = math.pi
+
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        scope = dict(env)
+        scope["x"] = x
+        out = eval(code, {"__builtins__": {}}, scope)  # noqa: S307 - whitelisted AST
+        arr = np.asarray(out, dtype=float)
+        if arr.shape != x.shape:
+            arr = np.broadcast_to(arr, x.shape)
+        return arr
+
+    return fn
+
+
+_POINTS = (
+    np.linspace(-1.5, 1.5, 161),
+    np.array([0.0, -0.0, 1e-300, -1e-300, 0.3, 0.6, 1e300, np.inf, -np.inf, np.nan]),
+    np.linspace(0.0, 1.0, 12).reshape(3, 4),
+    np.array(0.25),
+)
+
+
+def _outcome(compile_fn, src, x):
+    """The bytes, shape and dtype of ``compile_fn(src)(x)``, or the error raised."""
+    try:
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out = compile_fn(src)(x)
+    except Exception as e:  # noqa: BLE001 - the reference's error is the expectation
+        return type(e), str(e)
+    return out.dtype, out.shape, out.tobytes(), out.flags.writeable
+
+
+def _assert_same_as_reference(src):
+    for x in _POINTS:
+        assert _outcome(compile_expression, src, x) == _outcome(
+            reference_compile_expression, src, x), (src, x)
+
+
+# the expressions of the bench jobs (seeds 1 and 7) and the demo configs
+@pytest.mark.parametrize("src", [
+    "0.8*gauss(x, 0.3, 0.1) + 0.5*gauss(x, 0.7, 0.12)",
+    "0.807244854705913*gauss(x, 0.31661758908479676, 0.1) + "
+    "0.4871730886000263*gauss(x, 0.6657546462961197, 0.1)",
+    "0.8126611817108774*gauss(x, 0.31297979348695815, 0.1) + "
+    "0.49265207077218265*gauss(x, 0.6941752964670392, 0.1)",
+    "1 + 0.2488264749575839*sin(2*pi*x)",
+    "1 + 0.249085910610281*sin(2*pi*x)",
+    "1 + 0.2495595819120829*sin(2*pi*x)",
+    "1 + 0.24974170118662695*sin(2*pi*x)",
+    "1 + 8*gauss(x, 0.4988664567015444, 0.08)",
+    "1 + 8*gauss(x, 0.5001035311819837, 0.08)",
+    "1 + 8*gauss(x, 0.5003773361825996, 0.08)",
+    "1 + 8*gauss(x, 0.5006594365474415, 0.08)",
+    1.2440680732624183, 1.2456356146740564, 1.2543429217117155, 1.2559531888199116,
+    "abs(x - 0.3285663276522542) + 0.5*x*x",
+    "abs(x - 0.33111779558851817) + 0.5*x*x",
+    "abs(x-0.3) + 0.3*step(x-0.6)",
+    "sin(12*x)*exp(-x) + 0.5*gauss(x, 0.5, 0.02)",
+    "sin(6.404934703469224*x + 0.31042301210811696) + "
+    "0.45712191471236857*gauss(x, 0.4951013805147884, 0.02999178315676549)",
+    "sin(6.454196518856622*x + 0.28952547521773503) + "
+    "0.45407523077207607*gauss(x, 0.49144872573335086, 0.03006458760775204)",
+    0.0,
+])
+def test_expressions_of_bench_and_demo_configs_match_the_reference(src):
+    _assert_same_as_reference(src)
+
+
+_GOOD_LEAVES = (st.sampled_from(["x", "pi", "0", "1", "2", "3", "True"])
+                | st.floats(0.0, 50.0).map(repr))
+_BAD_LEAVES = st.sampled_from(["y", "'s'", "None", "1j", "x.real", "x[0]", "x % 2", "x < 1",
+                               "foo(x)", "np.exp(x)", "sin(x, x)", "gauss(x)", "exp(t=x)",
+                               "x if x else 1", "not x", "[x]"])
+
+
+def _grammar(leaves):
+    def extend(sub):
+        # a power's exponent is a leaf, so integer towers stay small
+        return (st.tuples(sub, st.sampled_from("+-*/"), sub).map(lambda t: f"({t[0]} {t[1]} {t[2]})")
+                | st.tuples(sub, leaves).map(lambda t: f"({t[0]}) ** {t[1]}")
+                | st.tuples(st.sampled_from("-+"), sub).map("".join)
+                | st.tuples(st.sampled_from(["exp", "sin", "cos", "sqrt", "abs", "step"]), sub)
+                .map(lambda t: f"{t[0]}({t[1]})")
+                | st.tuples(sub, sub, sub).map(lambda t: "gauss({}, {}, {})".format(*t)))
+
+    return st.recursive(leaves, extend, max_leaves=14)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_grammar(_GOOD_LEAVES))
+def test_grammar_expressions_match_the_reference_bitwise(src):
+    _assert_same_as_reference(src)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grammar(_GOOD_LEAVES | _BAD_LEAVES))
+def test_grammar_errors_keep_the_reference_text(src):
+    _assert_same_as_reference(src)
 
 
 def test_expression_syntax_error_reports_column():
@@ -285,6 +468,10 @@ def test_errors_carry_dotted_paths():
      r"oracle\.points: expected 2 coordinates, the domain's, got 1"),
     ("oracle", {"kind": "sphere", "center": [0.0, 0.0, 0.0], "radius": 1.0, "K_star": 0.0},
      r"oracle\.center: expected 2 coordinates, the domain's, got 3"),
+    ("geometry", {"kind": "diagonal", "diag": [1.0, 2.0, 3.0]},
+     r"geometry\.diag: expected 2 coordinates, the domain's, got 3"),
+    ("linear_rule", {"kind": "frozen"},
+     r"init\.w0: the frozen linear rule needs initial coefficients"),
 ])
 def test_malformed_values_name_their_path(section, value, message):
     data = _base()

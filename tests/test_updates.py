@@ -159,6 +159,8 @@ def test_decrease_holds_on_random_systems():
 
 def test_geometry_moduli():
     assert EuclideanGeometry().mu == 1.0
+    with pytest.raises(TypeError):  # psi = 0.5 ||xi||^2 fixes the modulus
+        EuclideanGeometry(mu=2.0)
     geom = DiagonalGeometry([2.0, 0.5, 4.0])
     assert geom.mu == 0.5
     with pytest.raises(ConfigError):
