@@ -94,10 +94,6 @@ class AssembledSystem:
     load: np.ndarray            # ell(phi(xi))
     gram: np.ndarray            # G(xi), symmetrised; the same array as A for L2
 
-    @property
-    def n_linear(self) -> int:
-        return int(self.load.shape[-1])
-
     @cached_property
     def spectrum(self):
         """Ascending eigenvalues and orthonormal eigenvectors of A."""

@@ -61,7 +61,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-#: default membership tolerance of NonlinearDomain
+#: membership tolerance of NonlinearDomain
 _TOL = 1e-12
 
 
@@ -73,9 +73,6 @@ def _bounded_isotonic(y, w, lo, hi):
     block means).  ``lo``/``hi`` must already be the monotone envelopes
     (nondecreasing).  Plain clip-after-PAV is wrong for non-uniform bounds;
     the clipping has to participate in the pooling decisions.
-
-    Returns ``(x, changed)`` where ``changed`` is False when the input was
-    already feasible and untouched (bitwise passthrough).
     """
     n = len(y)
     # finished blocks as parallel lists: start index, weight sum, mean, lo,
@@ -101,10 +98,9 @@ def _bounded_isotonic(y, w, lo, hi):
         val.append(cv)
 
     x = np.empty(n)
-    changed = len(starts) < n or any(v != m for v, m in zip(val, mean))
     for j, (a, b) in enumerate(zip(starts, starts[1:] + [n])):
         x[a:b] = val[j]
-    return x, changed
+    return x
 
 
 @dataclass(frozen=True)
@@ -178,43 +174,40 @@ class NonlinearDomain:
     def dim(self) -> int:
         return int(self.lower.size)
 
-    def _masks(self, points, tol):
+    def _masks(self, points):
         """Boolean violation masks ``(below, above, short)`` of a point or rows.
 
         ``short[..., l]`` flags the chain link ``(_link_a[l], _link_b[l])``.
         NaN coordinates flag nothing, as in the scalar comparisons these
         replace.  ``require`` runs this once per assembled system, so the
-        default tolerance's limits are computed once and a domain without
+        limits, widened by ``_TOL``, are computed once and a domain without
         chains skips the link arithmetic.
         """
-        if tol == _TOL:
-            lo, hi, gap = self._limits
-        else:
-            lo, hi, gap = self.lower - tol, self.upper + tol, self.gap - tol
+        lo, hi, gap = self._limits
         if self.chains:
             short = points[..., self._link_b] - points[..., self._link_a] < gap
         else:
             short = np.zeros(points.shape[:-1] + (0,), dtype=bool)
         return points < lo, points > hi, short
 
-    def feasible(self, points, tol: float = _TOL) -> np.ndarray:
+    def feasible(self, points) -> np.ndarray:
         """One boolean per row of an ``(N, dim)`` array: is the row admissible?
 
-        A row passes when ``lower - tol <= p <= upper + tol`` coordinatewise
-        and ``p[b] - p[a] >= gap - tol`` along every chain link; this is
-        exactly ``not violations(p, tol)``, evaluated for all rows at once.
+        A row passes when ``lower - _TOL <= p <= upper + _TOL`` coordinatewise
+        and ``p[b] - p[a] >= gap - _TOL`` along every chain link; this is
+        exactly ``not violations(p)``, evaluated for all rows at once.
         """
         p = np.asarray(points, dtype=float)
         if p.ndim != 2 or p.shape[1] != self.dim:
             raise ConfigError(f"expected an (N, {self.dim}) array, got shape {p.shape}")
-        below, above, short = self._masks(p, tol)
+        below, above, short = self._masks(p)
         return ~(below.any(axis=1) | above.any(axis=1) | short.any(axis=1))
 
-    def violations(self, xi, tol: float = _TOL) -> list:
+    def violations(self, xi) -> list:
         xi = np.asarray(xi, dtype=float)
         if xi.shape != self.lower.shape:
             return [f"expected {self.dim} coordinates, got {xi.shape}"]
-        below, above, short = self._masks(xi, tol)
+        below, above, short = self._masks(xi)
         # count_nonzero: far cheaper than .any() on arrays this small
         if not (np.count_nonzero(below) or np.count_nonzero(above) or np.count_nonzero(short)):
             return []
@@ -233,12 +226,12 @@ class NonlinearDomain:
             )
         return out
 
-    def contains(self, xi, tol: float = _TOL) -> bool:
-        return not self.violations(xi, tol)
+    def contains(self, xi) -> bool:
+        return not self.violations(xi)
 
-    def require(self, xi, tol: float = _TOL) -> np.ndarray:
+    def require(self, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
-        bad = self.violations(xi, tol)
+        bad = self.violations(xi)
         if bad:
             raise DomainViolationError(
                 "parameter point outside admissible domain: " + "; ".join(bad)
@@ -266,8 +259,7 @@ class NonlinearDomain:
             if np.all(y[1:] >= y[:-1]) and np.all(lo_env <= y) and np.all(y <= hi_env):
                 x[idx] = p[idx]
                 continue
-            z, changed = _bounded_isotonic(y, d[idx], lo_env, hi_env)
-            x[idx] = z + shift if changed else p[idx]
+            x[idx] = _bounded_isotonic(y, d[idx], lo_env, hi_env) + shift
         return x
 
     def normal_cone_distance(self, point, v, atol: float) -> float:
@@ -293,23 +285,23 @@ class NonlinearDomain:
                     z[run] = _bounded_isotonic(
                         v[run], np.ones(run.size), np.maximum.accumulate(lo[run]),
                         np.minimum.accumulate(hi[run][::-1])[::-1],
-                    )[0]
+                    )
         return float(np.linalg.norm(z))
 
-    def sample(self, rng: np.random.Generator, max_tries: int = 200) -> np.ndarray:
+    def sample(self, rng: np.random.Generator) -> np.ndarray:
         """Draw a feasible point: rejection from the box, projection fallback.
 
-        Up to ``max_tries`` uniform box draws are tried in order and the first
+        Up to 200 uniform box draws are tried in order and the first
         admissible one is returned; if none is, one more draw is projected.
-        All candidates are drawn as one ``(max_tries, dim)`` block and tested
-        with one ``feasible`` call.  The block holds the same numbers as
-        ``max_tries`` single draws, and after an accepted row ``k`` the
-        generator is rewound and advanced by exactly ``k + 1`` rows, so the
-        point returned and the state ``rng`` is left in are bitwise those of
-        drawing one candidate at a time.
+        All candidates are drawn as one ``(200, dim)`` block and tested with
+        one ``feasible`` call.  The block holds the same numbers as 200
+        single draws, and after an accepted row ``k`` the generator is
+        rewound and advanced by exactly ``k + 1`` rows, so the point returned
+        and the state ``rng`` is left in are bitwise those of drawing one
+        candidate at a time.
         """
         state = rng.bit_generator.state
-        block = rng.uniform(self.lower, self.upper, size=(max(max_tries, 0), self.dim))
+        block = rng.uniform(self.lower, self.upper, size=(200, self.dim))
         hits = np.flatnonzero(self.feasible(block))
         if hits.size:
             k = int(hits[0])
@@ -881,9 +873,10 @@ def dparam_difference_norm(problem, rule: QuadratureRule, family, xi, eta) -> fl
     )
 
 
-def _corner_points(domain: NonlinearDomain, cap: int = 64):
+def _corner_points(domain: NonlinearDomain):
+    """The box corners, projected; none beyond 6 coordinates (64 corners)."""
     n = domain.dim
-    if 2 ** n > cap:
+    if n > 6:
         return []
     corners = []
     for mask in range(2 ** n):

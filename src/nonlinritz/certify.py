@@ -499,10 +499,9 @@ def surrogate_certificate(
     last = record.iterates[-2]
     level, c = stopped_point_level(record, L, nu)
     bound = quasi_stationarity_level(L, nu, last.gamma, record.mu, eps_target)
-    e = _check("surrogate-level", f"stopped at step {last.k}", level, bound)
-    e.note = (f"c = {c!r} (grad-map {last.grad_map_norm!r}, "
-              f"linear residual {record.stop_residual!r})")
-    return [e]
+    return [_check("surrogate-level", f"stopped at step {last.k}", level, bound,
+                   note=f"c = {c!r} (grad-map {last.grad_map_norm!r}, "
+                        f"linear residual {record.stop_residual!r})")]
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +615,9 @@ class CeaResult:
     rhs: np.ndarray
     gap: np.ndarray  # lhs - best_in_V
 
-    def gap_slope(self, floor: float = 1e-12) -> float:
-        """Least-squares slope of log(gap) against log(n), above the floor."""
-        mask = self.gap > floor
+    def gap_slope(self) -> float:
+        """Least-squares slope of log(gap) against log(n), for gaps above 1e-12."""
+        mask = self.gap > 1e-12
         if np.count_nonzero(mask) < 2:
             return -math.inf
         A = np.stack(
@@ -734,7 +733,6 @@ def quantitative_dc_condition(
     rho: float,
     inf_dist: float,
     n_samples: int = 5,
-    h_rel: float = 1e-4,
     frozen_w=None,
 ) -> CertificateEntry:
     """Directional-convexity sufficient condition along a segment.
@@ -746,7 +744,7 @@ def quantitative_dc_condition(
 
     with D the segment direction and C = 2 kappa (1+kappa) ||ell|| / alpha,
     is evaluated with Richardson-extrapolated central differences of the
-    reduced realisation (step ``h_rel`` of the segment length).
+    reduced realisation (step 1e-4 of the segment length).
     """
     xi = np.asarray(xi, dtype=float)
     xi_star = np.asarray(xi_star, dtype=float)
@@ -764,8 +762,7 @@ def quantitative_dc_condition(
         return math.sqrt(max(bilinear(problem, rule, fld, fld), 0.0))
 
     ts = np.linspace(0.0, 1.0, n_samples + 2)[1:-1]
-    entries = []
-    h = h_rel
+    entries, h = [], 1e-4
     for t in ts:
         eta = xi + t * D
         # first and second directional differences, Richardson extrapolated,

@@ -139,8 +139,10 @@ def compile_expression(src):
         raise ConfigError(f"expected an expression string or number, got {src!r}")
     try:
         tree = ast.parse(src, mode="eval")
-    except SyntaxError as e:
-        raise ConfigError(f"expression {src!r}: syntax error at column {e.offset}") from e
+    except SyntaxError as e:  # offset 0: at the end of the input
+        where = (f"line {e.lineno}, " if e.lineno > 1 else "") + f"column {e.offset}"
+        raise ConfigError(f"expression {src!r}: syntax error at "
+                          f"{where if e.offset else 'the end of the input'}") from e
     body = _build(tree.body, src)
 
     def fn(x):
@@ -188,6 +190,7 @@ def _typed(what, ok, convert=None):
 
 _number = _typed("a number", _is_number, float)
 _integer = _typed("an integer", lambda v: type(v) is int)
+_seed = _typed("a non-negative integer", lambda v: type(v) is int and v >= 0)
 _boolean = _typed("true/false", lambda v: isinstance(v, bool))
 _string = _typed("a string", lambda v: isinstance(v, str))
 _numbers = _typed("an array of numbers",
@@ -287,7 +290,7 @@ _INTERVAL = {"x_lo": (_number, _REQUIRED), "x_hi": (_number, _REQUIRED),
 
 #: the schema: key -> (reader, default), the default a value, _REQUIRED or _ABSENT
 _CONFIG = {
-    "seed": (_integer, 0),
+    "seed": (_seed, 0),
     "problem": (_by_kind(
         l2={"target": (_expression, _REQUIRED), **_INTERVAL},
         diffusion_reaction={
@@ -323,7 +326,7 @@ _CONFIG = {
         lipschitz={
             "zeta": (_number, _REQUIRED), "lipschitz": (_lipschitz, "estimate"),
             "nu": (_number, 1.0), "eps_holder": (_number, 0.0), "n_pairs": (_integer, 20),
-            "seed": (_integer, _ABSENT),  # parse_config fills in the config seed
+            "seed": (_seed, _ABSENT),  # parse_config fills in the config seed
         },
     ), _REQUIRED),
     "stopping": (_table({

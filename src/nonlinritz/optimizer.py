@@ -385,8 +385,8 @@ class _Recorder:
     states.  :meth:`finish` adds the final exact solve at the best state.
     """
 
-    def __init__(self, problem, rule, family, linear_rule, geometry, schedule, stopping,
-                 grads, delta_star_fn, system, w_init, w):
+    def __init__(self, linear_rule, geometry, schedule, stopping, grads, delta_star_fn,
+                 system, w_init, w):
         self.linear_rule, self.stopping, self.mu = linear_rule, stopping, geometry.mu
         self.frozen = isinstance(linear_rule, Frozen)
         self.initial_decrease = None if self.frozen else decrease_check(system, w_init, w)
@@ -396,7 +396,7 @@ class _Recorder:
             L = schedule.lipschitz
             if L == "estimate":
                 L = estimate_lipschitz_L(
-                    problem, rule, family, w, schedule.n_pairs, schedule.seed,
+                    grads.problem, grads.rule, grads.family, w, schedule.n_pairs, schedule.seed,
                     nu=schedule.nu, mode=grads.mode, fd_step=grads.fd_step,
                 )
             # L_raw is the Hoelder constant, L_eff its Lipschitz surrogate
@@ -521,8 +521,8 @@ def run(
     system = assemble(problem, rule, family, xi)
     _check_assumption1(system, omega_min, frozen)
     w = update_linear(linear_rule, system, w_init)
-    recorder = _Recorder(problem, rule, family, linear_rule, geometry, schedule, stopping,
-                         grads, delta_star_fn, system, w_init, w)
+    recorder = _Recorder(linear_rule, geometry, schedule, stopping, grads, delta_star_fn,
+                         system, w_init, w)
 
     for _ in range(stopping.max_epochs):
         xi = prox_step(geometry, family.domain, xi, grads.grad_xi(w, xi), recorder.gamma)
@@ -609,8 +609,8 @@ def replay(
                     faults.append("xi_0 is not the configured start")
                 if not _same(update_linear(linear_rule, system, w_init), ws[0]):
                     faults.append("w_0 is not the initial linear update")
-                recorder = _Recorder(problem, rule, family, linear_rule, geometry, schedule,
-                                     stopping, grads, delta_star_fn, system, w_init, ws[0])
+                recorder = _Recorder(linear_rule, geometry, schedule, stopping, grads,
+                                     delta_star_fn, system, w_init, ws[0])
                 continue
             xi_next = prox_step(geometry, family.domain, xis[k - 1], grads_at[k - 1],
                                 recorder.gamma)

@@ -379,12 +379,9 @@ class DiffusionReaction1D:
 
 
 def _split_rule(problem, rule: QuadratureRule, *fields: Field) -> QuadratureRule:
-    pts: set = set(problem.coefficient_breakpoints())
-    for f in fields:
-        pts.update(f.breakpoints)
-    if not pts:
-        return rule
-    return rule.split_at(sorted(pts))
+    """``split_at`` sorts the points and drops duplicates itself."""
+    return rule.split_at((*problem.coefficient_breakpoints(),
+                          *(b for f in fields for b in f.breakpoints)))
 
 
 def bilinear(problem, rule: QuadratureRule, u: Field, v: Field) -> float:

@@ -27,7 +27,14 @@ from nonlinritz.errors import (
     DomainViolationError,
     NumericalError,
 )
-from nonlinritz.variational import Field, L2Approx, QuadratureRule, integrate
+from nonlinritz.variational import (
+    DiffusionReaction1D,
+    Field,
+    L2Approx,
+    QuadratureRule,
+    inner_u,
+    integrate,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +178,7 @@ def test_project_matches_slsqp_oracle():
         p = rng.uniform(-0.5, 1.5, 4)
         d = rng.uniform(0.2, 3.0, 4)
         mine = dom.project(p, weights=d)
-        assert dom.contains(mine, tol=1e-9)
+        assert dom.contains(mine)
         ref = _slsqp_project(dom, p, d)
         obj_mine = float(np.sum(d * (mine - p) ** 2))
         obj_ref = float(np.sum(d * (ref - p) ** 2))
@@ -195,7 +202,7 @@ def test_shrink_gives_margin():
             for s in (-0.05, 0.05):
                 q = p.copy()
                 q[i] += s
-                assert dom.contains(q, tol=1e-12)
+                assert dom.contains(q)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +438,33 @@ def test_dparam_norm_positive():
     assert_allclose(dparam_norm(problem, rule, fam, xi), math.sqrt(total), rtol=1e-13)
     assert dparam_difference_norm(problem, rule, fam, xi, xi) == 0.0
     assert dparam_difference_norm(problem, rule, fam, xi, np.array([0.5, 0.6])) > 0.0
+
+
+def test_h1_norms_match_the_realised_fields():
+    # under an H1 energy the norms add the slopes; the independent path is
+    # the H1 inner product of each realised hat e_k . phi
+    fam = FreeKnotHats(NonlinearDomain([0.05] * 3, [0.95] * 3, chains=((0, 1, 2),)),
+                       0.0, 1.0, dirichlet=True)
+    one = Field.constant(1.0)
+    problem = DiffusionReaction1D(one, one, one, x_lo=0.0, x_hi=1.0)
+    rule = QuadratureRule.on_interval(0.0, 1.0, 8, 5)
+    xi, eta = np.array([0.2, 0.5, 0.7]), np.array([0.25, 0.45, 0.8])
+
+    def field_norm(*points):
+        total = 0.0
+        for e in np.eye(fam.n_linear):
+            u = realisation(fam, points[0], e)
+            if len(points) > 1:
+                u = u - realisation(fam, points[1], e)
+            total += inner_u(problem, rule, u, u)
+        return math.sqrt(total)
+
+    assert_allclose(basis_norms(problem, rule, fam, xi), field_norm(xi), rtol=1e-13)
+    assert_allclose(basis_difference_norm(problem, rule, fam, xi, eta), field_norm(xi, eta),
+                    rtol=1e-13)
+    # no family has slopes of its parameter derivatives
+    with pytest.raises(DerivativeUnavailableError):
+        dparam_norm(problem, rule, fam, xi)
 
 
 def test_estimate_sup_norm_dominates_samples():

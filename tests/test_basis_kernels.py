@@ -283,7 +283,6 @@ def near_constraint_points(draw):
     chains = (tuple(range(chained)),) if chained >= 2 else ()
     gap = draw(st.sampled_from([0.0, 0.01, 0.3]))
     dom = NonlinearDomain(lower, upper, chains=chains, gap=gap)
-    tol = draw(st.sampled_from([1e-12, 0.0, 1e-9]))
     nudge = st.sampled_from([-3e-12, -1e-12, -5e-13, 0.0, 5e-13, 1e-12, 3e-12, 0.2, -0.2,
                              -2e-9, -1e-9, 1e-9, 2e-9])
     rows = []
@@ -297,19 +296,19 @@ def near_constraint_points(draw):
                 p[i] = upper[i] if anchor == "upper" else lower[i]
             p[i] += draw(nudge)
         rows.append(p)
-    return dom, np.array(rows), tol
+    return dom, np.array(rows)
 
 
 @settings(max_examples=150, deadline=None)
 @given(near_constraint_points())
 def test_feasible_equals_no_violations(case):
-    dom, pts, tol = case
-    mask = dom.feasible(pts, tol)
+    dom, pts = case
+    mask = dom.feasible(pts)
     assert mask.shape == (pts.shape[0],) and mask.dtype == bool
-    assert mask.tolist() == [not loop_violations(dom, p, tol) for p in pts]
-    assert mask.tolist() == [dom.contains(p, tol) for p in pts]
+    assert mask.tolist() == [not loop_violations(dom, p) for p in pts]
+    assert mask.tolist() == [dom.contains(p) for p in pts]
     for p in pts:
-        assert dom.violations(p, tol) == loop_violations(dom, p, tol)
+        assert dom.violations(p) == loop_violations(dom, p)
 
 
 def test_contains_rejects_wrong_shape():
@@ -379,9 +378,9 @@ def test_sample_makes_no_per_candidate_membership_calls(monkeypatch):
     calls = []
     original = NonlinearDomain.violations
 
-    def counting(self, xi, tol=1e-12):
+    def counting(self, xi):
         calls.append(1)
-        return original(self, xi, tol)
+        return original(self, xi)
 
     monkeypatch.setattr(NonlinearDomain, "violations", counting)
     CHAIN32.sample(np.random.default_rng(0))
@@ -397,8 +396,8 @@ def _spy_feasible(monkeypatch):
     seen = []
     original = NonlinearDomain.feasible
 
-    def spy(self, points, tol=1e-12):
-        mask = original(self, points, tol)
+    def spy(self, points):
+        mask = original(self, points)
         seen.append((self, np.array(points), mask))
         return mask
 

@@ -525,6 +525,27 @@ def test_quantitative_dc_condition_pass_and_fail():
     assert bad.status == "fail"
 
 
+def test_quantitative_dc_condition_realises_the_exact_solves(monkeypatch):
+    # without frozen coefficients each realisation carries w*(eta)
+    problem, family = _gaussian_setup()
+    built = []
+
+    def spied(family, xi, w):
+        built.append((np.array(xi), np.array(w)))
+        return realisation(family, xi, w)
+
+    monkeypatch.setattr(nonlinritz.certify, "realisation", spied)
+    args = (problem, RULE, family, np.array([0.35, 0.65]), np.array([0.3, 0.7]))
+    kwargs = dict(kappa_max=1.0, norm_ell=1.0, alpha=1.0, L_phi=1.0, n_samples=2)
+    # rho = inf_dist = 0: the condition reads 0 <= ||d Rbar[D]||_a^2
+    good = quantitative_dc_condition(*args, rho=0.0, inf_dist=0.0, **kwargs)
+    assert good.status == "pass" and good.lhs == 0.0 and good.rhs > 0.0
+    assert len(built) == 2 * 5
+    for xi, w in built:
+        assert w.tobytes() == reduced_energy(problem, RULE, family, xi)[1].tobytes()
+    assert quantitative_dc_condition(*args, rho=0.0, inf_dist=10.0, **kwargs).status == "fail"
+
+
 def test_quantitative_dc_condition_builds_each_realisation_once(monkeypatch):
     problem, family, _ = _circle_setup()
     built = []

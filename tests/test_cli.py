@@ -247,11 +247,17 @@ def _text_states(out):
     _record_digest(out)
 
 
+def _narrow_states(out):
+    np.save(out / "iterates.npy", np.load(out / "iterates.npy")[:, :-1])
+    _record_digest(out)
+
+
 @pytest.mark.parametrize("spoil, message", [
     (lambda out: os.remove(out / "iterates.npy"), "missing run artifact"),
     (_empty_states, "iterates.npy is not a numpy array file"),
     (_text_states, "float64"),
-], ids=["missing", "empty", "not float64"])
+    (_narrow_states, "expected one row of 2 + 2 state values per iterate"),
+], ids=["missing", "empty", "not float64", "wrong width"])
 def test_certify_needs_the_written_states(tmp_path, capsys, spoil, message):
     # no fallback: without readable states nothing is run again
     cfg_path = _write_cfg(tmp_path, _base_config())
@@ -547,8 +553,8 @@ def test_check_battery_passes(tmp_path, capsys):
 
 
 def test_check_stacks_the_probes_of_each_sample(tmp_path, capsys, count_calls):
-    # reduced-gradient-fd: one stacked reduced energy per sampled point
-    # (3 samples) instead of 2 per coordinate
+    # reduced-gradient-fd: one stacked reduced energy for the probes of all
+    # 3 sampled points, instead of 2 per coordinate or one per point
     m = 5
     data = {
         "problem": {"kind": "diffusion_reaction",
@@ -565,7 +571,7 @@ def test_check_stacks_the_probes_of_each_sample(tmp_path, capsys, count_calls):
     calls = count_calls("reduced_energy", nonlinritz.cli)
     assert main(["check", "--config", _write_cfg(tmp_path, data)]) == 0
     assert "[PASS] reduced-gradient-fd" in capsys.readouterr().out
-    assert len(calls) == 3
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("upper", [0.5, 0.50001, 0.50003], ids=["fixed", "1e-5", "3e-5"])
@@ -812,6 +818,28 @@ def test_every_subcommand_refuses_the_config(tmp_path, capsys, sub, make, messag
     assert main([sub, "--config", cfg_path, "--out-dir", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists() or not os.listdir(out)
+
+
+def _seeded(seed=None, schedule_seed=None):
+    data = _base_config()
+    if seed is not None:
+        data["seed"] = seed
+    if schedule_seed is not None:
+        data["schedule"]["seed"] = schedule_seed
+    return data
+
+
+@pytest.mark.parametrize("sub", ["grid", "run", "certify", "check"])
+@pytest.mark.parametrize("data, flags, message", [
+    (_seeded(), ["--seed", "-1"], "seed: expected a non-negative integer, got -1"),
+    (_seeded(seed=-1), [], "seed: expected a non-negative integer, got -1"),
+    (_seeded(schedule_seed=-3), [], "schedule.seed: expected a non-negative integer, got -3"),
+], ids=["flag", "config", "schedule"])
+def test_negative_seeds_are_config_errors(tmp_path, capsys, sub, data, flags, message):
+    # numpy refuses negative seeds; the schema reports them first
+    cfg_path = _write_cfg(tmp_path, data)
+    assert main([sub, "--config", cfg_path, "--out-dir", str(tmp_path / "out"), *flags]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_hats_without_their_chain_are_a_config_error(tmp_path, capsys):

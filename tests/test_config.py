@@ -269,9 +269,16 @@ def test_grammar_errors_keep_the_reference_text(src):
     _assert_same_as_reference(src)
 
 
-def test_expression_syntax_error_reports_column():
-    with pytest.raises(ConfigError, match="column"):
-        compile_expression("x + ")
+@pytest.mark.parametrize("bad, where", [
+    ("x + ", "the end of the input"),
+    ("x +", "the end of the input"),
+    ("", "the end of the input"),
+    ("x\n+", "line 2, column 1"),
+    ("x ; x", "column 3"),
+])
+def test_expression_syntax_error_reports_column(bad, where):
+    with pytest.raises(ConfigError, match=re.escape(f"expression {bad!r}: syntax error at {where}") + "$"):
+        compile_expression(bad)
     with pytest.raises(ConfigError):
         compile_expression([1, 2])
 

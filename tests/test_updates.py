@@ -123,6 +123,19 @@ def test_steepest_descent_hand_example():
     assert achieved >= guaranteed
 
 
+def test_steepest_descent_at_zero_residual_keeps_w():
+    system = _toy_system(np.diag([1.0, 2.0]), [1.0, 2.0])
+    w = np.array([1.0, 1.0])
+    w1 = update_linear(SteepestDescent(), system, w)
+    assert w1.tobytes() == w.tobytes() and w1 is not w
+
+
+def test_steepest_descent_refuses_non_positive_curvature():
+    system = _toy_system(np.diag([-1.0, 2.0]), [1.0, 0.0])
+    with pytest.raises(SpdViolationError, match="non-positive curvature"):
+        update_linear(SteepestDescent(), system, np.zeros(2))
+
+
 def test_full_solve_exact_and_decrease():
     system = _toy_system(np.diag([1.0, 2.0]), [1.0, 2.0])
     w1 = update_linear(FullSolveCG(), system, np.zeros(2))
