@@ -196,30 +196,25 @@ def _finite(M: np.ndarray, label: str, xi) -> np.ndarray:
     """An exactly symmetric matrix (stack), checked for non-finite entries only.
 
     numpy's eigh would return NaN eigenvalues for such a matrix instead of
-    failing.
+    failing.  One test over the whole stack; the point is looked up on failure.
     """
-    _raise_first(~np.isfinite(M).all(axis=(-2, -1)), xi, NonFiniteValueError,
-                 f"assembled {label} has non-finite entries")
+    if not np.isfinite(M).all():
+        _raise_first(~np.isfinite(M).all(axis=(-2, -1)), xi, NonFiniteValueError,
+                     f"assembled {label} has non-finite entries")
     return M
 
 
 def _symmetrise(M: np.ndarray, label: str, xi) -> np.ndarray:
+    """The symmetric part of a matrix (stack) that is finite and symmetric to tolerance."""
+    _finite(M, label, xi)
     Mt = _t(M)
     scale = np.max(np.abs(M), axis=(-2, -1))
     # in place: a stack of large matrices costs one temporary, not two
     skew = M - Mt
     skew = np.max(np.abs(skew, out=skew), axis=(-2, -1))
-    # non-finite entries are flagged too: numpy's eigh would return NaN
-    # eigenvalues for such a matrix instead of failing
-    i = _first(~np.isfinite(scale) | (skew > _SYM_TOL * scale))
-    if i is not None:
-        skew_i, scale_i = float(np.ravel(skew)[i]), float(np.ravel(scale)[i])
-        if not np.isfinite(scale_i):
-            raise NonFiniteValueError(f"assembled {label} has non-finite entries{_at(xi, i)}")
-        raise NumericalError(
-            f"assembled {label} is asymmetric beyond tolerance: "
-            f"max|M-M^T| = {skew_i!r} at scale {scale_i!r}{_at(xi, i)}"
-        )
+    _raise_first(skew > _SYM_TOL * scale, xi, NumericalError,
+                 f"assembled {label} is asymmetric beyond tolerance: "
+                 "max|M-M^T| = {!r} at scale {!r}", skew, scale)
     out = M + Mt
     out *= 0.5
     return out

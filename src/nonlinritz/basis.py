@@ -743,8 +743,6 @@ class SyntheticAmplitude(_FamilyBase):
         sq = np.vecdot(xi, xi)
         if self.profile == "sphere_quartic":
             return np.sqrt(2.0) * self.scale * (sq - self.radius ** 2)
-        if np.any(sq == 0.0):
-            raise NumericalError("norm profile is not differentiable at xi = 0")
         return self.scale * np.sqrt(sq)
 
     def _dg(self, xi):

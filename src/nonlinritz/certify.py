@@ -30,7 +30,7 @@ from .basis import (
 )
 from .errors import ConfigError, NumericalError
 from .optimizer import RunRecord, reduced_energy
-from .updates import DiagonalGeometry, EuclideanGeometry, make_gradients
+from .updates import make_gradients
 from .variational import Field, bilinear, linear_form
 
 __all__ = [
@@ -271,15 +271,17 @@ def minimiser_grid_oracle(
 
 
 def _sphere_project(oracle: AnalyticSphereOracle, geom, xi: np.ndarray):
+    """Bregman-nearest point of the sphere to ``xi``: radial for a scalar
+    mirror-map diagonal c*I (any dimension), an angular scan in 2-d otherwise."""
     v = xi - oracle.center
     r = float(np.linalg.norm(v))
-    if isinstance(geom, EuclideanGeometry):
+    if isinstance(geom.diag, float):
         if r == 0.0:
             u = np.zeros_like(xi)
             u[0] = 1.0
             return oracle.center + oracle.radius * u
         return oracle.center + (oracle.radius / r) * v
-    if isinstance(geom, DiagonalGeometry) and xi.size == 2:
+    if xi.size == 2:
         # weighted nearest point on a circle: dense angular scan plus a
         # golden-section refinement (deterministic)
         th = np.linspace(0.0, 2.0 * np.pi, 4097)
@@ -306,8 +308,8 @@ def _sphere_project(oracle: AnalyticSphereOracle, geom, xi: np.ndarray):
         t = 0.5 * (a + b)
         return oracle.center + oracle.radius * np.array([math.cos(t), math.sin(t)])
     raise ConfigError(
-        "sphere oracle projections are implemented for Euclidean geometry "
-        "(any dimension) and diagonal geometry in 2-d"
+        "sphere oracle projections are implemented for a scalar mirror-map "
+        "diagonal (any dimension) and a weighted one in 2-d"
     )
 
 

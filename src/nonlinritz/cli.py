@@ -366,9 +366,7 @@ def _state_certificates(cfg: ExperimentConfig, record, oracle, report):
         )
 
     spec = cfg.certify_spec
-    K_lower = spec.get("K_star_lower", cfg.K_star)
-    if K_lower is None and oracle is not None:
-        K_lower = oracle.K_star
+    K_lower = spec.get("K_star_lower", None if oracle is None else oracle.K_star)
     if K_lower is not None:
         report.extend(cert.local_rate_certificate(record, K_lower))
     else:

@@ -302,7 +302,7 @@ _CONFIG = {
     "constants": (_table({
         "alpha": (_number, _REQUIRED), "norm_a": (_number, _REQUIRED),
         "norm_ell": (_number, _REQUIRED),
-        "omega_min": (_number, _ABSENT), "rho": (_number, _ABSENT), "K_star": (_number, _ABSENT),
+        "omega_min": (_number, _ABSENT), "rho": (_number, _ABSENT),
     }), _REQUIRED),
     "quadrature": (_table({"n_panels": (_integer, 16), "order": (_integer, 5)}), {}),
     "family": (_by_kind(
@@ -374,7 +374,6 @@ class ExperimentConfig:
     fd_step: float
     omega_min: Optional[float]
     rho: Optional[float]
-    K_star: Optional[float]
     seed: int
     oracle_spec: Optional[dict]
     certify_spec: dict
@@ -490,7 +489,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         fd_step=norm["gradient"]["fd_step"],
         omega_min=constants.get("omega_min"),
         rho=constants.get("rho"),
-        K_star=constants.get("K_star"),
         seed=norm["seed"],
         oracle_spec=norm["oracle"],
         certify_spec=norm["certify"],

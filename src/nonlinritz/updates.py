@@ -138,36 +138,18 @@ def _half_form(d, Dd):
 
 
 @dataclass(frozen=True)
-class EuclideanGeometry:
-    """psi = 0.5 ||xi||^2; the prox is the Euclidean projected gradient step."""
-
-    mu = 1.0  # the strong convexity modulus of psi: fixed, not a field
-
-    def weights(self, dim: int) -> np.ndarray:
-        return np.ones(dim)
-
-    def div(self, eta, xi):
-        """D_psi(eta; xi) = psi(eta) - psi(xi) - <grad psi(xi), eta - xi>.
-
-        ``eta`` may stack points as the rows of an ``(N, dim)`` array; the
-        result is then one distance per row.
-        """
-        d = np.asarray(eta, dtype=float) - np.asarray(xi, dtype=float)
-        return _half_form(d, d)
-
-    def grad_psi(self, xi) -> np.ndarray:
-        return np.asarray(xi, dtype=float)
-
-
-@dataclass(frozen=True)
 class DiagonalGeometry:
-    """psi = 0.5 xi.D.xi with positive diagonal D; mu = min(D)."""
+    """psi = 0.5 xi.D.xi with positive diagonal D; mu = min(D).
 
-    diag: np.ndarray
+    A scalar ``diag`` c means D = c*I in any dimension (c = 1 is
+    :func:`EuclideanGeometry`); an array gives one weight per coordinate.
+    """
+
+    diag: float | np.ndarray
 
     def __post_init__(self):
-        d = np.atleast_1d(np.asarray(self.diag, dtype=float))
-        object.__setattr__(self, "diag", d)
+        d = np.asarray(self.diag, dtype=float)
+        object.__setattr__(self, "diag", float(d) if d.ndim == 0 else d)
         if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
             raise ConfigError("mirror-map diagonal must be positive and finite")
 
@@ -176,6 +158,8 @@ class DiagonalGeometry:
         return float(np.min(self.diag))
 
     def weights(self, dim: int) -> np.ndarray:
+        if isinstance(self.diag, float):
+            return np.full(dim, self.diag)
         if self.diag.size != dim:
             raise ConfigError(
                 f"mirror-map diagonal has size {self.diag.size}, expected {dim}"
@@ -185,11 +169,18 @@ class DiagonalGeometry:
     def div(self, eta, xi):
         """D_psi(eta; xi) = 0.5 (eta - xi).D.(eta - xi), per row for stacked ``eta``."""
         d = np.asarray(eta, dtype=float) - np.asarray(xi, dtype=float)
+        if isinstance(self.diag, float):  # c * 0.5|d|^2: no weight vector per call
+            return self.diag * _half_form(d, d)
         return _half_form(d, self.weights(d.shape[-1]) * d)
 
     def grad_psi(self, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
-        return self.weights(xi.size) * xi
+        return self.diag * xi if isinstance(self.diag, float) else self.weights(xi.size) * xi
+
+
+def EuclideanGeometry() -> DiagonalGeometry:
+    """psi = 0.5 ||xi||^2; the prox is the Euclidean projected gradient step."""
+    return DiagonalGeometry(1.0)
 
 
 def prox_step(geom, domain: NonlinearDomain, xi, grad, gamma: float) -> np.ndarray:

@@ -19,7 +19,7 @@ from nonlinritz.basis import (
     NonlinearDomain,
     realisation,
 )
-from nonlinritz.errors import ConfigError, NonFiniteValueError
+from nonlinritz.errors import ConfigError, NonFiniteValueError, NumericalError
 from nonlinritz.variational import (
     DiffusionReaction1D,
     Field,
@@ -356,6 +356,24 @@ def test_non_finite_hat_system_is_flagged(monkeypatch):
     monkeypatch.setattr(FreeKnotHats, "element_products", poisoned)
     with pytest.raises(NonFiniteValueError, match="stiffness matrix has non-finite entries"):
         assemble(L2, RULE, family, np.array([0.3, 0.6]))
+
+
+def test_symmetrise_checks_finiteness_before_symmetry():
+    # the non-finite check runs over the whole stack first: a non-finite
+    # matrix is named even when an asymmetric one comes before it
+    xi = np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    A = np.tile(np.diag([2.0, 1.0]), (3, 1, 1))
+    A[0, 0, 1] = 1e-3
+    A[2, 1, 1] = np.nan
+    with pytest.raises(NonFiniteValueError,
+                       match=r"^assembled Gram matrix has non-finite entries at xi = \[0\.5, 0\.6\]$"):
+        nonlinritz.assembly._symmetrise(A, "Gram matrix", xi)
+    A[2, 1, 1] = 1.0
+    with pytest.raises(NumericalError) as caught:
+        nonlinritz.assembly._symmetrise(A, "Gram matrix", xi)
+    assert type(caught.value) is NumericalError
+    assert str(caught.value) == ("assembled Gram matrix is asymmetric beyond tolerance: "
+                                 "max|M-M^T| = 0.001 at scale 2.0 at xi = [0.1, 0.2]")
 
 
 def test_short_chain_links_assemble_as_their_running_maximum():

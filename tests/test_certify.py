@@ -189,6 +189,17 @@ def test_delta_star_sphere_euclidean_closed_form():
     assert_allclose(np.linalg.norm(p), 1.0)
 
 
+def test_delta_star_sphere_projects_radially_under_a_scalar_diagonal():
+    # c*I: the nearest sphere point is the radial one in any dimension
+    oracle = AnalyticSphereOracle(np.zeros(3), 1.0, 0.0)
+    xi = np.array([0.0, 1.2, 1.6])
+    val, p = delta_star(DiagonalGeometry(3.0), oracle, xi)
+    assert_allclose(p, [0.0, 0.6, 0.8])
+    assert_allclose(val, 1.5)
+    with pytest.raises(ConfigError, match="weighted one in 2-d"):
+        delta_star(DiagonalGeometry([1.0, 2.0, 3.0]), oracle, xi)
+
+
 def test_delta_star_sphere_diagonal_matches_brute_force():
     geom = DiagonalGeometry([1.0, 4.0])
     oracle = AnalyticSphereOracle(np.zeros(2), 1.0, 0.0)
@@ -267,6 +278,23 @@ def test_grid_oracle_guards():
     )
     with pytest.raises(ConfigError, match="3"):
         minimiser_grid_oracle(prob_g, RULE, big, resolution=0.1)
+
+
+def test_grid_oracle_over_fixed_coordinates():
+    # a coordinate with lower == upper is one grid value, and the slack
+    # skips its axis: no adjacent pairs along it
+    problem = _gaussian_setup()[0]
+    family = GaussianBumps(NonlinearDomain([0.1, 0.5], [0.9, 0.5]), np.array([0.1, 0.1]))
+    oracle = minimiser_grid_oracle(problem, RULE, family, resolution=0.05)
+    assert oracle.points.shape == (17, 2)
+    assert np.all(oracle.points[:, 1] == 0.5)
+    assert oracle.K_star == min(reduced_energy(problem, RULE, family, p)[0]
+                                for p in oracle.points)
+    fixed = GaussianBumps(NonlinearDomain([0.3, 0.5], [0.3, 0.5]), np.array([0.1, 0.1]))
+    oracle = minimiser_grid_oracle(problem, RULE, fixed, resolution=0.05)
+    assert oracle.points.tolist() == [[0.3, 0.5]]
+    assert oracle.slack == 0.0
+    assert oracle.minimisers.tolist() == [[0.3, 0.5]]
 
 
 def test_grid_oracle_assembles_and_decomposes_per_block(count_calls):

@@ -441,6 +441,43 @@ def test_run_into_an_unwritable_out_dir(tmp_path, capsys):
     assert blocker.read_text() == "a file, not a directory"
 
 
+DEMO_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "demos", "configs")
+
+
+@pytest.mark.parametrize("config, skipped", [
+    ("gaussian_fit.json", ["energy-monotone", "local-rate"]),
+    ("circle_grid_survey.json", ["global-rate"]),
+])
+def test_certify_a_run_without_steps(tmp_path, config, skipped):
+    cfg_path, out = os.path.join(DEMO_CONFIGS, config), str(tmp_path / "out")
+    for sub in ("run", "certify"):
+        assert main([sub, "--config", cfg_path, "--out-dir", out, "--max-epochs", "0"]) == 0
+    report = json.loads(_read(os.path.join(out, "report.json")))
+    entries = {e["name"]: e for e in report["entries"]}
+    assert entries["trace-consistency"]["status"] == "pass"
+    for name in skipped:
+        assert (entries[name]["status"], entries[name]["note"]) == (
+            "skipped", "run recorded no steps")
+
+
+def test_norm_profile_grid_contains_the_origin(tmp_path):
+    # g = ||xi|| is 0 at the origin and only its derivative is undefined
+    # there: the grid point [0, 0] is the minimiser
+    data = _circle_config()
+    data["family"] = {"kind": "synthetic_amplitude", "profile": "norm"}
+    data["domain"] = {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
+    data["schedule"] = {"kind": "constant", "gamma": 0.25}
+    data["stopping"] = {"max_epochs": 5}
+    data["init"] = {"xi0": [0.6, 0.3], "w0": [1.0]}
+    cfg_path, out = _write_cfg(tmp_path, data), str(tmp_path / "out")
+    for sub in ("grid", "run", "certify"):
+        assert main([sub, "--config", cfg_path, "--out-dir", out]) == 0
+    oracle = json.loads(_read(os.path.join(out, "oracle.json")))
+    assert oracle["n_points"] == 441
+    assert oracle["K_star"] == 0
+    assert [0, 0] in oracle["minimisers"]
+
+
 def test_certify_circle_with_sphere_oracle(tmp_path, capsys):
     data = _circle_config()
     # the analytic minimiser set gives exact distances; the coarse grid

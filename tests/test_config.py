@@ -498,6 +498,15 @@ def test_absent_optional_keys_stay_out_of_the_normal_form():
     assert parse_config(data).raw["schedule"] == {"kind": "constant", "gamma": 0.1}
 
 
+def test_constants_take_no_K_star():
+    # the local-rate bound is certify.K_star_lower, else the oracle's K*;
+    # constants take no K_star
+    data = _base()
+    data["constants"]["K_star"] = 0.0
+    with pytest.raises(ConfigError, match=r"constants: unknown keys \['K_star'\]"):
+        parse_config(data)
+
+
 def test_certify_block_is_validated():
     data = _base()
     data["certify"] = {"L_bar": 16.0, "zeta": 1.0}

@@ -187,6 +187,23 @@ def test_bregman_divergence_values():
     assert_allclose(DiagonalGeometry([2.0, 1.0]).div(e, x), 3.0)
 
 
+def test_scalar_diagonal_is_a_multiple_of_the_identity():
+    # a scalar diag c means c*I in any dimension; EuclideanGeometry is c = 1
+    assert EuclideanGeometry() == DiagonalGeometry(1.0)
+    geom = DiagonalGeometry(2.0)
+    assert geom.mu == 2.0
+    for dim in (1, 3):
+        assert geom.weights(dim).tolist() == [2.0] * dim
+    e, x = np.array([1.0, 2.0, 2.0]), np.zeros(3)
+    assert geom.div(e, x) == 9.0
+    assert geom.div(np.stack([e, -e]), x).tolist() == [9.0, 9.0]
+    assert geom.grad_psi(e).tolist() == [2.0, 4.0, 4.0]
+    with pytest.raises(ConfigError):
+        DiagonalGeometry(0.0)
+    with pytest.raises(ConfigError, match="size 2, expected 3"):
+        DiagonalGeometry([1.0, 2.0]).div(e, x)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 24), st.integers(1, 40), st.integers(0, 2 ** 32 - 1), st.booleans())
 def test_stacked_divergence_is_bitwise_the_scalar_one(dim, n, seed, weighted):
