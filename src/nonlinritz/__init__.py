@@ -10,9 +10,7 @@ guarantees can be checked numerically through the certificate engine.
 from .assembly import (
     AssembledSystem,
     ConsistencyReport,
-    SpdCheck,
     assemble,
-    check_assumption_spd,
     check_consistency,
     check_lambda_max_bound,
     kappa_bound,

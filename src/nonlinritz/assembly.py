@@ -52,8 +52,6 @@ __all__ = [
     "stack_slices",
     "quadrature_groups",
     "check_lambda_max_bound",
-    "SpdCheck",
-    "check_assumption_spd",
     "kappa_bound",
     "ConsistencyReport",
     "check_consistency",
@@ -362,22 +360,6 @@ def quadratic_energy(system: AssembledSystem, w):
 def check_lambda_max_bound(system: AssembledSystem, constants: ProblemConstants):
     """Both sides of lambda_max(A) <= ||a|| * ||phi(xi)||_{U,2}^2."""
     return system.lambda_max, constants.norm_a * system.phi_u2 ** 2
-
-
-@dataclass(frozen=True)
-class SpdCheck:
-    omega: float
-    omega_min: float
-    margin: float
-    passed: bool
-
-
-def check_assumption_spd(system: AssembledSystem, omega_min: float) -> SpdCheck:
-    """Is the Gram matrix uniformly positive at this point: omega >= omega_min?"""
-    if not omega_min > 0.0:
-        raise ConfigError("omega_min must be positive to assert solvability")
-    margin = system.omega - omega_min
-    return SpdCheck(system.omega, float(omega_min), float(margin), margin >= 0.0)
 
 
 def kappa_bound(constants: ProblemConstants, m_phi: float, omega_min: float):

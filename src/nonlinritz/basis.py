@@ -746,13 +746,13 @@ class SyntheticAmplitude(_FamilyBase):
         return self.scale * np.sqrt(sq)
 
     def _dg(self, xi):
-        """g' at one point, or one gradient per point of a stack."""
+        """g' at one point, or one gradient per point of a stack.  The norm
+        profile is not differentiable at the origin, its minimiser; there it
+        gives the subgradient 0."""
         if self.profile == "sphere_quartic":
             return 2.0 * np.sqrt(2.0) * self.scale * xi
         r = np.sqrt(np.vecdot(xi, xi))[..., None]
-        if np.any(r == 0.0):
-            raise NumericalError("norm profile is not differentiable at xi = 0")
-        return self.scale * xi / r
+        return np.divide(self.scale * xi, r, out=np.zeros(np.shape(xi)), where=r > 0.0)
 
     def basis_values(self, xi, x):
         return np.tile(self._g(xi)[..., None, None], (1, np.shape(x)[-1]))

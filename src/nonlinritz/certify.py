@@ -30,7 +30,6 @@ from .basis import (
 )
 from .errors import ConfigError, NumericalError
 from .optimizer import RunRecord, reduced_energy
-from .updates import make_gradients
 from .variational import Field, bilinear, linear_form
 
 __all__ = [
@@ -785,9 +784,7 @@ def quantitative_dc_condition(
 
 
 def best_linear_bounds_check(
-    problem,
-    rule,
-    family,
+    grads,
     pairs: Sequence,
     norm_ell: float,
     alpha: float,
@@ -795,11 +792,12 @@ def best_linear_bounds_check(
     m_phi: float,
     kappa_max: float,
     m_dphi: Optional[float] = None,
-    gradient_mode: str = "auto",
 ) -> List[CertificateEntry]:
     """Stability of the exact linear solutions across parameter pairs.
 
-    Checks, over the sampled pairs ``(xi, eta)``:
+    ``grads`` is the gradient oracle
+    (:func:`~nonlinritz.updates.make_gradients`); it also gives the problem,
+    rule and family.  Checks, over the sampled pairs ``(xi, eta)``:
 
     * ``||w*(xi)|| <= norm_ell * m_phi / (alpha * omega_min)``
     * ``||w*(xi) - w*(eta)|| <= (1 + 2 kappa) norm_ell / (alpha omega_min)
@@ -809,9 +807,8 @@ def best_linear_bounds_check(
     """
     bound_w = norm_ell * m_phi / (alpha * omega_min)
     coef_diff = (1.0 + 2.0 * kappa_max) * norm_ell / (alpha * omega_min)
-    grads = None
+    problem, rule, family = grads.problem, grads.rule, grads.family
     if m_dphi is not None:
-        grads = make_gradients(problem, rule, family, mode=gradient_mode)
         c1 = (kappa_max + (1.0 + 2.0 * kappa_max) ** 2) * norm_ell ** 2 / (
             alpha * omega_min
         ) * m_dphi
@@ -828,7 +825,7 @@ def best_linear_bounds_check(
             _check("best-linear-hoelder", f"pair {idx}",
                    float(np.linalg.norm(w_xi - w_eta)), coef_diff * dphi)
         )
-        if grads is not None:
+        if m_dphi is not None:
             g_xi = grads.grad_xi(w_xi, xi)
             g_eta = grads.grad_xi(w_eta, eta)
             ddphi = dparam_difference_norm(problem, rule, family, xi, eta)
@@ -841,17 +838,16 @@ def best_linear_bounds_check(
 
 
 def regularity_constants_check(
-    problem,
-    rule,
-    family,
+    grads,
     state_pairs: Sequence,
     norm_a: float,
     norm_ell: float,
-    gradient_mode: str = "auto",
 ) -> List[CertificateEntry]:
     """Joint Lipschitz bounds of the energy gradients across state pairs.
 
-    For states ``(v, xi)`` and ``(w, eta)`` with pairwise maxima
+    ``grads`` is the gradient oracle
+    (:func:`~nonlinritz.updates.make_gradients`); it also gives the problem,
+    rule and family.  For states ``(v, xi)`` and ``(w, eta)`` with pairwise maxima
     ``M_phi``, ``M_W``, ``M_dphi``:
 
     * linear block:
@@ -863,7 +859,7 @@ def regularity_constants_check(
         + norm_a M_W^2 M_dphi ||phi(xi)-phi(eta)||
         + M_W (norm_a M_W M_phi + norm_ell) ||dphi(xi)-dphi(eta)||``
     """
-    grads = make_gradients(problem, rule, family, mode=gradient_mode)
+    problem, rule, family = grads.problem, grads.rule, grads.family
     lin, nonlin = [], []
     for idx, ((v, xi), (w, eta)) in enumerate(state_pairs):
         v = np.asarray(v, dtype=float)

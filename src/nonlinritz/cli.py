@@ -26,12 +26,11 @@ minimiser oracle to ``oracle.json``; ``check`` runs the internal invariant
 battery on the configured problem.
 
 Exit codes: 0 success, 1 certificate/invariant failure, 2 configuration
-or artifact I/O error, 3 numerical failure.  ``NONLINRITZ_THREADS`` caps
-BLAS/OpenMP parallelism through threadpoolctl; without threadpoolctl it has
-no effect (a note goes to stderr), and ``OPENBLAS_NUM_THREADS`` (and
-friends) must be set before the process starts.  All numeric output uses 17
-significant digits, so every value round-trips exactly to the double that
-produced it.
+or artifact I/O error, 3 numerical failure.  BLAS/OpenMP parallelism is
+set by the standard variables (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``) before the process starts.  All
+numeric output uses 17 significant digits, so every value round-trips
+exactly to the double that produced it.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from .optimizer import (
     replay,
     run,
 )
-from .updates import (Frozen, central_differences, probed_coordinates,
+from .updates import (Frozen, central_differences, make_gradients, probed_coordinates,
                       prox_optimality_residual, prox_step)
 from .variational import L2Approx, integrate
 
@@ -487,7 +486,9 @@ def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
     margin = max(1e-3 * float(np.min(width, where=moves, initial=np.inf)), h)
     interior = domain.shrink(np.where(moves, margin, 0.0))
     xis = np.array([interior.sample(rng) for _ in range(3)])
-    g = reduced_gradient(cfg.problem, cfg.rule, cfg.family, xis, mode=cfg.gradient_mode)
+    grads = make_gradients(cfg.problem, cfg.rule, cfg.family, mode=cfg.gradient_mode,
+                           fd_step=cfg.fd_step)
+    g = reduced_gradient(grads, xis)
     fd = central_differences(
         lambda probes, _: reduced_energy(cfg.problem, cfg.rule, cfg.family, probes)[0],
         cfg.problem, cfg.rule, cfg.family, xis, h,
@@ -507,28 +508,6 @@ def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
-
-
-def _apply_thread_cap():
-    val = os.environ.get("NONLINRITZ_THREADS")
-    if not val:
-        return
-    try:
-        n = int(val)
-    except ValueError:
-        raise ConfigError(f"NONLINRITZ_THREADS must be an integer, got {val!r}")
-    if n < 1:
-        raise ConfigError(f"NONLINRITZ_THREADS must be positive, got {n}")
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        print(
-            "note: NONLINRITZ_THREADS needs threadpoolctl; without it, set "
-            "OPENBLAS_NUM_THREADS (and friends) before the process starts",
-            file=sys.stderr,
-        )
-        return
-    threadpool_limits(limits=n)
 
 
 @functools.cache
@@ -560,7 +539,6 @@ def _build_parser():
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _apply_thread_cap()
         overrides = {}
         if args.seed is not None:
             overrides["seed"] = args.seed

@@ -189,6 +189,7 @@ def _typed(what, ok, convert=None):
 
 
 _number = _typed("a number", _is_number, float)
+_positive = _typed("a positive number", lambda v: _is_number(v) and v > 0, float)
 _integer = _typed("an integer", lambda v: type(v) is int)
 _seed = _typed("a non-negative integer", lambda v: type(v) is int and v >= 0)
 _boolean = _typed("true/false", lambda v: isinstance(v, bool))
@@ -302,7 +303,7 @@ _CONFIG = {
     "constants": (_table({
         "alpha": (_number, _REQUIRED), "norm_a": (_number, _REQUIRED),
         "norm_ell": (_number, _REQUIRED),
-        "omega_min": (_number, _ABSENT), "rho": (_number, _ABSENT),
+        "omega_min": (_positive, _ABSENT), "rho": (_number, _ABSENT),
     }), _REQUIRED),
     "quadrature": (_table({"n_panels": (_integer, 16), "order": (_integer, 5)}), {}),
     "family": (_by_kind(

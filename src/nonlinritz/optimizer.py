@@ -122,32 +122,25 @@ def iteration_budget(
     return float(2.0 * mu * mu * (1.0 + zeta) ** 2 * gap / (tau * tau * denom))
 
 
-def estimate_lipschitz_L(
-    problem,
-    rule,
-    family,
-    w,
-    n_pairs: int,
-    seed: int,
-    nu: float = 1.0,
-    mode: str = "auto",
-    fd_step: float = 1e-6,
-) -> float:
+def estimate_lipschitz_L(grads, w, n_pairs: int, seed: int, nu: float = 1.0) -> float:
     """Sampled Hoelder constant of xi -> grad_xi K(w, xi), safety factor 2.
 
+    ``grads`` is the run's gradient oracle, from
+    :func:`~nonlinritz.updates.make_gradients`.
     Maximum of ``||g(xi) - g(eta)|| / ||xi - eta||^nu`` over ``n_pairs``
     feasible pairs, doubled.  Returns 0 for an energy constant in xi.
     Under finite-difference gradients the pairs come from the domain with
-    every probed coordinate shrunk by ``fd_step``, so that every difference
-    probe stays admissible.
+    every probed coordinate shrunk by the oracle's ``fd_step``, so that
+    every difference probe stays admissible.
     """
     if n_pairs < 1:
         raise ConfigError("estimate_lipschitz_L needs at least one pair")
     if not 0.0 < nu <= 1.0:
         raise ConfigError(f"Hoelder exponent must lie in (0, 1], got {nu!r}")
-    grads = make_gradients(problem, rule, family, mode=mode, fd_step=fd_step)
-    margin = np.where(probed_coordinates(family.domain, fd_step), fd_step, 0.0)
-    domain = family.domain.shrink(margin) if grads.mode == "fd" else family.domain
+    domain = grads.family.domain
+    if grads.mode == "fd":
+        h = grads.fd_step
+        domain = domain.shrink(np.where(probed_coordinates(domain, h), h, 0.0))
     rng = np.random.default_rng(seed)
     points, dists = [], []
     tries = 0
@@ -205,10 +198,13 @@ def reduced_energy(problem, rule, family, xi):
     return _reduced(assemble(problem, rule, family, xi))
 
 
-def reduced_gradient(problem, rule, family, xi, mode: str = "auto"):
-    """grad Kbar(xi) via the envelope identity (no derivative of w*)."""
-    _, w_star = reduced_energy(problem, rule, family, xi)
-    grads = make_gradients(problem, rule, family, mode=mode)
+def reduced_gradient(grads, xi):
+    """grad Kbar(xi) via the envelope identity (no derivative of w*), from the
+    gradient oracle ``grads``: ``grads.grad_xi`` at ``w = w*(xi)``.
+
+    A stack of points gives one gradient per point.
+    """
+    _, w_star = reduced_energy(grads.problem, grads.rule, grads.family, xi)
     return grads.grad_xi(w_star, xi)
 
 
@@ -395,10 +391,8 @@ class _Recorder:
         else:
             L = schedule.lipschitz
             if L == "estimate":
-                L = estimate_lipschitz_L(
-                    grads.problem, grads.rule, grads.family, w, schedule.n_pairs, schedule.seed,
-                    nu=schedule.nu, mode=grads.mode, fd_step=grads.fd_step,
-                )
+                L = estimate_lipschitz_L(grads, w, schedule.n_pairs, schedule.seed,
+                                         nu=schedule.nu)
             # L_raw is the Hoelder constant, L_eff its Lipschitz surrogate
             self.L_raw, self.nu = float(L), schedule.nu
             self.L_eff = hoelder_to_lipschitz(self.L_raw, self.nu, schedule.eps_holder)

@@ -363,6 +363,10 @@ def central_differences(energy, problem, rule, family, xi, h: float) -> np.ndarr
 def make_gradients(problem, rule, family, mode: str = "auto", fd_step: float = 1e-6) -> EnergyGradients:
     """Build a gradient oracle, validating the requested mode for the pair.
 
+    This is the one place where the route and ``fd_step`` are chosen:
+    ``run``, ``replay`` and ``check`` each build one oracle, and everything
+    else that differentiates in ``xi`` takes it.
+
     The energy and the family fix the route: ``fd`` under an H1 energy (no
     family provides spatial derivatives of its parameter derivatives);
     under the L2 energy ``closed_form`` for the indicator pair and

@@ -51,6 +51,7 @@ from nonlinritz.updates import (
     Frozen,
     FullSolveCG,
     SteepestDescent,
+    make_gradients,
 )
 from nonlinritz.variational import Field, L2Approx, QuadratureRule, energy, inner_u
 
@@ -183,7 +184,7 @@ def test_criterion_04_reduced_gradient_vs_fd():
         worst[name] = 0.0
         for _ in range(20):
             xi = interior.sample(rng)
-            g = reduced_gradient(prob, RULE, fam, xi)
+            g = reduced_gradient(make_gradients(prob, RULE, fam), xi)
             fd = np.zeros_like(g)
             for i in range(xi.size):
                 e = np.zeros_like(xi)
@@ -216,7 +217,7 @@ def test_criterion_06_surrogate_certificate_and_negative(corpus):
     # reproduce the schedule's constant to size the stopping tolerance
     system = assemble(problem, RULE, family, xi0)
     w_init = system.solution
-    L_hat = estimate_lipschitz_L(problem, RULE, family, w_init,
+    L_hat = estimate_lipschitz_L(make_gradients(problem, RULE, family), w_init,
                                  n_pairs=20, seed=0)
     zeta, eps = 1.0, 1e-3
     gamma = zeta * 1.0 / L_hat
@@ -283,6 +284,7 @@ def test_criterion_08_nonlinear_cea_with_grid_oracle(corpus):
     assert -1e-10 <= best_in_V <= 1e-8, best_in_V
 
     # reduced-gradient Lipschitz estimate (safety factor 2) sets the step
+    grads = make_gradients(problem, RULE, family)
     rng = np.random.default_rng(29)
     L_red = 0.0
     for _ in range(20):
@@ -290,15 +292,8 @@ def test_criterion_08_nonlinear_cea_with_grid_oracle(corpus):
         d = float(np.linalg.norm(xi - eta))
         if d == 0.0:
             continue
-        L_red = max(
-            L_red,
-            float(
-                np.linalg.norm(
-                    reduced_gradient(problem, RULE, family, xi)
-                    - reduced_gradient(problem, RULE, family, eta)
-                )
-            ) / d,
-        )
+        diff = reduced_gradient(grads, xi) - reduced_gradient(grads, eta)
+        L_red = max(L_red, float(np.linalg.norm(diff)) / d)
     L_red *= 2.0
     zeta = 1.0
     rec = run(
@@ -375,8 +370,9 @@ def test_criterion_11_lemma_bounds_at_fifty_pairs(corpus):
         m_phi, omega_min,
     ))
 
+    grads = make_gradients(problem, RULE, family)
     entries = best_linear_bounds_check(
-        problem, RULE, family, pairs, norm_ell=norm_ell, alpha=1.0,
+        grads, pairs, norm_ell=norm_ell, alpha=1.0,
         omega_min=omega_min, m_phi=m_phi, kappa_max=kappa, m_dphi=m_dphi,
     )
     state_pairs = []
@@ -386,7 +382,7 @@ def test_criterion_11_lemma_bounds_at_fifty_pairs(corpus):
             (rng.standard_normal(2), family.domain.sample(rng)),
         ))
     entries += regularity_constants_check(
-        problem, RULE, family, state_pairs, norm_a=1.0, norm_ell=norm_ell,
+        grads, state_pairs, norm_a=1.0, norm_ell=norm_ell,
     )
     assert len(entries) == 5
     for e in entries:

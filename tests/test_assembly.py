@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 import nonlinritz.assembly
 from nonlinritz.assembly import (
     assemble,
-    check_assumption_spd,
     check_consistency,
     check_lambda_max_bound,
     kappa_bound,
@@ -152,16 +151,6 @@ def test_lambda_max_bound_holds():
             system, ProblemConstants(alpha=1.0, norm_a=1.0, norm_ell=1.0)
         )
         assert lam <= bound + 1e-9
-
-
-def test_spd_check():
-    system = assemble(L2, RULE, _gauss_family(), np.array([0.3, 0.7]))
-    good = check_assumption_spd(system, omega_min=1e-6)
-    assert good.passed and good.margin > 0.0
-    bad = check_assumption_spd(system, omega_min=10.0)
-    assert not bad.passed
-    with pytest.raises(ConfigError):
-        check_assumption_spd(system, omega_min=0.0)
 
 
 def test_kappa_bound_variants():

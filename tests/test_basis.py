@@ -25,7 +25,6 @@ from nonlinritz.errors import (
     ConfigError,
     DerivativeUnavailableError,
     DomainViolationError,
-    NumericalError,
 )
 from nonlinritz.variational import (
     DiffusionReaction1D,
@@ -381,11 +380,18 @@ def test_synthetic_sphere_quartic_profile():
     assert_allclose(vals[0, 0], math.sqrt(2.0) * 0.5 * 1.0, rtol=1e-15)
 
 
-def test_synthetic_norm_profile_raises_at_origin():
+def test_synthetic_norm_profile_subgradient_at_origin():
+    # ||xi|| is not differentiable at the origin; 0 is its subgradient there,
+    # and each row of a stack is decided alone
     dom = NonlinearDomain([-1.0, -1.0], [1.0, 1.0])
     fam = SyntheticAmplitude(dom, profile="norm")
-    with pytest.raises(NumericalError):
-        fam.dparam_values(np.zeros(2), np.array([0.5]), np.ones(1))
+    x = np.array([0.5])
+    assert fam.dparam_values(np.zeros(2), x, np.ones(1)).tolist() == [[0.0], [0.0]]
+    xi = np.array([[0.0, 0.0], [0.6, -0.8]])
+    d = fam.dparam_values(xi, x, np.ones((2, 1)))
+    assert d[0].tolist() == [[0.0], [0.0]]
+    assert_allclose(d[1][:, 0], [0.6, -0.8], rtol=1e-15)
+    assert d[1].tolist() == fam.dparam_values(xi[1], x, np.ones(1)).tolist()
 
 
 # ---------------------------------------------------------------------------

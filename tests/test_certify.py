@@ -56,6 +56,7 @@ from nonlinritz.updates import (
     Frozen,
     FullSolveCG,
     SteepestDescent,
+    make_gradients,
 )
 from nonlinritz.variational import Field, L2Approx, QuadratureRule, inner_u
 
@@ -619,7 +620,7 @@ def test_best_linear_bounds_hold_on_samples():
         problem, family, points
     )
     entries = best_linear_bounds_check(
-        problem, RULE, family, pairs,
+        make_gradients(problem, RULE, family), pairs,
         norm_ell=norm_ell, alpha=1.0, omega_min=omega_min,
         m_phi=m_phi, kappa_max=kappa, m_dphi=m_dphi,
     )
@@ -642,7 +643,7 @@ def test_regularity_constants_hold_on_state_pairs():
         ))
     target_sq = inner_u(problem, RULE, problem.target, problem.target)
     entries = regularity_constants_check(
-        problem, RULE, family, state_pairs,
+        make_gradients(problem, RULE, family), state_pairs,
         norm_a=1.0, norm_ell=math.sqrt(target_sq),
     )
     assert [e.name for e in entries] == [

@@ -1,5 +1,4 @@
 import hashlib
-import importlib.util
 import json
 import math
 import os
@@ -460,13 +459,15 @@ def test_certify_a_run_without_steps(tmp_path, config, skipped):
             "skipped", "run recorded no steps")
 
 
-def test_norm_profile_grid_contains_the_origin(tmp_path):
-    # g = ||xi|| is 0 at the origin and only its derivative is undefined
-    # there: the grid point [0, 0] is the minimiser
+@pytest.mark.parametrize("gamma", [0.25, 1.0])
+def test_norm_profile_grid_contains_the_origin(tmp_path, gamma):
+    # g = ||xi|| is 0 at the origin, the grid minimiser [0, 0], and not
+    # differentiable there: the gradient takes the subgradient 0.
+    # gamma * scale^2 = 1 steps onto the origin at once.
     data = _circle_config()
     data["family"] = {"kind": "synthetic_amplitude", "profile": "norm"}
     data["domain"] = {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}
-    data["schedule"] = {"kind": "constant", "gamma": 0.25}
+    data["schedule"] = {"kind": "constant", "gamma": gamma}
     data["stopping"] = {"max_epochs": 5}
     data["init"] = {"xi0": [0.6, 0.3], "w0": [1.0]}
     cfg_path, out = _write_cfg(tmp_path, data), str(tmp_path / "out")
@@ -476,6 +477,11 @@ def test_norm_profile_grid_contains_the_origin(tmp_path):
     assert oracle["n_points"] == 441
     assert oracle["K_star"] == 0
     assert [0, 0] in oracle["minimisers"]
+    if gamma == 1.0:
+        summary = json.loads(_read(os.path.join(out, "summary.json")))
+        assert summary["termination"] == "xi_stabilised"
+        states = np.load(os.path.join(out, "iterates.npy"))
+        assert states[1:, :2].tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def test_certify_circle_with_sphere_oracle(tmp_path, capsys):
@@ -896,29 +902,14 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_thread_cap_env_validation(tmp_path, monkeypatch, capsys):
-    cfg_path = _write_cfg(tmp_path, _base_config())
-    out = tmp_path / "out"
-    monkeypatch.setenv("NONLINRITZ_THREADS", "zippy")
-    assert main(["run", "--config", cfg_path, "--out-dir", str(out)]) == 2
-    assert "NONLINRITZ_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("NONLINRITZ_THREADS", "0")
-    assert main(["run", "--config", cfg_path, "--out-dir", str(out)]) == 2
-    monkeypatch.setenv("NONLINRITZ_THREADS", "1")
-    assert main(["run", "--config", cfg_path, "--out-dir", str(out)]) == 0
-
-
-def test_main_leaves_environment_unchanged(tmp_path, monkeypatch, capsys):
+def test_main_leaves_environment_unchanged(tmp_path, monkeypatch):
     cfg_path = _write_cfg(tmp_path, _base_config())
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("NONLINRITZ_THREADS", "1")
     before = dict(os.environ)
     assert main(["run", "--config", cfg_path, "--out-dir", str(tmp_path / "out")]) == 0
     assert dict(os.environ) == before
-    if importlib.util.find_spec("threadpoolctl") is None:
-        assert "needs threadpoolctl" in capsys.readouterr().err
 
 
 def _fd_hats_config():
@@ -937,6 +928,20 @@ def _fd_hats_config():
         "stopping": {"max_epochs": 40},
         "init": {"xi0": [0.15, 0.3, 0.5, 0.7, 0.85]},
     }
+
+
+def test_check_differences_with_the_configured_step(tmp_path, capsys):
+    # check's reduced gradient comes from the configured oracle, fd_step
+    # included: a step of 1e-3 is too coarse for the check's 1e-4 tolerance
+    codes, lines = [], []
+    for step in (1e-6, 1e-3):
+        data = _fd_hats_config()
+        data["gradient"]["fd_step"] = step
+        codes.append(main(["check", "--config", _write_cfg(tmp_path, data)]))
+        lines += [line for line in capsys.readouterr().out.splitlines()
+                  if "reduced-gradient-fd" in line]
+    assert codes == [0, 1]
+    assert len(lines) == 2 and lines[0] != lines[1]
 
 
 def _analytic_bumps_config():

@@ -479,6 +479,8 @@ def test_errors_carry_dotted_paths():
      r"geometry\.diag: expected 2 coordinates, the domain's, got 3"),
     ("linear_rule", {"kind": "frozen"},
      r"init\.w0: the frozen linear rule needs initial coefficients"),
+    ("constants", {"alpha": 1.0, "norm_a": 1.0, "norm_ell": 1.0, "omega_min": -1},
+     r"constants\.omega_min: expected a positive number, got -1"),
 ])
 def test_malformed_values_name_their_path(section, value, message):
     data = _base()

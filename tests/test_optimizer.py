@@ -25,6 +25,7 @@ from nonlinritz.updates import (
     Frozen,
     FullSolveCG,
     SteepestDescent,
+    make_gradients,
 )
 from nonlinritz.variational import Field, L2Approx, QuadratureRule, inner_u
 
@@ -91,12 +92,12 @@ def test_iteration_budget_pinned_value():
 
 def test_estimate_lipschitz_is_deterministic():
     problem, family = _setup()
-    w = np.array([0.5, 0.5])
-    a = estimate_lipschitz_L(problem, RULE, family, w, n_pairs=10, seed=3)
-    b = estimate_lipschitz_L(problem, RULE, family, w, n_pairs=10, seed=3)
+    grads, w = make_gradients(problem, RULE, family), np.array([0.5, 0.5])
+    a = estimate_lipschitz_L(grads, w, n_pairs=10, seed=3)
+    b = estimate_lipschitz_L(grads, w, n_pairs=10, seed=3)
     assert a == b and a > 0.0
     with pytest.raises(ConfigError):
-        estimate_lipschitz_L(problem, RULE, family, w, n_pairs=0, seed=3)
+        estimate_lipschitz_L(grads, w, n_pairs=0, seed=3)
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +127,11 @@ def test_reduced_gradient_envelope_identity():
     # the reduced gradient never differentiates w*: check against a central
     # difference of the reduced energy itself
     problem, family = _setup()
+    grads = make_gradients(problem, RULE, family)
     rng = np.random.default_rng(12)
     for _ in range(5):
         xi = family.domain.shrink(1e-3).sample(rng)
-        g = reduced_gradient(problem, RULE, family, xi)
+        g = reduced_gradient(grads, xi)
         h = 1e-5
         for i in range(2):
             e = np.zeros(2)

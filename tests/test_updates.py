@@ -433,8 +433,8 @@ def test_fd_lipschitz_estimate_samples_a_domain_with_a_fixed_coordinate():
     # the fixed one as well leaves lower > upper
     dom = NonlinearDomain([0.1, 0.5], [0.9, 0.5])
     fam = GaussianBumps(dom, np.array([0.1, 0.12]))
-    L = estimate_lipschitz_L(_l2_problem(), RULE, fam, [1.0, 0.5], n_pairs=4, seed=0,
-                             mode="fd")
+    L = estimate_lipschitz_L(make_gradients(_l2_problem(), RULE, fam, mode="fd"),
+                             [1.0, 0.5], n_pairs=4, seed=0)
     assert np.isfinite(L) and L > 0.0
 
 
