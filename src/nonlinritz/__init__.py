@@ -13,7 +13,6 @@ from .assembly import (
     assemble,
     check_consistency,
     check_lambda_max_bound,
-    kappa_bound,
     quadratic_energy,
 )
 from .basis import (
@@ -22,13 +21,6 @@ from .basis import (
     IndicatorPair,
     NonlinearDomain,
     SyntheticAmplitude,
-    basis_difference_norm,
-    basis_norms,
-    dparam_difference_norm,
-    dparam_norm,
-    estimate_hoelder,
-    estimate_sup_norm,
-    eval_basis,
     realisation,
 )
 from .certify import (
@@ -37,7 +29,6 @@ from .certify import (
     CertificateEntry,
     CertificateReport,
     GridSearchOracle,
-    best_linear_bounds_check,
     cea_certificate,
     decrease_certificate,
     delta_star,
@@ -48,9 +39,7 @@ from .certify import (
     lambda_max_certificate,
     local_rate_certificate,
     minimiser_grid_oracle,
-    quantitative_dc_condition,
     quasi_stationarity_level,
-    regularity_constants_check,
     spd_certificate,
     surrogate_certificate,
 )
@@ -72,8 +61,6 @@ from .optimizer import (
     StoppingCriteria,
     estimate_lipschitz_L,
     hoelder_to_lipschitz,
-    iteration_budget,
-    optimal_zeta,
     reduced_energy,
     reduced_gradient,
     replay,
@@ -100,8 +87,6 @@ from .variational import (
     QuadratureRule,
     bilinear,
     energy,
-    energy_gap_check,
-    inner_u,
     integrate,
     linear_form,
 )

@@ -52,7 +52,6 @@ __all__ = [
     "stack_slices",
     "quadrature_groups",
     "check_lambda_max_bound",
-    "kappa_bound",
     "ConsistencyReport",
     "check_consistency",
 ]
@@ -360,18 +359,6 @@ def quadratic_energy(system: AssembledSystem, w):
 def check_lambda_max_bound(system: AssembledSystem, constants: ProblemConstants):
     """Both sides of lambda_max(A) <= ||a|| * ||phi(xi)||_{U,2}^2."""
     return system.lambda_max, constants.norm_a * system.phi_u2 ** 2
-
-
-def kappa_bound(constants: ProblemConstants, m_phi: float, omega_min: float):
-    """Condition-number bounds (norm_a/alpha) * m_phi / omega_min, both variants.
-
-    Returns ``(kappa, kappa_squared)`` where the second uses ``m_phi**2``;
-    downstream estimates take the conservative (larger) of the two.
-    """
-    if not (m_phi > 0.0 and omega_min > 0.0):
-        raise ConfigError("kappa_bound needs positive m_phi and omega_min")
-    base = constants.norm_a / constants.alpha / omega_min
-    return base * m_phi, base * m_phi ** 2
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,7 @@ SyntheticAmplitude single spatially-constant function whose amplitude is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +34,8 @@ from .errors import (
     ConfigError,
     DerivativeUnavailableError,
     DomainViolationError,
-    NumericalError,
 )
-from .variational import Field, QuadratureRule, integrate
+from .variational import Field
 
 __all__ = [
     "NonlinearDomain",
@@ -45,14 +43,7 @@ __all__ = [
     "FreeKnotHats",
     "IndicatorPair",
     "SyntheticAmplitude",
-    "eval_basis",
-    "basis_norms",
-    "basis_difference_norm",
-    "dparam_norm",
-    "dparam_difference_norm",
     "realisation",
-    "estimate_sup_norm",
-    "estimate_hoelder",
 ]
 
 
@@ -770,18 +761,6 @@ class SyntheticAmplitude(_FamilyBase):
 # ---------------------------------------------------------------------------
 
 
-def eval_basis(family, xi, x):
-    """Values (and spatial derivatives, if the family has them) at points x.
-
-    Returns ``(values, derivs)`` with shapes ``(n_linear, len(x))``; derivs
-    is None for L2-only families.  Raises a domain violation listing the
-    offended constraints when ``xi`` is inadmissible.
-    """
-    xi = family.require_param(xi)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return family.basis_values(xi, x), family.basis_derivs(xi, x)
-
-
 def realisation(family, xi, w) -> Field:
     """The function w . phi(xi) as a Field."""
     xi = family.require_param(xi)
@@ -800,144 +779,3 @@ def realisation(family, xi, w) -> Field:
             return w @ family.basis_derivs(xi, np.atleast_1d(x))
 
     return Field(value_fn, deriv_fn, family.breakpoints(xi))
-
-
-def _sq_u_norms(problem, rule, mat_values, mat_derivs):
-    """Sum over the last axis of the squared U-norm of each entry."""
-    w = rule.weights
-    out = np.tensordot(mat_values ** 2, w, axes=(-1, 0))
-    if problem.needs_h1:
-        if mat_derivs is None:
-            raise DerivativeUnavailableError(
-                "H1 norms requested but spatial derivatives are unavailable"
-            )
-        out = out + np.tensordot(mat_derivs ** 2, w, axes=(-1, 0))
-    return out
-
-
-def _split(problem, rule: QuadratureRule, family, *params):
-    """The checked ``params`` and ``rule`` split at their breakpoints and the
-    problem's coefficient breakpoints, one common rule for all of them."""
-    params = [family.require_param(p) for p in params]
-    cuts = [b for p in params for b in family.breakpoints(p)]
-    return (*params, rule.split_at(tuple(cuts) + tuple(problem.coefficient_breakpoints())))
-
-
-def basis_norms(problem, rule: QuadratureRule, family, xi) -> float:
-    """||phi(xi)||_{U,2} = sqrt(sum_k ||phi_k(xi)||_U^2)."""
-    xi, r = _split(problem, rule, family, xi)
-    vals = family.basis_values(xi, r.nodes)
-    ders = family.basis_derivs(xi, r.nodes) if problem.needs_h1 else None
-    return float(np.sqrt(np.sum(_sq_u_norms(problem, r, vals, ders))))
-
-
-def basis_difference_norm(problem, rule: QuadratureRule, family, xi, eta) -> float:
-    """||phi(xi) - phi(eta)||_{U,2} on a common refined rule."""
-    xi, eta, r = _split(problem, rule, family, xi, eta)
-    dv = family.basis_values(xi, r.nodes) - family.basis_values(eta, r.nodes)
-    dd = (family.basis_derivs(xi, r.nodes) - family.basis_derivs(eta, r.nodes)
-          if problem.needs_h1 else None)
-    return float(np.sqrt(np.sum(_sq_u_norms(problem, r, dv, dd))))
-
-
-def _dparam_root_sum(problem, rule, family, column) -> float:
-    """sqrt(sum_l ||column(e_l)||^2) over the unit vectors e_l of R^n_linear.
-
-    ``column(e_l)`` is ``d phi_l / d xi_i`` for every i: the contracted
-    kernel applied to ``e_l``.  No family provides spatial derivatives of
-    its parameter derivatives, so under an H1 energy ``_sq_u_norms`` raises.
-    """
-    total = sum(
-        float(np.sum(_sq_u_norms(problem, rule, column(e), None)))
-        for e in np.eye(family.n_linear)
-    )
-    return float(np.sqrt(total))
-
-
-def dparam_norm(problem, rule: QuadratureRule, family, xi) -> float:
-    """||grad_xi phi(xi)||_{U,2,2}: root sum of squared U-norms of all entries."""
-    xi, r = _split(problem, rule, family, xi)
-    return _dparam_root_sum(
-        problem, r, family, lambda e: family.dparam_values(xi, r.nodes, e)
-    )
-
-
-def dparam_difference_norm(problem, rule: QuadratureRule, family, xi, eta) -> float:
-    """||grad_xi phi(xi) - grad_xi phi(eta)||_{U,2,2} on a common rule."""
-    xi, eta, r = _split(problem, rule, family, xi, eta)
-    return _dparam_root_sum(
-        problem, r, family,
-        lambda e: family.dparam_values(xi, r.nodes, e) - family.dparam_values(eta, r.nodes, e),
-    )
-
-
-def _corner_points(domain: NonlinearDomain):
-    """The box corners, projected; none beyond 6 coordinates (64 corners)."""
-    n = domain.dim
-    if n > 6:
-        return []
-    corners = []
-    for mask in range(2 ** n):
-        p = np.where(
-            [(mask >> i) & 1 for i in range(n)], domain.upper, domain.lower
-        ).astype(float)
-        corners.append(domain.project(p))
-    return corners
-
-
-def estimate_sup_norm(problem, rule, family, n_samples: int, seed: int) -> float:
-    """Sampled lower estimate of sup_xi ||phi(xi)||_{U,2}.
-
-    Uses ``n_samples`` feasible draws plus the (projected) box corners; a
-    sampling-based quantity, so a lower bound witness rather than a proof.
-    """
-    if n_samples < 1:
-        raise ConfigError("estimate_sup_norm needs at least one sample")
-    rng = np.random.default_rng(seed)
-    pts = [family.domain.sample(rng) for _ in range(n_samples)]
-    pts.extend(_corner_points(family.domain))
-    return max(basis_norms(problem, rule, family, p) for p in pts)
-
-
-def estimate_hoelder(problem, rule, family, n_pairs: int, seed: int):
-    """Fit ||phi(xi)-phi(eta)|| ~ L * ||xi-eta||^nu on sampled pairs.
-
-    Pairs are a feasible base point plus a random direction at log-spaced
-    radii between 1e-4 and 1e-1 of the domain extent, so the fitted slope
-    reflects the local smoothness that step-size selection relies on (at
-    domain scale, smooth families saturate and would masquerade as rough).
-    Log-log least squares; the slope is clipped into (0, 1] and the
-    intercept gets a 1.5x safety factor.  Returns ``(nu_hat, L_hat)``.
-    """
-    if n_pairs < 10:
-        raise ConfigError("estimate_hoelder needs at least 10 pairs")
-    rng = np.random.default_rng(seed)
-    span = float(np.max(family.domain.upper - family.domain.lower))
-    if not span > 0.0:
-        raise ConfigError("degenerate (single point) domain")
-    ds, ys = [], []
-    tries = 0
-    while len(ds) < n_pairs and tries < 50 * n_pairs:
-        tries += 1
-        xi = family.domain.sample(rng)
-        u = rng.standard_normal(family.domain.dim)
-        nrm = float(np.linalg.norm(u))
-        if nrm <= 0.0:
-            continue
-        r = span * 10.0 ** rng.uniform(-4.0, -1.0)
-        eta = family.domain.project(xi + (r / nrm) * u)
-        d = float(np.linalg.norm(eta - xi))
-        if d <= 1e-12 * span:
-            continue
-        y = basis_difference_norm(problem, rule, family, xi, eta)
-        if y <= 0.0:
-            continue
-        ds.append(d)
-        ys.append(y)
-    if len(ds) < n_pairs:
-        raise NumericalError("could not sample enough informative pairs")
-    A = np.stack([np.log(ds), np.ones(len(ds))], axis=1)
-    coef, *_ = np.linalg.lstsq(A, np.log(ys), rcond=None)
-    nu_hat = float(min(max(coef[0], 1e-6), 1.0))
-    L_hat = float(np.exp(coef[1]) * 1.5)
-    return nu_hat, L_hat

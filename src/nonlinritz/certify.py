@@ -16,19 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from .assembly import assemble, quadratic_energy, stack_slices
-from .basis import (
-    basis_difference_norm,
-    basis_norms,
-    dparam_difference_norm,
-    dparam_norm,
-    realisation,
-)
-from .errors import ConfigError, NumericalError
+from .basis import realisation
+from .errors import ConfigError
 from .optimizer import RunRecord, reduced_energy
 from .variational import Field, bilinear, linear_form
 
@@ -52,9 +46,6 @@ __all__ = [
     "global_rate_certificate",
     "cea_certificate",
     "directional_convexity_probe",
-    "quantitative_dc_condition",
-    "best_linear_bounds_check",
-    "regularity_constants_check",
 ]
 
 ATOL = 1e-8
@@ -673,7 +664,7 @@ def cea_certificate(
 
 
 # ---------------------------------------------------------------------------
-# convexity probes and the lemma constant checks
+# convexity probes
 # ---------------------------------------------------------------------------
 
 
@@ -719,176 +710,3 @@ def directional_convexity_probe(
         if curv < worst:
             worst, t_worst = curv, t
     return ProbeResult(float(worst), bool(worst >= -tol), float(t_worst))
-
-
-def quantitative_dc_condition(
-    problem,
-    rule,
-    family,
-    xi,
-    xi_star,
-    kappa_max: float,
-    norm_ell: float,
-    alpha: float,
-    L_phi: float,
-    rho: float,
-    inf_dist: float,
-    n_samples: int = 5,
-    frozen_w=None,
-) -> CertificateEntry:
-    """Directional-convexity sufficient condition along a segment.
-
-    At points eta on the segment from ``xi`` to ``xi_star`` the condition
-
-        ||d Rbar(eta)[D]||_a^2 >=
-            (C L_phi rho + inf_dist) * ||d^2 Rbar(eta)[D,D]||_a,
-
-    with D the segment direction and C = 2 kappa (1+kappa) ||ell|| / alpha,
-    is evaluated with Richardson-extrapolated central differences of the
-    reduced realisation (step 1e-4 of the segment length).
-    """
-    xi = np.asarray(xi, dtype=float)
-    xi_star = np.asarray(xi_star, dtype=float)
-    D = xi_star - xi
-    C = 2.0 * kappa_max * (1.0 + kappa_max) * norm_ell / alpha
-    factor = C * L_phi * rho + inf_dist
-
-    def real_at(eta):
-        if frozen_w is not None:
-            return realisation(family, eta, np.asarray(frozen_w, dtype=float))
-        _, w = reduced_energy(problem, rule, family, eta)
-        return realisation(family, eta, w)
-
-    def a_norm(fld):
-        return math.sqrt(max(bilinear(problem, rule, fld, fld), 0.0))
-
-    ts = np.linspace(0.0, 1.0, n_samples + 2)[1:-1]
-    entries, h = [], 1e-4
-    for t in ts:
-        eta = xi + t * D
-        # first and second directional differences, Richardson extrapolated,
-        # on the five distinct realisations, each built once
-        f0, f = real_at(eta), {s: real_at(eta + s * D) for s in (-h, -h / 2.0, h / 2.0, h)}
-        def d1(step):
-            return (1.0 / (2.0 * step)) * (f[step] - f[-step])
-
-        def d2(step):
-            return (1.0 / (step * step)) * ((f[step] - f0) - (f0 - f[-step]))
-
-        g1 = (4.0 / 3.0) * d1(h / 2.0) - (1.0 / 3.0) * d1(h)
-        g2 = (4.0 / 3.0) * d2(h / 2.0) - (1.0 / 3.0) * d2(h)
-        lhs = factor * a_norm(g2)
-        rhs = a_norm(g1) ** 2
-        entries.append(_check("quantitative-dc", f"t={t:.3f}", lhs, rhs))
-    return _worst(entries, f"C = {C!r}; checked {len(ts)} segment points")
-
-
-def best_linear_bounds_check(
-    grads,
-    pairs: Sequence,
-    norm_ell: float,
-    alpha: float,
-    omega_min: float,
-    m_phi: float,
-    kappa_max: float,
-    m_dphi: Optional[float] = None,
-) -> List[CertificateEntry]:
-    """Stability of the exact linear solutions across parameter pairs.
-
-    ``grads`` is the gradient oracle
-    (:func:`~nonlinritz.updates.make_gradients`); it also gives the problem,
-    rule and family.  Checks, over the sampled pairs ``(xi, eta)``:
-
-    * ``||w*(xi)|| <= norm_ell * m_phi / (alpha * omega_min)``
-    * ``||w*(xi) - w*(eta)|| <= (1 + 2 kappa) norm_ell / (alpha omega_min)
-      * ||phi(xi) - phi(eta)||``
-    * with ``m_dphi`` given, the Hoelder bound on the reduced gradient
-      differences with the two lemma constants.
-    """
-    bound_w = norm_ell * m_phi / (alpha * omega_min)
-    coef_diff = (1.0 + 2.0 * kappa_max) * norm_ell / (alpha * omega_min)
-    problem, rule, family = grads.problem, grads.rule, grads.family
-    if m_dphi is not None:
-        c1 = (kappa_max + (1.0 + 2.0 * kappa_max) ** 2) * norm_ell ** 2 / (
-            alpha * omega_min
-        ) * m_dphi
-        c2 = (1.0 + kappa_max) * norm_ell ** 2 / (alpha * omega_min) * m_phi
-    norm, diff, grad = [], [], []
-    for idx, (xi, eta) in enumerate(pairs):
-        _, w_xi = reduced_energy(problem, rule, family, xi)
-        _, w_eta = reduced_energy(problem, rule, family, eta)
-        norm.append(
-            _check("best-linear-norm", f"pair {idx}", float(np.linalg.norm(w_xi)), bound_w)
-        )
-        dphi = basis_difference_norm(problem, rule, family, xi, eta)
-        diff.append(
-            _check("best-linear-hoelder", f"pair {idx}",
-                   float(np.linalg.norm(w_xi - w_eta)), coef_diff * dphi)
-        )
-        if m_dphi is not None:
-            g_xi = grads.grad_xi(w_xi, xi)
-            g_eta = grads.grad_xi(w_eta, eta)
-            ddphi = dparam_difference_norm(problem, rule, family, xi, eta)
-            grad.append(
-                _check("reduced-gradient-hoelder", f"pair {idx}",
-                       float(np.linalg.norm(g_xi - g_eta)), c1 * dphi + c2 * ddphi)
-            )
-    return [_worst(entries, f"checked {len(pairs)} pairs")
-            for entries in (norm, diff, grad) if entries]
-
-
-def regularity_constants_check(
-    grads,
-    state_pairs: Sequence,
-    norm_a: float,
-    norm_ell: float,
-) -> List[CertificateEntry]:
-    """Joint Lipschitz bounds of the energy gradients across state pairs.
-
-    ``grads`` is the gradient oracle
-    (:func:`~nonlinritz.updates.make_gradients`); it also gives the problem,
-    rule and family.  For states ``(v, xi)`` and ``(w, eta)`` with pairwise maxima
-    ``M_phi``, ``M_W``, ``M_dphi``:
-
-    * linear block:
-      ``||grad_w K(v,xi) - grad_w K(w,eta)|| <= norm_a M_phi^2 ||v-w||
-        + (2 norm_a M_W M_phi + norm_ell) ||phi(xi)-phi(eta)||``
-    * nonlinear block:
-      ``||grad_xi K(v,xi) - grad_xi K(w,eta)|| <=
-        (2 norm_a M_W M_phi + norm_ell) M_dphi ||v-w||
-        + norm_a M_W^2 M_dphi ||phi(xi)-phi(eta)||
-        + M_W (norm_a M_W M_phi + norm_ell) ||dphi(xi)-dphi(eta)||``
-    """
-    problem, rule, family = grads.problem, grads.rule, grads.family
-    lin, nonlin = [], []
-    for idx, ((v, xi), (w, eta)) in enumerate(state_pairs):
-        v = np.asarray(v, dtype=float)
-        w = np.asarray(w, dtype=float)
-        sys_xi = assemble(problem, rule, family, xi)
-        sys_eta = assemble(problem, rule, family, eta)
-        m_phi = max(basis_norms(problem, rule, family, xi),
-                    basis_norms(problem, rule, family, eta))
-        m_w = max(float(np.linalg.norm(v)), float(np.linalg.norm(w)))
-        dphi = basis_difference_norm(problem, rule, family, xi, eta)
-        dv = float(np.linalg.norm(v - w))
-
-        lhs_w = float(
-            np.linalg.norm(
-                (sys_xi.matrix @ v - sys_xi.load) - (sys_eta.matrix @ w - sys_eta.load)
-            )
-        )
-        rhs_w = norm_a * m_phi ** 2 * dv + (2.0 * norm_a * m_w * m_phi + norm_ell) * dphi
-        lin.append(_check("regularity-linear-grad", f"pair {idx}", lhs_w, rhs_w))
-
-        m_dphi = max(dparam_norm(problem, rule, family, xi),
-                     dparam_norm(problem, rule, family, eta))
-        ddphi = dparam_difference_norm(problem, rule, family, xi, eta)
-        lhs_xi = float(np.linalg.norm(grads.grad_xi(v, xi) - grads.grad_xi(w, eta)))
-        rhs_xi = (
-            (2.0 * norm_a * m_w * m_phi + norm_ell) * m_dphi * dv
-            + norm_a * m_w ** 2 * m_dphi * dphi
-            + m_w * (norm_a * m_w * m_phi + norm_ell) * ddphi
-        )
-        nonlin.append(_check("regularity-nonlinear-grad", f"pair {idx}", lhs_xi, rhs_xi))
-    note = f"checked {len(state_pairs)} state pairs"
-    return [_worst(lin, note), _worst(nonlin, note)]

@@ -5,7 +5,7 @@ Subcommands::
     nonlinritz run     --config cfg.json [--out-dir D] [--seed N] [--max-epochs N]
     nonlinritz certify --config cfg.json [--out-dir D] ...
     nonlinritz grid    --config cfg.json [--out-dir D] ...
-    nonlinritz check   --config cfg.json ...
+    nonlinritz check   --config cfg.json [--out-dir D] ...
 
 ``run`` executes the alternating minimisation and writes what
 :func:`run_artifacts` renders from its record: ``trace.csv``,
@@ -23,7 +23,8 @@ finite or that leave the domain fail ``trace-consistency`` and leave no
 record to certify.  The Lipschitz estimate and the grid oracle are
 computed again, never read from a file.  ``grid`` writes a brute-force
 minimiser oracle to ``oracle.json``; ``check`` runs the internal invariant
-battery on the configured problem.
+battery on the configured problem and writes its entries, in the form of
+``report.json``, to ``check.json``.
 
 Exit codes: 0 success, 1 certificate/invariant failure, 2 configuration
 or artifact I/O error, 3 numerical failure.  BLAS/OpenMP parallelism is
@@ -343,7 +344,7 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str) -> int:
     )
     if record is not None:
         _state_certificates(cfg, record, oracle, report)
-    _write_report(cfg, out_dir, report)
+    _write_report(cfg, out_dir, report, "report.json")
     return 0 if report.passed else 1
 
 
@@ -401,12 +402,12 @@ def _state_certificates(cfg: ExperimentConfig, record, oracle, report):
                 report.extend(result.entry)
 
 
-def _write_report(cfg: ExperimentConfig, out_dir: str, report):
-    """``report.json`` and one line per entry on stdout."""
+def _write_report(cfg: ExperimentConfig, out_dir: str, report, name: str):
+    """The report as ``name`` in ``out_dir``, and one line per entry on stdout."""
     os.makedirs(out_dir, exist_ok=True)
     payload = {"config_hash": cfg.config_hash}
     payload.update(report.to_dict())
-    _write(os.path.join(out_dir, "report.json"), (_dumps(payload) + "\n").encode("utf-8"))
+    _write(os.path.join(out_dir, name), (_dumps(payload) + "\n").encode("utf-8"))
 
     tags = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}
     for e in report.entries:
@@ -425,58 +426,59 @@ def _write_report(cfg: ExperimentConfig, out_dir: str, report):
     )
 
 
-def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
-    """Internal invariant battery on the configured problem and family."""
-    rng = np.random.default_rng(cfg.seed)
-    results = []
+def _exact(name, anchor, lhs, rhs, note=""):
+    """The entry of ``lhs <= rhs`` with no tolerance beyond ``rhs`` itself."""
+    return cert._check(name, anchor, lhs, rhs, atol=0.0, rtol=0.0, note=note)
 
-    def note(name, ok, detail):
-        results.append((name, bool(ok), detail))
+
+def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
+    """Internal invariant battery on the configured problem and family,
+    written to ``check.json``; an entry over several samples is the worst."""
+    rng = np.random.default_rng(cfg.seed)
+    report = cert.CertificateReport()
 
     total = integrate(lambda x: np.ones(np.shape(x)), cfg.rule)
     span = cfg.rule.boundaries[-1] - cfg.rule.boundaries[0]
-    note("quadrature-weights", abs(total - span) <= 1e-12 * span,
-         f"sum of weights {_fmt(total)} vs span {_fmt(span)}")
+    report.extend(_exact("quadrature-weights", f"{len(cfg.rule.boundaries) - 1} panels",
+                         abs(total - span), 1e-12 * span,
+                         f"sum of weights {_fmt(total)} vs span {_fmt(span)}"))
 
     # each sample set is evaluated as one stack, every row bitwise that point alone
     domain = cfg.family.domain
     systems = assemble(cfg.problem, cfg.rule, cfg.family,
                        np.array([domain.sample(rng) for _ in range(5)])).rows()
-    spd_ok, sym_ok, lam_ok, worst_lam = True, True, True, math.inf
-    for system in systems:
-        A = system.matrix
-        sym_ok &= bool(np.max(np.abs(A - A.T)) <= 1e-12 * (1.0 + np.max(np.abs(A))))
-        spd_ok &= system.lambda_min >= -1e-10 and system.omega >= -1e-10
-        lam, bound = check_lambda_max_bound(system, cfg.constants)
-        lam_ok &= lam <= bound + 1e-9
-        worst_lam = min(worst_lam, bound - lam)
-    note("assembly-symmetry", sym_ok, f"{len(systems)} sampled parameter points")
-    note("assembly-psd", spd_ok, f"{len(systems)} sampled parameter points")
-    note("lambda-max-bound", lam_ok, f"worst margin {_fmt(worst_lam)}")
+    psd = [_exact("assembly-psd", f"sample {k}", -np.minimum(s.lambda_min, s.omega), 1e-10)
+           for k, s in enumerate(systems)]
+    lam = [cert._check("lambda-max-bound", f"sample {k}",
+                       *check_lambda_max_bound(s, cfg.constants), atol=1e-9, rtol=0.0)
+           for k, s in enumerate(systems)]
+    note = f"{len(systems)} sampled parameter points"
+    report.extend([cert._worst(psd, note), cert._worst(lam, note)])
 
     raw = domain.lower + (domain.upper - domain.lower) * rng.uniform(-0.5, 1.5, (50, domain.dim))
-    proj_ok = bool(domain.feasible(np.array([domain.project(p) for p in raw])).all())
-    note("projection-feasibility", proj_ok, "50 random points")
+    projected = np.array([domain.project(p) for p in raw])
+    report.extend(_exact("projection-feasibility", f"{len(raw)} random points",
+                         np.count_nonzero(~domain.feasible(projected)), 0,
+                         "count of infeasible projections"))
 
-    prox_ok, worst_res = True, 0.0
-    for _ in range(20):
+    prox = []
+    for k in range(20):
         xi = domain.sample(rng)
         g = rng.standard_normal(domain.dim)
         gamma = 10.0 ** rng.uniform(-3, 0)
         xp = prox_step(cfg.geometry, domain, xi, g, gamma)
         res = prox_optimality_residual(cfg.geometry, domain, xi, g, gamma, xp)
-        worst_res = max(worst_res, res)
-        prox_ok &= res <= 1e-6 * (1.0 + float(np.linalg.norm(g)))
-    note("prox-optimality", prox_ok, f"worst residual {_fmt(worst_res)}")
+        prox.append(_exact("prox-optimality", f"draw {k}",
+                           res, 1e-6 * (1.0 + float(np.linalg.norm(g)))))
+    report.extend(cert._worst(prox, f"{len(prox)} random draws"))
 
-    system0 = assemble(cfg.problem, cfg.rule, cfg.family, cfg.xi0)
-    rep = check_consistency(system0)
-    note(
-        "consistency-at-start",
-        rep.load_kernel_residual <= 1e-8 and rep.realisation_gap <= 1e-8,
+    rep = check_consistency(assemble(cfg.problem, cfg.rule, cfg.family, cfg.xi0))
+    report.extend(_exact(
+        "consistency-at-start", "xi0",
+        np.maximum(rep.load_kernel_residual, rep.realisation_gap), 1e-8,
         f"kernel dim {rep.kernel_dim}, load residual {_fmt(rep.load_kernel_residual)}, "
         f"realisation gap {_fmt(rep.realisation_gap)}",
-    )
+    ))
 
     # the probed coordinates are compared, from points at least one probe
     # step inside the domain
@@ -493,16 +495,14 @@ def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
         lambda probes, _: reduced_energy(cfg.problem, cfg.rule, cfg.family, probes)[0],
         cfg.problem, cfg.rule, cfg.family, xis, h,
     )
-    rels = [float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(b)))
-            for a, b in zip(g[:, moves], fd[:, moves])]
-    note("reduced-gradient-fd", all(rel <= 1e-4 for rel in rels),
-         f"worst relative error {_fmt(max([0.0, *rels]))}")
+    errors = [_exact("reduced-gradient-fd", f"point {k}",
+                     np.linalg.norm(a - b) / (1.0 + np.linalg.norm(b)), 1e-4)
+              for k, (a, b) in enumerate(zip(g[:, moves], fd[:, moves]))]
+    report.extend(cert._worst(errors, f"relative error at {len(errors)} sampled points"))
 
-    ok_all = all(ok for _, ok, _ in results)
-    for name, ok, detail in results:
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    print(("all checks passed" if ok_all else "invariant failures detected"))
-    return 0 if ok_all else 1
+    _write_report(cfg, out_dir, report, "check.json")
+    print("all checks passed" if report.passed else "invariant failures detected")
+    return 0 if report.passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +523,7 @@ def _build_parser():
         "run": "execute a configured run; write trace.csv, iterates.npy and summary.json",
         "certify": "replay the run artifacts and evaluate the certificate suite on them",
         "grid": "write a brute-force minimiser oracle to oracle.json",
-        "check": "run the internal invariant battery",
+        "check": "run the internal invariant battery; write check.json",
     }
     for name, h in helps.items():
         sp = sub.add_parser(name, help=h)

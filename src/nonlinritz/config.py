@@ -337,7 +337,7 @@ _CONFIG = {
     "init": (_table({"xi0": (_numbers, _REQUIRED), "w0": (_numbers, _ABSENT)}), _REQUIRED),
     "gradient": (_table({
         "mode": (_one_of("auto", "analytic", "closed_form", "fd"), "auto"),
-        "fd_step": (_number, 1e-6),
+        "fd_step": (_positive, 1e-6),
     }), {}),
     "oracle": (_or_null(_by_kind(
         points={"points": (_points, _REQUIRED), "K_star": (_number, _REQUIRED)},

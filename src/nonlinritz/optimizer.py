@@ -31,7 +31,6 @@ grad_xi K(w, xi) evaluated at w = w*(xi).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Union
 
@@ -52,8 +51,6 @@ from .updates import (
 
 __all__ = [
     "hoelder_to_lipschitz",
-    "optimal_zeta",
-    "iteration_budget",
     "estimate_lipschitz_L",
     "reduced_energy",
     "reduced_gradient",
@@ -88,38 +85,6 @@ def hoelder_to_lipschitz(L: float, nu: float, eps: float) -> float:
         raise ConfigError("eps must be positive when nu < 1")
     p = (1.0 - nu) / (1.0 + nu)
     return float((p / (2.0 * eps)) ** p * L ** (2.0 / (1.0 + nu)))
-
-
-def optimal_zeta(L_max: float, mu: float, beta_max: float) -> float:
-    """Step-scale factor minimising the iteration budget.
-
-    ``1 - sqrt(1 - L_max/(mu^2 beta_max))`` while that ratio is at most 3/4,
-    and 1/2 beyond (the two branches meet at the threshold).
-    """
-    if not (L_max > 0.0 and mu > 0.0 and beta_max > 0.0):
-        raise ConfigError("optimal_zeta needs positive L_max, mu, beta_max")
-    ratio = L_max / (mu * mu * beta_max)
-    if ratio <= 0.75:
-        return float(1.0 - math.sqrt(1.0 - ratio))
-    return 0.5
-
-
-def iteration_budget(
-    tau: float, mu: float, zeta: float, L_max: float, beta_max: float, gap: float
-) -> float:
-    """Iterations guaranteeing the combined stationarity residual <= tau.
-
-    ``2 mu^2 (1+zeta)^2 gap / (tau^2 min(mu^2 zeta (2-zeta)/L_max, 1/beta_max))``
-    where ``gap`` bounds the initial energy above its infimum.
-    """
-    if not (tau > 0.0 and mu > 0.0 and L_max > 0.0 and beta_max > 0.0):
-        raise ConfigError("iteration_budget needs positive tau, mu, L_max, beta_max")
-    if not 0.0 < zeta < 2.0:
-        raise ConfigError(f"zeta must lie in (0, 2), got {zeta!r}")
-    if gap < 0.0:
-        raise ConfigError(f"initial energy gap must be nonnegative, got {gap!r}")
-    denom = min(mu * mu * zeta * (2.0 - zeta) / L_max, 1.0 / beta_max)
-    return float(2.0 * mu * mu * (1.0 + zeta) ** 2 * gap / (tau * tau * denom))
 
 
 def estimate_lipschitz_L(grads, w, n_pairs: int, seed: int, nu: float = 1.0) -> float:

@@ -9,9 +9,8 @@ and the two model problems
 * ``DiffusionReaction1D``   a(u,v) = int (K u' v' + s u v),  Dirichlet data
                             handled by a linear lifting folded into ell.
 
-Both induce the energy J(u) = 0.5*a(u,u) - ell(u); for the exact minimiser
-u* the identity J(u) - J(u*) = 0.5*||u - u*||_a^2 holds, and
-:func:`energy_gap_check` evaluates both sides.
+Both induce the energy J(u) = 0.5*a(u,u) - ell(u), which :func:`energy`
+evaluates on a field.
 """
 
 from __future__ import annotations
@@ -37,9 +36,7 @@ __all__ = [
     "integrate",
     "bilinear",
     "linear_form",
-    "inner_u",
     "energy",
-    "energy_gap_check",
 ]
 
 
@@ -311,11 +308,6 @@ class L2Approx:
         f = self.target
         return integrate(lambda x: f.values(x) * v.values(x), rule)
 
-    def inner(self, rule, u: Field, v: Field) -> float:
-        # the ambient space is L2 itself, so the inner product coincides
-        # with the bilinear form
-        return self.pairing(rule, u, v)
-
 
 @dataclass(frozen=True)
 class DiffusionReaction1D:
@@ -369,14 +361,6 @@ class DiffusionReaction1D:
             return fv
         return fv - self.pairing(rule, self.lifting, v)
 
-    def inner(self, rule, u: Field, v: Field) -> float:
-        # full H1 inner product; coercivity/continuity constants with
-        # respect to it are supplied by the user as ProblemConstants
-        return integrate(
-            lambda x: u.derivs(x) * v.derivs(x) + u.values(x) * v.values(x),
-            rule,
-        )
-
 
 def _split_rule(problem, rule: QuadratureRule, *fields: Field) -> QuadratureRule:
     """``split_at`` sorts the points and drops duplicates itself."""
@@ -394,23 +378,6 @@ def linear_form(problem, rule: QuadratureRule, v: Field) -> float:
     return problem.load(_split_rule(problem, rule, v), v)
 
 
-def inner_u(problem, rule: QuadratureRule, u: Field, v: Field) -> float:
-    """Inner product of the ambient space the problem is coercive on."""
-    return problem.inner(_split_rule(problem, rule, u, v), u, v)
-
-
 def energy(problem, rule: QuadratureRule, u: Field) -> float:
     """J(u) = 0.5 * a(u, u) - ell(u)."""
     return 0.5 * bilinear(problem, rule, u, u) - linear_form(problem, rule, u)
-
-
-def energy_gap_check(problem, rule: QuadratureRule, u: Field, u_star: Field):
-    """Both sides of J(u) - J(u*) = 0.5 * ||u - u*||_a^2.
-
-    Returns ``(lhs, rhs)``; for the exact minimiser ``u_star`` the two agree
-    up to quadrature accuracy.
-    """
-    lhs = energy(problem, rule, u) - energy(problem, rule, u_star)
-    diff = u - u_star
-    rhs = 0.5 * bilinear(problem, rule, diff, diff)
-    return lhs, rhs

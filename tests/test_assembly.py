@@ -8,7 +8,6 @@ from nonlinritz.assembly import (
     assemble,
     check_consistency,
     check_lambda_max_bound,
-    kappa_bound,
     quadratic_energy,
 )
 from nonlinritz.basis import (
@@ -151,13 +150,6 @@ def test_lambda_max_bound_holds():
             system, ProblemConstants(alpha=1.0, norm_a=1.0, norm_ell=1.0)
         )
         assert lam <= bound + 1e-9
-
-
-def test_kappa_bound_variants():
-    c = ProblemConstants(alpha=0.5, norm_a=2.0, norm_ell=1.0)
-    k1, k2 = kappa_bound(c, m_phi=3.0, omega_min=0.25)
-    assert_allclose(k1, 2.0 / 0.5 / 0.25 * 3.0, rtol=1e-15)
-    assert_allclose(k2, 2.0 / 0.5 / 0.25 * 9.0, rtol=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -12,27 +12,12 @@ from nonlinritz.basis import (
     IndicatorPair,
     NonlinearDomain,
     SyntheticAmplitude,
-    basis_difference_norm,
-    basis_norms,
-    dparam_difference_norm,
-    dparam_norm,
-    estimate_hoelder,
-    estimate_sup_norm,
-    eval_basis,
     realisation,
 )
 from nonlinritz.errors import (
     ConfigError,
     DerivativeUnavailableError,
     DomainViolationError,
-)
-from nonlinritz.variational import (
-    DiffusionReaction1D,
-    Field,
-    L2Approx,
-    QuadratureRule,
-    inner_u,
-    integrate,
 )
 
 
@@ -216,9 +201,9 @@ def _gauss_family(n=2, width=0.1):
 
 def test_gaussian_values_and_derivs():
     fam = _gauss_family()
-    xi = np.array([0.5, 0.3])
+    xi = fam.require_param(np.array([0.5, 0.3]))
     x = np.array([0.6])
-    vals, ders = eval_basis(fam, xi, x)
+    vals, ders = fam.basis_values(xi, x), fam.basis_derivs(xi, x)
     assert_allclose(vals[0, 0], math.exp(-0.5), rtol=1e-15)
     # d/dx of exp(-(x-c)^2 / (2 s^2)) at x=0.6, c=0.5, s=0.1
     assert_allclose(ders[0, 0], -10.0 * math.exp(-0.5), rtol=1e-14)
@@ -252,9 +237,9 @@ def test_gaussian_dparam_matches_fd():
 def test_bad_parameter_shape_rejected():
     fam = _gauss_family()
     with pytest.raises(DomainViolationError):
-        eval_basis(fam, np.array([0.5]), np.array([0.5]))
+        fam.require_param(np.array([0.5]))
     with pytest.raises(DomainViolationError):
-        eval_basis(fam, np.array([0.5, 2.0]), np.array([0.5]))
+        fam.require_param(np.array([0.5, 2.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +273,7 @@ def test_hats_partition_of_unity_including_endpoints():
     fam = _hat_family()
     xi = np.array([0.2, 0.5, 0.7])
     x = np.linspace(0.0, 1.0, 101)  # includes both interval endpoints
-    vals, _ = eval_basis(fam, xi, x)
+    vals = fam.basis_values(fam.require_param(xi), x)
     assert vals.shape == (5, 101)
     assert_allclose(vals.sum(axis=0), np.ones(101), atol=1e-14)
 
@@ -297,7 +282,7 @@ def test_hats_interpolate_at_knots():
     fam = _hat_family()
     xi = np.array([0.2, 0.5, 0.7])
     knots = np.concatenate([[0.0], xi, [1.0]])
-    vals, _ = eval_basis(fam, xi, knots)
+    vals = fam.basis_values(fam.require_param(xi), knots)
     assert_allclose(vals, np.eye(5), atol=1e-14)
 
 
@@ -305,14 +290,15 @@ def test_hats_dirichlet_drops_boundary_functions():
     fam = _hat_family(dirichlet=True)
     assert fam.n_linear == 3
     assert fam.vanishes_on_boundary
-    vals, _ = eval_basis(fam, np.array([0.2, 0.5, 0.7]), np.array([0.0, 1.0]))
+    vals = fam.basis_values(fam.require_param(np.array([0.2, 0.5, 0.7])), np.array([0.0, 1.0]))
     assert_allclose(vals, np.zeros((3, 2)), atol=1e-15)
 
 
 def test_hats_zero_width_cell_stays_finite():
     dom = NonlinearDomain([0.0, 0.0], [1.0, 1.0], chains=((0, 1),), gap=0.0)
     fam = FreeKnotHats(dom, 0.0, 1.0)
-    vals, ders = eval_basis(fam, np.array([0.5, 0.5]), np.linspace(0, 1, 21))
+    xi, x = fam.require_param(np.array([0.5, 0.5])), np.linspace(0, 1, 21)
+    vals, ders = fam.basis_values(xi, x), fam.basis_derivs(xi, x)
     assert np.all(np.isfinite(vals))
     assert np.all(np.isfinite(ders))
 
@@ -351,8 +337,8 @@ def _indicator_family():
 
 def test_indicator_values():
     fam = _indicator_family()
-    xi = np.array([0.0, 0.5, 1.0])
-    vals, ders = eval_basis(fam, xi, np.array([0.25, 0.75]))
+    xi, x = fam.require_param(np.array([0.0, 0.5, 1.0])), np.array([0.25, 0.75])
+    vals, ders = fam.basis_values(xi, x), fam.basis_derivs(xi, x)
     assert_allclose(vals, [[1.0, 0.0], [0.0, 1.0]])
     assert ders is None  # indicators live in L2 only
 
@@ -372,11 +358,11 @@ def test_indicator_dparam_raises():
 def test_synthetic_sphere_quartic_profile():
     dom = NonlinearDomain([-2.0, -2.0], [2.0, 2.0])
     fam = SyntheticAmplitude(dom, profile="sphere_quartic", radius=1.0, scale=0.5)
-    xi = np.array([0.6, 0.8])  # on the unit circle
-    vals, _ = eval_basis(fam, xi, np.array([0.1, 0.9]))
+    xi = fam.require_param(np.array([0.6, 0.8]))  # on the unit circle
+    vals = fam.basis_values(xi, np.array([0.1, 0.9]))
     assert_allclose(vals, np.zeros((1, 2)), atol=1e-15)
-    xi = np.array([1.0, 1.0])
-    vals, _ = eval_basis(fam, xi, np.array([0.3]))
+    xi = fam.require_param(np.array([1.0, 1.0]))
+    vals = fam.basis_values(xi, np.array([0.3]))
     assert_allclose(vals[0, 0], math.sqrt(2.0) * 0.5 * 1.0, rtol=1e-15)
 
 
@@ -395,7 +381,7 @@ def test_synthetic_norm_profile_subgradient_at_origin():
 
 
 # ---------------------------------------------------------------------------
-# realisation and norms
+# realisation
 # ---------------------------------------------------------------------------
 
 
@@ -408,87 +394,3 @@ def test_realisation_matches_manual_combination():
     manual = w @ fam.basis_values(xi, x)
     assert_allclose(r.values(x), manual, rtol=1e-15)
     assert r.in_h1
-
-
-def test_basis_norms_against_direct_quadrature():
-    fam = _gauss_family()
-    xi = np.array([0.4, 0.6])
-    rule = QuadratureRule.on_interval(0.0, 1.0, 16, 6)
-    problem = L2Approx(Field.constant(0.0))
-    total = 0.0
-    for k in range(2):
-        total += integrate(lambda x, k=k: fam.basis_values(xi, x)[k] ** 2, rule)
-    assert_allclose(basis_norms(problem, rule, fam, xi), math.sqrt(total), rtol=1e-13)
-
-
-def test_basis_difference_norm_zero_for_same_point():
-    fam = _gauss_family()
-    rule = QuadratureRule.on_interval(0.0, 1.0, 8, 5)
-    problem = L2Approx(Field.constant(0.0))
-    xi = np.array([0.4, 0.6])
-    assert basis_difference_norm(problem, rule, fam, xi, xi) == 0.0
-    assert basis_difference_norm(problem, rule, fam, xi, np.array([0.5, 0.6])) > 0.0
-
-
-def test_dparam_norm_positive():
-    fam = _gauss_family()
-    rule = QuadratureRule.on_interval(0.0, 1.0, 8, 5)
-    problem = L2Approx(Field.constant(0.0))
-    xi = np.array([0.4, 0.6])
-    assert dparam_norm(problem, rule, fam, xi) > 0.0
-    # d phi_k / d xi_k = z_k phi_k and the off-diagonal entries vanish
-    total = sum(
-        integrate(lambda x, k=k: (fam._z(xi, x) * fam.basis_values(xi, x))[k] ** 2, rule)
-        for k in range(2)
-    )
-    assert_allclose(dparam_norm(problem, rule, fam, xi), math.sqrt(total), rtol=1e-13)
-    assert dparam_difference_norm(problem, rule, fam, xi, xi) == 0.0
-    assert dparam_difference_norm(problem, rule, fam, xi, np.array([0.5, 0.6])) > 0.0
-
-
-def test_h1_norms_match_the_realised_fields():
-    # under an H1 energy the norms add the slopes; the independent path is
-    # the H1 inner product of each realised hat e_k . phi
-    fam = FreeKnotHats(NonlinearDomain([0.05] * 3, [0.95] * 3, chains=((0, 1, 2),)),
-                       0.0, 1.0, dirichlet=True)
-    one = Field.constant(1.0)
-    problem = DiffusionReaction1D(one, one, one, x_lo=0.0, x_hi=1.0)
-    rule = QuadratureRule.on_interval(0.0, 1.0, 8, 5)
-    xi, eta = np.array([0.2, 0.5, 0.7]), np.array([0.25, 0.45, 0.8])
-
-    def field_norm(*points):
-        total = 0.0
-        for e in np.eye(fam.n_linear):
-            u = realisation(fam, points[0], e)
-            if len(points) > 1:
-                u = u - realisation(fam, points[1], e)
-            total += inner_u(problem, rule, u, u)
-        return math.sqrt(total)
-
-    assert_allclose(basis_norms(problem, rule, fam, xi), field_norm(xi), rtol=1e-13)
-    assert_allclose(basis_difference_norm(problem, rule, fam, xi, eta), field_norm(xi, eta),
-                    rtol=1e-13)
-    # no family has slopes of its parameter derivatives
-    with pytest.raises(DerivativeUnavailableError):
-        dparam_norm(problem, rule, fam, xi)
-
-
-def test_estimate_sup_norm_dominates_samples():
-    fam = _gauss_family()
-    rule = QuadratureRule.on_interval(0.0, 1.0, 8, 5)
-    problem = L2Approx(Field.constant(0.0))
-    sup = estimate_sup_norm(problem, rule, fam, n_samples=30, seed=0)
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        xi = fam.domain.sample(rng)
-        assert basis_norms(problem, rule, fam, xi) <= sup + 1e-12
-
-
-def test_estimate_hoelder_exponents():
-    rule = QuadratureRule.on_interval(0.0, 1.0, 16, 5)
-    problem = L2Approx(Field.constant(0.0))
-    nu_ind, L_ind = estimate_hoelder(problem, rule, _indicator_family(), 40, 3)
-    assert 0.3 <= nu_ind <= 0.7  # square-root behaviour of indicator shifts
-    assert L_ind > 0.0
-    nu_g, _ = estimate_hoelder(problem, rule, _gauss_family(), 40, 3)
-    assert nu_g >= 0.85  # smooth family is Lipschitz (exponent clipped at 1)

@@ -8,15 +8,12 @@ from numpy.testing import assert_allclose
 
 import nonlinritz.certify
 import nonlinritz.optimizer
-from nonlinritz.assembly import ProblemConstants, assemble, kappa_bound, stack_slices
+from nonlinritz.assembly import ProblemConstants, stack_slices
 from nonlinritz.basis import (
     FreeKnotHats,
     GaussianBumps,
     NonlinearDomain,
     SyntheticAmplitude,
-    basis_norms,
-    dparam_norm,
-    realisation,
 )
 from nonlinritz.certify import (
     AnalyticPointsOracle,
@@ -25,7 +22,6 @@ from nonlinritz.certify import (
     CertificateEntry,
     CertificateReport,
     GridSearchOracle,
-    best_linear_bounds_check,
     cea_certificate,
     decrease_certificate,
     delta_star,
@@ -36,9 +32,7 @@ from nonlinritz.certify import (
     lambda_max_certificate,
     local_rate_certificate,
     minimiser_grid_oracle,
-    quantitative_dc_condition,
     quasi_stationarity_level,
-    regularity_constants_check,
     spd_certificate,
     surrogate_certificate,
 )
@@ -56,9 +50,8 @@ from nonlinritz.updates import (
     Frozen,
     FullSolveCG,
     SteepestDescent,
-    make_gradients,
 )
-from nonlinritz.variational import Field, L2Approx, QuadratureRule, inner_u
+from nonlinritz.variational import Field, L2Approx, QuadratureRule, bilinear
 
 RULE = QuadratureRule.on_interval(0.0, 1.0, n_panels=16, order=5)
 
@@ -376,7 +369,7 @@ def test_energy_monotonicity_detects_tampering():
 
 def test_local_rate_certificate_pass_and_negative():
     rec, problem, family = _gaussian_run(stopping=StoppingCriteria(max_epochs=12))
-    target_sq = inner_u(problem, RULE, problem.target, problem.target)
+    target_sq = bilinear(problem, RULE, problem.target, problem.target)
     lower = -0.5 * target_sq  # no approximation beats the target itself
     entries = local_rate_certificate(rec, K_star_lower=lower)
     assert all(e.status == "pass" for e in entries)
@@ -534,121 +527,3 @@ def test_directional_convexity_probe_checks_domain():
             lambda p: float(p @ p), np.array([2.0, 0.0]), np.array([0.5, 0.5]),
             domain=dom,
         )
-
-
-def test_quantitative_dc_condition_pass_and_fail():
-    problem, family, _ = _circle_setup()
-    kwargs = dict(
-        kappa_max=1.0, norm_ell=0.0, alpha=1.0, L_phi=1.0, rho=1.0,
-        frozen_w=np.array([1.0]),
-    )
-    good = quantitative_dc_condition(
-        problem, RULE, family, np.array([0.9, 0.0]), np.array([1.0, 0.0]),
-        inf_dist=1e-8, **kwargs,
-    )
-    assert good.status == "pass"
-    bad = quantitative_dc_condition(
-        problem, RULE, family, np.array([0.9, 0.0]), np.array([1.0, 0.0]),
-        inf_dist=10.0, **kwargs,
-    )
-    assert bad.status == "fail"
-
-
-def test_quantitative_dc_condition_realises_the_exact_solves(monkeypatch):
-    # without frozen coefficients each realisation carries w*(eta)
-    problem, family = _gaussian_setup()
-    built = []
-
-    def spied(family, xi, w):
-        built.append((np.array(xi), np.array(w)))
-        return realisation(family, xi, w)
-
-    monkeypatch.setattr(nonlinritz.certify, "realisation", spied)
-    args = (problem, RULE, family, np.array([0.35, 0.65]), np.array([0.3, 0.7]))
-    kwargs = dict(kappa_max=1.0, norm_ell=1.0, alpha=1.0, L_phi=1.0, n_samples=2)
-    # rho = inf_dist = 0: the condition reads 0 <= ||d Rbar[D]||_a^2
-    good = quantitative_dc_condition(*args, rho=0.0, inf_dist=0.0, **kwargs)
-    assert good.status == "pass" and good.lhs == 0.0 and good.rhs > 0.0
-    assert len(built) == 2 * 5
-    for xi, w in built:
-        assert w.tobytes() == reduced_energy(problem, RULE, family, xi)[1].tobytes()
-    assert quantitative_dc_condition(*args, rho=0.0, inf_dist=10.0, **kwargs).status == "fail"
-
-
-def test_quantitative_dc_condition_builds_each_realisation_once(monkeypatch):
-    problem, family, _ = _circle_setup()
-    built = []
-
-    def counted(family, xi, w):
-        built.append(np.array(xi))
-        return realisation(family, xi, w)
-
-    monkeypatch.setattr(nonlinritz.certify, "realisation", counted)
-    quantitative_dc_condition(
-        problem, RULE, family, np.array([0.9, 0.0]), np.array([1.0, 0.0]), kappa_max=1.0,
-        norm_ell=0.0, alpha=1.0, L_phi=1.0, rho=1.0, inf_dist=1e-8, n_samples=3,
-        frozen_w=np.array([1.0]),
-    )
-    # eta and eta +- h D, eta +- (h/2) D at each of the 3 segment points
-    assert len(built) == 3 * 5
-    assert len({p.tobytes() for p in built}) == 3 * 5
-
-
-# ---------------------------------------------------------------------------
-# lemma constant checks on the gaussian corpus
-# ---------------------------------------------------------------------------
-
-
-def _gaussian_constants(problem, family, points):
-    systems = [assemble(problem, RULE, family, p) for p in points]
-    omega_min = min(s.omega for s in systems)
-    m_phi = max(basis_norms(problem, RULE, family, p) for p in points)
-    m_dphi = max(dparam_norm(problem, RULE, family, p) for p in points)
-    target_sq = inner_u(problem, RULE, problem.target, problem.target)
-    norm_ell = math.sqrt(target_sq)
-    constants = ProblemConstants(norm_a=1.0, alpha=1.0, norm_ell=norm_ell)
-    kappa = max(kappa_bound(constants, m_phi, omega_min))
-    return norm_ell, omega_min, m_phi, m_dphi, kappa
-
-
-def test_best_linear_bounds_hold_on_samples():
-    problem, family = _gaussian_setup()
-    rng = np.random.default_rng(21)
-    points = [family.domain.sample(rng) for _ in range(24)]
-    pairs = [(points[2 * i], points[2 * i + 1]) for i in range(12)]
-    norm_ell, omega_min, m_phi, m_dphi, kappa = _gaussian_constants(
-        problem, family, points
-    )
-    entries = best_linear_bounds_check(
-        make_gradients(problem, RULE, family), pairs,
-        norm_ell=norm_ell, alpha=1.0, omega_min=omega_min,
-        m_phi=m_phi, kappa_max=kappa, m_dphi=m_dphi,
-    )
-    assert [e.name for e in entries] == [
-        "best-linear-norm", "best-linear-hoelder", "reduced-gradient-hoelder",
-    ]
-    for e in entries:
-        assert e.status == "pass", e
-        assert e.margin >= 0.0
-
-
-def test_regularity_constants_hold_on_state_pairs():
-    problem, family = _gaussian_setup()
-    rng = np.random.default_rng(22)
-    state_pairs = []
-    for _ in range(12):
-        state_pairs.append((
-            (rng.standard_normal(2), family.domain.sample(rng)),
-            (rng.standard_normal(2), family.domain.sample(rng)),
-        ))
-    target_sq = inner_u(problem, RULE, problem.target, problem.target)
-    entries = regularity_constants_check(
-        make_gradients(problem, RULE, family), state_pairs,
-        norm_a=1.0, norm_ell=math.sqrt(target_sq),
-    )
-    assert [e.name for e in entries] == [
-        "regularity-linear-grad", "regularity-nonlinear-grad",
-    ]
-    for e in entries:
-        assert e.status == "pass", e
-        assert e.margin >= 0.0

@@ -136,6 +136,9 @@ def test_reruns_are_byte_identical(tmp_path):
     assert _read(a / "trace.csv") == _read(b / "trace.csv")
     assert _read(a / "summary.json") == _read(b / "summary.json")
     assert (a / "iterates.npy").read_bytes() == (b / "iterates.npy").read_bytes()
+    assert main(["check", "--config", cfg_path, "--out-dir", str(a)]) == 0
+    assert main(["check", "--config", cfg_path, "--out-dir", str(b)]) == 0
+    assert (a / "check.json").read_bytes() == (b / "check.json").read_bytes()
 
 
 def test_seed_override_changes_hash(tmp_path):
@@ -589,10 +592,16 @@ def test_grid_requires_grid_oracle(tmp_path, capsys):
 
 def test_check_battery_passes(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path, _base_config())
-    assert main(["check", "--config", cfg_path]) == 0
+    assert main(["check", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 0
     printed = capsys.readouterr().out
-    assert "all checks passed" in printed
+    assert printed.splitlines()[-1] == "all checks passed"
     assert "[FAIL]" not in printed
+    report = json.loads(_read(tmp_path / "check.json"))
+    assert report["passed"] is True
+    assert [e["name"] for e in report["entries"]] == [
+        "quadrature-weights", "assembly-psd", "lambda-max-bound", "projection-feasibility",
+        "prox-optimality", "consistency-at-start", "reduced-gradient-fd",
+    ]
 
 
 def test_check_stacks_the_probes_of_each_sample(tmp_path, capsys, count_calls):
@@ -612,7 +621,8 @@ def test_check_stacks_the_probes_of_each_sample(tmp_path, capsys, count_calls):
         "init": {"xi0": [0.15, 0.3, 0.5, 0.7, 0.85]},
     }
     calls = count_calls("reduced_energy", nonlinritz.cli)
-    assert main(["check", "--config", _write_cfg(tmp_path, data)]) == 0
+    cfg_path = _write_cfg(tmp_path, data)
+    assert main(["check", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 0
     assert "[PASS] reduced-gradient-fd" in capsys.readouterr().out
     assert len(calls) == 1
 
@@ -626,7 +636,7 @@ def test_check_probes_a_domain_with_a_narrow_coordinate(tmp_path, capsys, upper)
     data["domain"] = {"lower": [0.1, 0.5], "upper": [0.9, upper]}
     data["init"] = {"xi0": [0.45, 0.5]}
     cfg_path = _write_cfg(tmp_path, data)
-    assert main(["check", "--config", cfg_path]) == 0
+    assert main(["check", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 0
     assert "[PASS] reduced-gradient-fd" in capsys.readouterr().out
 
 
@@ -643,7 +653,7 @@ def test_fd_gradients_on_a_domain_with_a_fixed_coordinate(tmp_path, capsys, lips
     out = str(tmp_path / "out")
     assert main(["run", "--config", cfg_path, "--out-dir", out]) == 0
     assert main(["certify", "--config", cfg_path, "--out-dir", out]) == 0
-    assert main(["check", "--config", cfg_path]) == 0
+    assert main(["check", "--config", cfg_path, "--out-dir", out]) == 0
     printed = capsys.readouterr().out
     assert "[FAIL]" not in printed and "all checks passed" in printed
 
@@ -937,7 +947,8 @@ def test_check_differences_with_the_configured_step(tmp_path, capsys):
     for step in (1e-6, 1e-3):
         data = _fd_hats_config()
         data["gradient"]["fd_step"] = step
-        codes.append(main(["check", "--config", _write_cfg(tmp_path, data)]))
+        codes.append(main(["check", "--config", _write_cfg(tmp_path, data),
+                           "--out-dir", str(tmp_path)]))
         lines += [line for line in capsys.readouterr().out.splitlines()
                   if "reduced-gradient-fd" in line]
     assert codes == [0, 1]
@@ -1030,7 +1041,8 @@ def test_check_on_a_chain_loads_no_scipy(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, nonlinritz.cli\n"
-         f"rc = nonlinritz.cli.main(['check', '--config', {cfg_path!r}])\n"
+         f"rc = nonlinritz.cli.main(['check', '--config', {cfg_path!r}, "
+         f"'--out-dir', {str(tmp_path)!r}])\n"
          "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
     )

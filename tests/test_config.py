@@ -481,6 +481,7 @@ def test_errors_carry_dotted_paths():
      r"init\.w0: the frozen linear rule needs initial coefficients"),
     ("constants", {"alpha": 1.0, "norm_a": 1.0, "norm_ell": 1.0, "omega_min": -1},
      r"constants\.omega_min: expected a positive number, got -1"),
+    ("gradient", {"fd_step": 0.0}, r"gradient\.fd_step: expected a positive number, got 0\.0"),
 ])
 def test_malformed_values_name_their_path(section, value, message):
     data = _base()

@@ -13,8 +13,6 @@ from nonlinritz.optimizer import (
     StoppingCriteria,
     estimate_lipschitz_L,
     hoelder_to_lipschitz,
-    iteration_budget,
-    optimal_zeta,
     reduced_energy,
     reduced_gradient,
     run,
@@ -27,7 +25,7 @@ from nonlinritz.updates import (
     SteepestDescent,
     make_gradients,
 )
-from nonlinritz.variational import Field, L2Approx, QuadratureRule, inner_u
+from nonlinritz.variational import Field, L2Approx, QuadratureRule, bilinear
 
 RULE = QuadratureRule.on_interval(0.0, 1.0, n_panels=16, order=5)
 
@@ -68,28 +66,6 @@ def test_hoelder_to_lipschitz_validation():
         hoelder_to_lipschitz(1.0, 0.5, 0.0)
 
 
-def test_optimal_zeta_both_branches_meet():
-    # ratio L/(mu^2 beta) = 3/4 from either side gives 1/2
-    assert abs(optimal_zeta(3.0, 2.0, 1.0) - 0.5) <= 1e-12
-    assert optimal_zeta(3.0 + 1e-9, 2.0, 1.0) == 0.5
-    # small ratio: 1 - sqrt(1 - r)
-    assert_allclose(optimal_zeta(0.36, 1.0, 1.0), 0.2, rtol=1e-12)
-    with pytest.raises(ConfigError):
-        optimal_zeta(0.0, 1.0, 1.0)
-
-
-def test_iteration_budget_pinned_value():
-    assert abs(iteration_budget(1.0, 1.0, 1.0, 1.0, 1.0, 1.0) - 8.0) <= 1e-12
-    # halving the target tolerance quadruples the budget
-    assert_allclose(
-        iteration_budget(0.5, 1.0, 1.0, 1.0, 1.0, 1.0), 32.0, rtol=1e-12
-    )
-    with pytest.raises(ConfigError):
-        iteration_budget(1.0, 1.0, 2.0, 1.0, 1.0, 1.0)
-    with pytest.raises(ConfigError):
-        iteration_budget(1.0, 1.0, 1.0, 1.0, 1.0, -1.0)
-
-
 def test_estimate_lipschitz_is_deterministic():
     problem, family = _setup()
     grads, w = make_gradients(problem, RULE, family), np.array([0.5, 0.5])
@@ -119,7 +95,7 @@ def test_reduced_energy_is_galerkin_optimum():
         w = w_star + 0.5 * rng.standard_normal(2)
         assert quadratic_energy(system, w) >= val - 1e-12
     # and the value is bounded below by the unattainable best
-    target_sq = inner_u(problem, RULE, problem.target, problem.target)
+    target_sq = bilinear(problem, RULE, problem.target, problem.target)
     assert val >= -0.5 * target_sq - 1e-12
 
 
