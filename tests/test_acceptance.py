@@ -51,6 +51,8 @@ from nonlinritz.updates import (
 )
 from nonlinritz.variational import Field, L2Approx, QuadratureRule, bilinear, energy
 
+from lemma_norms import best_linear_margins, dphi_norm, kappa, regularity_margins
+
 RULE = QuadratureRule.on_interval(0.0, 1.0, n_panels=16, order=5)
 
 # the fit corpus: a target that is exactly representable by the family
@@ -346,6 +348,39 @@ def test_criterion_10_convexity_probe_matches_circle_region():
     assert agree == 100
     print("criterion 10 [PASS]: probe verdict matches {x^2+y^2 >= 1/3} on "
           "100 segments outside the 0.02 band")
+
+
+def test_criterion_11_lemma_bounds_at_fifty_pairs(corpus):
+    # the stability and regularity lemmas, with the norms of phi and of its
+    # parameter derivatives measured on the field path (tests/lemma_norms.py)
+    problem, family = corpus["problem"], corpus["family"]
+    rng = np.random.default_rng(37)
+    points = [family.domain.sample(rng) for _ in range(100)]
+    pairs = [(points[2 * i], points[2 * i + 1]) for i in range(50)]
+
+    systems = [assemble(problem, RULE, family, p) for p in points]
+    omega_min = min(s.omega for s in systems)
+    m_phi = max(s.phi_u2 for s in systems)
+    m_dphi = max(dphi_norm(family, RULE, p) for p in points)
+    norm_ell = float(np.sqrt(bilinear(problem, RULE, problem.target, problem.target)))
+
+    grads = make_gradients(problem, RULE, family)
+    margins = best_linear_margins(
+        grads, pairs, norm_ell=norm_ell, alpha=1.0, omega_min=omega_min,
+        m_phi=m_phi, kappa_max=kappa(1.0, 1.0, m_phi, omega_min), m_dphi=m_dphi,
+    )
+    state_pairs = []
+    for i in range(50):
+        state_pairs.append((
+            (rng.standard_normal(2), family.domain.sample(rng)),
+            (rng.standard_normal(2), family.domain.sample(rng)),
+        ))
+    margins.update(regularity_margins(grads, state_pairs, norm_a=1.0, norm_ell=norm_ell))
+    assert len(margins) == 5
+    for name, margin in margins.items():
+        assert margin >= 0.0, name
+    print("criterion 11 [PASS]: stability and regularity lemma bounds hold "
+          "with margin >= 0 at 50 pairs each")
 
 
 def test_criterion_12_byte_identical_reruns(tmp_path):

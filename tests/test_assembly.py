@@ -152,6 +152,26 @@ def test_lambda_max_bound_holds():
         assert lam <= bound + 1e-9
 
 
+def test_kappa_bound_variants():
+    # a = (1+x) u'v' + 2uv on H1_0 has alpha = 1 and ||a|| = 2, and the load
+    # of f = 5 has dual norm at most 5.  With omega = lambda_min(G) and
+    # m_phi = ||phi(xi)||_{U,2} both condition bounds hold at every point:
+    # kappa = ||a|| m_phi / (alpha omega) bounds ||w*|| ||a|| / ||ell||, and
+    # kappa_squared = ||a|| m_phi^2 / (alpha omega) bounds cond(A)
+    problem = DiffusionReaction1D(Field(lambda x: 1.0 + x), Field.constant(2.0),
+                                  Field.constant(5.0), x_lo=0.0, x_hi=1.0)
+    fam = FreeKnotHats(NonlinearDomain([0.05] * 3, [0.95] * 3, chains=((0, 1, 2),), gap=0.05),
+                       0.0, 1.0, dirichlet=True)
+    c = ProblemConstants(alpha=1.0, norm_a=2.0, norm_ell=5.0)
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        system = assemble(problem, RULE, fam, fam.domain.sample(rng))
+        base = c.norm_a / c.alpha / system.omega
+        k1, k2 = base * system.phi_u2, base * system.phi_u2 ** 2
+        assert np.linalg.norm(system.solution) <= k1 * c.norm_ell / c.norm_a * (1 + 1e-12)
+        assert system.lambda_max / system.lambda_min <= k2 * (1 + 1e-12)
+
+
 # ---------------------------------------------------------------------------
 # consistency on rank-deficient systems
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
+from nonlinritz.assembly import assemble
 from nonlinritz.basis import (
     FreeKnotHats,
     GaussianBumps,
@@ -19,6 +20,16 @@ from nonlinritz.errors import (
     DerivativeUnavailableError,
     DomainViolationError,
 )
+from nonlinritz.variational import (
+    DiffusionReaction1D,
+    Field,
+    L2Approx,
+    QuadratureRule,
+    bilinear,
+    integrate,
+)
+
+from lemma_norms import dphi_norm, phi_difference_norm, u_norm_sq
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +392,7 @@ def test_synthetic_norm_profile_subgradient_at_origin():
 
 
 # ---------------------------------------------------------------------------
-# realisation
+# realisation and norms
 # ---------------------------------------------------------------------------
 
 
@@ -394,3 +405,95 @@ def test_realisation_matches_manual_combination():
     manual = w @ fam.basis_values(xi, x)
     assert_allclose(r.values(x), manual, rtol=1e-15)
     assert r.in_h1
+
+
+def test_basis_norms_against_direct_quadrature():
+    # the assembled ||phi(xi)||_{U,2} = sqrt(trace G) against each phi_k^2
+    # integrated directly and against the realised basis functions
+    fam = _gauss_family()
+    xi = np.array([0.4, 0.6])
+    rule = QuadratureRule.on_interval(0.0, 1.0, 16, 6)
+    problem = L2Approx(Field.constant(0.0))
+    total = 0.0
+    for k in range(2):
+        total += integrate(lambda x, k=k: fam.basis_values(xi, x)[k] ** 2, rule)
+    phi_u2 = assemble(problem, rule, fam, xi).phi_u2
+    assert_allclose(phi_u2, math.sqrt(total), rtol=1e-13)
+    fields = sum(u_norm_sq(problem, rule, realisation(fam, xi, e)) for e in np.eye(2))
+    assert_allclose(phi_u2, math.sqrt(fields), rtol=1e-13)
+
+
+def test_basis_difference_norm_zero_for_same_point():
+    fam = _gauss_family()
+    rule = QuadratureRule.on_interval(0.0, 1.0, 8, 5)
+    problem = L2Approx(Field.constant(0.0))
+    xi = np.array([0.4, 0.6])
+    assert phi_difference_norm(problem, rule, fam, xi, xi) == 0.0
+    assert phi_difference_norm(problem, rule, fam, xi, np.array([0.5, 0.6])) > 0.0
+
+
+def test_dparam_norm_positive():
+    fam = _gauss_family()
+    rule = QuadratureRule.on_interval(0.0, 1.0, 8, 5)
+    xi = np.array([0.4, 0.6])
+    assert dphi_norm(fam, rule, xi) > 0.0
+    # d phi_k / d xi_k = z_k phi_k and the off-diagonal entries vanish
+    total = sum(
+        integrate(lambda x, k=k: (fam._z(xi, x) * fam.basis_values(xi, x))[k] ** 2, rule)
+        for k in range(2)
+    )
+    assert_allclose(dphi_norm(fam, rule, xi), math.sqrt(total), rtol=1e-13)
+    assert dphi_norm(fam, rule, xi, xi) == 0.0
+    assert dphi_norm(fam, rule, xi, np.array([0.5, 0.6])) > 0.0
+
+
+def test_h1_norms_match_the_realised_fields():
+    # under an H1 energy the assembled Gram adds the slopes; the independent
+    # path is the H1 norm of each realised hat e_k . phi, and with unit
+    # coefficients the stiffness diagonal is that norm too
+    fam = FreeKnotHats(NonlinearDomain([0.05] * 3, [0.95] * 3, chains=((0, 1, 2),)),
+                       0.0, 1.0, dirichlet=True)
+    one = Field.constant(1.0)
+    problem = DiffusionReaction1D(one, one, one, x_lo=0.0, x_hi=1.0)
+    rule = QuadratureRule.on_interval(0.0, 1.0, 8, 5)
+    xi = np.array([0.2, 0.5, 0.7])
+    hats = [realisation(fam, xi, e) for e in np.eye(fam.n_linear)]
+    sq = [u_norm_sq(problem, rule, f) for f in hats]
+    system = assemble(problem, rule, fam, xi)
+    assert_allclose(system.phi_u2, math.sqrt(sum(sq)), rtol=1e-13)
+    assert_allclose(np.diag(system.matrix), sq, rtol=1e-13)
+    assert_allclose(np.diag(system.matrix), [bilinear(problem, rule, f, f) for f in hats],
+                    rtol=1e-13)
+
+
+def test_estimate_sup_norm_dominates_samples():
+    # each integral of exp(-(x-c)^2/s^2) over [0, 1] is largest at c = 1/2,
+    # so sup_xi ||phi(xi)||_{U,2} sits at the centre of the domain, in
+    # closed form s sqrt(pi) erf(1/(2s)) per bump
+    fam = _gauss_family()
+    rule = QuadratureRule.on_interval(0.0, 1.0, 64, 8)
+    problem = L2Approx(Field.constant(0.0))
+    sup = assemble(problem, rule, fam, np.array([0.5, 0.5])).phi_u2
+    assert_allclose(sup ** 2, 2 * 0.1 * math.sqrt(math.pi) * math.erf(5.0), rtol=1e-12)
+    rng = np.random.default_rng(1)
+    points = [fam.domain.sample(rng) for _ in range(10)]
+    points += [np.array(c, dtype=float) for c in ((0.1, 0.1), (0.1, 0.9), (0.9, 0.1), (0.9, 0.9))]
+    for xi in points:
+        assert assemble(problem, rule, fam, xi).phi_u2 <= sup + 1e-12
+
+
+def test_estimate_hoelder_exponents():
+    rule = QuadratureRule.on_interval(0.0, 1.0, 16, 5)
+    problem = L2Approx(Field.constant(0.0))
+    radii = np.logspace(-4.0, -1.0, 7)
+    # moving the shared end of two indicators by r changes each on a set of
+    # measure r: ||phi(xi) - phi(eta)|| = sqrt(2 r), exponent 1/2
+    fam, xi = _indicator_family(), np.array([0.2, 0.5, 0.8])
+    for r in radii:
+        d = phi_difference_norm(problem, rule, fam, xi, xi + np.array([0.0, r, 0.0]))
+        assert_allclose(d, math.sqrt(2.0 * r), rtol=1e-12)
+    # smooth bumps are Lipschitz: the log-log slope is 1
+    fam, xi, u = _gauss_family(), np.array([0.4, 0.6]), np.array([0.6, -0.8])
+    ds = [phi_difference_norm(problem, rule, fam, xi, xi + r * u) for r in radii]
+    slope = np.polyfit(np.log(radii), np.log(ds), 1)[0]
+    assert 0.95 <= slope <= 1.05

@@ -8,12 +8,13 @@ from numpy.testing import assert_allclose
 
 import nonlinritz.certify
 import nonlinritz.optimizer
-from nonlinritz.assembly import ProblemConstants, stack_slices
+from nonlinritz.assembly import ProblemConstants, assemble, stack_slices
 from nonlinritz.basis import (
     FreeKnotHats,
     GaussianBumps,
     NonlinearDomain,
     SyntheticAmplitude,
+    realisation,
 )
 from nonlinritz.certify import (
     AnalyticPointsOracle,
@@ -50,8 +51,11 @@ from nonlinritz.updates import (
     Frozen,
     FullSolveCG,
     SteepestDescent,
+    make_gradients,
 )
-from nonlinritz.variational import Field, L2Approx, QuadratureRule, bilinear
+from nonlinritz.variational import Field, L2Approx, QuadratureRule, bilinear, linear_form
+
+from lemma_norms import best_linear_margins, dc_condition, dphi_norm, kappa, regularity_margins
 
 RULE = QuadratureRule.on_interval(0.0, 1.0, n_panels=16, order=5)
 
@@ -527,3 +531,95 @@ def test_directional_convexity_probe_checks_domain():
             lambda p: float(p @ p), np.array([2.0, 0.0]), np.array([0.5, 0.5]),
             domain=dom,
         )
+
+
+def test_quantitative_dc_condition_pass_and_fail():
+    problem, family, _ = _circle_setup()
+    kwargs = dict(
+        kappa_max=1.0, norm_ell=0.0, alpha=1.0, L_phi=1.0, rho=1.0,
+        frozen_w=np.array([1.0]),
+    )
+    lhs, rhs = dc_condition(
+        problem, RULE, family, np.array([0.9, 0.0]), np.array([1.0, 0.0]),
+        inf_dist=1e-8, **kwargs,
+    )
+    assert lhs <= rhs
+    lhs, rhs = dc_condition(
+        problem, RULE, family, np.array([0.9, 0.0]), np.array([1.0, 0.0]),
+        inf_dist=10.0, **kwargs,
+    )
+    assert lhs > rhs
+
+
+def test_quantitative_dc_condition_realises_the_exact_solves():
+    # without frozen coefficients the reduced realisation carries w*(eta),
+    # which is Galerkin exact: a(Rbar(eta), phi_k) = ell(phi_k) on the field path
+    problem, family = _gaussian_setup()
+    xi, xi_star = np.array([0.35, 0.65]), np.array([0.3, 0.7])
+    for t in (0.25, 0.5, 0.75):
+        eta = xi + t * (xi_star - xi)
+        r = realisation(family, eta, reduced_energy(problem, RULE, family, eta)[1])
+        for e in np.eye(family.n_linear):
+            phi_k = realisation(family, eta, e)
+            assert_allclose(bilinear(problem, RULE, r, phi_k), linear_form(problem, RULE, phi_k),
+                            rtol=1e-10)
+    args = (problem, RULE, family, xi, xi_star)
+    kwargs = dict(kappa_max=1.0, norm_ell=1.0, alpha=1.0, L_phi=1.0, n_samples=2)
+    # rho = inf_dist = 0: the condition reads 0 <= ||d Rbar[D]||_a^2
+    lhs, rhs = dc_condition(*args, rho=0.0, inf_dist=0.0, **kwargs)
+    assert lhs == 0.0 and rhs > 0.0
+    lhs, rhs = dc_condition(*args, rho=0.0, inf_dist=10.0, **kwargs)
+    assert lhs > rhs
+
+
+# ---------------------------------------------------------------------------
+# lemma constant checks on the gaussian corpus
+# ---------------------------------------------------------------------------
+
+
+def _gaussian_constants(problem, family, points):
+    systems = [assemble(problem, RULE, family, p) for p in points]
+    omega_min = min(s.omega for s in systems)
+    m_phi = max(s.phi_u2 for s in systems)
+    m_dphi = max(dphi_norm(family, RULE, p) for p in points)
+    norm_ell = math.sqrt(bilinear(problem, RULE, problem.target, problem.target))
+    return norm_ell, omega_min, m_phi, m_dphi, kappa(1.0, 1.0, m_phi, omega_min)
+
+
+def test_best_linear_bounds_hold_on_samples():
+    problem, family = _gaussian_setup()
+    rng = np.random.default_rng(21)
+    points = [family.domain.sample(rng) for _ in range(24)]
+    pairs = [(points[2 * i], points[2 * i + 1]) for i in range(12)]
+    norm_ell, omega_min, m_phi, m_dphi, kappa_max = _gaussian_constants(
+        problem, family, points
+    )
+    margins = best_linear_margins(
+        make_gradients(problem, RULE, family), pairs,
+        norm_ell=norm_ell, alpha=1.0, omega_min=omega_min,
+        m_phi=m_phi, kappa_max=kappa_max, m_dphi=m_dphi,
+    )
+    assert list(margins) == [
+        "best-linear-norm", "best-linear-hoelder", "reduced-gradient-hoelder",
+    ]
+    for name, margin in margins.items():
+        assert margin >= 0.0, name
+
+
+def test_regularity_constants_hold_on_state_pairs():
+    problem, family = _gaussian_setup()
+    rng = np.random.default_rng(22)
+    state_pairs = []
+    for _ in range(12):
+        state_pairs.append((
+            (rng.standard_normal(2), family.domain.sample(rng)),
+            (rng.standard_normal(2), family.domain.sample(rng)),
+        ))
+    target_sq = bilinear(problem, RULE, problem.target, problem.target)
+    margins = regularity_margins(
+        make_gradients(problem, RULE, family), state_pairs,
+        norm_a=1.0, norm_ell=math.sqrt(target_sq),
+    )
+    assert list(margins) == ["regularity-linear-grad", "regularity-nonlinear-grad"]
+    for name, margin in margins.items():
+        assert margin >= 0.0, name

@@ -175,6 +175,16 @@ def test_dr_load_subtracts_lifting():
     assert_allclose(linear_form(_dr_problem(), rule, v), 5.0 / 3.0, rtol=1e-14)
 
 
+def test_dr_inner_is_full_h1():
+    # with unit diffusivity and reaction the energy inner product is the
+    # full H1 inner product: ||u||^2 = int (1 + x^2) = 4/3
+    rule = QuadratureRule.on_interval(0.0, 1.0, n_panels=4, order=5)
+    one = Field.constant(1.0)
+    problem = DiffusionReaction1D(one, one, Field.constant(5.0), x_lo=0.0, x_hi=1.0)
+    u = Field(lambda x: x, lambda x: np.ones_like(x))
+    assert_allclose(bilinear(problem, rule, u, u), 4.0 / 3.0, rtol=1e-14)
+
+
 def test_dr_coercivity_witness():
     # with K >= 1 and sigma = 2: a(u,u) >= min(1,2) * ||u||_H1^2, alpha = 1
     rng = np.random.default_rng(11)
