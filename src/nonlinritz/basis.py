@@ -217,9 +217,6 @@ class NonlinearDomain:
             )
         return out
 
-    def contains(self, xi) -> bool:
-        return not self.violations(xi)
-
     def require(self, xi) -> np.ndarray:
         xi = np.asarray(xi, dtype=float)
         bad = self.violations(xi)
@@ -322,8 +319,6 @@ class NonlinearDomain:
 class _FamilyBase:
     """Shared validation; concrete families fill in the evaluations."""
 
-    #: Hoelder exponent of xi -> phi(xi) in the U-norm, declared per family
-    smoothness_nu: float = 1.0
     vanishes_on_boundary: bool = False
 
     def require_param(self, xi) -> np.ndarray:
@@ -363,7 +358,6 @@ class GaussianBumps(_FamilyBase):
     domain: NonlinearDomain
     widths: np.ndarray
 
-    smoothness_nu = 1.0
     vanishes_on_boundary = False
 
     def __post_init__(self):
@@ -444,8 +438,6 @@ class FreeKnotHats(_FamilyBase):
     x_lo: float
     x_hi: float
     dirichlet: bool = False
-
-    smoothness_nu = 1.0
 
     def __post_init__(self):
         if not self.x_hi > self.x_lo:
@@ -666,7 +658,6 @@ class IndicatorPair(_FamilyBase):
 
     domain: NonlinearDomain
 
-    smoothness_nu = 0.5
     n_linear = 2
     n_nonlinear = 3
 
@@ -716,7 +707,6 @@ class SyntheticAmplitude(_FamilyBase):
     radius: float = 1.0
     scale: float = 1.0
 
-    smoothness_nu = 1.0
     n_linear = 1
 
     def __post_init__(self):

@@ -24,6 +24,7 @@ from .assembly import assemble, quadratic_energy, stack_slices
 from .basis import realisation
 from .errors import ConfigError
 from .optimizer import RunRecord, reduced_energy
+from .updates import Frozen, FullSolveCG
 from .variational import Field, bilinear, linear_form
 
 __all__ = [
@@ -50,6 +51,9 @@ __all__ = [
 
 ATOL = 1e-8
 RTOL = 1e-8
+GRID_MAX_POINTS = 2_000_000  # grid oracle: largest full mesh, feasible or not
+PROBE_STEP = 1e-3  # convexity probe: second-difference step
+PROBE_TOL = 1e-6  # convexity probe: curvature below -PROBE_TOL is non-convex
 
 # ---------------------------------------------------------------------------
 # report plumbing
@@ -181,7 +185,6 @@ def minimiser_grid_oracle(
     family,
     resolution: float,
     frozen_w=None,
-    max_points: int = 2_000_000,
 ) -> GridSearchOracle:
     """Evaluate the reduced energy on a full feasible grid.
 
@@ -214,10 +217,10 @@ def minimiser_grid_oracle(
         else:
             axes.append(np.array([lo]))
     shape = tuple(a.size for a in axes)
-    if int(np.prod(shape)) > max_points:
+    if int(np.prod(shape)) > GRID_MAX_POINTS:
         raise ConfigError(
             f"grid of {int(np.prod(shape))} points exceeds the limit "
-            f"{max_points}; coarsen the resolution or use an analytic oracle"
+            f"{GRID_MAX_POINTS}; coarsen the resolution or use an analytic oracle"
         )
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, domain.dim)
     feasible = domain.feasible(mesh)
@@ -507,11 +510,11 @@ def _basin_deltas(record: RunRecord, geom, oracle, rho, name):
     The guarantees need exact linear updates, at least one step and, with
     ``rho`` given, a start inside the basin ``delta*(xi_0) <= rho``.
     """
-    if record.linear_rule_kind not in ("full", "frozen"):
+    if not isinstance(record.linear_rule, (FullSolveCG, Frozen)):
         return None, _skipped(
             name,
             f"global guarantees need exact linear updates; run used "
-            f"{record.linear_rule_kind!r}",
+            f"{type(record.linear_rule).__name__}",
         )
     if not _transitions(record):
         return None, _skipped(name, "run recorded no steps")
@@ -607,18 +610,6 @@ class CeaResult:
     rhs: np.ndarray
     gap: np.ndarray  # lhs - best_in_V
 
-    def gap_slope(self) -> float:
-        """Least-squares slope of log(gap) against log(n), for gaps above 1e-12."""
-        mask = self.gap > 1e-12
-        if np.count_nonzero(mask) < 2:
-            return -math.inf
-        A = np.stack(
-            [np.log(self.horizons[mask]), np.ones(int(np.count_nonzero(mask)))],
-            axis=1,
-        )
-        coef, *_ = np.linalg.lstsq(A, np.log(self.gap[mask]), rcond=None)
-        return float(coef[0])
-
 
 def cea_certificate(
     record: RunRecord,
@@ -672,7 +663,6 @@ def cea_certificate(
 class ProbeResult:
     min_curvature: float
     convex: bool
-    t_worst: float
 
 
 def directional_convexity_probe(
@@ -680,16 +670,14 @@ def directional_convexity_probe(
     xi,
     xi_star,
     n_probe: int = 9,
-    h: float = 1e-3,
-    tol: float = 1e-6,
     domain=None,
 ) -> ProbeResult:
     """Second differences of t -> Kbar(xi + t (xi* - xi)) on (0, 1).
 
     Declares the segment directionally convex when the smallest probed
-    curvature exceeds ``-tol``.  Probe points keep distance ``h`` from the
-    segment ends so all evaluations stay on the segment (hence inside the
-    domain, by convexity).
+    curvature exceeds ``-PROBE_TOL``.  Probe points keep distance
+    ``PROBE_STEP`` (the difference step) from the segment ends so all
+    evaluations stay on the segment (hence inside the domain, by convexity).
     """
     xi = np.asarray(xi, dtype=float)
     xi_star = np.asarray(xi_star, dtype=float)
@@ -703,10 +691,8 @@ def directional_convexity_probe(
     def g(t):
         return reduced_fn(xi + t * dxi)
 
-    ts = np.linspace(h, 1.0 - h, n_probe + 2)[1:-1]
-    worst, t_worst = math.inf, math.nan
-    for t in ts:
-        curv = (g(t + h) - 2.0 * g(t) + g(t - h)) / (h * h)
-        if curv < worst:
-            worst, t_worst = curv, t
-    return ProbeResult(float(worst), bool(worst >= -tol), float(t_worst))
+    h = PROBE_STEP
+    worst = math.inf
+    for t in np.linspace(h, 1.0 - h, n_probe + 2)[1:-1]:
+        worst = min(worst, (g(t + h) - 2.0 * g(t) + g(t - h)) / (h * h))
+    return ProbeResult(float(worst), bool(worst >= -PROBE_TOL))

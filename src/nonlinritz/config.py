@@ -38,6 +38,7 @@ from .basis import (
     NonlinearDomain,
     SyntheticAmplitude,
 )
+from .certify import AnalyticSphereOracle, delta_star
 from .errors import ConfigError
 from .optimizer import ConstantGamma, LipschitzAdaptive, StoppingCriteria
 from .updates import (
@@ -46,6 +47,7 @@ from .updates import (
     Frozen,
     FullSolveCG,
     SteepestDescent,
+    make_gradients,
 )
 from .variational import (
     DiffusionReaction1D,
@@ -189,7 +191,16 @@ def _typed(what, ok, convert=None):
 
 
 _number = _typed("a number", _is_number, float)
-_positive = _typed("a positive number", lambda v: _is_number(v) and v > 0, float)
+
+
+def _positive(v, path):
+    """A number, reported as "a number" when it is none, that is positive."""
+    value = _number(v, path)
+    if not value > 0:
+        raise ConfigError(f"{path}: expected a positive number, got {v!r}")
+    return value
+
+
 _integer = _typed("an integer", lambda v: type(v) is int)
 _seed = _typed("a non-negative integer", lambda v: type(v) is int and v >= 0)
 _boolean = _typed("true/false", lambda v: isinstance(v, bool))
@@ -341,9 +352,9 @@ _CONFIG = {
     }), {}),
     "oracle": (_or_null(_by_kind(
         points={"points": (_points, _REQUIRED), "K_star": (_number, _REQUIRED)},
-        sphere={"center": (_numbers, _REQUIRED), "radius": (_number, _REQUIRED),
+        sphere={"center": (_numbers, _REQUIRED), "radius": (_positive, _REQUIRED),
                 "K_star": (_number, _REQUIRED)},
-        grid={"resolution": (_number, _REQUIRED)},
+        grid={"resolution": (_positive, _REQUIRED)},
     )), None),
     "certify": (_table({
         key: (_number, _ABSENT)
@@ -429,6 +440,15 @@ def _build_schedule(s):
                              eps_holder=s["eps_holder"], n_pairs=s["n_pairs"], seed=s["seed"])
 
 
+def _under(path, build, *args):
+    """``build(*args)``, with a :class:`ConfigError` it raises prefixed by
+    the config ``path`` whose values it was given."""
+    try:
+        return build(*args)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
+
+
 def _check_dims(norm, dim: int) -> None:
     """Oracle points, a sphere's centre, a diagonal geometry's ``diag`` and
     ``init.xi0`` must each have one entry per domain coordinate."""
@@ -482,7 +502,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         geometry=(EuclideanGeometry() if geometry["kind"] == "euclidean"
                   else DiagonalGeometry(np.array(geometry["diag"]))),
         linear_rule=_LINEAR_RULES[norm["linear_rule"]["kind"]](),
-        schedule=_build_schedule(schedule),
+        schedule=_under("schedule", _build_schedule, schedule),
         stopping=StoppingCriteria(**norm["stopping"]),  # the section's keys are its fields
         xi0=np.array(init["xi0"]),
         w0=np.array(init["w0"]) if "w0" in init else None,
@@ -497,6 +517,13 @@ def parse_config(data: dict) -> ExperimentConfig:
     )
     _check_dims(norm, cfg.family.domain.dim)
     _check_start(norm, cfg.family)
+    # what run would reject later, decided by the code that rejects it there
+    _under("gradient.mode", make_gradients, cfg.problem, cfg.rule, cfg.family,
+           cfg.gradient_mode, cfg.fd_step)
+    oracle = norm["oracle"]
+    if oracle is not None and oracle["kind"] == "sphere":
+        sphere = AnalyticSphereOracle(oracle["center"], oracle["radius"], oracle["K_star"])
+        _under("oracle", delta_star, cfg.geometry, sphere, cfg.xi0)
     return cfg
 
 

@@ -40,7 +40,6 @@ from .assembly import AssembledSystem, _raise_first, assemble, quadratic_energy,
 from .errors import ConfigError, NumericalError
 from .updates import (
     Frozen,
-    FullSolveCG,
     decrease_check,
     gradient_mapping,
     make_gradients,
@@ -215,6 +214,10 @@ class LipschitzAdaptive:
             raise ConfigError("a numeric lipschitz constant must be positive")
         if not 0.0 < self.nu <= 1.0:
             raise ConfigError(f"nu must lie in (0, 1], got {self.nu!r}")
+        if self.nu < 1.0 and not self.eps_holder > 0.0:
+            raise ConfigError(f"eps_holder must be positive when nu < 1, got {self.eps_holder!r}")
+        if self.n_pairs < 1:
+            raise ConfigError(f"n_pairs must be at least 1, got {self.n_pairs!r}")
 
 
 @dataclass(frozen=True)
@@ -254,7 +257,6 @@ class IterateRecord:
     K: float
     K_reduced: float
     lambda_max: float
-    lambda_min: float
     omega: float
     phi_u2: float
     delta_star: Optional[float] = None
@@ -274,20 +276,18 @@ class RunRecord:
     ``stop_residual`` is ``||A(xi) A(xi)^+ load(xi) - load(xi)||`` at the
     stopped point, from the system the run assembled there (0 for frozen
     coefficients); it is None unless the run ended by parameter
-    stabilisation.  ``linear_rule_kind`` is "full", "sd" or "frozen".
+    stabilisation.  ``linear_rule`` is the run's linear update rule, a
+    :class:`FullSolveCG`, :class:`SteepestDescent` or :class:`Frozen`.
     """
 
     iterates: List[IterateRecord]
     termination: str
-    best_k: int
     best_xi: np.ndarray
     best_w: np.ndarray
     best_K: float
-    final_w: np.ndarray
     final_K: float
-    final_grad_w_norm: float
     mu: float
-    linear_rule_kind: str = "full"
+    linear_rule: object
     initial_decrease: Optional[tuple] = None
     hoelder_L: Optional[float] = None
     hoelder_nu: float = 1.0
@@ -295,14 +295,11 @@ class RunRecord:
 
     @property
     def frozen(self) -> bool:
-        return self.linear_rule_kind == "frozen"
+        return isinstance(self.linear_rule, Frozen)
 
     @property
     def n_steps(self) -> int:
         return len(self.iterates) - 1
-
-    def stopped_early(self) -> bool:
-        return self.termination != "max_epochs"
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +368,7 @@ class _Recorder:
         self.system, self.w = system, w
         self.K = quadratic_energy(system, w)
         self.records = [self._state(0, system, w, self.K)]
-        self.best = (0, system, w.copy(), self.K)
+        self.best = (system, w.copy(), self.K)
 
     def _state(self, k, system, w, K):
         return IterateRecord(
@@ -381,7 +378,6 @@ class _Recorder:
             K=K,
             K_reduced=K if self.frozen else _reduced(system)[0],
             lambda_max=system.lambda_max,
-            lambda_min=system.lambda_min,
             omega=system.omega,
             phi_u2=system.phi_u2,
             delta_star=(None if self.delta_star_fn is None
@@ -405,8 +401,8 @@ class _Recorder:
         K_next = quadratic_energy(system, w_next)
         k = len(self.records)
         self.records.append(self._state(k, system, w_next, K_next))
-        if K_next < self.best[3]:
-            self.best = (k, system, w_next.copy(), K_next)
+        if K_next < self.best[2]:
+            self.best = (system, w_next.copy(), K_next)
         stop_xi = cur.step_norm <= self.stopping.eps_xi
         plateau_scale = (1.0 + abs(self.K)) if self.stopping.relative_energy else 1.0
         stop_K = abs(K_next - self.K) <= self.stopping.eps_energy * plateau_scale
@@ -419,10 +415,8 @@ class _Recorder:
 
     def finish(self, termination: str) -> RunRecord:
         """The run record, with the final exact solve at the best parameters."""
-        best_k, best_system, best_w, best_K = self.best
-        final_w = best_w.copy() if self.frozen else best_system.solution.copy()
-        final_K = quadratic_energy(best_system, final_w)
-        final_res = float(np.linalg.norm(best_system.matrix @ final_w - best_system.load))
+        best_system, best_w, best_K = self.best
+        final_w = best_w if self.frozen else best_system.solution
         stop_residual = None
         if termination == "xi_stabilised":
             system = self.system
@@ -432,19 +426,12 @@ class _Recorder:
         return RunRecord(
             iterates=self.records,
             termination=termination,
-            best_k=best_k,
             best_xi=best_system.xi.copy(),
             best_w=best_w,
             best_K=best_K,
-            final_w=final_w,
-            final_K=final_K,
-            final_grad_w_norm=final_res,
+            final_K=quadratic_energy(best_system, final_w),
             mu=self.mu,
-            linear_rule_kind=(
-                "frozen" if self.frozen
-                else "full" if isinstance(self.linear_rule, FullSolveCG)
-                else "sd"
-            ),
+            linear_rule=self.linear_rule,
             initial_decrease=self.initial_decrease,
             hoelder_L=self.L_raw,
             hoelder_nu=self.nu,

@@ -195,10 +195,6 @@ class Field:
     deriv_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     breakpoints: tuple = ()
 
-    @property
-    def in_h1(self) -> bool:
-        return self.deriv_fn is not None
-
     def values(self, x) -> np.ndarray:
         return np.broadcast_to(
             np.asarray(self.value_fn(np.asarray(x, dtype=float)), dtype=float),
@@ -216,28 +212,11 @@ class Field:
             np.shape(x),
         )
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def constant(c: float) -> "Field":
-        c = float(c)
-        return Field(lambda x: np.full(np.shape(x), c),
-                     lambda x: np.zeros(np.shape(x)))
-
     @staticmethod
     def linear_interpolant(x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> "Field":
         slope = (y_hi - y_lo) / (x_hi - x_lo)
         return Field(lambda x: y_lo + slope * (x - x_lo),
                      lambda x: np.full(np.shape(x), slope))
-
-    @staticmethod
-    def indicator(a: float, b: float) -> "Field":
-        """Characteristic function of ``(a, b)``; an L2-only field."""
-        return Field(
-            lambda x: np.where((x > a) & (x < b), 1.0, 0.0),
-            None,
-            (float(a), float(b)),
-        )
 
     # -- arithmetic (breakpoints merge; derivative only if both have one) --
 

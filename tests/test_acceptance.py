@@ -51,6 +51,7 @@ from nonlinritz.updates import (
 )
 from nonlinritz.variational import Field, L2Approx, QuadratureRule, bilinear, energy
 
+from helpers import constant, gap_slope
 from lemma_norms import best_linear_margins, dphi_norm, kappa, regularity_margins
 
 RULE = QuadratureRule.on_interval(0.0, 1.0, n_panels=16, order=5)
@@ -98,7 +99,7 @@ def _circle_pieces(scale=0.7):
     domain = NonlinearDomain([-1.2, -1.2], [1.2, 1.2])
     family = SyntheticAmplitude(domain, profile="sphere_quartic", radius=1.0,
                                 scale=scale)
-    problem = L2Approx(Field.constant(0.0))
+    problem = L2Approx(constant(0.0))
     oracle = AnalyticSphereOracle(np.zeros(2), 1.0, 0.0)
     return problem, family, oracle
 
@@ -309,7 +310,7 @@ def test_criterion_08_nonlinear_cea_with_grid_oracle(corpus):
         L_bar=L_red, zeta=zeta, geom=geom, best_in_V=max(best_in_V, 0.0),
     )
     assert res.entry.status == "pass", res.entry
-    slope = res.gap_slope()
+    slope = gap_slope(res)
     assert slope <= -0.8, slope
     print(f"criterion 8 [PASS]: quasi-optimality bound at every horizon, "
           f"best_in_V = {best_in_V:.3e} <= 1e-8, gap slope {slope:.2f} <= -0.8")

@@ -858,12 +858,21 @@ def _base_with_long_diag():
     return data
 
 
+def _grid_with_no_pairs():
+    data = _base_config()
+    data["schedule"] = {"kind": "lipschitz", "zeta": 0.9, "n_pairs": 0}
+    data["oracle"] = {"kind": "grid", "resolution": 0.1}
+    return data
+
+
 @pytest.mark.parametrize("sub", ["grid", "run", "certify", "check"])
 @pytest.mark.parametrize("make, message", [
     # without coefficients a frozen survey would grade the reduced energy
     (_circle_without_w0, "init.w0: the frozen linear rule needs initial coefficients"),
     # refused before the initial solve, not at the first prox step
     (_base_with_long_diag, "geometry.diag: expected 2 coordinates, the domain's, got 3"),
+    # refused when the config is read, not first by run's Lipschitz estimate
+    (_grid_with_no_pairs, "schedule: n_pairs must be at least 1, got 0"),
 ])
 def test_every_subcommand_refuses_the_config(tmp_path, capsys, sub, make, message):
     cfg_path = _write_cfg(tmp_path, make())
@@ -1060,7 +1069,7 @@ def test_import_and_reduced_energy_load_no_scipy():
         [sys.executable, "-c",
          "import sys, nonlinritz as nr, nonlinritz.cli\n"
          "fam = nr.GaussianBumps(nr.NonlinearDomain([0.1], [0.9]), [0.1])\n"
-         "nr.reduced_energy(nr.L2Approx(nr.Field.constant(1.0)),\n"
+         "nr.reduced_energy(nr.L2Approx(nr.Field(lambda x: 0.0 * x + 1.0)),\n"
          "                  nr.QuadratureRule.on_interval(0.0, 1.0), fam, [0.5])\n"
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         capture_output=True, text=True, env=env, check=True,

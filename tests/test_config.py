@@ -482,10 +482,32 @@ def test_errors_carry_dotted_paths():
     ("constants", {"alpha": 1.0, "norm_a": 1.0, "norm_ell": 1.0, "omega_min": -1},
      r"constants\.omega_min: expected a positive number, got -1"),
     ("gradient", {"fd_step": 0.0}, r"gradient\.fd_step: expected a positive number, got 0\.0"),
+    # values that parsed and were refused only by run
+    ("schedule", {"kind": "lipschitz", "zeta": 0.9, "n_pairs": 0},
+     r"schedule: n_pairs must be at least 1, got 0"),
+    ("schedule", {"kind": "lipschitz", "zeta": 0.9, "nu": 0.5},
+     r"schedule: eps_holder must be positive when nu < 1, got 0\.0"),
+    ("oracle", {"kind": "grid", "resolution": -0.05},
+     r"oracle\.resolution: expected a positive number, got -0\.05"),
+    ("oracle", {"kind": "sphere", "center": [0.5, 0.5], "radius": 0, "K_star": 0.0},
+     r"oracle\.radius: expected a positive number, got 0"),
+    (None, {"family": {"kind": "gaussian_bumps", "widths": [0.1, 0.1, 0.1]},
+            "domain": {"lower": [0.1] * 3, "upper": [0.9] * 3},
+            "init": {"xi0": [0.3, 0.5, 0.7]},
+            "geometry": {"kind": "diagonal", "diag": [1.0, 2.0, 3.0]},
+            "oracle": {"kind": "sphere", "center": [0.5] * 3, "radius": 0.2, "K_star": 0.0}},
+     r"oracle: sphere oracle projections are implemented for a scalar mirror-map diagonal"),
+    (None, {"family": {"kind": "indicator_pair"},
+            "domain": {"lower": [0.0] * 3, "upper": [1.0] * 3, "chains": [[0, 1, 2]]},
+            "init": {"xi0": [0.1, 0.55, 0.9]}, "gradient": {"mode": "analytic"}},
+     r"gradient\.mode: analytic parameter gradients are implemented under the L2 energy only"),
 ])
 def test_malformed_values_name_their_path(section, value, message):
     data = _base()
-    data[section] = value
+    if section is None:  # several sections at once
+        data.update(value)
+    else:
+        data[section] = value
     with pytest.raises(ConfigError, match=message):
         parse_config(data)
 

@@ -29,6 +29,8 @@ from nonlinritz.updates import (
 )
 from nonlinritz.variational import DiffusionReaction1D, Field, L2Approx, QuadratureRule
 
+from helpers import constant
+
 RULE = QuadratureRule.on_interval(0.0, 1.0, n_panels=8, order=5)
 TARGET = L2Approx(Field(lambda x: np.sin(3.0 * x) + 0.5 * np.exp(-40.0 * (x - 0.6) ** 2)))
 seeds = st.integers(0, 2**32 - 1)
@@ -66,7 +68,7 @@ def test_prox_step_is_feasible_and_optimal(domain, seed, log_g, log_gamma):
     g = 10.0 ** log_g * rng.standard_normal(domain.dim)
     gamma = 10.0 ** log_gamma
     xp = prox_step(geom, domain, xi, g, gamma)
-    assert domain.contains(xp)
+    assert not domain.violations(xp)
     res = prox_optimality_residual(geom, domain, xi, g, gamma, xp)
     assert res <= 1e-9 * (1.0 + float(np.linalg.norm(g)))
 
@@ -85,7 +87,7 @@ def test_project_is_identity_on_feasible_points_and_nearest(domain, seed):
     assert np.max(np.abs(domain.project(xi, weights=d) - xi)) <= 1e-14
     z = rng.uniform(-0.5, 1.5, domain.dim)
     p = domain.project(z, weights=d)
-    assert domain.contains(p)
+    assert not domain.violations(p)
     dist = _weighted_sq(d, p - z)
     for _ in range(20):
         q = domain.sample(rng)
@@ -190,7 +192,7 @@ def test_hat_assembly_is_symmetric_psd(m, h1, seed):
     problem = TARGET
     if h1:
         problem = DiffusionReaction1D(
-            Field(lambda x: 1.0 + x), Field.constant(2.0), Field.constant(1.0), 0.0, 1.0
+            Field(lambda x: 1.0 + x), constant(2.0), constant(1.0), 0.0, 1.0
         )
     system = assemble(problem, RULE, family, np.sort(rng.uniform(0.0, 1.0, m)))
     _assert_symmetric_psd(system.matrix)
@@ -225,7 +227,7 @@ def _stack_case(kind, rng):
         else:
             family = SyntheticAmplitude(NonlinearDomain([-1.2] * n, [1.2] * n),
                                         profile=str(rng.choice(["sphere_quartic", "norm"])))
-            problem = L2Approx(Field.constant(0.0))
+            problem = L2Approx(constant(0.0))
         points = np.array([family.domain.sample(rng) for _ in range(int(rng.integers(1, 40)))])
         return problem, family, points
     m = int(rng.integers(1, 5))
@@ -238,7 +240,7 @@ def _stack_case(kind, rng):
                               0.0, 1.0, dirichlet=kind == "h1_hats")
         if kind == "h1_hats":
             problem = DiffusionReaction1D(Field(lambda x: 1.0 + x, lambda x: np.ones_like(x)),
-                                          Field.constant(2.0), Field.constant(1.0), 0.0, 1.0,
+                                          constant(2.0), constant(1.0), 0.0, 1.0,
                                           0.3, -0.2)
     points = np.array([family.domain.sample(rng) for _ in range(int(rng.integers(1, 12)))])
     return problem, family, points
@@ -306,7 +308,7 @@ def test_stack_mixing_panel_counts_matches_point_by_point(h1):
     problem = TARGET
     if h1:
         problem = DiffusionReaction1D(Field(lambda x: 1.0 + x, lambda x: np.ones_like(x)),
-                                      Field.constant(2.0), Field.constant(1.0), 0.0, 1.0,
+                                      constant(2.0), constant(1.0), 0.0, 1.0,
                                       0.3, -0.2)
     stack = np.array([[0.3, 0.6], [0.25, 0.6], [0.5, 0.625], [0.31, 0.77], [0.25, 0.5]])
     ends = np.column_stack([np.zeros(5), stack, np.ones(5)])

@@ -17,6 +17,8 @@ from nonlinritz.variational import (
     linear_form,
 )
 
+from helpers import constant, indicator
+
 
 # ---------------------------------------------------------------------------
 # quadrature
@@ -89,12 +91,12 @@ def test_bad_rules_rejected():
 
 
 def test_field_arithmetic_merges_breakpoints():
-    f = Field.indicator(0.2, 0.5)
-    g = Field.indicator(0.4, 0.8)
+    f = indicator(0.2, 0.5)
+    g = indicator(0.4, 0.8)
     h = 2.0 * f - g
     assert set(h.breakpoints) == {0.2, 0.4, 0.5, 0.8}
     assert_allclose(h.values(np.array([0.3, 0.45, 0.6])), [2.0, 1.0, -1.0])
-    assert not h.in_h1  # indicators carry no weak derivative
+    assert h.deriv_fn is None  # indicators carry no weak derivative
 
 
 def test_linear_interpolant_endpoints():
@@ -111,7 +113,7 @@ def test_linear_interpolant_endpoints():
 def test_l2_bilinear_is_symmetric_on_random_fields():
     rng = np.random.default_rng(3)
     rule = QuadratureRule.on_interval(0.0, 1.0, n_panels=6, order=4)
-    problem = L2Approx(Field.constant(0.0))
+    problem = L2Approx(constant(0.0))
     for _ in range(100):
         c_u, c_v = rng.standard_normal(3), rng.standard_normal(3)
         u = Field(lambda x, c=c_u: c[0] + c[1] * x + c[2] * x ** 2)
@@ -135,7 +137,7 @@ def test_l2_energy_gap_identity():
 def test_l2_energy_value():
     # f = 1, u = x on (0,1): J(u) = 0.5*1/3 - 1/2 = -1/3
     rule = QuadratureRule.on_interval(0.0, 1.0, n_panels=2, order=4)
-    problem = L2Approx(Field.constant(1.0))
+    problem = L2Approx(constant(1.0))
     assert_allclose(energy(problem, rule, Field(lambda x: x)), -1.0 / 3.0, rtol=1e-14)
 
 
@@ -147,8 +149,8 @@ def test_l2_energy_value():
 def _dr_problem(bc_lo=0.0, bc_hi=0.0):
     return DiffusionReaction1D(
         diffusivity=Field(lambda x: 1.0 + x),
-        reaction=Field.constant(2.0),
-        source=Field.constant(5.0),
+        reaction=constant(2.0),
+        source=constant(5.0),
         x_lo=0.0,
         x_hi=1.0,
         bc_lo=bc_lo,
@@ -179,8 +181,8 @@ def test_dr_inner_is_full_h1():
     # with unit diffusivity and reaction the energy inner product is the
     # full H1 inner product: ||u||^2 = int (1 + x^2) = 4/3
     rule = QuadratureRule.on_interval(0.0, 1.0, n_panels=4, order=5)
-    one = Field.constant(1.0)
-    problem = DiffusionReaction1D(one, one, Field.constant(5.0), x_lo=0.0, x_hi=1.0)
+    one = constant(1.0)
+    problem = DiffusionReaction1D(one, one, constant(5.0), x_lo=0.0, x_hi=1.0)
     u = Field(lambda x: x, lambda x: np.ones_like(x))
     assert_allclose(bilinear(problem, rule, u, u), 4.0 / 3.0, rtol=1e-14)
 
@@ -202,7 +204,7 @@ def test_dr_coercivity_witness():
 
 def test_l2_only_field_rejected_by_h1_form():
     rule = QuadratureRule.on_interval(0.0, 1.0, n_panels=4, order=5)
-    chi = Field.indicator(0.2, 0.6)
+    chi = indicator(0.2, 0.6)
     with pytest.raises(Exception, match="derivative"):
         bilinear(_dr_problem(), rule, chi, chi)
 
