@@ -12,7 +12,6 @@ from .assembly import (
     ConsistencyReport,
     assemble,
     check_consistency,
-    check_lambda_max_bound,
     quadratic_energy,
 )
 from .basis import (
@@ -37,6 +36,7 @@ from .certify import (
     global_rate_certificate,
     global_step_certificate,
     lambda_max_certificate,
+    lambda_max_entry,
     local_rate_certificate,
     minimiser_grid_oracle,
     quasi_stationarity_level,

@@ -43,7 +43,7 @@ import numpy as np
 
 from .basis import FreeKnotHats
 from .errors import ConfigError, NonFiniteValueError, NumericalError, SpdViolationError
-from .variational import ProblemConstants, QuadratureRule
+from .variational import QuadratureRule
 
 __all__ = [
     "AssembledSystem",
@@ -51,7 +51,6 @@ __all__ = [
     "quadratic_energy",
     "stack_slices",
     "quadrature_groups",
-    "check_lambda_max_bound",
     "ConsistencyReport",
     "check_consistency",
 ]
@@ -354,11 +353,6 @@ def quadratic_energy(system: AssembledSystem, w):
     w = np.asarray(w, dtype=float)
     K = np.vecdot(np.vecmat(0.5 * w, system.matrix), w) - np.vecdot(w, system.load)
     return float(K) if K.ndim == 0 else K
-
-
-def check_lambda_max_bound(system: AssembledSystem, constants: ProblemConstants):
-    """Both sides of lambda_max(A) <= ||a|| * ||phi(xi)||_{U,2}^2."""
-    return system.lambda_max, constants.norm_a * system.phi_u2 ** 2
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import numpy as np
 from .assembly import assemble, quadratic_energy, stack_slices
 from .basis import realisation
 from .errors import ConfigError
-from .optimizer import RunRecord, reduced_energy
+from .optimizer import ConstantGamma, RunRecord, _hoelder_exponent, reduced_energy
 from .updates import Frozen, FullSolveCG
 from .variational import Field, bilinear, linear_form
 
@@ -38,6 +38,7 @@ __all__ = [
     "quasi_stationarity_level",
     "stopped_point_level",
     "decrease_certificate",
+    "lambda_max_entry",
     "lambda_max_certificate",
     "spd_certificate",
     "energy_monotonicity_certificate",
@@ -326,8 +327,7 @@ def delta_star(geom, oracle, xi):
 
 def quasi_stationarity_level(L: float, nu: float, gamma: float, mu: float, c: float) -> float:
     """Certified stationarity level L*(gamma*c)^nu + mu*c of a surrogate pair."""
-    if not 0.0 < nu <= 1.0:
-        raise ConfigError(f"nu must lie in (0, 1], got {nu!r}")
+    _hoelder_exponent(nu)
     if not gamma > 0.0:
         raise ConfigError(f"gamma must be positive, got {gamma!r}")
     if L < 0.0 or mu < 0.0 or c < 0.0:
@@ -357,6 +357,14 @@ def _transitions(record: RunRecord):
     return record.iterates[:-1]
 
 
+def _hoelder_slack(record: RunRecord) -> float:
+    """How far one step of an adaptive run may raise the energy: ``eps_holder``
+    under nu < 1, whose Lipschitz surrogate sizes the step for that slack,
+    and 0 under nu = 1."""
+    schedule = record.schedule
+    return schedule.eps_holder if schedule.nu < 1.0 else 0.0
+
+
 def decrease_certificate(record: RunRecord) -> List[CertificateEntry]:
     """Achieved linear-update drop >= guaranteed drop at every update."""
     if record.frozen:
@@ -373,19 +381,17 @@ def decrease_certificate(record: RunRecord) -> List[CertificateEntry]:
     return [_worst(entries, f"checked {len(entries)} updates")]
 
 
+def lambda_max_entry(anchor: str, state, constants) -> CertificateEntry:
+    """lambda_max(A) <= norm_a * ||phi||_{U,2}^2 at one state: an iterate
+    record or an assembled system, which both carry ``lambda_max`` and
+    ``phi_u2``."""
+    return _check("lambda-max-bound", anchor, state.lambda_max,
+                  constants.norm_a * state.phi_u2 ** 2, atol=1e-9, rtol=0.0)
+
+
 def lambda_max_certificate(record: RunRecord, constants) -> List[CertificateEntry]:
     """lambda_max(A(xi_k)) <= norm_a * ||phi(xi_k)||_{U,2}^2 at every iterate."""
-    entries = [
-        _check(
-            "lambda-max-bound",
-            f"iterate {it.k}",
-            it.lambda_max,
-            constants.norm_a * it.phi_u2 ** 2,
-            atol=1e-9,
-            rtol=0.0,
-        )
-        for it in record.iterates
-    ]
+    entries = [lambda_max_entry(f"iterate {it.k}", it, constants) for it in record.iterates]
     return [_worst(entries, f"checked {len(record.iterates)} iterates")]
 
 
@@ -402,55 +408,53 @@ def spd_certificate(record: RunRecord, omega_min: float) -> List[CertificateEntr
 
 
 def energy_monotonicity_certificate(record: RunRecord) -> List[CertificateEntry]:
-    """K_{k+1} <= K_k along the recorded iterates (valid step sizes)."""
+    """K_{k+1} <= K_k + eps along the recorded iterates of an adaptive run.
+
+    ``eps`` is the run's Hoelder slack (``eps_holder`` under nu < 1, else
+    0).  A constant step size is not sized by any descent condition, so
+    its runs are skipped.
+    """
+    if isinstance(record.schedule, ConstantGamma):
+        return [_skipped("energy-monotone",
+                         "constant step size: the descent step condition is not verified")]
     if len(record.iterates) < 2:
         return [_skipped("energy-monotone", "run recorded no steps")]
+    eps = _hoelder_slack(record)
     entries = [
-        _check("energy-monotone", f"step {a.k}", b.K, a.K,
+        _check("energy-monotone", f"step {a.k}", b.K, a.K + eps,
                atol=1e-10 * (1.0 + abs(a.K)), rtol=0.0)
         for a, b in zip(record.iterates, record.iterates[1:])
     ]
     return [_worst(entries, f"checked {len(entries)} steps")]
 
 
-def local_rate_certificate(
-    record: RunRecord,
-    K_star_lower: float,
-    eps: float = 0.0,
-    L_values=None,
-) -> List[CertificateEntry]:
+def local_rate_certificate(record: RunRecord, K_star_lower: float) -> List[CertificateEntry]:
     """Telescoped stationarity bound at every horizon n.
 
     min_{k<n} (||G_k||^2 + ||grad_w K(w_k, xi_{k+1})||^2)
         <= 2 (K_0 - K_star_lower + n*eps) / S_n,
-    S_n = sum_{k<n} min(gamma_k (2 mu - gamma_k L_k), 1/lambda_max(A(xi_k))).
+    S_n = sum_{k<n} min(gamma_k (2 mu - gamma_k L_k), 1/lambda_max(A(xi_k))),
 
-    ``K_star_lower`` must lower-bound the energy (oracle or config).
-    ``L_values`` overrides the per-step Lipschitz surrogates when the run
-    used a constant step size.
+    with ``L_k`` the recorded Lipschitz surrogate and ``eps`` the run's
+    Hoelder slack (``eps_holder`` under nu < 1, else 0).  ``K_star_lower``
+    must lower-bound the energy (oracle or config).  Frozen and
+    constant-step runs are skipped.
     """
     if record.frozen:
         return [_skipped("local-rate", "frozen linear rule: decrease bound unavailable")]
+    if isinstance(record.schedule, ConstantGamma):
+        return [_skipped("local-rate", "constant step size: no Lipschitz surrogate recorded")]
     trans = _transitions(record)
     if not trans:
         return [_skipped("local-rate", "run recorded no steps")]
     mu = record.mu
     K0 = record.iterates[0].K
+    eps = _hoelder_slack(record)
     best_lhs = math.inf
     S = 0.0
     entries = []
     for n, it in enumerate(trans, start=1):
         L_k = it.lipschitz_L
-        if L_k is None and L_values is not None:
-            L_k = L_values[n - 1] if np.ndim(L_values) else float(L_values)
-        if L_k is None:
-            return [
-                _skipped(
-                    "local-rate",
-                    "no Lipschitz surrogate recorded; pass L_values for "
-                    "constant-step runs",
-                )
-            ]
         A_k = it.gamma * (2.0 * mu - it.gamma * L_k)
         B_k = 1.0 / it.lambda_max
         term = min(A_k, B_k)
@@ -602,15 +606,6 @@ def global_rate_certificate(
     return [_worst(entries, f"checked horizons 1..{len(trans)}")]
 
 
-@dataclass
-class CeaResult:
-    entry: CertificateEntry
-    horizons: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-    gap: np.ndarray  # lhs - best_in_V
-
-
 def cea_certificate(
     record: RunRecord,
     problem,
@@ -622,7 +617,7 @@ def cea_certificate(
     zeta: float,
     geom,
     best_in_V: Optional[float] = None,
-) -> CeaResult:
+) -> List[CertificateEntry]:
     """Quasi-optimality of the realised approximation at every horizon.
 
     ||Rbar(xi_n) - u*||_a^2 <= best_in_V + 2 L_bar delta*(xi_0) / (zeta mu n)
@@ -636,7 +631,7 @@ def cea_certificate(
     """
     deltas, skip = _basin_deltas(record, geom, oracle, None, "cea")
     if skip is not None:
-        return CeaResult(skip, *([np.array([])] * 4))
+        return [skip]
     if best_in_V is None:
         j_star = 0.5 * bilinear(problem, rule, u_star, u_star) - linear_form(
             problem, rule, u_star
@@ -646,12 +641,11 @@ def cea_certificate(
     lhss = np.array([bilinear(problem, rule, d, d) for d in diffs])
     ns = np.arange(1.0, len(record.iterates))
     rhss = best_in_V + 2.0 * L_bar * deltas[0] / (zeta * record.mu * ns)
-    worst = _worst(
+    return [_worst(
         [_check("cea", f"horizon n={int(n)}", lhs, rhs)
          for n, lhs, rhs in zip(ns, lhss, rhss)],
         f"best_in_V = {best_in_V!r}; checked horizons 1..{int(ns[-1])}",
-    )
-    return CeaResult(worst, ns, lhss, rhss, lhss - best_in_V)
+    )]
 
 
 # ---------------------------------------------------------------------------

@@ -48,16 +48,10 @@ import sys
 import numpy as np
 
 from . import certify as cert
-from .assembly import assemble, check_consistency, check_lambda_max_bound
+from .assembly import assemble, check_consistency
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, NonlinRitzError, NumericalError
-from .optimizer import (
-    LipschitzAdaptive,
-    reduced_energy,
-    reduced_gradient,
-    replay,
-    run,
-)
+from .optimizer import reduced_energy, reduced_gradient, replay, run
 from .updates import (Frozen, central_differences, make_gradients, probed_coordinates,
                       prox_optimality_residual, prox_step)
 from .variational import L2Approx, integrate
@@ -207,7 +201,8 @@ def _quasi_level(cfg: ExperimentConfig, record):
     L = cfg.certify_spec.get("L", record.hoelder_L)
     if record.stop_residual is None or L is None:
         return None
-    nu = cfg.certify_spec.get("nu", record.hoelder_nu)
+    # a constant step is a nu = 1 rule
+    nu = cfg.certify_spec.get("nu", getattr(record.schedule, "nu", 1.0))
     return cert.stopped_point_level(record, L, nu)[0]
 
 
@@ -350,20 +345,11 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str) -> int:
 
 def _state_certificates(cfg: ExperimentConfig, record, oracle, report):
     """The certificates evaluated on the replayed record."""
-    adaptive = isinstance(cfg.schedule, LipschitzAdaptive)
     report.extend(cert.lambda_max_certificate(record, cfg.constants))
     if cfg.omega_min is not None:
         report.extend(cert.spd_certificate(record, cfg.omega_min))
     report.extend(cert.decrease_certificate(record))
-    if adaptive:
-        report.extend(cert.energy_monotonicity_certificate(record))
-    else:
-        report.extend(
-            cert._skipped(
-                "energy-monotone",
-                "constant step size: the descent step condition is not verified",
-            )
-        )
+    report.extend(cert.energy_monotonicity_certificate(record))
 
     spec = cfg.certify_spec
     K_lower = spec.get("K_star_lower", None if oracle is None else oracle.K_star)
@@ -389,17 +375,15 @@ def _state_certificates(cfg: ExperimentConfig, record, oracle, report):
                     record, cfg.geometry, oracle, spec["L_bar"], rho=cfg.rho
                 )
             )
-            zeta = spec.get("zeta")
-            if zeta is None and adaptive:
-                zeta = cfg.schedule.zeta
+            # a constant step has no zeta of its own
+            zeta = spec.get("zeta", getattr(record.schedule, "zeta", None))
             if zeta is not None and isinstance(cfg.problem, L2Approx):
-                result = cert.cea_certificate(
+                report.extend(cert.cea_certificate(
                     record, cfg.problem, cfg.rule, cfg.family,
                     cfg.problem.target, oracle,
                     spec["L_bar"], zeta, cfg.geometry,
                     best_in_V=spec.get("best_in_V"),
-                )
-                report.extend(result.entry)
+                ))
 
 
 def _write_report(cfg: ExperimentConfig, out_dir: str, report, name: str):
@@ -449,8 +433,7 @@ def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
                        np.array([domain.sample(rng) for _ in range(5)])).rows()
     psd = [_exact("assembly-psd", f"sample {k}", -np.minimum(s.lambda_min, s.omega), 1e-10)
            for k, s in enumerate(systems)]
-    lam = [cert._check("lambda-max-bound", f"sample {k}",
-                       *check_lambda_max_bound(s, cfg.constants), atol=1e-9, rtol=0.0)
+    lam = [cert.lambda_max_entry(f"sample {k}", s, cfg.constants)
            for k, s in enumerate(systems)]
     note = f"{len(systems)} sampled parameter points"
     report.extend([cert._worst(psd, note), cert._worst(lam, note)])

@@ -40,7 +40,7 @@ from .basis import (
 )
 from .certify import AnalyticSphereOracle, delta_star
 from .errors import ConfigError
-from .optimizer import ConstantGamma, LipschitzAdaptive, StoppingCriteria
+from .optimizer import ConstantGamma, LipschitzAdaptive, StoppingCriteria, _hoelder_exponent
 from .updates import (
     DiagonalGeometry,
     EuclideanGeometry,
@@ -193,12 +193,25 @@ def _typed(what, ok, convert=None):
 _number = _typed("a number", _is_number, float)
 
 
-def _positive(v, path):
-    """A number, reported as "a number" when it is none, that is positive."""
-    value = _number(v, path)
-    if not value > 0:
-        raise ConfigError(f"{path}: expected a positive number, got {v!r}")
-    return value
+def _bounded(what, ok):
+    """Reader of a number, reported as "a number" when it is none, that
+    ``ok`` admits, reported as ``what`` number when it does not."""
+
+    def read(v, path):
+        value = _number(v, path)
+        if not ok(value):
+            raise ConfigError(f"{path}: expected {what} number, got {v!r}")
+        return value
+
+    return read
+
+
+_positive = _bounded("a positive", lambda v: v > 0)
+_nonnegative = _bounded("a nonnegative", lambda v: v >= 0)
+
+
+def _hoelder_nu(v, path):
+    return _under(path, _hoelder_exponent, _number(v, path))
 
 
 _integer = _typed("an integer", lambda v: type(v) is int)
@@ -357,8 +370,9 @@ _CONFIG = {
         grid={"resolution": (_positive, _REQUIRED)},
     )), None),
     "certify": (_table({
-        key: (_number, _ABSENT)
-        for key in ("L", "nu", "eps_target", "L_bar", "zeta", "K_star_lower", "best_in_V")
+        "L": (_nonnegative, _ABSENT), "nu": (_hoelder_nu, _ABSENT),
+        "eps_target": (_nonnegative, _ABSENT), "zeta": (_positive, _ABSENT),
+        **{key: (_number, _ABSENT) for key in ("L_bar", "K_star_lower", "best_in_V")},
     }), {}),
     "out_dir": (_or_null(_string), None),
 }

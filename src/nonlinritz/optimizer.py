@@ -68,14 +68,20 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _hoelder_exponent(nu: float) -> float:
+    """``nu``, refused unless it lies in (0, 1], the range of a Hoelder exponent."""
+    if not 0.0 < nu <= 1.0:
+        raise ConfigError(f"nu must lie in (0, 1], got {nu!r}")
+    return nu
+
+
 def hoelder_to_lipschitz(L: float, nu: float, eps: float) -> float:
     """Lipschitz surrogate of a nu-Hoelder constant at slack eps.
 
     Returns ``((1/(2 eps)) * (1-nu)/(1+nu)) ** ((1-nu)/(1+nu)) * L ** (2/(1+nu))``;
     for ``nu = 1`` the slack is unnecessary and the constant passes through.
     """
-    if not 0.0 < nu <= 1.0:
-        raise ConfigError(f"Hoelder exponent must lie in (0, 1], got {nu!r}")
+    _hoelder_exponent(nu)
     if L < 0.0:
         raise ConfigError(f"Hoelder constant must be nonnegative, got {L!r}")
     if nu == 1.0:
@@ -99,8 +105,7 @@ def estimate_lipschitz_L(grads, w, n_pairs: int, seed: int, nu: float = 1.0) -> 
     """
     if n_pairs < 1:
         raise ConfigError("estimate_lipschitz_L needs at least one pair")
-    if not 0.0 < nu <= 1.0:
-        raise ConfigError(f"Hoelder exponent must lie in (0, 1], got {nu!r}")
+    _hoelder_exponent(nu)
     domain = grads.family.domain
     if grads.mode == "fd":
         h = grads.fd_step
@@ -212,9 +217,7 @@ class LipschitzAdaptive:
                 )
         elif not self.lipschitz > 0.0:
             raise ConfigError("a numeric lipschitz constant must be positive")
-        if not 0.0 < self.nu <= 1.0:
-            raise ConfigError(f"nu must lie in (0, 1], got {self.nu!r}")
-        if self.nu < 1.0 and not self.eps_holder > 0.0:
+        if _hoelder_exponent(self.nu) < 1.0 and not self.eps_holder > 0.0:
             raise ConfigError(f"eps_holder must be positive when nu < 1, got {self.eps_holder!r}")
         if self.n_pairs < 1:
             raise ConfigError(f"n_pairs must be at least 1, got {self.n_pairs!r}")
@@ -277,7 +280,10 @@ class RunRecord:
     stopped point, from the system the run assembled there (0 for frozen
     coefficients); it is None unless the run ended by parameter
     stabilisation.  ``linear_rule`` is the run's linear update rule, a
-    :class:`FullSolveCG`, :class:`SteepestDescent` or :class:`Frozen`.
+    :class:`FullSolveCG`, :class:`SteepestDescent` or :class:`Frozen`, and
+    ``schedule`` its step rule, a :class:`ConstantGamma` or
+    :class:`LipschitzAdaptive`; ``hoelder_L`` is the Hoelder constant that
+    rule resolved (estimated or given), None for a constant step.
     """
 
     iterates: List[IterateRecord]
@@ -288,9 +294,9 @@ class RunRecord:
     final_K: float
     mu: float
     linear_rule: object
+    schedule: object
     initial_decrease: Optional[tuple] = None
     hoelder_L: Optional[float] = None
-    hoelder_nu: float = 1.0
     stop_residual: Optional[float] = None
 
     @property
@@ -345,19 +351,20 @@ class _Recorder:
 
     def __init__(self, linear_rule, geometry, schedule, stopping, grads, delta_star_fn,
                  system, w_init, w):
-        self.linear_rule, self.stopping, self.mu = linear_rule, stopping, geometry.mu
+        self.linear_rule, self.schedule = linear_rule, schedule
+        self.stopping, self.mu = stopping, geometry.mu
         self.frozen = isinstance(linear_rule, Frozen)
         self.initial_decrease = None if self.frozen else decrease_check(system, w_init, w)
         if isinstance(schedule, ConstantGamma):
-            self.L_eff, self.L_raw, self.nu, self.gamma = None, None, 1.0, schedule.gamma
+            self.L_eff, self.L_raw, self.gamma = None, None, schedule.gamma
         else:
             L = schedule.lipschitz
             if L == "estimate":
                 L = estimate_lipschitz_L(grads, w, schedule.n_pairs, schedule.seed,
                                          nu=schedule.nu)
             # L_raw is the Hoelder constant, L_eff its Lipschitz surrogate
-            self.L_raw, self.nu = float(L), schedule.nu
-            self.L_eff = hoelder_to_lipschitz(self.L_raw, self.nu, schedule.eps_holder)
+            self.L_raw = float(L)
+            self.L_eff = hoelder_to_lipschitz(self.L_raw, schedule.nu, schedule.eps_holder)
             if self.L_eff <= 0.0:
                 raise NumericalError(
                     "Lipschitz surrogate is zero (energy constant along the "
@@ -432,9 +439,9 @@ class _Recorder:
             final_K=quadratic_energy(best_system, final_w),
             mu=self.mu,
             linear_rule=self.linear_rule,
+            schedule=self.schedule,
             initial_decrease=self.initial_decrease,
             hoelder_L=self.L_raw,
-            hoelder_nu=self.nu,
             stop_residual=stop_residual,
         )
 

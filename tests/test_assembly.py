@@ -7,7 +7,6 @@ import nonlinritz.assembly
 from nonlinritz.assembly import (
     assemble,
     check_consistency,
-    check_lambda_max_bound,
     quadratic_energy,
 )
 from nonlinritz.basis import (
@@ -17,6 +16,7 @@ from nonlinritz.basis import (
     NonlinearDomain,
     realisation,
 )
+from nonlinritz.certify import lambda_max_entry
 from nonlinritz.errors import ConfigError, NonFiniteValueError, NumericalError
 from nonlinritz.variational import (
     DiffusionReaction1D,
@@ -147,10 +147,11 @@ def test_lambda_max_bound_holds():
     for _ in range(10):
         xi = fam.domain.sample(rng)
         system = assemble(L2, RULE, fam, xi)
-        lam, bound = check_lambda_max_bound(
-            system, ProblemConstants(alpha=1.0, norm_a=1.0, norm_ell=1.0)
+        entry = lambda_max_entry(
+            "sample", system, ProblemConstants(alpha=1.0, norm_a=1.0, norm_ell=1.0)
         )
-        assert lam <= bound + 1e-9
+        assert entry.lhs == system.lambda_max and entry.status == "pass"
+        assert entry.lhs <= entry.rhs + 1e-9
 
 
 def test_kappa_bound_variants():

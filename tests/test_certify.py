@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import nonlinritz.certify
 import nonlinritz.optimizer
-from nonlinritz.assembly import ProblemConstants, assemble, stack_slices
+from nonlinritz.assembly import assemble, stack_slices
 from nonlinritz.basis import (
     FreeKnotHats,
     GaussianBumps,
@@ -19,7 +19,6 @@ from nonlinritz.basis import (
 from nonlinritz.certify import (
     AnalyticPointsOracle,
     AnalyticSphereOracle,
-    CeaResult,
     CertificateEntry,
     CertificateReport,
     GridSearchOracle,
@@ -53,9 +52,10 @@ from nonlinritz.updates import (
     SteepestDescent,
     make_gradients,
 )
-from nonlinritz.variational import Field, L2Approx, QuadratureRule, bilinear, linear_form
+from nonlinritz.variational import (Field, L2Approx, ProblemConstants, QuadratureRule, bilinear,
+                                    linear_form)
 
-from helpers import constant, gap_slope
+from helpers import constant, gap_slope, realised_gaps
 from lemma_norms import best_linear_margins, dc_condition, dphi_norm, kappa, regularity_margins
 
 RULE = QuadratureRule.on_interval(0.0, 1.0, n_panels=16, order=5)
@@ -373,6 +373,49 @@ def test_energy_monotonicity_detects_tampering():
     assert any(e.status == "fail" for e in entries)
 
 
+def test_energy_monotonicity_skips_constant_steps():
+    rec, _, _ = _gaussian_run(schedule=ConstantGamma(0.05))
+    (entry,) = energy_monotonicity_certificate(rec)
+    assert entry.status == "skipped"
+    assert entry.note == "constant step size: the descent step condition is not verified"
+
+
+def _with_schedule(rec, **schedule):
+    """A copy of ``rec`` that records the step rule ``LipschitzAdaptive(**schedule)``."""
+    out = copy.deepcopy(rec)
+    out.schedule = LipschitzAdaptive(zeta=0.9, lipschitz=5.0, **schedule)
+    return out
+
+
+def test_hoelder_slack_bounds_the_energy_rise_per_step():
+    rec, _, _ = _gaussian_run()
+    rec.iterates[3].K = rec.iterates[2].K + 0.05  # one rise of 0.05
+    slack = dict(nu=0.5, eps_holder=0.1)
+    (entry,) = energy_monotonicity_certificate(_with_schedule(rec, **slack))
+    assert entry.status == "pass" and entry.anchor == "step 2"
+    assert_allclose(entry.margin, 0.05, rtol=1e-12)
+    tight = _with_schedule(rec, nu=0.5, eps_holder=0.01)
+    assert energy_monotonicity_certificate(tight)[0].status == "fail"
+    # under nu = 1 the step needs no slack and gets none, whatever eps_holder says
+    assert energy_monotonicity_certificate(_with_schedule(rec, eps_holder=0.1))[0].status == "fail"
+
+
+def test_hoelder_slack_enters_the_local_rate_bound():
+    rec, _, _ = _gaussian_run(stopping=StoppingCriteria(max_epochs=12))
+    lower = rec.iterates[0].K + 0.05  # too high by a little
+    (plain,) = local_rate_certificate(rec, lower)
+    assert plain.status == "fail"
+    assert local_rate_certificate(_with_schedule(rec, eps_holder=0.1), lower) == [plain]
+    (slack,) = local_rate_certificate(_with_schedule(rec, nu=0.5, eps_holder=0.1), lower)
+    assert slack.status == "pass"
+    # the bound is 2 (K_0 - K_lower + n eps) / S_n at the horizon named
+    n = int(slack.anchor.split("=")[1])
+    terms = [min(it.gamma * (2.0 * rec.mu - it.gamma * it.lipschitz_L), 1.0 / it.lambda_max)
+             for it in rec.iterates[:n]]
+    assert_allclose(slack.rhs, 2.0 * (rec.iterates[0].K - lower + n * 0.1) / sum(terms),
+                    rtol=1e-12)
+
+
 def test_local_rate_certificate_pass_and_negative():
     rec, problem, family = _gaussian_run(stopping=StoppingCriteria(max_epochs=12))
     target_sq = bilinear(problem, RULE, problem.target, problem.target)
@@ -389,9 +432,7 @@ def test_local_rate_skips_without_lipschitz_record():
     rec, _, _ = _gaussian_run(schedule=ConstantGamma(0.05))
     entries = local_rate_certificate(rec, K_star_lower=-10.0)
     assert entries[0].status == "skipped"
-    # supplying the surrogate re-enables the bound
-    entries = local_rate_certificate(rec, K_star_lower=-10.0, L_values=5.0)
-    assert entries[0].status == "pass"
+    assert entries[0].note == "constant step size: no Lipschitz surrogate recorded"
 
 
 def test_local_rate_skips_for_frozen():
@@ -464,14 +505,14 @@ def test_global_rate_certificate_on_circle():
 def test_cea_certificate_on_circle():
     rec, problem, family, oracle = _circle_run(max_epochs=60)
     geom = EuclideanGeometry()
-    res = cea_certificate(
+    (entry,) = cea_certificate(
         rec, problem, RULE, family, constant(0.0), oracle,
         L_bar=16.0, zeta=1.0, geom=geom,
     )
-    assert res.entry.status == "pass"
-    assert res.horizons.size == len(rec.iterates) - 1
+    assert entry.status == "pass"
+    assert entry.note.endswith(f"checked horizons 1..{len(rec.iterates) - 1}")
     # realised error approaches the (zero) best-in-class error at rate ~ 1/n
-    slope = gap_slope(res)
+    slope = gap_slope(realised_gaps(rec, problem, RULE, family, constant(0.0)))
     assert slope <= -0.8
 
 
@@ -483,30 +524,27 @@ def test_cea_certificate_reads_recorded_exact_coefficients(count_calls):
         assert np.array_equal(it.w, w_star)
     calls = count_calls("assemble", nonlinritz.certify, nonlinritz.optimizer)
     oracle = AnalyticPointsOracle(np.array([[0.3, 0.7]]), rec.final_K)
-    res = cea_certificate(rec, problem, RULE, family, problem.target, oracle,
-                          L_bar=5.0, zeta=0.9, geom=EuclideanGeometry())
-    assert res.horizons.size == rec.n_steps
+    (entry,) = cea_certificate(rec, problem, RULE, family, problem.target, oracle,
+                               L_bar=5.0, zeta=0.9, geom=EuclideanGeometry())
+    assert entry.note.endswith(f"checked horizons 1..{rec.n_steps}")
     assert calls == []
 
 
 def test_gap_slope_recovers_power_law():
     ns = np.arange(1.0, 101.0)
-    res = CeaResult(
-        entry=CertificateEntry("cea", "-", 0.0, 1.0, 1.0, "pass"),
-        horizons=ns,
-        lhs=3.0 / ns,
-        rhs=10.0 / ns,
-        gap=3.0 / ns,
-    )
-    assert_allclose(gap_slope(res), -1.0, atol=1e-12)
-    flat = CeaResult(
-        entry=CertificateEntry("cea", "-", 0.0, 1.0, 1.0, "pass"),
-        horizons=ns,
-        lhs=np.full(100, 1e-15),
-        rhs=np.ones(100),
-        gap=np.full(100, 1e-15),
-    )
-    assert gap_slope(flat) == -math.inf  # everything below the floor
+    assert_allclose(gap_slope(3.0 / ns), -1.0, atol=1e-12)
+    assert gap_slope(np.full(100, 1e-15)) == -math.inf  # everything below the floor
+
+
+def test_realised_gaps_are_the_cea_left_sides():
+    rec, problem, family, oracle = _circle_run(max_epochs=6)
+    gaps = realised_gaps(rec, problem, RULE, family, constant(0.0), best_in_V=0.25)
+    assert gaps.shape == (rec.n_steps,)
+    (entry,) = cea_certificate(rec, problem, RULE, family, constant(0.0), oracle,
+                               L_bar=16.0, zeta=1.0, geom=EuclideanGeometry(),
+                               best_in_V=0.25)
+    n = int(entry.anchor.split("=")[1])
+    assert_allclose(entry.lhs - 0.25, gaps[n - 1], rtol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -865,6 +865,12 @@ def _grid_with_no_pairs():
     return data
 
 
+def _base_certifying(**certify):
+    data = _base_config()
+    data["certify"] = certify
+    return data
+
+
 @pytest.mark.parametrize("sub", ["grid", "run", "certify", "check"])
 @pytest.mark.parametrize("make, message", [
     # without coefficients a frozen survey would grade the reduced energy
@@ -873,6 +879,13 @@ def _grid_with_no_pairs():
     (_base_with_long_diag, "geometry.diag: expected 2 coordinates, the domain's, got 3"),
     # refused when the config is read, not first by run's Lipschitz estimate
     (_grid_with_no_pairs, "schedule: n_pairs must be at least 1, got 0"),
+    # refused when the config is read, not by run's summary after the whole
+    # optimisation, nor passed by cea with an infinite bound
+    (lambda: _base_certifying(nu=2), "certify.nu: nu must lie in (0, 1], got 2.0"),
+    (lambda: _base_certifying(L=-1), "certify.L: expected a nonnegative number, got -1"),
+    (lambda: _base_certifying(eps_target=-1),
+     "certify.eps_target: expected a nonnegative number, got -1"),
+    (lambda: _base_certifying(zeta=0), "certify.zeta: expected a positive number, got 0"),
 ])
 def test_every_subcommand_refuses_the_config(tmp_path, capsys, sub, make, message):
     cfg_path = _write_cfg(tmp_path, make())
@@ -880,6 +893,43 @@ def test_every_subcommand_refuses_the_config(tmp_path, capsys, sub, make, messag
     assert main([sub, "--config", cfg_path, "--out-dir", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists() or not os.listdir(out)
+
+
+def _hoelder_fit(eps_holder, lipschitz):
+    """Indicator-pair fit of a two-step target under a nu = 1/2 step rule."""
+    return {
+        "problem": {"kind": "l2", "x_lo": 0.0, "x_hi": 1.0,
+                    "target": "0.9*step(x-0.2)*step(0.5-x) + 0.4*step(x-0.5)*step(0.85-x)",
+                    "breakpoints": [0.2, 0.5, 0.85]},
+        "constants": {"alpha": 1.0, "norm_a": 1.0, "norm_ell": 1.0},
+        "quadrature": {"n_panels": 20, "order": 3},
+        "family": {"kind": "indicator_pair"},
+        "domain": {"lower": [0.0] * 3, "upper": [1.0] * 3, "chains": [[0, 1, 2]],
+                   "gap": 0.04},
+        "schedule": {"kind": "lipschitz", "zeta": 0.5, "lipschitz": lipschitz, "nu": 0.5,
+                     "eps_holder": eps_holder},
+        "stopping": {"max_epochs": 40},
+        "init": {"xi0": [0.1, 0.55, 0.9]},
+        "certify": {"K_star_lower": -0.1495},
+    }
+
+
+@pytest.mark.parametrize("eps_holder, lipschitz, rc, margins", [
+    # the steps are sized for a rise of up to eps_holder each, and keep it
+    (0.1, "estimate", 0, {"energy-monotone": 0.0803, "local-rate": 0.8628}),
+    # a declared constant too small for the run: rises reach 0.0163
+    (1e-3, 1.0, 1, {"energy-monotone": -0.0153, "local-rate": -0.0198}),
+])
+def test_certify_grants_the_hoelder_slack(tmp_path, eps_holder, lipschitz, rc, margins):
+    cfg_path = _write_cfg(tmp_path, _hoelder_fit(eps_holder, lipschitz))
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out-dir", str(out)]) == 0
+    assert main(["certify", "--config", cfg_path, "--out-dir", str(out)]) == rc
+    entries = {e["name"]: e for e in json.loads(_read(out / "report.json"))["entries"]}
+    assert [name for name, e in entries.items() if e["status"] == "fail"] == (
+        [] if rc == 0 else list(margins))
+    for name, margin in margins.items():
+        assert entries[name]["margin"] == pytest.approx(margin, abs=1e-4), name
 
 
 def _seeded(seed=None, schedule_seed=None):

@@ -501,6 +501,14 @@ def test_errors_carry_dotted_paths():
             "domain": {"lower": [0.0] * 3, "upper": [1.0] * 3, "chains": [[0, 1, 2]]},
             "init": {"xi0": [0.1, 0.55, 0.9]}, "gradient": {"mode": "analytic"}},
      r"gradient\.mode: analytic parameter gradients are implemented under the L2 energy only"),
+    # certify values that passed check and were refused by run's summary, or
+    # made a bound divide by zero
+    ("certify", {"nu": 2}, r"certify\.nu: nu must lie in \(0, 1\], got 2\.0"),
+    ("certify", {"nu": 0.0}, r"certify\.nu: nu must lie in \(0, 1\], got 0\.0"),
+    ("certify", {"L": -1}, r"certify\.L: expected a nonnegative number, got -1"),
+    ("certify", {"eps_target": -1e-3},
+     r"certify\.eps_target: expected a nonnegative number, got -0\.001"),
+    ("certify", {"zeta": 0}, r"certify\.zeta: expected a positive number, got 0"),
 ])
 def test_malformed_values_name_their_path(section, value, message):
     data = _base()

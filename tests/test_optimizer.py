@@ -175,7 +175,7 @@ def test_run_record_shape_and_transitions():
         assert it.decrease_achieved >= it.decrease_guaranteed - 1e-9
         assert_allclose(it.gamma, 0.9 * 1.0 / 5.0)
     assert isinstance(rec.linear_rule, FullSolveCG)
-    assert rec.hoelder_L == 5.0 and rec.hoelder_nu == 1.0
+    assert rec.hoelder_L == 5.0 and rec.schedule is kw["schedule"]
     # best tracking
     energies = [it.K for it in rec.iterates]
     assert rec.best_K == min(energies)
@@ -293,9 +293,9 @@ def test_run_omega_min_guard():
 
 
 def test_run_constant_gamma_has_no_hoelder_record():
-    rec = run(**_run_kwargs(schedule=ConstantGamma(0.01),
-                            stopping=StoppingCriteria(max_epochs=2)))
-    assert rec.hoelder_L is None and rec.hoelder_nu == 1.0
+    schedule = ConstantGamma(0.01)
+    rec = run(**_run_kwargs(schedule=schedule, stopping=StoppingCriteria(max_epochs=2)))
+    assert rec.hoelder_L is None and rec.schedule is schedule
     assert rec.iterates[0].gamma == 0.01
 
 
