@@ -20,12 +20,21 @@ diagonals of A and G (:meth:`~nonlinritz.basis.FreeKnotHats.element_products`),
 O(Q) work per point besides filling the dense outputs.  Every other family
 is assembled from dense products of its basis values, O(n^2 Q) per point.
 
+Each point is evaluated once (:class:`Evaluator`): the split of the rule
+at its breakpoints, the problem's fields on those nodes and the family
+there (the bumps, the cell of each hat node, the amplitude).  ``assemble``
+forms A, G and the load from that evaluation, and the system keeps it, so
+the analytic parameter gradient at the same point reads the same basis
+and field values instead of evaluating them again.  When the family's
+breakpoints do not move with ``xi`` every point shares one set of
+quadrature nodes, whose field values an evaluator computes once;
+otherwise each point gets its own split of the rule, and points whose
+splits have equally many panels are evaluated together on ``(N, Q)``
+nodes.
+
 ``assemble`` takes a stack of points; one point is the stack of one, so a
 run and the replay of its states build every system through the same code.
-When the family's breakpoints do not move with ``xi`` the stack shares one
-set of quadrature nodes; otherwise each point gets its own split of the
-rule, and points whose splits have equally many panels are evaluated
-together on ``(N, Q)`` nodes.  A stack's matrices and loads carry its
+A stack's matrices and loads carry its
 leading axis and are built by the same products; every check, the
 eigendecomposition (``numpy.linalg.eigh``, which decomposes a stack matrix
 by matrix) and the minimum-norm solve act per matrix, each bitwise as for
@@ -47,10 +56,11 @@ from .variational import QuadratureRule
 
 __all__ = [
     "AssembledSystem",
+    "Evaluation",
+    "Evaluator",
     "assemble",
     "quadratic_energy",
     "stack_slices",
-    "quadrature_groups",
     "ConsistencyReport",
     "check_consistency",
 ]
@@ -60,8 +70,9 @@ _KERNEL_TOL = 1e-10
 
 #: float64 entries one stacked ``assemble`` of dense products may evaluate:
 #: per point, its basis values, nodes and weights, ``n_linear + 2`` rows of
-#: one entry per node.  The arrays held at once come to about twice this
-#: (2.4 MB).
+#: one entry per node.  The arrays held at once, the basis values the
+#: system keeps and one temporary of their size, come to about twice this
+#: (2.4 MB); so do those of the analytic gradient read from them.
 _STACK_ELEMENTS = 150_000
 
 #: float64 entries one stacked ``assemble`` of free-knot hats may hold at
@@ -89,6 +100,7 @@ class AssembledSystem:
     matrix: np.ndarray          # A(xi), symmetrised
     load: np.ndarray            # ell(phi(xi))
     gram: np.ndarray            # G(xi), symmetrised; the same array as A for L2
+    evaluation: Evaluation | None = None  # what it was assembled from
 
     @cached_property
     def spectrum(self):
@@ -216,94 +228,150 @@ def _symmetrise(M: np.ndarray, label: str, xi) -> np.ndarray:
     return out
 
 
+class Evaluation:
+    """What one point, or each point of a stack, is evaluated to.
+
+    ``xi`` is the checked point ``(d,)`` or stack ``(N, d)``.  ``groups``
+    holds, per group of points evaluated together, ``(rows, weights,
+    fields, cells)``: the rows of the stack ``(N, d)`` it holds
+    (``slice(None)`` when every point shares one split of the rule), the
+    split's weights, ``(Q,)`` shared or ``(len(rows), Q)``, the problem's
+    weighted fields on its nodes (:func:`_field_values`) and the family's
+    evaluation (``family.evaluate``) of those points on those nodes.
+    """
+
+    # plain classes: each frozen dataclass costs about 1 ms of import
+    __slots__ = ("xi", "groups")
+
+    def __init__(self, xi, groups):
+        self.xi, self.groups = xi, groups
+
+
+class Evaluator:
+    """Evaluates the points of one problem, rule and family.
+
+    When the family's breakpoints do not move with ``xi`` every point
+    shares one split of the rule, whose nodes, weights and field values
+    are computed on first use and kept: an evaluator built once per run,
+    replay or check computes them once.
+    """
+
+    def __init__(self, problem, rule: QuadratureRule, family):
+        self.problem, self.rule, self.family = problem, rule, family
+
+    @cached_property
+    def _shared(self):
+        """The split shared by every point: nodes, weights and field values."""
+        r = self.rule.split_at(tuple(self.problem.coefficient_breakpoints()))
+        return r.nodes, r.weights, _field_values(self.problem, r.nodes, r.weights)
+
+    def evaluate(self, xi) -> Evaluation:
+        """The evaluation of one point ``(d,)`` or of a stack ``(N, d)``.
+
+        A point is evaluated as the stack of one.  Points whose breakpoints
+        move get their own split of the rule (bitwise ``split_at`` of that
+        point), and points whose splits have equally many panels are
+        evaluated together on ``(len(rows), Q)`` nodes.
+        """
+        prob, fam = self.problem, self.family
+        xi = fam.require_param(xi)
+        if prob.needs_h1 and not fam.vanishes_on_boundary:
+            raise ConfigError(
+                "the Dirichlet problem needs trial functions vanishing on the "
+                "boundary; this family does not (use FreeKnotHats with "
+                "dirichlet=True)"
+            )
+        stack = np.atleast_2d(xi)
+        breaks = fam.breakpoints(stack)
+        if not breaks:
+            x, w, fields = self._shared
+            return Evaluation(xi, [(slice(None), w, fields, fam.evaluate(stack, x))])
+        coefficient = tuple(prob.coefficient_breakpoints())
+        rows = np.empty((len(stack), len(breaks) + len(coefficient)))
+        rows[:, :len(breaks)] = np.transpose(breaks)
+        rows[:, len(breaks):] = coefficient
+        return Evaluation(xi, [(idx, w, _field_values(prob, x, w), fam.evaluate(stack[idx], x))
+                               for idx, x, w in self.rule.split_rows(rows)])
+
+
 def assemble(problem, rule: QuadratureRule, family, xi) -> AssembledSystem:
     """Assemble A(xi), load(xi), G(xi) with panels split at all breakpoints.
 
-    ``xi`` is one point ``(d,)`` or a stack ``(N, d)``; a stack gives
-    ``(N, n, n)`` matrices and ``(N, n)`` loads, each bitwise that of its
-    point assembled alone.  A point is assembled as the stack of one, whose
-    row it returns.
+    ``xi`` is one point ``(d,)``, a stack ``(N, d)`` or their
+    :class:`Evaluation` (an :class:`Evaluator`'s, whose shared field values
+    are not computed again); a stack gives ``(N, n, n)`` matrices and
+    ``(N, n)`` loads, each bitwise that of its point assembled alone.  A
+    point is assembled as the stack of one, whose row it returns.  The
+    system keeps the evaluation.
     """
-    xi = family.require_param(xi)
-    if problem.needs_h1 and not family.vanishes_on_boundary:
-        raise ConfigError(
-            "the Dirichlet problem needs trial functions vanishing on the "
-            "boundary; this family does not (use FreeKnotHats with "
-            "dirichlet=True)"
-        )
-    stack = np.atleast_2d(xi)
-    parts = [(idx, _products(problem, family, stack[idx], x, w))
-             for idx, x, w in quadrature_groups(problem, rule, family, stack)]
-    bad, A, G, load = (_gather(len(stack), [(idx, p[k]) for idx, p in parts]) for k in range(4))
+    ev = xi if isinstance(xi, Evaluation) else Evaluator(problem, rule, family).evaluate(xi)
+    xi = ev.xi
+    parts = [(idx, _products(problem, family, w, fields, cells))
+             for idx, w, fields, cells in ev.groups]
+    bad, A, G, load = (_gather(len(np.atleast_2d(xi)), [(idx, p[k]) for idx, p in parts])
+                       for k in range(4))
     del parts  # the unsymmetrised matrices go as they are replaced
-    _raise_first(bad, stack, NumericalError, "basis evaluation produced non-finite values")
+    _raise_first(bad, xi, NumericalError, "basis evaluation produced non-finite values")
     # element-assembled hat systems are symmetric by construction
     fix = _finite if isinstance(family, FreeKnotHats) else _symmetrise
-    A = fix(A, "stiffness matrix", stack)
-    G = A if G is None else fix(G, "Gram matrix", stack)
+    A = fix(A, "stiffness matrix", xi)
+    G = A if G is None else fix(G, "Gram matrix", xi)
     if xi.ndim == 1:  # the stack's one row, still decomposed only on first use
         row = A[0]
         A, G, load = row, (row if G is A else G[0]), load[0]
-    return AssembledSystem(xi=xi, matrix=A, load=load, gram=G)
+    return AssembledSystem(xi=xi, matrix=A, load=load, gram=G, evaluation=ev)
 
 
-def quadrature_groups(problem, rule: QuadratureRule, family, xi) -> list:
-    """The rule split at the breakpoints of each point of the stack ``xi`` ``(N, d)``.
+def _field_values(problem, x, w):
+    """The problem's fields at nodes ``x``, times the weights ``w``.
 
-    Returns ``(rows, nodes, weights)`` per group of points evaluated
-    together.  When the family's breakpoints do not move with ``xi`` the
-    whole stack shares one split (``rows`` selects every point, nodes and
-    weights are ``(Q,)``); otherwise the groups of
-    :meth:`~nonlinritz.variational.QuadratureRule.split_rows`, whose rows
-    are bitwise ``split_at`` of each point.
+    Under the L2 energy the weighted target ``w f``, which the load and the
+    parameter gradient read; under the H1 energy the weighted coefficients
+    the element sums read: ``(w K, w s, load values, load slopes)``, the
+    lifting folded into the load (slopes None without boundary data).
     """
-    breaks = family.breakpoints(xi)
-    coefficient = tuple(problem.coefficient_breakpoints())
-    if not breaks:
-        r = rule.split_at(coefficient)
-        return [(slice(None), r.nodes, r.weights)]
-    rows = np.empty((len(xi), len(breaks) + len(coefficient)))
-    rows[:, :len(breaks)] = np.transpose(breaks)
-    rows[:, len(breaks):] = coefficient
-    return rule.split_rows(rows)
-
-
-def _products(problem, family, xi, x, w):
-    """``(bad, A, G, load)`` of the stack ``xi`` on nodes ``x``, weights ``w``.
-
-    ``x`` and ``w`` are ``(Q,)``, shared by every point, or ``(N, Q)``, one
-    row per point of the stack.  ``bad`` flags the points whose basis
-    values are not finite; A and G are not yet symmetrised, and G is None
-    under the L2 energy, whose Gram matrix is A.  Hats are assembled cell
-    by cell, every other family by dense products of its basis values
-    (``assemble`` admits no other family under an H1 energy).
-    """
-    if isinstance(family, FreeKnotHats):
-        return _element_products(problem, family, xi, x, w)
-    # weights broadcast against the basis axis
-    vals = family.basis_values(xi, x)
-    A = (vals * w[..., None, :]) @ _t(vals)
-    return _nonfinite(vals), A, None, np.matvec(vals, w * problem.target.values(x))
-
-
-def _element_products(problem, family, xi, x, w):
-    """``_products`` of free-knot hats, from per-cell integrals.
-
-    The hat pieces of finite knots on finite nodes are finite, so no point
-    is flagged.
-    """
-    bad = np.zeros(np.shape(xi)[:-1], dtype=bool)
     if not problem.needs_h1:
-        (A,), load = family.element_products(xi, x, [(w, None)], w * problem.target.values(x))
-        return bad, A, None, load
+        return w * problem.target.values(x)
     wK = w * problem.diffusivity.values(x)
     ws = w * problem.reaction.values(x)
     values, slopes = w * problem.source.values(x), None
     if problem.bc_lo != 0.0 or problem.bc_hi != 0.0:
         values = values - ws * problem.lifting.values(x)
         slopes = -wK * problem.lifting.derivs(x)
-    (A, G), load = family.element_products(xi, x, [(ws, wK), (w, w)], values, slopes)
-    return bad, A, G, load
+    return wK, ws, values, slopes
+
+
+def _products(problem, family, w, fields, cells):
+    """``(bad, A, G, load)`` of one group of an evaluation.
+
+    The weights ``w`` are ``(Q,)``, shared by every point, or ``(N, Q)``,
+    one row per point of the group.  ``bad`` flags the points whose basis
+    values are not finite; A and G are not yet symmetrised, and G is None
+    under the L2 energy, whose Gram matrix is A.  Hats are assembled cell
+    by cell, every other family by dense products of its basis values
+    (``assemble`` admits no other family under an H1 energy).
+    """
+    if isinstance(family, FreeKnotHats):
+        return _element_products(problem, family, w, fields, cells)
+    # weights broadcast against the basis axis
+    vals = family.values_of(cells)
+    A = (vals * w[..., None, :]) @ _t(vals)
+    return _nonfinite(vals), A, None, np.matvec(vals, fields)
+
+
+def _element_products(problem, family, w, fields, cells):
+    """``_products`` of free-knot hats, from per-cell integrals.
+
+    The hat pieces of finite knots on finite nodes are finite, so no point
+    is flagged.
+    """
+    if not problem.needs_h1:
+        (A,), load = family.element_products(cells, [(w, None)], fields)
+        G = None
+    else:
+        wK, ws, values, slopes = fields
+        (A, G), load = family.element_products(cells, [(ws, wK), (w, w)], values, slopes)
+    return np.zeros(len(A), dtype=bool), A, G, load
 
 
 def _nonfinite(vals):

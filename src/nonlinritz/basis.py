@@ -8,10 +8,14 @@ one point ``(d,)`` or a stack ``(N, d)``, with nodes ``x`` of shape ``(Q,)``
 shared by every point or ``(N, Q)``, one row per point, and return
 ``(..., n_linear, Q)``; ``breakpoints`` of a stack ``(N, d)`` gives one
 ``(N,)`` array per breakpoint.
-Each differentiable family returns the
+
+``evaluate(xi, x)`` evaluates the family once on the nodes: the bumps,
+the cell of each node for hats, the amplitude ``g(xi)``.
+The basis values (``values_of``) and, for each differentiable family, the
 parameter derivative of a realisation, ``d u / d xi_i`` of shape
-``(n_nonlinear, len(x))``, from ``dparam_values(xi, x, w)``; the derivative
-of a single basis function is that kernel applied to a unit vector.
+``(n_nonlinear, len(x))`` (``dparam_values(ev, w)``), are read from that
+evaluation; the derivative of a single basis function is that kernel
+applied to a unit vector.
 
 Families
 --------
@@ -345,10 +349,19 @@ class _FamilyBase:
     def basis_derivs(self, xi, x):
         return None
 
-    def realisation_and_dparam(self, xi, x, w):
-        """``(u, du)``: the realisation ``w . phi(xi)`` on ``x``, ``(..., Q)``,
-        and its parameter derivative ``dparam_values(xi, x, w)``."""
-        return np.vecmat(w, self.basis_values(xi, x)), self.dparam_values(xi, x, w)
+    def evaluate(self, xi, x):
+        """The family at ``xi`` on nodes ``x``: what :meth:`values_of` and
+        ``dparam_values`` read.  By default its basis values."""
+        return self.basis_values(xi, x)
+
+    def values_of(self, ev):
+        """Basis values ``(..., n_linear, Q)`` from an evaluation."""
+        return ev
+
+    def realisation_and_dparam(self, ev, w):
+        """``(u, du)`` from an evaluation: the realisation ``w . phi(xi)``,
+        ``(..., Q)``, and its parameter derivative ``dparam_values(ev, w)``."""
+        return np.vecmat(w, self.values_of(ev)), self.dparam_values(ev, w)
 
 
 @dataclass(frozen=True)
@@ -396,25 +409,27 @@ class GaussianBumps(_FamilyBase):
     def basis_derivs(self, xi, x):
         return -self._z(xi, x) * self.basis_values(xi, x)
 
-    def dparam_values(self, xi, x, w):
+    def evaluate(self, xi, x):
+        """``(xi, x, phi)``: the bumps ``(..., n_linear, Q)`` with their point
+        and nodes."""
+        return xi, x, self.basis_values(xi, x)
+
+    def values_of(self, ev):
+        return ev[2]
+
+    def dparam_values(self, ev, w):
         """d (w . phi) / d xi_k = w_k z_k phi_k: center k moves bump k only.
 
-        A stack of points takes one coefficient row per point.
+        A stack of points takes one coefficient row per point.  The
+        derivative is built in place of ``x - xi_k``: an evaluation holds
+        the bumps only, one array of their size.
         """
-        return self.realisation_and_dparam(xi, x, w)[1]
-
-    def realisation_and_dparam(self, xi, x, w):
-        """The base class's pair, with the bumps evaluated once.
-
-        The derivative ``w_k z_k phi_k`` is built in place of ``x - xi_k``,
-        holding two arrays of the bumps' size at once.
-        """
+        xi, x, phi = ev
         du = self._d(xi, x)
-        phi = self._phi(du)
         du /= self.widths[:, None] ** 2
         du *= phi
         du *= w[..., None]
-        return np.vecmat(w, phi), du
+        return du
 
 
 @dataclass(frozen=True)
@@ -511,14 +526,14 @@ class FreeKnotHats(_FamilyBase):
             c[(x < self.x_lo) | (x > self.x_hi)] = m + 1
         return t, x, c + (m + 3) * np.arange(N)[:, None]
 
-    def _hat_rows(self, xi, x, slopes: bool):
-        """Values (or slopes) of the hats, ``(..., n_linear, Q)``.
+    def _hat_rows(self, located, slopes: bool):
+        """Values (or slopes) of the hats on located nodes, ``(N, n_linear, Q)``.
 
         On its cell of width h a node gets hat c's falling piece
         ``(t_{c+1} - x) / h`` (slope ``-1/h``) and hat c+1's rising piece
         ``(x - t_c) / h`` (slope ``1/h``); all other entries are 0.
         """
-        t, x, at = self._locate(xi, x)
+        t, x, at = located
         lo, hi = np.take(t, at), np.take(t, at + 1)
         live = hi > lo
         h = np.where(live, hi - lo, 1.0)
@@ -534,19 +549,28 @@ class FreeKnotHats(_FamilyBase):
         flat[col] = np.where(live, fall, 0.0)
         flat[col + Q] = np.where(live, rise, 0.0)
         d = int(self.dirichlet)
-        out = np.ascontiguousarray(out[:, d:self.n_nonlinear + 2 - d])
-        return out[0] if np.ndim(xi) == 1 else out
+        return np.ascontiguousarray(out[:, d:self.n_nonlinear + 2 - d])
 
     def basis_values(self, xi, x):
-        return self._hat_rows(xi, x, slopes=False)
+        out = self._hat_rows(self._locate(xi, x), slopes=False)
+        return out[0] if np.ndim(xi) == 1 else out
 
     def basis_derivs(self, xi, x):
-        return self._hat_rows(xi, x, slopes=True)
+        out = self._hat_rows(self._locate(xi, x), slopes=True)
+        return out[0] if np.ndim(xi) == 1 else out
 
-    def element_products(self, xi, x, forms, values, slopes=None):
+    def evaluate(self, xi, x):
+        """The cell of each node, :meth:`_locate`'s ``(t, x, at)``."""
+        return self._locate(xi, x)
+
+    def values_of(self, ev):
+        return self._hat_rows(ev, slopes=False)
+
+    def element_products(self, located, forms, values, slopes=None):
         """Galerkin matrices and load of the hats, assembled cell by cell.
 
-        ``xi`` is a stack ``(N, d)`` with nodes ``(N, Q)``.  The other
+        ``located`` holds the cells of the nodes of a stack, from
+        :meth:`_locate`.  The other
         arguments hold one weight per node: each ``(mass, stiffness)`` pair
         of ``forms`` gives the matrix ``sum_x mass phi_i phi_j + stiffness
         phi_i' phi_j'`` (``stiffness`` None: no slope term), and the load is
@@ -561,7 +585,7 @@ class FreeKnotHats(_FamilyBase):
         over flat (point, cell) bins), so a stack gives bitwise its points'
         systems.
         """
-        t, x, at = self._locate(xi, x)
+        t, x, at = located
         N, cells = len(t), self.n_nonlinear + 1
         # the pieces times the cell's width: divided per cell, not per node
         rise, fall = x - np.take(t, at), np.take(t, at + 1) - x
@@ -603,12 +627,12 @@ class FreeKnotHats(_FamilyBase):
             vf, vr = vf - k, vr + k
         return mats, on_hats(vf, vr)[:, keep]
 
-    def dparam_values(self, xi, x, w):
-        """d (w . hat) / d xi_i, shape ``(..., m, Q)``.
+    def dparam_values(self, ev, w):
+        """d (w . hat) / d xi_i on located nodes, shape ``(..., m, Q)``.
 
-        One point ``(d,)`` with nodes ``(Q,)`` and coefficients ``(n,)``, or
-        a stack ``(N, d)`` with nodes ``(N, Q)`` and one coefficient row per
-        point ``(N, n)``.  A node's cell ``[a, b]`` (hats c and c+1) is the
+        One coefficient vector ``(n,)`` gives ``(m, Q)`` (the evaluation of
+        one point), one row per point of a stack ``(N, n)`` gives
+        ``(N, m, Q)``.  A node's cell ``[a, b]`` (hats c and c+1) is the
         left cell of knot c+1, which moves the hats by ``(x - a) / h^2`` and
         ``-(x - a) / h^2``, and the right cell of knot c, which moves them
         by ``(b - x) / h^2`` and ``(x - b) / h^2``.  Each entry adds its
@@ -616,7 +640,7 @@ class FreeKnotHats(_FamilyBase):
         per-hat derivatives with ``w``, and for each point of a stack
         bitwise that point's derivative alone.
         """
-        t, x, at = self._locate(xi, x)
+        t, x, at = ev
         (N, Q), m, d = x.shape, self.n_nonlinear, int(self.dirichlet)
         # cell widths in the flat layout of t (the last column pads)
         width = np.zeros(t.shape)
@@ -644,7 +668,7 @@ class FreeKnotHats(_FamilyBase):
         out[at + 1, col] = np.where(live, 0.0 + times(at, rise) + times(at + 1, -rise), 0.0)
         out[at, col] = np.where(live, 0.0 + times(at, -fall) + times(at + 1, fall), 0.0)
         out = out.reshape(N, m + 3, Q)[:, 1:m + 1]
-        return out[0] if np.ndim(xi) == 1 else out
+        return out[0] if np.ndim(w) == 1 else out
 
 
 @dataclass(frozen=True)
@@ -681,7 +705,7 @@ class IndicatorPair(_FamilyBase):
             axis=-2,
         )
 
-    def dparam_values(self, xi, x, w):
+    def dparam_values(self, ev, w):
         raise DerivativeUnavailableError(
             "indicator basis has no parameter derivative in L2 (boundary "
             "movement is a Dirac mass); use the closed-form energy gradient"
@@ -736,14 +760,23 @@ class SyntheticAmplitude(_FamilyBase):
         return np.divide(self.scale * xi, r, out=np.zeros(np.shape(xi)), where=r > 0.0)
 
     def basis_values(self, xi, x):
-        return np.tile(self._g(xi)[..., None, None], (1, np.shape(x)[-1]))
+        return self.values_of(self.evaluate(xi, x))
 
     def basis_derivs(self, xi, x):
         return np.zeros(np.shape(xi)[:-1] + (1, np.shape(x)[-1]))
 
-    def dparam_values(self, xi, x, w):
+    def evaluate(self, xi, x):
+        """``(xi, g(xi), Q)``: the amplitude and the number of nodes."""
+        return xi, self._g(xi), np.shape(x)[-1]
+
+    def values_of(self, ev):
+        _, g, Q = ev
+        return np.tile(g[..., None, None], (1, Q))
+
+    def dparam_values(self, ev, w):
         """d (w_0 g(xi)) / d xi = w_0 g'(xi), constant in space; per point of a stack."""
-        return np.tile((w[..., :1] * self._dg(xi))[..., None], (1, np.shape(x)[-1]))
+        xi, _, Q = ev
+        return np.tile((w[..., :1] * self._dg(xi))[..., None], (1, Q))
 
 
 # ---------------------------------------------------------------------------

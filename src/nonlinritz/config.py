@@ -87,20 +87,61 @@ _BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
 _UNARYOPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
+class _Constant:
+    """A number or ``pi`` leaf: its value, which the parent binds into its
+    own closure instead of calling a leaf for it."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+
+def _bind1(op, a):
+    """``op`` of one node as a function of ``x``."""
+    if isinstance(a, _Constant):
+        va = a.value
+        return lambda x: op(va)
+    return lambda x: op(a(x))
+
+
+def _bind2(op, a, b):
+    """``op`` of two nodes as a function of ``x``, constants bound in."""
+    if isinstance(a, _Constant):
+        va = a.value
+        if isinstance(b, _Constant):
+            vb = b.value
+            return lambda x: op(va, vb)
+        return lambda x: op(va, b(x))
+    if isinstance(b, _Constant):
+        vb = b.value
+        return lambda x: op(a(x), vb)
+    return lambda x: op(a(x), b(x))
+
+
+def _function(node):
+    """A node's value as a function of ``x``; a constant leaf becomes one."""
+    if isinstance(node, _Constant):
+        v = node.value
+        return lambda x: v
+    return node
+
+
 def _build(node, src):
     """Check the grammar node ``node`` and return its value as a function of ``x``.
 
     Each node's closure applies the ``operator`` or numpy function that Python
     applies to that node, to the same operands, so the values are Python's;
-    a call is specialised by its arity.  Nodes are checked depth first, left
-    to right, so the first error found is the one reported.
+    a call is specialised by its arity.  A number or ``pi`` is returned as a
+    :class:`_Constant`, whose value the parent's closure holds, so a leaf
+    costs no call.  Nodes are checked depth first, left to right, so the
+    first error found is the one reported.
     """
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
         op, left, right = _BINOPS[type(node.op)], _build(node.left, src), _build(node.right, src)
-        return lambda x: op(left(x), right(x))
+        return _bind2(op, left, right)
     if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARYOPS:
-        op, operand = _UNARYOPS[type(node.op)], _build(node.operand, src)
-        return lambda x: op(operand(x))
+        return _bind1(_UNARYOPS[type(node.op)], _build(node.operand, src))
     if isinstance(node, ast.Call):
         name = getattr(node.func, "id", "?")  # only an ast.Name has an id
         if name not in _FUNCS:
@@ -114,21 +155,23 @@ def _build(node, src):
             raise ConfigError(f"expression {src!r}: {name} takes {arity} argument(s)")
         args = [_build(a, src) for a in node.args]
         if arity == 1:
-            (a,) = args
-            return lambda x: fn(a(x))
+            return _bind1(fn, args[0])
         a, b, c = args
+        if isinstance(b, _Constant) and isinstance(c, _Constant):
+            a, vb, vc = _function(a), b.value, c.value
+            return lambda x: fn(a(x), vb, vc)
+        a, b, c = map(_function, args)
         return lambda x: fn(a(x), b(x), c(x))
     if isinstance(node, ast.Name):
         if node.id == "x":
             return lambda x: x
         if node.id == "pi":
-            return lambda x: math.pi
+            return _Constant(math.pi)
         raise ConfigError(f"expression {src!r}: unknown name {node.id!r}; allowed: x, pi")
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ConfigError(f"expression {src!r}: only numeric constants allowed")
-        value = node.value
-        return lambda x: value
+        return _Constant(node.value)
     raise ConfigError(f"expression {src!r}: construct {type(node).__name__} not in the grammar")
 
 
@@ -145,7 +188,7 @@ def compile_expression(src):
         where = (f"line {e.lineno}, " if e.lineno > 1 else "") + f"column {e.offset}"
         raise ConfigError(f"expression {src!r}: syntax error at "
                           f"{where if e.offset else 'the end of the input'}") from e
-    body = _build(tree.body, src)
+    body = _function(_build(tree.body, src))
 
     def fn(x):
         x = np.asarray(x, dtype=float)

@@ -8,9 +8,13 @@ parameters followed by a linear update at the new point:
 
 with best-iterate tracking, two early-stopping triggers (parameter
 stabilisation and energy plateau) and a final exact linear solve at the
-best parameters.  Each visited point is assembled once, and one
-eigendecomposition of its system serves the linear update, the decrease
-check, the spectral statistics and the reduced energy.  Every iterate keeps
+best parameters.  Each visited point is evaluated and assembled once: the
+basis and field values of its evaluation give its system and then the
+parameter gradient of the step that leaves it, and one eigendecomposition
+of its system serves the linear update, the decrease check, the spectral
+statistics and the reduced energy.  The residual ``A w_k - load`` and the
+energy ``K(w_{k+1})`` of a step are computed once, and an exact solve's
+energy is its reduced energy.  Every iterate keeps
 the quantities the convergence certificates consume: gradient-mapping and
 linear-gradient norms, step sizes, achieved/guaranteed energy drops, and
 spectral statistics.  A run stopped by parameter stabilisation also keeps
@@ -19,9 +23,10 @@ assembled, at the stopped point.
 
 :func:`replay` rebuilds that record from the states ``(xi_k, w_k)`` a run
 visited, without walking them one step at a time: once written, the
-states no longer depend on each other, so their systems and gradients are
-evaluated as stacks, and every transition and the stopping rule are
-checked bitwise.  ``run`` and ``replay`` share one record builder.
+states no longer depend on each other, so they are evaluated and assembled
+as stacks, each stack's gradients read from its evaluation, and every
+transition and the stopping rule are checked bitwise.  ``run`` and
+``replay`` share one record builder.
 
 The reduced (variable-projection) energy eliminates the linear block
 exactly:  Kbar(xi) = K(w*(xi), xi) = -0.5 * load(xi) . w*(xi).  Its
@@ -124,9 +129,13 @@ def estimate_lipschitz_L(grads, w, n_pairs: int, seed: int, nu: float = 1.0) -> 
         dists.append(d)
     if len(dists) < n_pairs:
         raise NumericalError("could not sample enough distinct parameter pairs")
-    # every gradient in one stack, each bitwise that point's alone
+    # the points are evaluated, never assembled, in stacks cut within the
+    # dense budget; each gradient is bitwise that point's alone
     w = np.asarray(w, dtype=float)
-    g = grads.grad_xi(np.broadcast_to(w, (len(points), w.size)), np.stack(points))
+    points = np.stack(points)
+    g = np.empty(points.shape)
+    for block in stack_slices(grads.problem, grads.rule, grads.family, points, dense=True):
+        g[block] = grads.grad_xi(np.broadcast_to(w, (len(points[block]), w.size)), points[block])
     best = 0.0
     for i, d in enumerate(dists):
         diff = float(np.linalg.norm(g[2 * i] - g[2 * i + 1]))
@@ -139,15 +148,16 @@ def estimate_lipschitz_L(grads, w, n_pairs: int, seed: int, nu: float = 1.0) -> 
 # ---------------------------------------------------------------------------
 
 
-def _reduced(system: AssembledSystem):
+def _reduced(system: AssembledSystem, K_star=None):
     """``(Kbar(xi), w_star)`` from an assembled system's exact solve.
 
     The value is computed both as the quadratic form ``-0.5 load . w*`` and
-    as ``K(w*, xi)``; disagreement beyond 1e-10 signals a failed solve.  On
-    a stack both are per point, and the first disagreeing point is named.
+    as ``K(w*, xi)``, unless the caller passes that value as ``K_star``;
+    disagreement beyond 1e-10 signals a failed solve.  On a stack both are
+    per point, and the first disagreeing point is named.
     """
     w_star = system.solution
-    direct = quadratic_energy(system, w_star)
+    direct = quadratic_energy(system, w_star) if K_star is None else K_star
     form = -0.5 * np.vecdot(system.load, w_star)
     _raise_first(
         np.abs(direct - form) > 1e-10 * (1.0 + np.abs(direct)), system.xi, NumericalError,
@@ -169,12 +179,13 @@ def reduced_energy(problem, rule, family, xi):
 
 def reduced_gradient(grads, xi):
     """grad Kbar(xi) via the envelope identity (no derivative of w*), from the
-    gradient oracle ``grads``: ``grads.grad_xi`` at ``w = w*(xi)``.
+    gradient oracle ``grads``: ``grads.grad_xi`` at ``w = w*(xi)``, read
+    from the system the oracle assembled at ``xi``.
 
     A stack of points gives one gradient per point.
     """
-    _, w_star = reduced_energy(grads.problem, grads.rule, grads.family, xi)
-    return grads.grad_xi(w_star, xi)
+    system = grads.system_at(xi)
+    return grads.grad_xi(_reduced(system)[1], system)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +365,9 @@ class _Recorder:
         self.linear_rule, self.schedule = linear_rule, schedule
         self.stopping, self.mu = stopping, geometry.mu
         self.frozen = isinstance(linear_rule, Frozen)
-        self.initial_decrease = None if self.frozen else decrease_check(system, w_init, w)
+        self.K = quadratic_energy(system, w)
+        self.initial_decrease = None if self.frozen else decrease_check(
+            system, quadratic_energy(system, w_init), self.K, system.matrix @ w_init - system.load)
         if isinstance(schedule, ConstantGamma):
             self.L_eff, self.L_raw, self.gamma = None, None, schedule.gamma
         else:
@@ -373,17 +386,19 @@ class _Recorder:
             self.gamma = schedule.zeta * self.mu / self.L_eff
         self.delta_star_fn = delta_star_fn
         self.system, self.w = system, w
-        self.K = quadratic_energy(system, w)
         self.records = [self._state(0, system, w, self.K)]
         self.best = (system, w.copy(), self.K)
 
     def _state(self, k, system, w, K):
+        """The record of the state ``(system.xi, w)`` of energy ``K``; an exact
+        solve (``w`` bitwise ``w*``) gives its energy to the reduced one."""
         return IterateRecord(
             k=k,
             xi=system.xi.copy(),
             w=w.copy(),
             K=K,
-            K_reduced=K if self.frozen else _reduced(system)[0],
+            K_reduced=K if self.frozen else _reduced(
+                system, K if _same(w, system.solution) else None)[0],
             lambda_max=system.lambda_max,
             omega=system.omega,
             phi_u2=system.phi_u2,
@@ -402,10 +417,12 @@ class _Recorder:
         cur.lipschitz_L = self.L_eff
         cur.grad_map_norm = float(np.linalg.norm(gradient_mapping(xi, xi_next, gamma)))
         cur.step_norm = float(np.linalg.norm(xi_next - xi))
-        cur.grad_w_post_norm = float(np.linalg.norm(system.matrix @ w - system.load))
-        if not self.frozen:
-            cur.decrease_achieved, cur.decrease_guaranteed = decrease_check(system, w, w_next)
+        residual = system.matrix @ w - system.load
+        cur.grad_w_post_norm = float(np.linalg.norm(residual))
         K_next = quadratic_energy(system, w_next)
+        if not self.frozen:
+            cur.decrease_achieved, cur.decrease_guaranteed = decrease_check(
+                system, quadratic_energy(system, w), K_next, residual)
         k = len(self.records)
         self.records.append(self._state(k, system, w_next, K_next))
         if K_next < self.best[2]:
@@ -471,15 +488,15 @@ def run(
     grads = make_gradients(problem, rule, family, mode=gradient_mode, fd_step=fd_step)
     frozen = isinstance(linear_rule, Frozen)
     xi, w_init = _start(family, linear_rule, xi0, w0)
-    system = assemble(problem, rule, family, xi)
+    system = grads.system_at(xi)
     _check_assumption1(system, omega_min, frozen)
     w = update_linear(linear_rule, system, w_init)
     recorder = _Recorder(linear_rule, geometry, schedule, stopping, grads, delta_star_fn,
                          system, w_init, w)
 
     for _ in range(stopping.max_epochs):
-        xi = prox_step(geometry, family.domain, xi, grads.grad_xi(w, xi), recorder.gamma)
-        system = assemble(problem, rule, family, xi)
+        xi = prox_step(geometry, family.domain, xi, grads.grad_xi(w, system), recorder.gamma)
+        system = grads.system_at(xi)
         _check_assumption1(system, omega_min, frozen)
         w = update_linear(linear_rule, system, w)
         termination = recorder.step(system, w)
@@ -514,11 +531,11 @@ def replay(
 
     ``states`` holds one row ``[xi_k, w_k]`` per recorded iterate; the other
     arguments are those :func:`run` took.  The states do not depend on each
-    other once written, so the gradients at ``(w_k, xi_k)`` are one stacked
-    ``grad_xi`` and the states are assembled as stacks, in the blocks of
-    :func:`~nonlinritz.assembly.stack_slices`; each is bitwise what the run
-    computed at that state.  Block by block, the record is built by the
-    same bookkeeping as the run's.
+    other once written, so the states are assembled as stacks, in the
+    blocks of :func:`~nonlinritz.assembly.stack_slices`, and the gradients
+    at ``(w_k, xi_k)`` are read from each block's evaluation; each is
+    bitwise what the run computed at that state.  Block by block, the
+    record is built by the same bookkeeping as the run's.
 
     Returns ``(record, faults)``.  ``faults`` lists, in order, what does not
     replay bitwise: ``xi_0`` and ``w_0`` against the config and the initial
@@ -549,29 +566,44 @@ def replay(
     if outside.size:
         return None, [f"xi_{outside[0]} lies outside the admissible domain"]
     n = len(states) - 1
-    grads_at = grads.grad_xi(ws[:-1], xis[:-1]) if n else None
+
+    def visited():
+        """``(k, system, g_k)`` per state in order, ``g_k`` the gradient a
+        step from state k takes (None at the last state, where none starts).
+
+        The states a step leaves go in the blocks of ``stack_slices``, one
+        block alive at a time, each assembled and differentiated as one
+        stack (within the dense budget when the gradient reads the basis),
+        its exact solves one stacked solve (frozen coefficients never ask
+        for one); the last state is assembled alone.
+        """
+        left, dense = xis[:n], grads.mode == "analytic"
+        for block in stack_slices(problem, rule, family, left, dense=dense) if n else ():
+            systems = grads.system_at(left[block])
+            steps = zip(range(n)[block], systems.rows(solve=not frozen),
+                        grads.grad_xi(ws[:n][block], systems))
+            del systems  # its evaluation goes before the next block's is made
+            yield from steps
+        yield n, grads.system_at(xis[n]), None
+
     faults, stops = [], []
-    # one block of systems alive at a time, each block's exact solves as one
-    # stacked solve (frozen coefficients never ask for one)
-    for block in stack_slices(problem, rule, family, xis):
-        for k, system in zip(range(len(xis))[block], assemble(
-                problem, rule, family, xis[block]).rows(solve=not frozen)):
-            _check_assumption1(system, omega_min, frozen)
-            if k == 0:
-                if not _same(xis[0], xi_start):
-                    faults.append("xi_0 is not the configured start")
-                if not _same(update_linear(linear_rule, system, w_init), ws[0]):
-                    faults.append("w_0 is not the initial linear update")
-                recorder = _Recorder(linear_rule, geometry, schedule, stopping, grads,
-                                     delta_star_fn, system, w_init, ws[0])
-                continue
-            xi_next = prox_step(geometry, family.domain, xis[k - 1], grads_at[k - 1],
-                                recorder.gamma)
+    for k, system, g in visited():
+        _check_assumption1(system, omega_min, frozen)
+        if k == 0:
+            if not _same(xis[0], xi_start):
+                faults.append("xi_0 is not the configured start")
+            if not _same(update_linear(linear_rule, system, w_init), ws[0]):
+                faults.append("w_0 is not the initial linear update")
+            recorder = _Recorder(linear_rule, geometry, schedule, stopping, grads,
+                                 delta_star_fn, system, w_init, ws[0])
+        else:
+            xi_next = prox_step(geometry, family.domain, xis[k - 1], g_prev, recorder.gamma)
             if not _same(xi_next, xis[k]):
                 faults.append(f"xi_{k} is not the prox step from iterate {k - 1}")
             if not _same(update_linear(linear_rule, system, ws[k - 1]), ws[k]):
                 faults.append(f"w_{k} is not the linear update at xi_{k}")
             stops.append(recorder.step(system, ws[k]))
+        g_prev = g
     fired = [k for k, stop in enumerate(stops) if stop is not None]
     if n > stopping.max_epochs:
         faults.append(f"{n} steps recorded, more than max_epochs = {stopping.max_epochs}")

@@ -23,16 +23,11 @@ by :func:`prox_optimality_residual` as a distance to the active normal cone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .assembly import (
-    AssembledSystem,
-    assemble,
-    quadrature_groups,
-    quadratic_energy,
-    stack_slices,
-)
+from .assembly import AssembledSystem, Evaluator, assemble, quadratic_energy, stack_slices
 from .basis import IndicatorPair, NonlinearDomain
 from .errors import (
     ConfigError,
@@ -105,20 +100,19 @@ def update_linear(rule, system: AssembledSystem, w) -> np.ndarray:
     raise ConfigError(f"unknown linear update rule {rule!r}")
 
 
-def decrease_check(system: AssembledSystem, w, w_plus):
-    """Achieved vs guaranteed energy drop of a linear update.
+def decrease_check(system: AssembledSystem, K, K_plus, residual):
+    """Achieved vs guaranteed energy drop of a linear update ``w -> w+``.
 
-    Returns ``(achieved, guaranteed)`` where ``achieved = K(w) - K(w+)`` and
+    Takes ``K = K(w)``, ``K_plus = K(w+)`` and ``residual = A w - load`` at
+    the system's point, which the caller has computed already.  Returns
+    ``(achieved, guaranteed)`` where ``achieved = K(w) - K(w+)`` and
     ``guaranteed = 0.5 * ||A w - load||^2 / lambda_max(A)``.
     """
     if system.lambda_max <= 0.0:
         raise SpdViolationError(
             f"decrease bound undefined: lambda_max = {system.lambda_max!r}"
         )
-    achieved = quadratic_energy(system, w) - quadratic_energy(system, w_plus)
-    g = system.matrix @ np.asarray(w, dtype=float) - system.load
-    guaranteed = 0.5 * float(g @ g) / system.lambda_max
-    return achieved, guaranteed
+    return K - K_plus, 0.5 * float(residual @ residual) / system.lambda_max
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +229,10 @@ class EnergyGradients:
 
     * ``analytic``: under the L2 energy, differentiate under the integral:
       ``d_i K = (u - f, d_i u)`` with ``u = w . phi(xi)`` and ``d_i u`` the
-      family's contracted parameter derivative ``dparam_values(xi, x, w)``,
-      both from ``realisation_and_dparam``.
+      family's contracted parameter derivative, both read by
+      ``realisation_and_dparam`` from the evaluation of the point, and the
+      weighted target ``f`` from its field values: the evaluation a system
+      kept from its assembly, or a fresh one of points never assembled.
     * ``closed_form``: hand-derived formulas; available for the indicator
       pair under the L2 energy, where the basis itself is not
       differentiable but the energy is.
@@ -248,7 +244,10 @@ class EnergyGradients:
 
     :meth:`grad_xi` takes one point or a stack of points with one
     coefficient vector each; every route evaluates a stack, and one point
-    is the stack of one.
+    is the stack of one.  :meth:`system_at` assembles the systems of the
+    run, replay or check that built the oracle from the evaluations of its
+    one :class:`~nonlinritz.assembly.Evaluator`, so the field values on a
+    node set shared by every point are computed once.
     """
 
     problem: object
@@ -257,22 +256,36 @@ class EnergyGradients:
     mode: str
     fd_step: float = 1e-6
 
+    @cached_property
+    def _evaluator(self) -> Evaluator:
+        return Evaluator(self.problem, self.rule, self.family)
+
+    def system_at(self, xi) -> AssembledSystem:
+        """The system assembled at one point or at each point of a stack."""
+        return assemble(self.problem, self.rule, self.family, self._evaluator.evaluate(xi))
+
     def energy(self, w, xi):
         """K(w, xi) at one point, or one value per point of a stack."""
-        return quadratic_energy(assemble(self.problem, self.rule, self.family, xi), w)
+        return quadratic_energy(self.system_at(xi), w)
 
-    def grad_xi(self, w, xi) -> np.ndarray:
+    def grad_xi(self, w, at) -> np.ndarray:
         """grad_xi K(w, xi) at one point ``(d,)``, or at each row of a stack.
 
-        A stack ``(N, d)`` takes one coefficient row per point ``(N, n)``
-        and gives ``(N, d)``, each row bitwise the gradient of that point
-        alone.
+        ``at`` is the point or stack ``xi``, or the system assembled there,
+        whose kept evaluation the analytic route reads.  A stack ``(N, d)``
+        takes one coefficient row per point ``(N, n)`` and gives ``(N, d)``,
+        each row bitwise the gradient of that point alone.
         """
-        xi = self.family.require_param(xi)
+        if isinstance(at, AssembledSystem):
+            xi, evaluation = at.xi, at.evaluation
+        else:
+            xi, evaluation = self.family.require_param(at), None
         points = np.atleast_2d(xi)
         w = np.asarray(w, dtype=float).reshape(len(points), -1)
         if self.mode == "analytic":
-            g = self._grad_xi_analytic(w, points)
+            if evaluation is None:
+                evaluation = self._evaluator.evaluate(points)
+            g = self._grad_xi_analytic(w, evaluation)
         elif self.mode == "closed_form":
             g = self._grad_xi_indicator(w, points)
         elif self.mode == "fd":
@@ -283,17 +296,12 @@ class EnergyGradients:
 
     # -- analytic: d_i K = (u, d_i u) - (f, d_i u) under the L2 energy -------
 
-    def _grad_xi_analytic(self, w, xi):
-        """One pass per block of :func:`stack_slices` and group of splits."""
-        fam, prob = self.family, self.problem
-        g = np.empty(xi.shape)
-        for block in stack_slices(prob, self.rule, fam, xi, dense=True):
-            xb, wb = xi[block], w[block]
-            part = g[block]
-            for idx, x, q in quadrature_groups(prob, self.rule, fam, xb):
-                u, du = fam.realisation_and_dparam(xb[idx], x, wb[idx])
-                fx = prob.target.values(x)
-                part[idx] = np.matvec(du, q * u) - np.matvec(du, q * fx)
+    def _grad_xi_analytic(self, w, evaluation):
+        """One pass per group of the evaluation's splits."""
+        g = np.empty((len(w), self.family.n_nonlinear))
+        for idx, q, qf, cells in evaluation.groups:
+            u, du = self.family.realisation_and_dparam(cells, w[idx])
+            g[idx] = np.matvec(du, q * u) - np.matvec(du, qf)
         return g
 
     # -- closed form for the indicator pair under the L2 energy ------------

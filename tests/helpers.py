@@ -9,7 +9,9 @@ import math
 
 import numpy as np
 
+from nonlinritz.assembly import quadratic_energy
 from nonlinritz.basis import realisation
+from nonlinritz.updates import decrease_check
 from nonlinritz.variational import Field, bilinear
 
 
@@ -22,6 +24,14 @@ def constant(c: float) -> Field:
 def indicator(a: float, b: float) -> Field:
     """Characteristic function of ``(a, b)``; an L2-only field."""
     return Field(lambda x: np.where((x > a) & (x < b), 1.0, 0.0), None, (float(a), float(b)))
+
+
+def decrease(system, w, w_plus):
+    """``decrease_check`` of the update ``w -> w_plus``, its energies and
+    residual computed here."""
+    w = np.asarray(w, dtype=float)
+    return decrease_check(system, quadratic_energy(system, w), quadratic_energy(system, w_plus),
+                          system.matrix @ w - system.load)
 
 
 def realised_gaps(record, problem, rule, family, u_star, best_in_V=0.0) -> np.ndarray:

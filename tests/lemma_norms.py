@@ -43,9 +43,9 @@ def dphi_norm(family, rule, xi, eta=None) -> float:
     r = rule.split_at([b for p in points for b in family.breakpoints(p)])
     total = 0.0
     for e in np.eye(family.n_linear):
-        d = family.dparam_values(points[0], r.nodes, e)
+        d = family.dparam_values(family.evaluate(points[0], r.nodes), e)
         if len(points) > 1:
-            d = d - family.dparam_values(points[1], r.nodes, e)
+            d = d - family.dparam_values(family.evaluate(points[1], r.nodes), e)
         total += float(np.sum((d * d) @ r.weights))
     return math.sqrt(total)
 

@@ -224,11 +224,11 @@ def test_gaussian_dparam_diagonal_value():
     fam = _gauss_family()
     xi = np.array([0.5, 0.3])
     x = np.array([0.6])
-    du = fam.dparam_values(xi, x, np.array([1.0, 0.0]))
+    du = fam.dparam_values(fam.evaluate(xi, x), np.array([1.0, 0.0]))
     assert du.shape == (2, 1)
     assert_allclose(du[0, 0], 10.0 * math.exp(-0.5), rtol=1e-14)
     assert du[1, 0] == 0.0  # centers are independent
-    assert fam.dparam_values(xi, x, np.array([0.0, 1.0]))[0, 0] == 0.0
+    assert fam.dparam_values(fam.evaluate(xi, x), np.array([0.0, 1.0]))[0, 0] == 0.0
 
 
 def test_gaussian_dparam_matches_fd():
@@ -236,7 +236,7 @@ def test_gaussian_dparam_matches_fd():
     xi = np.array([0.4, 0.7])
     x = np.linspace(0.0, 1.0, 11)
     w = np.array([0.8, -1.3])
-    du = fam.dparam_values(xi, x, w)
+    du = fam.dparam_values(fam.evaluate(xi, x), w)
     h = 1e-6
     for i in range(2):
         e = np.zeros(2)
@@ -357,7 +357,7 @@ def test_indicator_values():
 def test_indicator_dparam_raises():
     fam = _indicator_family()
     with pytest.raises(DerivativeUnavailableError, match="Dirac"):
-        fam.dparam_values(np.array([0.0, 0.5, 1.0]), np.array([0.3]), np.ones(2))
+        fam.dparam_values(fam.evaluate(np.array([0.0, 0.5, 1.0]), np.array([0.3])), np.ones(2))
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +382,12 @@ def test_synthetic_norm_profile_subgradient_at_origin():
     dom = NonlinearDomain([-1.0, -1.0], [1.0, 1.0])
     fam = SyntheticAmplitude(dom, profile="norm")
     x = np.array([0.5])
-    assert fam.dparam_values(np.zeros(2), x, np.ones(1)).tolist() == [[0.0], [0.0]]
+    assert fam.dparam_values(fam.evaluate(np.zeros(2), x), np.ones(1)).tolist() == [[0.0], [0.0]]
     xi = np.array([[0.0, 0.0], [0.6, -0.8]])
-    d = fam.dparam_values(xi, x, np.ones((2, 1)))
+    d = fam.dparam_values(fam.evaluate(xi, x), np.ones((2, 1)))
     assert d[0].tolist() == [[0.0], [0.0]]
     assert_allclose(d[1][:, 0], [0.6, -0.8], rtol=1e-15)
-    assert d[1].tolist() == fam.dparam_values(xi[1], x, np.ones(1)).tolist()
+    assert d[1].tolist() == fam.dparam_values(fam.evaluate(xi[1], x), np.ones(1)).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -1056,8 +1056,9 @@ def test_certify_replays_the_written_states_in_blocks(tmp_path, monkeypatch, cou
     states = np.load(os.path.join(out, "iterates.npy"))[:, :cfg.family.n_nonlinear]
     n = len(states)
     assert n == summary["iterations"] + 1 > 2
+    # the states a step leaves in blocks, the last state alone
     block = stack_slices(cfg.problem, cfg.rule, cfg.family, states)[0].stop
-    expected = math.ceil(n / block)
+    expected = math.ceil((n - 1) / block) + 1
     if make is _fd_hats_config:
         probes = np.repeat(states[:1], 2 * states.shape[1] * (n - 1), axis=0)
         expected += math.ceil(len(probes) / stack_slices(

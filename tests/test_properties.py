@@ -21,7 +21,6 @@ from nonlinritz.updates import (
     DiagonalGeometry,
     FullSolveCG,
     SteepestDescent,
-    decrease_check,
     make_gradients,
     prox_optimality_residual,
     prox_step,
@@ -29,7 +28,7 @@ from nonlinritz.updates import (
 )
 from nonlinritz.variational import DiffusionReaction1D, Field, L2Approx, QuadratureRule
 
-from helpers import constant
+from helpers import constant, decrease
 
 RULE = QuadratureRule.on_interval(0.0, 1.0, n_panels=8, order=5)
 TARGET = L2Approx(Field(lambda x: np.sin(3.0 * x) + 0.5 * np.exp(-40.0 * (x - 0.6) ** 2)))
@@ -206,7 +205,7 @@ def test_linear_update_achieves_guaranteed_decrease(n, seed, linear_rule):
                            rng.uniform(0.03, 0.3, n))
     system = assemble(TARGET, RULE, family, family.domain.sample(rng))
     w = rng.standard_normal(n)
-    achieved, guaranteed = decrease_check(system, w, update_linear(linear_rule, system, w))
+    achieved, guaranteed = decrease(system, w, update_linear(linear_rule, system, w))
     assert guaranteed >= 0.0
     assert achieved >= guaranteed - 1e-12 * (1.0 + abs(quadratic_energy(system, w)))
 
@@ -409,13 +408,14 @@ def _spoil(kind, bad, monkeypatch):
     """A stack evaluation and its point-by-point counterparts, spoiled at ``bad``."""
     family, xi, flag = _bumps_stack(bad)
     if kind == "non-finite basis":
-        clean = GaussianBumps.basis_values
+        clean = GaussianBumps.evaluate
 
         def poisoned(self, p, x):
             spoil = np.isin(np.atleast_2d(p)[:, 0], xi[flag, 0]).reshape(np.shape(p)[:-1])
-            return np.where(spoil[..., None, None], np.nan, clean(self, p, x))
+            p, x, phi = clean(self, p, x)
+            return p, x, np.where(spoil[..., None, None], np.nan, phi)
 
-        monkeypatch.setattr(GaussianBumps, "basis_values", poisoned)
+        monkeypatch.setattr(GaussianBumps, "evaluate", poisoned)
         return (lambda: assemble(TARGET, RULE, family, xi),
                 [lambda p=p: assemble(TARGET, RULE, family, p) for p in xi])
     A = np.tile(np.diag([2.0, 1.0]), (6, 1, 1))
