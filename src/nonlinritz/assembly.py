@@ -20,27 +20,30 @@ diagonals of A and G (:meth:`~nonlinritz.basis.FreeKnotHats.element_products`),
 O(Q) work per point besides filling the dense outputs.  Every other family
 is assembled from dense products of its basis values, O(n^2 Q) per point.
 
-Each point is evaluated once (:class:`Evaluator`): the split of the rule
-at its breakpoints, the problem's fields on those nodes and the family
-there (the bumps, the cell of each hat node, the amplitude).  ``assemble``
-forms A, G and the load from that evaluation, and the system keeps it, so
-the analytic parameter gradient at the same point reads the same basis
-and field values instead of evaluating them again.  When the family's
-breakpoints do not move with ``xi`` every point shares one set of
-quadrature nodes, whose field values an evaluator computes once;
-otherwise each point gets its own split of the rule, and points whose
-splits have equally many panels are evaluated together on ``(N, Q)``
-nodes.
+An :class:`Evaluator` holds the discretisation (problem, rule, family);
+a run, replay, check or grid oracle makes one and builds every system
+through it.  Each point is evaluated once: the split of the rule at its
+breakpoints, the problem's fields on those nodes and the family there
+(the bumps, the cell of each hat node, the amplitude).
+``Evaluator.assemble`` forms A, G and the load from that evaluation, and
+the system keeps it, so the analytic parameter gradient at the same point
+reads the same basis and field values instead of evaluating them again.
+When the family's breakpoints do not move with ``xi`` every point shares
+one set of quadrature nodes, whose field values an evaluator computes
+once; otherwise each point gets its own split of the rule, and points
+whose splits have equally many panels are evaluated together on
+``(N, Q)`` nodes.  The module-level :func:`assemble` is the one-shot
+entry point, through a fresh evaluator.
 
-``assemble`` takes a stack of points; one point is the stack of one, so a
-run and the replay of its states build every system through the same code.
-A stack's matrices and loads carry its
-leading axis and are built by the same products; every check, the
-eigendecomposition (``numpy.linalg.eigh``, which decomposes a stack matrix
-by matrix) and the minimum-norm solve act per matrix, each bitwise as for
-that point alone, and a failed check names the stack's first offending
-point.  Callers cut long stacks with :func:`stack_slices`, which bounds
-the memory one call holds.
+Assembly takes a stack of points; one point is the stack of one, so a run
+and the replay of its states build every system through the same code.
+A stack's matrices and loads carry its leading axis and are built by the
+same products; every check, the eigendecomposition
+(``numpy.linalg.eigh``, which decomposes a stack matrix by matrix) and the
+minimum-norm solve act per matrix, each bitwise as for that point alone,
+and a failed check names the stack's first offending point.  Callers cut
+long stacks with ``Evaluator.slices``, which bounds the memory one call
+holds.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ __all__ = [
     "Evaluator",
     "assemble",
     "quadratic_energy",
-    "stack_slices",
     "ConsistencyReport",
     "check_consistency",
 ]
@@ -248,12 +250,13 @@ class Evaluation:
 
 
 class Evaluator:
-    """Evaluates the points of one problem, rule and family.
+    """The discretisation of one problem, rule and family.
 
-    When the family's breakpoints do not move with ``xi`` every point
-    shares one split of the rule, whose nodes, weights and field values
-    are computed on first use and kept: an evaluator built once per run,
-    replay or check computes them once.
+    It evaluates and assembles points and cuts stacks of them into blocks;
+    a run, replay, check or grid oracle makes one.  When the family's
+    breakpoints do not move with ``xi`` every point shares one split of
+    the rule, whose nodes, weights and field values are computed on first
+    use and kept, so that evaluator computes them once.
     """
 
     def __init__(self, problem, rule: QuadratureRule, family):
@@ -293,33 +296,58 @@ class Evaluator:
         return Evaluation(xi, [(idx, w, _field_values(prob, x, w), fam.evaluate(stack[idx], x))
                                for idx, x, w in self.rule.split_rows(rows)])
 
+    def assemble(self, xi) -> AssembledSystem:
+        """A(xi), load(xi), G(xi) with panels split at all breakpoints.
+
+        ``xi`` is one point ``(d,)`` or a stack ``(N, d)``; a stack gives
+        ``(N, n, n)`` matrices and ``(N, n)`` loads, each bitwise that of
+        its point assembled alone.  A point is assembled as the stack of
+        one, whose row it returns.  The system keeps the evaluation.
+        """
+        problem, family = self.problem, self.family
+        ev = self.evaluate(xi)
+        xi = ev.xi
+        parts = [(idx, _products(problem, family, w, fields, cells))
+                 for idx, w, fields, cells in ev.groups]
+        bad, A, G, load = (_gather(len(np.atleast_2d(xi)), [(idx, p[k]) for idx, p in parts])
+                           for k in range(4))
+        del parts  # the unsymmetrised matrices go as they are replaced
+        _raise_first(bad, xi, NumericalError, "basis evaluation produced non-finite values")
+        # element-assembled hat systems are symmetric by construction
+        fix = _finite if isinstance(family, FreeKnotHats) else _symmetrise
+        A = fix(A, "stiffness matrix", xi)
+        G = A if G is None else fix(G, "Gram matrix", xi)
+        if xi.ndim == 1:  # the stack's one row, still decomposed only on first use
+            row = A[0]
+            A, G, load = row, (row if G is A else G[0]), load[0]
+        return AssembledSystem(xi=xi, matrix=A, load=load, gram=G, evaluation=ev)
+
+    def slices(self, points, dense: bool = False) -> list:
+        """Slices cutting the stack ``points`` ``(N, d)`` into blocks for :meth:`assemble`.
+
+        A block's points are counted on a bound on their nodes: the rule's
+        panels plus one per breakpoint of the family and of the problem's
+        coefficients, times the order.  Hats, assembled cell by cell, fill
+        ``_ELEMENT_STACK_ELEMENTS``; every other family, evaluated by dense
+        products, fills ``_STACK_ELEMENTS``, and so do hats with ``dense``
+        (analytic gradients evaluate dense basis values of every family).
+        One point exceeding the budget still makes a block of its own.
+        """
+        rule, family = self.rule, self.family
+        breaks = len(family.breakpoints(points[0])) + len(self.problem.coefficient_breakpoints())
+        nodes = (rule.boundaries.size - 1 + breaks) * rule.order
+        n = family.n_linear
+        if isinstance(family, FreeKnotHats) and not dense:
+            step = _ELEMENT_STACK_ELEMENTS // (_ELEMENT_ROWS * nodes + 3 * n * n)
+        else:
+            step = _STACK_ELEMENTS // ((n + 2) * nodes)
+        step = max(1, step)
+        return [slice(b, b + step) for b in range(0, len(points), step)]
+
 
 def assemble(problem, rule: QuadratureRule, family, xi) -> AssembledSystem:
-    """Assemble A(xi), load(xi), G(xi) with panels split at all breakpoints.
-
-    ``xi`` is one point ``(d,)``, a stack ``(N, d)`` or their
-    :class:`Evaluation` (an :class:`Evaluator`'s, whose shared field values
-    are not computed again); a stack gives ``(N, n, n)`` matrices and
-    ``(N, n)`` loads, each bitwise that of its point assembled alone.  A
-    point is assembled as the stack of one, whose row it returns.  The
-    system keeps the evaluation.
-    """
-    ev = xi if isinstance(xi, Evaluation) else Evaluator(problem, rule, family).evaluate(xi)
-    xi = ev.xi
-    parts = [(idx, _products(problem, family, w, fields, cells))
-             for idx, w, fields, cells in ev.groups]
-    bad, A, G, load = (_gather(len(np.atleast_2d(xi)), [(idx, p[k]) for idx, p in parts])
-                       for k in range(4))
-    del parts  # the unsymmetrised matrices go as they are replaced
-    _raise_first(bad, xi, NumericalError, "basis evaluation produced non-finite values")
-    # element-assembled hat systems are symmetric by construction
-    fix = _finite if isinstance(family, FreeKnotHats) else _symmetrise
-    A = fix(A, "stiffness matrix", xi)
-    G = A if G is None else fix(G, "Gram matrix", xi)
-    if xi.ndim == 1:  # the stack's one row, still decomposed only on first use
-        row = A[0]
-        A, G, load = row, (row if G is A else G[0]), load[0]
-    return AssembledSystem(xi=xi, matrix=A, load=load, gram=G, evaluation=ev)
+    """The system at one point or stack ``xi``, assembled by a fresh :class:`Evaluator`."""
+    return Evaluator(problem, rule, family).assemble(xi)
 
 
 def _field_values(problem, x, w):
@@ -388,28 +416,6 @@ def _gather(n: int, parts):
     for rows, part in parts:
         out[rows] = part
     return out
-
-
-def stack_slices(problem, rule: QuadratureRule, family, points, dense: bool = False) -> list:
-    """Slices cutting the stack ``points`` ``(N, d)`` into blocks for ``assemble``.
-
-    A block's points are counted on a bound on their nodes: the rule's
-    panels plus one per breakpoint of the family and of the problem's
-    coefficients, times the order.  Hats, assembled cell by cell, fill
-    ``_ELEMENT_STACK_ELEMENTS``; every other family, evaluated by dense
-    products, fills ``_STACK_ELEMENTS``, and so do hats with ``dense``
-    (analytic gradients evaluate dense basis values of every family).  One
-    point exceeding the budget still makes a block of its own.
-    """
-    breaks = len(family.breakpoints(points[0])) + len(problem.coefficient_breakpoints())
-    nodes = (rule.boundaries.size - 1 + breaks) * rule.order
-    n = family.n_linear
-    if isinstance(family, FreeKnotHats) and not dense:
-        step = _ELEMENT_STACK_ELEMENTS // (_ELEMENT_ROWS * nodes + 3 * n * n)
-    else:
-        step = _STACK_ELEMENTS // ((n + 2) * nodes)
-    step = max(1, step)
-    return [slice(b, b + step) for b in range(0, len(points), step)]
 
 
 def quadratic_energy(system: AssembledSystem, w):

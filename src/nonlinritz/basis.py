@@ -358,11 +358,6 @@ class _FamilyBase:
         """Basis values ``(..., n_linear, Q)`` from an evaluation."""
         return ev
 
-    def realisation_and_dparam(self, ev, w):
-        """``(u, du)`` from an evaluation: the realisation ``w . phi(xi)``,
-        ``(..., Q)``, and its parameter derivative ``dparam_values(ev, w)``."""
-        return np.vecmat(w, self.values_of(ev)), self.dparam_values(ev, w)
-
 
 @dataclass(frozen=True)
 class GaussianBumps(_FamilyBase):

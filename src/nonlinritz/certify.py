@@ -20,10 +20,10 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .assembly import assemble, quadratic_energy, stack_slices
+from .assembly import Evaluator, quadratic_energy
 from .basis import realisation
 from .errors import ConfigError
-from .optimizer import ConstantGamma, RunRecord, _hoelder_exponent, reduced_energy
+from .optimizer import ConstantGamma, RunRecord, _hoelder_exponent, _reduced
 from .updates import Frozen, FullSolveCG
 from .variational import Field, bilinear, linear_form
 
@@ -195,12 +195,12 @@ def minimiser_grid_oracle(
     points.  Limited to three nonlinear parameters; use an analytic oracle
     beyond that.
 
-    The feasible points are evaluated in grid order as stacks cut by
-    :func:`~nonlinritz.assembly.stack_slices`: one ``assemble`` and one
-    stacked ``numpy.linalg.eigh`` per block, whatever the family (hats and
-    the indicator pair split the quadrature per point inside
-    ``assemble``).  Every value is bitwise the one of that point evaluated
-    alone.
+    The feasible points are evaluated in grid order by one
+    :class:`~nonlinritz.assembly.Evaluator`, as stacks cut by its
+    ``slices``: one assembly and one stacked ``numpy.linalg.eigh`` per
+    block, whatever the family (hats and the indicator pair split the
+    quadrature per point inside the assembly).  Every value is bitwise the
+    one of that point evaluated alone.
     """
     domain = family.domain
     if domain.dim > 3:
@@ -230,11 +230,13 @@ def minimiser_grid_oracle(
         raise ConfigError("no feasible grid points; check domain and resolution")
 
     vals = np.empty(pts.shape[0])
-    for block in stack_slices(problem, rule, family, pts):
+    evaluator = Evaluator(problem, rule, family)
+    for block in evaluator.slices(pts):
+        system = evaluator.assemble(pts[block])
         if frozen_w is not None:
-            vals[block] = quadratic_energy(assemble(problem, rule, family, pts[block]), frozen_w)
+            vals[block] = quadratic_energy(system, frozen_w)
         else:
-            vals[block] = reduced_energy(problem, rule, family, pts[block])[0]
+            vals[block] = _reduced(system)[0]
     vals_full = np.full(shape, np.nan).reshape(-1)
     vals_full[feasible] = vals
     vals_full = vals_full.reshape(shape)

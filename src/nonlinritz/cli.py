@@ -48,10 +48,10 @@ import sys
 import numpy as np
 
 from . import certify as cert
-from .assembly import assemble, check_consistency
+from .assembly import check_consistency
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, NonlinRitzError, NumericalError
-from .optimizer import reduced_energy, reduced_gradient, replay, run
+from .optimizer import _reduced, reduced_gradient, replay, run
 from .updates import (Frozen, central_differences, make_gradients, probed_coordinates,
                       prox_optimality_residual, prox_step)
 from .variational import L2Approx, integrate
@@ -427,10 +427,12 @@ def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
                          abs(total - span), 1e-12 * span,
                          f"sum of weights {_fmt(total)} vs span {_fmt(span)}"))
 
-    # each sample set is evaluated as one stack, every row bitwise that point alone
-    domain = cfg.family.domain
-    systems = assemble(cfg.problem, cfg.rule, cfg.family,
-                       np.array([domain.sample(rng) for _ in range(5)])).rows()
+    # every system is assembled by the oracle's evaluator; each sample set
+    # is evaluated as one stack, every row bitwise that point alone
+    grads = make_gradients(cfg.problem, cfg.rule, cfg.family, mode=cfg.gradient_mode,
+                           fd_step=cfg.fd_step)
+    assemble, domain = grads.evaluator.assemble, cfg.family.domain
+    systems = assemble(np.array([domain.sample(rng) for _ in range(5)])).rows()
     psd = [_exact("assembly-psd", f"sample {k}", -np.minimum(s.lambda_min, s.omega), 1e-10)
            for k, s in enumerate(systems)]
     lam = [cert.lambda_max_entry(f"sample {k}", s, cfg.constants)
@@ -455,7 +457,7 @@ def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
                            res, 1e-6 * (1.0 + float(np.linalg.norm(g)))))
     report.extend(cert._worst(prox, f"{len(prox)} random draws"))
 
-    rep = check_consistency(assemble(cfg.problem, cfg.rule, cfg.family, cfg.xi0))
+    rep = check_consistency(assemble(cfg.xi0))
     report.extend(_exact(
         "consistency-at-start", "xi0",
         np.maximum(rep.load_kernel_residual, rep.realisation_gap), 1e-8,
@@ -471,13 +473,9 @@ def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
     margin = max(1e-3 * float(np.min(width, where=moves, initial=np.inf)), h)
     interior = domain.shrink(np.where(moves, margin, 0.0))
     xis = np.array([interior.sample(rng) for _ in range(3)])
-    grads = make_gradients(cfg.problem, cfg.rule, cfg.family, mode=cfg.gradient_mode,
-                           fd_step=cfg.fd_step)
     g = reduced_gradient(grads, xis)
-    fd = central_differences(
-        lambda probes, _: reduced_energy(cfg.problem, cfg.rule, cfg.family, probes)[0],
-        cfg.problem, cfg.rule, cfg.family, xis, h,
-    )
+    fd = central_differences(lambda probes, _: _reduced(assemble(probes))[0],
+                             grads.evaluator, xis, h)
     errors = [_exact("reduced-gradient-fd", f"point {k}",
                      np.linalg.norm(a - b) / (1.0 + np.linalg.norm(b)), 1e-4)
               for k, (a, b) in enumerate(zip(g[:, moves], fd[:, moves]))]

@@ -87,61 +87,20 @@ _BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
 _UNARYOPS = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
-class _Constant:
-    """A number or ``pi`` leaf: its value, which the parent binds into its
-    own closure instead of calling a leaf for it."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-
-def _bind1(op, a):
-    """``op`` of one node as a function of ``x``."""
-    if isinstance(a, _Constant):
-        va = a.value
-        return lambda x: op(va)
-    return lambda x: op(a(x))
-
-
-def _bind2(op, a, b):
-    """``op`` of two nodes as a function of ``x``, constants bound in."""
-    if isinstance(a, _Constant):
-        va = a.value
-        if isinstance(b, _Constant):
-            vb = b.value
-            return lambda x: op(va, vb)
-        return lambda x: op(va, b(x))
-    if isinstance(b, _Constant):
-        vb = b.value
-        return lambda x: op(a(x), vb)
-    return lambda x: op(a(x), b(x))
-
-
-def _function(node):
-    """A node's value as a function of ``x``; a constant leaf becomes one."""
-    if isinstance(node, _Constant):
-        v = node.value
-        return lambda x: v
-    return node
-
-
 def _build(node, src):
     """Check the grammar node ``node`` and return its value as a function of ``x``.
 
     Each node's closure applies the ``operator`` or numpy function that Python
     applies to that node, to the same operands, so the values are Python's;
-    a call is specialised by its arity.  A number or ``pi`` is returned as a
-    :class:`_Constant`, whose value the parent's closure holds, so a leaf
-    costs no call.  Nodes are checked depth first, left to right, so the
-    first error found is the one reported.
+    a call is specialised by its arity.  Nodes are checked depth first, left
+    to right, so the first error found is the one reported.
     """
     if isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
         op, left, right = _BINOPS[type(node.op)], _build(node.left, src), _build(node.right, src)
-        return _bind2(op, left, right)
+        return lambda x: op(left(x), right(x))
     if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARYOPS:
-        return _bind1(_UNARYOPS[type(node.op)], _build(node.operand, src))
+        op, operand = _UNARYOPS[type(node.op)], _build(node.operand, src)
+        return lambda x: op(operand(x))
     if isinstance(node, ast.Call):
         name = getattr(node.func, "id", "?")  # only an ast.Name has an id
         if name not in _FUNCS:
@@ -155,23 +114,21 @@ def _build(node, src):
             raise ConfigError(f"expression {src!r}: {name} takes {arity} argument(s)")
         args = [_build(a, src) for a in node.args]
         if arity == 1:
-            return _bind1(fn, args[0])
+            (a,) = args
+            return lambda x: fn(a(x))
         a, b, c = args
-        if isinstance(b, _Constant) and isinstance(c, _Constant):
-            a, vb, vc = _function(a), b.value, c.value
-            return lambda x: fn(a(x), vb, vc)
-        a, b, c = map(_function, args)
         return lambda x: fn(a(x), b(x), c(x))
     if isinstance(node, ast.Name):
         if node.id == "x":
             return lambda x: x
         if node.id == "pi":
-            return _Constant(math.pi)
+            return lambda x: math.pi
         raise ConfigError(f"expression {src!r}: unknown name {node.id!r}; allowed: x, pi")
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ConfigError(f"expression {src!r}: only numeric constants allowed")
-        return _Constant(node.value)
+        value = node.value
+        return lambda x: value
     raise ConfigError(f"expression {src!r}: construct {type(node).__name__} not in the grammar")
 
 
@@ -188,7 +145,7 @@ def compile_expression(src):
         where = (f"line {e.lineno}, " if e.lineno > 1 else "") + f"column {e.offset}"
         raise ConfigError(f"expression {src!r}: syntax error at "
                           f"{where if e.offset else 'the end of the input'}") from e
-    body = _function(_build(tree.body, src))
+    body = _build(tree.body, src)
 
     def fn(x):
         x = np.asarray(x, dtype=float)
@@ -478,9 +435,12 @@ def _build_problem(p):
                                bc_lo=p["bc_lo"], bc_hi=p["bc_hi"])
 
 
-def _build_family(f, d, problem):
-    domain = NonlinearDomain(lower=np.array(d["lower"]), upper=np.array(d["upper"]),
-                             chains=tuple(tuple(c) for c in d["chains"]), gap=d["gap"])
+def _build_domain(d):
+    return NonlinearDomain(lower=np.array(d["lower"]), upper=np.array(d["upper"]),
+                           chains=tuple(tuple(c) for c in d["chains"]), gap=d["gap"])
+
+
+def _build_family(f, domain, problem):
     if f["kind"] == "gaussian_bumps":
         return GaussianBumps(domain, np.array(f["widths"]))
     if f["kind"] == "free_knot_hats":
@@ -497,11 +457,11 @@ def _build_schedule(s):
                              eps_holder=s["eps_holder"], n_pairs=s["n_pairs"], seed=s["seed"])
 
 
-def _under(path, build, *args):
-    """``build(*args)``, with a :class:`ConfigError` it raises prefixed by
-    the config ``path`` whose values it was given."""
+def _under(path, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a :class:`ConfigError` it raises
+    prefixed by the config ``path`` whose values it was given."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from None
 
@@ -547,20 +507,22 @@ def parse_config(data: dict) -> ExperimentConfig:
     if schedule["kind"] == "lipschitz" and "seed" not in schedule:
         schedule["seed"] = norm["seed"]
     geometry, init = norm["geometry"], norm["init"]
+    # a component's error names the section whose values built it
     cfg = ExperimentConfig(
         raw=norm,
         problem=_build_problem(problem),
-        constants=ProblemConstants(alpha=constants["alpha"], norm_a=constants["norm_a"],
-                                   norm_ell=constants["norm_ell"]),
-        rule=QuadratureRule.on_interval(problem["x_lo"], problem["x_hi"],
-                                        norm["quadrature"]["n_panels"],
-                                        norm["quadrature"]["order"]),
-        family=_build_family(norm["family"], norm["domain"], problem),
+        constants=_under("constants", ProblemConstants, constants["alpha"],
+                         constants["norm_a"], constants["norm_ell"]),
+        rule=_under("quadrature", QuadratureRule.on_interval, problem["x_lo"], problem["x_hi"],
+                    norm["quadrature"]["n_panels"], norm["quadrature"]["order"]),
+        family=_under("family", _build_family, norm["family"],
+                      _under("domain", _build_domain, norm["domain"]), problem),
         geometry=(EuclideanGeometry() if geometry["kind"] == "euclidean"
-                  else DiagonalGeometry(np.array(geometry["diag"]))),
+                  else _under("geometry", DiagonalGeometry, np.array(geometry["diag"]))),
         linear_rule=_LINEAR_RULES[norm["linear_rule"]["kind"]](),
         schedule=_under("schedule", _build_schedule, schedule),
-        stopping=StoppingCriteria(**norm["stopping"]),  # the section's keys are its fields
+        # the section's keys are its fields
+        stopping=_under("stopping", StoppingCriteria, **norm["stopping"]),
         xi0=np.array(init["xi0"]),
         w0=np.array(init["w0"]) if "w0" in init else None,
         gradient_mode=norm["gradient"]["mode"],

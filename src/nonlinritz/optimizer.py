@@ -41,7 +41,7 @@ from typing import Callable, List, Optional, Union
 
 import numpy as np
 
-from .assembly import AssembledSystem, _raise_first, assemble, quadratic_energy, stack_slices
+from .assembly import AssembledSystem, _raise_first, assemble, quadratic_energy
 from .errors import ConfigError, NumericalError
 from .updates import (
     Frozen,
@@ -111,7 +111,7 @@ def estimate_lipschitz_L(grads, w, n_pairs: int, seed: int, nu: float = 1.0) -> 
     if n_pairs < 1:
         raise ConfigError("estimate_lipschitz_L needs at least one pair")
     _hoelder_exponent(nu)
-    domain = grads.family.domain
+    domain = grads.evaluator.family.domain
     if grads.mode == "fd":
         h = grads.fd_step
         domain = domain.shrink(np.where(probed_coordinates(domain, h), h, 0.0))
@@ -129,12 +129,12 @@ def estimate_lipschitz_L(grads, w, n_pairs: int, seed: int, nu: float = 1.0) -> 
         dists.append(d)
     if len(dists) < n_pairs:
         raise NumericalError("could not sample enough distinct parameter pairs")
-    # the points are evaluated, never assembled, in stacks cut within the
-    # dense budget; each gradient is bitwise that point's alone
+    # the points are evaluated, never assembled, in the oracle's blocks;
+    # each gradient is bitwise that point's alone
     w = np.asarray(w, dtype=float)
     points = np.stack(points)
     g = np.empty(points.shape)
-    for block in stack_slices(grads.problem, grads.rule, grads.family, points, dense=True):
+    for block in grads.blocks(points):
         g[block] = grads.grad_xi(np.broadcast_to(w, (len(points[block]), w.size)), points[block])
     best = 0.0
     for i, d in enumerate(dists):
@@ -171,8 +171,7 @@ def reduced_energy(problem, rule, family, xi):
     """Exactly eliminate the linear block: returns ``(Kbar(xi), w_star)``.
 
     A stack of points ``(N, d)`` gives ``(N,)`` energies and ``(N, n)``
-    coefficients; callers cut long stacks with
-    :func:`~nonlinritz.assembly.stack_slices`.
+    coefficients; callers cut long stacks with ``Evaluator.slices``.
     """
     return _reduced(assemble(problem, rule, family, xi))
 
@@ -184,7 +183,7 @@ def reduced_gradient(grads, xi):
 
     A stack of points gives one gradient per point.
     """
-    system = grads.system_at(xi)
+    system = grads.evaluator.assemble(xi)
     return grads.grad_xi(_reduced(system)[1], system)
 
 
@@ -488,7 +487,7 @@ def run(
     grads = make_gradients(problem, rule, family, mode=gradient_mode, fd_step=fd_step)
     frozen = isinstance(linear_rule, Frozen)
     xi, w_init = _start(family, linear_rule, xi0, w0)
-    system = grads.system_at(xi)
+    system = grads.evaluator.assemble(xi)
     _check_assumption1(system, omega_min, frozen)
     w = update_linear(linear_rule, system, w_init)
     recorder = _Recorder(linear_rule, geometry, schedule, stopping, grads, delta_star_fn,
@@ -496,7 +495,7 @@ def run(
 
     for _ in range(stopping.max_epochs):
         xi = prox_step(geometry, family.domain, xi, grads.grad_xi(w, system), recorder.gamma)
-        system = grads.system_at(xi)
+        system = grads.evaluator.assemble(xi)
         _check_assumption1(system, omega_min, frozen)
         w = update_linear(linear_rule, system, w)
         termination = recorder.step(system, w)
@@ -532,9 +531,8 @@ def replay(
     ``states`` holds one row ``[xi_k, w_k]`` per recorded iterate; the other
     arguments are those :func:`run` took.  The states do not depend on each
     other once written, so the states are assembled as stacks, in the
-    blocks of :func:`~nonlinritz.assembly.stack_slices`, and the gradients
-    at ``(w_k, xi_k)`` are read from each block's evaluation; each is
-    bitwise what the run computed at that state.  Block by block, the
+    oracle's blocks, and the gradients at ``(w_k, xi_k)`` are read from each
+    block's evaluation; each is bitwise what the run computed at that state.  Block by block, the
     record is built by the same bookkeeping as the run's.
 
     Returns ``(record, faults)``.  ``faults`` lists, in order, what does not
@@ -571,20 +569,19 @@ def replay(
         """``(k, system, g_k)`` per state in order, ``g_k`` the gradient a
         step from state k takes (None at the last state, where none starts).
 
-        The states a step leaves go in the blocks of ``stack_slices``, one
-        block alive at a time, each assembled and differentiated as one
-        stack (within the dense budget when the gradient reads the basis),
+        The states a step leaves go in the oracle's blocks, one block
+        alive at a time, each assembled and differentiated as one stack,
         its exact solves one stacked solve (frozen coefficients never ask
         for one); the last state is assembled alone.
         """
-        left, dense = xis[:n], grads.mode == "analytic"
-        for block in stack_slices(problem, rule, family, left, dense=dense) if n else ():
-            systems = grads.system_at(left[block])
+        left, assemble_at = xis[:n], grads.evaluator.assemble
+        for block in grads.blocks(left) if n else ():
+            systems = assemble_at(left[block])
             steps = zip(range(n)[block], systems.rows(solve=not frozen),
                         grads.grad_xi(ws[:n][block], systems))
             del systems  # its evaluation goes before the next block's is made
             yield from steps
-        yield n, grads.system_at(xis[n]), None
+        yield n, assemble_at(xis[n]), None
 
     faults, stops = [], []
     for k, system, g in visited():

@@ -23,18 +23,16 @@ by :func:`prox_optimality_residual` as a distance to the active normal cone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .assembly import AssembledSystem, Evaluator, assemble, quadratic_energy, stack_slices
+from .assembly import AssembledSystem, Evaluator, quadratic_energy
 from .basis import IndicatorPair, NonlinearDomain
 from .errors import (
     ConfigError,
     NonFiniteValueError,
     SpdViolationError,
 )
-from .variational import QuadratureRule
 
 __all__ = [
     "FullSolveCG",
@@ -229,44 +227,35 @@ class EnergyGradients:
 
     * ``analytic``: under the L2 energy, differentiate under the integral:
       ``d_i K = (u - f, d_i u)`` with ``u = w . phi(xi)`` and ``d_i u`` the
-      family's contracted parameter derivative, both read by
-      ``realisation_and_dparam`` from the evaluation of the point, and the
-      weighted target ``f`` from its field values: the evaluation a system
-      kept from its assembly, or a fresh one of points never assembled.
+      family's contracted parameter derivative, both read from the
+      evaluation of the point, and the weighted target ``f`` from its field
+      values: the evaluation a system kept from its assembly, or a fresh
+      one of points never assembled.
     * ``closed_form``: hand-derived formulas; available for the indicator
       pair under the L2 energy, where the basis itself is not
       differentiable but the energy is.
     * ``fd``: central finite differences of the assembled energy; the only
       route under an H1 energy.  The ``2m`` probes ``xi +- h e_i`` of every
-      point are one stack, assembled in the blocks of
-      :func:`~nonlinritz.assembly.stack_slices` (each probe moves the
-      family's breakpoints differently; ``assemble`` splits per point).
+      point are one stack, assembled in the evaluator's blocks (each probe
+      moves the family's breakpoints differently; assembly splits per
+      point).
 
     :meth:`grad_xi` takes one point or a stack of points with one
     coefficient vector each; every route evaluates a stack, and one point
-    is the stack of one.  :meth:`system_at` assembles the systems of the
-    run, replay or check that built the oracle from the evaluations of its
-    one :class:`~nonlinritz.assembly.Evaluator`, so the field values on a
-    node set shared by every point are computed once.
+    is the stack of one.  ``evaluator`` holds the discretisation: the run,
+    replay or check that built the oracle assembles every system through
+    it, so the field values on a node set shared by every point are
+    computed once.
     """
 
-    problem: object
-    rule: QuadratureRule
-    family: object
+    evaluator: Evaluator
     mode: str
     fd_step: float = 1e-6
 
-    @cached_property
-    def _evaluator(self) -> Evaluator:
-        return Evaluator(self.problem, self.rule, self.family)
-
-    def system_at(self, xi) -> AssembledSystem:
-        """The system assembled at one point or at each point of a stack."""
-        return assemble(self.problem, self.rule, self.family, self._evaluator.evaluate(xi))
-
-    def energy(self, w, xi):
-        """K(w, xi) at one point, or one value per point of a stack."""
-        return quadratic_energy(self.system_at(xi), w)
+    def blocks(self, points) -> list:
+        """The evaluator's slices of a stack, within the dense budget when
+        this route reads dense basis values."""
+        return self.evaluator.slices(points, dense=self.mode == "analytic")
 
     def grad_xi(self, w, at) -> np.ndarray:
         """grad_xi K(w, xi) at one point ``(d,)``, or at each row of a stack.
@@ -279,12 +268,12 @@ class EnergyGradients:
         if isinstance(at, AssembledSystem):
             xi, evaluation = at.xi, at.evaluation
         else:
-            xi, evaluation = self.family.require_param(at), None
+            xi, evaluation = self.evaluator.family.require_param(at), None
         points = np.atleast_2d(xi)
         w = np.asarray(w, dtype=float).reshape(len(points), -1)
         if self.mode == "analytic":
             if evaluation is None:
-                evaluation = self._evaluator.evaluate(points)
+                evaluation = self.evaluator.evaluate(points)
             g = self._grad_xi_analytic(w, evaluation)
         elif self.mode == "closed_form":
             g = self._grad_xi_indicator(w, points)
@@ -298,9 +287,11 @@ class EnergyGradients:
 
     def _grad_xi_analytic(self, w, evaluation):
         """One pass per group of the evaluation's splits."""
-        g = np.empty((len(w), self.family.n_nonlinear))
+        fam = self.evaluator.family
+        g = np.empty((len(w), fam.n_nonlinear))
         for idx, q, qf, cells in evaluation.groups:
-            u, du = self.family.realisation_and_dparam(cells, w[idx])
+            u = np.vecmat(w[idx], fam.values_of(cells))
+            du = fam.dparam_values(cells, w[idx])
             g[idx] = np.matvec(du, q * u) - np.matvec(du, qf)
         return g
 
@@ -309,7 +300,7 @@ class EnergyGradients:
     def _grad_xi_indicator(self, w, xi):
         a, b, c = np.ascontiguousarray(xi.T)
         w1, w2 = np.ascontiguousarray(w.T)
-        f = self.problem.target
+        f = self.evaluator.problem.target
         fa, fb, fc = (f.values(t) for t in (a, b, c))
         return np.stack(
             [
@@ -323,8 +314,10 @@ class EnergyGradients:
     # -- central differences of the assembled energy -----------------------
 
     def _grad_xi_fd(self, w, xi):
-        return central_differences(lambda probes, owner: self.energy(w[owner], probes),
-                                   self.problem, self.rule, self.family, xi, self.fd_step)
+        ev = self.evaluator
+        return central_differences(
+            lambda probes, owner: quadratic_energy(ev.assemble(probes), w[owner]),
+            ev, xi, self.fd_step)
 
 
 def probed_coordinates(domain: NonlinearDomain, h: float) -> np.ndarray:
@@ -333,7 +326,7 @@ def probed_coordinates(domain: NonlinearDomain, h: float) -> np.ndarray:
     return domain.upper - domain.lower >= 2.0 * h
 
 
-def central_differences(energy, problem, rule, family, xi, h: float) -> np.ndarray:
+def central_differences(energy, evaluator: Evaluator, xi, h: float) -> np.ndarray:
     """``(E(xi + h e_i) - E(xi - h e_i)) / 2h`` for every probed coordinate
     ``i`` of the family's domain (:func:`probed_coordinates`), 0 for the
     others, which cost no probe.
@@ -343,12 +336,11 @@ def central_differences(energy, problem, rule, family, xi, h: float) -> np.ndarr
     value each; ``owner`` holds the index of each probe's point in the
     stack.  Every point's probes ``xi + h e_i, xi - h e_i`` follow in the
     order of the probed coordinates ``i``, point after point, all in the
-    blocks of :func:`~nonlinritz.assembly.stack_slices`; each block's probes
-    are formed when its turn comes, so one block of probes is alive at a
-    time.
+    blocks of ``evaluator.slices``; each block's probes are formed when its
+    turn comes, so one block of probes is alive at a time.
     """
     points = np.atleast_2d(xi)
-    probed = np.flatnonzero(probed_coordinates(family.domain, h))
+    probed = np.flatnonzero(probed_coordinates(evaluator.family.domain, h))
     (N, d), m = points.shape, probed.size
     if m == 0:
         return np.zeros(np.shape(xi))
@@ -357,7 +349,7 @@ def central_differences(energy, problem, rule, family, xi, h: float) -> np.ndarr
     # and steps up for even i, down for odd i
     first = np.broadcast_to(points[0] + e[0], (2 * m * N, d))
     K = []
-    for block in stack_slices(problem, rule, family, first):
+    for block in evaluator.slices(first):
         i = np.arange(*block.indices(2 * m * N))
         owner, step = i // (2 * m), e[(i // 2) % m]
         up = (i % 2 == 0)[:, None]
@@ -404,4 +396,4 @@ def make_gradients(problem, rule, family, mode: str = "auto", fd_step: float = 1
         raise ConfigError(f"unknown gradient mode {mode!r}")
     if not fd_step > 0.0:
         raise ConfigError("fd_step must be positive")
-    return EnergyGradients(problem, rule, family, mode, fd_step)
+    return EnergyGradients(Evaluator(problem, rule, family), mode, fd_step)

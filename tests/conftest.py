@@ -7,7 +7,8 @@ def count_calls(monkeypatch):
     on every call of ``name`` made through one of the modules' bindings.
 
     Modules bind library functions with ``from .x import name``, so each
-    binding is wrapped; a module without the name is skipped.
+    binding is wrapped; an owner without the name fails the test, so that
+    a counter never counts nothing because the name moved.
     """
 
     def install(name, *modules):
@@ -15,7 +16,7 @@ def count_calls(monkeypatch):
         for mod in modules:
             orig = getattr(mod, name, None)
             if orig is None:
-                continue
+                pytest.fail(f"{mod!r} has no {name!r} to count")
 
             def counted(*args, _orig=orig, **kwargs):
                 calls.append(name)

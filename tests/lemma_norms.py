@@ -65,7 +65,8 @@ def best_linear_margins(grads, pairs, norm_ell, alpha, omega_min, m_phi, kappa_m
     * ``||grad Kbar(xi) - grad Kbar(eta)|| <= c1 ||phi(xi) - phi(eta)||
       + c2 ||grad phi(xi) - grad phi(eta)||`` with the lemma's c1, c2.
     """
-    problem, rule, family = grads.problem, grads.rule, grads.family
+    ev = grads.evaluator
+    problem, rule, family = ev.problem, ev.rule, ev.family
     bound_w = norm_ell * m_phi / (alpha * omega_min)
     coef_diff = (1.0 + 2.0 * kappa_max) * norm_ell / (alpha * omega_min)
     c1 = (kappa_max + (1.0 + 2.0 * kappa_max) ** 2) * norm_ell ** 2 / (alpha * omega_min) * m_dphi
@@ -96,7 +97,8 @@ def regularity_margins(grads, state_pairs, norm_a, norm_ell):
       M_dphi ||v-w|| + norm_a M_W^2 M_dphi ||phi(xi)-phi(eta)||
       + M_W (norm_a M_W M_phi + norm_ell) ||dphi(xi)-dphi(eta)||``
     """
-    problem, rule, family = grads.problem, grads.rule, grads.family
+    ev = grads.evaluator
+    problem, rule, family = ev.problem, ev.rule, ev.family
     lin, nonlin = [], []
     for (v, xi), (w, eta) in state_pairs:
         sys_xi, sys_eta = assemble(problem, rule, family, xi), assemble(problem, rule, family, eta)

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import nonlinritz.updates
-from nonlinritz.assembly import assemble, quadratic_energy, stack_slices
+from nonlinritz.assembly import Evaluator, assemble, quadratic_energy
 from nonlinritz.basis import FreeKnotHats, NonlinearDomain
 from nonlinritz.certify import minimiser_grid_oracle
 from nonlinritz.config import parse_config
@@ -200,18 +199,18 @@ def _dirichlet_hats(m, n_panels):
 def test_fd_gradient_assembles_its_probes_in_blocks(count_calls):
     m = 16
     grads, xi, w = _dirichlet_hats(m, 32)
-    calls = count_calls("assemble", nonlinritz.updates)
+    calls = count_calls("assemble", Evaluator)
     g = grads.grad_xi(w, xi)
     probes = np.repeat(xi[None, :], 2 * m, axis=0)
-    block = stack_slices(grads.problem, grads.rule, grads.family, probes)[0].stop
+    block = grads.evaluator.slices(probes)[0].stop
     # one assembly per probe before stacking: 32
     assert len(calls) <= math.ceil(2 * m / block) == 1
     # bitwise the probe-by-probe central differences
-    h = grads.fd_step
+    h, ev = grads.fd_step, grads.evaluator
     for i in range(m):
         e = np.zeros(m)
         e[i] = h
-        kp, km = (quadratic_energy(assemble(grads.problem, grads.rule, grads.family, p), w)
+        kp, km = (quadratic_energy(assemble(ev.problem, ev.rule, ev.family, p), w)
                   for p in (xi + e, xi - e))
         assert g[i] == (kp - km) / (2.0 * h)
 
@@ -222,9 +221,9 @@ def test_large_fd_gradient_stacks_its_probes(count_calls):
     m = 160
     grads, xi, w = _dirichlet_hats(m, 64)
     probes = np.repeat(xi[None, :], 2 * m, axis=0)
-    block = stack_slices(grads.problem, grads.rule, grads.family, probes)[0].stop
+    block = grads.evaluator.slices(probes)[0].stop
     assert block >= 16
-    calls = count_calls("assemble", nonlinritz.updates)
+    calls = count_calls("assemble", Evaluator)
     grads.grad_xi(w, xi)
     assert len(calls) == math.ceil(2 * m / block)
 
@@ -257,7 +256,7 @@ def test_stacked_fd_probes_are_formed_block_by_block():
 
     tracemalloc.start()
     try:
-        g = central_differences(energy, grads.problem, grads.rule, grads.family, points, 1e-6)
+        g = central_differences(energy, grads.evaluator, points, 1e-6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -267,7 +266,7 @@ def test_stacked_fd_probes_are_formed_block_by_block():
     for k in (0, 57, 99):
         assert np.array_equal(g[k], central_differences(
             lambda probes, owner: energy(probes, owner + k),
-            grads.problem, grads.rule, grads.family, points[k], 1e-6))
+            grads.evaluator, points[k], 1e-6))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import nonlinritz.certify
-import nonlinritz.optimizer
-from nonlinritz.assembly import assemble, stack_slices
+from nonlinritz.assembly import Evaluator, assemble
 from nonlinritz.basis import (
     FreeKnotHats,
     GaussianBumps,
@@ -299,7 +298,7 @@ def test_grid_oracle_over_fixed_coordinates():
 
 def test_grid_oracle_assembles_and_decomposes_per_block(count_calls):
     problem, family = _gaussian_setup()[:2]
-    assembles = count_calls("assemble", nonlinritz.certify, nonlinritz.optimizer)
+    assembles = count_calls("assemble", Evaluator)
     eighs = count_calls("eigh", np.linalg)
     oracle = minimiser_grid_oracle(problem, RULE, family, resolution=0.015)
     assert oracle.points.shape == (3025, 2)  # the 55 x 55 two-bump grid
@@ -317,10 +316,10 @@ def test_hat_grid_oracle_assembles_per_block(count_calls):
     family = FreeKnotHats(dom, 0.0, 1.0)
     problem = L2Approx(Field(lambda x: np.abs(x - 0.33) + 0.5 * x * x, None, (0.33,)))
     rule = QuadratureRule.on_interval(0.0, 1.0, n_panels=16, order=5)
-    assembles = count_calls("assemble", nonlinritz.certify, nonlinritz.optimizer)
+    assembles = count_calls("assemble", Evaluator)
     oracle = minimiser_grid_oracle(problem, rule, family, resolution=0.025)
     n = oracle.points.shape[0]
-    block = stack_slices(problem, rule, family, oracle.points)[0].stop
+    block = Evaluator(problem, rule, family).slices(oracle.points)[0].stop
     ends = np.column_stack([np.zeros(n), oracle.points, np.ones(n), np.full(n, 0.33)])
     groups = len(rule.split_rows(ends))
     assert groups == 3  # no, one or two knots on a panel edge
@@ -522,7 +521,7 @@ def test_cea_certificate_reads_recorded_exact_coefficients(count_calls):
     for it in rec.iterates:
         _, w_star = reduced_energy(problem, RULE, family, it.xi)
         assert np.array_equal(it.w, w_star)
-    calls = count_calls("assemble", nonlinritz.certify, nonlinritz.optimizer)
+    calls = count_calls("assemble", Evaluator)
     oracle = AnalyticPointsOracle(np.array([[0.3, 0.7]]), rec.final_K)
     (entry,) = cea_certificate(rec, problem, RULE, family, problem.target, oracle,
                                L_bar=5.0, zeta=0.9, geom=EuclideanGeometry())

@@ -13,11 +13,9 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import nonlinritz.assembly
-import nonlinritz.certify
 import nonlinritz.cli
 import nonlinritz.optimizer
-import nonlinritz.updates
-from nonlinritz.assembly import stack_slices
+from nonlinritz.assembly import Evaluator
 from nonlinritz.cli import TRACE_COLUMNS, main
 from nonlinritz.config import parse_config
 from nonlinritz.optimizer import reduced_energy
@@ -126,6 +124,13 @@ def test_run_zero_epochs_is_galerkin_solve(tmp_path):
     val, _ = reduced_energy(cfg.problem, cfg.rule, cfg.family, np.array([0.45, 0.55]))
     assert_allclose(summary["best_energy"], val, atol=1e-12)
     assert summary["iterations"] == 0
+
+
+def test_negative_max_epochs_names_the_stopping_section(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, _base_config())
+    assert main(["run", "--config", cfg_path, "--out-dir", str(tmp_path / "out"),
+                 "--max-epochs", "-1"]) == 2
+    assert "stopping: max_epochs must be nonnegative" in capsys.readouterr().err
 
 
 def test_reruns_are_byte_identical(tmp_path):
@@ -620,7 +625,7 @@ def test_check_stacks_the_probes_of_each_sample(tmp_path, capsys, count_calls):
         "stopping": {"max_epochs": 2},
         "init": {"xi0": [0.15, 0.3, 0.5, 0.7, 0.85]},
     }
-    calls = count_calls("reduced_energy", nonlinritz.cli)
+    calls = count_calls("_reduced", nonlinritz.cli)
     cfg_path = _write_cfg(tmp_path, data)
     assert main(["check", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 0
     assert "[PASS] reduced-gradient-fd" in capsys.readouterr().out
@@ -1043,8 +1048,7 @@ def test_certify_replays_the_written_states_in_blocks(tmp_path, monkeypatch, cou
     if make is _analytic_bumps_config:
         # blocks of a few states, so that the count tells blocks from states
         monkeypatch.setattr(nonlinritz.assembly, "_STACK_ELEMENTS", 2_000)
-    calls = count_calls("assemble", nonlinritz.cli, nonlinritz.certify,
-                        nonlinritz.optimizer, nonlinritz.updates)
+    calls = count_calls("assemble", Evaluator)
     assert main(["certify", "--config", cfg_path, "--out-dir", out]) == 0
     report = json.loads(_read(os.path.join(out, "report.json")))
     assert all(e["status"] != "fail" for e in report["entries"])
@@ -1057,12 +1061,12 @@ def test_certify_replays_the_written_states_in_blocks(tmp_path, monkeypatch, cou
     n = len(states)
     assert n == summary["iterations"] + 1 > 2
     # the states a step leaves in blocks, the last state alone
-    block = stack_slices(cfg.problem, cfg.rule, cfg.family, states)[0].stop
+    evaluator = Evaluator(cfg.problem, cfg.rule, cfg.family)
+    block = evaluator.slices(states)[0].stop
     expected = math.ceil((n - 1) / block) + 1
     if make is _fd_hats_config:
         probes = np.repeat(states[:1], 2 * states.shape[1] * (n - 1), axis=0)
-        expected += math.ceil(len(probes) / stack_slices(
-            cfg.problem, cfg.rule, cfg.family, probes)[0].stop)
+        expected += math.ceil(len(probes) / evaluator.slices(probes)[0].stop)
     assert len(calls) == expected
     if make is _analytic_bumps_config:
         assert expected > 1

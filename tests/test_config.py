@@ -509,6 +509,17 @@ def test_errors_carry_dotted_paths():
     ("certify", {"eps_target": -1e-3},
      r"certify\.eps_target: expected a nonnegative number, got -0\.001"),
     ("certify", {"zeta": 0}, r"certify\.zeta: expected a positive number, got 0"),
+    # values refused by the component built from them, named by its section
+    ("stopping", {"max_epochs": -1}, r"stopping: max_epochs must be nonnegative"),
+    ("quadrature", {"n_panels": 0}, r"quadrature: need at least one quadrature panel"),
+    ("constants", {"alpha": -1, "norm_a": 1.0, "norm_ell": 1.0},
+     r"constants: alpha must be positive and finite, got -1\.0"),
+    ("domain", {"lower": [0.1, 0.1], "upper": [0.9, 0.9], "chains": [[0, 1]], "gap": -0.1},
+     r"domain: chain gap must be nonnegative"),
+    ("family", {"kind": "gaussian_bumps", "widths": [0.1, -0.1]},
+     r"family: bump widths must be positive"),
+    ("geometry", {"kind": "diagonal", "diag": [1.0, -1.0]},
+     r"geometry: mirror-map diagonal must be positive and finite"),
 ])
 def test_malformed_values_name_their_path(section, value, message):
     data = _base()

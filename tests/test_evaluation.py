@@ -4,8 +4,11 @@ A system keeps the evaluation it was assembled from (quadrature split,
 field values, the family on the nodes), and the analytic parameter
 gradient reads it.  These tests check that the gradient read from a kept
 evaluation is bitwise the one from a fresh evaluation at the same
-``(w, xi)``, and count the evaluations a run and its replay make.
+``(w, xi)``, and count the evaluations a run and its replay make, and the
+field evaluations of a grid oracle and of ``check``.
 """
+
+import json
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -13,6 +16,8 @@ from hypothesis import given, settings, strategies as st
 import nonlinritz.assembly
 from nonlinritz.assembly import Evaluator, assemble
 from nonlinritz.basis import FreeKnotHats, GaussianBumps, NonlinearDomain, SyntheticAmplitude
+from nonlinritz.certify import minimiser_grid_oracle
+from nonlinritz.cli import main
 from nonlinritz.optimizer import (
     ConstantGamma,
     LipschitzAdaptive,
@@ -32,9 +37,10 @@ def fresh_gradient(grads, w, xi):
     route computed it before systems kept their evaluation: the rule split at
     the point's breakpoints, the family and the target evaluated there again,
     then ``d_i K = (u, d_i u) - (f, d_i u)``."""
-    problem, family = grads.problem, grads.family
-    r = grads.rule.split_at((*family.breakpoints(xi), *problem.coefficient_breakpoints()))
-    u, du = family.realisation_and_dparam(family.evaluate(xi[None], r.nodes), w[None])
+    problem, family = grads.evaluator.problem, grads.evaluator.family
+    r = grads.evaluator.rule.split_at((*family.breakpoints(xi), *problem.coefficient_breakpoints()))
+    ev = family.evaluate(xi[None], r.nodes)
+    u, du = np.vecmat(w[None], family.values_of(ev)), family.dparam_values(ev, w[None])
     f = problem.target.values(r.nodes)
     return (np.matvec(du, r.weights * u) - np.matvec(du, r.weights * f))[0]
 
@@ -43,12 +49,12 @@ def _assert_parity(problem, family, points, seed):
     grads = make_gradients(problem, RULE, family)
     assert grads.mode == "analytic"
     w = np.random.default_rng(seed).standard_normal((len(points), family.n_linear))
-    stack = grads.system_at(points)
+    stack = grads.evaluator.assemble(points)
     kept = grads.grad_xi(w, stack)
     for i, xi in enumerate(points):
         want = fresh_gradient(grads, w[i], xi).tobytes()
         assert kept[i].tobytes() == want
-        assert grads.grad_xi(w[i], grads.system_at(xi)).tobytes() == want
+        assert grads.grad_xi(w[i], grads.evaluator.assemble(xi)).tobytes() == want
         assert grads.grad_xi(w[i], assemble(problem, RULE, family, xi)).tobytes() == want
     # points never assembled are evaluated afresh
     assert grads.grad_xi(w, points).tobytes() == kept.tobytes()
@@ -167,3 +173,31 @@ def test_replay_evaluates_each_state_once(monkeypatch):
     assert faults == []
     assert evaluated == states[:, :kw["family"].n_nonlinear].tolist()
     assert again.best_K == rec.best_K
+
+
+def test_fixed_breakpoint_grid_oracle_evaluates_the_fields_once(count_calls):
+    # the bumps move no breakpoint, so every block shares one node set
+    family = GaussianBumps(NonlinearDomain([0.1, 0.1], [0.9, 0.9]), [0.1, 0.1])
+    fields = count_calls("_field_values", nonlinritz.assembly)
+    oracle = minimiser_grid_oracle(TARGET, RULE, family, resolution=0.015)
+    assert len(Evaluator(TARGET, RULE, family).slices(oracle.points)) > 1
+    assert len(fields) == 1
+
+
+def test_check_on_bumps_evaluates_the_fields_once(tmp_path, count_calls):
+    # the sampled systems, the start, the reduced gradients and their
+    # difference probes are all assembled by one evaluator
+    data = {
+        "problem": {"kind": "l2", "target": "gauss(x, 0.3, 0.1)", "x_lo": 0.0, "x_hi": 1.0},
+        "constants": {"alpha": 1.0, "norm_a": 1.0, "norm_ell": 1.0},
+        "family": {"kind": "gaussian_bumps", "widths": [0.1, 0.12]},
+        "domain": {"lower": [0.1, 0.1], "upper": [0.9, 0.9]},
+        "schedule": {"kind": "constant", "gamma": 0.1},
+        "stopping": {"max_epochs": 5},
+        "init": {"xi0": [0.45, 0.55]},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    fields = count_calls("_field_values", nonlinritz.assembly)
+    assert main(["check", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+    assert len(fields) == 1

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import nonlinritz.optimizer
 import nonlinritz.updates
 from nonlinritz.assembly import assemble, quadratic_energy
 from nonlinritz.basis import GaussianBumps, NonlinearDomain
@@ -229,8 +228,7 @@ def test_run_on_a_chain_makes_no_prox_residual_call(count_calls):
         NonlinearDomain([0.1, 0.1], [0.9, 0.9], chains=((0, 1),), gap=0.5),
         np.array([0.1, 0.12]),
     )
-    calls = count_calls("prox_optimality_residual",
-                        nonlinritz.updates, nonlinritz.optimizer)
+    calls = count_calls("prox_optimality_residual", nonlinritz.updates)
     rec = run(**_run_kwargs(family=family, xi0=np.array([0.2, 0.75]),
                             stopping=StoppingCriteria(max_epochs=10)))
     assert rec.n_steps == 10

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from nonlinritz.assembly import AssembledSystem, assemble, quadratic_energy
+from nonlinritz.assembly import AssembledSystem, Evaluator, assemble, quadratic_energy
 from nonlinritz.basis import (
     FreeKnotHats,
     GaussianBumps,
@@ -414,7 +414,7 @@ def test_central_differences_skip_a_coordinate_narrower_than_two_steps():
         probes.append(stack)
         return value(stack)
 
-    g = central_differences(energy, _l2_problem(), RULE, fam, points, 1e-6)
+    g = central_differences(energy, Evaluator(_l2_problem(), RULE, fam), points, 1e-6)
     stacked = np.concatenate(probes)
     assert stacked.shape == (2 * 2, 3)  # two probes of one coordinate per point
     assert np.array_equal(stacked[:, 1:], np.repeat(points[:, 1:], 2, axis=0))
@@ -425,7 +425,8 @@ def test_central_differences_skip_a_coordinate_narrower_than_two_steps():
     assert np.array_equal(g[:, 0], (value(up) - value(down)) / 2e-6)
     # no coordinate wide enough: no probe at all
     fixed = GaussianBumps(NonlinearDomain([0.5], [0.5]), np.array([0.1]))
-    assert central_differences(energy, _l2_problem(), RULE, fixed, [0.5], 1e-6).tolist() == [0.0]
+    assert central_differences(energy, Evaluator(_l2_problem(), RULE, fixed), [0.5],
+                               1e-6).tolist() == [0.0]
     assert len(probes) == 1
 
 
@@ -515,5 +516,8 @@ def test_energy_is_the_assembled_quadratic_energy():
     grads = make_gradients(problem, RULE, fam)
     xi = np.array([0.4, 0.7])
     w = np.array([0.5, -0.2])
-    system = assemble(problem, RULE, fam, xi)
-    assert grads.energy(w, xi) == quadratic_energy(system, w)
+    # the oracle's evaluator assembles what a one-shot assemble does, bitwise
+    kept, alone = grads.evaluator.assemble(xi), assemble(problem, RULE, fam, xi)
+    for name in ("matrix", "load", "gram"):
+        assert getattr(kept, name).tobytes() == getattr(alone, name).tobytes()
+    assert quadratic_energy(kept, w) == quadratic_energy(alone, w)
