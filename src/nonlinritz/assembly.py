@@ -7,11 +7,13 @@ coefficients is the quadratic
 
 with A(xi)_ij = a(phi_j, phi_i), load(xi)_j = ell(phi_j) and the Gram matrix
 G(xi)_ij = (phi_j, phi_i)_U.  The assembled system owns the linear algebra at
-its point: one eigendecomposition of A, computed on first use, gives the
-spectral statistics every solvability and conditioning certificate needs and
-the exact (minimum-norm, pseudo-inverse) solve w*(xi) = A(xi)^+ load(xi).
-For the L2 energy G is A itself; otherwise the smallest eigenvalue of G
-costs one more eigenvalue-only decomposition, again only when asked for.
+its point, and decomposes only what is read, on first use.  The spectral
+statistics every solvability and conditioning certificate needs come from
+the eigenvalues of A (``numpy.linalg.eigvalsh``); under an H1 energy the
+smallest eigenvalue of G costs one more.  The exact (minimum-norm) solve
+w*(xi) = A(xi)^+ load(xi) is an LU solve wherever A has no numerical
+kernel, shown by a Gershgorin bound or by the eigenvalues when they are
+already computed, and the ``eigh`` pseudo-inverse on matrices with one.
 
 Free-knot hats, whose knots are ordered, are assembled as finite elements:
 each quadrature node lies in one cell of the knot grid, where two hats are
@@ -21,29 +23,21 @@ O(Q) work per point besides filling the dense outputs.  Every other family
 is assembled from dense products of its basis values, O(n^2 Q) per point.
 
 An :class:`Evaluator` holds the discretisation (problem, rule, family);
-a run, replay, check or grid oracle makes one and builds every system
-through it.  Each point is evaluated once: the split of the rule at its
-breakpoints, the problem's fields on those nodes and the family there
-(the bumps, the cell of each hat node, the amplitude).
-``Evaluator.assemble`` forms A, G and the load from that evaluation, and
-the system keeps it, so the analytic parameter gradient at the same point
-reads the same basis and field values instead of evaluating them again.
-When the family's breakpoints do not move with ``xi`` every point shares
-one set of quadrature nodes, whose field values an evaluator computes
-once; otherwise each point gets its own split of the rule, and points
-whose splits have equally many panels are evaluated together on
-``(N, Q)`` nodes.  The module-level :func:`assemble` is the one-shot
-entry point, through a fresh evaluator.
+a run, replay, check or grid oracle builds every system through one.  It
+evaluates each point once (the split of the rule at its breakpoints, the
+problem's fields and the family on those nodes), and the assembled system
+keeps that evaluation, so the analytic parameter gradient at the same
+point reads the same values instead of evaluating them again.  The
+module-level :func:`assemble` is the one-shot entry point.
 
 Assembly takes a stack of points; one point is the stack of one, so a run
 and the replay of its states build every system through the same code.
 A stack's matrices and loads carry its leading axis and are built by the
-same products; every check, the eigendecomposition
-(``numpy.linalg.eigh``, which decomposes a stack matrix by matrix) and the
-minimum-norm solve act per matrix, each bitwise as for that point alone,
-and a failed check names the stack's first offending point.  Callers cut
-long stacks with ``Evaluator.slices``, which bounds the memory one call
-holds.
+same products; every check, decomposition (numpy's ``eigvalsh``, ``eigh``
+and ``solve`` act on a stack matrix by matrix) and choice of solve acts
+per matrix, each bitwise as for that point alone, and a failed check
+names the stack's first offending point.  Callers cut long stacks with
+``Evaluator.slices``, which bounds the memory one call holds.
 """
 
 from __future__ import annotations
@@ -91,11 +85,11 @@ class AssembledSystem:
     """Stiffness/Gram matrices and load vector at one parameter point.
 
     For a stack of points every array carries the stack's leading axis;
-    ``spectrum``, ``kernel_cut`` and ``solution`` are then per matrix, while
-    the scalar statistics (``lambda_min`` ... ``phi_u2``) need one point.
-    Spectra and the exact solve are computed on first use and cached, so a
-    point that never asks for them (a finite-difference probe, a frozen
-    grid point) never pays for a decomposition.
+    ``eigvalsh``, ``spectrum``, ``kernel_cut`` and ``solution`` are then per
+    matrix, while the scalar statistics (``lambda_min`` ... ``phi_u2``) need
+    one point.  Each is computed on first use and cached, so a point that
+    never asks for them (a finite-difference probe, a frozen grid point)
+    never pays for a decomposition.
     """
 
     xi: np.ndarray
@@ -109,13 +103,18 @@ class AssembledSystem:
         """Ascending eigenvalues and orthonormal eigenvectors of A."""
         return np.linalg.eigh(self.matrix)
 
+    @cached_property
+    def eigvalsh(self) -> np.ndarray:
+        """Ascending eigenvalues of A."""
+        return np.linalg.eigvalsh(self.matrix)
+
     @property
     def lambda_min(self) -> float:
-        return float(self.spectrum[0][..., 0])
+        return float(self.eigvalsh[..., 0])
 
     @property
     def lambda_max(self) -> float:
-        return float(self.spectrum[0][..., -1])
+        return float(self.eigvalsh[..., -1])
 
     @cached_property
     def omega(self) -> float:
@@ -132,18 +131,16 @@ class AssembledSystem:
     @property
     def kernel_cut(self):
         """Eigenvalues of A at or below this cut span its numerical kernel."""
-        return _KERNEL_TOL * np.maximum(self.spectrum[0][..., -1], 1.0)
+        return _cut(self.eigvalsh)
 
     def rows(self, solve: bool = False) -> list:
         """The points of a stack as one-point systems, in stack order.
 
         Each shares its slices of the stack's arrays and holds its slice of
-        the stack's eigendecompositions (``numpy.linalg.eigh`` and
-        ``eigvalsh`` decompose a stack matrix by matrix) and, with
-        ``solve``, of the stack's exact solve, so its spectrum, ``omega``
-        and solution are bitwise those of the point assembled alone.
+        the stack's eigenvalues of A and G and, with ``solve``, of the
+        stack's exact solve, each bitwise that of the point assembled alone.
         """
-        evals, vecs = self.spectrum
+        evals = self.eigvalsh
         omegas = None if self.gram is self.matrix else np.linalg.eigvalsh(self.gram)[:, 0]
         solutions = self.solution if solve else None
         out = []
@@ -151,7 +148,7 @@ class AssembledSystem:
             A = self.matrix[i]
             row = AssembledSystem(self.xi[i], A, self.load[i],
                                   A if omegas is None else self.gram[i])
-            row.__dict__["spectrum"] = (evals[i], vecs[i])
+            row.__dict__["eigvalsh"] = evals[i]
             if omegas is not None:
                 row.__dict__["omega"] = float(omegas[i])
             if solutions is not None:
@@ -163,25 +160,54 @@ class AssembledSystem:
     def solution(self) -> np.ndarray:
         """Minimum-norm solution A^+ load, with the kernel cut at ``kernel_cut``.
 
-        Raises :class:`SpdViolationError` on an eigenvalue below ``-kernel_cut``.
+        Each matrix takes its path from itself alone: an LU solve if its
+        Gershgorin bound (:func:`_gershgorin`) shows it regular and its
+        eigenvalues are not cached, else its eigenvalues decide, a kernel
+        taking the ``eigh`` pseudo-inverse and an empty one LU.  Raises
+        :class:`SpdViolationError` on an eigenvalue below ``-kernel_cut``,
+        naming the stack's first such point.
         """
-        evals, Q = self.spectrum
-        cut = self.kernel_cut
-        lowest = evals[..., 0]
-        _raise_first(lowest < -cut, self.xi, SpdViolationError,
-                     "stiffness matrix has a negative eigenvalue {!r}", lowest)
-        kernel = evals <= cut[..., None]
-        inv = np.where(kernel, 0.0, 1.0 / np.where(kernel, 1.0, evals))
-        return np.matvec(Q, inv * np.vecmat(self.load, Q))
+        n = self.load.shape[-1]
+        A, load = self.matrix.reshape(-1, n, n), self.load.reshape(-1, n)
+        rest = np.ones(len(A), dtype=bool)
+        if "eigvalsh" not in self.__dict__:
+            g, L = _gershgorin(A)
+            rest = g <= _KERNEL_TOL * np.maximum(L, 1.0)
+        kernel = np.zeros(len(A), dtype=bool)
+        if rest.any():  # the undecided rows, as a system of their own
+            sub = self if rest.all() else AssembledSystem(
+                np.atleast_2d(self.xi)[rest], A[rest], load[rest], A[rest])
+            lowest, cut = sub.eigvalsh[..., 0], sub.kernel_cut
+            _raise_first(lowest < -cut, sub.xi, SpdViolationError,
+                         "stiffness matrix has a negative eigenvalue {!r}", lowest)
+            kernel[rest] = lowest <= cut
+        if not kernel.any():
+            return np.linalg.solve(self.matrix, self.load[..., None])[..., 0]
+        w = np.empty_like(load)
+        w[~kernel] = np.linalg.solve(A[~kernel], load[~kernel, :, None])[..., 0]
+        evals, Q = np.linalg.eigh(A[kernel])
+        drop = evals <= _cut(evals)[:, None]
+        inv = np.where(drop, 0.0, 1.0 / np.where(drop, 1.0, evals))
+        w[kernel] = np.matvec(Q, inv * np.vecmat(load[kernel], Q))
+        return w.reshape(self.load.shape)
 
 
-def _first(flags):
-    """Index of the first flagged point of a stack (one point: a 0-d flag), or None."""
-    return int(np.flatnonzero(flags)[0]) if flags.any() else None
+def _cut(evals):
+    """The kernel cut of each matrix of ascending eigenvalues ``evals``."""
+    return _KERNEL_TOL * np.maximum(evals[..., -1], 1.0)
 
 
-def _at(xi, i: int) -> str:
-    return f" at xi = {np.atleast_2d(xi)[i].tolist()!r}"
+def _gershgorin(A):
+    """Per matrix of the stack ``A``: ``(g, L)`` with g <= lambda_min, L >= lambda_max.
+
+    g = min_i (2 a_ii - sum_j |a_ij|), at most every Gershgorin disc's left
+    end, and L = max_i sum_j |a_ij| (Golub & Van Loan, Matrix Computations,
+    7.2).  g > _KERNEL_TOL * max(L, 1) puts every eigenvalue above the
+    kernel cut.  The rounding in g is about n eps L (Rump, BIT 46, 2006):
+    8e-15 L at n = 34, four orders of magnitude below the cut.
+    """
+    sums = np.abs(A).sum(axis=-1)
+    return (2.0 * np.diagonal(A, axis1=-2, axis2=-1) - sums).min(axis=-1), sums.max(axis=-1)
 
 
 def _raise_first(flags, xi, error, message: str, *values) -> None:
@@ -191,10 +217,10 @@ def _raise_first(flags, xi, error, message: str, *values) -> None:
     ``xi`` (0-d for one point); ``message`` is formatted with that point's
     values.
     """
-    i = _first(flags)
-    if i is not None:
+    if flags.any():
+        i = int(np.flatnonzero(flags)[0])
         text = message.format(*(float(np.ravel(v)[i]) for v in values))
-        raise error(text + _at(xi, i))
+        raise error(f"{text} at xi = {np.atleast_2d(xi)[i].tolist()!r}")
 
 
 def _t(M: np.ndarray) -> np.ndarray:
@@ -205,8 +231,9 @@ def _t(M: np.ndarray) -> np.ndarray:
 def _finite(M: np.ndarray, label: str, xi) -> np.ndarray:
     """An exactly symmetric matrix (stack), checked for non-finite entries only.
 
-    numpy's eigh would return NaN eigenvalues for such a matrix instead of
-    failing.  One test over the whole stack; the point is looked up on failure.
+    numpy's eigensolvers would return NaN eigenvalues for such a matrix
+    instead of failing.  One test over the whole stack; the point is looked
+    up on failure.
     """
     if not np.isfinite(M).all():
         _raise_first(~np.isfinite(M).all(axis=(-2, -1)), xi, NonFiniteValueError,
@@ -449,7 +476,7 @@ def check_consistency(system: AssembledSystem) -> ConsistencyReport:
     """Compares the system's exact solve with one shifted along the kernel of A."""
     w1 = system.solution
     evals, Q = system.spectrum
-    kernel = evals <= system.kernel_cut
+    kernel = evals <= _cut(evals)  # vectors and cut from one decomposition
     kdim = int(np.count_nonzero(kernel))
     if kdim:
         residual = float(np.linalg.norm(Q[:, kernel].T @ system.load))

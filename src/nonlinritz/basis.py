@@ -285,20 +285,23 @@ class NonlinearDomain:
 
         Up to 200 uniform box draws are tried in order and the first
         admissible one is returned; if none is, one more draw is projected.
-        All candidates are drawn as one ``(200, dim)`` block and tested with
-        one ``feasible`` call.  The block holds the same numbers as 200
-        single draws, and after an accepted row ``k`` the generator is
-        rewound and advanced by exactly ``k + 1`` rows, so the point returned
-        and the state ``rng`` is left in are bitwise those of drawing one
-        candidate at a time.
+        All candidates are drawn as one ``(200, dim)`` block, the numbers
+        of 200 single ``rng.uniform`` draws, and only their chain links are
+        tested: a box draw is off the box by at most a rounding of the
+        bounds, inside the ``_TOL`` widening for bounds below 1e3.  After an
+        accepted row ``k`` the generator is rewound and advanced by exactly
+        ``k + 1`` rows, so the point returned and the state ``rng`` is left
+        in are bitwise those of drawing one candidate at a time.
         """
         state = rng.bit_generator.state
-        block = rng.uniform(self.lower, self.upper, size=(200, self.dim))
-        hits = np.flatnonzero(self.feasible(block))
+        block = self.lower + (self.upper - self.lower) * rng.random((200, self.dim))
+        short = block[:, self._link_b] - block[:, self._link_a] < self._limits[2]
+        hits = np.flatnonzero(~short.any(axis=1))
         if hits.size:
             k = int(hits[0])
             rng.bit_generator.state = state
-            return rng.uniform(self.lower, self.upper, size=(k + 1, self.dim))[k]
+            rng.random((k + 1, self.dim))
+            return block[k]
         return self.project(rng.uniform(self.lower, self.upper))
 
     def shrink(self, margin) -> "NonlinearDomain":

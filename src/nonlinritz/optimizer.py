@@ -324,6 +324,7 @@ class RunRecord:
 
 
 def _check_assumption1(system: AssembledSystem, omega_min, frozen: bool):
+    system.lambda_max  # recorded anyway; read first, the exact solve needs no Gershgorin test
     if frozen or omega_min is None:
         return
     if system.omega < omega_min:

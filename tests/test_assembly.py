@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +7,7 @@ from numpy.testing import assert_allclose
 
 import nonlinritz.assembly
 from nonlinritz.assembly import (
+    AssembledSystem,
     assemble,
     check_consistency,
     quadratic_energy,
@@ -17,7 +20,8 @@ from nonlinritz.basis import (
     realisation,
 )
 from nonlinritz.certify import lambda_max_entry
-from nonlinritz.errors import ConfigError, NonFiniteValueError, NumericalError
+from nonlinritz.errors import (ConfigError, NonFiniteValueError, NumericalError,
+                               SpdViolationError)
 from nonlinritz.variational import (
     DiffusionReaction1D,
     Field,
@@ -403,3 +407,111 @@ def test_short_chain_links_assemble_as_their_running_maximum():
                 for got, want in ((stack.matrix[i], alone.matrix),
                                   (stack.gram[i], alone.gram), (stack.load[i], alone.load)):
                     assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the exact solve: Gershgorin certificate, eigenvalues, eigh pseudo-inverse
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def bump_systems(draw):
+    """Gaussian bumps and a stack of centres, with coincident centres: of
+    equal widths they span a kernel, of unequal widths they do not."""
+    n = draw(st.integers(1, 4))
+    family = _gauss_family(draw(st.lists(st.sampled_from([0.05, 0.1, 0.15]),
+                                         min_size=n, max_size=n)))
+    points = []
+    for _ in range(draw(st.integers(1, 5))):
+        xi = draw(st.lists(st.floats(0.1, 0.9), min_size=n, max_size=n))
+        if n > 1 and draw(st.booleans()):
+            i = draw(st.integers(1, n - 1))
+            xi[i] = xi[i - 1]
+        points.append(xi)
+    return L2, family, np.array(points)
+
+
+SOLVED_SYSTEMS = st.one_of(hat_systems(), bump_systems())
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(SOLVED_SYSTEMS)
+def test_gershgorin_bounds_bracket_the_spectrum(case):
+    problem, family, points = case
+    A = assemble(problem, RULE, family, points).matrix
+    g, L = nonlinritz.assembly._gershgorin(A)
+    evals = np.linalg.eigvalsh(A)
+    slack = 1e-13 * np.maximum(L, 1.0)  # the rounding of eigvalsh
+    assert np.all(g <= evals[:, 0] + slack)
+    assert np.all(L >= evals[:, -1] - slack)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SOLVED_SYSTEMS)
+def test_solution_matches_the_pseudo_inverse_without_a_kernel(case):
+    problem, family, points = case
+    system = assemble(problem, RULE, family, points)
+    for A, load, w in zip(system.matrix, system.load, system.solution):
+        evals, Q = np.linalg.eigh(A)
+        if evals[0] <= 1e-10 * max(evals[-1], 1.0):
+            continue
+        want = Q @ ((Q.T @ load) / evals)
+        # two backward-stable solves differ by up to about eps * cond each:
+        # 1e-10 at cond < 1e5, and more on nearly coincident hat knots
+        cond = evals[-1] / evals[0]
+        assert np.linalg.norm(w - want) <= (1e-10 + 8 * EPS * cond) * np.linalg.norm(want)
+        assert np.linalg.norm(A @ w - load) <= 1e-13 * np.linalg.norm(A, 2) * np.linalg.norm(w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SOLVED_SYSTEMS, st.booleans())
+def test_each_row_of_a_stack_is_solved_as_its_point_alone(case, values_first):
+    # a row's path depends on its own matrix and on whether its eigenvalues
+    # were read first, never on its neighbours; either way it is bitwise
+    # the same solve
+    problem, family, points = case
+    stack = assemble(problem, RULE, family, points)
+    if values_first:
+        stack.eigvalsh
+    for i, xi in enumerate(points):
+        for read_values in (False, True):
+            alone = assemble(problem, RULE, family, xi)
+            if read_values:
+                alone.eigvalsh
+            assert stack.solution[i].tobytes() == alone.solution.tobytes()
+
+
+def test_a_mixed_stack_takes_each_path_on_its_own_rows(count_calls):
+    family = _gauss_family((0.1, 0.1, 0.1))
+    # eigenvalue-decided, Gershgorin-certified, kernel, certified, kernel
+    points = np.array([[0.4, 0.5, 0.6], [0.15, 0.5, 0.85], [0.3, 0.3, 0.7],
+                       [0.2, 0.5, 0.8], [0.6, 0.6, 0.6]])
+    values = count_calls("eigvalsh", np.linalg, first_arg=True)
+    eighs = count_calls("eigh", np.linalg, first_arg=True)
+    stack = assemble(L2, RULE, family, points)
+    w = stack.solution
+    A = stack.matrix
+    assert [M.tobytes() for M in values] == [A[[0, 2, 4]].tobytes()]
+    assert [M.tobytes() for M in eighs] == [A[[2, 4]].tobytes()]
+    for i, xi in enumerate(points):
+        assert w[i].tobytes() == assemble(L2, RULE, family, xi).solution.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(["certified", "decided", "kernel", "indefinite"]),
+                min_size=1, max_size=6).filter(lambda kinds: "indefinite" in kinds),
+       st.booleans())
+def test_an_indefinite_row_names_the_first_bad_point(kinds, values_first):
+    Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+    lowest = {"decided": 0.1, "kernel": 0.0, "indefinite": -0.5}
+    A = np.array([np.diag([3.0, 2.0, 4.0]) if k == "certified"
+                  else Q @ np.diag([lowest[k], 1.0, 3.0]) @ Q.T for k in kinds])
+    A = 0.5 * (A + np.swapaxes(A, 1, 2))
+    xi = np.arange(len(kinds), dtype=float)[:, None] + np.array([0.25, 0.5])
+    system = AssembledSystem(xi, A, np.ones((len(kinds), 3)), A)
+    if values_first:
+        system.eigvalsh
+    bad = kinds.index("indefinite")
+    with pytest.raises(SpdViolationError, match=re.escape(f"at xi = {xi[bad].tolist()!r}")):
+        system.solution

@@ -187,6 +187,66 @@ def test_sample_feasible_and_deterministic():
     assert_allclose(pts[0], pts[1])
 
 
+def reference_sample(domain, rng):
+    """The sampler drawn with ``rng.uniform`` and tested with ``feasible``."""
+    state = rng.bit_generator.state
+    block = rng.uniform(domain.lower, domain.upper, size=(200, domain.dim))
+    hits = np.flatnonzero(domain.feasible(block))
+    if hits.size:
+        k = int(hits[0])
+        rng.bit_generator.state = state
+        return rng.uniform(domain.lower, domain.upper, size=(k + 1, domain.dim))[k]
+    return domain.project(rng.uniform(domain.lower, domain.upper))
+
+
+@st.composite
+def sampled_domains(draw):
+    """A box with pinned and free coordinates and up to two chains, whose
+    gap is a fraction of the largest the chains admit: fractions near 1
+    leave no box draw admissible and take the projection fallback."""
+    dim = draw(st.integers(1, 8))
+    lower = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=dim, max_size=dim)))
+    widths = st.sampled_from([0.0, 1e-3, 0.5, 1.0, 2.5]) | st.floats(0.0, 4.0)
+    width = np.array(draw(st.lists(widths, min_size=dim, max_size=dim)))
+    order = draw(st.permutations(range(dim)))
+    cut = draw(st.integers(0, dim))
+    chains = tuple(tuple(c) for c in (order[:cut], order[cut:]) if len(c) >= 2)
+    if chains and draw(st.booleans()):  # a common interval along each chain
+        for c in chains:
+            lower[list(c)], width[list(c)] = lower[c[0]], max(width[c[0]], 0.1)
+    gap = 0.0
+    if chains:
+        room = min((np.min(lower[list(c)] + width[list(c)]) - np.max(lower[list(c)]))
+                   / (len(c) - 1) for c in chains)
+        gap = max(room, 0.0) * draw(st.sampled_from([0.0, 0.3, 0.99, 1.0]) | st.floats(0.0, 1.0))
+    try:
+        return NonlinearDomain(lower, lower + width, chains=chains, gap=gap)
+    except ConfigError:  # the chains' bounds admit no point at this gap
+        return NonlinearDomain(lower, lower + width)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampled_domains(), st.integers(0, 2**32 - 1))
+def test_sample_is_bitwise_the_reference_sampler(domain, seed):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        got, want = domain.sample(rng), reference_sample(domain, ref)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("gap, fallback", [(0.0, False), (0.32, True)])
+def test_sample_takes_the_hit_and_the_fallback_path(gap, fallback):
+    dom = NonlinearDomain([0.0] * 4, [1.0] * 4, chains=((0, 1, 2, 3),), gap=gap)
+    for seed in range(20):
+        probe = np.random.default_rng(seed)
+        hit = dom.feasible(probe.uniform(dom.lower, dom.upper, (200, 4))).any()
+        assert hit != fallback
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert dom.sample(rng).tobytes() == reference_sample(dom, ref).tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_shrink_gives_margin():
     dom = NonlinearDomain([0.0, 0.0], [1.0, 1.0], chains=((0, 1),), gap=0.2)
     inner = dom.shrink(0.05)

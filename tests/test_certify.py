@@ -51,8 +51,8 @@ from nonlinritz.updates import (
     SteepestDescent,
     make_gradients,
 )
-from nonlinritz.variational import (Field, L2Approx, ProblemConstants, QuadratureRule, bilinear,
-                                    linear_form)
+from nonlinritz.variational import (DiffusionReaction1D, Field, L2Approx, ProblemConstants,
+                                    QuadratureRule, bilinear, linear_form)
 
 from helpers import constant, gap_slope, realised_gaps
 from lemma_norms import best_linear_margins, dc_condition, dphi_norm, kappa, regularity_margins
@@ -327,6 +327,41 @@ def test_hat_grid_oracle_assembles_per_block(count_calls):
     assert len(assembles) <= math.ceil(n / block) + groups < n / 50
     for i in range(n):
         assert oracle.values[i] == reduced_energy(problem, rule, family, oracle.points[i])[0]
+
+
+def test_two_bump_grid_takes_eigh_on_its_kernel_rows_only(count_calls):
+    # equal widths: the 55 grid points with coincident centres span a
+    # kernel; every other point is solved by LU
+    problem = _gaussian_setup()[0]
+    family = GaussianBumps(NonlinearDomain([0.1, 0.1], [0.9, 0.9]), np.array([0.1, 0.1]))
+    decomposed = count_calls("eigh", np.linalg, first_arg=True)
+    oracle = minimiser_grid_oracle(problem, RULE, family, resolution=0.015)
+    assert oracle.points.shape == (3025, 2)
+    kernel_rows = oracle.points[oracle.points[:, 0] == oracle.points[:, 1]]
+    assert len(kernel_rows) == 55
+    assert (np.concatenate(decomposed).tobytes()
+            == assemble(problem, RULE, family, kernel_rows).matrix.tobytes())
+    for i in (0, 56, 1234, 3023):  # 0 and 56 coincide, 1234 and 3023 do not
+        assert oracle.values[i] == reduced_energy(problem, RULE, family, oracle.points[i])[0]
+
+
+@pytest.mark.parametrize("h1", [False, True])
+def test_hat_grid_oracles_decompose_nothing(count_calls, h1):
+    # L2 hat mass matrices and Dirichlet hats with reaction are strictly
+    # diagonally dominant: Gershgorin shows every grid system regular
+    dom = NonlinearDomain([0.05, 0.05], [0.95, 0.95], chains=((0, 1),), gap=0.02)
+    family = FreeKnotHats(dom, 0.0, 1.0, dirichlet=h1)
+    if h1:
+        problem = DiffusionReaction1D(Field(lambda x: 1.0 + 0.25 * np.sin(2 * np.pi * x)),
+                                      constant(1.25), constant(1.0), 0.0, 1.0)
+    else:
+        problem = L2Approx(Field(lambda x: np.abs(x - 0.33) + 0.5 * x * x, None, (0.33,)))
+    eighs, values = count_calls("eigh", np.linalg), count_calls("eigvalsh", np.linalg)
+    oracle = minimiser_grid_oracle(problem, RULE, family, resolution=0.015)
+    assert len(oracle.points) > 1000
+    assert eighs == [] and values == []
+    for i in (0, 777, len(oracle.points) - 1):
+        assert oracle.values[i] == reduced_energy(problem, RULE, family, oracle.points[i])[0]
 
 
 def test_grid_oracle_memory_is_bounded_by_the_block():

@@ -1114,6 +1114,42 @@ def test_check_on_a_chain_loads_no_scipy(tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "0 []"
 
 
+def test_check_on_l2_hats_decomposes_twice(tmp_path, count_calls, monkeypatch):
+    # the 32-knot chain of the bench's smooth fit: the five sampled systems
+    # take one stacked eigvalsh, the consistency check at xi0 one eigh; the
+    # finite-difference probes, shown regular by Gershgorin, take neither
+    m = 32
+    data = {
+        "problem": {"kind": "l2", "target": "sin(6.5*x + 0.3) + 0.45*gauss(x, 0.5, 0.03)",
+                    "x_lo": 0.0, "x_hi": 1.0},
+        "constants": {"alpha": 1.0, "norm_a": 1.0, "norm_ell": 1.0},
+        "quadrature": {"n_panels": 32, "order": 5},
+        "family": {"kind": "free_knot_hats"},
+        "domain": {"lower": [0.005] * m, "upper": [0.995] * m,
+                   "chains": [list(range(m))], "gap": 0.001},
+        "schedule": {"kind": "lipschitz", "zeta": 0.5},
+        "stopping": {"max_epochs": 6},
+        "init": {"xi0": [(i + 1) / (m + 1) for i in range(m)]},
+    }
+    eighs = count_calls("eigh", np.linalg, first_arg=True)
+    values = count_calls("eigvalsh", np.linalg, first_arg=True)
+    fd, in_probes = nonlinritz.cli.central_differences, []
+
+    def probes(*args):
+        before = len(eighs) + len(values)
+        out = fd(*args)
+        in_probes.append(len(eighs) + len(values) - before)
+        return out
+
+    monkeypatch.setattr(nonlinritz.cli, "central_differences", probes)
+    cfg_path = _write_cfg(tmp_path, data)
+    assert main(["check", "--config", cfg_path, "--out-dir", str(tmp_path)]) == 0
+    assert in_probes == [0]
+    # the Gauss-Legendre rule of the config takes an eigvalsh of its own
+    assert [M.shape for M in values if M.shape[-1] == m + 2] == [(5, m + 2, m + 2)]
+    assert [M.shape for M in eighs] == [(m + 2, m + 2)]
+
+
 def test_import_and_reduced_energy_load_no_scipy():
     # nothing the package runs imports scipy; loading it would double the
     # import time

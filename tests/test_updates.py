@@ -98,10 +98,11 @@ def test_l2_system_decomposes_once(count_calls):
     family = GaussianBumps(NonlinearDomain([0.1, 0.1], [0.9, 0.9]), widths=[0.1, 0.15])
     system = assemble(problem, RULE, family, np.array([0.3, 0.7]))
     assert system.gram is system.matrix
-    assert calls == []  # assembling alone decomposes nothing
+    assert calls == [] and values_only == []  # assembling alone decomposes nothing
     stats = (system.lambda_min, system.lambda_max, system.omega, system.phi_u2)
+    assert calls == [] and len(values_only) == 1  # the statistics: one eigvalsh
     w = system.solution
-    assert len(calls) == 1 and values_only == []
+    assert calls == [] and len(values_only) == 1  # the solve decomposes nothing more
     assert stats[2] == stats[0]
     assert_allclose(system.matrix @ w, system.load, atol=1e-12)
 

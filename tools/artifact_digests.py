@@ -1,6 +1,7 @@
 """Digests of every CLI operation on the bench jobs and the demo configs.
 
     python3 tools/artifact_digests.py CHECKOUT OUT SEED [SEED ...]
+    python3 tools/artifact_digests.py compare OUT_A OUT_B
 
 Imports ``nonlinritz`` from ``CHECKOUT/src`` and the job generator from
 ``CHECKOUT/bench``, writes the config of every bench job of both workloads
@@ -11,9 +12,21 @@ operation: its name, exit code, the SHA-256 of what it printed (stdout and
 stderr, OUT replaced by a placeholder) and of every file its directory then
 holds besides the config.  Two checkouts that print the same lines produced
 the same bytes: run it on both and compare the outputs with ``diff``.
+The printed lines are also written to ``OUT/digests.txt``.
+
+``compare`` is for changes that may move the last bits of results.  It
+reads two such OUT directories and requires, operation by operation,
+equal exit codes; per certificate report (``report.json``,
+``check.json``) equal verdicts and equal entry names, anchors and
+statuses in order; per run (``summary.json``, ``trace.csv``) equal
+iteration counts and terminations; and per grid oracle (``oracle.json``)
+equal minimiser sets.  It prints, per directory and overall, the largest
+relative difference of ``best_energy``, of the trace's ``K`` column and of
+``K_star``, then each mismatch, and exits 1 if there is one.
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -52,6 +65,8 @@ def operations(checkout, out, seeds):
 
 
 def main(argv):
+    if len(argv) == 3 and argv[0] == "compare":
+        return compare(*argv[1:])
     if len(argv) < 3:
         print(__doc__, file=sys.stderr)
         return 2
@@ -61,6 +76,7 @@ def main(argv):
     import nonlinritz.cli
 
     shutil.rmtree(out, ignore_errors=True)
+    lines = []
     for name, d, sub in operations(checkout, out, seeds):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
@@ -75,8 +91,94 @@ def main(argv):
                 with open(os.path.join(d, f), "rb") as fh:
                     files.append(f"{f}={sha(fh.read())}")
         text = buf.getvalue().replace(out, "<OUT>")
-        print(f"{name} {sub} rc={rc} stdout={sha(text.encode())} {' '.join(files)}")
+        lines.append(f"{name} {sub} rc={rc} stdout={sha(text.encode())} {' '.join(files)}")
+        print(lines[-1])
+    with open(os.path.join(out, "digests.txt"), "w") as fh:
+        fh.write("\n".join(lines) + "\n")
     return 0
+
+
+def _exit_codes(out):
+    """``{(directory, subcommand): exit code}`` from ``OUT/digests.txt``."""
+    with open(os.path.join(out, "digests.txt")) as fh:
+        rows = [line.split()[:3] for line in fh if line.strip()]
+    return {(name, sub): rc for name, sub, rc in rows}
+
+
+def _load(d, name):
+    """The parsed file ``name`` of directory ``d``, or None if it is absent."""
+    path = os.path.join(d, name)
+    if not os.path.exists(path):
+        return None
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh)) if name.endswith(".csv") else json.load(fh)
+
+
+def _rel(a, b) -> float:
+    """``|a - b| / max(|a|, |b|)``; 0 for equal values, NaN and None included."""
+    if a == b or (a != a and b != b):
+        return 0.0
+    if a is None or b is None:
+        return float("inf")
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _differences(a, b):
+    """``(mismatches, {quantity: worst relative difference})`` of two directories."""
+    bad, worst, both = [], {}, {}
+    for name in ("report.json", "check.json", "summary.json", "trace.csv", "oracle.json"):
+        fa, fb = _load(a, name), _load(b, name)
+        if (fa is None) != (fb is None):
+            bad.append(f"{name} present on one side only")
+        elif fa is not None:
+            both[name] = fa, fb
+    for name in ("report.json", "check.json"):
+        if name in both:
+            ra, rb = both[name]
+            keys = [[(e["name"], e["anchor"], e["status"]) for e in r["entries"]] for r in (ra, rb)]
+            if ra["passed"] != rb["passed"] or keys[0] != keys[1]:
+                bad.append(f"{name}: verdicts, names, anchors or statuses differ")
+    if "summary.json" in both:
+        sa, sb = both["summary.json"]
+        for key in ("iterations", "termination"):
+            if sa[key] != sb[key]:
+                bad.append(f"summary.json {key}: {sa[key]!r} vs {sb[key]!r}")
+        worst["best_energy"] = _rel(sa["best_energy"], sb["best_energy"])
+    if "trace.csv" in both:
+        ta, tb = both["trace.csv"]
+        if len(ta) != len(tb):
+            bad.append(f"trace.csv: {len(ta)} vs {len(tb)} rows")
+        worst["K"] = max((_rel(float(x["K"]), float(y["K"])) for x, y in zip(ta, tb)),
+                         default=0.0)
+    if "oracle.json" in both:
+        oa, ob = both["oracle.json"]
+        if sorted(map(tuple, oa["minimisers"])) != sorted(map(tuple, ob["minimisers"])):
+            bad.append("oracle.json: minimiser sets differ")
+        worst["K_star"] = _rel(oa["K_star"], ob["K_star"])
+    return bad, worst
+
+
+def compare(out_a, out_b) -> int:
+    codes_a, codes_b = _exit_codes(out_a), _exit_codes(out_b)
+    one_side = sorted(set(codes_a) ^ set(codes_b))
+    mismatches = [f"operations on one side only: {one_side}"] if one_side else []
+    mismatches += [f"{name} {sub}: {codes_a[name, sub]} vs {codes_b[name, sub]}"
+                   for name, sub in sorted(set(codes_a) & set(codes_b))
+                   if codes_a[name, sub] != codes_b[name, sub]]
+    overall = {}
+    for name in sorted({name for name, _ in codes_a} & {name for name, _ in codes_b}):
+        bad, worst = _differences(os.path.join(out_a, name), os.path.join(out_b, name))
+        mismatches += [f"{name}: {m}" for m in bad]
+        print(name, " ".join(f"{q}={v:.3g}" for q, v in worst.items()))
+        for q, v in worst.items():
+            if v >= overall.get(q, (-1.0, ""))[0]:
+                overall[q] = (v, name)
+    for q, (v, name) in overall.items():
+        print(f"worst {q}: {v:.3g} ({name})")
+    for m in mismatches:
+        print(f"MISMATCH {m}")
+    print(f"{len(codes_a)} operations, {len(mismatches)} mismatches")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
