@@ -86,10 +86,12 @@ class AssembledSystem:
 
     For a stack of points every array carries the stack's leading axis;
     ``eigvalsh``, ``spectrum``, ``kernel_cut`` and ``solution`` are then per
-    matrix, while the scalar statistics (``lambda_min`` ... ``phi_u2``) need
-    one point.  Each is computed on first use and cached, so a point that
-    never asks for them (a finite-difference probe, a frozen grid point)
-    never pays for a decomposition.
+    matrix, and the statistics (``lambda_min`` ... ``phi_u2``) are floats
+    for one point and ``(N,)`` arrays for a stack.  Each is computed on
+    first use and cached, so a point that never asks for them (a
+    finite-difference probe, a frozen grid point) never pays for a
+    decomposition.  Indexing a stack gives one of its points (an int) or a
+    part of it (a slice), sharing the decompositions computed so far.
     """
 
     xi: np.ndarray
@@ -109,52 +111,44 @@ class AssembledSystem:
         return np.linalg.eigvalsh(self.matrix)
 
     @property
-    def lambda_min(self) -> float:
-        return float(self.eigvalsh[..., 0])
+    def lambda_min(self):
+        return _value(self.eigvalsh[..., 0])
 
     @property
-    def lambda_max(self) -> float:
-        return float(self.eigvalsh[..., -1])
+    def lambda_max(self):
+        return _value(self.eigvalsh[..., -1])
 
     @cached_property
-    def omega(self) -> float:
+    def omega(self):
         """Smallest eigenvalue of G."""
         if self.gram is self.matrix:
             return self.lambda_min
-        return float(np.linalg.eigvalsh(self.gram)[..., 0])
+        return _value(np.linalg.eigvalsh(self.gram)[..., 0])
 
     @property
-    def phi_u2(self) -> float:
+    def phi_u2(self):
         """||phi(xi)||_{U,2} = sqrt(trace G)."""
-        return float(np.sqrt(np.trace(self.gram, axis1=-2, axis2=-1)))
+        return _value(np.sqrt(self.gram.trace(axis1=-2, axis2=-1)))
 
     @property
     def kernel_cut(self):
         """Eigenvalues of A at or below this cut span its numerical kernel."""
         return _cut(self.eigvalsh)
 
-    def rows(self, solve: bool = False) -> list:
-        """The points of a stack as one-point systems, in stack order.
+    def __getitem__(self, i) -> AssembledSystem:
+        """Point ``i`` of a stack, or the stack's part ``i`` (a slice).
 
-        Each shares its slices of the stack's arrays and holds its slice of
-        the stack's eigenvalues of A and G and, with ``solve``, of the
-        stack's exact solve, each bitwise that of the point assembled alone.
+        It shares its slices of the stack's arrays and of every
+        decomposition the stack has cached (eigenvalues of A, ``omega``,
+        exact solve), each bitwise that of the point assembled alone.
         """
-        evals = self.eigvalsh
-        omegas = None if self.gram is self.matrix else np.linalg.eigvalsh(self.gram)[:, 0]
-        solutions = self.solution if solve else None
-        out = []
-        for i in range(len(self.xi)):
-            A = self.matrix[i]
-            row = AssembledSystem(self.xi[i], A, self.load[i],
-                                  A if omegas is None else self.gram[i])
-            row.__dict__["eigvalsh"] = evals[i]
-            if omegas is not None:
-                row.__dict__["omega"] = float(omegas[i])
-            if solutions is not None:
-                row.__dict__["solution"] = solutions[i]
-            out.append(row)
-        return out
+        A = self.matrix[i]
+        part = AssembledSystem(self.xi[i], A, self.load[i],
+                               A if self.gram is self.matrix else self.gram[i])
+        for name in ("eigvalsh", "omega", "solution"):
+            if name in self.__dict__:
+                part.__dict__[name] = _value(self.__dict__[name][i])
+        return part
 
     @cached_property
     def solution(self) -> np.ndarray:
@@ -192,6 +186,11 @@ class AssembledSystem:
         return w.reshape(self.load.shape)
 
 
+def _value(a):
+    """A float for one point's 0-d statistic, the ``(N,)`` array of a stack as it is."""
+    return float(a) if a.ndim == 0 else a
+
+
 def _cut(evals):
     """The kernel cut of each matrix of ascending eigenvalues ``evals``."""
     return _KERNEL_TOL * np.maximum(evals[..., -1], 1.0)
@@ -210,17 +209,22 @@ def _gershgorin(A):
     return (2.0 * np.diagonal(A, axis1=-2, axis2=-1) - sums).min(axis=-1), sums.max(axis=-1)
 
 
-def _raise_first(flags, xi, error, message: str, *values) -> None:
+def _raise_first(flags, xi, error, message: str, *values, name_point: bool = True) -> None:
     """Raise ``error`` for the first flagged point, naming its coordinates.
 
     ``flags`` and each of ``values`` hold one entry per point of the stack
     ``xi`` (0-d for one point); ``message`` is formatted with that point's
-    values.
+    values, and its field ``{xi}``, if it has one, with the point's
+    coordinates, which are otherwise appended unless ``name_point`` is
+    false.
     """
-    if flags.any():
+    if np.count_nonzero(flags):  # far cheaper than .any() on the arrays of a step
         i = int(np.flatnonzero(flags)[0])
-        text = message.format(*(float(np.ravel(v)[i]) for v in values))
-        raise error(f"{text} at xi = {np.atleast_2d(xi)[i].tolist()!r}")
+        point = np.atleast_2d(xi)[i].tolist()
+        text = message.format(*(float(np.ravel(v)[i]) for v in values), xi=point)
+        if name_point and "{xi}" not in message:
+            text = f"{text} at xi = {point!r}"
+        raise error(text)
 
 
 def _t(M: np.ndarray) -> np.ndarray:
@@ -473,8 +477,15 @@ class ConsistencyReport:
 
 
 def check_consistency(system: AssembledSystem) -> ConsistencyReport:
-    """Compares the system's exact solve with one shifted along the kernel of A."""
+    """Compares the system's exact solve with one shifted along the kernel of A.
+
+    A system whose exact solve has shown its kernel empty (by the Gershgorin
+    bound, or by eigenvalues it had cached) has nothing to shift along and
+    takes no eigendecomposition.
+    """
     w1 = system.solution
+    if "eigvalsh" not in system.__dict__ or system.eigvalsh[0] > system.kernel_cut:
+        return ConsistencyReport(kernel_dim=0, load_kernel_residual=0.0, realisation_gap=0.0)
     evals, Q = system.spectrum
     kernel = evals <= _cut(evals)  # vectors and cut from one decomposition
     kdim = int(np.count_nonzero(kernel))

@@ -69,33 +69,27 @@ def _bounded_isotonic(y, w, lo, hi):
     (nondecreasing).  Plain clip-after-PAV is wrong for non-uniform bounds;
     the clipping has to participate in the pooling decisions.
     """
-    n = len(y)
-    # finished blocks as parallel lists: start index, weight sum, mean, lo,
-    # hi and the clipped value; the newest block is held in locals until the
-    # blocks below it no longer exceed its value
-    starts, wsum, mean, blo, bhi, val = [], [], [], [], [], []
+    # finished blocks as tuples (start, weight sum, mean, lo, hi, clipped
+    # value); the newest block is held in locals until the blocks below it no
+    # longer exceed its value.  The conditionals are the builtins' max(a, b)
+    # and min(a, b), which keep ``a`` on a tie (-0.0 against 0.0 included).
+    blocks = []
     for i, (cm, cw, cl, ch) in enumerate(zip(y.tolist(), w.tolist(), lo.tolist(), hi.tolist())):
-        cs, cv = i, min(max(cm, cl), ch)
-        while val and val[-1] > cv:
+        cs = i
+        cv = cl if cl > cm else cm
+        cv = ch if ch < cv else cv
+        while blocks and blocks[-1][5] > cv:
             # merge the block below into the newest one
-            w1 = wsum.pop()
-            cm = (w1 * mean.pop() + cw * cm) / (w1 + cw)
+            cs, w1, m1, l1, h1, _ = blocks.pop()
+            cm = (w1 * m1 + cw * cm) / (w1 + cw)
             cw = w1 + cw
-            cl, ch = max(blo.pop(), cl), min(bhi.pop(), ch)
-            cs = starts.pop()
-            val.pop()
-            cv = min(max(cm, cl), ch)
-        starts.append(cs)
-        wsum.append(cw)
-        mean.append(cm)
-        blo.append(cl)
-        bhi.append(ch)
-        val.append(cv)
-
-    x = np.empty(n)
-    for j, (a, b) in enumerate(zip(starts, starts[1:] + [n])):
-        x[a:b] = val[j]
-    return x
+            cl = cl if cl > l1 else l1
+            ch = ch if ch < h1 else h1
+            cv = cl if cl > cm else cm
+            cv = ch if ch < cv else cv
+        blocks.append((cs, cw, cm, cl, ch, cv))
+    ends = [b[0] for b in blocks[1:]] + [len(y)]
+    return np.repeat([b[5] for b in blocks], [end - b[0] for b, end in zip(blocks, ends)])
 
 
 @dataclass(frozen=True)
@@ -196,7 +190,7 @@ class NonlinearDomain:
         if p.ndim != 2 or p.shape[1] != self.dim:
             raise ConfigError(f"expected an (N, {self.dim}) array, got shape {p.shape}")
         below, above, short = self._masks(p)
-        return ~(below.any(axis=1) | above.any(axis=1) | short.any(axis=1))
+        return ~((below | above).any(axis=1) | short.any(axis=1))
 
     def violations(self, xi) -> list:
         xi = np.asarray(xi, dtype=float)
@@ -238,20 +232,29 @@ class NonlinearDomain:
         diagonal of the mirror map.  Coordinates outside chains clip to the
         box; each chain reduces, after the gap shift ``z_k = x_k - k*gap``,
         to bounded weighted isotonic regression.
+
+        ``point`` is one point ``(dim,)`` or a stack ``(N, dim)``, projected
+        row by row with the same ``weights``; every row is bitwise that
+        point projected alone.  The clip and each chain's pass-through test
+        run once over the stack, and only the rows that break a chain go
+        through the isotonic solver, one call each.
         """
         p = np.asarray(point, dtype=float)
         d = np.ones(self.dim) if weights is None else np.asarray(weights, dtype=float)
-        if np.any(d <= 0.0):
+        if (d <= 0.0).any():
             raise ConfigError("projection weights must be positive")
         x = np.minimum(np.maximum(p, self.lower), self.upper)
+        rows, xs = p.reshape(-1, self.dim), x.reshape(-1, self.dim)  # xs: a view of x
         for idx, shift, lo_env, hi_env in self._envelopes:
-            y = p[idx] - shift
+            chain = rows[:, idx]
+            y = chain - shift
             # a feasible chain passes through: pool-adjacent-violators pools
             # only on a strict decrease and clips nothing inside the envelopes
-            if np.all(y[1:] >= y[:-1]) and np.all(lo_env <= y) and np.all(y <= hi_env):
-                x[idx] = p[idx]
-                continue
-            x[idx] = _bounded_isotonic(y, d[idx], lo_env, hi_env) + shift
+            passes = (y[:, 1:] >= y[:, :-1]).all(axis=1) & ((lo_env <= y) & (y <= hi_env)).all(axis=1)
+            xs[:, idx] = chain
+            for r, passing in enumerate(passes.tolist()):
+                if not passing:
+                    xs[r, idx] = _bounded_isotonic(y[r], d[idx], lo_env, hi_env) + shift
         return x
 
     def normal_cone_distance(self, point, v, atol: float) -> float:
@@ -341,9 +344,9 @@ class _FamilyBase:
             )
         if xi.ndim == 1:
             return self.domain.require(xi)
-        bad = np.flatnonzero(~self.domain.feasible(xi))
-        if bad.size:
-            self.domain.require(xi[bad[0]])
+        feasible = self.domain.feasible(xi)
+        if not feasible.all():
+            self.domain.require(xi[np.flatnonzero(~feasible)[0]])
         return xi
 
     def breakpoints(self, xi) -> tuple:

@@ -432,7 +432,9 @@ def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
     grads = make_gradients(cfg.problem, cfg.rule, cfg.family, mode=cfg.gradient_mode,
                            fd_step=cfg.fd_step)
     assemble, domain = grads.evaluator.assemble, cfg.family.domain
-    systems = assemble(np.array([domain.sample(rng) for _ in range(5)])).rows()
+    stack = assemble(np.array([domain.sample(rng) for _ in range(5)]))
+    stack.eigvalsh, stack.omega  # one stacked decomposition each, shared by the points
+    systems = [stack[k] for k in range(len(stack.xi))]
     psd = [_exact("assembly-psd", f"sample {k}", -np.minimum(s.lambda_min, s.omega), 1e-10)
            for k, s in enumerate(systems)]
     lam = [cert.lambda_max_entry(f"sample {k}", s, cfg.constants)
@@ -441,17 +443,18 @@ def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
     report.extend([cert._worst(psd, note), cert._worst(lam, note)])
 
     raw = domain.lower + (domain.upper - domain.lower) * rng.uniform(-0.5, 1.5, (50, domain.dim))
-    projected = np.array([domain.project(p) for p in raw])
+    projected = domain.project(raw)
     report.extend(_exact("projection-feasibility", f"{len(raw)} random points",
                          np.count_nonzero(~domain.feasible(projected)), 0,
                          "count of infeasible projections"))
 
+    # drawn in the generator's order, then stepped as one stack
+    xis, gs, gammas = (np.array(v) for v in zip(*[
+        (domain.sample(rng), rng.standard_normal(domain.dim), 10.0 ** rng.uniform(-3, 0))
+        for _ in range(20)]))
     prox = []
-    for k in range(20):
-        xi = domain.sample(rng)
-        g = rng.standard_normal(domain.dim)
-        gamma = 10.0 ** rng.uniform(-3, 0)
-        xp = prox_step(cfg.geometry, domain, xi, g, gamma)
+    steps = prox_step(cfg.geometry, domain, xis, gs, gammas)
+    for k, (xi, g, gamma, xp) in enumerate(zip(xis, gs, gammas.tolist(), steps)):
         res = prox_optimality_residual(cfg.geometry, domain, xi, g, gamma, xp)
         prox.append(_exact("prox-optimality", f"draw {k}",
                            res, 1e-6 * (1.0 + float(np.linalg.norm(g)))))

@@ -24,9 +24,12 @@ assembled, at the stopped point.
 :func:`replay` rebuilds that record from the states ``(xi_k, w_k)`` a run
 visited, without walking them one step at a time: once written, the
 states no longer depend on each other, so they are evaluated and assembled
-as stacks, each stack's gradients read from its evaluation, and every
-transition and the stopping rule are checked bitwise.  ``run`` and
-``replay`` share one record builder.
+as stacks, each stack's gradients read from its evaluation, and each
+block's transitions are checked as arrays: one stacked prox step, one
+stacked linear update and one solvability check per block, bitwise.  The
+checks and the record builder take a stack of states, and ``run`` feeds
+them each visited state as the stack of one, so that ``run`` and
+``replay`` share every check and one record builder.
 
 The reduced (variable-projection) energy eliminates the linear block
 exactly:  Kbar(xi) = K(w*(xi), xi) = -0.5 * load(xi) . w*(xi).  Its
@@ -37,14 +40,16 @@ grad_xi K(w, xi) evaluated at w = w*(xi).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Optional, Union
 
 import numpy as np
 
 from .assembly import AssembledSystem, _raise_first, assemble, quadratic_energy
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NonlinRitzError, NumericalError
 from .updates import (
     Frozen,
+    _norm,
     decrease_check,
     gradient_mapping,
     make_gradients,
@@ -324,15 +329,14 @@ class RunRecord:
 
 
 def _check_assumption1(system: AssembledSystem, omega_min, frozen: bool):
+    """Uniform solvability, ``omega >= omega_min``, at each point of a system
+    or stack; the first violating point raises."""
     system.lambda_max  # recorded anyway; read first, the exact solve needs no Gershgorin test
     if frozen or omega_min is None:
         return
-    if system.omega < omega_min:
-        raise NumericalError(
-            "uniform solvability violated at xi = "
-            f"{system.xi.tolist()}: omega = {system.omega!r} < omega_min = "
-            f"{omega_min!r}; shrink the domain or raise the gap"
-        )
+    _raise_first(system.omega < omega_min, system.xi, NumericalError,
+                 "uniform solvability violated at xi = {xi}: omega = {!r} < omega_min = "
+                 f"{omega_min!r}; shrink the domain or raise the gap", system.omega)
 
 
 def _start(family, linear_rule, xi0, w0):
@@ -350,105 +354,152 @@ def _start(family, linear_rule, xi0, w0):
     return xi, w
 
 
+#: the per-state and per-step columns a recorder keeps until it makes the
+#: iterate records
+_STATE_COLUMNS = ("xi", "w", "K", "K_reduced", "lambda_max", "omega", "phi_u2")
+_STEP_COLUMNS = ("grad_map_norm", "step_norm", "grad_w_post_norm",
+                 "decrease_achieved", "decrease_guaranteed")
+
+
 class _Recorder:
     """The bookkeeping of a run: iterate records, best state, stopping rule.
 
-    Starts from the first state ``(system.xi, w)``, reached from ``w_init``
-    by the initial linear update, and fixes the step size.  It is then fed
-    the visited states in order, each with its assembled system: by
-    :func:`run` as it walks them, by :func:`replay` from a run's written
-    states.  :meth:`finish` adds the final exact solve at the best state.
+    It is fed the visited states in order, in blocks: each block a stack of
+    states with their stacked system, by :func:`run` one state per step, by
+    :func:`replay` a block of written states at a time.  The first state
+    fed is the start, whose coefficients ``w0`` fix the step size.  Each
+    block's values are kept as arrays, and :meth:`finish` makes the iterate
+    records from them in one pass and adds the final exact solve at the
+    best state.
     """
 
-    def __init__(self, linear_rule, geometry, schedule, stopping, grads, delta_star_fn,
-                 system, w_init, w):
+    def __init__(self, linear_rule, geometry, schedule, stopping, grads, delta_star_fn, w0):
         self.linear_rule, self.schedule = linear_rule, schedule
         self.stopping, self.mu = stopping, geometry.mu
         self.frozen = isinstance(linear_rule, Frozen)
-        self.K = quadratic_energy(system, w)
-        self.initial_decrease = None if self.frozen else decrease_check(
-            system, quadratic_energy(system, w_init), self.K, system.matrix @ w_init - system.load)
+        self.grads, self.delta_star_fn, self.w0 = grads, delta_star_fn, w0
+        self.columns = {name: [] for name in _STATE_COLUMNS + _STEP_COLUMNS + ("delta_star",)}
+        self.initial_decrease = None
+
+    @cached_property
+    def _step_rule(self):
+        """``(gamma, L_eff, L_raw)``: the step size, the Lipschitz surrogate
+        and the Hoelder constant it comes from (None for a constant step),
+        estimated at ``w0`` when the schedule asks for an estimate."""
+        schedule = self.schedule
         if isinstance(schedule, ConstantGamma):
-            self.L_eff, self.L_raw, self.gamma = None, None, schedule.gamma
-        else:
-            L = schedule.lipschitz
-            if L == "estimate":
-                L = estimate_lipschitz_L(grads, w, schedule.n_pairs, schedule.seed,
-                                         nu=schedule.nu)
-            # L_raw is the Hoelder constant, L_eff its Lipschitz surrogate
-            self.L_raw = float(L)
-            self.L_eff = hoelder_to_lipschitz(self.L_raw, schedule.nu, schedule.eps_holder)
-            if self.L_eff <= 0.0:
-                raise NumericalError(
-                    "Lipschitz surrogate is zero (energy constant along the "
-                    "nonlinear block); use ConstantGamma instead"
-                )
-            self.gamma = schedule.zeta * self.mu / self.L_eff
-        self.delta_star_fn = delta_star_fn
-        self.system, self.w = system, w
-        self.records = [self._state(0, system, w, self.K)]
-        self.best = (system, w.copy(), self.K)
+            return schedule.gamma, None, None
+        L = schedule.lipschitz
+        if L == "estimate":
+            L = estimate_lipschitz_L(self.grads, self.w0, schedule.n_pairs, schedule.seed,
+                                     nu=schedule.nu)
+        L_raw = float(L)
+        L_eff = hoelder_to_lipschitz(L_raw, schedule.nu, schedule.eps_holder)
+        if L_eff <= 0.0:
+            raise NumericalError(
+                "Lipschitz surrogate is zero (energy constant along the "
+                "nonlinear block); use ConstantGamma instead"
+            )
+        return schedule.zeta * self.mu / L_eff, L_eff, L_raw
 
-    def _state(self, k, system, w, K):
-        """The record of the state ``(system.xi, w)`` of energy ``K``; an exact
-        solve (``w`` bitwise ``w*``) gives its energy to the reduced one."""
-        return IterateRecord(
-            k=k,
-            xi=system.xi.copy(),
-            w=w.copy(),
-            K=K,
-            K_reduced=K if self.frozen else _reduced(
-                system, K if _same(w, system.solution) else None)[0],
-            lambda_max=system.lambda_max,
-            omega=system.omega,
-            phi_u2=system.phi_u2,
-            delta_star=(None if self.delta_star_fn is None
-                        else float(self.delta_star_fn(system.xi))),
-        )
+    @property
+    def gamma(self) -> float:
+        return self._step_rule[0]
 
-    def step(self, system, w_next) -> Optional[str]:
-        """Record the step to the state ``(system.xi, w_next)``.
+    def arrive(self, system, w_prev, w) -> list:
+        """Record the states ``(system.xi, w)`` of a stack, in order.
 
-        Returns the stopping trigger this step fires, or None.
+        Each state is reached by the linear update from its row of
+        ``w_prev``: the start from the coefficients before the initial
+        update, every later state from those of the state before it.  The
+        stack's energies, spectral statistics, norms and decrease pairs are
+        computed as arrays; coefficients bitwise their exact solves give
+        their energies to the reduced ones.  A check that raises leaves
+        nothing recorded.  Best state and stopping rule are followed state
+        by state.  Returns the stopping trigger each step fires, or None;
+        the start is no step.
         """
-        xi, xi_next, w, gamma = self.system.xi, system.xi, self.w, self.gamma
-        cur = self.records[-1]
-        cur.gamma = gamma
-        cur.lipschitz_L = self.L_eff
-        cur.grad_map_norm = float(np.linalg.norm(gradient_mapping(xi, xi_next, gamma)))
-        cur.step_norm = float(np.linalg.norm(xi_next - xi))
-        residual = system.matrix @ w - system.load
-        cur.grad_w_post_norm = float(np.linalg.norm(residual))
-        K_next = quadratic_energy(system, w_next)
+        start = not self.columns["K"]
+        K = quadratic_energy(system, w)
+        residual = np.matvec(system.matrix, w_prev) - system.load
         if not self.frozen:
-            cur.decrease_achieved, cur.decrease_guaranteed = decrease_check(
-                system, quadratic_energy(system, w), K_next, residual)
-        k = len(self.records)
-        self.records.append(self._state(k, system, w_next, K_next))
-        if K_next < self.best[2]:
-            self.best = (system, w_next.copy(), K_next)
-        stop_xi = cur.step_norm <= self.stopping.eps_xi
-        plateau_scale = (1.0 + abs(self.K)) if self.stopping.relative_energy else 1.0
-        stop_K = abs(K_next - self.K) <= self.stopping.eps_energy * plateau_scale
-        self.system, self.w, self.K = system, w_next, K_next
-        if stop_xi:
-            return "xi_stabilised"
-        if stop_K:
-            return "energy_plateau"
-        return None
+            drops, bounds = decrease_check(system, quadratic_energy(system, w_prev), K, residual)
+        gamma, _, _ = self._step_rule
+        K_reduced = K if self.frozen else _reduced(
+            system, K if w.tobytes() == system.solution.tobytes() else None)[0]
+        delta = ([None] * len(K) if self.delta_star_fn is None
+                 else [float(self.delta_star_fn(p)) for p in system.xi])
+
+        # the steps into the stack's states, the first from the last state
+        # recorded; the start is reached by none
+        first = 1 if start else 0
+        xs = system.xi if start else np.concatenate((self.system.xi[-1:], system.xi))
+        step_norm = _norm(xs[1:] - xs[:-1])
+        steps = (_norm(gradient_mapping(xs[:-1], xs[1:], gamma)), step_norm,
+                 _norm(residual)[first:]) + (() if self.frozen else (
+                     drops[first:], bounds[first:]))
+
+        # best state and stopping rule, step by step: the first of equal
+        # energies stays best, and parameter stabilisation wins a tie
+        energies = K.tolist()
+        if start:
+            self.best = (system, 0, w[0].copy(), energies[0])
+            if not self.frozen:
+                self.initial_decrease = (float(drops[0]), float(bounds[0]))
+        stop, triggers = self.stopping, []
+        best, best_K, K_now = None, self.best[3], energies[0] if start else self.K
+        for j, s in enumerate(step_norm.tolist(), first):
+            K_prev, K_now = K_now, energies[j]
+            scale = (1.0 + abs(K_prev)) if stop.relative_energy else 1.0
+            triggers.append("xi_stabilised" if s <= stop.eps_xi else "energy_plateau"
+                            if abs(K_now - K_prev) <= stop.eps_energy * scale else None)
+            if K_now < best_K:
+                best, best_K = j, K_now
+        if best is not None:
+            self.best = (system, best, w[best].copy(), best_K)
+
+        columns = self.columns
+        for name, value in zip(_STATE_COLUMNS, (system.xi, w, K, K_reduced, system.lambda_max,
+                                                system.omega, system.phi_u2)):
+            columns[name].append(value)
+        for name, value in zip(_STEP_COLUMNS, steps):
+            columns[name].append(value)
+        columns["delta_star"] += delta
+        self.system, self.K = system, energies[-1]
+        return triggers
+
+    def _iterates(self) -> list:
+        """The iterate records, made from the recorded columns in one pass;
+        a record's transition fields describe the step that leaves it."""
+        cols = {name: np.concatenate(c) for name, c in self.columns.items()
+                if name != "delta_star" and c}
+        xi, w = cols.pop("xi"), cols.pop("w")
+        state = zip(*(cols[name].tolist() for name in _STATE_COLUMNS[2:]))
+        n = len(xi) - 1
+        steps = zip(*(cols[name].tolist() if name in cols else [None] * n
+                      for name in _STEP_COLUMNS))
+        gamma, L_eff, _ = self._step_rule
+        records = [IterateRecord(k, xi[k], w[k], *values, delta_star=ds)
+                   for k, (values, ds) in enumerate(zip(state, self.columns["delta_star"]))]
+        for cur, (map_norm, s, post, drop, bound) in zip(records, steps):
+            cur.gamma, cur.lipschitz_L = gamma, L_eff
+            cur.grad_map_norm, cur.step_norm, cur.grad_w_post_norm = map_norm, s, post
+            cur.decrease_achieved, cur.decrease_guaranteed = drop, bound
+        return records
 
     def finish(self, termination: str) -> RunRecord:
         """The run record, with the final exact solve at the best parameters."""
-        best_system, best_w, best_K = self.best
+        system, j, best_w, best_K = self.best
+        best_system = system[j]
         final_w = best_w if self.frozen else best_system.solution
         stop_residual = None
         if termination == "xi_stabilised":
-            system = self.system
+            system = self.system[-1]
             stop_residual = 0.0 if self.frozen else float(
                 np.linalg.norm(system.matrix @ system.solution - system.load)
             )
         return RunRecord(
-            iterates=self.records,
+            iterates=self._iterates(),
             termination=termination,
             best_xi=best_system.xi.copy(),
             best_w=best_w,
@@ -458,7 +509,7 @@ class _Recorder:
             linear_rule=self.linear_rule,
             schedule=self.schedule,
             initial_decrease=self.initial_decrease,
-            hoelder_L=self.L_raw,
+            hoelder_L=self._step_rule[2],
             stop_residual=stop_residual,
         )
 
@@ -483,32 +534,35 @@ def run(
     The initial linear update runs before the first recorded iterate, so
     iterate 0 already carries the updated coefficients.  ``delta_star_fn``
     (when an oracle is available) is evaluated at every visited parameter
-    point and stored alongside.
+    point and stored alongside.  Every state is a stack of one, so that the
+    run and its replay share every check and the record builder.
     """
     grads = make_gradients(problem, rule, family, mode=gradient_mode, fd_step=fd_step)
     frozen = isinstance(linear_rule, Frozen)
     xi, w_init = _start(family, linear_rule, xi0, w0)
-    system = grads.evaluator.assemble(xi)
+    system = grads.evaluator.assemble(xi[None])
     _check_assumption1(system, omega_min, frozen)
-    w = update_linear(linear_rule, system, w_init)
-    recorder = _Recorder(linear_rule, geometry, schedule, stopping, grads, delta_star_fn,
-                         system, w_init, w)
+    w = update_linear(linear_rule, system, w_init[None])
+    recorder = _Recorder(linear_rule, geometry, schedule, stopping, grads, delta_star_fn, w[0])
+    recorder.arrive(system, w_init[None], w)
 
     for _ in range(stopping.max_epochs):
-        xi = prox_step(geometry, family.domain, xi, grads.grad_xi(w, system), recorder.gamma)
+        xi = prox_step(geometry, family.domain, system.xi, grads.grad_xi(w, system),
+                       recorder.gamma)
         system = grads.evaluator.assemble(xi)
         _check_assumption1(system, omega_min, frozen)
-        w = update_linear(linear_rule, system, w)
-        termination = recorder.step(system, w)
+        w_prev, w = w, update_linear(linear_rule, system, w)
+        (termination,) = recorder.arrive(system, w_prev, w)
         if termination is not None:
             return recorder.finish(termination)
     return recorder.finish("max_epochs")
 
 
-def _same(a, b) -> bool:
-    """Bitwise equality of two float arrays."""
+def _same(a, b) -> np.ndarray:
+    """Bitwise equality of float vectors: one bool for two vectors, one per
+    row for stacks.  Bit patterns are compared, so -0.0 differs from 0.0."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
+    return (a.view(np.uint64) == b.view(np.uint64)).all(axis=-1)
 
 
 def replay(
@@ -531,10 +585,14 @@ def replay(
 
     ``states`` holds one row ``[xi_k, w_k]`` per recorded iterate; the other
     arguments are those :func:`run` took.  The states do not depend on each
-    other once written, so the states are assembled as stacks, in the
-    oracle's blocks, and the gradients at ``(w_k, xi_k)`` are read from each
-    block's evaluation; each is bitwise what the run computed at that state.  Block by block, the
-    record is built by the same bookkeeping as the run's.
+    other once written, so the states a step leaves are assembled as stacks,
+    in the oracle's blocks, and the gradients at ``(w_k, xi_k)`` are read
+    from each block's evaluation; the last state is assembled alone.  Each
+    block's transitions are then checked as arrays: one stacked prox step
+    from ``(xi_{k-1}, g_{k-1})``, the last state of the block before
+    included, one stacked linear update and one check of uniform
+    solvability, and the block is recorded by the run's record builder.
+    Every value is bitwise what the run computed at that state.
 
     Returns ``(record, faults)``.  ``faults`` lists, in order, what does not
     replay bitwise: ``xi_0`` and ``w_0`` against the config and the initial
@@ -544,8 +602,9 @@ def replay(
     ``max_epochs`` steps).  It is empty when the states are a run of this
     configuration.  A state that is not finite, or whose ``xi`` lies outside
     the admissible domain, cannot be assembled: the record is then ``None``
-    and the one fault names it.  The sampled Lipschitz estimate, when the
-    schedule asks for one, is computed again at ``w_0``.
+    and the one fault names it.  A check that fails raises the error a walk
+    through the states one at a time meets first.  The sampled Lipschitz
+    estimate, when the schedule asks for one, is computed again at ``w_0``.
     """
     grads = make_gradients(problem, rule, family, mode=gradient_mode, fd_step=fd_step)
     frozen = isinstance(linear_rule, Frozen)
@@ -565,43 +624,62 @@ def replay(
     if outside.size:
         return None, [f"xi_{outside[0]} lies outside the admissible domain"]
     n = len(states) - 1
-
-    def visited():
-        """``(k, system, g_k)`` per state in order, ``g_k`` the gradient a
-        step from state k takes (None at the last state, where none starts).
-
-        The states a step leaves go in the oracle's blocks, one block
-        alive at a time, each assembled and differentiated as one stack,
-        its exact solves one stacked solve (frozen coefficients never ask
-        for one); the last state is assembled alone.
-        """
-        left, assemble_at = xis[:n], grads.evaluator.assemble
-        for block in grads.blocks(left) if n else ():
-            systems = assemble_at(left[block])
-            steps = zip(range(n)[block], systems.rows(solve=not frozen),
-                        grads.grad_xi(ws[:n][block], systems))
-            del systems  # its evaluation goes before the next block's is made
-            yield from steps
-        yield n, assemble_at(xis[n]), None
-
+    # the coefficients each state's linear update starts from
+    ws_before = np.concatenate([w_init[None], ws[:-1]])
+    recorder = _Recorder(linear_rule, geometry, schedule, stopping, grads, delta_star_fn, ws[0])
     faults, stops = [], []
-    for k, system, g in visited():
+
+    def check(lo, system, g_before):
+        """Check and record the states ``lo, lo + 1, ...`` of the stack
+        ``system``; row ``j`` of ``g_before`` is the gradient of the step
+        into state ``lo + j`` (any row for state 0, which no step reaches)."""
+        hi = lo + len(system.xi)
         _check_assumption1(system, omega_min, frozen)
-        if k == 0:
-            if not _same(xis[0], xi_start):
-                faults.append("xi_0 is not the configured start")
-            if not _same(update_linear(linear_rule, system, w_init), ws[0]):
-                faults.append("w_0 is not the initial linear update")
-            recorder = _Recorder(linear_rule, geometry, schedule, stopping, grads,
-                                 delta_star_fn, system, w_init, ws[0])
-        else:
-            xi_next = prox_step(geometry, family.domain, xis[k - 1], g_prev, recorder.gamma)
-            if not _same(xi_next, xis[k]):
-                faults.append(f"xi_{k} is not the prox step from iterate {k - 1}")
-            if not _same(update_linear(linear_rule, system, ws[k - 1]), ws[k]):
-                faults.append(f"w_{k} is not the linear update at xi_{k}")
-            stops.append(recorder.step(system, ws[k]))
-        g_prev = g
+        bad_xi = np.zeros(hi - lo, dtype=bool)
+        if lo == 0:
+            bad_xi[0] = not _same(xis[0], xi_start)
+        first = max(lo, 1)
+        if first < hi:
+            moved = prox_step(geometry, family.domain, xis[first - 1:hi - 1],
+                              g_before[first - lo:], recorder.gamma)
+            bad_xi[first - lo:] = ~_same(moved, xis[first:hi])
+        bad_w = ~_same(update_linear(linear_rule, system, ws_before[lo:hi]), ws[lo:hi])
+        stops.extend(recorder.arrive(system, ws_before[lo:hi], ws[lo:hi]))
+        for k in (lo + np.flatnonzero(bad_xi | bad_w)).tolist():
+            if bad_xi[k - lo]:
+                faults.append("xi_0 is not the configured start" if k == 0 else
+                              f"xi_{k} is not the prox step from iterate {k - 1}")
+            if bad_w[k - lo]:
+                faults.append("w_0 is not the initial linear update" if k == 0 else
+                              f"w_{k} is not the linear update at xi_{k}")
+
+    def checked(lo, system, g_before):
+        """``check``, raising on a failure what the walk through the states
+        one at a time raises first: the block's states are then checked
+        again one by one."""
+        try:
+            check(lo, system, g_before)
+        except NonlinRitzError:
+            for j in range(len(system.xi)):
+                check(lo + j, system[j:j + 1], g_before[j:j + 1])
+            raise
+
+    # the states a step leaves in the oracle's blocks, one block alive at a
+    # time, each assembled and differentiated as one stack, its exact solves
+    # one stacked solve (frozen coefficients never ask for one)
+    left, assemble_at, g_last = xis[:n], grads.evaluator.assemble, np.zeros((1, d))
+    for block in grads.blocks(left) if n else ():
+        systems = assemble_at(left[block])
+        if not frozen:  # read from the eigenvalues, as each state's solve in the run
+            systems.eigvalsh, systems.solution
+        g = grads.grad_xi(ws[:n][block], systems)
+        # the stack without its evaluation, which goes before the next
+        # block's is made; the recorder may keep the stack
+        systems = systems[:]
+        checked(block.start, systems, np.concatenate([g_last, g[:-1]]))
+        g_last = g[-1:]
+    checked(n, assemble_at(xis[n:]), g_last)
+
     fired = [k for k, stop in enumerate(stops) if stop is not None]
     if n > stopping.max_epochs:
         faults.append(f"{n} steps recorded, more than max_epochs = {stopping.max_epochs}")

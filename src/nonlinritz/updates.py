@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import AssembledSystem, Evaluator, quadratic_energy
+from .assembly import AssembledSystem, Evaluator, _raise_first, quadratic_energy
 from .basis import IndicatorPair, NonlinearDomain
 from .errors import (
     ConfigError,
@@ -77,40 +77,51 @@ class Frozen:
 
 
 def update_linear(rule, system: AssembledSystem, w) -> np.ndarray:
-    """Apply a linear update rule at the assembled parameter point."""
+    """Apply a linear update rule at the assembled parameter point.
+
+    A stacked system takes one coefficient row per point and updates each
+    row bitwise as that point alone; a failed check names the stack's first
+    offending point.
+    """
     w = np.asarray(w, dtype=float)
     if isinstance(rule, Frozen):
         return w.copy()
     if isinstance(rule, FullSolveCG):
         return system.solution.copy()
     if isinstance(rule, SteepestDescent):
-        r = system.load - system.matrix @ w
-        nr = float(np.linalg.norm(r))
-        if nr <= 1e-15 * (1.0 + float(np.linalg.norm(system.load))):
-            return w.copy()
-        rAr = float(r @ system.matrix @ r)
-        if rAr <= 0.0:
-            raise SpdViolationError(
-                f"steepest descent met non-positive curvature (r.A.r = {rAr!r})"
-            )
-        beta = (nr * nr) / rAr
-        return w + beta * r
+        A, load = system.matrix, system.load
+        r = load - np.matvec(A, w)
+        nr = _norm(r)
+        moves = ~(nr <= 1e-15 * (1.0 + _norm(load)))
+        rAr = np.vecdot(np.vecmat(r, A), r)
+        _raise_first(moves & (rAr <= 0.0), system.xi, SpdViolationError,
+                     "steepest descent met non-positive curvature (r.A.r = {!r})", rAr,
+                     name_point=False)
+        beta = (nr * nr) / np.where(moves, rAr, 1.0)
+        return np.where(moves[..., None], w + beta[..., None] * r, w)
     raise ConfigError(f"unknown linear update rule {rule!r}")
+
+
+def _norm(v):
+    """Euclidean norm of a vector, or of each row of a stack: bitwise
+    ``numpy.linalg.norm`` of that row, which is ``sqrt(v @ v)``."""
+    return np.sqrt(np.vecdot(v, v))
 
 
 def decrease_check(system: AssembledSystem, K, K_plus, residual):
     """Achieved vs guaranteed energy drop of a linear update ``w -> w+``.
 
     Takes ``K = K(w)``, ``K_plus = K(w+)`` and ``residual = A w - load`` at
-    the system's point, which the caller has computed already.  Returns
-    ``(achieved, guaranteed)`` where ``achieved = K(w) - K(w+)`` and
-    ``guaranteed = 0.5 * ||A w - load||^2 / lambda_max(A)``.
+    the system's parameter point(s), which the caller has computed already.
+    Returns ``(achieved, guaranteed)`` where ``achieved = K(w) - K(w+)`` and
+    ``guaranteed = 0.5 * ||A w - load||^2 / lambda_max(A)``: floats for one
+    point, ``(N,)`` arrays for a stack.
     """
-    if system.lambda_max <= 0.0:
-        raise SpdViolationError(
-            f"decrease bound undefined: lambda_max = {system.lambda_max!r}"
-        )
-    return K - K_plus, 0.5 * float(residual @ residual) / system.lambda_max
+    lam = system.lambda_max
+    _raise_first(lam <= 0.0, system.xi, SpdViolationError,
+                 "decrease bound undefined: lambda_max = {!r}", lam, name_point=False)
+    guaranteed = 0.5 * np.vecdot(residual, residual) / lam
+    return K - K_plus, (float(guaranteed) if guaranteed.ndim == 0 else guaranteed)
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +193,18 @@ def prox_step(geom, domain: NonlinearDomain, xi, grad, gamma: float) -> np.ndarr
     ``gamma <g, eta> + D_psi(eta; xi)`` over the domain is the D-weighted
     projection of ``xi - gamma D^{-1} g``.  Unconstrained Euclidean steps
     pass through bitwise (the projection leaves interior points untouched).
+    A stack of points ``(N, d)`` with one gradient row each, and one step
+    size or one per row, steps every row bitwise as that point alone.
     """
-    if not gamma > 0.0:
+    steps = np.asarray(gamma, dtype=float)
+    if not (steps > 0.0).all():
         raise ConfigError(f"step size gamma must be positive, got {gamma!r}")
     xi = np.asarray(xi, dtype=float)
     g = np.asarray(grad, dtype=float)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NonFiniteValueError("non-finite energy gradient in prox step")
-    d = geom.weights(xi.size)
-    return domain.project(xi - gamma * (g / d), weights=d)
+    d = geom.weights(xi.shape[-1])
+    return domain.project(xi - steps[..., None] * (g / d), weights=d)
 
 
 def gradient_mapping(xi, xi_plus, gamma: float) -> np.ndarray:

@@ -1114,10 +1114,11 @@ def test_check_on_a_chain_loads_no_scipy(tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "0 []"
 
 
-def test_check_on_l2_hats_decomposes_twice(tmp_path, count_calls, monkeypatch):
+def test_check_on_l2_hats_decomposes_once(tmp_path, count_calls, monkeypatch):
     # the 32-knot chain of the bench's smooth fit: the five sampled systems
-    # take one stacked eigvalsh, the consistency check at xi0 one eigh; the
-    # finite-difference probes, shown regular by Gershgorin, take neither
+    # take one stacked eigvalsh; the consistency check at xi0, whose solve
+    # shows the kernel empty, and the finite-difference probes, shown regular
+    # by Gershgorin, take no decomposition
     m = 32
     data = {
         "problem": {"kind": "l2", "target": "sin(6.5*x + 0.3) + 0.45*gauss(x, 0.5, 0.03)",
@@ -1147,7 +1148,7 @@ def test_check_on_l2_hats_decomposes_twice(tmp_path, count_calls, monkeypatch):
     assert in_probes == [0]
     # the Gauss-Legendre rule of the config takes an eigvalsh of its own
     assert [M.shape for M in values if M.shape[-1] == m + 2] == [(5, m + 2, m + 2)]
-    assert [M.shape for M in eighs] == [(m + 2, m + 2)]
+    assert eighs == []
 
 
 def test_import_and_reduced_energy_load_no_scipy():

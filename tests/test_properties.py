@@ -15,7 +15,7 @@ from nonlinritz.basis import (
     SyntheticAmplitude,
     _bounded_isotonic,
 )
-from nonlinritz.errors import NumericalError
+from nonlinritz.errors import NonFiniteValueError, NumericalError
 from nonlinritz.optimizer import _reduced
 from nonlinritz.updates import (
     DiagonalGeometry,
@@ -135,6 +135,95 @@ def test_bounded_isotonic_is_the_reference_bitwise(n, seed, ties):
     lo = np.maximum.accumulate(rng.uniform(-2.0, 0.0, n))
     hi = np.minimum.accumulate(rng.uniform(0.0, 2.0, n)[::-1])[::-1]
     assert _bounded_isotonic(y, w, lo, hi).tobytes() == _pav_reference(y, w, lo, hi).tobytes()
+
+
+def _pav_lists(y, w, lo, hi):
+    """The bounded pool-adjacent-violators loop as the package had it before
+    its blocks became tuples: parallel block lists, the ``min``/``max``
+    builtins and a slice fill."""
+    n = len(y)
+    starts, wsum, mean, blo, bhi, val = [], [], [], [], [], []
+    for i, (cm, cw, cl, ch) in enumerate(zip(y.tolist(), w.tolist(), lo.tolist(), hi.tolist())):
+        cs, cv = i, min(max(cm, cl), ch)
+        while val and val[-1] > cv:
+            w1 = wsum.pop()
+            cm = (w1 * mean.pop() + cw * cm) / (w1 + cw)
+            cw = w1 + cw
+            cl, ch = max(blo.pop(), cl), min(bhi.pop(), ch)
+            cs = starts.pop()
+            val.pop()
+            cv = min(max(cm, cl), ch)
+        starts.append(cs)
+        wsum.append(cw)
+        mean.append(cm)
+        blo.append(cl)
+        bhi.append(ch)
+        val.append(cv)
+    x = np.empty(n)
+    for j, (a, b) in enumerate(zip(starts, starts[1:] + [n])):
+        x[a:b] = val[j]
+    return x
+
+
+# values that tie with each other and with the bounds, signed zeros included
+_TIED = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 14), st.data())
+def test_bounded_isotonic_is_the_list_loop_bitwise(n, data):
+    # ties, +-0, weights of every size and envelopes that move as chains'
+    # gap-shifted bounds do; the tuple blocks and the conditional min/max
+    # must reproduce every bit, the sign of a zero included
+    values = st.one_of(_TIED, st.floats(-2.0, 2.0))
+    y = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+    w = np.array(data.draw(st.lists(st.one_of(st.just(1.0), st.floats(0.01, 100.0)),
+                                    min_size=n, max_size=n)))
+    lo = np.maximum.accumulate(data.draw(st.lists(st.one_of(_TIED, st.floats(-3.0, 0.0)),
+                                                  min_size=n, max_size=n)))
+    hi = np.minimum.accumulate(np.array(data.draw(st.lists(
+        st.one_of(_TIED, st.floats(0.0, 3.0)), min_size=n, max_size=n)))[::-1])[::-1]
+    hi = np.maximum(hi, lo)
+    assert _bounded_isotonic(y, w, lo, hi).tobytes() == _pav_lists(y, w, lo, hi).tobytes()
+
+
+def test_bounded_isotonic_keeps_the_sign_of_a_tied_zero():
+    # max(-0.0, 0.0) is -0.0 and min(0.0, -0.0) is 0.0: the first argument
+    # stays on a tie, and so it does in the conditionals
+    for y, lo, hi in (([-0.0], [0.0], [1.0]), ([0.0], [-1.0], [-0.0]), ([-0.0], [-0.0], [0.0])):
+        args = [np.array(v) for v in (y, [1.0], lo, hi)]
+        assert _bounded_isotonic(*args).tobytes() == _pav_lists(*args).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(chained_domains(), seeds, st.integers(1, 8), st.booleans())
+def test_stacked_project_and_prox_are_each_row_alone(domain, seed, rows, weighted):
+    # rows inside the domain pass through, rows off it clip and pool; a
+    # stack projects and steps every row bitwise as that point alone
+    rng = np.random.default_rng(seed)
+    geom = DiagonalGeometry(rng.uniform(0.2, 5.0, domain.dim) if weighted else 1.0)
+    d = geom.weights(domain.dim)
+    points = np.array([domain.shrink(1e-9).sample(rng) if rng.random() < 0.4
+                       else rng.uniform(-0.5, 1.5, domain.dim) for _ in range(rows)])
+    projected = domain.project(points, weights=d)
+    for p, q in zip(points, projected):
+        assert q.tobytes() == domain.project(p, weights=d).tobytes()
+    xi = np.array([domain.sample(rng) for _ in range(rows)])
+    g = 10.0 ** rng.uniform(-3.0, 1.0, (rows, 1)) * rng.standard_normal((rows, domain.dim))
+    gamma = 10.0 ** rng.uniform(-3.0, 0.0, rows)
+    for gammas in (gamma, float(gamma[0])):
+        stepped = prox_step(geom, domain, xi, g, gammas)
+        for k in range(rows):
+            alone = prox_step(geom, domain, xi[k], g[k], float(np.broadcast_to(gammas, rows)[k]))
+            assert stepped[k].tobytes() == alone.tobytes()
+
+
+def test_stacked_prox_refuses_a_non_finite_gradient_row():
+    domain = NonlinearDomain([0.0, 0.0], [1.0, 1.0], chains=((0, 1),), gap=0.1)
+    g = np.zeros((3, 2))
+    g[1, 0] = np.nan
+    with pytest.raises(NonFiniteValueError, match="non-finite energy gradient"):
+        prox_step(DiagonalGeometry(1.0), domain, np.full((3, 2), [0.2, 0.6]), g, 0.1)
 
 
 def _project_by_isotonic(domain, p, d):
