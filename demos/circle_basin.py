@@ -75,19 +75,19 @@ def main():
     rec = run(problem, rule, family, Frozen(), geom, ConstantGamma(gamma),
               StoppingCriteria(max_epochs=60), xi0, w0=np.array([1.0]),
               delta_star_fn=lambda x: delta_star(geom, oracle, x)[0])
-    d0 = rec.iterates[0].delta_star
+    d0 = rec.delta_star[0]
     print(f"frozen-amplitude descent from {xi0}, gamma = 1/{1 / gamma:.0f}")
     print(f"{'iter':>4} {'energy gap':>12} {'rate bound':>12} "
           f"{'delta*':>10} {'|xi|':>7}")
-    for it in rec.iterates:
-        if it.k in (1, 2, 3, 5, 10, 20, 40, 60):
-            bound = d0 / (it.k * gamma)
-            print(f"{it.k:>4} {it.K_reduced:>12.3e} {bound:>12.3e} "
-                  f"{it.delta_star:>10.3e} {np.linalg.norm(it.xi):>7.4f}")
+    for k in (1, 2, 3, 5, 10, 20, 40, 60):
+        if k <= rec.n_steps:
+            bound = d0 / (k * gamma)
+            print(f"{k:>4} {rec.K_reduced[k]:>12.3e} {bound:>12.3e} "
+                  f"{rec.delta_star[k]:>10.3e} {np.linalg.norm(rec.xi[k]):>7.4f}")
 
-    deltas = [it.delta_star for it in rec.iterates]
+    deltas = rec.delta_star
     print(f"\ndelta* monotone along the run: "
-          f"{all(b <= a + 1e-12 for a, b in zip(deltas, deltas[1:]))}")
+          f"{bool(np.all(deltas[1:] <= deltas[:-1] + 1e-12))}")
     for entry in (global_step_certificate(rec, geom, oracle, L_bar=L_BAR)
                   + global_rate_certificate(rec, geom, oracle)):
         print(f"certificate {entry.name:<26} {entry.status}  "

@@ -64,13 +64,12 @@ def main():
                  LipschitzAdaptive(zeta=1.0, lipschitz="estimate", seed=0),
                  StoppingCriteria(max_epochs=120, eps_energy=1e-12), xi0)
     print(f"\n{'iter':>4} {'energy':>14}  knots")
-    for it in moving.iterates[:: max(1, len(moving.iterates) // 10)]:
-        print(f"{it.k:>4} {it.K:>14.8f}  {np.round(it.xi, 4)}")
-    last = moving.iterates[-1]
-    if last.k % max(1, len(moving.iterates) // 10):
-        print(f"{last.k:>4} {last.K:>14.8f}  {np.round(last.xi, 4)}")
+    n = moving.n_steps
+    every = max(1, (n + 1) // 10)
+    for k in [*range(0, n + 1, every), *([n] if n % every else [])]:
+        print(f"{k:>4} {moving.K[k]:>14.8f}  {np.round(moving.xi[k], 4)}")
 
-    print(f"\nstopped after {moving.iterates[-1].k} steps "
+    print(f"\nstopped after {n} steps "
           f"({moving.termination})")
     print(f"free knots settle at {np.round(moving.best_xi, 4)}")
     print(f"energy: uniform {K_uniform:.8f}  ->  free {moving.best_K:.8f} "

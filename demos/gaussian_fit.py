@@ -63,10 +63,10 @@ def main():
                   schedule, stopping, xi0)
         print(f"--- {label} ---")
         print(f"{'iter':>4} {'K':>16} {'centres':>22} {'step':>10}")
-        for it in rec.iterates:
-            step = "" if it.step_norm is None else f"{it.step_norm:.2e}"
-            print(f"{it.k:>4} {it.K:>16.10f} "
-                  f"[{it.xi[0]:.6f}, {it.xi[1]:.6f}] {step:>10}")
+        for k, (K, xi) in enumerate(zip(rec.K, rec.xi)):
+            step = f"{rec.step_norm[k]:.2e}" if k < rec.n_steps else ""
+            print(f"{k:>4} {K:>16.10f} "
+                  f"[{xi[0]:.6f}, {xi[1]:.6f}] {step:>10}")
         gap = rec.final_K - K_star
         print(f"final energy gap to the representable optimum: {gap:.3e}")
 

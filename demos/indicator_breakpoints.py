@@ -100,11 +100,11 @@ def main():
               StoppingCriteria(max_epochs=80), xi)
     print(f"{'iter':>4} {'energy':>13} {'best so far':>13}  breakpoints")
     best = np.inf
-    for it in rec.iterates:
-        best = min(best, it.K)
-        if it.k % 10 == 0:
-            print(f"{it.k:>4} {it.K:>13.8f} {best:>13.8f}  "
-                  f"{np.round(it.xi, 4)}")
+    for k, (K, xi) in enumerate(zip(rec.K, rec.xi)):
+        best = min(best, K)
+        if k % 10 == 0:
+            print(f"{k:>4} {K:>13.8f} {best:>13.8f}  "
+                  f"{np.round(xi, 4)}")
     print(f"\ntarget jumps at {EDGES}, levels {LEVELS}")
     print(f"best iterate:  breakpoints {np.round(rec.best_xi, 4)}, "
           f"levels {np.round(rec.best_w, 4)}")

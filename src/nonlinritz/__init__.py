@@ -55,7 +55,6 @@ from .errors import (
 )
 from .optimizer import (
     ConstantGamma,
-    IterateRecord,
     LipschitzAdaptive,
     RunRecord,
     StoppingCriteria,

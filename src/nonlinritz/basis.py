@@ -229,7 +229,8 @@ class NonlinearDomain:
 
         Minimises ``sum_i d_i (x_i - p_i)^2`` over the domain; this is the
         Bregman prox geometry's projection when ``weights`` holds the
-        diagonal of the mirror map.  Coordinates outside chains clip to the
+        diagonal of the mirror map, whose positivity the geometry checked
+        when it was made.  Coordinates outside chains clip to the
         box; each chain reduces, after the gap shift ``z_k = x_k - k*gap``,
         to bounded weighted isotonic regression.
 
@@ -241,8 +242,6 @@ class NonlinearDomain:
         """
         p = np.asarray(point, dtype=float)
         d = np.ones(self.dim) if weights is None else np.asarray(weights, dtype=float)
-        if (d <= 0.0).any():
-            raise ConfigError("projection weights must be positive")
         x = np.minimum(np.maximum(p, self.lower), self.upper)
         rows, xs = p.reshape(-1, self.dim), x.reshape(-1, self.dim)  # xs: a view of x
         for idx, shift, lo_env, hi_env in self._envelopes:

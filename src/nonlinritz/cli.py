@@ -80,10 +80,6 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _fmt_opt(x) -> str:
-    return "" if x is None else _fmt(x)
-
-
 def _number(x: float) -> str:
     """JSON text of a float; non-finite ones are the strings "nan", "inf", "-inf"."""
     if math.isnan(x):
@@ -150,19 +146,22 @@ def _dumps(obj, indent=0) -> str:
     raise TypeError(f"cannot serialise {type(obj).__name__}")
 
 
-def _trace_values(it):
-    """The numeric cells of one trace row, from ``K`` to ``delta_star``."""
-    return (it.K, it.K_reduced, it.grad_map_norm, it.grad_w_post_norm, it.gamma,
-            it.step_norm, it.decrease_achieved, it.decrease_guaranteed, it.delta_star)
+def _trace_columns(record) -> list:
+    """The numeric columns of trace.csv, from ``K`` to ``delta_star``: per
+    state (one value a row) or per step (blank on the last row), None where
+    the run recorded none."""
+    return [record.K, record.K_reduced, record.grad_map_norm, record.grad_w_post_norm,
+            np.full(record.n_steps, record.gamma), record.step_norm, record.decrease_achieved,
+            record.decrease_guaranteed, record.delta_star]
 
 
 def render_trace(record) -> str:
     """The exact text of trace.csv for a run record."""
-    lines = [",".join(TRACE_COLUMNS)]
-    for it in record.iterates:
-        stop = record.termination if it.k == record.n_steps else ""
-        lines.append(",".join([str(it.k), *map(_fmt_opt, _trace_values(it)), stop]))
-    return "\n".join(lines) + "\n"
+    rows = record.n_steps + 1
+    cells = [[""] * rows if c is None else [*map(_fmt, c.tolist()), *[""] * (rows - len(c))]
+             for c in _trace_columns(record)]
+    lines = zip(map(str, range(rows)), *cells, [""] * (rows - 1) + [record.termination])
+    return "\n".join([",".join(TRACE_COLUMNS), *map(",".join, lines)]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +209,7 @@ def run_artifacts(cfg: ExperimentConfig, record) -> dict:
     """The exact bytes of ``trace.csv``, ``iterates.npy`` and ``summary.json``
     for a run record, by file name."""
     buf = io.BytesIO()  # iterates.npy: row k is [xi_k, w_k]
-    np.save(buf, np.array([np.concatenate([it.xi, it.w]) for it in record.iterates]))
+    np.save(buf, np.hstack((record.xi, record.w)))
     states = buf.getvalue()
     summary = {
         "best_energy": record.final_K,
@@ -320,9 +319,8 @@ def cmd_certify(cfg: ExperimentConfig, out_dir: str) -> int:
     if record is None:
         anchor = "iterates.npy"
     else:
-        anchor = f"{len(record.iterates)} rows"
-        finite = all(v is None or math.isfinite(v)
-                     for it in record.iterates for v in _trace_values(it))
+        anchor = f"{record.n_steps + 1} rows"
+        finite = all(np.isfinite(c).all() for c in _trace_columns(record) if c is not None)
         report.extend(
             cert.CertificateEntry(
                 "trace-finite", anchor, 0.0, 0.0, 0.0,
@@ -410,22 +408,18 @@ def _write_report(cfg: ExperimentConfig, out_dir: str, report, name: str):
     )
 
 
-def _exact(name, anchor, lhs, rhs, note=""):
-    """The entry of ``lhs <= rhs`` with no tolerance beyond ``rhs`` itself."""
-    return cert._check(name, anchor, lhs, rhs, atol=0.0, rtol=0.0, note=note)
-
-
 def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
     """Internal invariant battery on the configured problem and family,
     written to ``check.json``; an entry over several samples is the worst."""
     rng = np.random.default_rng(cfg.seed)
     report = cert.CertificateReport()
+    exact = functools.partial(cert._entry, atol=0.0, rtol=0.0)  # no tolerance beyond rhs
 
     total = integrate(lambda x: np.ones(np.shape(x)), cfg.rule)
     span = cfg.rule.boundaries[-1] - cfg.rule.boundaries[0]
-    report.extend(_exact("quadrature-weights", f"{len(cfg.rule.boundaries) - 1} panels",
-                         abs(total - span), 1e-12 * span,
-                         f"sum of weights {_fmt(total)} vs span {_fmt(span)}"))
+    report.extend(exact("quadrature-weights", f"{len(cfg.rule.boundaries) - 1} panels",
+                        abs(total - span), 1e-12 * span,
+                        note=f"sum of weights {_fmt(total)} vs span {_fmt(span)}"))
 
     # every system is assembled by the oracle's evaluator; each sample set
     # is evaluated as one stack, every row bitwise that point alone
@@ -433,39 +427,36 @@ def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
                            fd_step=cfg.fd_step)
     assemble, domain = grads.evaluator.assemble, cfg.family.domain
     stack = assemble(np.array([domain.sample(rng) for _ in range(5)]))
-    stack.eigvalsh, stack.omega  # one stacked decomposition each, shared by the points
-    systems = [stack[k] for k in range(len(stack.xi))]
-    psd = [_exact("assembly-psd", f"sample {k}", -np.minimum(s.lambda_min, s.omega), 1e-10)
-           for k, s in enumerate(systems)]
-    lam = [cert.lambda_max_entry(f"sample {k}", s, cfg.constants)
-           for k, s in enumerate(systems)]
-    note = f"{len(systems)} sampled parameter points"
-    report.extend([cert._worst(psd, note), cert._worst(lam, note)])
+    note = f"{len(stack.xi)} sampled parameter points"
+    report.extend([
+        exact("assembly-psd", lambda k: f"sample {k}",
+              -np.minimum(stack.lambda_min, stack.omega), 1e-10, note=note),
+        cert.lambda_max_entry(lambda k: f"sample {k}", stack, cfg.constants, note),
+    ])
 
     raw = domain.lower + (domain.upper - domain.lower) * rng.uniform(-0.5, 1.5, (50, domain.dim))
     projected = domain.project(raw)
-    report.extend(_exact("projection-feasibility", f"{len(raw)} random points",
-                         np.count_nonzero(~domain.feasible(projected)), 0,
-                         "count of infeasible projections"))
+    report.extend(exact("projection-feasibility", f"{len(raw)} random points",
+                        np.count_nonzero(~domain.feasible(projected)), 0,
+                        note="count of infeasible projections"))
 
     # drawn in the generator's order, then stepped as one stack
     xis, gs, gammas = (np.array(v) for v in zip(*[
         (domain.sample(rng), rng.standard_normal(domain.dim), 10.0 ** rng.uniform(-3, 0))
         for _ in range(20)]))
-    prox = []
     steps = prox_step(cfg.geometry, domain, xis, gs, gammas)
-    for k, (xi, g, gamma, xp) in enumerate(zip(xis, gs, gammas.tolist(), steps)):
-        res = prox_optimality_residual(cfg.geometry, domain, xi, g, gamma, xp)
-        prox.append(_exact("prox-optimality", f"draw {k}",
-                           res, 1e-6 * (1.0 + float(np.linalg.norm(g)))))
-    report.extend(cert._worst(prox, f"{len(prox)} random draws"))
+    residuals = [prox_optimality_residual(cfg.geometry, domain, xi, g, gamma, xp)
+                 for xi, g, gamma, xp in zip(xis, gs, gammas.tolist(), steps)]
+    report.extend(exact("prox-optimality", lambda k: f"draw {k}", residuals,
+                        [1e-6 * (1.0 + float(np.linalg.norm(g))) for g in gs],
+                        note=f"{len(residuals)} random draws"))
 
     rep = check_consistency(assemble(cfg.xi0))
-    report.extend(_exact(
+    report.extend(exact(
         "consistency-at-start", "xi0",
         np.maximum(rep.load_kernel_residual, rep.realisation_gap), 1e-8,
-        f"kernel dim {rep.kernel_dim}, load residual {_fmt(rep.load_kernel_residual)}, "
-        f"realisation gap {_fmt(rep.realisation_gap)}",
+        note=f"kernel dim {rep.kernel_dim}, load residual {_fmt(rep.load_kernel_residual)}, "
+             f"realisation gap {_fmt(rep.realisation_gap)}",
     ))
 
     # the probed coordinates are compared, from points at least one probe
@@ -479,10 +470,10 @@ def cmd_check(cfg: ExperimentConfig, out_dir: str) -> int:
     g = reduced_gradient(grads, xis)
     fd = central_differences(lambda probes, _: _reduced(assemble(probes))[0],
                              grads.evaluator, xis, h)
-    errors = [_exact("reduced-gradient-fd", f"point {k}",
-                     np.linalg.norm(a - b) / (1.0 + np.linalg.norm(b)), 1e-4)
-              for k, (a, b) in enumerate(zip(g[:, moves], fd[:, moves]))]
-    report.extend(cert._worst(errors, f"relative error at {len(errors)} sampled points"))
+    errors = [np.linalg.norm(a - b) / (1.0 + np.linalg.norm(b))
+              for a, b in zip(g[:, moves], fd[:, moves])]
+    report.extend(exact("reduced-gradient-fd", lambda k: f"point {k}", errors, 1e-4,
+                        note=f"relative error at {len(errors)} sampled points"))
 
     _write_report(cfg, out_dir, report, "check.json")
     print("all checks passed" if report.passed else "invariant failures detected")

@@ -14,8 +14,8 @@ parameter gradient of the step that leaves it, and one eigendecomposition
 of its system serves the linear update, the decrease check, the spectral
 statistics and the reduced energy.  The residual ``A w_k - load`` and the
 energy ``K(w_{k+1})`` of a step are computed once, and an exact solve's
-energy is its reduced energy.  Every iterate keeps
-the quantities the convergence certificates consume: gradient-mapping and
+energy is its reduced energy.  The run record keeps, one column per
+quantity, what the convergence certificates consume: gradient-mapping and
 linear-gradient norms, step sizes, achieved/guaranteed energy drops, and
 spectral statistics.  A run stopped by parameter stabilisation also keeps
 the exact-solve residual ``||A A^+ load - load||`` of the last system it
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -66,7 +66,6 @@ __all__ = [
     "ConstantGamma",
     "LipschitzAdaptive",
     "StoppingCriteria",
-    "IterateRecord",
     "RunRecord",
     "run",
     "replay",
@@ -261,35 +260,18 @@ class StoppingCriteria:
 
 
 @dataclass
-class IterateRecord:
-    """State at iterate k plus the transition data k -> k+1.
-
-    State: parameters ``xi``, coefficients ``w``, energy ``K``, reduced
-    energy and the spectral statistics of the assembled system.  Transition
-    fields (from ``gamma`` on) are None on the final iterate.
-    """
-
-    k: int
-    xi: np.ndarray
-    w: np.ndarray
-    K: float
-    K_reduced: float
-    lambda_max: float
-    omega: float
-    phi_u2: float
-    delta_star: Optional[float] = None
-    gamma: Optional[float] = None
-    lipschitz_L: Optional[float] = None
-    grad_map_norm: Optional[float] = None
-    step_norm: Optional[float] = None
-    grad_w_post_norm: Optional[float] = None
-    decrease_achieved: Optional[float] = None
-    decrease_guaranteed: Optional[float] = None
-
-
-@dataclass
 class RunRecord:
-    """Iterates, best and final states, and run-level constants.
+    """A run as columns: the states it visited and the steps between them.
+
+    One row per state ``k = 0..n``: ``xi`` ``(n+1, d)``, ``w`` ``(n+1, m)``,
+    energy ``K``, reduced energy ``K_reduced``, the spectral statistics
+    ``lambda_max``, ``omega`` and ``phi_u2`` of its system, and the oracle's
+    Bregman distance ``delta_star`` (None without an oracle).  One row per
+    step ``k -> k+1``: ``grad_map_norm``, ``step_norm``, ``grad_w_post_norm``
+    (``||A(xi_{k+1}) w_k - load||``) and its linear update's achieved and
+    guaranteed drops, ``decrease_achieved`` and ``decrease_guaranteed`` (None
+    for frozen coefficients).  Once per run: the step size ``gamma`` and the Lipschitz
+    surrogate ``lipschitz_L`` that sized it (None for a constant step).
 
     ``stop_residual`` is ``||A(xi) A(xi)^+ load(xi) - load(xi)||`` at the
     stopped point, from the system the run assembled there (0 for frozen
@@ -301,7 +283,17 @@ class RunRecord:
     rule resolved (estimated or given), None for a constant step.
     """
 
-    iterates: List[IterateRecord]
+    xi: np.ndarray
+    w: np.ndarray
+    K: np.ndarray
+    K_reduced: np.ndarray
+    lambda_max: np.ndarray
+    omega: np.ndarray
+    phi_u2: np.ndarray
+    grad_map_norm: np.ndarray
+    step_norm: np.ndarray
+    grad_w_post_norm: np.ndarray
+    gamma: float
     termination: str
     best_xi: np.ndarray
     best_w: np.ndarray
@@ -310,6 +302,10 @@ class RunRecord:
     mu: float
     linear_rule: object
     schedule: object
+    delta_star: Optional[np.ndarray] = None
+    decrease_achieved: Optional[np.ndarray] = None
+    decrease_guaranteed: Optional[np.ndarray] = None
+    lipschitz_L: Optional[float] = None
     initial_decrease: Optional[tuple] = None
     hoelder_L: Optional[float] = None
     stop_residual: Optional[float] = None
@@ -320,7 +316,7 @@ class RunRecord:
 
     @property
     def n_steps(self) -> int:
-        return len(self.iterates) - 1
+        return len(self.K) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -354,23 +350,15 @@ def _start(family, linear_rule, xi0, w0):
     return xi, w
 
 
-#: the per-state and per-step columns a recorder keeps until it makes the
-#: iterate records
-_STATE_COLUMNS = ("xi", "w", "K", "K_reduced", "lambda_max", "omega", "phi_u2")
-_STEP_COLUMNS = ("grad_map_norm", "step_norm", "grad_w_post_norm",
-                 "decrease_achieved", "decrease_guaranteed")
-
-
 class _Recorder:
-    """The bookkeeping of a run: iterate records, best state, stopping rule.
+    """The bookkeeping of a run: record columns, best state, stopping rule.
 
     It is fed the visited states in order, in blocks: each block a stack of
     states with their stacked system, by :func:`run` one state per step, by
     :func:`replay` a block of written states at a time.  The first state
     fed is the start, whose coefficients ``w0`` fix the step size.  Each
-    block's values are kept as arrays, and :meth:`finish` makes the iterate
-    records from them in one pass and adds the final exact solve at the
-    best state.
+    block's values are kept as arrays, and :meth:`finish` joins them into
+    the record's columns and adds the final exact solve at the best state.
     """
 
     def __init__(self, linear_rule, geometry, schedule, stopping, grads, delta_star_fn, w0):
@@ -378,7 +366,7 @@ class _Recorder:
         self.stopping, self.mu = stopping, geometry.mu
         self.frozen = isinstance(linear_rule, Frozen)
         self.grads, self.delta_star_fn, self.w0 = grads, delta_star_fn, w0
-        self.columns = {name: [] for name in _STATE_COLUMNS + _STEP_COLUMNS + ("delta_star",)}
+        self.columns = {}  # the blocks of each column of the record, by name
         self.initial_decrease = None
 
     @cached_property
@@ -419,7 +407,7 @@ class _Recorder:
         by state.  Returns the stopping trigger each step fires, or None;
         the start is no step.
         """
-        start = not self.columns["K"]
+        start = not self.columns
         K = quadratic_energy(system, w)
         residual = np.matvec(system.matrix, w_prev) - system.load
         if not self.frozen:
@@ -427,17 +415,20 @@ class _Recorder:
         gamma, _, _ = self._step_rule
         K_reduced = K if self.frozen else _reduced(
             system, K if w.tobytes() == system.solution.tobytes() else None)[0]
-        delta = ([None] * len(K) if self.delta_star_fn is None
-                 else [float(self.delta_star_fn(p)) for p in system.xi])
 
         # the steps into the stack's states, the first from the last state
         # recorded; the start is reached by none
         first = 1 if start else 0
         xs = system.xi if start else np.concatenate((self.system.xi[-1:], system.xi))
         step_norm = _norm(xs[1:] - xs[:-1])
-        steps = (_norm(gradient_mapping(xs[:-1], xs[1:], gamma)), step_norm,
-                 _norm(residual)[first:]) + (() if self.frozen else (
-                     drops[first:], bounds[first:]))
+        rows = dict(xi=system.xi, w=w, K=K, K_reduced=K_reduced, lambda_max=system.lambda_max,
+                    omega=system.omega, phi_u2=system.phi_u2,
+                    grad_map_norm=_norm(gradient_mapping(xs[:-1], xs[1:], gamma)),
+                    step_norm=step_norm, grad_w_post_norm=_norm(residual)[first:])
+        if not self.frozen:
+            rows.update(decrease_achieved=drops[first:], decrease_guaranteed=bounds[first:])
+        if self.delta_star_fn is not None:
+            rows["delta_star"] = np.array([float(self.delta_star_fn(p)) for p in system.xi])
 
         # best state and stopping rule, step by step: the first of equal
         # energies stays best, and parameter stabilisation wins a tie
@@ -458,34 +449,10 @@ class _Recorder:
         if best is not None:
             self.best = (system, best, w[best].copy(), best_K)
 
-        columns = self.columns
-        for name, value in zip(_STATE_COLUMNS, (system.xi, w, K, K_reduced, system.lambda_max,
-                                                system.omega, system.phi_u2)):
-            columns[name].append(value)
-        for name, value in zip(_STEP_COLUMNS, steps):
-            columns[name].append(value)
-        columns["delta_star"] += delta
+        for name, value in rows.items():
+            self.columns.setdefault(name, []).append(value)
         self.system, self.K = system, energies[-1]
         return triggers
-
-    def _iterates(self) -> list:
-        """The iterate records, made from the recorded columns in one pass;
-        a record's transition fields describe the step that leaves it."""
-        cols = {name: np.concatenate(c) for name, c in self.columns.items()
-                if name != "delta_star" and c}
-        xi, w = cols.pop("xi"), cols.pop("w")
-        state = zip(*(cols[name].tolist() for name in _STATE_COLUMNS[2:]))
-        n = len(xi) - 1
-        steps = zip(*(cols[name].tolist() if name in cols else [None] * n
-                      for name in _STEP_COLUMNS))
-        gamma, L_eff, _ = self._step_rule
-        records = [IterateRecord(k, xi[k], w[k], *values, delta_star=ds)
-                   for k, (values, ds) in enumerate(zip(state, self.columns["delta_star"]))]
-        for cur, (map_norm, s, post, drop, bound) in zip(records, steps):
-            cur.gamma, cur.lipschitz_L = gamma, L_eff
-            cur.grad_map_norm, cur.step_norm, cur.grad_w_post_norm = map_norm, s, post
-            cur.decrease_achieved, cur.decrease_guaranteed = drop, bound
-        return records
 
     def finish(self, termination: str) -> RunRecord:
         """The run record, with the final exact solve at the best parameters."""
@@ -498,8 +465,13 @@ class _Recorder:
             stop_residual = 0.0 if self.frozen else float(
                 np.linalg.norm(system.matrix @ system.solution - system.load)
             )
+        gamma, L_eff, L_raw = self._step_rule
+        # a column never fed (the decrease pairs of frozen coefficients, the
+        # distances without an oracle) stays None
         return RunRecord(
-            iterates=self._iterates(),
+            **{name: np.concatenate(c) for name, c in self.columns.items()},
+            gamma=gamma,
+            lipschitz_L=L_eff,
             termination=termination,
             best_xi=best_system.xi.copy(),
             best_w=best_w,
@@ -509,7 +481,7 @@ class _Recorder:
             linear_rule=self.linear_rule,
             schedule=self.schedule,
             initial_decrease=self.initial_decrease,
-            hoelder_L=self._step_rule[2],
+            hoelder_L=L_raw,
             stop_residual=stop_residual,
         )
 

@@ -155,14 +155,20 @@ class DiagonalGeometry:
         object.__setattr__(self, "diag", float(d) if d.ndim == 0 else d)
         if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
             raise ConfigError("mirror-map diagonal must be positive and finite")
+        object.__setattr__(self, "_weights", {})  # a scalar's weight vectors, by dimension
 
     @property
     def mu(self) -> float:
         return float(np.min(self.diag))
 
     def weights(self, dim: int) -> np.ndarray:
+        """One weight per coordinate; a scalar diagonal's vector is made once
+        per dimension, read-only, and every prox step shares it."""
         if isinstance(self.diag, float):
-            return np.full(dim, self.diag)
+            if dim not in self._weights:
+                self._weights[dim] = np.full(dim, self.diag)
+                self._weights[dim].flags.writeable = False
+            return self._weights[dim]
         if self.diag.size != dim:
             raise ConfigError(
                 f"mirror-map diagonal has size {self.diag.size}, expected {dim}"

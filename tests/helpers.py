@@ -2,7 +2,9 @@
 
 Configs build their fields from expressions, and no certificate fits a
 rate to its gaps or returns them, so these live with the tests that use
-them.
+them.  :func:`check_entry` and :func:`worst_entry` are the one-entry-at-a-time
+fold a certificate's worst entry was once chosen by, kept as the reference
+for the array form ``nonlinritz.certify._entry``.
 """
 
 import math
@@ -11,6 +13,7 @@ import numpy as np
 
 from nonlinritz.assembly import quadratic_energy
 from nonlinritz.basis import realisation
+from nonlinritz.certify import _TIE_RTOL, ATOL, RTOL, CertificateEntry
 from nonlinritz.updates import decrease_check
 from nonlinritz.variational import Field, bilinear
 
@@ -37,7 +40,7 @@ def decrease(system, w, w_plus):
 def realised_gaps(record, problem, rule, family, u_star, best_in_V=0.0) -> np.ndarray:
     """``||R(xi_n) - u*||_a^2 - best_in_V`` at the horizons n = 1, 2, ...,
     the left side of the ``cea`` certificate less its best-in-class error."""
-    diffs = [realisation(family, it.xi, it.w) - u_star for it in record.iterates[1:]]
+    diffs = [realisation(family, xi, w) - u_star for xi, w in zip(record.xi[1:], record.w[1:])]
     return np.array([bilinear(problem, rule, d, d) for d in diffs]) - best_in_V
 
 
@@ -52,3 +55,24 @@ def gap_slope(gaps) -> float:
     A = np.stack([np.log(ns), np.ones(ns.size)], axis=1)
     coef, *_ = np.linalg.lstsq(A, np.log(gaps[mask]), rcond=None)
     return float(coef[0])
+
+
+def check_entry(name, anchor, lhs, rhs, atol=ATOL, rtol=RTOL, note="") -> CertificateEntry:
+    """The entry of one inequality ``lhs <= rhs`` within
+    ``atol + rtol * max(|lhs|, |rhs|)``, in Python floats."""
+    lhs, rhs = float(lhs), float(rhs)
+    tol = atol + rtol * max(abs(lhs), abs(rhs))
+    ok = lhs <= rhs + tol
+    return CertificateEntry(name, anchor, lhs, rhs, rhs - lhs, "pass" if ok else "fail", note)
+
+
+def worst_entry(entries, note) -> CertificateEntry:
+    """The entry of the worst status and smallest margin, carrying ``note``:
+    failures first, margins within ``_TIE_RTOL`` of the smallest tied and
+    the first of them taken, a NaN margin the smallest."""
+    pool = [e for e in entries if e.status == "fail"] or entries
+    low = min(pool, key=lambda e: -math.inf if math.isnan(e.margin) else e.margin)
+    tie = _TIE_RTOL * max(abs(low.lhs), abs(low.rhs))
+    worst = next(e for e in pool if e is low or e.margin <= low.margin + tie)
+    worst.note = note
+    return worst

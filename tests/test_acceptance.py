@@ -143,23 +143,22 @@ def test_criterion_02_rank_deficient_consistency():
 def test_criterion_03_energy_decrease_both_rules(corpus):
     checked = 0
     for name, rec in corpus["records"].items():
-        its = rec.iterates
         ach0, gua0 = rec.initial_decrease
         assert ach0 >= gua0 - 1e-9, f"{name}: initial update"
-        for it in its[:-1]:
-            lam_next = its[it.k + 1].lambda_max
-            guaranteed = 0.5 / lam_next * it.grad_w_post_norm ** 2
-            assert it.decrease_achieved >= guaranteed - 1e-9, (
-                f"{name}: step {it.k}"
+        for k in range(rec.n_steps):
+            lam_next = rec.lambda_max[k + 1]
+            guaranteed = 0.5 / lam_next * rec.grad_w_post_norm[k] ** 2
+            assert rec.decrease_achieved[k] >= guaranteed - 1e-9, (
+                f"{name}: step {k}"
             )
             checked += 1
-        for it in its:
+        for k, (xi, lam) in enumerate(zip(rec.xi, rec.lambda_max)):
             # ||phi(xi)||_{U,2}^2 on the field path: each basis function
             # realised alone, its L2 norm by quadrature split at its breakpoints
             phi_sq = sum(bilinear(corpus["problem"], RULE, f, f) for f in (
-                realisation(corpus["family"], it.xi, e)
+                realisation(corpus["family"], xi, e)
                 for e in np.eye(corpus["family"].n_linear)))
-            assert it.lambda_max <= 1.0 * phi_sq + 1e-9, f"{name}: iterate {it.k}"
+            assert lam <= 1.0 * phi_sq + 1e-9, f"{name}: iterate {k}"
     print(f"criterion 3 [PASS]: decrease >= 0.5*||grad_W||^2/lambda_max - 1e-9 "
           f"at {checked} updates (both rules) and lambda_max within the "
           f"basis-norm bound")
@@ -207,7 +206,7 @@ def test_criterion_05_local_rate_and_monotone_energy(corpus):
         entries = local_rate_certificate(rec, K_star_lower=corpus["K_true"])
         assert len(entries) == 1 and entries[0].status == "pass", (name, entries)
         assert entries[0].margin >= 0.0
-        energies = [it.K for it in rec.iterates]
+        energies = rec.K
         for a, b in zip(energies, energies[1:]):
             assert b <= a + 1e-10, name
     print("criterion 5 [PASS]: stationarity-residual bound holds at every "
@@ -234,7 +233,7 @@ def test_criterion_06_surrogate_certificate_and_negative(corpus):
     assert good[0].status == "pass", good
     # negative control: a perturbed final iterate must be rejected
     tampered = copy.deepcopy(rec)
-    tampered.iterates[-2].grad_map_norm *= 1e3
+    tampered.grad_map_norm[-1] *= 1e3
     bad = surrogate_certificate(tampered, L=L_hat, nu=1.0, eps_target=eps)
     assert bad[0].status == "fail", bad
     print("criterion 6 [PASS]: stopping at eps*gamma certifies level <= "
@@ -262,13 +261,13 @@ def test_criterion_07_global_rate_from_twenty_starts():
             problem, RULE, family, Frozen(), geom, ConstantGamma(gamma),
             StoppingCriteria(max_epochs=200), xi0, w0=np.array([1.0]),
         )
-        deltas = [delta_star(geom, oracle, it.xi)[0] for it in rec.iterates]
+        deltas = [delta_star(geom, oracle, xi)[0] for xi in rec.xi]
         for a, b in zip(deltas, deltas[1:]):
             assert b <= a + 1e-11, f"delta* increased from start {xi0}"
         gsum = 0.0
-        for n in range(1, len(rec.iterates)):
+        for n in range(1, len(rec.K)):
             gsum += gamma
-            lhs = rec.iterates[n].K_reduced - oracle.K_star
+            lhs = rec.K_reduced[n] - oracle.K_star
             rhs = deltas[0] / gsum
             assert lhs <= rhs + 1e-11, f"rate violated at n={n} from {xi0}"
             worst_rate_margin = min(worst_rate_margin, rhs - lhs)

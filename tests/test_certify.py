@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import nonlinritz.certify
@@ -16,6 +17,8 @@ from nonlinritz.basis import (
     realisation,
 )
 from nonlinritz.certify import (
+    ATOL,
+    RTOL,
     AnalyticPointsOracle,
     AnalyticSphereOracle,
     CertificateEntry,
@@ -34,6 +37,7 @@ from nonlinritz.certify import (
     quasi_stationarity_level,
     spd_certificate,
     surrogate_certificate,
+    _entry,
 )
 from nonlinritz.errors import ConfigError, DomainViolationError
 from nonlinritz.optimizer import (
@@ -54,7 +58,7 @@ from nonlinritz.updates import (
 from nonlinritz.variational import (DiffusionReaction1D, Field, L2Approx, ProblemConstants,
                                     QuadratureRule, bilinear, linear_form)
 
-from helpers import constant, gap_slope, realised_gaps
+from helpers import check_entry, constant, gap_slope, realised_gaps, worst_entry
 from lemma_norms import best_linear_margins, dc_condition, dphi_norm, kappa, regularity_margins
 
 RULE = QuadratureRule.on_interval(0.0, 1.0, n_panels=16, order=5)
@@ -130,25 +134,68 @@ def test_report_collects_and_judges():
 
 
 def test_worst_entry_keeps_failures_and_ties_on_roundoff():
-    from nonlinritz.certify import _check, _worst
+    def named(*anchors):
+        return anchors.__getitem__
 
     # a wide tolerance lets the smaller margin pass; the failure is reported
-    wide = _check("c", "wide", 1.5, 1.0, atol=1.0)
-    tight = _check("c", "tight", 1.1, 1.0, atol=0.0)
+    wide = _entry("c", "wide", 1.5, 1.0, atol=1.0)
+    tight = _entry("c", "tight", 1.1, 1.0, atol=0.0)
     assert (wide.status, tight.status) == ("pass", "fail")
-    assert _worst([wide, tight], "n").anchor == "tight"
+    assert _entry("c", named("wide", "tight"), [1.5, 1.1], 1.0, atol=[1.0, 0.0],
+                  note="n").anchor == "tight"
     # margins of one ulp either way are tied: the first is taken
     lhs = 0.0123
     up, down = np.nextafter(lhs, 1.0), np.nextafter(lhs, 0.0)
     for first, second in ((up, down), (down, up)):
-        entries = [_check("c", "first", lhs, first), _check("c", "second", lhs, second)]
-        assert _worst(entries, "n").anchor == "first"
+        assert _entry("c", named("first", "second"), lhs, [first, second],
+                      note="n").anchor == "first"
     # margins apart beyond roundoff: the smallest
-    assert _worst([_check("c", "big", 0.0, 1.0), _check("c", "small", 0.9, 1.0)],
-                  "n").anchor == "small"
+    assert _entry("c", named("big", "small"), [0.0, 0.9], 1.0, note="n").anchor == "small"
     # a NaN margin fails and counts as the smallest
-    nan = _check("c", "nan", math.nan, 1.0)
-    assert _worst([tight, nan], "n").anchor == "nan"
+    nan = _entry("c", "nan", math.nan, 1.0)
+    assert nan.status == "fail"
+    assert _entry("c", named("tight", "nan"), [1.1, math.nan], 1.0, atol=[0.0, ATOL],
+                  note="n").anchor == "nan"
+
+
+# sides that tie exactly, margins a few ulps apart (tied within _TIE_RTOL),
+# margins apart beyond it, signed zeros and non-finite sides
+_SIDES = st.sampled_from([0.0, -0.0, 0.0123, 0.9, 1.0, 1.1, 1.5, -2.0, 1e300,
+                          math.nan, math.inf, -math.inf])
+_MARGINS = st.sampled_from([-0.4, -1e-9, 0.0, 1e-9, 0.1, 0.5])
+
+
+@st.composite
+def _inequalities(draw):
+    """``(lhs, rhs, atol, rtol)``: up to 8 inequalities, each with its own
+    absolute tolerance."""
+    n = draw(st.integers(1, 8))
+    lhs, rhs = [], []
+    for _ in range(n):
+        left = draw(_SIDES)
+        if draw(st.booleans()):
+            right = draw(_SIDES)
+        else:  # a drawn margin, nudged by a few ulps
+            right = left + draw(_MARGINS)
+            for _ in range(draw(st.integers(0, 3))):
+                right = math.nextafter(right, draw(st.sampled_from([-math.inf, math.inf])))
+        if lhs and draw(st.integers(0, 3)) == 0:  # an exact copy of an earlier one
+            left, right = (v[draw(st.integers(0, len(lhs) - 1))] for v in (lhs, rhs))
+        lhs.append(left)
+        rhs.append(right)
+    atol = draw(st.lists(st.sampled_from([0.0, 1e-10, ATOL, 0.3, 1.0]), min_size=n, max_size=n))
+    return lhs, rhs, atol, draw(st.sampled_from([0.0, RTOL]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_inequalities())
+def test_worst_entry_is_the_fold_of_the_single_entries(case):
+    lhs, rhs, atol, rtol = case
+    entries = [check_entry("c", str(i), a, b, atol=t, rtol=rtol)
+               for i, (a, b, t) in enumerate(zip(lhs, rhs, atol))]
+    got = _entry("c", str, lhs, rhs, atol=atol, rtol=rtol, note="n")
+    # repr takes NaN for equal to NaN and tells -0.0 from 0.0
+    assert repr(got) == repr(worst_entry(entries, "n"))
 
 
 def test_quasi_stationarity_level_formula():
@@ -393,16 +440,15 @@ def test_decrease_and_lambda_max_certificates_pass():
 
 def test_spd_certificate_pass_and_fail():
     rec, _, _ = _gaussian_run()
-    omegas = [it.omega for it in rec.iterates]
-    assert all(e.status == "pass" for e in spd_certificate(rec, 0.5 * min(omegas)))
-    assert any(e.status == "fail" for e in spd_certificate(rec, 2.0 * max(omegas)))
+    assert all(e.status == "pass" for e in spd_certificate(rec, 0.5 * min(rec.omega)))
+    assert any(e.status == "fail" for e in spd_certificate(rec, 2.0 * max(rec.omega)))
 
 
 def test_energy_monotonicity_detects_tampering():
     rec, _, _ = _gaussian_run()
     assert all(e.status == "pass" for e in energy_monotonicity_certificate(rec))
     bad = copy.deepcopy(rec)
-    bad.iterates[2].K += 1.0
+    bad.K[2] += 1.0
     entries = energy_monotonicity_certificate(bad)
     assert any(e.status == "fail" for e in entries)
 
@@ -423,7 +469,7 @@ def _with_schedule(rec, **schedule):
 
 def test_hoelder_slack_bounds_the_energy_rise_per_step():
     rec, _, _ = _gaussian_run()
-    rec.iterates[3].K = rec.iterates[2].K + 0.05  # one rise of 0.05
+    rec.K[3] = rec.K[2] + 0.05  # one rise of 0.05
     slack = dict(nu=0.5, eps_holder=0.1)
     (entry,) = energy_monotonicity_certificate(_with_schedule(rec, **slack))
     assert entry.status == "pass" and entry.anchor == "step 2"
@@ -436,7 +482,7 @@ def test_hoelder_slack_bounds_the_energy_rise_per_step():
 
 def test_hoelder_slack_enters_the_local_rate_bound():
     rec, _, _ = _gaussian_run(stopping=StoppingCriteria(max_epochs=12))
-    lower = rec.iterates[0].K + 0.05  # too high by a little
+    lower = rec.K[0] + 0.05  # too high by a little
     (plain,) = local_rate_certificate(rec, lower)
     assert plain.status == "fail"
     assert local_rate_certificate(_with_schedule(rec, eps_holder=0.1), lower) == [plain]
@@ -444,9 +490,9 @@ def test_hoelder_slack_enters_the_local_rate_bound():
     assert slack.status == "pass"
     # the bound is 2 (K_0 - K_lower + n eps) / S_n at the horizon named
     n = int(slack.anchor.split("=")[1])
-    terms = [min(it.gamma * (2.0 * rec.mu - it.gamma * it.lipschitz_L), 1.0 / it.lambda_max)
-             for it in rec.iterates[:n]]
-    assert_allclose(slack.rhs, 2.0 * (rec.iterates[0].K - lower + n * 0.1) / sum(terms),
+    terms = [min(rec.gamma * (2.0 * rec.mu - rec.gamma * rec.lipschitz_L), 1.0 / lam)
+             for lam in rec.lambda_max[:n]]
+    assert_allclose(slack.rhs, 2.0 * (rec.K[0] - lower + n * 0.1) / sum(terms),
                     rtol=1e-12)
 
 
@@ -458,7 +504,7 @@ def test_local_rate_certificate_pass_and_negative():
     assert all(e.status == "pass" for e in entries)
     assert entries[0].margin >= 0.0
     # an invalid (too high) lower bound must be caught
-    bogus = rec.iterates[0].K + 1.0
+    bogus = rec.K[0] + 1.0
     assert any(e.status == "fail" for e in local_rate_certificate(rec, bogus))
 
 
@@ -533,7 +579,7 @@ def test_global_rate_certificate_on_circle():
     entries = global_rate_certificate(rec, geom, oracle)
     assert entries[0].status == "pass"
     # the energy really does approach the oracle optimum
-    assert rec.iterates[-1].K_reduced <= 1e-3
+    assert rec.K_reduced[-1] <= 1e-3
 
 
 def test_cea_certificate_on_circle():
@@ -544,7 +590,7 @@ def test_cea_certificate_on_circle():
         L_bar=16.0, zeta=1.0, geom=geom,
     )
     assert entry.status == "pass"
-    assert entry.note.endswith(f"checked horizons 1..{len(rec.iterates) - 1}")
+    assert entry.note.endswith(f"checked horizons 1..{len(rec.K) - 1}")
     # realised error approaches the (zero) best-in-class error at rate ~ 1/n
     slope = gap_slope(realised_gaps(rec, problem, RULE, family, constant(0.0)))
     assert slope <= -0.8
@@ -553,9 +599,9 @@ def test_cea_certificate_on_circle():
 def test_cea_certificate_reads_recorded_exact_coefficients(count_calls):
     rec, problem, family = _gaussian_run()
     # for exact updates the recorded coefficients are the exact solve, bitwise
-    for it in rec.iterates:
-        _, w_star = reduced_energy(problem, RULE, family, it.xi)
-        assert np.array_equal(it.w, w_star)
+    for xi, w in zip(rec.xi, rec.w):
+        _, w_star = reduced_energy(problem, RULE, family, xi)
+        assert np.array_equal(w, w_star)
     calls = count_calls("assemble", Evaluator)
     oracle = AnalyticPointsOracle(np.array([[0.3, 0.7]]), rec.final_K)
     (entry,) = cea_certificate(rec, problem, RULE, family, problem.target, oracle,

@@ -467,6 +467,47 @@ def test_certify_a_run_without_steps(tmp_path, config, skipped):
             "skipped", "run recorded no steps")
 
 
+def _failing(printed, name):
+    """The ``[FAIL]`` lines of ``name`` among the printed report lines."""
+    return [line for line in printed.splitlines() if line.startswith(f"[FAIL] {name} @ ")]
+
+
+def test_lambda_max_bound_fails_under_a_small_norm_a(tmp_path, capsys):
+    # lambda_max(A) <= norm_a ||phi||_{U,2}^2 needs norm_a = 1 for an L2
+    # energy; at 0.4 every state's bound is too small, the start's the most
+    with open(os.path.join(DEMO_CONFIGS, "gaussian_fit.json")) as fh:
+        data = json.load(fh)
+    data["constants"] = {"alpha": 0.4, "norm_a": 0.4, "norm_ell": 1.0}
+    cfg_path, out = _write_cfg(tmp_path, data), str(tmp_path / "out")
+    assert main(["run", "--config", cfg_path, "--out-dir", out]) == 0
+    capsys.readouterr()
+    assert main(["certify", "--config", cfg_path, "--out-dir", out]) == 1
+    (line,) = _failing(capsys.readouterr().out, "lambda-max-bound")
+    assert line.startswith("[FAIL] lambda-max-bound @ iterate 0: lhs=0.3528")
+    report = json.loads(_read(os.path.join(out, "report.json")))
+    entry = next(e for e in report["entries"] if e["name"] == "lambda-max-bound")
+    assert_allclose([entry["lhs"], entry["rhs"]], [0.3529, 0.1560], atol=1e-4)
+    assert main(["check", "--config", cfg_path, "--out-dir", out]) == 1
+    (line,) = _failing(capsys.readouterr().out, "lambda-max-bound")
+    assert line.startswith("[FAIL] lambda-max-bound @ sample 1: ")
+
+
+def test_global_rate_fails_on_the_circle_survey(tmp_path, capsys):
+    # the grid oracle's slack band counts more than half the grid as
+    # minimisers, so delta*(xi_0) is far too small for the first step
+    data = _circle_config()
+    data["stopping"] = {"max_epochs": 40}
+    data["init"] = {"xi0": [1.15, 0.45], "w0": [1.0]}
+    data["oracle"] = {"kind": "grid", "resolution": 0.04}
+    cfg_path, out = _write_cfg(tmp_path, data), str(tmp_path / "out")
+    assert main(["run", "--config", cfg_path, "--out-dir", out]) == 0
+    capsys.readouterr()
+    assert main(["certify", "--config", cfg_path, "--out-dir", out]) == 1
+    (line,) = _failing(capsys.readouterr().out, "global-rate")
+    assert line.startswith("[FAIL] global-rate @ horizon n=1: ")
+    assert line.endswith("(checked horizons 1..40)")
+
+
 @pytest.mark.parametrize("gamma", [0.25, 1.0])
 def test_norm_profile_grid_contains_the_origin(tmp_path, gamma):
     # g = ||xi|| is 0 at the origin, the grid minimiser [0, 0], and not

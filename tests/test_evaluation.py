@@ -151,14 +151,14 @@ def test_l2_hat_run_locates_its_nodes_once_per_state(count_calls):
               LipschitzAdaptive(zeta=0.5, n_pairs=4), StoppingCriteria(max_epochs=5),
               np.linspace(0.1, 0.9, m))
     assert rec.n_steps == 5
-    assert len(located) == len(rec.iterates) + 1
+    assert len(located) == len(rec.K) + 1
 
 
 def test_replay_evaluates_each_state_once(monkeypatch):
     kw = _bumps(_counted_target([]), epochs=40)
     schedule = ConstantGamma(0.02)
     rec = run(schedule=schedule, **kw)
-    states = np.array([np.concatenate([it.xi, it.w]) for it in rec.iterates])
+    states = np.hstack((rec.xi, rec.w))
     evaluated = []
     clean = Evaluator.evaluate
 

@@ -164,22 +164,24 @@ def test_run_record_shape_and_transitions():
     kw = _run_kwargs()
     rec = run(**kw)
     assert rec.termination in {"max_epochs", "xi_stabilised", "energy_plateau"}
-    assert len(rec.iterates) >= 2
-    last = rec.iterates[-1]
-    for field in ("gamma", "grad_map_norm", "step_norm", "grad_w_post_norm",
+    n = rec.n_steps
+    assert n >= 1
+    # one row per state, one per step, one value per run
+    for field in ("K", "K_reduced", "lambda_max", "omega", "phi_u2"):
+        assert getattr(rec, field).shape == (n + 1,)
+    assert rec.xi.shape == (n + 1, 2) and rec.w.shape == (n + 1, 2)
+    for field in ("grad_map_norm", "step_norm", "grad_w_post_norm",
                   "decrease_achieved", "decrease_guaranteed"):
-        assert getattr(last, field) is None
-    for it in rec.iterates[:-1]:
-        assert it.gamma is not None and it.step_norm is not None
-        assert it.decrease_achieved >= it.decrease_guaranteed - 1e-9
-        assert_allclose(it.gamma, 0.9 * 1.0 / 5.0)
+        assert getattr(rec, field).shape == (n,)
+    assert np.all(rec.decrease_achieved >= rec.decrease_guaranteed - 1e-9)
+    assert_allclose(rec.gamma, 0.9 * 1.0 / 5.0)
+    assert rec.lipschitz_L == 5.0 and rec.delta_star is None
     assert isinstance(rec.linear_rule, FullSolveCG)
     assert rec.hoelder_L == 5.0 and rec.schedule is kw["schedule"]
     # best tracking
-    energies = [it.K for it in rec.iterates]
-    assert rec.best_K == min(energies)
-    assert any(it.K == rec.best_K and np.array_equal(it.xi, rec.best_xi)
-               for it in rec.iterates)
+    assert rec.best_K == min(rec.K)
+    assert any(K == rec.best_K and np.array_equal(xi, rec.best_xi)
+               for K, xi in zip(rec.K, rec.xi))
     assert rec.final_K <= rec.best_K + 1e-12
     # the final energy is that of the exact solve at the best parameters
     system = assemble(kw["problem"], RULE, kw["family"], rec.best_xi)
@@ -190,17 +192,17 @@ def test_run_record_shape_and_transitions():
 
 def test_run_energies_nonincreasing_with_exact_solves():
     rec = run(**_run_kwargs(stopping=StoppingCriteria(max_epochs=15)))
-    energies = [it.K for it in rec.iterates]
+    energies = rec.K
     assert all(b <= a + 1e-10 for a, b in zip(energies, energies[1:]))
 
 
 def test_run_zero_epochs_is_single_galerkin_solve():
     problem, family = _setup()
     rec = run(**_run_kwargs(stopping=StoppingCriteria(max_epochs=0)))
-    assert len(rec.iterates) == 1
+    assert len(rec.K) == 1 and rec.step_norm.shape == (0,)
     assert rec.termination == "max_epochs"
     val, _ = reduced_energy(problem, RULE, family, np.array([0.45, 0.55]))
-    assert_allclose(rec.iterates[0].K, val, atol=1e-11)
+    assert_allclose(rec.K[0], val, atol=1e-11)
 
 
 def test_run_stops_on_xi_stabilised():
@@ -213,7 +215,7 @@ def test_run_records_stopped_point_residual():
     problem, family = _setup()
     rec = run(**_run_kwargs(stopping=StoppingCriteria(max_epochs=400, eps_xi=1.8e-4)))
     assert rec.termination == "xi_stabilised"
-    system = assemble(problem, RULE, family, rec.iterates[-1].xi)
+    system = assemble(problem, RULE, family, rec.xi[-1])
     fresh = float(np.linalg.norm(system.matrix @ system.solution - system.load))
     assert rec.stop_residual == fresh
     frozen = run(**_run_kwargs(linear_rule=Frozen(), w0=np.array([0.8, 0.5]),
@@ -233,7 +235,7 @@ def test_run_on_a_chain_makes_no_prox_residual_call(count_calls):
                             stopping=StoppingCriteria(max_epochs=10)))
     assert rec.n_steps == 10
     # the gap constraint is active after the first step
-    assert all(it.xi[1] - it.xi[0] <= 0.5 + 1e-12 for it in rec.iterates[1:])
+    assert np.all(rec.xi[1:, 1] - rec.xi[1:, 0] <= 0.5 + 1e-12)
     assert calls == []
 
 
@@ -243,15 +245,14 @@ def test_run_stops_on_energy_plateau():
     ))
     assert rec.termination == "energy_plateau"
     assert rec.termination != "max_epochs"
-    tail = rec.iterates[-2:]
-    assert abs(tail[1].K - tail[0].K) <= 1e-9
+    assert abs(rec.K[-1] - rec.K[-2]) <= 1e-9
 
 
 def test_run_steepest_descent_kind():
     rec = run(**_run_kwargs(linear_rule=SteepestDescent(),
                             stopping=StoppingCriteria(max_epochs=3)))
     assert isinstance(rec.linear_rule, SteepestDescent)
-    energies = [it.K for it in rec.iterates]
+    energies = rec.K
     assert all(b <= a + 1e-10 for a, b in zip(energies, energies[1:]))
 
 
@@ -265,10 +266,10 @@ def test_run_frozen_requires_and_keeps_w0():
         stopping=StoppingCriteria(max_epochs=4),
     ))
     assert isinstance(rec.linear_rule, Frozen) and rec.frozen
-    for it in rec.iterates:
-        assert_allclose(it.w, [0.7, 0.4])
-        assert it.K == it.K_reduced  # frozen runs report the frozen energy
-        assert it.decrease_achieved is None
+    for w in rec.w:
+        assert_allclose(w, [0.7, 0.4])
+    assert np.array_equal(rec.K, rec.K_reduced)  # frozen runs report the frozen energy
+    assert rec.decrease_achieved is None and rec.decrease_guaranteed is None
     assert rec.initial_decrease is None
 
 
@@ -294,7 +295,7 @@ def test_run_constant_gamma_has_no_hoelder_record():
     schedule = ConstantGamma(0.01)
     rec = run(**_run_kwargs(schedule=schedule, stopping=StoppingCriteria(max_epochs=2)))
     assert rec.hoelder_L is None and rec.schedule is schedule
-    assert rec.iterates[0].gamma == 0.01
+    assert rec.gamma == 0.01 and rec.lipschitz_L is None
 
 
 def test_run_records_delta_star():
@@ -303,9 +304,8 @@ def test_run_records_delta_star():
         delta_star_fn=lambda xi: 0.5 * float(np.sum((xi - center) ** 2)),
         stopping=StoppingCriteria(max_epochs=3),
     ))
-    for it in rec.iterates:
-        assert it.delta_star is not None
-        assert_allclose(it.delta_star, 0.5 * np.sum((it.xi - center) ** 2))
+    assert rec.delta_star.shape == (len(rec.K),)
+    assert_allclose(rec.delta_star, 0.5 * np.sum((rec.xi - center) ** 2, axis=1))
 
 
 def test_run_diagonal_geometry_mu():
@@ -314,4 +314,4 @@ def test_run_diagonal_geometry_mu():
         stopping=StoppingCriteria(max_epochs=2),
     ))
     assert rec.mu == 2.0
-    assert_allclose(rec.iterates[0].gamma, 0.9 * 2.0 / 5.0)
+    assert_allclose(rec.gamma, 0.9 * 2.0 / 5.0)

@@ -49,7 +49,7 @@ def _bumps(linear_rule, epochs=30):
 
 
 def _states(record):
-    return np.array([np.concatenate([it.xi, it.w]) for it in record.iterates])
+    return np.hstack((record.xi, record.w))
 
 
 def _bits(record):
@@ -61,9 +61,7 @@ def _bits(record):
             return np.float64(v).tobytes()
         return v
 
-    its = [tuple(b(v) for v in vars(it).values()) for it in record.iterates]
-    rest = tuple(b(v) for k, v in vars(record).items() if k != "iterates")
-    return its, rest
+    return {k: b(v) for k, v in vars(record).items()}
 
 
 @pytest.fixture(params=[FullSolveCG(), SteepestDescent()], ids=["cg", "sd"])
@@ -198,7 +196,7 @@ def test_a_violated_solvability_bound_names_the_first_point(monkeypatch, first):
     # bound omega_k holds up to state k and fails after it (the reversed
     # states are no run, but uniform solvability is checked before that)
     states = _states(record)[::-1]
-    omegas = np.array([it.omega for it in record.iterates])[::-1]
+    omegas = record.omega[::-1]
     assert np.all(np.diff(omegas) < 0.0)
     messages = []
     for budget in (10 ** 9, SMALL, 1):

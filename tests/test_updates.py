@@ -196,6 +196,8 @@ def test_scalar_diagonal_is_a_multiple_of_the_identity():
     assert geom.mu == 2.0
     for dim in (1, 3):
         assert geom.weights(dim).tolist() == [2.0] * dim
+        # made once per dimension, and read-only since every prox step shares it
+        assert geom.weights(dim) is geom.weights(dim) and not geom.weights(dim).flags.writeable
     e, x = np.array([1.0, 2.0, 2.0]), np.zeros(3)
     assert geom.div(e, x) == 9.0
     assert geom.div(np.stack([e, -e]), x).tolist() == [9.0, 9.0]

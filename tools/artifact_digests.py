@@ -10,9 +10,11 @@ and runs each job's subcommands (each demo config gets all four) through
 ``nonlinritz.cli.main`` in this process.  It prints one line per
 operation: its name, exit code, the SHA-256 of what it printed (stdout and
 stderr, OUT replaced by a placeholder) and of every file its directory then
-holds besides the config.  Two checkouts that print the same lines produced
-the same bytes: run it on both and compare the outputs with ``diff``.
-The printed lines are also written to ``OUT/digests.txt``.
+holds besides the config.  Then it runs each ``demos/*.py`` script of
+CHECKOUT in a subprocess with ``PYTHONPATH=CHECKOUT/src`` and prints its
+exit code and the SHA-256 of its stdout.  Two checkouts that print the same
+lines produced the same bytes: run it on both and compare the outputs with
+``diff``.  The printed lines are also written to ``OUT/digests.txt``.
 
 ``compare`` is for changes that may move the last bits of results.  It
 reads two such OUT directories and requires, operation by operation,
@@ -32,6 +34,7 @@ import io
 import json
 import os
 import shutil
+import subprocess
 import sys
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -64,6 +67,16 @@ def operations(checkout, out, seeds):
             yield name, d, sub
 
 
+def demo_scripts(checkout):
+    """``(name, exit code, stdout)`` of every demo script, each run alone."""
+    demos = os.path.join(checkout, "demos")
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    for name in sorted(f for f in os.listdir(demos) if f.endswith(".py")):
+        done = subprocess.run([sys.executable, os.path.join(demos, name)], env=env,
+                              capture_output=True, check=False)
+        yield f"demo-{name}", done.returncode, done.stdout
+
+
 def main(argv):
     if len(argv) == 3 and argv[0] == "compare":
         return compare(*argv[1:])
@@ -92,6 +105,9 @@ def main(argv):
                     files.append(f"{f}={sha(fh.read())}")
         text = buf.getvalue().replace(out, "<OUT>")
         lines.append(f"{name} {sub} rc={rc} stdout={sha(text.encode())} {' '.join(files)}")
+        print(lines[-1])
+    for name, rc, stdout in demo_scripts(checkout):
+        lines.append(f"{name} script rc={rc} stdout={sha(stdout)}")
         print(lines[-1])
     with open(os.path.join(out, "digests.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
