@@ -71,11 +71,11 @@ _KERNEL_TOL = 1e-10
 #: (2.4 MB); so do those of the analytic gradient read from them.
 _STACK_ELEMENTS = 150_000
 
-#: float64 entries one stacked ``assemble`` of free-knot hats may hold at
-#: once (12 MB): per point, ``_ELEMENT_ROWS`` rows of one entry per
-#: node and three ``n_linear x n_linear`` matrices (A, G and a
-#: temporary).  The 2m finite-difference probes of 160 Dirichlet
-#: hats on 64 panels go in blocks of 16, those of 16 hats in one block.
+#: float64 entries one stacked ``assemble`` of free-knot hats (or their knot
+#: gradient) may hold at once (12 MB): per point, ``_ELEMENT_ROWS`` rows of
+#: one entry per node and three ``n_linear x n_linear`` matrices (A, G and a
+#: temporary).  The 2m finite-difference probes of 160 Dirichlet hats on 64
+#: panels go in blocks of 16, those of 16 hats in one block.
 _ELEMENT_STACK_ELEMENTS = 1_500_000
 _ELEMENT_ROWS = 12
 
@@ -353,22 +353,21 @@ class Evaluator:
             A, G, load = row, (row if G is A else G[0]), load[0]
         return AssembledSystem(xi=xi, matrix=A, load=load, gram=G, evaluation=ev)
 
-    def slices(self, points, dense: bool = False) -> list:
+    def slices(self, points) -> list:
         """Slices cutting the stack ``points`` ``(N, d)`` into blocks for :meth:`assemble`.
 
         A block's points are counted on a bound on their nodes: the rule's
         panels plus one per breakpoint of the family and of the problem's
-        coefficients, times the order.  Hats, assembled cell by cell, fill
-        ``_ELEMENT_STACK_ELEMENTS``; every other family, evaluated by dense
-        products, fills ``_STACK_ELEMENTS``, and so do hats with ``dense``
-        (analytic gradients evaluate dense basis values of every family).
-        One point exceeding the budget still makes a block of its own.
+        coefficients, times the order.  Hats, assembled and differentiated
+        cell by cell, fill ``_ELEMENT_STACK_ELEMENTS``; every other family,
+        evaluated by dense products, fills ``_STACK_ELEMENTS``.  One point
+        exceeding the budget still makes a block of its own.
         """
         rule, family = self.rule, self.family
         breaks = len(family.breakpoints(points[0])) + len(self.problem.coefficient_breakpoints())
         nodes = (rule.boundaries.size - 1 + breaks) * rule.order
         n = family.n_linear
-        if isinstance(family, FreeKnotHats) and not dense:
+        if isinstance(family, FreeKnotHats):
             step = _ELEMENT_STACK_ELEMENTS // (_ELEMENT_ROWS * nodes + 3 * n * n)
         else:
             step = _STACK_ELEMENTS // ((n + 2) * nodes)

@@ -10,12 +10,13 @@ shared by every point or ``(N, Q)``, one row per point, and return
 ``(N,)`` array per breakpoint.
 
 ``evaluate(xi, x)`` evaluates the family once on the nodes: the bumps,
-the cell of each node for hats, the amplitude ``g(xi)``.
-The basis values (``values_of``) and, for each differentiable family, the
-parameter derivative of a realisation, ``d u / d xi_i`` of shape
-``(n_nonlinear, len(x))`` (``dparam_values(ev, w)``), are read from that
-evaluation; the derivative of a single basis function is that kernel
-applied to a unit vector.
+the cell of each node for hats, the amplitude ``g(xi)``; the rest is read
+from it.  Hats sum over each cell's nodes: their Galerkin systems
+(``element_products``) and L2 knot gradient (``knot_gradient``).  Every
+other family gives its basis values (``values_of``) and, if differentiable,
+the parameter derivative of a realisation, ``d u / d xi_i`` of shape
+``(n_nonlinear, len(x))`` (``dparam_values(ev, w)``); the derivative of a
+single basis function is that kernel applied to a unit vector.
 
 Families
 --------
@@ -56,7 +57,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-#: membership tolerance of NonlinearDomain
+#: membership tolerance of NonlinearDomain, times max(1, largest |bound|):
+#: the chain projection rounds at about one ulp of the bounds
 _TOL = 1e-12
 
 
@@ -141,7 +143,8 @@ class NonlinearDomain:
         link_a, link_b = np.array(links, dtype=int).reshape(-1, 2).T
         object.__setattr__(self, "_link_a", link_a)
         object.__setattr__(self, "_link_b", link_b)
-        object.__setattr__(self, "_limits", (lo - _TOL, hi + _TOL, self.gap - _TOL))
+        tol = _TOL * np.max(np.abs((lo, hi)), initial=1.0)
+        object.__setattr__(self, "_limits", (lo - tol, hi + tol, self.gap - tol))
         # per chain, for the projection: indices, the gap shift ``k*gap`` and the
         # monotone envelopes of the shifted bounds; the chain holds a point (its
         # lower envelope, shifted back) exactly when lo_env <= hi_env throughout
@@ -169,8 +172,8 @@ class NonlinearDomain:
         ``short[..., l]`` flags the chain link ``(_link_a[l], _link_b[l])``.
         NaN coordinates flag nothing, as in the scalar comparisons these
         replace.  ``require`` runs this once per assembled system, so the
-        limits, widened by ``_TOL``, are computed once and a domain without
-        chains skips the link arithmetic.
+        limits, widened by the scaled ``_TOL``, are computed once and a
+        domain without chains skips the link arithmetic.
         """
         lo, hi, gap = self._limits
         if self.chains:
@@ -182,9 +185,9 @@ class NonlinearDomain:
     def feasible(self, points) -> np.ndarray:
         """One boolean per row of an ``(N, dim)`` array: is the row admissible?
 
-        A row passes when ``lower - _TOL <= p <= upper + _TOL`` coordinatewise
-        and ``p[b] - p[a] >= gap - _TOL`` along every chain link; this is
-        exactly ``not violations(p)``, evaluated for all rows at once.
+        A row passes when ``lower - tol <= p <= upper + tol`` coordinatewise
+        and ``p[b] - p[a] >= gap - tol`` along every chain link (``tol`` the
+        scaled ``_TOL``); this is exactly ``not violations(p)``, for all rows.
         """
         p = np.asarray(points, dtype=float)
         if p.ndim != 2 or p.shape[1] != self.dim:
@@ -290,7 +293,7 @@ class NonlinearDomain:
         All candidates are drawn as one ``(200, dim)`` block, the numbers
         of 200 single ``rng.uniform`` draws, and only their chain links are
         tested: a box draw is off the box by at most a rounding of the
-        bounds, inside the ``_TOL`` widening for bounds below 1e3.  After an
+        bounds, inside the tolerance, which scales with them.  After an
         accepted row ``k`` the generator is rewound and advanced by exactly
         ``k + 1`` rows, so the point returned and the state ``rng`` is left
         in are bitwise those of drawing one candidate at a time.
@@ -355,8 +358,8 @@ class _FamilyBase:
         return None
 
     def evaluate(self, xi, x):
-        """The family at ``xi`` on nodes ``x``: what :meth:`values_of` and
-        ``dparam_values`` read.  By default its basis values."""
+        """The family at ``xi`` on nodes ``x``, which the rest reads (hats
+        cell by cell).  By default its basis values."""
         return self.basis_values(xi, x)
 
     def values_of(self, ev):
@@ -443,10 +446,10 @@ class FreeKnotHats(_FamilyBase):
     all ``m + 2`` hats are used.  Zero-width cells (coincident knots) add
     nothing, so degenerate parameters stay well defined in L2.
 
-    Values, slopes, knot derivatives and Galerkin systems
-    (``element_products``) are built from the cell :meth:`_locate` gives
-    each node, O(1) work per node; a node on a knot takes the cell on its
-    left, where the knot's hat rises.
+    Values, slopes, Galerkin systems (``element_products``) and the L2
+    knot gradient (``knot_gradient``) are built from the cell
+    :meth:`_locate` gives each node, O(1) work per node; a node on a knot
+    takes the cell on its left, where the knot's hat rises.
     """
 
     domain: NonlinearDomain
@@ -563,31 +566,16 @@ class FreeKnotHats(_FamilyBase):
         """The cell of each node, :meth:`_locate`'s ``(t, x, at)``."""
         return self._locate(xi, x)
 
-    def values_of(self, ev):
-        return self._hat_rows(ev, slopes=False)
-
-    def element_products(self, located, forms, values, slopes=None):
-        """Galerkin matrices and load of the hats, assembled cell by cell.
-
-        ``located`` holds the cells of the nodes of a stack, from
-        :meth:`_locate`.  The other
-        arguments hold one weight per node: each ``(mass, stiffness)`` pair
-        of ``forms`` gives the matrix ``sum_x mass phi_i phi_j + stiffness
-        phi_i' phi_j'`` (``stiffness`` None: no slope term), and the load is
-        ``sum_x values phi_j + slopes phi_j'``.  Returns the list of
-        matrices ``(N, n, n)`` and the load ``(N, n)``.
-
-        On the cell :meth:`_locate` gives a node, hat c falls as
-        ``(t_{c+1} - x) / h_c`` and hat c+1 rises as ``(x - t_c) / h_c``;
-        their weighted products, summed per cell and divided by ``h_c^2``
-        there, are the 2x2 element matrices, which fill the three diagonals.
-        Each sum reduces one run of a point's nodes (``numpy.add.reduceat``
-        over flat (point, cell) bins), so a stack gives bitwise its points'
-        systems.
-        """
+    def _cell_sums(self, located):
+        """``(rise, fall, slope, per_cell)`` of located nodes: on a node's cell
+        ``[a, b]`` of width h, ``x - a`` and ``b - x`` (the rising and the
+        falling hat times h, divided per cell, not per node), ``1 / h`` per
+        cell (0 if empty), and ``per_cell(v, scale)``, the sum of ``v`` over
+        each cell's nodes times ``scale`` there, ``(N, m + 1)``.  Each sum
+        reduces one run of a point's nodes (``numpy.add.reduceat`` over flat
+        (point, cell) bins), so a stack gives bitwise its points' sums."""
         t, x, at = located
-        N, cells = len(t), self.n_nonlinear + 1
-        # the pieces times the cell's width: divided per cell, not per node
+        cells = self.n_nonlinear + 1
         rise, fall = x - np.take(t, at), np.take(t, at + 1) - x
         bins = at.ravel()
         starts = np.flatnonzero(np.diff(bins, prepend=-1))
@@ -600,6 +588,28 @@ class FreeKnotHats(_FamilyBase):
             sums = sums.reshape(t.shape)[:, :cells]
             # a cell without nodes adds nothing, however narrow
             return np.where(sums == 0.0, 0.0, sums * scale)
+
+        return rise, fall, slope, per_cell
+
+    def element_products(self, located, forms, values, slopes=None):
+        """Galerkin matrices and load of the hats, assembled cell by cell.
+
+        ``located`` holds the cells of the nodes of a stack, from
+        :meth:`_locate`.  The other arguments hold one weight per node: each
+        ``(mass, stiffness)`` pair of ``forms`` gives the matrix ``sum_x mass
+        phi_i phi_j + stiffness phi_i' phi_j'`` (``stiffness`` None: no slope
+        term), and the load is ``sum_x values phi_j + slopes phi_j'``.
+        Returns the list of matrices ``(N, n, n)`` and the load ``(N, n)``.
+
+        On the cell :meth:`_locate` gives a node, hat c falls as
+        ``(t_{c+1} - x) / h_c`` and hat c+1 rises as ``(x - t_c) / h_c``;
+        their weighted products, summed per cell and divided by ``h_c^2``
+        there, are the 2x2 element matrices, which fill the three diagonals.
+        The sums are :meth:`_cell_sums`', so a stack gives bitwise its
+        points' systems.
+        """
+        N, cells = len(located[0]), self.n_nonlinear + 1
+        rise, fall, slope, per_cell = self._cell_sums(located)
 
         def on_hats(on_falling, on_rising):
             out = np.zeros((N, cells + 1))
@@ -627,48 +637,26 @@ class FreeKnotHats(_FamilyBase):
             vf, vr = vf - k, vr + k
         return mats, on_hats(vf, vr)[:, keep]
 
-    def dparam_values(self, ev, w):
-        """d (w . hat) / d xi_i on located nodes, shape ``(..., m, Q)``.
-
-        One coefficient vector ``(n,)`` gives ``(m, Q)`` (the evaluation of
-        one point), one row per point of a stack ``(N, n)`` gives
-        ``(N, m, Q)``.  A node's cell ``[a, b]`` (hats c and c+1) is the
-        left cell of knot c+1, which moves the hats by ``(x - a) / h^2`` and
-        ``-(x - a) / h^2``, and the right cell of knot c, which moves them
-        by ``(b - x) / h^2`` and ``(x - b) / h^2``.  Each entry adds its
-        terms to zero in ascending hat order: bitwise the contraction of the
-        per-hat derivatives with ``w``, and for each point of a stack
-        bitwise that point's derivative alone.
-        """
-        t, x, at = ev
-        (N, Q), m, d = x.shape, self.n_nonlinear, int(self.dirichlet)
-        # cell widths in the flat layout of t (the last column pads)
-        width = np.zeros(t.shape)
-        width[:, :-1] = np.diff(t, axis=1)
-        width = width.ravel()
-        # squared through libm pow like a scalar ``** 2``; an array square
-        # differs from it in the last bit for about 0.1 % of widths
-        sq = np.array([h ** 2 if h > 0.0 else 1.0 for h in width.tolist()])[at]
-        live = width[at] > 0.0
-        t = t.ravel()
-        rise, fall = (x - t[at]) / sq, (x - t[at + 1]) / sq
-        # coefficients by hat, padded to the rows of _locate; the Dirichlet
-        # family has no hat 0 and m+1, whose terms are left out rather than
-        # multiplied by zero (0 * inf is NaN)
-        coef, has = np.zeros((N, m + 3)), np.zeros((N, m + 3), dtype=bool)
-        coef[:, d:m + 2 - d], has[:, d:m + 2 - d] = np.reshape(w, (N, -1)), True
-        coef, has = coef.ravel(), has.ravel()
-
-        def times(j, p):
-            return np.multiply(coef[j], p, out=np.zeros_like(p), where=has[j])
-
-        # rows: knot positions 0 .. m+2 of each point's padded grid
-        out = np.zeros((N * (m + 3), Q))
-        col = np.arange(Q)
-        out[at + 1, col] = np.where(live, 0.0 + times(at, rise) + times(at + 1, -rise), 0.0)
-        out[at, col] = np.where(live, 0.0 + times(at, -fall) + times(at + 1, fall), 0.0)
-        out = out.reshape(N, m + 3, Q)[:, 1:m + 1]
-        return out[0] if np.ndim(w) == 1 else out
+    def knot_gradient(self, located, w, weights, target):
+        """``sum_x (weights u - target) d u / d xi_i`` ``(N, m)`` on located
+        nodes, with one coefficient row ``w`` per point and the quadrature
+        weights and weighted target per node.  On the cell ``[a, b]`` of
+        width h, ``u = w_c (b - x) / h + w_{c+1} (x - a) / h`` moves with b
+        by ``(w_c - w_{c+1}) (x - a) / h^2`` and with a by ``(w_c - w_{c+1})
+        (b - x) / h^2``: knot i, which ends cell i and starts cell i + 1,
+        gathers the residual times ``x - a`` over the one and times
+        ``b - x`` over the other, in :meth:`_cell_sums`' sums (bitwise per point)."""
+        t, _, at = located
+        rise, fall, slope, per_cell = self._cell_sums(located)
+        m, d = self.n_nonlinear, int(self.dirichlet)
+        # by hat and by cell, padded to the columns of t: no hats 0 and m+1
+        # when Dirichlet, slope 0 on the empty cell of nodes outside
+        coef, slopes = np.zeros(t.shape), np.zeros(t.shape)
+        coef[:, d:m + 2 - d], slopes[:, :m + 1] = w, slope
+        u = (np.take(coef, at) * fall + np.take(coef, at + 1) * rise) * np.take(slopes, at)
+        residual = weights * u - target
+        jump = (coef[:, :m + 1] - coef[:, 1:m + 2]) * (slope * slope)
+        return per_cell(residual * rise, jump)[:, :-1] + per_cell(residual * fall, jump)[:, 1:]
 
 
 @dataclass(frozen=True)

@@ -133,12 +133,12 @@ def estimate_lipschitz_L(grads, w, n_pairs: int, seed: int, nu: float = 1.0) -> 
         dists.append(d)
     if len(dists) < n_pairs:
         raise NumericalError("could not sample enough distinct parameter pairs")
-    # the points are evaluated, never assembled, in the oracle's blocks;
+    # the points are evaluated, never assembled, in the evaluator's blocks;
     # each gradient is bitwise that point's alone
     w = np.asarray(w, dtype=float)
     points = np.stack(points)
     g = np.empty(points.shape)
-    for block in grads.blocks(points):
+    for block in grads.evaluator.slices(points):
         g[block] = grads.grad_xi(np.broadcast_to(w, (len(points[block]), w.size)), points[block])
     best = 0.0
     for i, d in enumerate(dists):
@@ -558,7 +558,7 @@ def replay(
     ``states`` holds one row ``[xi_k, w_k]`` per recorded iterate; the other
     arguments are those :func:`run` took.  The states do not depend on each
     other once written, so the states a step leaves are assembled as stacks,
-    in the oracle's blocks, and the gradients at ``(w_k, xi_k)`` are read
+    in the evaluator's blocks, and the gradients at ``(w_k, xi_k)`` are read
     from each block's evaluation; the last state is assembled alone.  Each
     block's transitions are then checked as arrays: one stacked prox step
     from ``(xi_{k-1}, g_{k-1})``, the last state of the block before
@@ -636,11 +636,11 @@ def replay(
                 check(lo + j, system[j:j + 1], g_before[j:j + 1])
             raise
 
-    # the states a step leaves in the oracle's blocks, one block alive at a
+    # the states a step leaves in the evaluator's blocks, one block alive at a
     # time, each assembled and differentiated as one stack, its exact solves
     # one stacked solve (frozen coefficients never ask for one)
     left, assemble_at, g_last = xis[:n], grads.evaluator.assemble, np.zeros((1, d))
-    for block in grads.blocks(left) if n else ():
+    for block in grads.evaluator.slices(left) if n else ():
         systems = assemble_at(left[block])
         if not frozen:  # read from the eigenvalues, as each state's solve in the run
             systems.eigvalsh, systems.solution

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import AssembledSystem, Evaluator, _raise_first, quadratic_energy
-from .basis import IndicatorPair, NonlinearDomain
+from .basis import FreeKnotHats, IndicatorPair, NonlinearDomain
 from .errors import (
     ConfigError,
     NonFiniteValueError,
@@ -247,10 +247,10 @@ class EnergyGradients:
 
     * ``analytic``: under the L2 energy, differentiate under the integral:
       ``d_i K = (u - f, d_i u)`` with ``u = w . phi(xi)`` and ``d_i u`` the
-      family's contracted parameter derivative, both read from the
-      evaluation of the point, and the weighted target ``f`` from its field
-      values: the evaluation a system kept from its assembly, or a fresh
-      one of points never assembled.
+      family's contracted parameter derivative (hats: cell sums), both read
+      from the evaluation of the point, and the weighted target ``f`` from
+      its field values: the evaluation a system kept from its assembly, or
+      a fresh one of points never assembled.
     * ``closed_form``: hand-derived formulas; available for the indicator
       pair under the L2 energy, where the basis itself is not
       differentiable but the energy is.
@@ -271,11 +271,6 @@ class EnergyGradients:
     evaluator: Evaluator
     mode: str
     fd_step: float = 1e-6
-
-    def blocks(self, points) -> list:
-        """The evaluator's slices of a stack, within the dense budget when
-        this route reads dense basis values."""
-        return self.evaluator.slices(points, dense=self.mode == "analytic")
 
     def grad_xi(self, w, at) -> np.ndarray:
         """grad_xi K(w, xi) at one point ``(d,)``, or at each row of a stack.
@@ -306,10 +301,13 @@ class EnergyGradients:
     # -- analytic: d_i K = (u, d_i u) - (f, d_i u) under the L2 energy -------
 
     def _grad_xi_analytic(self, w, evaluation):
-        """One pass per group of the evaluation's splits."""
+        """One pass per group of the evaluation's splits; hats sum by cell."""
         fam = self.evaluator.family
         g = np.empty((len(w), fam.n_nonlinear))
         for idx, q, qf, cells in evaluation.groups:
+            if isinstance(fam, FreeKnotHats):
+                g[idx] = fam.knot_gradient(cells, w[idx], q, qf)
+                continue
             u = np.vecmat(w[idx], fam.values_of(cells))
             du = fam.dparam_values(cells, w[idx])
             g[idx] = np.matvec(du, q * u) - np.matvec(du, qf)

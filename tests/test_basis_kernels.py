@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nonlinritz.assembly import Evaluator, assemble, quadratic_energy
 from nonlinritz.basis import FreeKnotHats, NonlinearDomain
@@ -29,7 +29,9 @@ CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 # ---------------------------------------------------------------------------
 
 
-def loop_violations(dom, xi, tol=1e-12):
+def loop_violations(dom, xi):
+    # the tolerance 1e-12 scales with the largest bound, at least 1
+    tol = 1e-12 * max(1.0, *np.abs(dom.lower), *np.abs(dom.upper))
     out = []
     for i in range(dom.dim):
         if xi[i] < dom.lower[i] - tol:
@@ -96,54 +98,91 @@ def test_hat_values_and_slopes_bitwise_equal_loops(case):
         assert got.tobytes() == want.tobytes()
 
 
-def nan_bits(a):
-    """The bytes of ``a`` with every NaN replaced by the same NaN."""
-    return np.where(np.isnan(a), np.nan, a).tobytes()
+@settings(max_examples=150, deadline=None)
+@given(hat_cases(), st.integers(0, 2 ** 32 - 1))
+def test_knot_gradient_matches_the_contracted_loop(case, seed):
+    # the cell kernel against d_i K = sum_x (q u - qf)_x sum_j w_j d_i phi_j(x),
+    # the per-hat loop derivatives contracted node by node
+    fam, xi, x = case
+    loop = loop_dparam_values(fam, xi, x)
+    # widths below about 1e-154 square to zero: infinite derivatives
+    assume(np.all(np.isfinite(loop)))
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(fam.n_linear)
+    q, qf = rng.uniform(0.0, 1.0, x.size), rng.standard_normal(x.size)
+    phi = loop_basis_values(fam, xi, x)
+    r = q * (w @ phi) - qf
+    du = np.einsum("l,klx->kx", w, loop)
+    got = fam.knot_gradient(fam.evaluate(xi, x), w[None], q, qf)
+    assert got.shape == (1, fam.n_nonlinear)
+    # roundoff: each term r_x du_x takes a few roundings (u from the pieces
+    # and the slope, the residual, the derivative, the product) and each
+    # sum of at most Q terms Q - 1 more, each relative to the magnitudes
+    # summed: |w| . |d_i phi| for the derivative and, as u enters r
+    # through q u, q |w| . |phi| besides |r| and |qf| for the residual
+    magnitude = (np.einsum("l,klx->kx", np.abs(w), np.abs(loop))
+                 @ (np.abs(r) + q * (np.abs(w) @ np.abs(phi)) + np.abs(qf)))
+    bound = (x.size + 10) * np.finfo(float).eps * magnitude
+    assert np.all(np.abs(got[0] - du @ r) <= bound)
 
 
-def unit_columns(fam, xi, x):
-    """The per-hat derivative tensor, one column per unit coefficient vector."""
-    return np.stack([fam.dparam_values(fam.evaluate(xi, x), e) for e in np.eye(fam.n_linear)], axis=1)
+def _frozen_cell_energies(fam, located, w, q, qf, t):
+    """``q u^2 / 2 - qf u`` per node on the grid ``t`` ``(m + 2,)``, each
+    node kept in the cell it was located in (its index in ``t``, the empty
+    cell of nodes outside the interval last)."""
+    _, x, at = located
+    x, c = x[0], at[0]
+    d = int(fam.dirichlet)
+    coef = np.zeros(t.size + 1)
+    coef[d:t.size - d] = w
+    t = np.append(t, fam.x_hi)
+    a, b = t[c], t[c + 1]
+    live = b > a
+    h = np.where(live, b - a, 1.0)
+    u = np.where(live, (coef[c] * (b - x) + coef[c + 1] * (x - a)) / h, 0.0)
+    return q * (0.5 * u * u) - qf * u
 
 
 @settings(max_examples=150, deadline=None)
 @given(hat_cases(), st.integers(0, 2 ** 32 - 1))
-def test_hat_knot_derivatives_match_loops(case, seed):
+def test_knot_gradient_matches_central_differences(case, seed):
+    # the energy of fixed nodes is smooth in a knot while no node changes
+    # its cell.  Knot i ends cells i and i + 1, whose energies are
+    # differenced apart, each with a step of 1e-6 times its width and every
+    # node kept in its cell: this covers nodes on knots and on x_lo and
+    # coincident knots (whose empty cells hold no node and add nothing),
+    # with free and with Dirichlet ends
     fam, xi, x = case
-    loop = loop_dparam_values(fam, xi, x)
-    w = np.random.default_rng(seed).standard_normal(fam.n_linear)
-    got = fam.dparam_values(fam.evaluate(xi, x), w)
-    assert got.shape == (fam.n_nonlinear, x.size)
-    # widths below about 1e-154 square to zero in both: same infs, and NaNs
-    # in the same places (their sign bits may differ)
-    assert nan_bits(got) == nan_bits(np.einsum("l,klx->kx", w, loop))
-    # a unit vector picks one hat; 0 * inf would turn the other hats' infinite
-    # derivatives into NaN, so the column identity needs finite derivatives
-    if np.all(np.isfinite(loop)):
-        assert unit_columns(fam, xi, x).tobytes() == loop.tobytes()
-
-
-def test_hat_knot_derivatives_square_widths_like_the_loop():
-    # widths are squared with pow, as the loop's scalar ``** 2`` does; an
-    # array square differs in the last bit for about 0.1 % of widths, and
-    # bitwise equal derivatives keep gradient-driven runs byte-identical.
-    # Test on knot vectors that have such a width.
-    rng = np.random.default_rng(4)
-    dom = NonlinearDomain([0.0] * 8, [1.0] * 8, chains=(tuple(range(8)),))
-    fam = FreeKnotHats(dom, 0.0, 1.0)
-    found = 0
-    while found < 20:
-        xi = np.sort(rng.uniform(0.0, 1.0, 8))
-        width = np.diff(fam._grid(xi))
-        if np.array_equal(width * width, [h ** 2 for h in width.tolist()]):
-            continue
-        found += 1
-        x = np.concatenate([fam._grid(xi), rng.uniform(0.0, 1.0, 16)])
-        loop = loop_dparam_values(fam, xi, x)
-        assert unit_columns(fam, xi, x).tobytes() == loop.tobytes()
-        w = rng.standard_normal(fam.n_linear)
-        assert (fam.dparam_values(fam.evaluate(xi, x), w).tobytes()
-                == np.einsum("l,klx->kx", w, loop).tobytes())
+    located = fam.evaluate(xi, x)
+    t = fam._grid(xi)
+    width = np.diff(t)
+    # widths below about 1e-154 square to zero: infinite derivatives
+    assume(np.all((width == 0.0) | (width > 1e-150)))
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(fam.n_linear)
+    q, qf = rng.uniform(0.0, 1.0, x.size), rng.standard_normal(x.size)
+    got = fam.knot_gradient(located, w[None], q, qf)[0]
+    cell = located[2][0]
+    cd, roundoff = np.zeros(fam.n_nonlinear), np.zeros(fam.n_nonlinear)
+    for i in range(fam.n_nonlinear):
+        for c in (i, i + 1):
+            h = 1e-6 * width[c]
+            on = cell == c
+            if h == 0.0 or not on.any():
+                continue
+            e = np.zeros(t.size)
+            e[i + 1] = h
+            plus, minus = (_frozen_cell_energies(fam, located, w, q, qf, t + s * e)[on]
+                           for s in (1.0, -1.0))
+            cd[i] += np.sum(plus - minus) / (2.0 * h)
+            # the energies' roundings, divided by the step
+            roundoff[i] += 10 * np.finfo(float).eps * np.sum(np.abs(plus) + np.abs(minus)) / h
+    # the truncation error against the scale of the gradient's terms:
+    # |d u| times the magnitude of the residual, node by node
+    phi = loop_basis_values(fam, xi, x)
+    du = np.einsum("l,klx->kx", np.abs(w), np.abs(loop_dparam_values(fam, xi, x)))
+    scale = du @ (np.abs(q * (w @ phi) - qf) + q * (np.abs(w) @ np.abs(phi)))
+    assert np.all(np.abs(got - cd) <= 1e-6 * scale + roundoff)
 
 
 def test_hat_kernels_on_coalesced_knots():
@@ -154,7 +193,6 @@ def test_hat_kernels_on_coalesced_knots():
     xi = np.array([0.5, 0.5, 0.5])
     x = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
     assert fam.basis_values(xi, x).tobytes() == loop_basis_values(fam, xi, x).tobytes()
-    assert np.all(unit_columns(fam, xi, x) == loop_dparam_values(fam, xi, x))
     assert fam.basis_values(xi, x)[:, 2].tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
 
 
@@ -309,6 +347,20 @@ def test_feasible_equals_no_violations(case):
     assert mask.tolist() == [not dom.violations(p) for p in pts]
     for p in pts:
         assert dom.violations(p) == loop_violations(dom, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-1e6, 1e6), st.integers(2, 8), st.sampled_from([0.0, 0.001, 0.01, 0.1]),
+       st.integers(0, 2 ** 32 - 1))
+def test_projections_onto_shifted_chains_are_feasible(shift, m, gap, seed):
+    # the projection shifts each chain by k * gap and back, which rounds at
+    # about one ulp of the bounds; the tolerance scales with them
+    dom = NonlinearDomain([shift + 0.01] * m, [shift + 0.99] * m,
+                          chains=(tuple(range(m)),), gap=gap)
+    points = shift + np.random.default_rng(seed).uniform(-0.5, 1.5, (20, m))
+    projected = dom.project(points)
+    assert dom.feasible(projected).all()
+    assert not any(dom.violations(p) for p in projected)
 
 
 def test_contains_rejects_wrong_shape():

@@ -16,6 +16,7 @@ import nonlinritz.assembly
 import nonlinritz.cli
 import nonlinritz.optimizer
 from nonlinritz.assembly import Evaluator
+from nonlinritz.basis import FreeKnotHats
 from nonlinritz.cli import TRACE_COLUMNS, main
 from nonlinritz.config import parse_config
 from nonlinritz.optimizer import reduced_energy
@@ -506,6 +507,49 @@ def test_global_rate_fails_on_the_circle_survey(tmp_path, capsys):
     (line,) = _failing(capsys.readouterr().out, "global-rate")
     assert line.startswith("[FAIL] global-rate @ horizon n=1: ")
     assert line.endswith("(checked horizons 1..40)")
+
+
+def _certify_circle_frozen(tmp_path, capsys, section, key, value):
+    """The ``circle_frozen`` demo with one value changed, run and certified:
+    ``(exit code, {entry name: report entry}, printed lines)``."""
+    with open(os.path.join(DEMO_CONFIGS, "circle_frozen.json")) as fh:
+        data = json.load(fh)
+    data[section][key] = value
+    cfg_path, out = _write_cfg(tmp_path, data, f"{key}.json"), str(tmp_path / key)
+    assert main(["run", "--config", cfg_path, "--out-dir", out]) == 0
+    capsys.readouterr()
+    rc = main(["certify", "--config", cfg_path, "--out-dir", out])
+    report = json.loads(_read(os.path.join(out, "report.json")))
+    return rc, {e["name"]: e for e in report["entries"]}, capsys.readouterr().out
+
+
+def test_cea_fails_under_a_small_L_bar(tmp_path, capsys):
+    # the quasi-optimality bound grows with L_bar; at 1.0 instead of the
+    # demo's 16.0 it is too small at the first horizon, and nothing else
+    # changes its verdict
+    _, want, _ = _certify_circle_frozen(tmp_path, capsys, "certify", "L_bar", 16.0)
+    rc, got, printed = _certify_circle_frozen(tmp_path, capsys, "certify", "L_bar", 1.0)
+    assert rc == 1
+    (line,) = _failing(printed, "cea")
+    assert line.startswith("[FAIL] cea @ horizon n=1: lhs=0.11008")
+    assert_allclose([got["cea"]["lhs"], got["cea"]["rhs"]], [0.11008, 0.055182], rtol=1e-4)
+    assert {k: e["status"] for k, e in got.items() if k != "cea"} == {
+        k: e["status"] for k, e in want.items() if k != "cea"}
+    assert printed.splitlines()[-1] == "certified 10 entries: 6 passed, 1 failed, 3 skipped"
+
+
+def test_global_step_descent_fails_under_a_negative_K_star(tmp_path, capsys):
+    # Kbar(xi_{k+1}) <= K* - ... + (delta*_k - delta*_{k+1}) / gamma: an
+    # oracle value 0.001 below the attained minimum 0 puts the bound below
+    # the energy once the distance terms have decayed, the most at the
+    # last step
+    rc, got, printed = _certify_circle_frozen(tmp_path, capsys, "oracle", "K_star", -0.001)
+    assert rc == 1
+    assert [e for e in got if got[e]["status"] == "fail"] == ["global-step-descent"]
+    (line,) = _failing(printed, "global-step-descent")
+    assert line.startswith("[FAIL] global-step-descent @ step 39: lhs=8.06")
+    entry = got["global-step-descent"]
+    assert_allclose([entry["lhs"], entry["rhs"]], [8.07e-12, -0.001], rtol=1e-3)
 
 
 @pytest.mark.parametrize("gamma", [0.25, 1.0])
@@ -1155,13 +1199,9 @@ def test_check_on_a_chain_loads_no_scipy(tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "0 []"
 
 
-def test_check_on_l2_hats_decomposes_once(tmp_path, count_calls, monkeypatch):
-    # the 32-knot chain of the bench's smooth fit: the five sampled systems
-    # take one stacked eigvalsh; the consistency check at xi0, whose solve
-    # shows the kernel empty, and the finite-difference probes, shown regular
-    # by Gershgorin, take no decomposition
-    m = 32
-    data = {
+def _smooth_hats_config(m=32):
+    """The chain of m knots of the bench's smooth L2 fit, evenly spaced."""
+    return {
         "problem": {"kind": "l2", "target": "sin(6.5*x + 0.3) + 0.45*gauss(x, 0.5, 0.03)",
                     "x_lo": 0.0, "x_hi": 1.0},
         "constants": {"alpha": 1.0, "norm_a": 1.0, "norm_ell": 1.0},
@@ -1173,6 +1213,15 @@ def test_check_on_l2_hats_decomposes_once(tmp_path, count_calls, monkeypatch):
         "stopping": {"max_epochs": 6},
         "init": {"xi0": [(i + 1) / (m + 1) for i in range(m)]},
     }
+
+
+def test_check_on_l2_hats_decomposes_once(tmp_path, count_calls, monkeypatch):
+    # the 32-knot chain of the bench's smooth fit: the five sampled systems
+    # take one stacked eigvalsh; the consistency check at xi0, whose solve
+    # shows the kernel empty, and the finite-difference probes, shown regular
+    # by Gershgorin, take no decomposition
+    m = 32
+    data = _smooth_hats_config(m)
     eighs = count_calls("eigh", np.linalg, first_arg=True)
     values = count_calls("eigvalsh", np.linalg, first_arg=True)
     fd, in_probes = nonlinritz.cli.central_differences, []
@@ -1190,6 +1239,48 @@ def test_check_on_l2_hats_decomposes_once(tmp_path, count_calls, monkeypatch):
     # the Gauss-Legendre rule of the config takes an eigvalsh of its own
     assert [M.shape for M in values if M.shape[-1] == m + 2] == [(5, m + 2, m + 2)]
     assert eighs == []
+
+
+def test_l2_hats_build_no_dense_hat_array(tmp_path, count_calls):
+    # assembly and the knot gradient sum cell by cell: run, certify and
+    # check of the smooth fit never evaluate the hats as dense (N, n, Q) rows
+    rows = count_calls("_hat_rows", FreeKnotHats)
+    cfg_path = _write_cfg(tmp_path, _smooth_hats_config())
+    for sub in ("run", "certify", "check"):
+        assert main([sub, "--config", cfg_path, "--out-dir", str(tmp_path)]) == 0
+    assert rows == []
+
+
+def _shifted_knots_config(x_lo):
+    """An L2 fit of six chained knots on [x_lo, x_lo + 1], evenly spaced."""
+    m = 6
+    return {
+        "problem": {"kind": "l2", "target": f"sin(6*(x-{x_lo!r}))", "x_lo": x_lo,
+                    "x_hi": x_lo + 1.0},
+        "constants": {"alpha": 1.0, "norm_a": 1.0, "norm_ell": 1.0},
+        "family": {"kind": "free_knot_hats"},
+        "domain": {"lower": [x_lo + 0.01] * m, "upper": [x_lo + 0.99] * m,
+                   "chains": [list(range(m))], "gap": 0.01},
+        "schedule": {"kind": "lipschitz", "zeta": 0.5, "lipschitz": "estimate"},
+        "stopping": {"max_epochs": 10},
+        "init": {"xi0": [x_lo + (i + 1) / (m + 1) for i in range(m)]},
+    }
+
+
+def test_knot_fit_far_from_the_origin(tmp_path):
+    # the chain projection shifts by k * gap and back, which rounds at about
+    # one ulp of the bounds (1.8e-12 at 1e4): the domain tolerance scales
+    # with them, so the projected knots stay admissible, and the fit is the
+    # one at the origin up to the rounding of the nodes
+    energies = []
+    for x_lo in (0.0, 1e4, 1e5):
+        cfg_path = _write_cfg(tmp_path, _shifted_knots_config(x_lo), f"{x_lo}.json")
+        out = str(tmp_path / str(x_lo))
+        for sub in ("run", "check"):
+            assert main([sub, "--config", cfg_path, "--out-dir", out]) == 0
+        energies.append(json.loads(_read(os.path.join(out, "summary.json")))["best_energy"])
+    # ulp(1e5) is 1.5e-11
+    assert_allclose(energies[1:], energies[0], rtol=1e-10)
 
 
 def test_import_and_reduced_energy_load_no_scipy():

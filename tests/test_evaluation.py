@@ -36,12 +36,15 @@ def fresh_gradient(grads, w, xi):
     """grad_xi K(w, xi) at one point from a fresh evaluation, as the analytic
     route computed it before systems kept their evaluation: the rule split at
     the point's breakpoints, the family and the target evaluated there again,
-    then ``d_i K = (u, d_i u) - (f, d_i u)``."""
+    then ``d_i K = (u, d_i u) - (f, d_i u)``: for hats the cell kernel, for
+    every other family contracted dense values."""
     problem, family = grads.evaluator.problem, grads.evaluator.family
     r = grads.evaluator.rule.split_at((*family.breakpoints(xi), *problem.coefficient_breakpoints()))
     ev = family.evaluate(xi[None], r.nodes)
-    u, du = np.vecmat(w[None], family.values_of(ev)), family.dparam_values(ev, w[None])
     f = problem.target.values(r.nodes)
+    if isinstance(family, FreeKnotHats):
+        return family.knot_gradient(ev, w[None], r.weights, r.weights * f)[0]
+    u, du = np.vecmat(w[None], family.values_of(ev)), family.dparam_values(ev, w[None])
     return (np.matvec(du, r.weights * u) - np.matvec(du, r.weights * f))[0]
 
 

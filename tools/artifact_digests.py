@@ -22,9 +22,11 @@ equal exit codes; per certificate report (``report.json``,
 ``check.json``) equal verdicts and equal entry names, anchors and
 statuses in order; per run (``summary.json``, ``trace.csv``) equal
 iteration counts and terminations; and per grid oracle (``oracle.json``)
-equal minimiser sets.  It prints, per directory and overall, the largest
-relative difference of ``best_energy``, of the trace's ``K`` column and of
-``K_star``, then each mismatch, and exits 1 if there is one.
+equal minimiser sets; and per run equal shapes of the written states
+(``iterates.npy``).  It prints, per directory and overall, the largest
+relative difference of ``best_energy``, of the trace's ``K`` column, of
+``K_star`` and of the entries of the written states, then each mismatch,
+and exits 1 if there is one.
 """
 
 import contextlib
@@ -36,6 +38,8 @@ import os
 import shutil
 import subprocess
 import sys
+
+import numpy as np
 
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(var, "1")
@@ -171,6 +175,16 @@ def _differences(a, b):
         if sorted(map(tuple, oa["minimisers"])) != sorted(map(tuple, ob["minimisers"])):
             bad.append("oracle.json: minimiser sets differ")
         worst["K_star"] = _rel(oa["K_star"], ob["K_star"])
+    states = [os.path.join(d, "iterates.npy") for d in (a, b)]
+    if os.path.exists(states[0]) != os.path.exists(states[1]):
+        bad.append("iterates.npy present on one side only")
+    elif os.path.exists(states[0]):
+        sa, sb = (np.load(path) for path in states)
+        if sa.shape != sb.shape:
+            bad.append(f"iterates.npy: shapes {sa.shape} vs {sb.shape}")
+        else:
+            worst["iterates"] = max(map(_rel, sa.ravel().tolist(), sb.ravel().tolist()),
+                                    default=0.0)
     return bad, worst
 
 
