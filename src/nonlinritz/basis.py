@@ -655,8 +655,19 @@ class FreeKnotHats(_FamilyBase):
         coef[:, d:m + 2 - d], slopes[:, :m + 1] = w, slope
         u = (np.take(coef, at) * fall + np.take(coef, at + 1) * rise) * np.take(slopes, at)
         residual = weights * u - target
-        jump = (coef[:, :m + 1] - coef[:, 1:m + 2]) * (slope * slope)
-        return per_cell(residual * rise, jump)[:, :-1] + per_cell(residual * fall, jump)[:, 1:]
+        diff = coef[:, :m + 1] - coef[:, 1:m + 2]
+        with np.errstate(over="ignore"):
+            square = slope * slope
+        ending, starting = (per_cell(residual * p, diff * square) for p in (rise, fall))
+        narrow = np.isinf(square)
+        if narrow.any():
+            # a cell narrower than about 1e-154 squares its slope to inf,
+            # though the derivative is finite: there the slope scales the
+            # residual before the sum and the jump after it
+            scaled = residual * np.take(slopes, at)
+            ending, starting = (np.where(narrow, per_cell(scaled * p, diff * slope), s)
+                                for p, s in ((rise, ending), (fall, starting)))
+        return ending[:, :-1] + starting[:, 1:]
 
 
 @dataclass(frozen=True)

@@ -149,10 +149,12 @@ def _dumps(obj, indent=0) -> str:
 def _trace_columns(record) -> list:
     """The numeric columns of trace.csv, from ``K`` to ``delta_star``: per
     state (one value a row) or per step (blank on the last row), None where
-    the run recorded none."""
+    the run recorded none.  A row's decrease pair is that of the step
+    leaving it: the record's, without the initial update."""
+    decrease = [None if c is None else c[1:]
+                for c in (record.decrease_achieved, record.decrease_guaranteed)]
     return [record.K, record.K_reduced, record.grad_map_norm, record.grad_w_post_norm,
-            np.full(record.n_steps, record.gamma), record.step_norm, record.decrease_achieved,
-            record.decrease_guaranteed, record.delta_star]
+            np.full(record.n_steps, record.gamma), record.step_norm, *decrease, record.delta_star]
 
 
 def render_trace(record) -> str:

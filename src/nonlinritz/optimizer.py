@@ -27,9 +27,11 @@ states no longer depend on each other, so they are evaluated and assembled
 as stacks, each stack's gradients read from its evaluation, and each
 block's transitions are checked as arrays: one stacked prox step, one
 stacked linear update and one solvability check per block, bitwise.  The
-checks and the record builder take a stack of states, and ``run`` feeds
-them each visited state as the stack of one, so that ``run`` and
-``replay`` share every check and one record builder.
+record is computed from the states, not accumulated: the checks and the
+per-state columns take a stack of states, ``run`` takes each visited
+state as the stack of one, and one stateless function joins the columns,
+reads the steps from the ``xi`` column and picks the best state, so that
+``run`` and ``replay`` share every check, the stopping rule and the record.
 
 The reduced (variable-projection) energy eliminates the linear block
 exactly:  Kbar(xi) = K(w*(xi), xi) = -0.5 * load(xi) . w*(xi).  Its
@@ -39,8 +41,8 @@ grad_xi K(w, xi) evaluated at w = w*(xi).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -265,13 +267,15 @@ class RunRecord:
 
     One row per state ``k = 0..n``: ``xi`` ``(n+1, d)``, ``w`` ``(n+1, m)``,
     energy ``K``, reduced energy ``K_reduced``, the spectral statistics
-    ``lambda_max``, ``omega`` and ``phi_u2`` of its system, and the oracle's
-    Bregman distance ``delta_star`` (None without an oracle).  One row per
-    step ``k -> k+1``: ``grad_map_norm``, ``step_norm``, ``grad_w_post_norm``
-    (``||A(xi_{k+1}) w_k - load||``) and its linear update's achieved and
-    guaranteed drops, ``decrease_achieved`` and ``decrease_guaranteed`` (None
-    for frozen coefficients).  Once per run: the step size ``gamma`` and the Lipschitz
-    surrogate ``lipschitz_L`` that sized it (None for a constant step).
+    ``lambda_max``, ``omega`` and ``phi_u2`` of its system, the oracle's
+    Bregman distance ``delta_star`` (None without an oracle), and the
+    achieved and guaranteed drops ``decrease_achieved`` and
+    ``decrease_guaranteed`` of the linear update that reached it, row 0 the
+    initial update (None for frozen coefficients).  One row per step
+    ``k -> k+1``: ``grad_map_norm``, ``step_norm`` and ``grad_w_post_norm``
+    (``||A(xi_{k+1}) w_k - load||``).  Once per run: the step size ``gamma``
+    and the Lipschitz surrogate ``lipschitz_L`` that sized it (None for a
+    constant step).
 
     ``stop_residual`` is ``||A(xi) A(xi)^+ load(xi) - load(xi)||`` at the
     stopped point, from the system the run assembled there (0 for frozen
@@ -306,7 +310,6 @@ class RunRecord:
     decrease_achieved: Optional[np.ndarray] = None
     decrease_guaranteed: Optional[np.ndarray] = None
     lipschitz_L: Optional[float] = None
-    initial_decrease: Optional[tuple] = None
     hoelder_L: Optional[float] = None
     stop_residual: Optional[float] = None
 
@@ -350,140 +353,105 @@ def _start(family, linear_rule, xi0, w0):
     return xi, w
 
 
-class _Recorder:
-    """The bookkeeping of a run: record columns, best state, stopping rule.
-
-    It is fed the visited states in order, in blocks: each block a stack of
-    states with their stacked system, by :func:`run` one state per step, by
-    :func:`replay` a block of written states at a time.  The first state
-    fed is the start, whose coefficients ``w0`` fix the step size.  Each
-    block's values are kept as arrays, and :meth:`finish` joins them into
-    the record's columns and adds the final exact solve at the best state.
-    """
-
-    def __init__(self, linear_rule, geometry, schedule, stopping, grads, delta_star_fn, w0):
-        self.linear_rule, self.schedule = linear_rule, schedule
-        self.stopping, self.mu = stopping, geometry.mu
-        self.frozen = isinstance(linear_rule, Frozen)
-        self.grads, self.delta_star_fn, self.w0 = grads, delta_star_fn, w0
-        self.columns = {}  # the blocks of each column of the record, by name
-        self.initial_decrease = None
-
-    @cached_property
-    def _step_rule(self):
-        """``(gamma, L_eff, L_raw)``: the step size, the Lipschitz surrogate
-        and the Hoelder constant it comes from (None for a constant step),
-        estimated at ``w0`` when the schedule asks for an estimate."""
-        schedule = self.schedule
-        if isinstance(schedule, ConstantGamma):
-            return schedule.gamma, None, None
-        L = schedule.lipschitz
-        if L == "estimate":
-            L = estimate_lipschitz_L(self.grads, self.w0, schedule.n_pairs, schedule.seed,
-                                     nu=schedule.nu)
-        L_raw = float(L)
-        L_eff = hoelder_to_lipschitz(L_raw, schedule.nu, schedule.eps_holder)
-        if L_eff <= 0.0:
-            raise NumericalError(
-                "Lipschitz surrogate is zero (energy constant along the "
-                "nonlinear block); use ConstantGamma instead"
-            )
-        return schedule.zeta * self.mu / L_eff, L_eff, L_raw
-
-    @property
-    def gamma(self) -> float:
-        return self._step_rule[0]
-
-    def arrive(self, system, w_prev, w) -> list:
-        """Record the states ``(system.xi, w)`` of a stack, in order.
-
-        Each state is reached by the linear update from its row of
-        ``w_prev``: the start from the coefficients before the initial
-        update, every later state from those of the state before it.  The
-        stack's energies, spectral statistics, norms and decrease pairs are
-        computed as arrays; coefficients bitwise their exact solves give
-        their energies to the reduced ones.  A check that raises leaves
-        nothing recorded.  Best state and stopping rule are followed state
-        by state.  Returns the stopping trigger each step fires, or None;
-        the start is no step.
-        """
-        start = not self.columns
-        K = quadratic_energy(system, w)
-        residual = np.matvec(system.matrix, w_prev) - system.load
-        if not self.frozen:
-            drops, bounds = decrease_check(system, quadratic_energy(system, w_prev), K, residual)
-        gamma, _, _ = self._step_rule
-        K_reduced = K if self.frozen else _reduced(
-            system, K if w.tobytes() == system.solution.tobytes() else None)[0]
-
-        # the steps into the stack's states, the first from the last state
-        # recorded; the start is reached by none
-        first = 1 if start else 0
-        xs = system.xi if start else np.concatenate((self.system.xi[-1:], system.xi))
-        step_norm = _norm(xs[1:] - xs[:-1])
-        rows = dict(xi=system.xi, w=w, K=K, K_reduced=K_reduced, lambda_max=system.lambda_max,
-                    omega=system.omega, phi_u2=system.phi_u2,
-                    grad_map_norm=_norm(gradient_mapping(xs[:-1], xs[1:], gamma)),
-                    step_norm=step_norm, grad_w_post_norm=_norm(residual)[first:])
-        if not self.frozen:
-            rows.update(decrease_achieved=drops[first:], decrease_guaranteed=bounds[first:])
-        if self.delta_star_fn is not None:
-            rows["delta_star"] = np.array([float(self.delta_star_fn(p)) for p in system.xi])
-
-        # best state and stopping rule, step by step: the first of equal
-        # energies stays best, and parameter stabilisation wins a tie
-        energies = K.tolist()
-        if start:
-            self.best = (system, 0, w[0].copy(), energies[0])
-            if not self.frozen:
-                self.initial_decrease = (float(drops[0]), float(bounds[0]))
-        stop, triggers = self.stopping, []
-        best, best_K, K_now = None, self.best[3], energies[0] if start else self.K
-        for j, s in enumerate(step_norm.tolist(), first):
-            K_prev, K_now = K_now, energies[j]
-            scale = (1.0 + abs(K_prev)) if stop.relative_energy else 1.0
-            triggers.append("xi_stabilised" if s <= stop.eps_xi else "energy_plateau"
-                            if abs(K_now - K_prev) <= stop.eps_energy * scale else None)
-            if K_now < best_K:
-                best, best_K = j, K_now
-        if best is not None:
-            self.best = (system, best, w[best].copy(), best_K)
-
-        for name, value in rows.items():
-            self.columns.setdefault(name, []).append(value)
-        self.system, self.K = system, energies[-1]
-        return triggers
-
-    def finish(self, termination: str) -> RunRecord:
-        """The run record, with the final exact solve at the best parameters."""
-        system, j, best_w, best_K = self.best
-        best_system = system[j]
-        final_w = best_w if self.frozen else best_system.solution
-        stop_residual = None
-        if termination == "xi_stabilised":
-            system = self.system[-1]
-            stop_residual = 0.0 if self.frozen else float(
-                np.linalg.norm(system.matrix @ system.solution - system.load)
-            )
-        gamma, L_eff, L_raw = self._step_rule
-        # a column never fed (the decrease pairs of frozen coefficients, the
-        # distances without an oracle) stays None
-        return RunRecord(
-            **{name: np.concatenate(c) for name, c in self.columns.items()},
-            gamma=gamma,
-            lipschitz_L=L_eff,
-            termination=termination,
-            best_xi=best_system.xi.copy(),
-            best_w=best_w,
-            best_K=best_K,
-            final_K=quadratic_energy(best_system, final_w),
-            mu=self.mu,
-            linear_rule=self.linear_rule,
-            schedule=self.schedule,
-            initial_decrease=self.initial_decrease,
-            hoelder_L=L_raw,
-            stop_residual=stop_residual,
+def _step_rule(schedule, mu: float, grads, w0):
+    """``(gamma, L_eff, L_raw)``: the step size, the Lipschitz surrogate and
+    the Hoelder constant it comes from (None for a constant step), estimated
+    at the start's coefficients ``w0`` when the schedule asks for an estimate."""
+    if isinstance(schedule, ConstantGamma):
+        return schedule.gamma, None, None
+    L = schedule.lipschitz
+    if L == "estimate":
+        L = estimate_lipschitz_L(grads, w0, schedule.n_pairs, schedule.seed, nu=schedule.nu)
+    L_raw = float(L)
+    L_eff = hoelder_to_lipschitz(L_raw, schedule.nu, schedule.eps_holder)
+    if L_eff <= 0.0:
+        raise NumericalError(
+            "Lipschitz surrogate is zero (energy constant along the "
+            "nonlinear block); use ConstantGamma instead"
         )
+    return schedule.zeta * mu / L_eff, L_eff, L_raw
+
+
+def _states(system, w_prev, w, frozen: bool, size_step=None) -> dict:
+    """The per-state columns of the stack of states ``(system.xi, w)``.
+
+    Each state is reached by the linear update from its row of ``w_prev``:
+    the start from the coefficients before the initial update, every later
+    state from those of the state before it.  The energies, spectral
+    statistics, the norm of the residual ``A w_prev - load`` and the
+    update's decrease pair are computed as arrays; coefficients bitwise
+    their exact solves give their energies to the reduced ones.  The
+    decrease check raises before the check of the reduced energies, and
+    ``size_step``, when given, is called between them: there the start
+    sizes the run's step.
+    """
+    K = quadratic_energy(system, w)
+    residual = np.matvec(system.matrix, w_prev) - system.load
+    columns = dict(xi=system.xi, w=w, K=K, K_reduced=K, lambda_max=system.lambda_max,
+                   omega=system.omega, phi_u2=system.phi_u2, residual=_norm(residual))
+    if not frozen:
+        drops, bounds = decrease_check(system, quadratic_energy(system, w_prev), K, residual)
+        columns.update(decrease_achieved=drops, decrease_guaranteed=bounds)
+    if size_step is not None:
+        size_step()
+    if not frozen:
+        K_star = K if w.tobytes() == system.solution.tobytes() else None
+        columns["K_reduced"] = _reduced(system, K_star)[0]
+    return columns
+
+
+def _trigger(stopping: StoppingCriteria, step_norm, K_prev, K) -> np.ndarray:
+    """The stopping rule at each step ``K_prev -> K`` of norm ``step_norm``
+    (arrays, one entry a step): ``"xi_stabilised"``, ``"energy_plateau"``
+    or None per step; parameter stabilisation wins a tie."""
+    scale = (1.0 + np.abs(K_prev)) if stopping.relative_energy else 1.0
+    plateau = np.where(np.abs(K - K_prev) <= stopping.eps_energy * scale, "energy_plateau", None)
+    return np.where(step_norm <= stopping.eps_xi, "xi_stabilised", plateau)
+
+
+def _record(blocks, last_system, termination: str, step_rule, linear_rule, schedule,
+            mu: float, delta_star_fn) -> RunRecord:
+    """The record of a run from the columns of its states.
+
+    ``blocks`` holds the per-state columns of :func:`_states`, stack after
+    stack in the order of the states; ``last_system`` is the system of the
+    last state and ``step_rule`` the run's :func:`_step_rule`.  The steps'
+    norms and gradient mappings are taken from the ``xi`` column.  The best
+    state is the first of least energy ``K``; a NaN energy is never best,
+    unless it is the start's, which then stays best.  ``final_K`` is the
+    best state's reduced energy, the energy of the final exact solve there
+    (of the frozen coefficients for the frozen rule).
+    """
+    columns = {name: np.concatenate([b[name] for b in blocks]) for name in blocks[0]}
+    residual, xi, K = columns.pop("residual"), columns["xi"], columns["K"]
+    best = 0 if np.isnan(K[0]) else int(np.nanargmin(K))
+    gamma, L_eff, L_raw = step_rule
+    stop_residual, last = None, last_system[-1]
+    if termination == "xi_stabilised":
+        stop_residual = 0.0 if isinstance(linear_rule, Frozen) else float(
+            np.linalg.norm(last.matrix @ last.solution - last.load))
+    if delta_star_fn is not None:
+        columns["delta_star"] = np.array([float(delta_star_fn(p)) for p in xi])
+    # a column never computed (the decrease pairs of frozen coefficients, the
+    # distances without an oracle) stays None
+    return RunRecord(
+        **columns,
+        grad_map_norm=_norm(gradient_mapping(xi[:-1], xi[1:], gamma)),
+        step_norm=_norm(xi[1:] - xi[:-1]),
+        grad_w_post_norm=residual[1:],
+        gamma=gamma,
+        lipschitz_L=L_eff,
+        termination=termination,
+        best_xi=xi[best].copy(),
+        best_w=columns["w"][best].copy(),
+        best_K=float(K[best]),
+        final_K=float(columns["K_reduced"][best]),
+        mu=mu,
+        linear_rule=linear_rule,
+        schedule=schedule,
+        hoelder_L=L_raw,
+        stop_residual=stop_residual,
+    )
 
 
 def run(
@@ -504,10 +472,12 @@ def run(
     """Alternating minimisation from ``(w0, xi0)``.
 
     The initial linear update runs before the first recorded iterate, so
-    iterate 0 already carries the updated coefficients.  ``delta_star_fn``
-    (when an oracle is available) is evaluated at every visited parameter
-    point and stored alongside.  Every state is a stack of one, so that the
-    run and its replay share every check and the record builder.
+    iterate 0 already carries the updated coefficients, and the step size
+    is fixed at those coefficients, after the update's decrease check and
+    before its reduced energy is checked.  ``delta_star_fn`` (when an
+    oracle is available) is evaluated at every visited parameter point and
+    stored alongside.  Every state is a stack of one, so that the run and
+    its replay share every check, the stopping rule and the record.
     """
     grads = make_gradients(problem, rule, family, mode=gradient_mode, fd_step=fd_step)
     frozen = isinstance(linear_rule, Frozen)
@@ -515,19 +485,22 @@ def run(
     system = grads.evaluator.assemble(xi[None])
     _check_assumption1(system, omega_min, frozen)
     w = update_linear(linear_rule, system, w_init[None])
-    recorder = _Recorder(linear_rule, geometry, schedule, stopping, grads, delta_star_fn, w[0])
-    recorder.arrive(system, w_init[None], w)
-
+    step_rule = functools.cache(functools.partial(_step_rule, schedule, geometry.mu, grads, w[0]))
+    blocks = [_states(system, w_init[None], w, frozen, step_rule)]
+    termination = None
     for _ in range(stopping.max_epochs):
         xi = prox_step(geometry, family.domain, system.xi, grads.grad_xi(w, system),
-                       recorder.gamma)
+                       step_rule()[0])
         system = grads.evaluator.assemble(xi)
         _check_assumption1(system, omega_min, frozen)
         w_prev, w = w, update_linear(linear_rule, system, w)
-        (termination,) = recorder.arrive(system, w_prev, w)
+        blocks.append(_states(system, w_prev, w, frozen))
+        (termination,) = _trigger(stopping, _norm(xi - blocks[-2]["xi"]), blocks[-2]["K"],
+                                  blocks[-1]["K"])
         if termination is not None:
-            return recorder.finish(termination)
-    return recorder.finish("max_epochs")
+            break
+    return _record(blocks, system, termination or "max_epochs", step_rule(), linear_rule,
+                   schedule, geometry.mu, delta_star_fn)
 
 
 def _same(a, b) -> np.ndarray:
@@ -563,8 +536,9 @@ def replay(
     block's transitions are then checked as arrays: one stacked prox step
     from ``(xi_{k-1}, g_{k-1})``, the last state of the block before
     included, one stacked linear update and one check of uniform
-    solvability, and the block is recorded by the run's record builder.
-    Every value is bitwise what the run computed at that state.
+    solvability, and the block's columns are those of the run's states.
+    Every value is bitwise what the run computed at that state, and the
+    stopping rule is applied to every step of the written states.
 
     Returns ``(record, faults)``.  ``faults`` lists, in order, what does not
     replay bitwise: ``xi_0`` and ``w_0`` against the config and the initial
@@ -598,8 +572,8 @@ def replay(
     n = len(states) - 1
     # the coefficients each state's linear update starts from
     ws_before = np.concatenate([w_init[None], ws[:-1]])
-    recorder = _Recorder(linear_rule, geometry, schedule, stopping, grads, delta_star_fn, ws[0])
-    faults, stops = [], []
+    step_rule = functools.cache(functools.partial(_step_rule, schedule, geometry.mu, grads, ws[0]))
+    faults, blocks = [], []
 
     def check(lo, system, g_before):
         """Check and record the states ``lo, lo + 1, ...`` of the stack
@@ -613,10 +587,11 @@ def replay(
         first = max(lo, 1)
         if first < hi:
             moved = prox_step(geometry, family.domain, xis[first - 1:hi - 1],
-                              g_before[first - lo:], recorder.gamma)
+                              g_before[first - lo:], step_rule()[0])
             bad_xi[first - lo:] = ~_same(moved, xis[first:hi])
         bad_w = ~_same(update_linear(linear_rule, system, ws_before[lo:hi]), ws[lo:hi])
-        stops.extend(recorder.arrive(system, ws_before[lo:hi], ws[lo:hi]))
+        blocks.append(_states(system, ws_before[lo:hi], ws[lo:hi], frozen,
+                              step_rule if lo == 0 else None))
         for k in (lo + np.flatnonzero(bad_xi | bad_w)).tolist():
             if bad_xi[k - lo]:
                 faults.append("xi_0 is not the configured start" if k == 0 else
@@ -646,12 +621,15 @@ def replay(
             systems.eigvalsh, systems.solution
         g = grads.grad_xi(ws[:n][block], systems)
         # the stack without its evaluation, which goes before the next
-        # block's is made; the recorder may keep the stack
+        # block's is made
         systems = systems[:]
         checked(block.start, systems, np.concatenate([g_last, g[:-1]]))
         g_last = g[-1:]
-    checked(n, assemble_at(xis[n:]), g_last)
+    last = assemble_at(xis[n:])
+    checked(n, last, g_last)
 
+    K = np.concatenate([b["K"] for b in blocks])
+    stops = _trigger(stopping, _norm(xis[1:] - xis[:-1]), K[:-1], K[1:])
     fired = [k for k, stop in enumerate(stops) if stop is not None]
     if n > stopping.max_epochs:
         faults.append(f"{n} steps recorded, more than max_epochs = {stopping.max_epochs}")
@@ -660,4 +638,6 @@ def replay(
     elif not fired and n < stopping.max_epochs:
         faults.append(f"{n} steps recorded, but the stopping rule never fires and "
                       f"max_epochs is {stopping.max_epochs}")
-    return recorder.finish((stops[-1] if stops else None) or "max_epochs"), faults
+    termination = (stops[-1] if n else None) or "max_epochs"
+    return _record(blocks, last, termination, step_rule(), linear_rule, schedule, geometry.mu,
+                   delta_star_fn), faults

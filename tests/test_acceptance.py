@@ -143,12 +143,12 @@ def test_criterion_02_rank_deficient_consistency():
 def test_criterion_03_energy_decrease_both_rules(corpus):
     checked = 0
     for name, rec in corpus["records"].items():
-        ach0, gua0 = rec.initial_decrease
+        ach0, gua0 = rec.decrease_achieved[0], rec.decrease_guaranteed[0]
         assert ach0 >= gua0 - 1e-9, f"{name}: initial update"
         for k in range(rec.n_steps):
             lam_next = rec.lambda_max[k + 1]
             guaranteed = 0.5 / lam_next * rec.grad_w_post_norm[k] ** 2
-            assert rec.decrease_achieved[k] >= guaranteed - 1e-9, (
+            assert rec.decrease_achieved[k + 1] >= guaranteed - 1e-9, (
                 f"{name}: step {k}"
             )
             checked += 1

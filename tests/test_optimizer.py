@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import nonlinritz.optimizer
 import nonlinritz.updates
 from nonlinritz.assembly import assemble, quadratic_energy
 from nonlinritz.basis import GaussianBumps, NonlinearDomain
@@ -14,6 +15,7 @@ from nonlinritz.optimizer import (
     hoelder_to_lipschitz,
     reduced_energy,
     reduced_gradient,
+    replay,
     run,
 )
 from nonlinritz.updates import (
@@ -166,12 +168,13 @@ def test_run_record_shape_and_transitions():
     assert rec.termination in {"max_epochs", "xi_stabilised", "energy_plateau"}
     n = rec.n_steps
     assert n >= 1
-    # one row per state, one per step, one value per run
-    for field in ("K", "K_reduced", "lambda_max", "omega", "phi_u2"):
+    # one row per state, one per step, one value per run; a state's decrease
+    # pair is that of the update reaching it, row 0 the initial update
+    for field in ("K", "K_reduced", "lambda_max", "omega", "phi_u2",
+                  "decrease_achieved", "decrease_guaranteed"):
         assert getattr(rec, field).shape == (n + 1,)
     assert rec.xi.shape == (n + 1, 2) and rec.w.shape == (n + 1, 2)
-    for field in ("grad_map_norm", "step_norm", "grad_w_post_norm",
-                  "decrease_achieved", "decrease_guaranteed"):
+    for field in ("grad_map_norm", "step_norm", "grad_w_post_norm"):
         assert getattr(rec, field).shape == (n,)
     assert np.all(rec.decrease_achieved >= rec.decrease_guaranteed - 1e-9)
     assert_allclose(rec.gamma, 0.9 * 1.0 / 5.0)
@@ -187,7 +190,26 @@ def test_run_record_shape_and_transitions():
     system = assemble(kw["problem"], RULE, kw["family"], rec.best_xi)
     assert np.linalg.norm(system.matrix @ system.solution - system.load) <= 1e-10
     assert rec.final_K == pytest.approx(quadratic_energy(system, system.solution), abs=1e-12)
-    assert rec.initial_decrease is not None
+
+
+@pytest.mark.parametrize("linear_rule", [FullSolveCG(), SteepestDescent(), Frozen()],
+                         ids=["full_cg", "steepest_descent", "frozen"])
+def test_best_state_is_the_first_of_least_energy_and_final_K_its_reduced_energy(linear_rule):
+    # long enough for the energy to settle on a value it takes at several
+    # states: the tie goes to the earlier state
+    frozen = isinstance(linear_rule, Frozen)
+    rec = run(**_run_kwargs(linear_rule=linear_rule, stopping=StoppingCriteria(max_epochs=400),
+                            w0=np.array([0.7, 0.4]) if frozen else None,
+                            schedule=ConstantGamma(0.05) if frozen else
+                            LipschitzAdaptive(zeta=0.9, lipschitz=5.0)))
+    least = np.flatnonzero(rec.K == rec.K.min())
+    assert len(least) > 1
+    best = least[0]
+    assert rec.best_K == rec.K[best]
+    assert rec.best_xi.tobytes() == rec.xi[best].tobytes()
+    assert rec.best_w.tobytes() == rec.w[best].tobytes()
+    # the final exact solve's energy is the best state's reduced energy, bitwise
+    assert np.float64(rec.final_K).tobytes() == rec.K_reduced[best].tobytes()
 
 
 def test_run_energies_nonincreasing_with_exact_solves():
@@ -270,7 +292,6 @@ def test_run_frozen_requires_and_keeps_w0():
         assert_allclose(w, [0.7, 0.4])
     assert np.array_equal(rec.K, rec.K_reduced)  # frozen runs report the frozen energy
     assert rec.decrease_achieved is None and rec.decrease_guaranteed is None
-    assert rec.initial_decrease is None
 
 
 def test_run_rejects_bad_w0_shape():
@@ -289,6 +310,28 @@ def test_run_rejects_a_start_outside_the_domain(xi0):
 def test_run_omega_min_guard():
     with pytest.raises(NumericalError, match="omega"):
         run(**_run_kwargs(omega_min=1e9))
+
+
+@pytest.mark.parametrize("failing, raised", [
+    ("decrease_check", "decrease_check fails"),
+    ("_reduced", "Lipschitz surrogate is zero"),
+])
+def test_run_and_replay_size_the_step_between_the_start_checks(monkeypatch, failing, raised):
+    # a zero Lipschitz estimate and a failing check of the start: the step is
+    # sized after the initial update's decrease check and before its reduced
+    # energy is checked, so the earlier of the two errors is raised, by the
+    # run and by the replay of any states
+    states = np.hstack([(r := run(**_run_kwargs())).xi, r.w])
+    kw = _run_kwargs(schedule=LipschitzAdaptive(zeta=0.9))
+
+    def fails(*args, **kwargs):
+        raise NumericalError(f"{failing} fails")
+
+    monkeypatch.setattr(nonlinritz.optimizer, "estimate_lipschitz_L", lambda *a, **k: 0.0)
+    monkeypatch.setattr(nonlinritz.optimizer, failing, fails)
+    for rebuild in (lambda: run(**kw), lambda: replay(states=states, **kw)):
+        with pytest.raises(NumericalError, match=raised):
+            rebuild()
 
 
 def test_run_constant_gamma_has_no_hoelder_record():

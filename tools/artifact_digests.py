@@ -25,8 +25,10 @@ iteration counts and terminations; and per grid oracle (``oracle.json``)
 equal minimiser sets; and per run equal shapes of the written states
 (``iterates.npy``).  It prints, per directory and overall, the largest
 relative difference of ``best_energy``, of the trace's ``K`` column, of
-``K_star`` and of the entries of the written states, then each mismatch,
-and exits 1 if there is one.
+``K_star`` and of the entries of the written states, and per demo script
+whether its stdout digests are the same (a script's exit codes are
+compared as an operation's, and its output is not a mismatch); then each
+mismatch, and it exits 1 if there is one.
 """
 
 import contextlib
@@ -118,11 +120,11 @@ def main(argv):
     return 0
 
 
-def _exit_codes(out):
-    """``{(directory, subcommand): exit code}`` from ``OUT/digests.txt``."""
+def _rows(out):
+    """``{(name, subcommand): (exit code, stdout digest)}`` from ``OUT/digests.txt``."""
     with open(os.path.join(out, "digests.txt")) as fh:
-        rows = [line.split()[:3] for line in fh if line.strip()]
-    return {(name, sub): rc for name, sub, rc in rows}
+        rows = [line.split()[:4] for line in fh if line.strip()]
+    return {(name, sub): (rc, stdout) for name, sub, rc, stdout in rows}
 
 
 def _load(d, name):
@@ -189,14 +191,18 @@ def _differences(a, b):
 
 
 def compare(out_a, out_b) -> int:
-    codes_a, codes_b = _exit_codes(out_a), _exit_codes(out_b)
-    one_side = sorted(set(codes_a) ^ set(codes_b))
+    rows_a, rows_b = _rows(out_a), _rows(out_b)
+    one_side = sorted(set(rows_a) ^ set(rows_b))
+    both = sorted(set(rows_a) & set(rows_b))
     mismatches = [f"operations on one side only: {one_side}"] if one_side else []
-    mismatches += [f"{name} {sub}: {codes_a[name, sub]} vs {codes_b[name, sub]}"
-                   for name, sub in sorted(set(codes_a) & set(codes_b))
-                   if codes_a[name, sub] != codes_b[name, sub]]
+    mismatches += [f"{name} {sub}: {rows_a[name, sub][0]} vs {rows_b[name, sub][0]}"
+                   for name, sub in both if rows_a[name, sub][0] != rows_b[name, sub][0]]
     overall = {}
-    for name in sorted({name for name, _ in codes_a} & {name for name, _ in codes_b}):
+    for name, sub in both:
+        if sub == "script":  # a script writes no directory
+            same = rows_a[name, sub][1] == rows_b[name, sub][1]
+            print(name, "stdout=same" if same else "stdout=differs")
+    for name in sorted({name for name, sub in both if sub != "script"}):
         bad, worst = _differences(os.path.join(out_a, name), os.path.join(out_b, name))
         mismatches += [f"{name}: {m}" for m in bad]
         print(name, " ".join(f"{q}={v:.3g}" for q, v in worst.items()))
@@ -207,7 +213,7 @@ def compare(out_a, out_b) -> int:
         print(f"worst {q}: {v:.3g} ({name})")
     for m in mismatches:
         print(f"MISMATCH {m}")
-    print(f"{len(codes_a)} operations, {len(mismatches)} mismatches")
+    print(f"{len(rows_a)} operations, {len(mismatches)} mismatches")
     return 1 if mismatches else 0
 
 
