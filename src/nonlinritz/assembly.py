@@ -265,12 +265,13 @@ class Evaluation:
     """What one point, or each point of a stack, is evaluated to.
 
     ``xi`` is the checked point ``(d,)`` or stack ``(N, d)``.  ``groups``
-    holds, per group of points evaluated together, ``(rows, weights,
-    fields, cells)``: the rows of the stack ``(N, d)`` it holds
+    holds, per group of points evaluated together, ``(rows, nodes,
+    weights, fields, values)``: the rows of the stack ``(N, d)`` it holds
     (``slice(None)`` when every point shares one split of the rule), the
-    split's weights, ``(Q,)`` shared or ``(len(rows), Q)``, the problem's
-    weighted fields on its nodes (:func:`_field_values`) and the family's
-    evaluation (``family.evaluate``) of those points on those nodes.
+    split's nodes and weights, ``(Q,)`` shared or ``(len(rows), Q)``, the
+    problem's weighted fields on its nodes (:func:`_field_values`) and
+    ``family.evaluate(xi[rows], nodes)``: the basis values of a dense
+    family, the cell of each node for hats.
     """
 
     # plain classes: each frozen dataclass costs about 1 ms of import
@@ -319,12 +320,12 @@ class Evaluator:
         breaks = fam.breakpoints(stack)
         if not breaks:
             x, w, fields = self._shared
-            return Evaluation(xi, [(slice(None), w, fields, fam.evaluate(stack, x))])
+            return Evaluation(xi, [(slice(None), x, w, fields, fam.evaluate(stack, x))])
         coefficient = tuple(prob.coefficient_breakpoints())
         rows = np.empty((len(stack), len(breaks) + len(coefficient)))
         rows[:, :len(breaks)] = np.transpose(breaks)
         rows[:, len(breaks):] = coefficient
-        return Evaluation(xi, [(idx, w, _field_values(prob, x, w), fam.evaluate(stack[idx], x))
+        return Evaluation(xi, [(idx, x, w, _field_values(prob, x, w), fam.evaluate(stack[idx], x))
                                for idx, x, w in self.rule.split_rows(rows)])
 
     def assemble(self, xi) -> AssembledSystem:
@@ -338,8 +339,8 @@ class Evaluator:
         problem, family = self.problem, self.family
         ev = self.evaluate(xi)
         xi = ev.xi
-        parts = [(idx, _products(problem, family, w, fields, cells))
-                 for idx, w, fields, cells in ev.groups]
+        parts = [(idx, _products(problem, family, w, fields, values))
+                 for idx, _, w, fields, values in ev.groups]
         bad, A, G, load = (_gather(len(np.atleast_2d(xi)), [(idx, p[k]) for idx, p in parts])
                            for k in range(4))
         del parts  # the unsymmetrised matrices go as they are replaced
@@ -399,22 +400,22 @@ def _field_values(problem, x, w):
     return wK, ws, values, slopes
 
 
-def _products(problem, family, w, fields, cells):
+def _products(problem, family, w, fields, values):
     """``(bad, A, G, load)`` of one group of an evaluation.
 
     The weights ``w`` are ``(Q,)``, shared by every point, or ``(N, Q)``,
     one row per point of the group.  ``bad`` flags the points whose basis
     values are not finite; A and G are not yet symmetrised, and G is None
     under the L2 energy, whose Gram matrix is A.  Hats are assembled cell
-    by cell, every other family by dense products of its basis values
-    (``assemble`` admits no other family under an H1 energy).
+    by cell from the located cells ``values``, every other family by
+    dense products of its basis values ``values`` (``assemble`` admits no
+    other family under an H1 energy).
     """
     if isinstance(family, FreeKnotHats):
-        return _element_products(problem, family, w, fields, cells)
+        return _element_products(problem, family, w, fields, values)
     # weights broadcast against the basis axis
-    vals = family.values_of(cells)
-    A = (vals * w[..., None, :]) @ _t(vals)
-    return _nonfinite(vals), A, None, np.matvec(vals, fields)
+    A = (values * w[..., None, :]) @ _t(values)
+    return _nonfinite(values), A, None, np.matvec(values, fields)
 
 
 def _element_products(problem, family, w, fields, cells):

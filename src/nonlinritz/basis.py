@@ -9,14 +9,14 @@ shared by every point or ``(N, Q)``, one row per point, and return
 ``(..., n_linear, Q)``; ``breakpoints`` of a stack ``(N, d)`` gives one
 ``(N,)`` array per breakpoint.
 
-``evaluate(xi, x)`` evaluates the family once on the nodes: the bumps,
-the cell of each node for hats, the amplitude ``g(xi)``; the rest is read
-from it.  Hats sum over each cell's nodes: their Galerkin systems
-(``element_products``) and L2 knot gradient (``knot_gradient``).  Every
-other family gives its basis values (``values_of``) and, if differentiable,
-the parameter derivative of a realisation, ``d u / d xi_i`` of shape
-``(n_nonlinear, len(x))`` (``dparam_values(ev, w)``); the derivative of a
-single basis function is that kernel applied to a unit vector.
+``evaluate(xi, x)`` evaluates the family once on the nodes, and the rest
+is read from it.  For hats it is the cell of each node; hats sum over each
+cell's nodes: their Galerkin systems (``element_products``) and L2 knot
+gradient (``knot_gradient``).  Every other family evaluates to its basis
+values and, if differentiable, gives from them the parameter derivative of
+a realisation, ``d u / d xi_i`` of shape ``(n_nonlinear, len(x))``
+(``dparam_values(xi, x, values, w)``); the derivative of a single basis
+function is that kernel applied to a unit vector.
 
 Families
 --------
@@ -35,11 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DerivativeUnavailableError,
-    DomainViolationError,
-)
+from .errors import ConfigError, DomainViolationError
 from .variational import Field
 
 __all__ = [
@@ -359,12 +355,8 @@ class _FamilyBase:
 
     def evaluate(self, xi, x):
         """The family at ``xi`` on nodes ``x``, which the rest reads (hats
-        cell by cell).  By default its basis values."""
+        cell by cell).  By default its basis values ``(..., n_linear, Q)``."""
         return self.basis_values(xi, x)
-
-    def values_of(self, ev):
-        """Basis values ``(..., n_linear, Q)`` from an evaluation."""
-        return ev
 
 
 @dataclass(frozen=True)
@@ -412,22 +404,14 @@ class GaussianBumps(_FamilyBase):
     def basis_derivs(self, xi, x):
         return -self._z(xi, x) * self.basis_values(xi, x)
 
-    def evaluate(self, xi, x):
-        """``(xi, x, phi)``: the bumps ``(..., n_linear, Q)`` with their point
-        and nodes."""
-        return xi, x, self.basis_values(xi, x)
-
-    def values_of(self, ev):
-        return ev[2]
-
-    def dparam_values(self, ev, w):
+    def dparam_values(self, xi, x, phi, w):
         """d (w . phi) / d xi_k = w_k z_k phi_k: center k moves bump k only.
 
-        A stack of points takes one coefficient row per point.  The
+        ``phi`` holds the bumps at ``xi`` on ``x``, their evaluation.  A
+        stack of points takes one coefficient row per point.  The
         derivative is built in place of ``x - xi_k``: an evaluation holds
         the bumps only, one array of their size.
         """
-        xi, x, phi = ev
         du = self._d(xi, x)
         du /= self.widths[:, None] ** 2
         du *= phi
@@ -674,6 +658,7 @@ class FreeKnotHats(_FamilyBase):
 class IndicatorPair(_FamilyBase):
     """phi(xi) = (chi_(a,b), chi_(b,c)) for xi = (a, b, c).
 
+    The domain must hold the chain ``(0, 1, 2)``, so that a <= b <= c.
     The map xi -> phi(xi) is 1/2-Hoelder in L2 and nowhere differentiable
     into L2 (the formal derivatives are Dirac masses), yet the assembled
     energy is smooth in xi: use the closed-form energy gradient.
@@ -687,6 +672,9 @@ class IndicatorPair(_FamilyBase):
     def __post_init__(self):
         if self.domain.dim != 3:
             raise ConfigError("IndicatorPair needs a 3-coordinate domain (a, b, c)")
+        if self.domain.chains != ((0, 1, 2),):
+            raise ConfigError("the indicator pair needs ordered ends: the domain must hold "
+                              "the one chain [0, 1, 2]")
 
     def breakpoints(self, xi) -> tuple:
         return tuple(np.asarray(xi, dtype=float).T)
@@ -702,12 +690,6 @@ class IndicatorPair(_FamilyBase):
                 np.where((x > b) & (x < c), 1.0, 0.0),
             ],
             axis=-2,
-        )
-
-    def dparam_values(self, ev, w):
-        raise DerivativeUnavailableError(
-            "indicator basis has no parameter derivative in L2 (boundary "
-            "movement is a Dirac mass); use the closed-form energy gradient"
         )
 
 
@@ -759,23 +741,15 @@ class SyntheticAmplitude(_FamilyBase):
         return np.divide(self.scale * xi, r, out=np.zeros(np.shape(xi)), where=r > 0.0)
 
     def basis_values(self, xi, x):
-        return self.values_of(self.evaluate(xi, x))
+        """The amplitude ``g(xi)`` tiled over the nodes."""
+        return np.tile(self._g(xi)[..., None, None], (1, np.shape(x)[-1]))
 
     def basis_derivs(self, xi, x):
         return np.zeros(np.shape(xi)[:-1] + (1, np.shape(x)[-1]))
 
-    def evaluate(self, xi, x):
-        """``(xi, g(xi), Q)``: the amplitude and the number of nodes."""
-        return xi, self._g(xi), np.shape(x)[-1]
-
-    def values_of(self, ev):
-        _, g, Q = ev
-        return np.tile(g[..., None, None], (1, Q))
-
-    def dparam_values(self, ev, w):
+    def dparam_values(self, xi, x, values, w):
         """d (w_0 g(xi)) / d xi = w_0 g'(xi), constant in space; per point of a stack."""
-        xi, _, Q = ev
-        return np.tile((w[..., :1] * self._dg(xi))[..., None], (1, Q))
+        return np.tile((w[..., :1] * self._dg(xi))[..., None], (1, np.shape(x)[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -360,7 +360,7 @@ _CONFIG = {
     }), _REQUIRED),
     "init": (_table({"xi0": (_numbers, _REQUIRED), "w0": (_numbers, _ABSENT)}), _REQUIRED),
     "gradient": (_table({
-        "mode": (_one_of("auto", "analytic", "closed_form", "fd"), "auto"),
+        "mode": (_one_of("auto", "fd"), "auto"),
         "fd_step": (_positive, 1e-6),
     }), {}),
     "oracle": (_or_null(_by_kind(

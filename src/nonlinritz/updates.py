@@ -243,14 +243,17 @@ def prox_optimality_residual(
 
 @dataclass(frozen=True)
 class EnergyGradients:
-    """Gradients of K(w, xi) in the nonlinear block, by one of three routes.
+    """Gradients of K(w, xi) in the nonlinear block, by one of three routes,
+    which :func:`make_gradients` picks.
 
     * ``analytic``: under the L2 energy, differentiate under the integral:
       ``d_i K = (u - f, d_i u)`` with ``u = w . phi(xi)`` and ``d_i u`` the
-      family's contracted parameter derivative (hats: cell sums), both read
-      from the evaluation of the point, and the weighted target ``f`` from
-      its field values: the evaluation a system kept from its assembly, or
-      a fresh one of points never assembled.
+      family's contracted parameter derivative (hats: cell sums over the
+      located cells; any other family: ``dparam_values`` of the group's
+      points, nodes and basis values), both read from the evaluation of
+      the point, and the weighted target ``f`` from its field values: the
+      evaluation a system kept from its assembly, or a fresh one of points
+      never assembled.
     * ``closed_form``: hand-derived formulas; available for the indicator
       pair under the L2 energy, where the basis itself is not
       differentiable but the energy is.
@@ -304,12 +307,12 @@ class EnergyGradients:
         """One pass per group of the evaluation's splits; hats sum by cell."""
         fam = self.evaluator.family
         g = np.empty((len(w), fam.n_nonlinear))
-        for idx, q, qf, cells in evaluation.groups:
+        for idx, x, q, qf, values in evaluation.groups:
             if isinstance(fam, FreeKnotHats):
-                g[idx] = fam.knot_gradient(cells, w[idx], q, qf)
+                g[idx] = fam.knot_gradient(values, w[idx], q, qf)
                 continue
-            u = np.vecmat(w[idx], fam.values_of(cells))
-            du = fam.dparam_values(cells, w[idx])
+            u = np.vecmat(w[idx], values)
+            du = fam.dparam_values(np.atleast_2d(evaluation.xi)[idx], x, values, w[idx])
             g[idx] = np.matvec(du, q * u) - np.matvec(du, qf)
         return g
 
@@ -379,39 +382,26 @@ def central_differences(energy, evaluator: Evaluator, xi, h: float) -> np.ndarra
 
 
 def make_gradients(problem, rule, family, mode: str = "auto", fd_step: float = 1e-6) -> EnergyGradients:
-    """Build a gradient oracle, validating the requested mode for the pair.
+    """Build a gradient oracle for ``mode`` ``"auto"`` or ``"fd"``.
 
     This is the one place where the route and ``fd_step`` are chosen:
     ``run``, ``replay`` and ``check`` each build one oracle, and everything
     else that differentiates in ``xi`` takes it.
 
-    The energy and the family fix the route: ``fd`` under an H1 energy (no
+    The route is ``fd`` when asked for, and always under an H1 energy (no
     family provides spatial derivatives of its parameter derivatives);
-    under the L2 energy ``closed_form`` for the indicator pair and
-    ``analytic`` for every other family.  ``auto`` takes that route, and
-    ``fd`` is accepted for every pair.
+    otherwise, under the L2 energy, ``closed_form`` for the indicator pair,
+    whose parameter derivatives are Dirac masses, and ``analytic`` for
+    every other family.
     """
-    if problem.needs_h1:
+    if mode not in ("auto", "fd"):
+        raise ConfigError(f"unknown gradient mode {mode!r}; options: ['auto', 'fd']")
+    if mode == "fd" or problem.needs_h1:
         route = "fd"
     elif isinstance(family, IndicatorPair):
         route = "closed_form"
     else:
         route = "analytic"
-    if mode == "auto":
-        mode = route
-    if mode == "analytic" and route != "analytic":
-        raise ConfigError(
-            "analytic parameter gradients are implemented under the L2 energy "
-            "only, and not for the indicator pair, whose parameter "
-            "derivatives are Dirac masses (use mode='fd' or 'auto')"
-        )
-    if mode == "closed_form" and route != "closed_form":
-        raise ConfigError(
-            "closed-form energy gradients are implemented for the indicator "
-            "pair under the L2 energy only"
-        )
-    if mode not in ("analytic", "closed_form", "fd"):
-        raise ConfigError(f"unknown gradient mode {mode!r}")
     if not fd_step > 0.0:
         raise ConfigError("fd_step must be positive")
-    return EnergyGradients(Evaluator(problem, rule, family), mode, fd_step)
+    return EnergyGradients(Evaluator(problem, rule, family), route, fd_step)

@@ -41,11 +41,12 @@ def dphi_norm(family, rule, xi, eta=None) -> float:
     """||grad_xi phi(xi)||_{L2,2,2}, or of ``grad_xi phi(xi) - grad_xi phi(eta)``."""
     points = [family.require_param(p) for p in (xi, eta) if p is not None]
     r = rule.split_at([b for p in points for b in family.breakpoints(p)])
+    values = [family.basis_values(p, r.nodes) for p in points]
     total = 0.0
     for e in np.eye(family.n_linear):
-        d = family.dparam_values(family.evaluate(points[0], r.nodes), e)
+        d = family.dparam_values(points[0], r.nodes, values[0], e)
         if len(points) > 1:
-            d = d - family.dparam_values(family.evaluate(points[1], r.nodes), e)
+            d = d - family.dparam_values(points[1], r.nodes, values[1], e)
         total += float(np.sum((d * d) @ r.weights))
     return math.sqrt(total)
 

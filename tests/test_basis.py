@@ -17,7 +17,6 @@ from nonlinritz.basis import (
 )
 from nonlinritz.errors import (
     ConfigError,
-    DerivativeUnavailableError,
     DomainViolationError,
 )
 from nonlinritz.variational import (
@@ -284,11 +283,12 @@ def test_gaussian_dparam_diagonal_value():
     fam = _gauss_family()
     xi = np.array([0.5, 0.3])
     x = np.array([0.6])
-    du = fam.dparam_values(fam.evaluate(xi, x), np.array([1.0, 0.0]))
+    phi = fam.basis_values(xi, x)
+    du = fam.dparam_values(xi, x, phi, np.array([1.0, 0.0]))
     assert du.shape == (2, 1)
     assert_allclose(du[0, 0], 10.0 * math.exp(-0.5), rtol=1e-14)
     assert du[1, 0] == 0.0  # centers are independent
-    assert fam.dparam_values(fam.evaluate(xi, x), np.array([0.0, 1.0]))[0, 0] == 0.0
+    assert fam.dparam_values(xi, x, phi, np.array([0.0, 1.0]))[0, 0] == 0.0
 
 
 def test_gaussian_dparam_matches_fd():
@@ -296,7 +296,7 @@ def test_gaussian_dparam_matches_fd():
     xi = np.array([0.4, 0.7])
     x = np.linspace(0.0, 1.0, 11)
     w = np.array([0.8, -1.3])
-    du = fam.dparam_values(fam.evaluate(xi, x), w)
+    du = fam.dparam_values(xi, x, fam.basis_values(xi, x), w)
     h = 1e-6
     for i in range(2):
         e = np.zeros(2)
@@ -414,10 +414,12 @@ def test_indicator_values():
     assert ders is None  # indicators live in L2 only
 
 
-def test_indicator_dparam_raises():
-    fam = _indicator_family()
-    with pytest.raises(DerivativeUnavailableError, match="Dirac"):
-        fam.dparam_values(fam.evaluate(np.array([0.0, 0.5, 1.0]), np.array([0.3])), np.ones(2))
+@pytest.mark.parametrize("chains", [(), ((0, 1),), ((0, 2, 1),)], ids=["none", "short", "reordered"])
+def test_indicator_pair_needs_its_ordering_chain(chains):
+    # unordered ends make the closed-form gradient wrong: on [0, 1]^3 without
+    # chains, at (0.6, 0.4, 0.9) it gave d/da = 0.4738 where d/da = 0
+    with pytest.raises(ConfigError, match=r"the one chain \[0, 1, 2\]"):
+        IndicatorPair(NonlinearDomain(np.zeros(3), np.ones(3), chains=chains))
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +444,16 @@ def test_synthetic_norm_profile_subgradient_at_origin():
     dom = NonlinearDomain([-1.0, -1.0], [1.0, 1.0])
     fam = SyntheticAmplitude(dom, profile="norm")
     x = np.array([0.5])
-    assert fam.dparam_values(fam.evaluate(np.zeros(2), x), np.ones(1)).tolist() == [[0.0], [0.0]]
+
+    def dparam(xi, w):
+        return fam.dparam_values(xi, x, fam.basis_values(xi, x), w)
+
+    assert dparam(np.zeros(2), np.ones(1)).tolist() == [[0.0], [0.0]]
     xi = np.array([[0.0, 0.0], [0.6, -0.8]])
-    d = fam.dparam_values(fam.evaluate(xi, x), np.ones((2, 1)))
+    d = dparam(xi, np.ones((2, 1)))
     assert d[0].tolist() == [[0.0], [0.0]]
     assert_allclose(d[1][:, 0], [0.6, -0.8], rtol=1e-15)
-    assert d[1].tolist() == fam.dparam_values(fam.evaluate(xi[1], x), np.ones(1)).tolist()
+    assert d[1].tolist() == dparam(xi[1], np.ones(1)).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -482,6 +482,10 @@ def test_errors_carry_dotted_paths():
     ("constants", {"alpha": 1.0, "norm_a": 1.0, "norm_ell": 1.0, "omega_min": -1},
      r"constants\.omega_min: expected a positive number, got -1"),
     ("gradient", {"fd_step": 0.0}, r"gradient\.fd_step: expected a positive number, got 0\.0"),
+    # auto picks the analytic or closed-form route; neither is a mode of its own
+    ("gradient", {"mode": "analytic"}, r"gradient\.mode: 'analytic' not one of \['auto', 'fd'\]"),
+    ("gradient", {"mode": "closed_form"},
+     r"gradient\.mode: 'closed_form' not one of \['auto', 'fd'\]"),
     # values that parsed and were refused only by run
     ("schedule", {"kind": "lipschitz", "zeta": 0.9, "n_pairs": 0},
      r"schedule: n_pairs must be at least 1, got 0"),
@@ -497,10 +501,6 @@ def test_errors_carry_dotted_paths():
             "geometry": {"kind": "diagonal", "diag": [1.0, 2.0, 3.0]},
             "oracle": {"kind": "sphere", "center": [0.5] * 3, "radius": 0.2, "K_star": 0.0}},
      r"oracle: sphere oracle projections are implemented for a scalar mirror-map diagonal"),
-    (None, {"family": {"kind": "indicator_pair"},
-            "domain": {"lower": [0.0] * 3, "upper": [1.0] * 3, "chains": [[0, 1, 2]]},
-            "init": {"xi0": [0.1, 0.55, 0.9]}, "gradient": {"mode": "analytic"}},
-     r"gradient\.mode: analytic parameter gradients are implemented under the L2 energy only"),
     # certify values that passed check and were refused by run's summary, or
     # made a bound divide by zero
     ("certify", {"nu": 2}, r"certify\.nu: nu must lie in \(0, 1\], got 2\.0"),
@@ -518,6 +518,10 @@ def test_errors_carry_dotted_paths():
      r"domain: chain gap must be nonnegative"),
     ("family", {"kind": "gaussian_bumps", "widths": [0.1, -0.1]},
      r"family: bump widths must be positive"),
+    (None, {"family": {"kind": "indicator_pair"},
+            "domain": {"lower": [0.0] * 3, "upper": [1.0] * 3},
+            "init": {"xi0": [0.6, 0.4, 0.9]}},
+     r"family: the indicator pair needs ordered ends: the domain must hold the one chain"),
     ("geometry", {"kind": "diagonal", "diag": [1.0, -1.0]},
      r"geometry: mirror-map diagonal must be positive and finite"),
 ])

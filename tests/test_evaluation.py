@@ -2,20 +2,28 @@
 
 A system keeps the evaluation it was assembled from (quadrature split,
 field values, the family on the nodes), and the analytic parameter
-gradient reads it.  These tests check that the gradient read from a kept
-evaluation is bitwise the one from a fresh evaluation at the same
-``(w, xi)``, and count the evaluations a run and its replay make, and the
-field evaluations of a grid oracle and of ``check``.
+gradient reads it.  These tests pin the groups of an evaluation, check
+that the gradient read from a kept evaluation is bitwise the one from a
+fresh evaluation at the same ``(w, xi)``, and count the evaluations a run
+and its replay make, and the field evaluations of a grid oracle and of
+``check``.
 """
 
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import nonlinritz.assembly
 from nonlinritz.assembly import Evaluator, assemble
-from nonlinritz.basis import FreeKnotHats, GaussianBumps, NonlinearDomain, SyntheticAmplitude
+from nonlinritz.basis import (
+    FreeKnotHats,
+    GaussianBumps,
+    IndicatorPair,
+    NonlinearDomain,
+    SyntheticAmplitude,
+)
 from nonlinritz.certify import minimiser_grid_oracle
 from nonlinritz.cli import main
 from nonlinritz.optimizer import (
@@ -44,7 +52,7 @@ def fresh_gradient(grads, w, xi):
     f = problem.target.values(r.nodes)
     if isinstance(family, FreeKnotHats):
         return family.knot_gradient(ev, w[None], r.weights, r.weights * f)[0]
-    u, du = np.vecmat(w[None], family.values_of(ev)), family.dparam_values(ev, w[None])
+    u, du = np.vecmat(w[None], ev), family.dparam_values(xi[None], r.nodes, ev, w[None])
     return (np.matvec(du, r.weights * u) - np.matvec(du, r.weights * f))[0]
 
 
@@ -65,6 +73,54 @@ def _assert_parity(problem, family, points, seed):
 
 TARGET = L2Approx(Field(lambda x: np.sin(5.0 * x + 0.2) + 0.4 * np.exp(-30.0 * (x - 0.6) ** 2),
                         None, (0.45,)))
+
+
+# ---------------------------------------------------------------------------
+# the groups of an evaluation
+# ---------------------------------------------------------------------------
+
+
+def _bitwise(a, b):
+    return np.shape(a) == np.shape(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@pytest.mark.parametrize("case", ["bumps", "indicator", "synthetic", "hats"])
+def test_evaluation_groups_are_rows_nodes_weights_fields_values(case):
+    """Each group is ``(rows, nodes, weights, fields, values)``: a row group
+    of ``rule.split_rows`` at the points' and the target's breakpoints, the
+    weighted target on its nodes and ``family.evaluate`` there, which is the
+    basis values of a dense family and the located cells of hats."""
+    if case == "bumps":  # no breakpoint moves: one shared split
+        family = GaussianBumps(NonlinearDomain([0.05] * 3, [0.95] * 3), [0.1, 0.2, 0.15])
+        xi = np.array([[0.2, 0.5, 0.7], [0.3, 0.35, 0.9], [0.125, 0.6, 0.61]])
+    elif case == "indicator":  # ends on panel edges add no panel
+        family = IndicatorPair(NonlinearDomain([0.0] * 3, [1.0] * 3, chains=((0, 1, 2),)))
+        xi = np.array([[0.1, 0.3, 0.7], [0.125, 0.3, 0.7], [0.2, 0.5, 0.75], [0.15, 0.55, 0.8]])
+    elif case == "synthetic":
+        family = SyntheticAmplitude(NonlinearDomain([-1.5] * 2, [1.5] * 2), profile="norm")
+        xi = np.array([[0.3, -0.4], [0.0, 0.0], [1.2, 0.5]])
+    else:
+        family = FreeKnotHats(NonlinearDomain([0.02] * 2, [0.98] * 2, chains=((0, 1),)), 0.0, 1.0)
+        xi = np.array([[0.3, 0.6], [0.25, 0.5], [0.125, 0.7], [0.31, 0.77]])
+    groups = Evaluator(TARGET, RULE, family).evaluate(xi).groups
+    breaks = np.column_stack([*family.breakpoints(xi), np.full(len(xi), 0.45)])
+    splits = RULE.split_rows(breaks)
+    if case == "indicator":
+        assert len(groups) >= 2
+    if case in ("bumps", "synthetic"):
+        assert len(groups) == 1 and groups[0][0] == slice(None)
+        assert len(splits) == 1 and splits[0][0].tolist() == list(range(len(xi)))
+    else:
+        assert [g[0].tolist() for g in groups] == [s[0].tolist() for s in splits]
+    for (rows, nodes, weights, fields, values), (_, x, w) in zip(groups, splits):
+        if isinstance(rows, slice):  # nodes and weights shared: every row's are equal
+            x, w = x[0], w[0]
+        assert _bitwise(nodes, x) and _bitwise(weights, w)
+        assert _bitwise(fields, w * TARGET.target.values(x))
+        if case == "hats":
+            assert all(_bitwise(a, b) for a, b in zip(values, family._locate(xi[rows], nodes)))
+        else:
+            assert _bitwise(values, family.basis_values(xi[rows], nodes))
 
 
 @settings(max_examples=40, deadline=None)

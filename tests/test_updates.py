@@ -371,7 +371,8 @@ def _h1_problem():
 
 def test_analytic_grad_matches_fd_gaussians_l2():
     fam = GaussianBumps(NonlinearDomain([0.1] * 2, [0.9] * 2), np.array([0.1, 0.12]))
-    grads = make_gradients(_l2_problem(), RULE, fam, mode="analytic")
+    grads = make_gradients(_l2_problem(), RULE, fam)
+    assert grads.mode == "analytic"
     fd = make_gradients(_l2_problem(), RULE, fam, mode="fd", fd_step=1e-6)
     rng = np.random.default_rng(5)
     for _ in range(5):
@@ -465,7 +466,8 @@ def test_hats_under_h1_need_fd():
     problem = _h1_problem()
     auto = make_gradients(problem, RULE, fam)
     assert auto.mode == "fd"  # knot motion leaves H1: no analytic route
-    with pytest.raises(ConfigError, match="L2 energy"):
+    # a route is not a mode: auto picks it
+    with pytest.raises(ConfigError, match="unknown gradient mode 'analytic'"):
         make_gradients(problem, RULE, fam, mode="analytic")
     # under the L2 energy the same family supports the analytic route
     l2_auto = make_gradients(_l2_problem(), RULE, fam)
@@ -482,16 +484,19 @@ def test_hats_under_h1_need_fd():
     ids=["gaussian", "synthetic", "indicator"],
 )
 def test_h1_energy_has_no_analytic_route(family):
-    # every H1 gradient goes through finite differences of the assembled energy
-    with pytest.raises(ConfigError, match="L2 energy"):
-        make_gradients(_h1_problem(), RULE, family, mode="analytic")
+    # every H1 gradient goes through finite differences of the assembled energy,
+    # and no mode asks for another route
+    for mode in ("analytic", "closed_form"):
+        with pytest.raises(ConfigError, match=f"unknown gradient mode '{mode}'"):
+            make_gradients(_h1_problem(), RULE, family, mode=mode)
     assert make_gradients(_h1_problem(), RULE, family).mode == "fd"
 
 
 def test_hats_analytic_matches_fd_l2():
     dom = NonlinearDomain([0.1, 0.1], [0.9, 0.9], chains=((0, 1),), gap=0.1)
     fam = FreeKnotHats(dom, 0.0, 1.0)
-    grads = make_gradients(_l2_problem(), RULE, fam, mode="analytic")
+    grads = make_gradients(_l2_problem(), RULE, fam)
+    assert grads.mode == "analytic"
     fd = make_gradients(_l2_problem(), RULE, fam, mode="fd", fd_step=1e-6)
     rng = np.random.default_rng(8)
     for _ in range(5):
@@ -506,7 +511,8 @@ def test_synthetic_amplitude_gradient():
     dom = NonlinearDomain([-2.0, -2.0], [2.0, 2.0])
     fam = SyntheticAmplitude(dom, profile="sphere_quartic", radius=1.0, scale=0.7)
     problem = L2Approx(constant(0.0))
-    grads = make_gradients(problem, RULE, fam, mode="analytic")
+    grads = make_gradients(problem, RULE, fam)
+    assert grads.mode == "analytic"
     xi = np.array([0.8, -0.5])
     r2 = float(xi @ xi)
     expect = 4.0 * 0.49 * (r2 - 1.0) * xi
