@@ -16,11 +16,17 @@ kernel, shown by a Gershgorin bound or by the eigenvalues when they are
 already computed, and the ``eigh`` pseudo-inverse on matrices with one.
 
 Free-knot hats, whose knots are ordered, are assembled as finite elements:
-each quadrature node lies in one cell of the knot grid, where two hats are
-nonzero, so per-cell sums of the products of their pieces fill the three
-diagonals of A and G (:meth:`~nonlinritz.basis.FreeKnotHats.element_products`),
-O(Q) work per point besides filling the dense outputs.  Every other family
-is assembled from dense products of its basis values, O(n^2 Q) per point.
+on each cell of the knot grid two hats are nonzero, so per-cell sums of the
+products of their pieces fill the three diagonals of A and G
+(:meth:`~nonlinritz.basis.FreeKnotHats.element_products`).  A cell's nodes,
+weights, field values and sums depend only on its ends, so a stack is split
+cell by cell (:meth:`~nonlinritz.variational.QuadratureRule.split_cells`),
+each distinct cell once, and every point gathers its cells' sums: the
+grid oracle's points share their outer cells, and the 2m finite-difference
+probes of a point all but two of each other's.  The work is linear in the
+distinct cells' nodes besides filling the dense outputs.  Every other
+family is assembled from dense products of its basis values, O(n^2 Q) per
+point.
 
 An :class:`Evaluator` holds the discretisation (problem, rule, family);
 a run, replay, check or grid oracle builds every system through one.  It
@@ -74,8 +80,13 @@ _STACK_ELEMENTS = 150_000
 #: float64 entries one stacked ``assemble`` of free-knot hats (or their knot
 #: gradient) may hold at once (12 MB): per point, ``_ELEMENT_ROWS`` rows of
 #: one entry per node and three ``n_linear x n_linear`` matrices (A, G and a
-#: temporary).  The 2m finite-difference probes of 160 Dirichlet hats on 64
-#: panels go in blocks of 16, those of 16 hats in one block.
+#: temporary).  The rows are counted for a stack whose points share no cell,
+#: where the distinct cells hold every point's nodes: the evaluation's
+#: nodes, weights and fields (3 rows under the L2 energy, 6 under H1) and
+#: the element sums' temporaries, or the knot gradient's six rows of each
+#: point's gathered nodes.  The 2m finite-difference probes of 160
+#: Dirichlet hats on 64 panels go in blocks of 16, those of 16 hats in one
+#: block.
 _ELEMENT_STACK_ELEMENTS = 1_500_000
 _ELEMENT_ROWS = 12
 
@@ -267,11 +278,13 @@ class Evaluation:
     ``xi`` is the checked point ``(d,)`` or stack ``(N, d)``.  ``groups``
     holds, per group of points evaluated together, ``(rows, nodes,
     weights, fields, values)``: the rows of the stack ``(N, d)`` it holds
-    (``slice(None)`` when every point shares one split of the rule), the
-    split's nodes and weights, ``(Q,)`` shared or ``(len(rows), Q)``, the
-    problem's weighted fields on its nodes (:func:`_field_values`) and
-    ``family.evaluate(xi[rows], nodes)``: the basis values of a dense
-    family, the cell of each node for hats.
+    (``slice(None)`` for all of them), the split's nodes and weights, the
+    problem's weighted fields on its nodes (:func:`_field_values`) and what
+    the family reads.  A dense family has ``(Q,)`` nodes shared by every
+    point, or ``(len(rows), Q)`` per point, and ``values`` its basis values
+    ``family.evaluate(xi[rows], nodes)``.  Hats are one group: the nodes of
+    the stack's distinct cells, flat, and ``values`` those cells
+    (:class:`~nonlinritz.variational.Cells`), which name each point's.
     """
 
     # plain classes: each frozen dataclass costs about 1 ms of import
@@ -303,10 +316,13 @@ class Evaluator:
     def evaluate(self, xi) -> Evaluation:
         """The evaluation of one point ``(d,)`` or of a stack ``(N, d)``.
 
-        A point is evaluated as the stack of one.  Points whose breakpoints
-        move get their own split of the rule (bitwise ``split_at`` of that
-        point), and points whose splits have equally many panels are
-        evaluated together on ``(len(rows), Q)`` nodes.
+        A point is evaluated as the stack of one.  Hats are split cell by
+        cell (``rule.split_cells`` at their grids and the coefficients'
+        breakpoints), and the fields evaluated once per distinct cell.
+        Points of any other family whose breakpoints move get their own
+        split of the rule (bitwise ``split_at`` of that point), and points
+        whose splits have equally many panels are evaluated together on
+        ``(len(rows), Q)`` nodes.
         """
         prob, fam = self.problem, self.family
         xi = fam.require_param(xi)
@@ -317,11 +333,15 @@ class Evaluator:
                 "dirichlet=True)"
             )
         stack = np.atleast_2d(xi)
+        coefficient = tuple(prob.coefficient_breakpoints())
+        if isinstance(fam, FreeKnotHats):
+            cells = self.rule.split_cells(fam.grid(stack), coefficient)
+            x, w = cells.x, cells.weights
+            return Evaluation(xi, [(slice(None), x, w, _field_values(prob, x, w), cells)])
         breaks = fam.breakpoints(stack)
         if not breaks:
             x, w, fields = self._shared
             return Evaluation(xi, [(slice(None), x, w, fields, fam.evaluate(stack, x))])
-        coefficient = tuple(prob.coefficient_breakpoints())
         rows = np.empty((len(stack), len(breaks) + len(coefficient)))
         rows[:, :len(breaks)] = np.transpose(breaks)
         rows[:, len(breaks):] = coefficient
@@ -360,9 +380,10 @@ class Evaluator:
         A block's points are counted on a bound on their nodes: the rule's
         panels plus one per breakpoint of the family and of the problem's
         coefficients, times the order.  Hats, assembled and differentiated
-        cell by cell, fill ``_ELEMENT_STACK_ELEMENTS``; every other family,
-        evaluated by dense products, fills ``_STACK_ELEMENTS``.  One point
-        exceeding the budget still makes a block of its own.
+        cell by cell, fill ``_ELEMENT_STACK_ELEMENTS`` as if no two points
+        shared a cell; every other family, evaluated by dense products,
+        fills ``_STACK_ELEMENTS``.  One point exceeding the budget still
+        makes a block of its own.
         """
         rule, family = self.rule, self.family
         breaks = len(family.breakpoints(points[0])) + len(self.problem.coefficient_breakpoints())
@@ -407,9 +428,9 @@ def _products(problem, family, w, fields, values):
     one row per point of the group.  ``bad`` flags the points whose basis
     values are not finite; A and G are not yet symmetrised, and G is None
     under the L2 energy, whose Gram matrix is A.  Hats are assembled cell
-    by cell from the located cells ``values``, every other family by
-    dense products of its basis values ``values`` (``assemble`` admits no
-    other family under an H1 energy).
+    by cell from their cells ``values``, every other family by dense
+    products of its basis values ``values`` (``assemble`` admits no other
+    family under an H1 energy).
     """
     if isinstance(family, FreeKnotHats):
         return _element_products(problem, family, w, fields, values)

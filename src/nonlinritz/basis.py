@@ -9,14 +9,15 @@ shared by every point or ``(N, Q)``, one row per point, and return
 ``(..., n_linear, Q)``; ``breakpoints`` of a stack ``(N, d)`` gives one
 ``(N,)`` array per breakpoint.
 
-``evaluate(xi, x)`` evaluates the family once on the nodes, and the rest
-is read from it.  For hats it is the cell of each node; hats sum over each
-cell's nodes: their Galerkin systems (``element_products``) and L2 knot
-gradient (``knot_gradient``).  Every other family evaluates to its basis
-values and, if differentiable, gives from them the parameter derivative of
-a realisation, ``d u / d xi_i`` of shape ``(n_nonlinear, len(x))``
-(``dparam_values(xi, x, values, w)``); the derivative of a single basis
-function is that kernel applied to a unit vector.
+Hats sum over the nodes of each cell of their grids, split cell by cell
+(:meth:`~nonlinritz.variational.QuadratureRule.split_cells`): their
+Galerkin systems (``element_products``) and L2 knot gradient
+(``knot_gradient``).  Every other family evaluates once on the nodes
+(``evaluate(xi, x)``, its basis values), and the rest is read from that:
+if differentiable, the parameter derivative of a realisation, ``d u / d
+xi_i`` of shape ``(n_nonlinear, len(x))`` (``dparam_values(xi, x, values,
+w)``); the derivative of a single basis function is that kernel applied to
+a unit vector.
 
 Families
 --------
@@ -354,8 +355,8 @@ class _FamilyBase:
         return None
 
     def evaluate(self, xi, x):
-        """The family at ``xi`` on nodes ``x``, which the rest reads (hats
-        cell by cell).  By default its basis values ``(..., n_linear, Q)``."""
+        """The family at ``xi`` on nodes ``x``, which the rest reads: its
+        basis values ``(..., n_linear, Q)``."""
         return self.basis_values(xi, x)
 
 
@@ -430,10 +431,14 @@ class FreeKnotHats(_FamilyBase):
     all ``m + 2`` hats are used.  Zero-width cells (coincident knots) add
     nothing, so degenerate parameters stay well defined in L2.
 
-    Values, slopes, Galerkin systems (``element_products``) and the L2
-    knot gradient (``knot_gradient``) are built from the cell
-    :meth:`_locate` gives each node, O(1) work per node; a node on a knot
-    takes the cell on its left, where the knot's hat rises.
+    Values and slopes on any nodes are built from the cell :meth:`_locate`
+    gives each node, O(1) work per node; a node on a knot takes the cell on
+    its left, where the knot's hat rises.  Galerkin systems
+    (``element_products``) and the L2 knot gradient (``knot_gradient``) are
+    summed over the cells of a rule split cell by cell
+    (:meth:`~nonlinritz.variational.QuadratureRule.split_cells`), where
+    each node's cell is known by construction and which a stack integrates
+    once per distinct cell.
     """
 
     domain: NonlinearDomain
@@ -463,12 +468,13 @@ class FreeKnotHats(_FamilyBase):
     def n_linear(self) -> int:
         return self.n_nonlinear if self.dirichlet else self.n_nonlinear + 2
 
-    def _grid(self, xi) -> np.ndarray:
+    def grid(self, xi) -> np.ndarray:
         """The grid ``(x_lo, xi_1, ..., xi_m, x_hi)`` of one point or each of a stack.
 
         The knots pass through a running maximum: a chain link may fall short
-        by the domain's tolerance, and only on a nondecreasing grid do the
-        two strategies of :meth:`_locate` agree.
+        by the domain's tolerance, and only on a nondecreasing grid does the
+        search of :meth:`_locate` count the knots left of a node and do the
+        cells of ``QuadratureRule.split_cells`` not overlap.
         """
         t = np.empty(xi.shape[:-1] + (xi.shape[-1] + 2,))
         t[..., 0], t[..., -1] = self.x_lo, self.x_hi
@@ -476,7 +482,7 @@ class FreeKnotHats(_FamilyBase):
         return t
 
     def breakpoints(self, xi) -> tuple:
-        return tuple(self._grid(np.asarray(xi, dtype=float)).T)
+        return tuple(self.grid(np.asarray(xi, dtype=float)).T)
 
     def _locate(self, xi, x):
         """The cell of each node: ``(t, x, at)``, one row per point.
@@ -490,21 +496,15 @@ class FreeKnotHats(_FamilyBase):
         each grid.  Returns those grids ``(N, m + 3)``, the nodes ``(N, Q)``
         and the flat index in ``t`` of each node's cell's left end.
         """
-        grid = np.atleast_2d(self._grid(xi))
+        grid = np.atleast_2d(self.grid(xi))
         N, m = len(grid), self.n_nonlinear
         t = np.empty((N, m + 3))
         t[:, :-1], t[:, -1] = grid, self.x_hi
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if len(x) < N:  # nodes shared by every point
             x = np.broadcast_to(x, (N, x.shape[1]))
-        # the count of interior knots left of each node, in as few Python
-        # steps as possible: one pass per knot or one search per point
-        if m < N:
-            c = np.zeros(x.shape, dtype=np.intp)
-            for knot in grid[:, 1:-1].T:
-                c += knot[:, None] < x
-        else:
-            c = np.stack([np.searchsorted(row[1:-1], nodes) for row, nodes in zip(grid, x)])
+        # the count of interior knots strictly left of each node
+        c = np.stack([np.searchsorted(row[1:-1], nodes) for row, nodes in zip(grid, x)])
         on_lo = x == self.x_lo
         if on_lo.any():
             on_knots = np.count_nonzero(grid[:, 1:-1] == self.x_lo, axis=1)
@@ -546,57 +546,44 @@ class FreeKnotHats(_FamilyBase):
         out = self._hat_rows(self._locate(xi, x), slopes=True)
         return out[0] if np.ndim(xi) == 1 else out
 
-    def evaluate(self, xi, x):
-        """The cell of each node, :meth:`_locate`'s ``(t, x, at)``."""
-        return self._locate(xi, x)
-
-    def _cell_sums(self, located):
-        """``(rise, fall, slope, per_cell)`` of located nodes: on a node's cell
-        ``[a, b]`` of width h, ``x - a`` and ``b - x`` (the rising and the
-        falling hat times h, divided per cell, not per node), ``1 / h`` per
-        cell (0 if empty), and ``per_cell(v, scale)``, the sum of ``v`` over
-        each cell's nodes times ``scale`` there, ``(N, m + 1)``.  Each sum
-        reduces one run of a point's nodes (``numpy.add.reduceat`` over flat
-        (point, cell) bins), so a stack gives bitwise its points' sums."""
-        t, x, at = located
-        cells = self.n_nonlinear + 1
-        rise, fall = x - np.take(t, at), np.take(t, at + 1) - x
-        bins = at.ravel()
-        starts = np.flatnonzero(np.diff(bins, prepend=-1))
-        width = np.diff(t[:, :-1], axis=1)
-        slope = np.divide(1.0, width, out=np.zeros_like(width), where=width > 0.0)
-
-        def per_cell(v, scale):
-            sums = np.zeros(t.size)
-            np.add.at(sums, bins[starts], np.add.reduceat(np.ravel(v), starts))
-            sums = sums.reshape(t.shape)[:, :cells]
-            # a cell without nodes adds nothing, however narrow
-            return np.where(sums == 0.0, 0.0, sums * scale)
-
-        return rise, fall, slope, per_cell
-
-    def element_products(self, located, forms, values, slopes=None):
+    def element_products(self, cells, forms, values, slopes=None):
         """Galerkin matrices and load of the hats, assembled cell by cell.
 
-        ``located`` holds the cells of the nodes of a stack, from
-        :meth:`_locate`.  The other arguments hold one weight per node: each
-        ``(mass, stiffness)`` pair of ``forms`` gives the matrix ``sum_x mass
-        phi_i phi_j + stiffness phi_i' phi_j'`` (``stiffness`` None: no slope
+        ``cells`` holds the distinct cells of a stack's grids and their
+        nodes (:meth:`~nonlinritz.variational.QuadratureRule.split_cells`).
+        The other arguments hold one weight per node: each ``(mass,
+        stiffness)`` pair of ``forms`` gives the matrix ``sum_x mass phi_i
+        phi_j + stiffness phi_i' phi_j'`` (``stiffness`` None: no slope
         term), and the load is ``sum_x values phi_j + slopes phi_j'``.
         Returns the list of matrices ``(N, n, n)`` and the load ``(N, n)``.
 
-        On the cell :meth:`_locate` gives a node, hat c falls as
-        ``(t_{c+1} - x) / h_c`` and hat c+1 rises as ``(x - t_c) / h_c``;
-        their weighted products, summed per cell and divided by ``h_c^2``
-        there, are the 2x2 element matrices, which fill the three diagonals.
-        The sums are :meth:`_cell_sums`', so a stack gives bitwise its
-        points' systems.
+        On its cell ``[a, b]`` of width h, hat c falls as ``(b - x) / h``
+        and hat c+1 rises as ``(x - a) / h``; their weighted products,
+        summed per cell and divided by ``h^2`` there, are the 2x2 element
+        matrices, which fill the three diagonals.  Each distinct cell is
+        summed once (:func:`_run_sums`) and every point gathers its cells'
+        sums, so a stack gives bitwise its points' systems.
         """
-        N, cells = len(located[0]), self.n_nonlinear + 1
-        rise, fall, slope, per_cell = self._cell_sums(located)
+        # x - a and b - x: the rising and the falling hat times h, divided
+        # per cell, not per node; 1 / h per distinct cell and 0 behind them,
+        # where a point's cell without nodes points
+        rise = cells.x - np.repeat(cells.a, cells.counts)
+        fall = np.repeat(cells.b, cells.counts) - cells.x
+        slope = np.zeros(cells.a.size + 1)
+        slope[:-1] = 1.0 / (cells.b - cells.a)
+        sums = _run_sums(cells.counts, slope.size)
+
+        def per_cell(v, scale):
+            """The sum of ``v`` over each cell's nodes times ``scale`` there,
+            gathered for every point ``(N, m + 1)``."""
+            s = sums(v)
+            # a cell without nodes adds nothing, however narrow
+            return np.where(s == 0.0, 0.0, s * scale)[cells.of]
+
+        N, hats = len(cells.of), self.n_nonlinear + 2
 
         def on_hats(on_falling, on_rising):
-            out = np.zeros((N, cells + 1))
+            out = np.zeros((N, hats))
             out[:, :-1] = on_falling
             out[:, 1:] += on_rising
             return out
@@ -621,37 +608,81 @@ class FreeKnotHats(_FamilyBase):
             vf, vr = vf - k, vr + k
         return mats, on_hats(vf, vr)[:, keep]
 
-    def knot_gradient(self, located, w, weights, target):
-        """``sum_x (weights u - target) d u / d xi_i`` ``(N, m)`` on located
-        nodes, with one coefficient row ``w`` per point and the quadrature
-        weights and weighted target per node.  On the cell ``[a, b]`` of
-        width h, ``u = w_c (b - x) / h + w_{c+1} (x - a) / h`` moves with b
-        by ``(w_c - w_{c+1}) (x - a) / h^2`` and with a by ``(w_c - w_{c+1})
-        (b - x) / h^2``: knot i, which ends cell i and starts cell i + 1,
-        gathers the residual times ``x - a`` over the one and times
-        ``b - x`` over the other, in :meth:`_cell_sums`' sums (bitwise per point)."""
-        t, _, at = located
-        rise, fall, slope, per_cell = self._cell_sums(located)
-        m, d = self.n_nonlinear, int(self.dirichlet)
-        # by hat and by cell, padded to the columns of t: no hats 0 and m+1
-        # when Dirichlet, slope 0 on the empty cell of nodes outside
-        coef, slopes = np.zeros(t.shape), np.zeros(t.shape)
-        coef[:, d:m + 2 - d], slopes[:, :m + 1] = w, slope
-        u = (np.take(coef, at) * fall + np.take(coef, at + 1) * rise) * np.take(slopes, at)
-        residual = weights * u - target
-        diff = coef[:, :m + 1] - coef[:, 1:m + 2]
+    def knot_gradient(self, cells, w, weights, target):
+        """``sum_x (weights u - target) d u / d xi_i`` ``(N, m)`` on the nodes
+        of ``cells``, with one coefficient row ``w`` per point and the
+        quadrature weights and weighted target per node.  On the cell ``[a,
+        b]`` of width h, ``u = w_c (b - x) / h + w_{c+1} (x - a) / h`` moves
+        with b by ``(w_c - w_{c+1}) (x - a) / h^2`` and with a by ``(w_c -
+        w_{c+1}) (b - x) / h^2``: knot i, which ends cell i and starts cell
+        i + 1, gathers the residual times ``x - a`` over the one and times
+        ``b - x`` over the other.  ``u`` differs from point to point, so
+        each point gathers its cells' nodes, cell after cell, and each
+        (point, cell) is summed as a run of its own (:func:`_run_sums`),
+        bitwise that point's sum alone."""
+        m, d, t = self.n_nonlinear, int(self.dirichlet), cells.grid
+        # each point's nodes, cell after cell: their index in the cells'
+        # nodes and their (point, cell)
+        runs = np.append(cells.counts, 0)[cells.of].ravel()
+        starts = np.append(np.cumsum(cells.counts) - cells.counts, 0)[cells.of].ravel()
+        at = np.repeat(starts - (np.cumsum(runs) - runs), runs) + np.arange(runs.sum())
+        bins = np.repeat(np.arange(runs.size), runs)
+        x = np.take(cells.x, at)
+        rise, fall = x - np.take(t[:, :-1], bins), np.take(t[:, 1:], bins) - x
+        del x
+        width = np.diff(t, axis=1)
+        slope = np.divide(1.0, width, out=np.zeros_like(width), where=width > 0.0)
+        # by hat and by cell: no hats 0 and m+1 when Dirichlet
+        coef = np.zeros(t.shape)
+        coef[:, d:m + 2 - d] = w
+        # weights u - target, u = (w_c fall + w_{c+1} rise) / h, built in
+        # place: the gradient holds six rows of one entry per node at most
+        residual = np.take(coef[:, :-1], bins)
+        residual *= fall
+        on_rising = np.take(coef[:, 1:], bins)
+        on_rising *= rise
+        residual += on_rising
+        del on_rising
+        residual *= np.take(slope, bins)
+        residual *= np.take(weights, at)
+        residual -= np.take(target, at)
+        del at
+        diff = coef[:, :-1] - coef[:, 1:]
         with np.errstate(over="ignore"):
             square = slope * slope
+
+        sums = _run_sums(runs, runs.size)
+
+        def per_cell(v, scale):
+            s = sums(v).reshape(scale.shape)
+            return np.where(s == 0.0, 0.0, s * scale)
+
         ending, starting = (per_cell(residual * p, diff * square) for p in (rise, fall))
         narrow = np.isinf(square)
         if narrow.any():
             # a cell narrower than about 1e-154 squares its slope to inf,
             # though the derivative is finite: there the slope scales the
             # residual before the sum and the jump after it
-            scaled = residual * np.take(slopes, at)
+            scaled = residual * np.take(slope, bins)
             ending, starting = (np.where(narrow, per_cell(scaled * p, diff * slope), s)
                                 for p, s in ((rise, ending), (fall, starting)))
         return ending[:, :-1] + starting[:, 1:]
+
+
+def _run_sums(counts, size):
+    """``sums(v)``: the ``(size,)`` sums of ``v`` over its consecutive runs of
+    ``counts`` entries, 0 for an empty run and behind the runs.  One
+    ``numpy.add.reduceat``: each run's sum is bitwise that of the run alone."""
+    full = np.zeros(size, dtype=bool)
+    full[:counts.size] = counts > 0
+    starts = (np.cumsum(counts) - counts)[full[:counts.size]]
+
+    def sums(v):
+        out = np.zeros(size)
+        out[full] = np.add.reduceat(v, starts)
+        return out
+
+    return sums
 
 
 @dataclass(frozen=True)

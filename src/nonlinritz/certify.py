@@ -200,9 +200,10 @@ def minimiser_grid_oracle(
     The feasible points are evaluated in grid order by one
     :class:`~nonlinritz.assembly.Evaluator`, as stacks cut by its
     ``slices``: one assembly and one stacked exact solve per block,
-    whatever the family (hats and the indicator pair split the quadrature
-    per point inside the assembly).  Every value is bitwise the one of
-    that point evaluated alone.
+    whatever the family (the indicator pair splits the quadrature per
+    point inside the assembly; hats split it per distinct cell, and the
+    grid's points share their outer cells).  Every value is bitwise the one
+    of that point evaluated alone.
     """
     domain = family.domain
     if domain.dim > 3:

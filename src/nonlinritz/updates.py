@@ -248,9 +248,10 @@ class EnergyGradients:
 
     * ``analytic``: under the L2 energy, differentiate under the integral:
       ``d_i K = (u - f, d_i u)`` with ``u = w . phi(xi)`` and ``d_i u`` the
-      family's contracted parameter derivative (hats: cell sums over the
-      located cells; any other family: ``dparam_values`` of the group's
-      points, nodes and basis values), both read from the evaluation of
+      family's contracted parameter derivative (hats: sums per point and
+      cell over the evaluation's cells; any other family: ``dparam_values``
+      of the group's points, nodes and basis values), both read from the
+      evaluation of
       the point, and the weighted target ``f`` from its field values: the
       evaluation a system kept from its assembly, or a fresh one of points
       never assembled.
@@ -259,9 +260,8 @@ class EnergyGradients:
       differentiable but the energy is.
     * ``fd``: central finite differences of the assembled energy; the only
       route under an H1 energy.  The ``2m`` probes ``xi +- h e_i`` of every
-      point are one stack, assembled in the evaluator's blocks (each probe
-      moves the family's breakpoints differently; assembly splits per
-      point).
+      point are one stack, assembled in the evaluator's blocks; the probes
+      of hats share all but two cells each, which a block integrates once.
 
     :meth:`grad_xi` takes one point or a stack of points with one
     coefficient vector each; every route evaluates a stack, and one point

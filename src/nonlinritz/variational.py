@@ -29,6 +29,7 @@ from .errors import (
 
 __all__ = [
     "QuadratureRule",
+    "Cells",
     "Field",
     "ProblemConstants",
     "L2Approx",
@@ -119,6 +120,66 @@ class QuadratureRule:
             groups.append((rows, *_panel_nodes(merged[rows, :c], self.order)))
         return groups
 
+    def split_cells(self, grid, fixed=()) -> "Cells":
+        """The rule split at each row of ``grid`` ``(N, k)`` and at ``fixed``, cell by cell.
+
+        A row's cells are the intervals ``(t_c, t_{c+1}]`` between its
+        consecutive entries; a cell with ``t_{c+1} <= t_c`` holds no node.
+        Each row splits the rule as ``split_at`` splits it at that row and
+        ``fixed`` (one :meth:`_merged` over the stack), and a cell holds the
+        nodes of that split which lie in it, so every cell's nodes, weights
+        and order are bitwise the row's own.  A cell both of whose ends
+        (clipped to the interval) are boundaries of its row's split holds
+        the panels between them, which depend on its ends alone: cells with
+        equal ends are laid out once for the stack.  A cell an end of which
+        the split dropped (within ``1e-13 * span`` of another split point)
+        is laid out for its row alone, and keeps those nodes of its row's
+        panels around it that lie in it.
+        """
+        t = np.asarray(grid, dtype=float)
+        N, k = t.shape
+        rows = np.empty((N, k + len(fixed)))
+        rows[:, :k], rows[:, k:] = t, fixed
+        bounds = self._merged(rows)[0]
+        # where each entry falls among its row's boundaries: keys (row,
+        # value) sort lexicographically as complex numbers, so one search
+        # places every entry among its own row's boundaries
+        row = np.arange(N)[:, None]
+        keys, entries = np.empty(bounds.shape, dtype=complex), np.empty(t.shape, dtype=complex)
+        keys.real, keys.imag = row, np.nan_to_num(bounds, nan=np.inf)
+        entries.real, entries.imag = row, np.clip(t, self.x_lo, self.x_hi)
+        below, upto = (np.searchsorted(keys.ravel(), entries, side=side) - bounds.shape[1] * row
+                       for side in ("left", "right"))
+        on = upto > below  # the entry is a boundary
+        first, stop = upto[:, :-1] - 1, below[:, 1:]   # the panels around each cell
+        a, b = t[:, :-1], t[:, 1:]
+        live, kept = (b > a) & (stop > first), on[:, :-1] & on[:, 1:]
+        shared, own = np.flatnonzero(live & kept), np.flatnonzero(live & ~kept)
+        rep = inverse = np.arange(shared.size)
+        if N > 1:  # the cells of one row are distinct
+            _, rep, inverse = np.unique((a + 1j * b).ravel()[shared], return_index=True,
+                                        return_inverse=True)
+        rep = np.concatenate([shared[rep], own])   # flat (row, cell) laying out each distinct cell
+        of = np.full(a.size, rep.size)
+        of[shared], of[own] = inverse, np.arange(rep.size - own.size, rep.size)
+        # the panels of every distinct cell, cell after cell: runs of its
+        # row's boundaries, indexed in the flat array of all rows'
+        start = (first + bounds.shape[1] * row).ravel()[rep]
+        panels = (stop - first).ravel()[rep]
+        at = np.repeat(start - (np.cumsum(panels) - panels), panels) + np.arange(panels.sum())
+        flat = bounds.ravel()
+        x, w = (v.ravel() for v in _panel_nodes(np.stack([flat[at], flat[at + 1]], axis=-1),
+                                                self.order))
+        ends = a.ravel()[rep], b.ravel()[rep]
+        counts = panels * self.order
+        if own.size:
+            alone = np.repeat(np.arange(rep.size) >= rep.size - own.size, counts)
+            lo, hi = (np.repeat(e, counts) for e in ends)
+            keep = ~alone | ((x > lo) & (x <= hi))
+            x, w = x[keep], w[keep]
+            counts = np.bincount(np.repeat(np.arange(rep.size), counts)[keep], minlength=rep.size)
+        return Cells(t, *ends, x, w, counts, of.reshape(a.shape))
+
     def _merged(self, pts):
         """Sorted boundaries of each row of ``pts`` ``(N, k)`` merged into the rule's.
 
@@ -149,6 +210,24 @@ class QuadratureRule:
             merged[drop] = np.nan
             merged.sort(axis=1)
         return merged, np.count_nonzero(~np.isnan(merged), axis=1)
+
+
+class Cells:
+    """The nodes of a rule split at each row of a grid, cell by cell.
+
+    ``grid`` ``(N, k)`` holds the rows; ``a`` and ``b`` ``(K,)`` the ends
+    of each distinct cell; ``x`` and ``weights`` their nodes and weights,
+    cell after cell and ascending in each; ``counts`` ``(K,)`` each cell's
+    number of nodes; and ``of`` ``(N, k - 1)`` the distinct cell of each
+    row's cell, ``K`` for a cell that holds no node.
+    """
+
+    # plain class: each frozen dataclass costs about 1 ms of import
+    __slots__ = ("grid", "a", "b", "x", "weights", "counts", "of")
+
+    def __init__(self, grid, a, b, x, weights, counts, of):
+        self.grid, self.a, self.b, self.x, self.weights = grid, a, b, x, weights
+        self.counts, self.of = counts, of
 
 
 def _panel_nodes(b, order: int):

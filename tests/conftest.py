@@ -1,5 +1,14 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Every property test names its own example count except the parity tests
+# of the per-cell hat assembly, which take the profile's: hypothesis's
+# default locally, and more under HYPOTHESIS_PROFILE=ci.
+settings.register_profile("ci", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

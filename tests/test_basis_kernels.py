@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import nonlinritz.assembly
 from nonlinritz.assembly import Evaluator, assemble, quadratic_energy
 from nonlinritz.basis import FreeKnotHats, NonlinearDomain
 from nonlinritz.certify import minimiser_grid_oracle
@@ -18,7 +19,7 @@ from nonlinritz.errors import DomainViolationError
 from nonlinritz.updates import central_differences, make_gradients
 from nonlinritz.variational import DiffusionReaction1D, L2Approx, Field, QuadratureRule
 
-from hat_loops import loop_basis_derivs, loop_basis_values, loop_dparam_values
+from hat_loops import located_cells, loop_basis_derivs, loop_basis_values, loop_dparam_values
 from helpers import constant
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -119,7 +120,8 @@ def test_knot_gradient_matches_the_contracted_loop(case, seed):
     phi = loop_basis_values(fam, xi, x)
     r = q * (w @ phi) - qf
     du = np.einsum("l,klx->kx", w, loop)
-    got = fam.knot_gradient(fam.evaluate(xi, x), w[None], q, qf)
+    cells, order = located_cells(fam, xi, x)
+    got = fam.knot_gradient(cells, w[None], q[order], qf[order])
     assert got.shape == (1, fam.n_nonlinear)
     # roundoff: each term r_x du_x takes a few roundings (u from the pieces
     # and the slope, the residual, the derivative, the product) and each
@@ -131,7 +133,7 @@ def test_knot_gradient_matches_the_contracted_loop(case, seed):
     # a cell narrower than about 1.5e-154 squares, in the loop, to a
     # subnormal number, which rounds by up to half the least subnormal: the
     # loop's derivatives on it lose that much more, relative to the square
-    square = np.diff(fam._grid(xi)) ** 2
+    square = np.diff(fam.grid(xi)) ** 2
     lost = np.finfo(float).smallest_subnormal / np.min(square[square > 0.0])
     bound = ((x.size + 10) * np.finfo(float).eps + lost) * magnitude
     assert np.all(np.abs(got[0] - du @ r) <= bound)
@@ -167,15 +169,16 @@ def test_knot_gradient_matches_central_differences(case, seed):
     # compared only if none of its steps rounds away (on a cell a few ulps
     # wide, t + h == t); the contracted loop covers those knots
     fam, xi, x = case
-    located = fam.evaluate(xi, x)
-    t = fam._grid(xi)
+    located = fam._locate(xi, x)
+    t = fam.grid(xi)
     width = np.diff(t)
     # widths below about 1e-154 square to zero: infinite derivatives
     assume(np.all((width == 0.0) | (width > 1e-150)))
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(fam.n_linear)
     q, qf = rng.uniform(0.0, 1.0, x.size), rng.standard_normal(x.size)
-    got = fam.knot_gradient(located, w[None], q, qf)[0]
+    cells, order = located_cells(fam, xi, x)
+    got = fam.knot_gradient(cells, w[None], q[order], qf[order])[0]
     cell = located[2][0]
     cd, roundoff = np.zeros(fam.n_nonlinear), np.zeros(fam.n_nonlinear)
     resolved = np.ones(fam.n_nonlinear, dtype=bool)
@@ -298,6 +301,34 @@ def test_fd_gradient_memory_is_bounded_by_the_block():
         tracemalloc.stop()
     assert g.shape == (160,) and np.all(np.isfinite(g))
     assert peak < 16e6
+
+
+@pytest.mark.parametrize("h1, m, n_panels", [(False, 10, 64), (False, 32, 32),
+                                              (True, 40, 32), (True, 160, 64)])
+def test_one_hat_block_stays_within_the_element_budget(h1, m, n_panels):
+    # a full block from ``slices`` of points that share no cell, so the
+    # per-cell layout holds every point's nodes: its assembly and, under the
+    # L2 energy, its knot gradient hold at most the budget's bytes
+    dom = NonlinearDomain([0.005] * m, [0.995] * m, chains=(tuple(range(m)),))
+    fam = FreeKnotHats(dom, 0.0, 1.0, dirichlet=h1)
+    problem = _dirichlet_hats(4, 8)[0].evaluator.problem if h1 else L2Approx(
+        Field(lambda x: np.sin(6.5 * x) + np.abs(x - 0.3), None, (0.3,)))
+    grads = make_gradients(problem, QuadratureRule.on_interval(0.0, 1.0, n_panels, 5), fam)
+    points = np.sort(np.random.default_rng(m).uniform(0.005, 0.995, (400, m)), axis=1)
+    block = points[grads.evaluator.slices(points)[0]]
+    assert len(block) < len(points)
+    w = np.ones((len(block), fam.n_linear))
+    grads.evaluator.assemble(block[:2])  # warm-up: lazy imports stay out of the peak
+    tracemalloc.start()
+    try:
+        system = grads.evaluator.assemble(block)
+        if not h1:
+            grads.grad_xi(w, system)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert system.evaluation.groups[0][4].counts.size == len(block) * (m + 1)
+    assert peak <= 8 * nonlinritz.assembly._ELEMENT_STACK_ELEMENTS
 
 
 def test_stacked_fd_probes_are_formed_block_by_block():

@@ -358,7 +358,8 @@ def test_grid_oracle_assembles_and_decomposes_per_block(count_calls):
 
 def test_hat_grid_oracle_assembles_per_block(count_calls):
     # two chained knots move the breakpoints at every grid point; points
-    # with a knot on a panel edge have fewer panels
+    # with a knot on a panel edge have fewer panels, and all of a block's
+    # points are split cell by cell in one assembly
     dom = NonlinearDomain([0.05, 0.05], [0.95, 0.95], chains=((0, 1),), gap=0.02)
     family = FreeKnotHats(dom, 0.0, 1.0)
     problem = L2Approx(Field(lambda x: np.abs(x - 0.33) + 0.5 * x * x, None, (0.33,)))
@@ -368,10 +369,9 @@ def test_hat_grid_oracle_assembles_per_block(count_calls):
     n = oracle.points.shape[0]
     block = Evaluator(problem, rule, family).slices(oracle.points)[0].stop
     ends = np.column_stack([np.zeros(n), oracle.points, np.ones(n), np.full(n, 0.33)])
-    groups = len(rule.split_rows(ends))
-    assert groups == 3  # no, one or two knots on a panel edge
-    # one assembly per point before stacking
-    assert len(assembles) <= math.ceil(n / block) + groups < n / 50
+    assert len(rule.split_rows(ends)) == 3  # no, one or two knots on a panel edge
+    # one assembly per block, before stacking one per point
+    assert len(assembles) == math.ceil(n / block) < n / 50
     for i in range(n):
         assert oracle.values[i] == reduced_energy(problem, rule, family, oracle.points[i])[0]
 

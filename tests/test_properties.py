@@ -390,7 +390,8 @@ def test_stacked_gradient_is_bitwise_per_row(kind, seed):
 @pytest.mark.parametrize("h1", [False, True])
 def test_stack_mixing_panel_counts_matches_point_by_point(h1):
     # RULE's panel edges sit at multiples of 1/8, and a knot on one adds no
-    # panel: these points split the rule into 10, 9 and 8 panels
+    # panel: these points split the rule into 10, 9 and 8 panels, and two
+    # pairs of them share a cell, which the stack lays out once
     domain = NonlinearDomain([0.05, 0.05], [0.95, 0.95], chains=((0, 1),), gap=0.01)
     family = FreeKnotHats(domain, 0.0, 1.0, dirichlet=h1)
     problem = TARGET
@@ -400,9 +401,10 @@ def test_stack_mixing_panel_counts_matches_point_by_point(h1):
                                       0.3, -0.2)
     stack = np.array([[0.3, 0.6], [0.25, 0.6], [0.5, 0.625], [0.31, 0.77], [0.25, 0.5]])
     ends = np.column_stack([np.zeros(5), stack, np.ones(5)])
-    groups = [(x.shape[1] // RULE.order, rows.tolist()) for rows, x, _ in RULE.split_rows(ends)]
-    assert groups == [(8, [2, 4]), (9, [1]), (10, [0, 3])]
+    assert [RULE.split_at(e).nodes.size // RULE.order for e in ends] == [10, 9, 8, 10, 8]
     system = assemble(problem, RULE, family, stack)
+    cells = system.evaluation.groups[0][4]
+    assert cells.of.size == 15 and cells.counts.size == 13
     grads = make_gradients(problem, RULE, family)
     w = np.linspace(0.5, 1.5, 5 * family.n_linear).reshape(5, -1)
     g = grads.grad_xi(w, stack)
